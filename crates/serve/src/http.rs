@@ -13,8 +13,9 @@ use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 
 /// Longest accepted request line or header line, in bytes. Anything
-/// longer is a client bug or an attack, not a workload.
-pub const MAX_LINE: usize = 8 * 1024;
+/// longer is a client bug or an attack, not a workload. The `served:`
+/// client holds the daemon's replies to the same cap.
+pub const MAX_LINE: usize = speculative_prefetch::served::MAX_HEADER_LINE;
 
 /// A parsed request: method, path and (possibly empty) body.
 #[derive(Debug)]

@@ -113,3 +113,25 @@ fn invalid_skp_body_is_a_structured_400() {
     assert!(resp.body.contains("'chain'"), "{}", resp.body);
     handle.shutdown().expect("clean shutdown");
 }
+
+#[test]
+fn deeply_nested_body_is_a_400_and_the_daemon_keeps_serving() {
+    let handle = spawn();
+    let addr = handle.addr().to_string();
+    // About 0.5 MB of `[`: under the 1 MiB body cap, and far deeper than
+    // a worker thread's stack could recurse.
+    let deep = "[".repeat(500_000);
+    let resp = http_request(&addr, "POST", "/run", Some(&deep)).expect("daemon reachable");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    // As a wire run: the unknown key is walked by the depth-capped
+    // parser, which answers with a structured error.
+    let body = format!("{{\"x\":{deep}");
+    let resp = http_request(&addr, "POST", "/run", Some(&body)).expect("daemon reachable");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("invalid-param"), "{}", resp.body);
+    assert!(resp.body.contains("nesting"), "{}", resp.body);
+
+    let resp = http_request(&addr, "GET", "/version", None).expect("daemon still serving");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    handle.shutdown().expect("clean shutdown");
+}

@@ -18,12 +18,11 @@
 //! skp-plan --list
 //! ```
 
-use speculative_prefetch::wire::{esc, list, num};
+use speculative_prefetch::wire::{esc, list, num, write_report_fields};
 use speculative_prefetch::{
     backend_specs, generator_specs, global_applicable, obs_sink_specs, parse_scenario_file,
-    parse_workload, plan_store_specs, policy_specs, predictor_specs, render_report_fields,
-    trace_json, Engine, Error, PhaseSpan, PlanReport, ReportSection, RunReport, Scenario, Workload,
-    WorkloadFile,
+    parse_workload, plan_store_specs, policy_specs, predictor_specs, trace_json, Engine, Error,
+    PhaseSpan, PlanReport, ReportSection, RunReport, Scenario, Workload, WorkloadFile,
 };
 
 fn usage() -> ! {
@@ -531,12 +530,15 @@ fn print_run_json(file: &WorkloadFile, engine: &Engine, report: &RunReport) {
     // The report body (access / section / events) is rendered by the
     // shared wire module — the same encoding skp-serve answers with, so
     // `skp-plan run --format json` and a daemon round-trip are
-    // byte-comparable after stripping the metadata prefix.
-    println!(
-        "{{\"workload\":\"{}\",\"backend\":\"{}\",\"policy\":\"{}\",{}}}",
+    // byte-comparable after stripping the metadata prefix. The prefix
+    // and the body share one buffer.
+    let mut out = format!(
+        "{{\"workload\":\"{}\",\"backend\":\"{}\",\"policy\":\"{}\",",
         esc(file.kind.name()),
         esc(&engine.backend_spec_string()),
         esc(engine.policy_name()),
-        render_report_fields(report, &file.labels)
     );
+    write_report_fields(&mut out, report, &file.labels);
+    out.push('}');
+    println!("{out}");
 }

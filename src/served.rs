@@ -237,6 +237,38 @@ impl HttpResponse {
     }
 }
 
+/// Longest status or header line the client accepts, in bytes — the
+/// same cap `skp-serve` puts on request lines.
+pub const MAX_HEADER_LINE: usize = 8 * 1024;
+
+/// Most header lines the client reads from one response.
+const MAX_HEADERS: usize = 64;
+
+/// Most body bytes reserved before they arrive, whatever
+/// `Content-Length` claims.
+const BODY_RESERVE: usize = 1 << 20;
+
+/// Reads one `\n`-terminated line of at most [`MAX_HEADER_LINE`] bytes.
+/// EOF before the terminator means the daemon closed mid-headers.
+fn read_header_line(reader: &mut impl BufRead) -> Result<String, Error> {
+    let malformed = |detail: String| Error::InvalidParam {
+        what: "served backend",
+        detail,
+    };
+    let mut line = Vec::new();
+    reader
+        .take(MAX_HEADER_LINE as u64 + 1)
+        .read_until(b'\n', &mut line)?;
+    if line.last() != Some(&b'\n') {
+        return Err(malformed(if line.len() > MAX_HEADER_LINE {
+            format!("daemon sent a header line over {MAX_HEADER_LINE} bytes")
+        } else {
+            "daemon closed mid-headers".into()
+        }));
+    }
+    String::from_utf8(line).map_err(|_| malformed("daemon headers are not UTF-8".into()))
+}
+
 /// Sends one HTTP/1.1 request (`Connection: close`) and reads the full
 /// response. I/O failures surface as [`Error::Io`]; a response the
 /// client cannot parse surfaces as [`Error::InvalidParam`].
@@ -263,8 +295,7 @@ pub fn http_request(
         detail,
     };
     let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
+    let status_line = read_header_line(&mut reader)?;
     let status = status_line
         .split_whitespace()
         .nth(1)
@@ -278,19 +309,23 @@ pub fn http_request(
 
     let mut retry_after = None;
     let mut content_length: Option<usize> = None;
+    let mut headers = 0;
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(malformed("daemon closed mid-headers".into()));
-        }
+        let line = read_header_line(&mut reader)?;
         let line = line.trim_end();
         if line.is_empty() {
             break;
         }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(malformed(format!(
+                "daemon sent more than {MAX_HEADERS} headers"
+            )));
+        }
         if let Some((key, value)) = line.split_once(':') {
+            let raw = value.trim();
             match key.trim().to_ascii_lowercase().as_str() {
                 "retry-after" => {
-                    let raw = value.trim();
                     retry_after = Some(raw.parse::<u64>().map_err(|_| {
                         malformed(format!(
                             "daemon sent a malformed Retry-After header '{raw}' \
@@ -298,24 +333,38 @@ pub fn http_request(
                         ))
                     })?);
                 }
-                "content-length" => content_length = value.trim().parse().ok(),
+                "content-length" => {
+                    content_length = Some(raw.parse().map_err(|_| {
+                        malformed(format!(
+                            "daemon sent a malformed Content-Length header '{raw}'"
+                        ))
+                    })?);
+                }
                 _ => {}
             }
         }
     }
 
-    let body = match content_length {
+    // The buffer grows only as bytes arrive: a claimed length reserves
+    // at most `BODY_RESERVE` up front, and a short body is an error.
+    let mut raw = Vec::new();
+    match content_length {
         Some(n) => {
-            let mut buf = vec![0u8; n];
-            reader.read_exact(&mut buf)?;
-            String::from_utf8(buf).map_err(|_| malformed("daemon response is not UTF-8".into()))?
+            raw.reserve(n.min(BODY_RESERVE));
+            reader.take(n as u64).read_to_end(&mut raw)?;
+            if raw.len() < n {
+                return Err(malformed(format!(
+                    "daemon closed after {} of the {n} body bytes it announced",
+                    raw.len()
+                )));
+            }
         }
         None => {
-            let mut text = String::new();
-            reader.read_to_string(&mut text)?;
-            text
+            reader.read_to_end(&mut raw)?;
         }
-    };
+    }
+    let body =
+        String::from_utf8(raw).map_err(|_| malformed("daemon response is not UTF-8".into()))?;
     Ok(HttpResponse {
         status,
         retry_after,
@@ -473,15 +522,17 @@ mod tests {
     }
 
     /// Serves one canned raw HTTP response on an ephemeral port and
-    /// returns the address to request it from.
-    fn serve_canned(raw: &'static str) -> String {
+    /// returns the address to request it from. The peer may stop
+    /// reading early, so write errors are ignored.
+    fn serve_canned(raw: impl Into<String>) -> String {
+        let raw = raw.into();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::spawn(move || {
             let (mut sock, _) = listener.accept().unwrap();
             let mut buf = [0u8; 1024];
             let _ = std::io::Read::read(&mut sock, &mut buf);
-            sock.write_all(raw.as_bytes()).unwrap();
+            let _ = sock.write_all(raw.as_bytes());
         });
         addr
     }
@@ -522,5 +573,53 @@ mod tests {
         );
         let err = http_request(&addr, "GET", "/", None).unwrap_err();
         assert!(err.to_string().contains("Retry-After"), "{err}");
+    }
+
+    #[test]
+    fn huge_content_length_is_a_short_body_not_an_allocation() {
+        // 1 TiB claimed, 2 bytes sent: reading must fail on the short
+        // body instead of allocating what the peer claimed.
+        let addr = serve_canned("HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\nok");
+        let err = http_request(&addr, "GET", "/", None).unwrap_err();
+        assert!(matches!(err, Error::InvalidParam { .. }), "{err}");
+        assert!(err.to_string().contains("2 of the 1099511627776"), "{err}");
+    }
+
+    #[test]
+    fn short_and_garbage_content_lengths_are_malformed() {
+        let addr = serve_canned("HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nok");
+        let err = http_request(&addr, "GET", "/", None).unwrap_err();
+        assert!(err.to_string().contains("2 of the 10"), "{err}");
+        let addr = serve_canned("HTTP/1.1 200 OK\r\nContent-Length: lots\r\n\r\nok");
+        let err = http_request(&addr, "GET", "/", None).unwrap_err();
+        assert!(err.to_string().contains("Content-Length"), "{err}");
+    }
+
+    #[test]
+    fn oversized_header_line_is_a_malformed_response() {
+        let raw = format!(
+            "HTTP/1.1 200 OK\r\nX-Junk: {}\r\nContent-Length: 2\r\n\r\nok",
+            "j".repeat(1 << 20)
+        );
+        let err = http_request(&serve_canned(raw), "GET", "/", None).unwrap_err();
+        assert!(matches!(err, Error::InvalidParam { .. }), "{err}");
+        assert!(err.to_string().contains("over 8192 bytes"), "{err}");
+    }
+
+    #[test]
+    fn endless_headers_are_a_malformed_response() {
+        let raw = format!(
+            "HTTP/1.1 200 OK\r\n{}Content-Length: 2\r\n\r\nok",
+            "X-Junk: j\r\n".repeat(MAX_HEADERS + 1)
+        );
+        let err = http_request(&serve_canned(raw), "GET", "/", None).unwrap_err();
+        assert!(err.to_string().contains("more than 64 headers"), "{err}");
+    }
+
+    #[test]
+    fn eof_mid_headers_is_a_malformed_response() {
+        let addr = serve_canned("HTTP/1.1 200 OK\r\nContent-Len");
+        let err = http_request(&addr, "GET", "/", None).unwrap_err();
+        assert!(err.to_string().contains("closed mid-headers"), "{err}");
     }
 }

@@ -3,25 +3,38 @@
 //! Everything here is hand-rolled on `std` — the offline workspace has
 //! no serde — and split into three layers:
 //!
-//! 1. **Encoding helpers** ([`esc`], [`num`], [`list`]) and a small
-//!    recursive-descent [`Json`] parser. Numbers keep their *raw token
-//!    text* so 64-bit seeds survive parsing without being squeezed
-//!    through `f64` (which only holds 53 bits of integer precision).
+//! 1. **Encoding helpers** ([`esc`], [`num`], [`list`]) and one JSON
+//!    grammar: a recursive-descent cursor over the borrowed text. The
+//!    same cursor builds the public [`Json`] tree and drives the typed
+//!    readers below, so there is exactly one notion of a well-formed
+//!    document. Nesting deeper than 64 levels is refused with an error
+//!    instead of recursing off the stack. [`Json`] numbers keep
+//!    their *raw token text* so 64-bit seeds survive parsing without
+//!    being squeezed through `f64` (which only holds 53 bits of integer
+//!    precision).
 //! 2. **Report rendering and parsing**: [`render_report_fields`] emits
 //!    the `"access"` / `"section_kind"` / `"section"` / `"events"`
 //!    fragment both the CLI and the daemon embed in their responses,
-//!    and [`parse_report`] rebuilds a [`RunReport`] from it. Population
-//!    sections (multi-client, sharded) round-trip **bit-identically**:
-//!    `f64` values are printed with Rust's shortest-round-trip `Display`
-//!    and re-parsed with `str::parse`, which restores the exact bits.
-//!    Plan, trace and Monte-Carlo sections are render-only (their
-//!    statistics carry private accumulator state that has no business
-//!    on the wire).
+//!    written straight into one buffer, and [`parse_report`] rebuilds a
+//!    [`RunReport`] from it without building a tree: keys are matched as
+//!    borrowed slices and each number token is parsed once, straight
+//!    into its field. Keys may come in any order, unknown keys are
+//!    validated and dropped, and on a duplicate key the first one wins
+//!    (as [`Json::get`] does). Population sections (multi-client,
+//!    sharded) round-trip **bit-identically**: `f64` values are printed
+//!    with Rust's shortest-round-trip `Display` and re-parsed with
+//!    `str::parse`, which restores the exact bits. Plan, trace and
+//!    Monte-Carlo sections are render-only (their statistics carry
+//!    private accumulator state that has no business on the wire).
 //! 3. **Workload shipping**: [`WireRun`] is the population workload a
 //!    `served:` backend posts to a daemon — policy and inner-backend
 //!    registry specs, the retrieval catalog, and the Markov chain as
 //!    explicit rows so the daemon rebuilds the *identical* chain and
-//!    replays the identical simulation.
+//!    replays the identical simulation. It is read by the same typed
+//!    cursor.
+
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 use access_model::MarkovChain;
 use distsys::multiclient::MultiClientResult;
@@ -34,22 +47,129 @@ use crate::report::{ReportSection, RunReport};
 use crate::workload::Workload;
 
 // ---------------------------------------------------------------------
-// Encoding helpers.
+// Encoding helpers. Everything is appended to one caller-owned buffer.
 // ---------------------------------------------------------------------
+
+/// Appends `raw` escaped for inclusion inside a JSON string literal,
+/// copying the runs between escapes whole.
+fn push_esc(out: &mut String, raw: &str) {
+    let mut run = 0;
+    for (i, b) in raw.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b if b < 0x20 => "",
+            _ => continue,
+        };
+        out.push_str(&raw[run..i]);
+        if escaped.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escaped);
+        }
+        run = i + 1;
+    }
+    out.push_str(&raw[run..]);
+}
+
+/// Appends `raw` as a quoted, escaped JSON string.
+fn push_string(out: &mut String, raw: &str) {
+    out.push('"');
+    push_esc(out, raw);
+    out.push('"');
+}
+
+fn push_uint(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+}
+
+/// Appends a finite `f64` in Rust's shortest-round-trip `Display` form
+/// (re-parsing restores the exact bits); non-finite values become
+/// `null`. Below 2^53 every integer is exact and its shortest form is
+/// its digits, so whole values (common: simulated time runs in whole
+/// units) take the integer path — same bytes, no float formatting.
+fn push_num(out: &mut String, x: f64) {
+    if x.fract() == 0.0 && x.is_sign_positive() && x < 9_007_199_254_740_992.0 {
+        push_uint(out, x as u64);
+    } else if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Appends `items` as a JSON array, each element written by `item`.
+fn push_arr<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
+}
+
+fn push_nums(out: &mut String, xs: &[f64]) {
+    push_arr(out, xs, |out, x| push_num(out, *x));
+}
+
+/// Writes one JSON object, member by member, into the buffer.
+struct ObjWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjWriter<'a> {
+    fn new(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjWriter { out, empty: true }
+    }
+
+    /// A member whose value `value` writes. Keys are plain identifiers,
+    /// so they go out unescaped.
+    fn with(mut self, key: &str, value: impl FnOnce(&mut String)) -> Self {
+        self.out.push_str(if self.empty { "\"" } else { ",\"" });
+        self.empty = false;
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        value(self.out);
+        self
+    }
+
+    fn num(self, key: &str, x: f64) -> Self {
+        self.with(key, |out| push_num(out, x))
+    }
+
+    fn uint(self, key: &str, n: u64) -> Self {
+        self.with(key, |out| push_uint(out, n))
+    }
+
+    fn str(self, key: &str, s: &str) -> Self {
+        self.with(key, |out| push_string(out, s))
+    }
+
+    fn end(self) {
+        self.out.push('}');
+    }
+}
 
 /// Escapes a string for inclusion inside a JSON string literal.
 pub fn esc(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len() + 2);
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    push_esc(&mut out, raw);
     out
 }
 
@@ -57,22 +177,27 @@ pub fn esc(raw: &str) -> String {
 /// (re-parsing restores the exact bits); non-finite values become
 /// `null`.
 pub fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
+    let mut out = String::new();
+    push_num(&mut out, x);
+    out
 }
 
 /// Renders a slice as a JSON array using `f` for each element.
 pub fn list<T, F: Fn(&T) -> String>(items: &[T], f: F) -> String {
-    let parts: Vec<String> = items.iter().map(f).collect();
-    format!("[{}]", parts.join(","))
+    let mut out = String::new();
+    push_arr(&mut out, items, |out, x| out.push_str(&f(x)));
+    out
 }
 
 // ---------------------------------------------------------------------
-// A minimal JSON value and parser.
+// The JSON grammar: one cursor, a tree builder and typed reads.
 // ---------------------------------------------------------------------
+
+/// Deepest nesting of arrays and objects any wire document may use.
+/// Reports and wire runs nest at most six levels and `/stats` about as
+/// deep; the cap turns a hostile `[[[[…` body into a structured error
+/// instead of a stack overflow.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 ///
@@ -98,12 +223,7 @@ pub enum Json {
 impl Json {
     /// Parses one complete JSON document (trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, Error> {
-        Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-        .document()
+        Parser::new(text, "wire JSON").document(Parser::value)
     }
 
     /// Looks up `key` in an object; `None` for missing keys and
@@ -158,13 +278,27 @@ impl Json {
     }
 }
 
+/// The cursor over one document's text: the only JSON grammar here.
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
+    /// The kind of document being read, named in typed-read errors.
+    what: &'static str,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str, what: &'static str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            what,
+        }
+    }
+
     fn err(&self, detail: impl Into<String>) -> Error {
         Error::InvalidParam {
             what: "wire JSON",
@@ -191,8 +325,9 @@ impl Parser<'_> {
         }
     }
 
-    fn document(&mut self) -> Result<Json, Error> {
-        let v = self.value()?;
+    /// Reads one whole document with `read` and rejects trailing data.
+    fn document<T>(mut self, read: impl FnOnce(&mut Self) -> Result<T, Error>) -> Result<T, Error> {
+        let v = read(&mut self)?;
         self.skip_ws();
         if self.pos != self.bytes.len() {
             return Err(self.err("trailing data after document"));
@@ -200,46 +335,88 @@ impl Parser<'_> {
         Ok(v)
     }
 
+    /// Parses any value into a [`Json`] tree.
     fn value(&mut self) -> Result<Json, Error> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.object(|p, key| {
+                    pairs.push((key.into_owned(), p.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(pairs))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => {
+                let raw = self.number();
+                if raw.parse::<f64>().is_err() {
+                    return Err(self.bad_number(raw));
+                }
+                Ok(Json::Num(raw.to_string()))
+            }
             Some(c) => Err(self.err(format!("unexpected '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, Error> {
+    /// Validates and drops one value (an unknown key or a later
+    /// duplicate).
+    fn skip(&mut self) -> Result<(), Error> {
+        self.value().map(drop)
+    }
+
+    fn literal(&mut self, word: &str) -> Result<(), Error> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(format!("expected '{word}'")))
         }
     }
 
-    fn number(&mut self) -> Result<Json, Error> {
+    /// Scans a number token. Callers validate it by parsing it into the
+    /// type they want, once.
+    fn number(&mut self) -> &'a str {
         let start = self.pos;
         while matches!(self.peek(), Some(b) if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
         {
             self.pos += 1;
         }
-        let raw = &self.text[start..self.pos];
-        if raw.parse::<f64>().is_err() {
-            return Err(self.err(format!("bad number '{raw}'")));
-        }
-        Ok(Json::Num(raw.to_string()))
+        &self.text[start..self.pos]
     }
 
-    fn string(&mut self) -> Result<String, Error> {
+    fn bad_number(&self, raw: &str) -> Error {
+        self.err(format!("bad number '{raw}'"))
+    }
+
+    /// Reads a string, borrowed from the text unless it holds escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        while let Some(b) = self.peek() {
+            match b {
+                b'"' => {
+                    self.pos += 1;
+                    return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+                }
+                b'\\' => break,
+                b if b < 0x20 => return Err(self.err("raw control character in string")),
+                _ => self.pos += 1,
+            }
+        }
+        let mut out = self.text[start..self.pos].to_string();
         loop {
             let rest = &self.text[self.pos..];
             let Some(c) = rest.chars().next() else {
@@ -247,7 +424,7 @@ impl Parser<'_> {
             };
             self.pos += c.len_utf8();
             match c {
-                '"' => return Ok(out),
+                '"' => return Ok(Cow::Owned(out)),
                 '\\' => {
                     let Some(e) = self.text[self.pos..].chars().next() else {
                         return Err(self.err("unterminated escape"));
@@ -286,123 +463,213 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, Error> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
+    /// Walks a `open … close` container, calling `item` once per
+    /// comma-separated element. The only place nesting grows, so the
+    /// depth cap covers the tree builder and every typed read.
+    fn nested(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), Error>,
+    ) -> Result<(), Error> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        self.eat(open)?;
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            self.depth -= 1;
+            return Ok(());
         }
         loop {
-            items.push(self.value()?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
+                Some(c) if c == close => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    self.depth -= 1;
+                    return Ok(());
                 }
-                _ => return Err(self.err("expected ',' or ']'")),
+                _ => return Err(self.err(format!("expected ',' or '{}'", close as char))),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, Error> {
-        self.eat(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
+    fn array(&mut self, item: impl FnMut(&mut Self) -> Result<(), Error>) -> Result<(), Error> {
+        self.nested(b'[', b']', item)
     }
-}
 
-// ---------------------------------------------------------------------
-// Typed field extraction (errors name the missing/bad field).
-// ---------------------------------------------------------------------
-
-fn field<'a>(obj: &'a Json, key: &str, what: &'static str) -> Result<&'a Json, Error> {
-    obj.get(key).ok_or_else(|| Error::InvalidParam {
-        what,
-        detail: format!("missing field '{key}'"),
-    })
-}
-
-fn bad(what: &'static str, key: &str, expected: &str) -> Error {
-    Error::InvalidParam {
-        what,
-        detail: format!("field '{key}' must be {expected}"),
-    }
-}
-
-fn field_f64(obj: &Json, key: &str, what: &'static str) -> Result<f64, Error> {
-    field(obj, key, what)?
-        .as_f64()
-        .ok_or_else(|| bad(what, key, "a finite number"))
-}
-
-fn field_u64(obj: &Json, key: &str, what: &'static str) -> Result<u64, Error> {
-    field(obj, key, what)?
-        .as_u64()
-        .ok_or_else(|| bad(what, key, "an unsigned integer"))
-}
-
-fn field_usize(obj: &Json, key: &str, what: &'static str) -> Result<usize, Error> {
-    field_u64(obj, key, what).map(|v| v as usize)
-}
-
-fn field_str<'a>(obj: &'a Json, key: &str, what: &'static str) -> Result<&'a str, Error> {
-    field(obj, key, what)?
-        .as_str()
-        .ok_or_else(|| bad(what, key, "a string"))
-}
-
-fn field_bool(obj: &Json, key: &str, what: &'static str) -> Result<bool, Error> {
-    field(obj, key, what)?
-        .as_bool()
-        .ok_or_else(|| bad(what, key, "a boolean"))
-}
-
-fn field_arr<'a>(obj: &'a Json, key: &str, what: &'static str) -> Result<&'a [Json], Error> {
-    field(obj, key, what)?
-        .as_arr()
-        .ok_or_else(|| bad(what, key, "an array"))
-}
-
-fn f64_arr(items: &[Json], key: &str, what: &'static str) -> Result<Vec<f64>, Error> {
-    items
-        .iter()
-        .map(|v| v.as_f64().ok_or_else(|| bad(what, key, "numbers")))
-        .collect()
-}
-
-fn u64_arr(items: &[Json], key: &str, what: &'static str) -> Result<Vec<u64>, Error> {
-    items
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| bad(what, key, "unsigned integers"))
+    /// Walks an object, handing each member's key to `member`, which
+    /// must consume the member's value.
+    fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.nested(b'{', b'}', |p| {
+            p.skip_ws();
+            let key = p.string()?;
+            p.skip_ws();
+            p.eat(b':')?;
+            member(p, key)
         })
-        .collect()
+    }
+
+    // Typed reads. Their errors name the document kind (`what`) and
+    // the field being read.
+
+    fn bad(&self, key: &str, expected: &str) -> Error {
+        Error::InvalidParam {
+            what: self.what,
+            detail: format!("field '{key}' must be {expected}"),
+        }
+    }
+
+    /// The value of a required member, or the error naming it.
+    fn need<T>(&self, slot: Option<T>, key: &str) -> Result<T, Error> {
+        slot.ok_or_else(|| Error::InvalidParam {
+            what: self.what,
+            detail: format!("missing field '{key}'"),
+        })
+    }
+
+    /// Fills `slot` with `read` unless an earlier duplicate key already
+    /// did; like [`Json::get`], the first occurrence wins and later ones
+    /// are only validated.
+    fn fill<T>(
+        &mut self,
+        slot: &mut Option<T>,
+        read: impl FnOnce(&mut Self) -> Result<T, Error>,
+    ) -> Result<(), Error> {
+        if slot.is_some() {
+            return self.skip();
+        }
+        *slot = Some(read(self)?);
+        Ok(())
+    }
+
+    fn expect(&mut self, open: u8, key: &str, expected: &str) -> Result<(), Error> {
+        self.skip_ws();
+        if self.peek() == Some(open) {
+            Ok(())
+        } else {
+            Err(self.bad(key, expected))
+        }
+    }
+
+    /// An object-valued field.
+    fn members(
+        &mut self,
+        key: &str,
+        member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.expect(b'{', key, "an object")?;
+        self.object(member)
+    }
+
+    /// An array-valued field; `expected` describes it on a mismatch.
+    fn items(
+        &mut self,
+        key: &str,
+        expected: &str,
+        item: impl FnMut(&mut Self) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.expect(b'[', key, expected)?;
+        self.array(item)
+    }
+
+    /// An array field whose elements `read` decodes.
+    fn list_of<T>(
+        &mut self,
+        key: &str,
+        mut read: impl FnMut(&mut Self, &str) -> Result<T, Error>,
+    ) -> Result<Vec<T>, Error> {
+        let mut out = Vec::new();
+        self.items(key, "an array", |p| {
+            out.push(read(p, key)?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// A number token parsed straight into `T`; `expected` describes the
+    /// field when the value is not a number or does not fit `T`.
+    fn number_as<T: std::str::FromStr>(&mut self, key: &str, expected: &str) -> Result<T, Error> {
+        self.skip_ws();
+        match self.peek() {
+            Some(c) if c == b'-' || c.is_ascii_digit() => {
+                let raw = self.number();
+                raw.parse().map_err(|_| match raw.parse::<f64>() {
+                    Ok(_) => self.bad(key, expected),
+                    Err(_) => self.bad_number(raw),
+                })
+            }
+            _ => Err(self.bad(key, expected)),
+        }
+    }
+
+    fn f64(&mut self, key: &str) -> Result<f64, Error> {
+        self.number_as(key, "a finite number")
+    }
+
+    fn u64(&mut self, key: &str) -> Result<u64, Error> {
+        self.number_as(key, "an unsigned integer")
+    }
+
+    fn usize(&mut self, key: &str) -> Result<usize, Error> {
+        self.u64(key).map(|v| v as usize)
+    }
+
+    fn str(&mut self, key: &str) -> Result<Cow<'a, str>, Error> {
+        self.expect(b'"', key, "a string")?;
+        self.string()
+    }
+
+    fn bool(&mut self, key: &str) -> Result<bool, Error> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b't') => self.literal("true").map(|()| true),
+            Some(b'f') => self.literal("false").map(|()| false),
+            _ => Err(self.bad(key, "a boolean")),
+        }
+    }
+
+    fn f64s(&mut self, key: &str) -> Result<Vec<f64>, Error> {
+        self.list_of(key, |p, key| p.number_as(key, "numbers"))
+    }
+
+    fn u64s(&mut self, key: &str) -> Result<Vec<u64>, Error> {
+        self.list_of(key, |p, key| p.number_as(key, "unsigned integers"))
+    }
+
+    /// Validates a value and returns where it starts, to be read later
+    /// by a reader chosen from a sibling field.
+    fn offset(&mut self, _key: &str) -> Result<usize, Error> {
+        self.skip_ws();
+        let start = self.pos;
+        self.skip()?;
+        Ok(start)
+    }
+}
+
+/// Reads one object into the fields listed, each named by its key and
+/// decoded by a `fn(&mut Parser, key) -> Result<T, Error>`, and evaluates
+/// to their values as a tuple in list order. The first occurrence of a
+/// key wins, unknown keys and later duplicates are validated and
+/// dropped, and a missing field is an error naming it (the first missing
+/// one in list order).
+macro_rules! read_fields {
+    ($p:ident . $walk:ident ( $($arg:expr),* ) { $($field:ident: $read:expr),+ $(,)? }) => {{
+        $(let mut $field = None;)+
+        $p.$walk($($arg,)* |p, key| match &*key {
+            $(stringify!($field) => p.fill(&mut $field, |p| $read(p, stringify!($field))),)+
+            _ => p.skip(),
+        })?;
+        ($($p.need($field, stringify!($field))?,)+)
+    }};
 }
 
 // ---------------------------------------------------------------------
@@ -411,19 +678,20 @@ fn u64_arr(items: &[Json], key: &str, what: &'static str) -> Result<Vec<u64>, Er
 
 /// Renders the common access-time summary block.
 pub fn render_access(a: &AccessStats) -> String {
-    format!(
-        "{{\"count\":{},\"mean\":{},\"p50\":{},\"p99\":{},\"min\":{},\"max\":{}}}",
-        a.count,
-        num(a.mean),
-        num(a.p50),
-        num(a.p99),
-        num(a.min),
-        num(a.max)
-    )
+    let mut out = String::new();
+    write_access(&mut out, a);
+    out
 }
 
-fn label(labels: &[String], i: usize) -> String {
-    labels.get(i).cloned().unwrap_or_else(|| i.to_string())
+fn write_access(out: &mut String, a: &AccessStats) {
+    ObjWriter::new(out)
+        .uint("count", a.count)
+        .num("mean", a.mean)
+        .num("p50", a.p50)
+        .num("p99", a.p99)
+        .num("min", a.min)
+        .num("max", a.max)
+        .end();
 }
 
 fn event_kind_str(kind: EventKind) -> &'static str {
@@ -449,101 +717,121 @@ fn event_kind_from_str(s: &str) -> Option<EventKind> {
     })
 }
 
-fn render_event(e: &SimEvent) -> String {
-    format!(
-        "{{\"at\":{},\"client\":{},\"shard\":{},\"item\":{},\"kind\":\"{}\"}}",
-        num(e.at),
-        e.client,
-        e.shard,
-        e.item,
-        event_kind_str(e.kind)
-    )
+fn write_event(out: &mut String, e: &SimEvent) {
+    ObjWriter::new(out)
+        .num("at", e.at)
+        .uint("client", e.client as u64)
+        .uint("shard", e.shard as u64)
+        .uint("item", e.item as u64)
+        .str("kind", event_kind_str(e.kind))
+        .end();
 }
 
-fn render_histogram(h: &Histogram) -> String {
-    format!(
-        "{{\"edges\":{},\"counts\":{},\"sum\":{}}}",
-        list(h.edges(), |e| num(*e)),
-        list(h.counts(), |c| c.to_string()),
-        num(h.sum())
-    )
+fn write_histogram(out: &mut String, h: &Histogram) {
+    ObjWriter::new(out)
+        .with("edges", |out| push_nums(out, h.edges()))
+        .with("counts", |out| {
+            push_arr(out, h.counts(), |out, c| push_uint(out, *c))
+        })
+        .num("sum", h.sum())
+        .end();
 }
 
-fn render_section(section: &ReportSection, labels: &[String]) -> String {
+fn write_shard(out: &mut String, s: &ShardStats) {
+    ObjWriter::new(out)
+        .uint("shard", s.shard as u64)
+        .uint("jobs", s.jobs)
+        .num("busy_time", s.busy_time)
+        .num("utilisation", s.utilisation)
+        .num("mean_queue_depth", s.mean_queue_depth)
+        .uint("max_queue_depth", s.max_queue_depth as u64)
+        .num("total_transfer", s.total_transfer)
+        .num("outage_time", s.outage_time)
+        .num("outage_delay", s.outage_delay)
+        .num("service_scale", s.service_scale)
+        .with("stalls", |out| write_histogram(out, &s.stalls))
+        .end();
+}
+
+fn write_section(out: &mut String, section: &ReportSection, labels: &[String]) {
+    let obj = ObjWriter::new(out);
     match section {
-        ReportSection::Plan(r) => format!(
-            "{{\"items\":{},\"labels\":{},\"gain\":{},\"stretch\":{},\"expected_access_time\":{},\"upper_bound\":{},\"per_request\":{}}}",
-            list(r.plan.items(), |i| i.to_string()),
-            list(r.plan.items(), |&i| format!("\"{}\"", esc(&label(labels, i)))),
-            num(r.gain),
-            num(r.stretch),
-            num(r.expected_access_time),
-            num(r.upper_bound),
-            list(&r.per_request, |t| num(*t)),
-        ),
-        ReportSection::Trace(r) => format!(
-            "{{\"requests\":{},\"mean_access_time\":{},\"hit_rate\":{},\"wasted_per_request\":{}}}",
-            r.requests,
-            num(r.mean_access_time),
-            num(r.hit_rate),
-            num(r.wasted_per_request),
-        ),
-        ReportSection::MonteCarlo(r) => format!(
-            "{{\"iterations\":{},\"mean_access_time\":{},\"std_err\":{},\"mean_gain\":{}}}",
-            r.iterations,
-            num(r.access.mean()),
-            num(r.access.std_err()),
-            num(r.gain.mean()),
-        ),
-        ReportSection::MultiClient(r) => format!(
-            "{{\"requests\":{},\"access\":{},\"utilisation\":{},\"wasted_transfer\":{},\"total_transfer\":{},\"mean_queue_len\":{}}}",
-            r.requests(),
-            render_access(&r.access),
-            num(r.utilisation),
-            num(r.wasted_transfer),
-            num(r.total_transfer),
-            num(r.mean_queue_len),
-        ),
-        ReportSection::Sharded(r) => format!(
-            "{{\"requests\":{},\"access\":{},\"utilisation\":{},\"wasted_transfer\":{},\"total_transfer\":{},\"shards\":{}}}",
-            r.requests(),
-            render_access(&r.access),
-            num(r.utilisation),
-            num(r.wasted_transfer),
-            num(r.total_transfer),
-            list(&r.shards, |s| format!(
-                "{{\"shard\":{},\"jobs\":{},\"busy_time\":{},\"utilisation\":{},\"mean_queue_depth\":{},\"max_queue_depth\":{},\"total_transfer\":{},\"outage_time\":{},\"outage_delay\":{},\"service_scale\":{},\"stalls\":{}}}",
-                s.shard,
-                s.jobs,
-                num(s.busy_time),
-                num(s.utilisation),
-                num(s.mean_queue_depth),
-                s.max_queue_depth,
-                num(s.total_transfer),
-                num(s.outage_time),
-                num(s.outage_delay),
-                num(s.service_scale),
-                render_histogram(&s.stalls),
-            )),
-        ),
+        ReportSection::Plan(r) => obj
+            .with("items", |out| {
+                push_arr(out, r.plan.items(), |out, &i| push_uint(out, i as u64))
+            })
+            .with("labels", |out| {
+                push_arr(out, r.plan.items(), |out, &i| match labels.get(i) {
+                    Some(label) => push_string(out, label),
+                    None => push_string(out, &i.to_string()),
+                })
+            })
+            .num("gain", r.gain)
+            .num("stretch", r.stretch)
+            .num("expected_access_time", r.expected_access_time)
+            .num("upper_bound", r.upper_bound)
+            .with("per_request", |out| push_nums(out, &r.per_request)),
+        ReportSection::Trace(r) => obj
+            .uint("requests", r.requests)
+            .num("mean_access_time", r.mean_access_time)
+            .num("hit_rate", r.hit_rate)
+            .num("wasted_per_request", r.wasted_per_request),
+        ReportSection::MonteCarlo(r) => obj
+            .uint("iterations", r.iterations)
+            .num("mean_access_time", r.access.mean())
+            .num("std_err", r.access.std_err())
+            .num("mean_gain", r.gain.mean()),
+        ReportSection::MultiClient(r) => obj
+            .uint("requests", r.requests())
+            .with("access", |out| write_access(out, &r.access))
+            .num("utilisation", r.utilisation)
+            .num("wasted_transfer", r.wasted_transfer)
+            .num("total_transfer", r.total_transfer)
+            .num("mean_queue_len", r.mean_queue_len),
+        ReportSection::Sharded(r) => obj
+            .uint("requests", r.requests())
+            .with("access", |out| write_access(out, &r.access))
+            .num("utilisation", r.utilisation)
+            .num("wasted_transfer", r.wasted_transfer)
+            .num("total_transfer", r.total_transfer)
+            .with("shards", |out| push_arr(out, &r.shards, write_shard)),
     }
+    .end();
+}
+
+/// Appends a [`RunReport`] to `out` as the JSON object *fields*
+/// `"access":…,"section_kind":…,"section":…,"events":…` (no braces),
+/// so callers can write their own metadata keys around them in the same
+/// buffer. Reserves room for the whole body up front.
+///
+/// `labels` are the catalog item labels (used by plan sections only;
+/// pass `&[]` when there are none).
+pub fn write_report_fields(out: &mut String, report: &RunReport, labels: &[String]) {
+    // At most about 90 bytes per event and 350 per shard.
+    let shards = report.sharded().map_or(0, |r| r.shards.len());
+    out.reserve(512 + 96 * report.events.len() + 384 * shards);
+    out.push_str("\"access\":");
+    write_access(out, &report.access);
+    out.push_str(",\"section_kind\":");
+    push_string(out, report.section.name());
+    out.push_str(",\"section\":");
+    write_section(out, &report.section, labels);
+    out.push_str(",\"events\":");
+    push_arr(out, &report.events, write_event);
 }
 
 /// Renders a [`RunReport`] as the JSON object *fields*
 /// `"access":…,"section_kind":…,"section":…,"events":…` (no braces),
 /// so callers can splice their own metadata keys around them. The CLI
 /// prefixes workload/backend/policy; the daemon prefixes what it knows.
+/// [`write_report_fields`] appends the same bytes to a caller's buffer.
 ///
 /// `labels` are the catalog item labels (used by plan sections only;
 /// pass `&[]` when there are none).
 pub fn render_report_fields(report: &RunReport, labels: &[String]) -> String {
-    format!(
-        "\"access\":{},\"section_kind\":\"{}\",\"section\":{},\"events\":{}",
-        render_access(&report.access),
-        esc(report.section.name()),
-        render_section(&report.section, labels),
-        list(&report.events, render_event),
-    )
+    let mut out = String::new();
+    write_report_fields(&mut out, report, labels);
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -552,108 +840,131 @@ pub fn render_report_fields(report: &RunReport, labels: &[String]) -> String {
 
 const REPORT: &str = "wire report";
 
-fn parse_access(j: &Json) -> Result<AccessStats, Error> {
+fn read_access(p: &mut Parser<'_>, key: &str) -> Result<AccessStats, Error> {
+    let (count, mean, p50, p99, min, max) = read_fields!(p.members(key) {
+        count: Parser::u64,
+        mean: Parser::f64,
+        p50: Parser::f64,
+        p99: Parser::f64,
+        min: Parser::f64,
+        max: Parser::f64,
+    });
     Ok(AccessStats {
-        count: field_u64(j, "count", REPORT)?,
-        mean: field_f64(j, "mean", REPORT)?,
-        p50: field_f64(j, "p50", REPORT)?,
-        p99: field_f64(j, "p99", REPORT)?,
-        min: field_f64(j, "min", REPORT)?,
-        max: field_f64(j, "max", REPORT)?,
+        count,
+        mean,
+        p50,
+        p99,
+        min,
+        max,
     })
 }
 
-fn parse_histogram(j: &Json) -> Result<Histogram, Error> {
-    let edges = f64_arr(field_arr(j, "edges", REPORT)?, "edges", REPORT)?;
-    let counts = u64_arr(field_arr(j, "counts", REPORT)?, "counts", REPORT)?;
-    let sum = field_f64(j, "sum", REPORT)?;
+fn read_histogram(p: &mut Parser<'_>, key: &str) -> Result<Histogram, Error> {
+    let (edges, counts, sum) = read_fields!(p.members(key) {
+        edges: Parser::f64s,
+        counts: Parser::u64s,
+        sum: Parser::f64,
+    });
     if edges.is_empty()
         || edges.windows(2).any(|w| w[0] >= w[1])
         || edges[0] <= 0.0
         || counts.len() != edges.len() + 2
+        || counts
+            .iter()
+            .try_fold(0u64, |a, &c| a.checked_add(c))
+            .is_none()
     {
         return Err(Error::InvalidParam {
             what: REPORT,
-            detail: "field 'stalls' is not a valid histogram (edges must be increasing and \
-                     positive, with one count per bin)"
-                .into(),
+            detail: format!(
+                "field '{key}' is not a valid histogram (edges must be increasing and \
+                 positive, with one count per bin and a total that fits in 64 bits)"
+            ),
         });
     }
     Ok(Histogram::from_parts(edges, counts, sum))
 }
 
-fn parse_multi_client(j: &Json) -> Result<MultiClientResult, Error> {
-    Ok(MultiClientResult {
-        access: parse_access(field(j, "access", REPORT)?)?,
-        utilisation: field_f64(j, "utilisation", REPORT)?,
-        wasted_transfer: field_f64(j, "wasted_transfer", REPORT)?,
-        total_transfer: field_f64(j, "total_transfer", REPORT)?,
-        mean_queue_len: field_f64(j, "mean_queue_len", REPORT)?,
+fn read_shard(p: &mut Parser<'_>, key: &str) -> Result<ShardStats, Error> {
+    let (
+        shard,
+        jobs,
+        busy_time,
+        utilisation,
+        mean_queue_depth,
+        max_queue_depth,
+        total_transfer,
+        outage_time,
+        outage_delay,
+        service_scale,
+        stalls,
+    ) = read_fields!(p.members(key) {
+        shard: Parser::usize,
+        jobs: Parser::u64,
+        busy_time: Parser::f64,
+        utilisation: Parser::f64,
+        mean_queue_depth: Parser::f64,
+        max_queue_depth: Parser::usize,
+        total_transfer: Parser::f64,
+        outage_time: Parser::f64,
+        outage_delay: Parser::f64,
+        service_scale: Parser::f64,
+        stalls: read_histogram,
+    });
+    Ok(ShardStats {
+        shard,
+        jobs,
+        busy_time,
+        utilisation,
+        mean_queue_depth,
+        max_queue_depth,
+        total_transfer,
+        outage_time,
+        outage_delay,
+        service_scale,
+        stalls,
     })
 }
 
-fn parse_sharded(j: &Json) -> Result<ShardReport, Error> {
-    let shards = field_arr(j, "shards", REPORT)?
-        .iter()
-        .map(|s| {
-            Ok(ShardStats {
-                shard: field_usize(s, "shard", REPORT)?,
-                jobs: field_u64(s, "jobs", REPORT)?,
-                busy_time: field_f64(s, "busy_time", REPORT)?,
-                utilisation: field_f64(s, "utilisation", REPORT)?,
-                mean_queue_depth: field_f64(s, "mean_queue_depth", REPORT)?,
-                max_queue_depth: field_usize(s, "max_queue_depth", REPORT)?,
-                total_transfer: field_f64(s, "total_transfer", REPORT)?,
-                outage_time: field_f64(s, "outage_time", REPORT)?,
-                outage_delay: field_f64(s, "outage_delay", REPORT)?,
-                service_scale: field_f64(s, "service_scale", REPORT)?,
-                stalls: parse_histogram(field(s, "stalls", REPORT)?)?,
-            })
-        })
-        .collect::<Result<Vec<_>, Error>>()?;
-    Ok(ShardReport {
-        access: parse_access(field(j, "access", REPORT)?)?,
-        utilisation: field_f64(j, "utilisation", REPORT)?,
-        wasted_transfer: field_f64(j, "wasted_transfer", REPORT)?,
-        total_transfer: field_f64(j, "total_transfer", REPORT)?,
-        shards,
-    })
+fn read_shards(p: &mut Parser<'_>, key: &str) -> Result<Vec<ShardStats>, Error> {
+    p.list_of(key, read_shard)
 }
 
-fn parse_events(items: &[Json]) -> Result<Vec<SimEvent>, Error> {
-    items
-        .iter()
-        .map(|e| {
-            let kind = field_str(e, "kind", REPORT)?;
-            Ok(SimEvent {
-                at: field_f64(e, "at", REPORT)?,
-                client: field_usize(e, "client", REPORT)?,
-                shard: field_usize(e, "shard", REPORT)?,
-                item: field_usize(e, "item", REPORT)?,
-                kind: event_kind_from_str(kind).ok_or_else(|| Error::InvalidParam {
-                    what: REPORT,
-                    detail: format!("unknown event kind '{kind}'"),
-                })?,
+/// Reads the population section of the given kind.
+fn read_section(p: &mut Parser<'_>, kind: &str) -> Result<ReportSection, Error> {
+    Ok(match kind {
+        "multi-client" => {
+            let (access, utilisation, wasted_transfer, total_transfer, mean_queue_len) = read_fields!(p.members("section") {
+                access: read_access,
+                utilisation: Parser::f64,
+                wasted_transfer: Parser::f64,
+                total_transfer: Parser::f64,
+                mean_queue_len: Parser::f64,
+            });
+            ReportSection::MultiClient(MultiClientResult {
+                access,
+                utilisation,
+                wasted_transfer,
+                total_transfer,
+                mean_queue_len,
             })
-        })
-        .collect()
-}
-
-/// Rebuilds a [`RunReport`] from a JSON document containing the fields
-/// emitted by [`render_report_fields`] (extra metadata keys are
-/// ignored).
-///
-/// Only the population sections (`multi-client`, `sharded`) can be
-/// rebuilt — they are what a `served:` round-trip carries — and for
-/// those the reconstruction is bit-identical to the original report.
-pub fn parse_report(text: &str) -> Result<RunReport, Error> {
-    let doc = Json::parse(text)?;
-    let access = parse_access(field(&doc, "access", REPORT)?)?;
-    let kind = field_str(&doc, "section_kind", REPORT)?;
-    let section_json = field(&doc, "section", REPORT)?;
-    let section = match kind {
-        "multi-client" => ReportSection::MultiClient(parse_multi_client(section_json)?),
-        "sharded" => ReportSection::Sharded(parse_sharded(section_json)?),
+        }
+        "sharded" => {
+            let (shards, access, utilisation, wasted_transfer, total_transfer) = read_fields!(p.members("section") {
+                shards: read_shards,
+                access: read_access,
+                utilisation: Parser::f64,
+                wasted_transfer: Parser::f64,
+                total_transfer: Parser::f64,
+            });
+            ReportSection::Sharded(ShardReport {
+                access,
+                utilisation,
+                wasted_transfer,
+                total_transfer,
+                shards,
+            })
+        }
         other => {
             return Err(Error::InvalidParam {
                 what: REPORT,
@@ -663,11 +974,61 @@ pub fn parse_report(text: &str) -> Result<RunReport, Error> {
                 ),
             })
         }
-    };
-    let events = parse_events(field_arr(&doc, "events", REPORT)?)?;
+    })
+}
+
+fn read_event_kind(p: &mut Parser<'_>, key: &str) -> Result<EventKind, Error> {
+    let kind = p.str(key)?;
+    event_kind_from_str(&kind).ok_or_else(|| Error::InvalidParam {
+        what: REPORT,
+        detail: format!("unknown event kind '{kind}'"),
+    })
+}
+
+fn read_event(p: &mut Parser<'_>, key: &str) -> Result<SimEvent, Error> {
+    let (kind, at, client, shard, item) = read_fields!(p.members(key) {
+        kind: read_event_kind,
+        at: Parser::f64,
+        client: Parser::usize,
+        shard: Parser::usize,
+        item: Parser::usize,
+    });
+    Ok(SimEvent {
+        at,
+        client,
+        shard,
+        item,
+        kind,
+    })
+}
+
+fn read_events(p: &mut Parser<'_>, key: &str) -> Result<Vec<SimEvent>, Error> {
+    p.list_of(key, read_event)
+}
+
+/// Rebuilds a [`RunReport`] from a JSON document containing the fields
+/// emitted by [`render_report_fields`] (extra metadata keys are
+/// validated and ignored).
+///
+/// Only the population sections (`multi-client`, `sharded`) can be
+/// rebuilt — they are what a `served:` round-trip carries — and for
+/// those the reconstruction is bit-identical to the original report.
+pub fn parse_report(text: &str) -> Result<RunReport, Error> {
+    let (access, kind, section, events) = Parser::new(text, REPORT).document(|p| {
+        Ok(read_fields!(p.object() {
+            access: read_access,
+            section_kind: Parser::str,
+            // The section's shape depends on its kind, which may come
+            // after it: remember where it starts and read it below.
+            section: Parser::offset,
+            events: read_events,
+        }))
+    })?;
+    let mut p = Parser::new(text, REPORT);
+    p.pos = section;
     Ok(RunReport {
         access,
-        section,
+        section: read_section(&mut p, &kind)?,
         events,
         // Store counters and phase timings are not results, so they do
         // not travel: the wire form omits them (keeping warm and cold
@@ -682,6 +1043,44 @@ pub fn parse_report(text: &str) -> Result<RunReport, Error> {
 // ---------------------------------------------------------------------
 
 const RUN: &str = "wire run";
+
+/// A chain's `[successor, probability]` rows, in stored order.
+fn read_rows(p: &mut Parser<'_>, key: &str) -> Result<Vec<Vec<(usize, f64)>>, Error> {
+    const PAIRS: &str = "[successor, probability] pairs";
+    let mut rows = Vec::new();
+    p.items(key, "an array", |p| {
+        let mut row = Vec::new();
+        p.items(key, "an array of rows", |p| {
+            let mut pair = (None, None);
+            p.items(key, PAIRS, |p| {
+                match pair {
+                    (None, _) => pair.0 = Some(p.number_as::<u64>(key, PAIRS)?),
+                    (Some(_), None) => pair.1 = Some(p.number_as::<f64>(key, PAIRS)?),
+                    _ => return Err(p.bad(key, PAIRS)),
+                }
+                Ok(())
+            })?;
+            let (Some(j), Some(q)) = pair else {
+                return Err(p.bad(key, PAIRS));
+            };
+            row.push((j as usize, q));
+            Ok(())
+        })?;
+        rows.push(row);
+        Ok(())
+    })?;
+    Ok(rows)
+}
+
+/// The shipped chain as `(viewing, rows)`.
+#[allow(clippy::type_complexity)] // the two halves of MarkovChain::new
+fn read_chain(p: &mut Parser<'_>, key: &str) -> Result<(Vec<f64>, Vec<Vec<(usize, f64)>>), Error> {
+    let (rows, viewing) = read_fields!(p.members(key) {
+        rows: read_rows,
+        viewing: Parser::f64s,
+    });
+    Ok((viewing, rows))
+}
 
 /// A population workload in transit: everything a daemon needs to
 /// replay the run bit-identically — registry specs for the policy and
@@ -741,59 +1140,63 @@ impl WireRun {
 
     /// Renders the workload as one JSON document.
     pub fn render(&self) -> String {
-        format!(
-            "{{\"kind\":\"{}\",\"backend\":\"{}\",\"policy\":\"{}\",\"requests_per_client\":{},\"seed\":{},\"traced\":{},\"retrievals\":{},\"chain\":{{\"viewing\":{},\"rows\":{}}}}}",
-            esc(&self.kind),
-            esc(&self.backend),
-            esc(&self.policy),
-            self.requests_per_client,
-            self.seed,
-            self.traced,
-            list(&self.retrievals, |x| num(*x)),
-            list(&self.viewing, |x| num(*x)),
-            list(&self.rows, |row| list(row, |(j, p)| format!(
-                "[{},{}]",
-                j,
-                num(*p)
-            ))),
-        )
+        let pairs: usize = self.rows.iter().map(Vec::len).sum();
+        let mut out = String::with_capacity(256 + 24 * (self.retrievals.len() + pairs));
+        ObjWriter::new(&mut out)
+            .str("kind", &self.kind)
+            .str("backend", &self.backend)
+            .str("policy", &self.policy)
+            .uint("requests_per_client", self.requests_per_client)
+            .uint("seed", self.seed)
+            .with("traced", |out| {
+                out.push_str(if self.traced { "true" } else { "false" })
+            })
+            .with("retrievals", |out| push_nums(out, &self.retrievals))
+            .with("chain", |out| {
+                ObjWriter::new(out)
+                    .with("viewing", |out| push_nums(out, &self.viewing))
+                    .with("rows", |out| {
+                        push_arr(out, &self.rows, |out, row| {
+                            push_arr(out, row, |out, &(j, p)| {
+                                out.push('[');
+                                push_uint(out, j as u64);
+                                out.push(',');
+                                push_num(out, p);
+                                out.push(']');
+                            })
+                        })
+                    })
+                    .end()
+            })
+            .end();
+        out
     }
 
     /// Parses a workload document produced by [`render`](Self::render).
     pub fn parse(text: &str) -> Result<Self, Error> {
-        let doc = Json::parse(text)?;
-        let chain = field(&doc, "chain", RUN)?;
-        let rows = field_arr(chain, "rows", RUN)?
-            .iter()
-            .map(|row| {
-                row.as_arr()
-                    .ok_or_else(|| bad(RUN, "rows", "an array of rows"))?
-                    .iter()
-                    .map(|pair| {
-                        let pair = pair
-                            .as_arr()
-                            .filter(|p| p.len() == 2)
-                            .ok_or_else(|| bad(RUN, "rows", "[successor, probability] pairs"))?;
-                        let j = pair[0]
-                            .as_u64()
-                            .ok_or_else(|| bad(RUN, "rows", "[successor, probability] pairs"))?;
-                        let p = pair[1]
-                            .as_f64()
-                            .ok_or_else(|| bad(RUN, "rows", "[successor, probability] pairs"))?;
-                        Ok((j as usize, p))
-                    })
-                    .collect::<Result<Vec<_>, Error>>()
-            })
-            .collect::<Result<Vec<_>, Error>>()?;
+        let (chain, kind, backend, policy, requests_per_client, seed, traced, retrievals) =
+            Parser::new(text, RUN).document(|p| {
+                Ok(read_fields!(p.object() {
+                    chain: read_chain,
+                    kind: Parser::str,
+                    backend: Parser::str,
+                    policy: Parser::str,
+                    requests_per_client: Parser::u64,
+                    seed: Parser::u64,
+                    traced: Parser::bool,
+                    retrievals: Parser::f64s,
+                }))
+            })?;
+        let (viewing, rows) = chain;
         Ok(Self {
-            kind: field_str(&doc, "kind", RUN)?.to_string(),
-            backend: field_str(&doc, "backend", RUN)?.to_string(),
-            policy: field_str(&doc, "policy", RUN)?.to_string(),
-            requests_per_client: field_u64(&doc, "requests_per_client", RUN)?,
-            seed: field_u64(&doc, "seed", RUN)?,
-            traced: field_bool(&doc, "traced", RUN)?,
-            retrievals: f64_arr(field_arr(&doc, "retrievals", RUN)?, "retrievals", RUN)?,
-            viewing: f64_arr(field_arr(chain, "viewing", RUN)?, "viewing", RUN)?,
+            kind: kind.into_owned(),
+            backend: backend.into_owned(),
+            policy: policy.into_owned(),
+            requests_per_client,
+            seed,
+            traced,
+            retrievals,
+            viewing,
             rows,
         })
     }
@@ -985,5 +1388,241 @@ mod tests {
             .unwrap();
         let (mut engine, workload) = parsed.instantiate().unwrap();
         assert_eq!(engine.run(&workload).unwrap(), expected);
+    }
+
+    /// Runs `f` on a thread with a 2 MiB stack, the default for spawned
+    /// threads and so for the daemon's workers.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        on_small_stack(|| {
+            // About 0.5 MB: under the daemon's 1 MiB body cap.
+            let deep = "[".repeat(500_000);
+            let under_key = format!("{{\"x\":{deep}");
+            let err = Json::parse(&deep).unwrap_err().to_string();
+            assert!(
+                err.contains("wire JSON") && err.contains("nesting"),
+                "{err}"
+            );
+            for text in [&deep, &under_key] {
+                assert!(parse_report(text).is_err());
+                assert!(WireRun::parse(text).is_err());
+            }
+            // Unknown keys are walked by the same capped cursor.
+            for err in [
+                parse_report(&under_key).unwrap_err(),
+                WireRun::parse(&under_key).unwrap_err(),
+            ] {
+                assert!(err.to_string().contains("nesting"), "{err}");
+            }
+        });
+    }
+
+    #[test]
+    fn depth_cap_sits_exactly_at_max_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn key_order_unknown_keys_and_duplicates() {
+        let report = golden_multi_client();
+        let fields = render_report_fields(&report, &[]);
+        // Section before its kind, events first, an unknown nested key,
+        // and a later duplicate `access` that must lose to the first.
+        let (access, rest) = fields.split_once(",\"section_kind\":").unwrap();
+        let text = format!(
+            "{{\"events\":[],\"extra\":{{\"a\":[1,{{}},\"\\u00e9\"]}},\"section_kind\":{rest},{access},\
+             \"access\":7}}"
+        );
+        assert_eq!(parse_report(&text).unwrap(), report);
+        let text = format!("{{\"x\":1,{fields},\"access\":{{}}}}");
+        assert_eq!(parse_report(&text).unwrap(), report);
+    }
+
+    #[test]
+    fn type_errors_name_the_field() {
+        let err = parse_report("{\"access\":{\"count\":1.5}}").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("'count' must be an unsigned integer"),
+            "{err}"
+        );
+        let err = parse_report("{\"access\":[]}").unwrap_err();
+        assert!(
+            err.to_string().contains("'access' must be an object"),
+            "{err}"
+        );
+        let err = WireRun::parse("{\"traced\":1}").unwrap_err();
+        assert!(
+            err.to_string().contains("'traced' must be a boolean"),
+            "{err}"
+        );
+        let err = WireRun::parse("{\"chain\":{\"rows\":[[[1]]]}}").unwrap_err();
+        assert!(
+            err.to_string().contains("[successor, probability] pairs"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn histogram_totals_that_overflow_are_refused() {
+        let fields = render_report_fields(&golden_sharded(), &[]);
+        let m = u64::MAX;
+        let text = fields.replacen("\"counts\":[1,0,", &format!("\"counts\":[{m},{m},"), 1);
+        assert_ne!(text, fields);
+        let err = parse_report(&format!("{{{text}}}")).unwrap_err();
+        assert!(err.to_string().contains("not a valid histogram"), "{err}");
+    }
+
+    fn golden_sharded() -> RunReport {
+        let chain = MarkovChain::random(12, 2, 5, 3, 9, 7).unwrap();
+        let retrievals: Vec<f64> = (0..12).map(|i| 1.0 + (i % 5) as f64).collect();
+        let mut engine = Engine::builder()
+            .policy("skp-exact")
+            .catalog(retrievals)
+            .backend_spec("sharded:3x4:hot-cold@2")
+            .build()
+            .unwrap();
+        engine
+            .run(&Workload::sharded(chain, 2, 77).traced(true))
+            .unwrap()
+    }
+
+    fn golden_multi_client() -> RunReport {
+        let chain = MarkovChain::random(8, 2, 4, 2, 6, 3).unwrap();
+        let retrievals: Vec<f64> = (0..8).map(|i| 2.0 + i as f64).collect();
+        let mut engine = Engine::builder()
+            .policy("skp-exact")
+            .catalog(retrievals)
+            .backend_spec("multi-client:4")
+            .build()
+            .unwrap();
+        engine.run(&Workload::multi_client(chain, 20, 5)).unwrap()
+    }
+
+    fn golden_plan() -> (RunReport, Vec<String>) {
+        let scenario =
+            crate::Scenario::new(vec![0.4, 0.3, 0.2, 0.1], vec![4.0, 3.0, 2.0, 1.0], 5.0).unwrap();
+        let mut engine = Engine::builder().policy("skp-exact").build().unwrap();
+        let labels = ["say \"hi\"\\\t\n", "b", "c", "bell\u{7}é\r"]
+            .map(String::from)
+            .to_vec();
+        (engine.run(&Workload::plan(scenario)).unwrap(), labels)
+    }
+
+    // `render_report_fields` output of the three reports above, captured
+    // before the renderer wrote into one buffer, wrapped after commas for
+    // reading (the renderer never emits a raw newline).
+    const GOLDEN_SHARDED: &str = r#"
+"access":{"count":8,"mean":2.125,"p50":0,"p99":6,"min":0,"max":6},"section_kind":"sharded",
+"section":{"requests":8,"access":{"count":8,"mean":2.125,"p50":0,"p99":6,"min":0,
+"max":6},"utilisation":0.8771929824561404,"wasted_transfer":24,"total_transfer":57,
+"shards":[{"shard":0,"jobs":9,"busy_time":12,"utilisation":0.631578947368421,
+"mean_queue_depth":0.75,"max_queue_depth":3,"total_transfer":12,"outage_time":0,
+"outage_delay":0,"service_scale":1,"stalls":{"edges":[1,2,4,8,16,32,64,128,256],
+"counts":[1,0,0,0,0,0,0,0,0,0,0],"sum":0}},{"shard":1,"jobs":8,"busy_time":23,
+"utilisation":1,"mean_queue_depth":1.5714285714285714,"max_queue_depth":3,"total_transfer":23,
+"outage_time":0,"outage_delay":0,"service_scale":1,"stalls":{"edges":[1,2,4,
+8,16,32,64,128,256],"counts":[3,0,0,0,2,0,0,0,0,0,0],"sum":11}},{"shard":2,"jobs":8,
+"busy_time":22,"utilisation":1,"mean_queue_depth":3.4285714285714284,"max_queue_depth":5,
+"total_transfer":22,"outage_time":0,"outage_delay":0,"service_scale":1,"stalls":{"edges":[1,
+2,4,8,16,32,64,128,256],"counts":[1,0,0,0,1,0,0,0,0,0,0],"sum":6}}]},"events":[{"at":0,
+"client":1,"shard":0,"item":0,"kind":"transfer-start:prefetch"},{"at":0,"client":1,
+"shard":1,"item":6,"kind":"transfer-start:prefetch"},{"at":0,"client":0,"shard":2,
+"item":7,"kind":"transfer-start:prefetch"},{"at":1,"client":1,"shard":0,"item":0,
+"kind":"transfer-done:prefetch"},{"at":1,"client":2,"shard":0,"item":1,"kind":"transfer-start:prefetch"},
+{"at":2,"client":1,"shard":1,"item":6,"kind":"transfer-done:prefetch"},{"at":2,
+"client":3,"shard":1,"item":5,"kind":"transfer-start:prefetch"},{"at":3,"client":0,
+"shard":2,"item":7,"kind":"transfer-done:prefetch"},{"at":3,"client":0,"shard":2,
+"item":11,"kind":"transfer-start:prefetch"},{"at":3,"client":2,"shard":0,"item":1,
+"kind":"transfer-done:prefetch"},{"at":3,"client":3,"shard":0,"item":0,"kind":"transfer-start:prefetch"},
+{"at":3,"client":3,"shard":1,"item":5,"kind":"transfer-done:prefetch"},{"at":3,
+"client":3,"shard":1,"item":6,"kind":"transfer-start:prefetch"},{"at":4,"client":2,
+"shard":1,"item":8,"kind":"request"},{"at":4,"client":3,"shard":0,"item":0,"kind":"transfer-done:prefetch"},
+{"at":5,"client":0,"shard":2,"item":7,"kind":"request"},{"at":5,"client":0,"shard":2,
+"item":7,"kind":"served"},{"at":5,"client":0,"shard":0,"item":0,"kind":"transfer-start:prefetch"},
+{"at":5,"client":1,"shard":1,"item":6,"kind":"request"},{"at":5,"client":1,"shard":1,
+"item":6,"kind":"served"},{"at":5,"client":0,"shard":2,"item":11,"kind":"transfer-done:prefetch"},
+{"at":5,"client":1,"shard":2,"item":7,"kind":"transfer-start:prefetch"},{"at":5,
+"client":3,"shard":1,"item":6,"kind":"transfer-done:prefetch"},{"at":5,"client":2,
+"shard":1,"item":8,"kind":"transfer-start:demand"},{"at":6,"client":0,"shard":0,
+"item":0,"kind":"transfer-done:prefetch"},{"at":6,"client":1,"shard":0,"item":1,
+"kind":"transfer-start:prefetch"},{"at":7,"client":3,"shard":1,"item":5,"kind":"request"},
+{"at":7,"client":3,"shard":1,"item":5,"kind":"served"},{"at":8,"client":1,"shard":2,
+"item":7,"kind":"transfer-done:prefetch"},{"at":8,"client":2,"shard":2,"item":11,
+"kind":"transfer-start:prefetch"},{"at":8,"client":1,"shard":0,"item":1,"kind":"transfer-done:prefetch"},
+{"at":8,"client":3,"shard":0,"item":0,"kind":"transfer-start:prefetch"},{"at":9,
+"client":1,"shard":2,"item":11,"kind":"request"},{"at":9,"client":2,"shard":1,
+"item":8,"kind":"transfer-done:demand"},{"at":9,"client":2,"shard":1,"item":8,
+"kind":"served"},{"at":9,"client":0,"shard":1,"item":9,"kind":"transfer-start:prefetch"},
+{"at":9,"client":3,"shard":0,"item":0,"kind":"transfer-done:prefetch"},{"at":9,
+"client":2,"shard":0,"item":0,"kind":"transfer-start:prefetch"},{"at":10,"client":2,
+"shard":2,"item":11,"kind":"transfer-done:prefetch"},{"at":10,"client":3,"shard":2,
+"item":7,"kind":"transfer-start:prefetch"},{"at":10,"client":2,"shard":0,"item":0,
+"kind":"transfer-done:prefetch"},{"at":11,"client":3,"shard":1,"item":2,"kind":"request"},
+{"at":12,"client":0,"shard":0,"item":0,"kind":"request"},{"at":12,"client":0,
+"shard":0,"item":0,"kind":"served"},{"at":13,"client":2,"shard":2,"item":11,
+"kind":"request"},{"at":13,"client":3,"shard":2,"item":7,"kind":"transfer-done:prefetch"},
+{"at":13,"client":1,"shard":2,"item":11,"kind":"transfer-start:prefetch"},{"at":14,
+"client":0,"shard":1,"item":9,"kind":"transfer-done:prefetch"},{"at":14,"client":3,
+"shard":1,"item":2,"kind":"transfer-start:prefetch"},{"at":15,"client":1,"shard":2,
+"item":11,"kind":"transfer-done:prefetch"},{"at":15,"client":1,"shard":2,"item":11,
+"kind":"served"},{"at":15,"client":1,"shard":0,"item":0,"kind":"transfer-start:prefetch"},
+{"at":15,"client":2,"shard":2,"item":7,"kind":"transfer-start:prefetch"},{"at":16,
+"client":1,"shard":0,"item":0,"kind":"transfer-done:prefetch"},{"at":17,"client":3,
+"shard":1,"item":2,"kind":"transfer-done:prefetch"},{"at":17,"client":3,"shard":1,
+"item":2,"kind":"served"},{"at":17,"client":0,"shard":1,"item":6,"kind":"transfer-start:prefetch"},
+{"at":18,"client":2,"shard":2,"item":7,"kind":"transfer-done:prefetch"},{"at":18,
+"client":0,"shard":2,"item":3,"kind":"transfer-start:prefetch"},{"at":19,"client":0,
+"shard":1,"item":6,"kind":"request"},{"at":19,"client":1,"shard":2,"item":7,
+"kind":"request"},{"at":19,"client":0,"shard":1,"item":6,"kind":"transfer-done:prefetch"},
+{"at":19,"client":0,"shard":1,"item":6,"kind":"served"},{"at":19,"client":0,
+"shard":0,"item":1,"kind":"transfer-start:prefetch"},{"at":19,"client":3,"shard":1,
+"item":8,"kind":"transfer-start:prefetch"}]"#;
+
+    const GOLDEN_MULTI_CLIENT: &str = r#"
+"access":{"count":80,"mean":25.7,"p50":26,"p99":40,"min":0,"max":40},"section_kind":"multi-client",
+"section":{"requests":80,"access":{"count":80,"mean":25.7,"p50":26,"p99":40,
+"min":0,"max":40},"utilisation":1,"wasted_transfer":154,"total_transfer":601,
+"mean_queue_len":4.625},"events":[]"#;
+
+    const GOLDEN_PLAN: &str = r#"
+"access":{"count":4,"mean":1.3000000000000003,"p50":0,"p99":3,"min":0,"max":3},
+"section_kind":"plan","section":{"items":[0,3],"labels":["say \"hi\"\\\t\n",
+"bell\u0007é\u000d"],"gain":1.7000000000000002,"stretch":0,"expected_access_time":1.2999999999999998,
+"upper_bound":1.9000000000000001,"per_request":[0,3,2,0]},"events":[]"#;
+
+    #[test]
+    fn renderer_matches_the_byte_golden() {
+        let (plan, labels) = golden_plan();
+        for (name, rendered, golden) in [
+            (
+                "sharded",
+                render_report_fields(&golden_sharded(), &[]),
+                GOLDEN_SHARDED,
+            ),
+            (
+                "multi-client",
+                render_report_fields(&golden_multi_client(), &[]),
+                GOLDEN_MULTI_CLIENT,
+            ),
+            ("plan", render_report_fields(&plan, &labels), GOLDEN_PLAN),
+        ] {
+            assert!(
+                !rendered.contains('\n'),
+                "{name}: raw newline in the output"
+            );
+            assert_eq!(rendered, golden.replace('\n', ""), "{name}");
+        }
     }
 }

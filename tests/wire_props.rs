@@ -1,0 +1,191 @@
+//! Parse semantics of the typed wire reader on random population
+//! reports: the layout of a document — key order, whitespace, unknown
+//! keys, later duplicates — never changes the report it decodes to, and
+//! hostile bytes give an error, never a panic.
+
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+use speculative_prefetch::wire::{esc, Json};
+use speculative_prefetch::{
+    parse_report, render_report_fields, Engine, MarkovChain, RunReport, WireRun, Workload,
+};
+
+fn population_report(states: usize, requests: u64, seed: u64, sharded: bool) -> RunReport {
+    let chain = MarkovChain::random(states, 1, 2, 1, 9, seed).expect("valid chain");
+    let retrievals: Vec<f64> = (0..states).map(|i| 0.5 + (i % 4) as f64 * 1.25).collect();
+    let (backend, workload) = if sharded {
+        (
+            "sharded:2x3:hash",
+            Workload::sharded(chain, requests, seed).traced(true),
+        )
+    } else {
+        (
+            "multi-client:3",
+            Workload::multi_client(chain, requests, seed),
+        )
+    };
+    Engine::builder()
+        .policy("skp-exact")
+        .catalog(retrievals)
+        .backend_spec(backend)
+        .build()
+        .expect("valid session")
+        .run(&workload)
+        .expect("runs")
+}
+
+/// A value no reader knows: nested objects, arrays, escaped strings,
+/// numbers and literals.
+fn junk(rng: &mut SmallRng, depth: usize) -> Json {
+    let pick = rng.random_range(0..if depth == 0 { 5 } else { 7 });
+    match pick {
+        0 => Json::Num(
+            ["0", "-12.5e3", "18446744073709551615", "1E-7"][rng.random_range(0..4)].into(),
+        ),
+        1 => Json::Str("q\"u\\o\te\n\u{1}é/".into()),
+        2 => Json::Bool(rng.random_bool(0.5)),
+        3 => Json::Null,
+        4 => Json::Str(String::new()),
+        5 => Json::Arr(
+            (0..rng.random_range(0..3))
+                .map(|_| junk(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..rng.random_range(0..3))
+                .map(|i| (format!("junk{i}"), junk(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// Shuffles the keys of every object, adds unknown keys and appends
+/// later duplicates of known keys holding junk (the first one must win).
+fn mangle(doc: &Json, rng: &mut SmallRng) -> Json {
+    match doc {
+        Json::Arr(items) => Json::Arr(items.iter().map(|v| mangle(v, rng)).collect()),
+        Json::Obj(pairs) => {
+            let mut out: Vec<(String, Json)> = pairs
+                .iter()
+                .map(|(k, v)| (k.clone(), mangle(v, rng)))
+                .collect();
+            out.shuffle(rng);
+            for _ in 0..rng.random_range(0..3) {
+                let at = rng.random_range(0..out.len() + 1);
+                out.insert(at, ("x-unknown".into(), junk(rng, 3)));
+            }
+            if !pairs.is_empty() && rng.random_bool(0.5) {
+                let first = rng.random_range(0..out.len());
+                let key = out[first].0.clone();
+                let at = rng.random_range(first + 1..out.len() + 1);
+                out.insert(at, (key, junk(rng, 2)));
+            }
+            Json::Obj(out)
+        }
+        other => other.clone(),
+    }
+}
+
+/// Writes `doc` back out with random whitespace between tokens.
+fn write(doc: &Json, rng: &mut SmallRng, out: &mut String) {
+    let ws = |rng: &mut SmallRng, out: &mut String| {
+        out.push_str(["", "", " ", "\n", "\t", "\r\n  "][rng.random_range(0..6)]);
+    };
+    ws(rng, out);
+    match doc {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Num(raw) => out.push_str(raw),
+        Json::Str(s) => out.push_str(&format!("\"{}\"", esc(s))),
+        Json::Arr(items) => {
+            out.push('[');
+            for (i, v) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write(v, rng, out);
+            }
+            ws(rng, out);
+            out.push(']');
+        }
+        Json::Obj(pairs) => {
+            out.push('{');
+            for (i, (k, v)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                ws(rng, out);
+                out.push_str(&format!("\"{}\"", esc(k)));
+                ws(rng, out);
+                out.push(':');
+                write(v, rng, out);
+            }
+            ws(rng, out);
+            out.push('}');
+        }
+    }
+    ws(rng, out);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn layout_never_changes_the_decoded_report(
+        states in 3usize..9,
+        requests in 1u64..6,
+        seed in 0u64..10_000,
+        sharded in proptest::bool::ANY,
+        layout_seed in 0u64..u64::MAX,
+    ) {
+        let report = population_report(states, requests, seed, sharded);
+        let text = format!("{{{}}}", render_report_fields(&report, &[]));
+        let doc = Json::parse(&text).expect("rendered reports parse");
+        let mut rng = SmallRng::seed_from_u64(layout_seed);
+        let mut mangled = String::new();
+        write(&mangle(&doc, &mut rng), &mut rng, &mut mangled);
+        prop_assert_eq!(parse_report(&mangled).expect("mangled report parses"), report);
+    }
+}
+
+proptest! {
+    // Each case parses every prefix of two documents.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn prefixes_and_byte_corruptions_never_panic(
+        seed in 0u64..10_000,
+        sharded in proptest::bool::ANY,
+        corrupt_seed in 0u64..u64::MAX,
+    ) {
+        let report = population_report(4, 2, seed, sharded);
+        let text = format!("{{{}}}", render_report_fields(&report, &[]));
+        let chain = MarkovChain::random(5, 1, 3, 1, 9, seed).expect("valid chain");
+        let run = WireRun::new("sharded", "sharded:2x2:hash", "skp-exact", &chain, &[1.0; 5], 3, seed, true)
+            .render();
+        for i in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+            prop_assert!(parse_report(&text[..i]).is_err(), "prefix {i} parsed");
+        }
+        for i in (0..run.len()).filter(|&i| run.is_char_boundary(i)) {
+            prop_assert!(WireRun::parse(&run[..i]).is_err(), "prefix {i} parsed");
+        }
+        let mut rng = SmallRng::seed_from_u64(corrupt_seed);
+        for doc in [&text, &run] {
+            for _ in 0..200 {
+                let mut bytes = doc.clone().into_bytes();
+                let at = rng.random_range(0..bytes.len());
+                if !bytes[at].is_ascii() {
+                    continue;
+                }
+                // An ASCII byte for an ASCII byte keeps the text UTF-8.
+                bytes[at] = rng.random_range(0u8..128);
+                let corrupted = String::from_utf8(bytes).expect("still UTF-8");
+                let _ = parse_report(&corrupted);
+                let _ = WireRun::parse(&corrupted);
+                let _ = Json::parse(&corrupted);
+            }
+        }
+    }
+}
