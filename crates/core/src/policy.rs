@@ -114,6 +114,15 @@ impl Prefetcher for PolicyKind {
         }
     }
 
+    fn plan(&self, s: &Scenario) -> PrefetchPlan {
+        // The SKP solvers need no all-true mask to plan over every item.
+        match self {
+            PolicyKind::SkpPaper => skp::solve_paper(s).plan,
+            PolicyKind::SkpExact => skp::solve_exact(s).plan,
+            _ => self.plan_candidates(s, &vec![true; s.n()]),
+        }
+    }
+
     fn is_oracle(&self) -> bool {
         matches!(self, PolicyKind::Perfect)
     }
@@ -202,5 +211,20 @@ mod tests {
                 p
             );
         }
+    }
+
+    #[test]
+    fn plan_equals_plan_over_the_all_true_mask() {
+        let s = sc();
+        let all = vec![true; s.n()];
+        for k in PolicyKind::SOLVERS {
+            assert_eq!(k.plan(&s), k.plan_candidates(&s, &all), "{}", k.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate mask length")]
+    fn masked_skp_plan_checks_mask_length() {
+        let _ = PolicyKind::SkpExact.plan_candidates(&sc(), &[true]);
     }
 }

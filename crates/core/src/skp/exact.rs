@@ -17,7 +17,21 @@
 //! ignores that feasibility constraint. [`crate::skp::brute`] searches the
 //! full space and is the ground-truth oracle in tests; the experiments in
 //! `EXPERIMENTS.md` quantify how rarely the spaces differ.
+//!
+//! The uncovered mass is clamped at zero, `(1 − Σ_{i∈K} P_i).max(0)`, by
+//! [`crate::gain::penalty_mass`]: when the included mass rounds above
+//! 1, an unclamped penalty turns negative and a zero-probability item
+//! would "gain" by stretching. With the clamp a zero-probability item
+//! never enters a plan, so [`solve_exact`] and
+//! [`crate::skp::solve_exact_candidates`] search the trimmed view of
+//! [`SortedView::positive`] and return the plan, `gain` and
+//! `internal_gain` the full view would, bit for bit;
+//! [`SkpSolution::nodes`] counts forward steps over the positive-probability
+//! candidates only. [`solve_generalized`] searches whatever view it is
+//! given and tests "if j < n goto 2" against
+//! [`SortedView::candidate_count`].
 
+use crate::gain::penalty_mass;
 use crate::scenario::Scenario;
 use crate::skp::order::SortedView;
 use crate::skp::paper::finish;
@@ -25,7 +39,7 @@ use crate::skp::SkpSolution;
 
 /// Solves SKP over all items with corrected incremental bookkeeping.
 pub fn solve_exact(s: &Scenario) -> SkpSolution {
-    let view = SortedView::new(s);
+    let view = SortedView::positive(s, None);
     solve_on_view(s, &view)
 }
 
@@ -61,6 +75,7 @@ pub fn solve_generalized(
     lambda: f64,
 ) -> SkpSolution {
     let m = view.m();
+    let n = view.candidate_count();
     assert_eq!(profits.len(), m, "one profit per candidate");
     if m == 0 {
         return SkpSolution::empty();
@@ -83,6 +98,7 @@ pub fn solve_generalized(
         let u = dantzig_generalized(view, &clamped, j, cap);
         if best_g >= cur_g + u {
             if !backtrack(
+                s,
                 view,
                 profits,
                 &mut cur_x,
@@ -100,12 +116,13 @@ pub fn solve_generalized(
         while j < m && cap > 0.0 {
             nodes += 1;
             let over = (view.r(j) - cap).max(0.0);
-            // Theorem 3: δ = profit_z − (1 − Σ_{i∈K} P_i + λ) · st.
-            let delta = profits[j] - (1.0 - included_mass + lambda) * over;
+            // Theorem 3: δ = profit_z − ((1 − Σ_{i∈K} P_i)⁺ + λ) · st.
+            let delta = profits[j] - (penalty_mass(s, included_mass) + lambda) * over;
             if delta <= 0.0 {
                 cur_x[j] = false;
                 j += 1;
-                if j < m - 1 {
+                // "if j < n goto 2", n counting dropped candidates too.
+                if j < n - 1 {
                     continue 'step2;
                 }
             } else {
@@ -123,6 +140,7 @@ pub fn solve_generalized(
         }
 
         if !backtrack(
+            s,
             view,
             profits,
             &mut cur_x,
@@ -163,6 +181,7 @@ fn dantzig_generalized(view: &SortedView, profits: &[f64], start: usize, capacit
 
 #[allow(clippy::too_many_arguments)]
 fn backtrack(
+    s: &Scenario,
     view: &SortedView,
     profits: &[f64],
     cur_x: &mut [bool],
@@ -179,7 +198,7 @@ fn backtrack(
     *cap += view.r(k);
     *included_mass -= view.p(k);
     let over = (view.r(k) - *cap).max(0.0);
-    let delta = profits[k] - (1.0 - *included_mass + lambda) * over;
+    let delta = profits[k] - (penalty_mass(s, *included_mass) + lambda) * over;
     *cur_g -= delta;
     *j = k + 1;
     true
@@ -220,6 +239,23 @@ mod tests {
                 sol.gain
             );
         }
+    }
+
+    #[test]
+    fn uncovered_mass_is_clamped_at_zero() {
+        // P = (4,3,3,3,0)/13 sums to 1.0000000000000002: once items 0–3
+        // are in, an unclamped uncovered mass is negative and the
+        // zero-probability item 4 "gains" by stretching past v.
+        let p: Vec<f64> = [4.0, 3.0, 3.0, 3.0, 0.0].iter().map(|c| c / 13.0).collect();
+        assert!(p.iter().sum::<f64>() > 1.0);
+        let s = sc(p, vec![1.0, 1.0, 1.0, 1.0, 5.0], 6.0);
+        let sol = solve_exact(&s);
+        assert_eq!(sol.plan.items(), &[0, 1, 2, 3]);
+        assert_eq!(sol.internal_gain, sol.gain);
+        let view = SortedView::new(&s);
+        let full = solve_on_view(&s, &view);
+        assert_eq!(full.plan.items(), &[0, 1, 2, 3]);
+        assert_eq!(full.internal_gain, full.gain);
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //!   obtained from the linear relaxation (Theorem 2 / Dantzig's rule).
 //!
 //! All solvers sort items into the canonical order of Eq. 5 (probability
-//! descending, ties by retrieval ascending) per Theorem 1.
+//! descending, ties by retrieval ascending) per Theorem 1. The two
+//! branch-and-bound solvers sort only the positive-probability candidates
+//! ([`SortedView::positive`]): a zero-probability item never enters their
+//! plans.
 //!
 //! ```
 //! use skp_core::{Scenario, skp};
@@ -70,7 +73,8 @@ pub struct SkpSolution {
     /// Figure-3 solver on backtracked branches.
     pub internal_gain: f64,
     /// Number of branch-and-bound nodes visited (forward steps), a measure
-    /// of search effort; `0` for brute force.
+    /// of search effort; `0` for brute force. [`solve_paper`] and
+    /// [`solve_exact`] step over positive-probability candidates only.
     pub nodes: u64,
 }
 
@@ -89,14 +93,20 @@ impl SkpSolution {
 /// Convenience: solve SKP restricted to candidate items (those for which
 /// `candidates[i]` is true), as required by the Section-5 integration where
 /// cached items must not be prefetched again. Uses the paper's solver.
+///
+/// # Panics
+/// Panics when `candidates.len() != s.n()`.
 pub fn solve_paper_candidates(s: &Scenario, candidates: &[bool]) -> SkpSolution {
-    let view = SortedView::with_candidates(s, candidates);
+    let view = SortedView::positive(s, Some(candidates));
     paper::solve_on_view(s, &view)
 }
 
 /// [`solve_exact`] restricted to candidate items.
+///
+/// # Panics
+/// Panics when `candidates.len() != s.n()`.
 pub fn solve_exact_candidates(s: &Scenario, candidates: &[bool]) -> SkpSolution {
-    let view = SortedView::with_candidates(s, candidates);
+    let view = SortedView::positive(s, Some(candidates));
     exact::solve_on_view(s, &view)
 }
 

@@ -1,5 +1,19 @@
 //! Canonical ordering (Theorem 1) and the sorted working view shared by
 //! all SKP solvers.
+//!
+//! The branch-and-bound solvers of [`crate::skp::paper`] and
+//! [`crate::skp::exact`] build their view with [`SortedView::positive`]:
+//! a zero-probability candidate has zero delay profit and, with the
+//! uncovered mass clamped at zero, a non-positive Theorem-3 delta, so it
+//! never enters a plan. Such candidates are dropped before the sort, and
+//! the view keeps only the count of every candidate
+//! ([`SortedView::candidate_count`]) for Figure 3's "if j < n goto 2"
+//! test. A Markov row or n-gram forecast typically gives 10–20 of 100
+//! items a non-zero probability, so the sort and the search touch those
+//! only. Solvers that can pick zero-probability items (KP, the greedy
+//! heuristic, brute force, the global DP and the extension objectives)
+//! keep the full view of [`SortedView::new`] and
+//! [`SortedView::with_candidates`].
 
 use crate::scenario::{ItemId, Scenario};
 
@@ -17,12 +31,15 @@ pub struct SortedView {
     r: Vec<f64>,
     /// `suffix_p[j] = Σ_{i≥j} p[i]`; length `m + 1` with `suffix_p[m] = 0`.
     suffix_p: Vec<f64>,
+    /// Number of candidates, including those [`SortedView::positive`]
+    /// dropped for zero probability.
+    candidates: usize,
 }
 
 impl SortedView {
     /// Sorted view over every item of the scenario.
     pub fn new(s: &Scenario) -> Self {
-        Self::with_candidates_fn(s, |_| true)
+        Self::build(s, |_| true, false)
     }
 
     /// Sorted view over the items for which `candidates[i]` is true.
@@ -30,17 +47,35 @@ impl SortedView {
     /// # Panics
     /// Panics when `candidates.len() != s.n()`.
     pub fn with_candidates(s: &Scenario, candidates: &[bool]) -> Self {
-        assert_eq!(
-            candidates.len(),
-            s.n(),
-            "candidate mask length must equal the number of items"
-        );
-        Self::with_candidates_fn(s, |i| candidates[i])
+        check_mask(s, candidates);
+        Self::build(s, |i| candidates[i], false)
     }
 
-    /// Sorted view over the items selected by a predicate.
-    pub fn with_candidates_fn(s: &Scenario, keep: impl Fn(ItemId) -> bool) -> Self {
-        let mut ids: Vec<ItemId> = (0..s.n()).filter(|&i| keep(i)).collect();
+    /// The SKP solvers' view: the positive-probability candidates only.
+    ///
+    /// `candidates` restricts the view as in [`Self::with_candidates`];
+    /// `None` keeps every item. [`Self::candidate_count`] still counts the
+    /// dropped zero-probability candidates.
+    ///
+    /// # Panics
+    /// Panics when a mask is given and `candidates.len() != s.n()`.
+    pub fn positive(s: &Scenario, candidates: Option<&[bool]>) -> Self {
+        match candidates {
+            None => Self::build(s, |_| true, true),
+            Some(mask) => {
+                check_mask(s, mask);
+                Self::build(s, |i| mask[i], true)
+            }
+        }
+    }
+
+    fn build(s: &Scenario, keep: impl Fn(ItemId) -> bool, positive_only: bool) -> Self {
+        let mut candidates = 0;
+        let mut ids: Vec<ItemId> = (0..s.n())
+            .filter(|&i| keep(i))
+            .inspect(|_| candidates += 1)
+            .filter(|&i| !positive_only || s.prob(i) > 0.0)
+            .collect();
         s.sort_canonical(&mut ids);
         let p: Vec<f64> = ids.iter().map(|&i| s.prob(i)).collect();
         let r: Vec<f64> = ids.iter().map(|&i| s.retrieval(i)).collect();
@@ -54,6 +89,7 @@ impl SortedView {
             p,
             r,
             suffix_p,
+            candidates,
         }
     }
 
@@ -61,6 +97,16 @@ impl SortedView {
     #[inline]
     pub fn m(&self) -> usize {
         self.ids.len()
+    }
+
+    /// Number of candidates the view was built from, zero-probability
+    /// ones dropped by [`Self::positive`] included. Equal to [`Self::m`]
+    /// for a full view. The branch-and-bound solvers test Figure 3's
+    /// "if j < n goto 2" against this count, so a trimmed view visits
+    /// nodes in the same order as the full one.
+    #[inline]
+    pub fn candidate_count(&self) -> usize {
+        self.candidates
     }
 
     /// Original scenario id of the item at sorted position `j`.
@@ -104,6 +150,14 @@ impl SortedView {
             .filter_map(|(j, &sel)| sel.then_some(self.ids[j]))
             .collect()
     }
+}
+
+fn check_mask(s: &Scenario, candidates: &[bool]) {
+    assert_eq!(
+        candidates.len(),
+        s.n(),
+        "candidate mask length must equal the number of items"
+    );
 }
 
 #[cfg(test)]
@@ -159,6 +213,25 @@ mod tests {
     #[should_panic(expected = "candidate mask length")]
     fn wrong_mask_length_panics() {
         let _ = SortedView::with_candidates(&s(), &[true]);
+    }
+
+    #[test]
+    fn positive_view_drops_zero_probability_candidates() {
+        let sc = Scenario::new(vec![0.5, 0.0, 0.3, 0.0, 0.2], vec![1.0; 5], 3.0).unwrap();
+        let v = SortedView::positive(&sc, None);
+        assert_eq!((v.m(), v.candidate_count()), (3, 5));
+        assert_eq!((v.id(0), v.id(1), v.id(2)), (0, 2, 4));
+        let v = SortedView::positive(&sc, Some(&[false, true, true, true, true]));
+        assert_eq!((v.m(), v.candidate_count()), (2, 4));
+        assert!((v.suffix_p(0) - 0.5).abs() < 1e-12);
+        let full = SortedView::with_candidates(&sc, &[false, true, true, true, true]);
+        assert_eq!((full.m(), full.candidate_count()), (4, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate mask length")]
+    fn positive_view_checks_mask_length() {
+        let _ = SortedView::positive(&s(), Some(&[true]));
     }
 
     #[test]

@@ -10,6 +10,16 @@
 //! algorithm can overestimate the incremental gain on such branches. The
 //! corrected bookkeeping lives in [`crate::skp::exact`]; the returned
 //! [`SkpSolution::gain`] is always the true closed-form value.
+//!
+//! A zero-probability item has zero profit and zero suffix mass, so its
+//! step-3 delta is zero and it never enters a plan. [`solve_paper`] and
+//! [`crate::skp::solve_paper_candidates`] therefore search the trimmed
+//! view of [`SortedView::positive`]. Step 3's "if j < n goto 2" is tested
+//! against [`SortedView::candidate_count`], which counts the dropped
+//! candidates too, so the search visits nodes in the full view's order,
+//! breaks ties between equal-gain plans the same way and returns the same
+//! plan and gains bit for bit. [`SkpSolution::nodes`] counts forward steps
+//! over the positive-probability candidates only.
 
 use crate::gain::gain_empty_cache;
 use crate::plan::PrefetchPlan;
@@ -20,13 +30,14 @@ use crate::skp::SkpSolution;
 
 /// Solves SKP with the verbatim Figure-3 algorithm over all items.
 pub fn solve_paper(s: &Scenario) -> SkpSolution {
-    let view = SortedView::new(s);
+    let view = SortedView::positive(s, None);
     solve_on_view(s, &view)
 }
 
 /// Figure-3 solver over a pre-sorted candidate view.
 pub fn solve_on_view(s: &Scenario, view: &SortedView) -> SkpSolution {
     let m = view.m();
+    let n = view.candidate_count();
     if m == 0 {
         return SkpSolution::empty();
     }
@@ -60,7 +71,7 @@ pub fn solve_on_view(s: &Scenario, view: &SortedView) -> SkpSolution {
             if delta <= 0.0 {
                 cur_x[j] = false;
                 j += 1;
-                if j < m - 1 {
+                if j < n - 1 {
                     // "if j < n then goto 2": recompute the bound.
                     continue 'step2;
                 }

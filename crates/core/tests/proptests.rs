@@ -339,3 +339,73 @@ mod arbitration_props {
         }
     }
 }
+
+/// The branch-and-bound solvers search only the positive-probability
+/// candidates; on sparse forecasts that trimmed search must return what
+/// the search over every candidate returns, bit for bit.
+mod sparse_view_props {
+    use super::*;
+    use skp_core::skp::order::SortedView;
+    use skp_core::skp::{
+        exact, paper, solve_exact_candidates, solve_paper_candidates, SkpSolution,
+    };
+
+    /// Up to 100 items, 1–20 of them with probability `c_i / Σc` (a sum
+    /// that can round above 1), the rest zero.
+    fn sparse_scenario() -> impl Strategy<Value = Scenario> {
+        (1usize..=100)
+            .prop_flat_map(|n| {
+                (
+                    Just(n),
+                    proptest::collection::vec((0usize..100, 1u32..=13), 1..=20),
+                    proptest::collection::vec(1u32..=30, n),
+                    0u32..=300,
+                )
+            })
+            .prop_map(|(n, weights, retrievals, v)| {
+                let mut c = vec![0.0; n];
+                for (pos, w) in weights {
+                    c[pos % n] = w as f64;
+                }
+                let sum: f64 = c.iter().sum();
+                let p: Vec<f64> = c.iter().map(|x| x / sum).collect();
+                let r: Vec<f64> = retrievals.iter().map(|&x| x as f64).collect();
+                Scenario::new(p, r, v as f64).expect("valid scenario")
+            })
+    }
+
+    fn same_solution(trimmed: &SkpSolution, full: &SkpSolution) -> Result<(), TestCaseError> {
+        prop_assert_eq!(trimmed.plan.items(), full.plan.items());
+        prop_assert_eq!(trimmed.gain.to_bits(), full.gain.to_bits());
+        prop_assert_eq!(
+            trimmed.internal_gain.to_bits(),
+            full.internal_gain.to_bits()
+        );
+        prop_assert!(
+            trimmed.nodes <= full.nodes,
+            "trimmed {} nodes > full {}",
+            trimmed.nodes,
+            full.nodes
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn trimmed_solve_matches_full_view(
+            s in sparse_scenario(),
+            mask_bits in proptest::collection::vec(proptest::bool::ANY, 100),
+        ) {
+            let mask = &mask_bits[..s.n()];
+            let full = SortedView::with_candidates(&s, mask);
+            same_solution(&solve_exact_candidates(&s, mask), &exact::solve_on_view(&s, &full))?;
+            same_solution(&solve_paper_candidates(&s, mask), &paper::solve_on_view(&s, &full))?;
+
+            let full = SortedView::new(&s);
+            same_solution(&solve_exact(&s), &exact::solve_on_view(&s, &full))?;
+            same_solution(&solve_paper(&s), &paper::solve_on_view(&s, &full))?;
+        }
+    }
+}
