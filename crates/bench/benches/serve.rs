@@ -30,7 +30,7 @@ fn main() {
     let retrievals: Vec<f64> = (0..24).map(|i| 1.0 + (i % 8) as f64).collect();
     let body = WireRun::new(
         "sharded",
-        "parallel:4x16:hash:0",
+        "sharded:4x16:hash",
         "skp-exact",
         &chain,
         &retrievals,

@@ -1,9 +1,8 @@
 //! Shared deterministic-parallel execution helpers.
 //!
 //! One source of truth for thread-pool sizing and fan-out across the
-//! workspace: the Monte-Carlo runner (`montecarlo::parallel`) and the
-//! [parallel sharded executor](crate::parallel) both build on this
-//! module, following the hpc-parallel playbook — fan work out over
+//! workspace: the Monte-Carlo runner (`montecarlo::parallel`) builds on
+//! this module, following the hpc-parallel playbook — fan work out over
 //! scoped crossbeam threads, stream results back over channels, and
 //! reassemble them **in input order** so parallel runs are bit-identical
 //! to sequential ones. Randomised workloads get independence through

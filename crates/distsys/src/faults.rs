@@ -4,18 +4,15 @@
 //! A [`FaultSpec`] is pure data parsed from the `faults:<spec>` workload
 //! generator's clause grammar (see [`FaultSpec::parse`]); a sim
 //! materialises it into a [`FaultPlan`] resolved against its actual
-//! shard count and run seed. Both executors materialise the identical
-//! plan from the identical inputs, so fault injection joins the
-//! parallel-executor determinism contract by construction.
+//! shard count and run seed, so a faulted run is as deterministic as a
+//! fault-free one: the same spec, topology and seed give the same plan.
 //!
 //! Faults are **admission-side only**: an outage window delays job
 //! *starts* on the failed shard (in-flight transfers complete, queued
 //! work waits), and degradation scales service *durations* by a factor
-//! `>= 1`. Both only ever push scheduled event times later, so the
-//! parallel executor's lookahead bound (`handling an event at t can
-//! only schedule >= t + L`) stays valid with faults active — no new
-//! event kinds, no lookahead changes, and event counts are conserved
-//! against the fault-free twin run (pinned by the workspace tests).
+//! `>= 1`. Both only ever push scheduled event times later — no new
+//! event kinds, and event counts are conserved against the fault-free
+//! twin run (pinned by the workspace tests).
 
 use std::fmt;
 
@@ -129,7 +126,7 @@ impl FaultSpec {
     /// reduced modulo `shards`, per-shard outage windows are sorted and
     /// merged, and the service-scale vector folds the slow links with
     /// the seed-derived heterogeneous spread. Pure in `(self, shards,
-    /// seed)` — both executors derive the identical plan.
+    /// seed)`.
     ///
     /// # Panics
     /// Panics when `shards == 0`.
@@ -253,7 +250,7 @@ fn parse_scale(text: &str, what: &str) -> Result<f64, String> {
 }
 
 /// A [`FaultSpec`] resolved against a concrete shard count and run
-/// seed: what the executors actually consult on the hot path.
+/// seed: what the scheduler actually consults on the hot path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Per-shard service-duration multiplier, all `>= 1.0` (exactly

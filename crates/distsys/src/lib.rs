@@ -17,17 +17,13 @@
 //!   (hash / range / hot–cold [`Placement`]), and the sharded
 //!   multi-client simulation [`ShardedSim`] with per-shard queues,
 //!   service channels and [`ShardReport`] statistics;
-//! - [`parallel`] — the conservative parallel executor
-//!   [`ParallelShardedSim`]: per-shard worker threads synchronised by
-//!   lookahead-derived epoch barriers, bit-identical to the sequential
-//!   scheduler on the same seed;
-//! - [`exec`] — shared deterministic-parallel plumbing (thread-pool
-//!   sizing, ordered parallel map, seed derivation) used by the
-//!   parallel executor and the Monte-Carlo runner alike;
+//! - [`exec`] — deterministic-parallel plumbing (thread-pool sizing,
+//!   ordered parallel map, seed derivation) for fanning out independent
+//!   runs, used by the Monte-Carlo runner;
 //! - [`faults`] — fault-injection specs ([`FaultSpec`]: outage windows,
 //!   slow links, seed-derived heterogeneous service times) materialised
-//!   per run and applied inside the shared `SimState` handlers, so both
-//!   executors stay bit-identical with faults active;
+//!   per run from the seed and applied inside the scheduler's event
+//!   handlers, so faulted runs stay deterministic;
 //! - [`network`] — links (latency + bandwidth) and item catalogs mapping
 //!   items to retrieval times, including the paper's `r ∈ [1, 30]`
 //!   uniform catalog;
@@ -57,21 +53,12 @@
 //!
 //! ## Event engine
 //!
-//! The [`EventQueue`] behind every simulation is selectable via
-//! [`engine::EventQueueKind`] and defaults to a **calendar queue**: a
-//! ring of power-of-two time buckets (width re-estimated from the
-//! observed event-time quantum on every resize), a sorted overflow lane
-//! for events beyond the ring's horizon, and a flat sorted-array fast
-//! path below ~64 pending events — the population simulations actually
-//! hold. Simulation schedules are lookahead-quantised (retrieval and
-//! viewing delays come from small fixed sets), the regime where
-//! bucketed scheduling beats the reference binary heap's `O(log n)`
-//! sifts. Both queue kinds pop the **identical sequence** (earliest
-//! time first, FIFO sequence numbers on ties), so switching kinds never
-//! changes a report bit: the `calendar_matches_heap` property test and
-//! the workspace goldens pin that equivalence, and
-//! `cargo bench -p skp-bench --bench queue` measures both kinds while
-//! asserting it.
+//! The [`EventQueue`] behind every simulation is a
+//! `std::collections::BinaryHeap` keyed by one packed `u128` per event
+//! (time bits, then a FIFO sequence number), so a pop is one integer
+//! compare per sift step. It pops earliest time first, FIFO on ties;
+//! the `heap_matches_sorted_reference` test pins that order against a
+//! stable sort, and the workspace goldens pin it end to end.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -81,7 +68,6 @@ pub mod exec;
 pub mod faults;
 pub mod multiclient;
 pub mod network;
-pub mod parallel;
 pub mod scheduler;
 pub mod session;
 pub mod shared;
@@ -91,7 +77,6 @@ pub mod trace;
 pub use engine::EventQueue;
 pub use faults::{FaultPlan, FaultSpec, Outage};
 pub use network::{Catalog, Link, RetrievalModel};
-pub use parallel::ParallelShardedSim;
 pub use scheduler::{
     access_time_sharded, EventKind, Flow, Placement, Scheduler, ShardMap, ShardReport, ShardStats,
     ShardedSim, SimEvent,

@@ -19,11 +19,9 @@
 //!
 //! Since the sharded-core refactor, [`MultiClientSim`] has no event loop
 //! of its own: it runs a [`ShardedSim`] with one shard, so the legacy
-//! backend and the sharded backend are the same machine — including the
-//! machine's calendar event queue (see
-//! [`engine`](crate::engine) for the queue kinds and their shared
-//! determinism contract). The workspace tests assert they agree event
-//! for event.
+//! backend and the sharded backend are the same machine, on the same
+//! [`EventQueue`](crate::engine::EventQueue). The workspace tests assert
+//! they agree event for event.
 
 use crate::faults::FaultSpec;
 use crate::scheduler::{Placement, ShardReport, ShardedSim, SimEvent};

@@ -255,8 +255,8 @@ pub trait ClientPolicy {
     fn plan(&mut self, client: usize, state: usize) -> Vec<usize>;
 
     /// Appends the plan for the coming round to `out` instead of
-    /// allocating a fresh `Vec` — the steady-state entry point of both
-    /// executors (`out` arrives cleared). The default delegates to
+    /// allocating a fresh `Vec` — the event loop's steady-state entry
+    /// point (`out` arrives cleared). The default delegates to
     /// [`plan`](Self::plan); policies holding memoised plans override
     /// it to copy from the cache allocation-free.
     fn plan_into(&mut self, client: usize, state: usize, out: &mut Vec<usize>) {
@@ -311,12 +311,11 @@ struct Job {
     duration: f64,
 }
 
-/// Scheduler event payload of the sharded system (shared with the
-/// [parallel executor](crate::parallel)). `u32` indices keep the
+/// Scheduler event payload of the sharded system. `u32` indices keep the
 /// scheduled event records small — the event queue shuffles millions of
 /// them per second.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Ev {
+enum Ev {
     /// Client finished viewing and requests its next item.
     Request(u32),
     /// A shard finished the job at the head of its channel.
@@ -452,9 +451,8 @@ pub struct ShardedSim<'a, W: ClientWorkload> {
 /// service and the channel clocks — flattened into index-based parallel
 /// arrays (one slot per shard) so the event loop addresses a shard as a
 /// `u32` index into contiguous storage instead of chasing a struct per
-/// channel. Measurement counters live in [`ChannelStats`], reached
-/// through a [`ShardObserver`], so the sequential and parallel executors
-/// drive one state machine and differ only in where the statistics fold.
+/// channel. Measurement counters live beside it, one [`ChannelStats`]
+/// per shard.
 struct Lane {
     queue: VecDeque<Job>,
     in_service: Option<Job>,
@@ -481,41 +479,21 @@ impl ShardLanes {
     }
 }
 
-/// The per-shard measurement stream of a run: every statistics mutation,
-/// in per-shard order. The sequential executor applies each operation
-/// inline (`Vec<ChannelStats>`); the parallel executor batches them to
-/// the owning shard's worker thread. Both fold the identical stream with
-/// the identical floating-point operation order, which is what makes the
-/// two executors' reports bit-equal.
-pub(crate) trait ShardObserver {
-    /// A job entered the shard's queue, which now holds `depth` jobs.
-    fn queued(&mut self, shard: usize, depth: usize);
-    /// A transfer started, occupying the channel for `duration`.
-    fn started(&mut self, shard: usize, duration: f64);
-    /// A transfer finished; the queue held `depth` jobs at that instant.
-    fn finished(&mut self, shard: usize, depth: usize);
-    /// A request owned by this shard was served after `stall` time units.
-    fn stall(&mut self, shard: usize, stall: f64);
-    /// An outage window delayed a job start on this shard by `wait`.
-    fn outage_wait(&mut self, shard: usize, wait: f64);
-}
-
-/// Measurement accumulator of one shard channel — the fold target of the
-/// [`ShardObserver`] stream.
+/// Measurement accumulator of one shard channel.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ChannelStats {
-    pub(crate) jobs: u64,
-    pub(crate) busy_time: f64,
-    pub(crate) total_transfer: f64,
-    pub(crate) queue_len_sum: f64,
-    pub(crate) queue_samples: u64,
-    pub(crate) max_queue_depth: usize,
-    pub(crate) outage_delay: f64,
-    pub(crate) stalls: Histogram,
+struct ChannelStats {
+    jobs: u64,
+    busy_time: f64,
+    total_transfer: f64,
+    queue_len_sum: f64,
+    queue_samples: u64,
+    max_queue_depth: usize,
+    outage_delay: f64,
+    stalls: Histogram,
 }
 
 impl ChannelStats {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             jobs: 0,
             busy_time: 0.0,
@@ -528,97 +506,41 @@ impl ChannelStats {
         }
     }
 
-    pub(crate) fn queued(&mut self, depth: usize) {
+    fn queued(&mut self, depth: usize) {
         self.max_queue_depth = self.max_queue_depth.max(depth);
     }
 
-    pub(crate) fn started(&mut self, duration: f64) {
+    fn started(&mut self, duration: f64) {
         self.busy_time += duration;
         self.total_transfer += duration;
         self.jobs += 1;
     }
 
-    pub(crate) fn finished(&mut self, depth: usize) {
+    fn finished(&mut self, depth: usize) {
         self.queue_len_sum += depth as f64;
         self.queue_samples += 1;
     }
 
-    pub(crate) fn stall(&mut self, stall: f64) {
+    fn stall(&mut self, stall: f64) {
         self.stalls.record(stall);
     }
 
-    pub(crate) fn outage_wait(&mut self, wait: f64) {
+    fn outage_wait(&mut self, wait: f64) {
         self.outage_delay += wait;
     }
 }
 
-/// The inline (sequential) observer: fold straight into the per-shard
-/// accumulators.
-impl ShardObserver for Vec<ChannelStats> {
-    fn queued(&mut self, shard: usize, depth: usize) {
-        self[shard].queued(depth);
-    }
-    fn started(&mut self, shard: usize, duration: f64) {
-        self[shard].started(duration);
-    }
-    fn finished(&mut self, shard: usize, depth: usize) {
-        self[shard].finished(depth);
-    }
-    fn stall(&mut self, shard: usize, stall: f64) {
-        self[shard].stall(stall);
-    }
-    fn outage_wait(&mut self, shard: usize, wait: f64) {
-        self[shard].outage_wait(wait);
-    }
-}
+/// The observed event loop emits one scheduler mark every this many
+/// popped events.
+const MARK_EVERY: u64 = 1024;
 
-/// One per-shard measurement operation — the record form of the
-/// [`ShardObserver`] stream. The sequential executor folds the stream
-/// inline into per-shard [`ChannelStats`] (`Vec<ChannelStats>` is itself
-/// a [`ShardObserver`]); the parallel executor ships these records to
-/// the owning shard's worker thread instead. Either way each shard folds
-/// its own stream in order, so the accumulated statistics are bit-equal
-/// across executors.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ShardOp {
-    /// A job entered the queue, which now holds `depth` jobs.
-    Queued { depth: usize },
-    /// A transfer started, occupying the channel for `duration`.
-    Started { duration: f64 },
-    /// A transfer finished; the queue held `depth` jobs at that instant.
-    Finished { depth: usize },
-    /// A request owned by this shard stalled for this long.
-    Stall(f64),
-    /// An outage window delayed a job start by this long.
-    OutageWait(f64),
-}
-
-impl ShardOp {
-    /// Folds the operation into a shard's accumulator — the one
-    /// definition both executors share.
-    #[inline]
-    pub(crate) fn apply(self, ch: &mut ChannelStats) {
-        match self {
-            ShardOp::Queued { depth } => ch.queued(depth),
-            ShardOp::Started { duration } => ch.started(duration),
-            ShardOp::Finished { depth } => ch.finished(depth),
-            ShardOp::Stall(stall) => ch.stall(stall),
-            ShardOp::OutageWait(wait) => ch.outage_wait(wait),
-        }
-    }
-}
-
-/// Sequential executors emit one scheduler mark every this many popped
-/// events (the parallel executor marks at its real epoch boundaries).
-pub(crate) const MARK_EVERY: u64 = 1024;
-
-/// The observation tap of an executor's event loop: folds per-epoch
+/// The observation tap of the event loop: folds per-epoch
 /// scheduler state (events popped, queue occupancy, dirty shards) into
 /// `obs` instruments and, when trace collection is on, an
 /// [`EpochMark`] series. Built only for observed runs — the plain
 /// `run`/`run_traced` paths never construct one, so their loops keep a
 /// single `is_some` branch per event and nothing else.
-pub(crate) struct SchedProbe<'m> {
+struct SchedProbe<'m> {
     marks: Option<&'m mut Vec<EpochMark>>,
     events_total: obs::Counter,
     epochs_total: obs::Counter,
@@ -630,8 +552,8 @@ pub(crate) struct SchedProbe<'m> {
 
 impl<'m> SchedProbe<'m> {
     /// A probe over `o` and an optional mark log; `None` when both are
-    /// off (the executor then skips all bookkeeping).
-    pub(crate) fn new(o: &Obs, marks: Option<&'m mut Vec<EpochMark>>) -> Option<Self> {
+    /// off (the loop then skips all bookkeeping).
+    fn new(o: &Obs, marks: Option<&'m mut Vec<EpochMark>>) -> Option<Self> {
         if !o.enabled() && marks.is_none() {
             return None;
         }
@@ -649,7 +571,7 @@ impl<'m> SchedProbe<'m> {
     /// Records one boundary: `events` is the loop's cumulative popped
     /// count, `pending`/`dirty` the queue and dirty-shard occupancy at
     /// the boundary.
-    pub(crate) fn mark(&mut self, at: f64, events: u64, pending: usize, dirty: u32) {
+    fn mark(&mut self, at: f64, events: u64, pending: usize, dirty: u32) {
         let delta = events - self.last_events;
         self.last_events = events;
         self.events_total.add(delta);
@@ -671,12 +593,7 @@ impl<'m> SchedProbe<'m> {
 
 /// All mutable state of one run, so the event handlers can live as
 /// methods instead of a closure juggling a dozen `&mut` locals.
-///
-/// Shared by the sequential [`ShardedSim`] and the parallel executor in
-/// [`crate::parallel`]: both drive exactly these handlers, so the event
-/// sequence (and therefore every derived number) cannot drift between
-/// the two.
-pub(crate) struct SimState<'a, 'p, W: ClientWorkload> {
+struct SimState<'a, 'p, W: ClientWorkload> {
     workload: &'a W,
     retrievals: &'a [f64],
     /// Precomputed item -> shard table: the hot paths index this
@@ -684,6 +601,8 @@ pub(crate) struct SimState<'a, 'p, W: ClientWorkload> {
     /// [`ShardMap::shard_of`] on every job.
     shard_lut: Vec<u32>,
     lanes: ShardLanes,
+    /// Per-shard measurement accumulators, indexed like `lanes`.
+    stats: Vec<ChannelStats>,
     // Per-client state as index-based parallel arrays (`u32` arena ids):
     // contiguous, no per-client structs on the steady-state path.
     rngs: Vec<SmallRng>,
@@ -725,22 +644,22 @@ const NO_ITEM: u32 = u32::MAX;
 
 impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
     /// Validates the topology and seeds the per-client RNGs and start
-    /// states — the common prologue of both executors.
+    /// states.
     ///
     /// # Panics
     /// Panics when `clients == 0` or retrieval data does not cover the
     /// workload's items (`shards == 0` panics in [`ShardMap::new`]).
-    #[allow(clippy::too_many_arguments)] // mirrors the ShardedSim fields
-    pub(crate) fn new(
-        workload: &'a W,
-        retrievals: &'a [f64],
-        clients: usize,
-        shards: usize,
-        placement: Placement,
-        seed: u64,
-        faults: Option<&FaultSpec>,
-        trace: Option<&'p mut Vec<SimEvent>>,
-    ) -> Self {
+    fn new(sim: &ShardedSim<'a, W>, trace: Option<&'p mut Vec<SimEvent>>) -> Self {
+        let ShardedSim {
+            workload,
+            retrievals,
+            clients,
+            shards,
+            placement,
+            seed,
+            faults,
+            ..
+        } = *sim;
         assert!(clients >= 1, "need at least one client");
         assert!(
             retrievals.len() >= workload.n_items(),
@@ -766,6 +685,7 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
             retrievals,
             shard_lut,
             lanes: ShardLanes::new(shards),
+            stats: (0..shards).map(|_| ChannelStats::new()).collect(),
             rngs,
             state,
             round: vec![0; clients],
@@ -796,73 +716,53 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
         }
     }
 
-    /// Requests served so far (both executors stop on the same count).
-    #[inline]
-    pub(crate) fn served(&self) -> u64 {
-        self.served
-    }
-
     /// Shards currently marked dirty (whichever representation holds
     /// them) — a scheduler-mark diagnostic, not a hot-path value.
     #[inline]
-    pub(crate) fn dirty_count(&self) -> u32 {
+    fn dirty_count(&self) -> u32 {
         self.dirty_bits.count_ones() + self.dirty.len() as u32
     }
 
     /// Plans client `c`'s round: fills `planned[c]` and queues one
     /// prefetch job per planned item — the common step of the kickoff
     /// and of every round turnover.
-    fn plan_round<O: ShardObserver>(
-        &mut self,
-        c: usize,
-        policy: &mut dyn ClientPolicy,
-        obs: &mut O,
-    ) {
+    fn plan_round(&mut self, c: usize, policy: &mut dyn ClientPolicy) {
         self.plan_buf.clear();
         policy.plan_into(c, self.state[c] as usize, &mut self.plan_buf);
         self.planned[c].clear();
         for k in 0..self.plan_buf.len() {
             let item = self.plan_buf[k];
             self.planned[c].push(item as u32);
-            self.push_job(
-                Job {
-                    client: c as u32,
-                    item: item as u32,
-                    kind: JobKind::Prefetch,
-                    round: self.round[c],
-                    duration: self.effective_duration(item),
-                },
-                obs,
-            );
+            self.push_job(Job {
+                client: c as u32,
+                item: item as u32,
+                kind: JobKind::Prefetch,
+                round: self.round[c],
+                duration: self.effective_duration(item),
+            });
         }
     }
 
     /// Plans and queues every client's opening round at `t = 0` and
     /// schedules the first requests.
-    pub(crate) fn kickoff<O: ShardObserver>(
-        &mut self,
-        policy: &mut dyn ClientPolicy,
-        sched: &mut Scheduler<Ev>,
-        obs: &mut O,
-    ) {
+    fn kickoff(&mut self, policy: &mut dyn ClientPolicy, sched: &mut Scheduler<Ev>) {
         for c in 0..self.state.len() {
-            self.plan_round(c, policy, obs);
+            self.plan_round(c, policy);
             sched.schedule(
                 self.workload.viewing(self.state[c] as usize),
                 Ev::Request(c as u32),
             );
         }
-        self.start_dirty(0.0, sched.queue_mut(), obs);
+        self.start_dirty(0.0, sched.queue_mut());
     }
 
-    /// Folds the run's outcome into the report, identically on every
-    /// executor: per-shard stats in shard order, then the aggregate
-    /// sums — the floating-point operation order is part of the
-    /// bit-equality contract.
-    pub(crate) fn build_report(mut self, span: f64, stats: Vec<ChannelStats>) -> ShardReport {
-        let n_shards = stats.len();
+    /// Folds the run's outcome into the report: per-shard stats in shard
+    /// order, then the aggregate sums.
+    fn build_report(mut self, span: f64) -> ShardReport {
+        let n_shards = self.stats.len();
         let plan = &self.faults;
-        let shards: Vec<ShardStats> = stats
+        let shards: Vec<ShardStats> = self
+            .stats
             .into_iter()
             .enumerate()
             .map(|(i, ch)| ShardStats {
@@ -909,11 +809,11 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
     }
 
     /// Queues a job on its owning shard.
-    fn push_job<O: ShardObserver>(&mut self, job: Job, obs: &mut O) {
+    fn push_job(&mut self, job: Job) {
         let shard = self.shard_lut[job.item as usize] as usize;
         let queue = &mut self.lanes.0[shard].queue;
         queue.push_back(job);
-        obs.queued(shard, queue.len());
+        self.stats[shard].queued(queue.len());
         self.mark_dirty(shard);
     }
 
@@ -930,31 +830,23 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
     /// Starts the next queued job on `shard` if its channel is idle —
     /// the body of one start-pass step.
     #[inline]
-    fn try_start<O: ShardObserver>(
-        &mut self,
-        shard: usize,
-        now: f64,
-        q: &mut EventQueue<Ev>,
-        obs: &mut O,
-        tracing: bool,
-    ) {
+    fn try_start(&mut self, shard: usize, now: f64, q: &mut EventQueue<Ev>, tracing: bool) {
         let lane = &mut self.lanes.0[shard];
         if lane.in_service.is_none() {
             if let Some(job) = lane.queue.pop_front() {
                 let mut start = now.max(lane.busy_until);
                 // Outage windows black out job *starts* only: in-flight
-                // transfers complete, so event counts are conserved and
-                // the lookahead bound (starts never precede `now`) holds.
+                // transfers complete, so event counts are conserved.
                 if let Some(plan) = &self.faults {
                     let admitted = plan.delayed_start(shard, start);
                     if admitted > start {
-                        obs.outage_wait(shard, admitted - start);
+                        self.stats[shard].outage_wait(admitted - start);
                         start = admitted;
                     }
                 }
                 lane.busy_until = start + job.duration;
                 lane.in_service = Some(job);
-                obs.started(shard, job.duration);
+                self.stats[shard].started(job.duration);
                 q.schedule(lane.busy_until, Ev::JobDone(shard as u32));
                 if tracing {
                     self.started_scratch.push((start, job));
@@ -968,7 +860,7 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
     /// per event — in ascending shard order so the event sequence is
     /// identical to a full scan; duplicate marks are harmless (the
     /// channel is busy by the second attempt).
-    fn start_dirty<O: ShardObserver>(&mut self, now: f64, q: &mut EventQueue<Ev>, obs: &mut O) {
+    fn start_dirty(&mut self, now: f64, q: &mut EventQueue<Ev>) {
         if self.dirty_bits == 0 && self.dirty.is_empty() {
             return;
         }
@@ -980,14 +872,14 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
         while bits != 0 {
             let shard = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            self.try_start(shard, now, q, obs, tracing);
+            self.try_start(shard, now, q, tracing);
         }
         if !self.dirty.is_empty() {
             self.dirty.sort_unstable();
             std::mem::swap(&mut self.dirty, &mut self.scratch);
             for i in 0..self.scratch.len() {
                 let shard = self.scratch[i] as usize;
-                self.try_start(shard, now, q, obs, tracing);
+                self.try_start(shard, now, q, tracing);
             }
             self.scratch.clear();
         }
@@ -1005,13 +897,12 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
         }
     }
 
-    pub(crate) fn on_request<O: ShardObserver>(
+    fn on_request(
         &mut self,
         c: usize,
         now: f64,
         q: &mut EventQueue<Ev>,
         policy: &mut dyn ClientPolicy,
-        obs: &mut O,
     ) {
         let alpha = self
             .workload
@@ -1019,39 +910,35 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
         self.record(now, c, alpha, EventKind::Request);
         if self.done[c].contains(&(alpha as u32)) {
             // Served instantly from this round's completed transfers.
-            self.finish_request(c, alpha, now, now, q, policy, obs);
+            self.finish_request(c, alpha, now, now, q, policy);
         } else if self.planned[c].contains(&(alpha as u32)) {
             // In flight or queued: wait for its completion.
             self.pending_item[c] = alpha as u32;
             self.pending_at[c] = now;
         } else {
             // Demand fetch at the owning shard's queue tail (FIFO).
-            self.push_job(
-                Job {
-                    client: c as u32,
-                    item: alpha as u32,
-                    kind: JobKind::Demand,
-                    round: self.round[c],
-                    duration: self.effective_duration(alpha),
-                },
-                obs,
-            );
+            self.push_job(Job {
+                client: c as u32,
+                item: alpha as u32,
+                kind: JobKind::Demand,
+                round: self.round[c],
+                duration: self.effective_duration(alpha),
+            });
             self.pending_item[c] = alpha as u32;
             self.pending_at[c] = now;
         }
-        self.start_dirty(now, q, obs);
+        self.start_dirty(now, q);
     }
 
-    pub(crate) fn on_job_done<O: ShardObserver>(
+    fn on_job_done(
         &mut self,
         shard: usize,
         now: f64,
         q: &mut EventQueue<Ev>,
         policy: &mut dyn ClientPolicy,
-        obs: &mut O,
     ) {
         let lane = &mut self.lanes.0[shard];
-        obs.finished(shard, lane.queue.len());
+        self.stats[shard].finished(lane.queue.len());
         let job = lane.in_service.take().expect("a job was in service");
         // The channel is free again: re-mark it so queued work restarts.
         self.mark_dirty(shard);
@@ -1062,18 +949,18 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
             if self.pending_item[c] == job.item {
                 self.pending_item[c] = NO_ITEM;
                 let req_at = self.pending_at[c];
-                self.finish_request(c, job.item as usize, now, req_at, q, policy, obs);
+                self.finish_request(c, job.item as usize, now, req_at, q, policy);
             }
         } else if job.kind == JobKind::Prefetch {
             // Stale prefetch from a previous round: pure waste.
             self.wasted_transfer += job.duration;
         }
-        self.start_dirty(now, q, obs);
+        self.start_dirty(now, q);
     }
 
     /// A request was served: account for it and start the next round.
     #[allow(clippy::too_many_arguments)]
-    fn finish_request<O: ShardObserver>(
+    fn finish_request(
         &mut self,
         c: usize,
         alpha: usize,
@@ -1081,11 +968,10 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
         requested_at: f64,
         q: &mut EventQueue<Ev>,
         policy: &mut dyn ClientPolicy,
-        obs: &mut O,
     ) {
         let stall = now - requested_at;
         self.samples.push(stall);
-        obs.stall(self.shard_lut[alpha] as usize, stall);
+        self.stats[self.shard_lut[alpha] as usize].stall(stall);
         self.record(now, c, alpha, EventKind::Served);
         self.served += 1;
         // Waste accounting: completed transfers of this round that were
@@ -1099,7 +985,7 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
         self.state[c] = alpha as u32;
         self.round[c] += 1;
         self.done[c].clear();
-        self.plan_round(c, policy, obs);
+        self.plan_round(c, policy);
         q.schedule(now + self.workload.viewing(alpha), Ev::Request(c as u32));
     }
 }
@@ -1124,7 +1010,7 @@ impl<W: ClientWorkload> ShardedSim<'_, W> {
 
     /// Like [`run_traced`](Self::run_traced), with the event loop
     /// observed: scheduler counters/gauges fold into `o`, and a mark is
-    /// appended to `marks` every [`MARK_EVERY`] popped events. The
+    /// appended to `marks` every `MARK_EVERY` popped events. The
     /// event log is collected only when `traced` (empty otherwise).
     /// Observation never changes results — the report and event log are
     /// bit-identical to the unobserved run's.
@@ -1148,26 +1034,16 @@ impl<W: ClientWorkload> ShardedSim<'_, W> {
         mut probe: Option<SchedProbe<'_>>,
     ) -> ShardReport {
         let total_requests = self.requests_per_client * self.clients as u64;
-        let mut obs: Vec<ChannelStats> = (0..self.shards).map(|_| ChannelStats::new()).collect();
-        let mut st = SimState::new(
-            self.workload,
-            self.retrievals,
-            self.clients,
-            self.shards,
-            self.placement,
-            self.seed,
-            self.faults,
-            trace,
-        );
+        let mut st = SimState::new(self, trace);
         let mut sched: Scheduler<Ev> = Scheduler::new();
-        st.kickoff(policy, &mut sched, &mut obs);
+        st.kickoff(policy, &mut sched);
 
         let probing = probe.is_some();
         let mut events: u64 = 0;
         let span = sched.run(|now, ev, q| {
             match ev {
-                Ev::Request(c) => st.on_request(c as usize, now, q, policy, &mut obs),
-                Ev::JobDone(shard) => st.on_job_done(shard as usize, now, q, policy, &mut obs),
+                Ev::Request(c) => st.on_request(c as usize, now, q, policy),
+                Ev::JobDone(shard) => st.on_job_done(shard as usize, now, q, policy),
             }
             if probing {
                 events += 1;
@@ -1177,7 +1053,7 @@ impl<W: ClientWorkload> ShardedSim<'_, W> {
                     }
                 }
             }
-            if st.served() >= total_requests {
+            if st.served >= total_requests {
                 Flow::Stop
             } else {
                 Flow::Continue
@@ -1186,7 +1062,7 @@ impl<W: ClientWorkload> ShardedSim<'_, W> {
         if let Some(p) = probe.as_mut() {
             p.mark(span, events, sched.queue_mut().len(), st.dirty_count());
         }
-        st.build_report(span, obs)
+        st.build_report(span)
     }
 }
 
@@ -1428,7 +1304,7 @@ mod tests {
         assert_eq!(served as u64, traced.requests());
     }
 
-    /// The observability contract at the executor level: an observed
+    /// The observability contract at the scheduler level: an observed
     /// run's report and event log are bit-identical to the unobserved
     /// run's, while the sink and the mark series fill up.
     #[test]

@@ -23,10 +23,9 @@
 //! (`T_shared = min(2 r_α, r_α + W) ≤ r_α + W = T_fifo`). The fluid
 //! replay [`run_session_shared`] integrates the two streams explicitly
 //! and the tests pin it to the closed form [`access_time_shared`]. The
-//! replay drives the ordinary [`Scheduler`], so it runs on whichever
-//! [`EventQueue`](crate::engine::EventQueue) kind is configured — its
-//! event times are fractional fluid crossings, a deliberately
-//! non-quantised workload for the calendar queue's width estimator.
+//! replay drives the ordinary [`Scheduler`] over the same
+//! [`EventQueue`](crate::engine::EventQueue) as every other simulation;
+//! its event times are fractional fluid crossings.
 
 use crate::network::RetrievalModel;
 use crate::scheduler::{Flow, Scheduler};

@@ -35,8 +35,8 @@
 //! `served:<host>:<port>:<inner-spec>` backend serialises a population
 //! run through `speculative_prefetch::wire`, posts it to a daemon and
 //! parses the report back — bit-identical to running the inner backend
-//! in process on the same seed, extending the parallel-backend
-//! determinism contract across a socket.
+//! in process on the same seed, extending the backends' determinism
+//! contract across a socket.
 //!
 //! ```no_run
 //! use skp_serve::{ServeConfig, Server};

@@ -389,8 +389,10 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>, cfg: &Serv
         Err(e) => e.into_response(),
     };
     if let Some(response) = response {
-        let _ = response.write(&mut stream);
+        // Count before the write: once the client has read this
+        // response, `/stats` on its next request must include it.
         state.served.fetch_add(1, Ordering::SeqCst);
+        let _ = response.write(&mut stream);
     }
 }
 
@@ -917,7 +919,7 @@ skp_worker_queue_depth 3\n";
     fn run_rejects_daemon_chaining() {
         let run = WireRun {
             kind: "sharded".to_string(),
-            backend: "served:127.0.0.1:7077:parallel".to_string(),
+            backend: "served:127.0.0.1:7077:sharded".to_string(),
             policy: "skp-exact".to_string(),
             requests_per_client: 1,
             seed: 1,

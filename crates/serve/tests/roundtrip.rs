@@ -33,19 +33,19 @@ fn engine(backend_spec: &str) -> Engine {
         .expect("engine builds")
 }
 
-/// The acceptance gate: `served:<addr>:parallel:8x64:hash` produces the
+/// The acceptance gate: `served:<addr>:sharded:8x64:hash` produces the
 /// same `RunReport`, bit for bit (stats, section, every traced event),
-/// as the in-process parallel backend on the same seed.
+/// as the in-process sharded backend on the same seed.
 #[test]
-fn served_parallel_run_is_bit_identical_to_in_process() {
+fn served_sharded_run_is_bit_identical_to_in_process() {
     let handle = spawn(ServeConfig::default());
     let addr = handle.addr();
 
     let workload = Workload::sharded(chain(), 40, 1999).traced(true);
-    let expected = engine("parallel:8x64:hash")
+    let expected = engine("sharded:8x64:hash")
         .run(&workload)
         .expect("in-process run");
-    let spec = format!("served:{}:{}:parallel:8x64:hash", addr.ip(), addr.port());
+    let spec = format!("served:{}:{}:sharded:8x64:hash", addr.ip(), addr.port());
     let actual = engine(&spec).run(&workload).expect("served run");
 
     assert_eq!(expected, actual);
@@ -109,9 +109,10 @@ fn version_registry_and_stats_endpoints_answer() {
 
     let registry = http_request(&addr, "GET", "/registry", None).expect("GET /registry");
     assert_eq!(registry.status, 200);
-    for needle in ["skp-exact", "\"parallel\"", "\"served\"", "ngram"] {
+    for needle in ["skp-exact", "\"sharded\"", "\"served\"", "ngram"] {
         assert!(registry.body.contains(needle), "missing {needle}");
     }
+    assert!(!registry.body.contains("\"parallel\""), "{}", registry.body);
 
     // One run, then /stats reports it in the AccessStats shape.
     let run = http_request(
@@ -121,7 +122,7 @@ fn version_registry_and_stats_endpoints_answer() {
         Some(
             &std::fs::read_to_string(concat!(
                 env!("CARGO_MANIFEST_DIR"),
-                "/../../examples/workloads/parallel.skp"
+                "/../../examples/workloads/sharded.skp"
             ))
             .expect("example workload readable"),
         ),
@@ -160,7 +161,7 @@ fn second_identical_run_hits_the_shared_plan_store() {
 
     let body = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../../examples/workloads/parallel.skp"
+        "/../../examples/workloads/sharded.skp"
     ))
     .expect("example workload readable");
 

@@ -15,16 +15,8 @@
 //! single-client
 //! multi-client:<clients>
 //! sharded:<shards>x<clients>[:<hash|range|hot-cold@K>]
-//! parallel:<shards>x<clients>[:<hash|range|hot-cold@K>[:<threads>]]
 //! monte-carlo:<chunks>[x<threads>]
 //! ```
-//!
-//! The `parallel:` family is the sharded substrate on the conservative
-//! parallel executor ([`ParallelShardedSim`]): per-shard worker threads
-//! synchronised by lookahead epochs, **bit-identical** to the matching
-//! `sharded:` spec on the same seed (`threads` 0 = auto). It is wired
-//! up purely through this registry — `engine.rs` needed no edits,
-//! exactly the extension seam PR 3 promised.
 
 use std::sync::{Arc, LazyLock, RwLock};
 
@@ -32,7 +24,7 @@ use access_model::MarkovChain;
 use distsys::multiclient::{ClientPolicy, ClientWorkload, MultiClientSim};
 use distsys::scheduler::{Placement, ShardedSim, SimEvent};
 use distsys::stats::AccessStats;
-use distsys::{run_session, Catalog, ParallelShardedSim, SessionConfig, ShardMap};
+use distsys::{run_session, Catalog, SessionConfig, ShardMap};
 use montecarlo::parallel::default_threads;
 use rand::rngs::SmallRng;
 
@@ -333,23 +325,6 @@ impl BackendDriver for MultiClientDriver {
     }
 }
 
-/// The sharded substrate's session timing model, shared by the
-/// sequential and parallel drivers (one definition: the executors
-/// differ, the simulated system does not).
-fn sharded_session_access_time(
-    shards: usize,
-    placement: Placement,
-    catalog: &Catalog,
-    cfg: &SessionConfig<'_>,
-) -> f64 {
-    use distsys::RetrievalModel;
-    distsys::access_time_sharded(
-        catalog,
-        cfg,
-        &ShardMap::new(shards, catalog.n_items(), placement),
-    )
-}
-
 /// The catalog partitioned across per-shard FIFO channels.
 struct ShardedDriver {
     shards: usize,
@@ -386,7 +361,12 @@ impl BackendDriver for ShardedDriver {
     }
 
     fn session_access_time(&self, catalog: &Catalog, cfg: &SessionConfig<'_>) -> f64 {
-        sharded_session_access_time(self.shards, self.placement, catalog, cfg)
+        use distsys::RetrievalModel;
+        distsys::access_time_sharded(
+            catalog,
+            cfg,
+            &ShardMap::new(self.shards, catalog.n_items(), self.placement),
+        )
     }
 
     fn supports_population(&self) -> bool {
@@ -409,81 +389,6 @@ impl BackendDriver for ShardedDriver {
             faults: run.faults,
         };
         let (report, log) = sim.run_observed(run.planner, &run.obs, run.marks, run.traced);
-        Ok((report.access, ReportSection::Sharded(report), log))
-    }
-}
-
-/// The sharded substrate on the conservative parallel executor:
-/// per-shard worker threads behind lookahead-derived epoch barriers,
-/// bit-identical to [`ShardedDriver`] on the same seed (pinned by
-/// `tests/parallel.rs`). Registered purely through the backend
-/// registry — the engine has no knowledge of it.
-struct ParallelDriver {
-    shards: usize,
-    clients: usize,
-    placement: Placement,
-    /// Worker threads (0 = auto: hardware parallelism capped by shards).
-    threads: usize,
-}
-
-impl BackendDriver for ParallelDriver {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn spec_string(&self) -> String {
-        format!(
-            "parallel:{}x{}:{}:{}",
-            self.shards, self.clients, self.placement, self.threads
-        )
-    }
-
-    fn validate(&self) -> Result<(), Error> {
-        if self.shards == 0 {
-            return Err(Error::InvalidParam {
-                what: "parallel backend",
-                detail: "needs at least one shard".into(),
-            });
-        }
-        if self.clients == 0 {
-            return Err(Error::InvalidParam {
-                what: "parallel backend",
-                detail: "needs at least one client".into(),
-            });
-        }
-        Ok(())
-    }
-
-    fn session_access_time(&self, catalog: &Catalog, cfg: &SessionConfig<'_>) -> f64 {
-        // Same substrate timing model as the sharded backend — the
-        // executors differ, the simulated system does not.
-        sharded_session_access_time(self.shards, self.placement, catalog, cfg)
-    }
-
-    fn supports_population(&self) -> bool {
-        true
-    }
-
-    fn run_population(
-        &self,
-        run: PopulationRun<'_>,
-    ) -> Result<(AccessStats, ReportSection, Vec<SimEvent>), Error> {
-        let workload = MarkovWorkload(run.chain);
-        let sim = ParallelShardedSim {
-            workload: &workload,
-            retrievals: run.retrievals,
-            clients: self.clients,
-            shards: self.shards,
-            placement: self.placement,
-            requests_per_client: run.requests_per_client,
-            seed: run.seed,
-            faults: run.faults,
-            threads: self.threads,
-        };
-        let (report, log) = sim.run_observed(run.planner, &run.obs, run.marks, run.traced);
-        // The section is `Sharded` deliberately: the run *is* a sharded
-        // run, so the whole `RunReport` is bit-comparable to the
-        // sequential backend's.
         Ok((report.access, ReportSection::Sharded(report), log))
     }
 }
@@ -651,41 +556,6 @@ fn build_sharded(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
     }))
 }
 
-fn build_parallel(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
-    const WHAT: &str = "parallel backend spec";
-    let (shards, clients, placement, threads) = match param {
-        None => (1, 1, Placement::default(), 0),
-        Some(raw) => {
-            let mut parts = raw.split(':');
-            let (shards, clients) = parse_topology(WHAT, parts.next().unwrap_or_default())?;
-            let placement = match parts.next() {
-                None => Placement::default(),
-                Some(text) => parse_placement(WHAT, text)?,
-            };
-            let threads = match parts.next() {
-                None => 0,
-                Some(text) => text.trim().parse::<usize>().map_err(|_| {
-                    param_err(
-                        WHAT,
-                        format!(
-                            "thread count '{}' is not an integer (0 = auto)",
-                            text.trim()
-                        ),
-                    )
-                })?,
-            };
-            reject_trailing(WHAT, "thread count", &mut parts)?;
-            (shards, clients, placement, threads)
-        }
-    };
-    Ok(Arc::new(ParallelDriver {
-        shards,
-        clients,
-        placement,
-        threads,
-    }))
-}
-
 fn build_monte_carlo(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
     const WHAT: &str = "monte-carlo backend spec";
     let (chunks, threads) = match param {
@@ -744,19 +614,6 @@ fn builtin_entries() -> Vec<BackendEntry> {
                 summary: "deterministic parallel Monte-Carlo over random scenarios",
             },
             build: build_monte_carlo,
-        },
-        // The parallel executor rides the registry exactly like a
-        // runtime-registered plug-in would (same entry shape, zero
-        // engine edits); it ships in the builtin table so `skp-plan
-        // --list` and workload files see it out of the box.
-        BackendEntry {
-            spec: BackendSpec {
-                name: "parallel",
-                params: "shards x clients : placement : threads (0 = auto)",
-                summary: "sharded farm on the conservative parallel executor \
-                          (bit-identical to sharded:)",
-            },
-            build: build_parallel,
         },
         // The registry seam stretched across a socket: population runs
         // are serialised, posted to a running skp-serve daemon and the
@@ -882,9 +739,7 @@ mod tests {
             "multi-client:5",
             "sharded:4x16:hot-cold@6",
             "monte-carlo:8x2",
-            "parallel:4x16:hot-cold@6:3",
-            "parallel:2x8:range:0",
-            "served:127.0.0.1:7077:parallel:8x64:hash:0",
+            "served:127.0.0.1:7077:sharded:8x64:hash",
             "served:10.0.0.9:8080:sharded:4x16:hot-cold@6",
         ] {
             let driver = build_backend(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
@@ -916,18 +771,6 @@ mod tests {
             build_backend("monte-carlo:4").unwrap().spec_string(),
             "monte-carlo:4x0"
         );
-        assert_eq!(
-            build_backend("parallel").unwrap().spec_string(),
-            "parallel:1x1:hash:0"
-        );
-        assert_eq!(
-            build_backend("parallel:4x8").unwrap().spec_string(),
-            "parallel:4x8:hash:0"
-        );
-        assert_eq!(
-            build_backend("parallel:4x8:range").unwrap().spec_string(),
-            "parallel:4x8:range:0"
-        );
     }
 
     #[test]
@@ -942,8 +785,6 @@ mod tests {
             "sharded:4",
             "sharded:4x2:diagonal",
             "monte-carlo:8xfast",
-            "parallel:4x2:diagonal",
-            "parallel:4x2:hash:many",
         ] {
             assert!(
                 matches!(build_backend(spec), Err(Error::InvalidParam { .. })),
@@ -963,7 +804,6 @@ mod tests {
             Ok(_) => panic!("{spec}: expected InvalidParam, got a driver"),
         };
         // Zero counts name the field and the bound.
-        assert!(detail("parallel:0x4").contains("shard count must be at least 1"));
         assert!(detail("sharded:0x4").contains("shard count must be at least 1"));
         assert!(detail("sharded:4x0").contains("client count must be at least 1"));
         assert!(detail("multi-client:0").contains("client count must be at least 1"));
@@ -974,11 +814,9 @@ mod tests {
         assert!(detail("multi-client:none").contains("client count 'none'"));
         assert!(detail("monte-carlo:8xfast").contains("thread count 'fast'"));
         assert!(detail("monte-carlo:0").contains("chunk count must be at least 1"));
-        assert!(detail("parallel:4x2:diagonal").contains("placement 'diagonal'"));
-        assert!(detail("parallel:4x2:hash:many").contains("thread count 'many'"));
+        assert!(detail("sharded:4x2:diagonal").contains("placement 'diagonal'"));
         // Trailing junk after the last recognised field.
         assert!(detail("sharded:4x2:hash:junk").contains("trailing ':junk'"));
-        assert!(detail("parallel:4x2:hash:3:junk").contains("trailing ':junk'"));
         assert!(detail("multi-client:3:junk").contains("trailing ':junk'"));
         assert!(detail("monte-carlo:8x2:junk").contains("trailing ':junk'"));
     }
@@ -1007,7 +845,21 @@ mod tests {
             .is_err());
         }
         assert!(build_backend("sharded:3x3").unwrap().validate().is_ok());
-        assert!(build_backend("parallel:3x3").unwrap().validate().is_ok());
+    }
+
+    /// `parallel:` is not a registered backend and gets no special case:
+    /// its spec fails like any unknown name, and the error lists
+    /// `sharded`.
+    #[test]
+    fn parallel_spec_is_an_unknown_backend_naming_sharded() {
+        match build_backend("parallel:4x8") {
+            Err(Error::UnknownBackend { name, known }) => {
+                assert_eq!(name, "parallel");
+                assert!(known.contains(&"sharded"), "{known:?}");
+            }
+            Err(other) => panic!("expected UnknownBackend, got {other:?}"),
+            Ok(_) => panic!("expected UnknownBackend, got a driver"),
+        }
     }
 
     #[test]

@@ -21,11 +21,9 @@
 //! list (`out=<shard>@<start>+<dur>`, `slow=<shard>x<factor>`,
 //! `svc=<spread>`, `;`-separated). Every generator produces an exact
 //! [`MarkovChain`] (the chain is a pure function of the spec and the
-//! catalog size — the run seed only drives the sampling), so generated
-//! workloads join the determinism contract: `parallel:` and `sharded:`
-//! backends stay bit-identical on the same seed with generators and
-//! faults active (pinned by `tests/generators.rs` and the extended
-//! equivalence proptest).
+//! catalog size — the run seed only drives the sampling), so a generated
+//! run, faults included, is a pure function of its spec, catalog and
+//! seed.
 
 use std::f64::consts::TAU;
 use std::sync::{Arc, LazyLock, RwLock};

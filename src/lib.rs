@@ -16,10 +16,9 @@
 //! 2. a **prefetch policy** ([`Prefetcher`]; [`build_policy`]),
 //! 3. a **client cache** with Figure-6 arbitration (`cache-sim`),
 //! 4. a **simulation backend** ([`BackendDriver`]; [`build_backend`] —
-//!    private-channel single client, shared channel, sharded farm, the
-//!    multi-threaded parallel executor over that farm
-//!    (`parallel:4x16:hash:0`, bit-identical to `sharded:4x16:hash`),
-//!    parallel Monte-Carlo, plus anything you [`register_backend`]),
+//!    private-channel single client, shared channel, sharded farm
+//!    (`sharded:4x16:hash`), parallel Monte-Carlo, a `skp-serve`
+//!    daemon (`served:`), plus anything you [`register_backend`]),
 //!
 //! plus a fifth, orthogonal seam: a **plan store** ([`PlanStore`];
 //! [`build_plan_store`]) that caches solved population plan sets
@@ -103,15 +102,9 @@
 //! # Ok::<(), speculative_prefetch::Error>(())
 //! ```
 //!
-//! Swap `"sharded:4x8:hash"` for `"parallel:4x8:hash:0"` and the same
-//! run executes on per-shard worker threads (lookahead-synchronised
-//! conservative execution; threads `0` = auto) with a **bit-identical**
-//! `RunReport` — the registry makes the executor a deployment choice,
-//! not a semantic one.
-//!
 //! The registry seam also stretches across a socket: with a `skp-serve`
 //! daemon running (see `crates/serve`), swap the backend spec for
-//! `"served:127.0.0.1:7077:parallel:4x8:hash"` and the same population
+//! `"served:127.0.0.1:7077:sharded:4x8:hash"` and the same population
 //! run is serialised through the [`wire`] module, executed by the
 //! daemon's worker pool and parsed back — still bit-identical to the
 //! in-process run on the same seed.
@@ -219,7 +212,6 @@ pub use cache_sim::{
 
 // ---- distributed system substrate (distsys) --------------------------
 pub use distsys::multiclient::{ClientPolicy, ClientWorkload, MultiClientResult, MultiClientSim};
-pub use distsys::parallel::ParallelShardedSim;
 pub use distsys::scheduler::{
     access_time_sharded, EventKind, Placement, Scheduler, ShardMap, ShardReport, ShardStats,
     ShardedSim, SimEvent,

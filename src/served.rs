@@ -8,14 +8,14 @@
 //! [`RunReport`](crate::RunReport) — **bit-identical** to running the
 //! inner backend in-process on the same seed, because the wire format
 //! round-trips every `f64` exactly and ships the Markov chain's exact
-//! stored rows. The determinism contract of the parallel backend
+//! stored rows. The determinism contract of the in-process backends
 //! therefore survives the network hop (pinned by `crates/serve/tests`).
 //!
 //! Spec syntax: `served:<host>:<port>:<inner-backend-spec>`, e.g.
-//! `served:127.0.0.1:7077:parallel:8x64:hash`. The host is an IPv4
+//! `served:127.0.0.1:7077:sharded:8x64:hash`. The host is an IPv4
 //! address or name (no colons — IPv6 literals would be ambiguous in the
 //! spec grammar); the inner spec is any registered *population* backend
-//! and defaults to the parallel executor.
+//! and defaults to `sharded`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -181,7 +181,7 @@ pub(crate) fn build_served(param: Option<&str>) -> Result<Arc<dyn BackendDriver>
         }
     };
     let inner = match inner {
-        None => build_backend("parallel")?,
+        None => build_backend("sharded")?,
         Some(spec) => {
             let name = spec.split(':').next().unwrap_or_default().trim();
             if name == "served" {
@@ -381,11 +381,11 @@ mod tests {
     fn default_spec_fills_in() {
         assert_eq!(
             build_backend("served").unwrap().spec_string(),
-            "served:127.0.0.1:7077:parallel:1x1:hash:0"
+            "served:127.0.0.1:7077:sharded:1x1:hash"
         );
         assert_eq!(
             build_backend("served:10.1.2.3:9000").unwrap().spec_string(),
-            "served:10.1.2.3:9000:parallel:1x1:hash:0"
+            "served:10.1.2.3:9000:sharded:1x1:hash"
         );
     }
 
@@ -393,10 +393,10 @@ mod tests {
     fn inner_spec_is_canonicalised() {
         // The inner spec's defaults fill in inside the served spec, and
         // the result is a fixed point.
-        let driver = build_backend("served:127.0.0.1:7077:parallel:4x8").unwrap();
+        let driver = build_backend("served:127.0.0.1:7077:sharded:4x8").unwrap();
         assert_eq!(
             driver.spec_string(),
-            "served:127.0.0.1:7077:parallel:4x8:hash:0"
+            "served:127.0.0.1:7077:sharded:4x8:hash"
         );
         assert_eq!(
             build_backend(&driver.spec_string()).unwrap().spec_string(),
@@ -423,7 +423,7 @@ mod tests {
         );
         // Inner-spec errors bubble up with their own field names.
         assert!(
-            detail("served:localhost:8080:parallel:0x4").contains("shard count must be at least 1")
+            detail("served:localhost:8080:sharded:0x4").contains("shard count must be at least 1")
         );
         assert!(matches!(
             build_backend("served:localhost:8080:warp-drive"),
@@ -447,7 +447,7 @@ mod tests {
         let chain = MarkovChain::random(6, 2, 3, 2, 5, 1).unwrap();
         let retrievals = vec![1.0; 6];
         let mut planner = |_client: usize, _state: usize| Vec::new();
-        let driver = build_backend("served:127.0.0.1:7077:parallel:1x1:hash:0").unwrap();
+        let driver = build_backend("served:127.0.0.1:7077:sharded:1x1:hash").unwrap();
         let err = driver
             .run_population(PopulationRun {
                 chain: &chain,
@@ -472,7 +472,7 @@ mod tests {
         let retrievals = vec![1.0; 6];
         let faults = distsys::FaultSpec::inert();
         let mut planner = |_client: usize, _state: usize| Vec::new();
-        let driver = build_backend("served:127.0.0.1:7077:parallel:1x1:hash:0").unwrap();
+        let driver = build_backend("served:127.0.0.1:7077:sharded:1x1:hash").unwrap();
         let err = driver
             .run_population(PopulationRun {
                 chain: &chain,
@@ -501,8 +501,7 @@ mod tests {
         let chain = MarkovChain::random(6, 2, 3, 2, 5, 1).unwrap();
         let retrievals = vec![1.0; 6];
         let mut planner = |_client: usize, _state: usize| Vec::new();
-        let driver =
-            build_backend(&format!("served:127.0.0.1:{port}:parallel:1x1:hash:0")).unwrap();
+        let driver = build_backend(&format!("served:127.0.0.1:{port}:sharded:1x1:hash")).unwrap();
         let err = driver
             .run_population(PopulationRun {
                 chain: &chain,

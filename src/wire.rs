@@ -1091,7 +1091,7 @@ pub struct WireRun {
     /// Workload kind: `"multi-client"` or `"sharded"`.
     pub kind: String,
     /// Registry spec of the backend the daemon should run
-    /// (e.g. `parallel:8x64:hash:0`).
+    /// (e.g. `sharded:8x64:hash`).
     pub backend: String,
     /// Registry spec of the planning policy (e.g. `skp-exact`).
     pub policy: String,
@@ -1365,7 +1365,7 @@ mod tests {
         let retrievals: Vec<f64> = (0..10).map(|i| 1.5 + (i % 3) as f64).collect();
         let wire = WireRun::new(
             "sharded",
-            "parallel:2x4:hash:0",
+            "sharded:2x4:hash",
             "skp-exact",
             &chain,
             &retrievals,
@@ -1380,7 +1380,7 @@ mod tests {
         let mut direct = Engine::builder()
             .policy("skp-exact")
             .catalog(retrievals)
-            .backend_spec("parallel:2x4:hash:0")
+            .backend_spec("sharded:2x4:hash")
             .build()
             .unwrap();
         let expected = direct

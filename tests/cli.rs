@@ -311,12 +311,12 @@ fn served_template_instantiates_parses_and_roundtrips() {
     assert!(f.traced);
     assert_eq!(
         f.backend.as_deref(),
-        Some("served:127.0.0.1:7077:parallel:4x16:hash:0")
+        Some("served:127.0.0.1:7077:sharded:4x16:hash")
     );
     assert_eq!(f.policy.as_deref(), Some("skp-exact"));
     assert_eq!(f.requests, Some(100));
     assert_eq!(f.seed, Some(1999));
-    assert_eq!(f.scenario.n(), 24, "catalog matches parallel.skp");
+    assert_eq!(f.scenario.n(), 24, "catalog matches sharded.skp");
     let again = speculative_prefetch::parse_workload(&f.to_string()).expect("render round-trips");
     assert_eq!(again, f);
 }

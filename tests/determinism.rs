@@ -1,6 +1,7 @@
 //! Reproducibility guarantees: every randomised component of the
-//! workspace is a pure function of its seed, and parallel execution is
-//! bit-identical to sequential execution.
+//! workspace is a pure function of its seed, Monte-Carlo results do not
+//! depend on the thread count, and observability never changes a
+//! simulated result.
 
 use montecarlo::prefetch_cache::PrefetchCacheSim;
 use montecarlo::prefetch_only::PrefetchOnlySim;
@@ -88,7 +89,7 @@ proptest! {
 
     /// Observability never changes results: with the sink off, on, or
     /// sampling, the same seed yields bit-identical reports and event
-    /// logs — on the sequential farm and on the parallel executor.
+    /// logs on the sharded farm.
     #[test]
     fn observability_never_changes_results(
         shards in 1usize..=3,
@@ -130,9 +131,6 @@ proptest! {
                 prop_assert_eq!(a.kind, b.kind);
             }
         }
-        // The observed run on the parallel executor still matches.
-        let par = run(&format!("parallel:{shards}x{clients}:hash:2"), "memory");
-        prop_assert_eq!(&base, &par);
     }
 }
 

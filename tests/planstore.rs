@@ -28,7 +28,7 @@ fn chain(seed: u64) -> MarkovChain {
 fn run_with(store: &Arc<dyn PlanStore>, policy: &str, chain: &MarkovChain, seed: u64) -> RunReport {
     let mut engine = Engine::builder()
         .policy(policy)
-        .backend_spec("parallel:3x6:hash:2")
+        .backend_spec("sharded:3x6:hash")
         .catalog(catalog())
         .plan_store_instance(Arc::clone(store))
         .build()

@@ -126,7 +126,7 @@ proptest! {
             Some("multi-client:6".to_string()),
             Some("sharded:4x8:hot-cold@3".to_string()),
             Some("monte-carlo:8x0".to_string()),
-            Some("parallel:4x8:hot-cold@3:2".to_string()),
+            Some("sharded:2x8:range".to_string()),
         ][backend_pick]
             .clone();
         let policy = [
