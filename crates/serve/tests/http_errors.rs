@@ -5,10 +5,14 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 
 use skp_serve::{ServeConfig, Server, ServerHandle};
-use speculative_prefetch::http_request;
+use speculative_prefetch::{http_request, parse_report, MarkovChain, WireRun};
 
 fn spawn() -> ServerHandle {
-    Server::bind("127.0.0.1:0", ServeConfig::default())
+    spawn_with(ServeConfig::default())
+}
+
+fn spawn_with(cfg: ServeConfig) -> ServerHandle {
+    Server::bind("127.0.0.1:0", cfg)
         .expect("bind ephemeral port")
         .spawn()
         .expect("spawn server thread")
@@ -133,5 +137,49 @@ fn deeply_nested_body_is_a_400_and_the_daemon_keeps_serving() {
 
     let resp = http_request(&addr, "GET", "/version", None).expect("daemon still serving");
     assert_eq!(resp.status, 200, "{}", resp.body);
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn bad_retrieval_time_is_a_400_and_the_worker_keeps_serving() {
+    // One worker: had the bad run killed it, nothing would answer next.
+    let handle = spawn_with(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr().to_string();
+    let chain = MarkovChain::random(6, 2, 4, 5, 20, 3).expect("valid chain");
+    let run = |retrievals: &[f64]| {
+        WireRun::new(
+            "sharded",
+            "sharded:2x3:hash",
+            "skp-exact",
+            &chain,
+            retrievals,
+            5,
+            11,
+            true,
+        )
+    };
+    for (bad, kind) in [("0", "model"), ("-1", "model"), ("1e999", "invalid-param")] {
+        let body = run(&[1.0; 6]).render().replacen(
+            "\"retrievals\":[1,",
+            &format!("\"retrievals\":[{bad},"),
+            1,
+        );
+        let resp = http_request(&addr, "POST", "/run", Some(&body)).expect("daemon reachable");
+        assert_eq!(resp.status, 400, "{bad}: {}", resp.body);
+        let head = format!("{{\"error\":{{\"kind\":\"{kind}\"");
+        assert!(resp.body.starts_with(&head), "{bad}: {}", resp.body);
+        assert!(resp.body.contains("retrieval"), "{bad}: {}", resp.body);
+    }
+
+    let good = run(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+    let resp =
+        http_request(&addr, "POST", "/run", Some(&good.render())).expect("daemon still serving");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let (mut engine, workload) = good.instantiate().expect("valid run");
+    let expected = engine.run(&workload).expect("in-process run");
+    assert_eq!(parse_report(&resp.body).expect("report parses"), expected);
     handle.shutdown().expect("clean shutdown");
 }

@@ -46,7 +46,7 @@ use skp_core::gain::{
 };
 use skp_core::policy::{PolicyKind, Prefetcher};
 use skp_core::skp::upper_bound;
-use skp_core::{PrefetchPlan, Scenario};
+use skp_core::{ModelError, PrefetchPlan, Scenario};
 
 use crate::backend::{build_backend, Backend, BackendDriver, McFanout, PopulationRun};
 use crate::error::Error;
@@ -930,7 +930,8 @@ impl Engine {
     // Population replays (multi-client / sharded).
     // -----------------------------------------------------------------
 
-    /// The catalog, checked to cover the chain's state universe.
+    /// The catalog, checked to cover the chain's state universe with
+    /// retrieval times every per-state [`Scenario`] accepts.
     fn catalog_for(&self, chain: &MarkovChain, needed_for: &'static str) -> Result<&[f64], Error> {
         let retrievals = self.retrievals.as_ref().ok_or(Error::MissingComponent {
             component: "catalog",
@@ -945,6 +946,17 @@ impl Engine {
                     chain.n_states()
                 ),
             });
+        }
+        // `Scenario::new`'s rule, checked once here so no planning round
+        // can meet a bad entry.
+        let bad = retrievals[..chain.n_states()]
+            .iter()
+            .position(|r| !r.is_finite() || *r <= 0.0);
+        if let Some(index) = bad {
+            return Err(Error::Model(ModelError::BadRetrievalTime {
+                index,
+                value: retrievals[index],
+            }));
         }
         Ok(retrievals)
     }
@@ -1468,6 +1480,31 @@ mod tests {
         assert_eq!(out.requests(), 60);
         assert_eq!(report.access, out.access);
         assert!(out.utilisation <= 1.0 + 1e-9);
+    }
+
+    #[test]
+    fn population_runs_refuse_bad_retrieval_times() {
+        let chain = MarkovChain::random(6, 2, 4, 5, 20, 3).unwrap();
+        for bad in [0.0, -1.0, f64::INFINITY] {
+            let mut catalog: Vec<f64> = (0..6).map(|i| 2.0 + i as f64).collect();
+            catalog[4] = bad;
+            let mut engine = Engine::builder()
+                .backend_spec("sharded:2x3:hash")
+                .catalog(catalog)
+                .build()
+                .unwrap();
+            let err = engine
+                .run(&Workload::sharded(chain.clone(), 5, 1))
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::Model(ModelError::BadRetrievalTime { index: 4, value })
+                        if value.to_bits() == bad.to_bits()
+                ),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]

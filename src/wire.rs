@@ -12,17 +12,29 @@
 //!    their *raw token text* so 64-bit seeds survive parsing without
 //!    being squeezed through `f64` (which only holds 53 bits of integer
 //!    precision).
+//!    Typed reads take a plain run of at most 18 digits (no sign,
+//!    fraction, exponent or leading zero, ending at a delimiter) on an
+//!    integer fast path that sums the digits — the same value
+//!    `str::parse` gives, checked against it token by token in the
+//!    tests — and hand every other token to `str::parse`. A float field
+//!    refuses a token that overflows to an infinity, as it refuses
+//!    anything else that is not a finite number.
 //! 2. **Report rendering and parsing**: [`render_report_fields`] emits
 //!    the `"access"` / `"section_kind"` / `"section"` / `"events"`
 //!    fragment both the CLI and the daemon embed in their responses,
-//!    written straight into one buffer, and [`parse_report`] rebuilds a
-//!    [`RunReport`] from it without building a tree: keys are matched as
-//!    borrowed slices and each number token is parsed once, straight
-//!    into its field. Keys may come in any order, unknown keys are
-//!    validated and dropped, and on a duplicate key the first one wins
-//!    (as [`Json::get`] does). Population sections (multi-client,
-//!    sharded) round-trip **bit-identically**: `f64` values are printed
-//!    with Rust's shortest-round-trip `Display` and re-parsed with
+//!    written straight into one buffer. Events, the bulk of a traced
+//!    reply, are written as fixed fragments: constant keys and one of
+//!    six pre-quoted kind tails. [`parse_report`] rebuilds a
+//!    [`RunReport`] from it without building a tree: each object's key
+//!    is first compared, as bytes, with the key that follows the last
+//!    one matched in the reader's field list, which is the order the
+//!    renderer writes; any other key is read as a borrowed slice and
+//!    looked up. Each number token is parsed once, straight into its
+//!    field. Keys may come in any order, unknown keys are validated and
+//!    dropped, and on a duplicate key the first one wins (as
+//!    [`Json::get`] does). Population sections (multi-client, sharded)
+//!    round-trip **bit-identically**: `f64` values are printed with
+//!    Rust's shortest-round-trip `Display` and re-parsed with
 //!    `str::parse`, which restores the exact bits. Plan, trace and
 //!    Monte-Carlo sections are render-only (their statistics carry
 //!    private accumulator state that has no business on the wire).
@@ -82,6 +94,10 @@ fn push_string(out: &mut String, raw: &str) {
 }
 
 fn push_uint(out: &mut String, mut n: u64) {
+    if n < 10 {
+        out.push(char::from(b'0' + n as u8));
+        return;
+    }
     let mut digits = [0u8; 20];
     let mut i = digits.len();
     loop {
@@ -101,7 +117,7 @@ fn push_uint(out: &mut String, mut n: u64) {
 /// its digits, so whole values (common: simulated time runs in whole
 /// units) take the integer path — same bytes, no float formatting.
 fn push_num(out: &mut String, x: f64) {
-    if x.fract() == 0.0 && x.is_sign_positive() && x < 9_007_199_254_740_992.0 {
+    if x.is_sign_positive() && x < 9_007_199_254_740_992.0 && (x as u64) as f64 == x {
         push_uint(out, x as u64);
     } else if x.is_finite() {
         let _ = write!(out, "{x}");
@@ -518,6 +534,53 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// Consumes the key `"name"` if the text spells it with no escape.
+    fn eat_key(&mut self, name: &str) -> bool {
+        let rest = &self.bytes[self.pos..];
+        let end = name.len() + 1;
+        let hit = rest.len() > end
+            && rest[0] == b'"'
+            && &rest[1..end] == name.as_bytes()
+            && rest[end] == b'"';
+        if hit {
+            self.pos += end + 1;
+        }
+        hit
+    }
+
+    /// Walks an object whose known keys are `names`, calling `member`
+    /// with the index of each known key; unknown keys are validated and
+    /// dropped. Documents usually list the keys in `names` order, so the
+    /// key after the last one matched is tried first as a byte prefix;
+    /// any other key is read as a string and looked up, which gives the
+    /// same index.
+    fn fields(
+        &mut self,
+        names: &[&str],
+        mut member: impl FnMut(&mut Self, usize) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        let mut next = 0;
+        self.nested(b'{', b'}', |p| {
+            p.skip_ws();
+            let index = match names.get(next) {
+                Some(name) if p.eat_key(name) => Some(next),
+                _ => {
+                    let key = p.string()?;
+                    names.iter().position(|name| *name == key)
+                }
+            };
+            p.skip_ws();
+            p.eat(b':')?;
+            match index {
+                Some(i) => {
+                    next = i + 1;
+                    member(p, i)
+                }
+                None => p.skip(),
+            }
+        })
+    }
+
     // Typed reads. Their errors name the document kind (`what`) and
     // the field being read.
 
@@ -560,14 +623,16 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// An object-valued field.
+    /// An object-valued field whose known keys are `names` (see
+    /// [`fields`](Self::fields)).
     fn members(
         &mut self,
         key: &str,
-        member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), Error>,
+        names: &[&str],
+        member: impl FnMut(&mut Self, usize) -> Result<(), Error>,
     ) -> Result<(), Error> {
         self.expect(b'{', key, "an object")?;
-        self.object(member)
+        self.fields(names, member)
     }
 
     /// An array-valued field; `expected` describes it on a mismatch.
@@ -611,12 +676,67 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The fast path for the common token: a plain run of at most 18
+    /// digits with no leading zero, ending at a delimiter. Its value is
+    /// summed directly — the value `str::parse` gives — and consumed only
+    /// if it is below `limit`. Any other token (a sign, a fraction, an
+    /// exponent, a leading zero, 19 or more digits, or the end of the
+    /// text) returns `None` and is left for [`number_as`](Self::number_as).
+    fn plain_uint(&mut self, limit: u64) -> Option<u64> {
+        self.skip_ws();
+        let rest = &self.bytes[self.pos..];
+        let digits = rest
+            .iter()
+            .take(19)
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        if digits == 0 || digits > 18 || (digits > 1 && rest[0] == b'0') {
+            return None;
+        }
+        if !matches!(
+            rest.get(digits),
+            Some(b',' | b'}' | b']' | b' ' | b'\t' | b'\n' | b'\r')
+        ) {
+            return None;
+        }
+        let n = rest[..digits]
+            .iter()
+            .fold(0, |n, &b| n * 10 + u64::from(b - b'0'));
+        (n < limit).then(|| {
+            self.pos += digits;
+            n
+        })
+    }
+
+    /// A finite `f64`; `expected` describes the field when the token is
+    /// not a number or overflows to an infinity.
+    fn finite(&mut self, key: &str, expected: &str) -> Result<f64, Error> {
+        // Below 2^53 every integer converts to `f64` exactly.
+        if let Some(n) = self.plain_uint(1 << 53) {
+            return Ok(n as f64);
+        }
+        let x: f64 = self.number_as(key, expected)?;
+        if x.is_finite() {
+            Ok(x)
+        } else {
+            Err(self.bad(key, expected))
+        }
+    }
+
     fn f64(&mut self, key: &str) -> Result<f64, Error> {
-        self.number_as(key, "a finite number")
+        self.finite(key, "a finite number")
+    }
+
+    /// A `u64`; `expected` describes the field on a mismatch.
+    fn uint(&mut self, key: &str, expected: &str) -> Result<u64, Error> {
+        match self.plain_uint(u64::MAX) {
+            Some(n) => Ok(n),
+            None => self.number_as(key, expected),
+        }
     }
 
     fn u64(&mut self, key: &str) -> Result<u64, Error> {
-        self.number_as(key, "an unsigned integer")
+        self.uint(key, "an unsigned integer")
     }
 
     fn usize(&mut self, key: &str) -> Result<usize, Error> {
@@ -638,11 +758,11 @@ impl<'a> Parser<'a> {
     }
 
     fn f64s(&mut self, key: &str) -> Result<Vec<f64>, Error> {
-        self.list_of(key, |p, key| p.number_as(key, "numbers"))
+        self.list_of(key, |p, key| p.finite(key, "finite numbers"))
     }
 
     fn u64s(&mut self, key: &str) -> Result<Vec<u64>, Error> {
-        self.list_of(key, |p, key| p.number_as(key, "unsigned integers"))
+        self.list_of(key, |p, key| p.uint(key, "unsigned integers"))
     }
 
     /// Validates a value and returns where it starts, to be read later
@@ -660,13 +780,20 @@ impl<'a> Parser<'a> {
 /// to their values as a tuple in list order. The first occurrence of a
 /// key wins, unknown keys and later duplicates are validated and
 /// dropped, and a missing field is an error naming it (the first missing
-/// one in list order).
+/// one in list order). Keys are cheapest to read in list order (see
+/// [`Parser::fields`]), so the report readers list their fields in the
+/// order the renderer writes them.
 macro_rules! read_fields {
     ($p:ident . $walk:ident ( $($arg:expr),* ) { $($field:ident: $read:expr),+ $(,)? }) => {{
+        // The variants number the fields in list order.
+        #[allow(non_camel_case_types)]
+        enum Field { $($field),+ }
         $(let mut $field = None;)+
-        $p.$walk($($arg,)* |p, key| match &*key {
-            $(stringify!($field) => p.fill(&mut $field, |p| $read(p, stringify!($field))),)+
-            _ => p.skip(),
+        $p.$walk($($arg,)* &[$(stringify!($field)),+], |p, index| {
+            $(if index == Field::$field as usize {
+                return p.fill(&mut $field, |p| $read(p, stringify!($field)));
+            })+
+            unreachable!("field index {index} is past the list")
         })?;
         ($($p.need($field, stringify!($field))?,)+)
     }};
@@ -694,17 +821,6 @@ fn write_access(out: &mut String, a: &AccessStats) {
         .end();
 }
 
-fn event_kind_str(kind: EventKind) -> &'static str {
-    match kind {
-        EventKind::Request => "request",
-        EventKind::Served => "served",
-        EventKind::TransferStart(JobKind::Prefetch) => "transfer-start:prefetch",
-        EventKind::TransferStart(JobKind::Demand) => "transfer-start:demand",
-        EventKind::TransferDone(JobKind::Prefetch) => "transfer-done:prefetch",
-        EventKind::TransferDone(JobKind::Demand) => "transfer-done:demand",
-    }
-}
-
 fn event_kind_from_str(s: &str) -> Option<EventKind> {
     Some(match s {
         "request" => EventKind::Request,
@@ -717,14 +833,26 @@ fn event_kind_from_str(s: &str) -> Option<EventKind> {
     })
 }
 
+/// Writes one event as fixed fragments: the keys and the six kind
+/// names are constants, so none of them needs an escape scan. The bytes
+/// are the ones an [`ObjWriter`] would write for the same members.
 fn write_event(out: &mut String, e: &SimEvent) {
-    ObjWriter::new(out)
-        .num("at", e.at)
-        .uint("client", e.client as u64)
-        .uint("shard", e.shard as u64)
-        .uint("item", e.item as u64)
-        .str("kind", event_kind_str(e.kind))
-        .end();
+    out.push_str("{\"at\":");
+    push_num(out, e.at);
+    out.push_str(",\"client\":");
+    push_uint(out, e.client as u64);
+    out.push_str(",\"shard\":");
+    push_uint(out, e.shard as u64);
+    out.push_str(",\"item\":");
+    push_uint(out, e.item as u64);
+    out.push_str(match e.kind {
+        EventKind::Request => ",\"kind\":\"request\"}",
+        EventKind::Served => ",\"kind\":\"served\"}",
+        EventKind::TransferStart(JobKind::Prefetch) => ",\"kind\":\"transfer-start:prefetch\"}",
+        EventKind::TransferStart(JobKind::Demand) => ",\"kind\":\"transfer-start:demand\"}",
+        EventKind::TransferDone(JobKind::Prefetch) => ",\"kind\":\"transfer-done:prefetch\"}",
+        EventKind::TransferDone(JobKind::Demand) => ",\"kind\":\"transfer-done:demand\"}",
+    });
 }
 
 fn write_histogram(out: &mut String, h: &Histogram) {
@@ -950,12 +1078,12 @@ fn read_section(p: &mut Parser<'_>, kind: &str) -> Result<ReportSection, Error> 
             })
         }
         "sharded" => {
-            let (shards, access, utilisation, wasted_transfer, total_transfer) = read_fields!(p.members("section") {
-                shards: read_shards,
+            let (access, utilisation, wasted_transfer, total_transfer, shards) = read_fields!(p.members("section") {
                 access: read_access,
                 utilisation: Parser::f64,
                 wasted_transfer: Parser::f64,
                 total_transfer: Parser::f64,
+                shards: read_shards,
             });
             ReportSection::Sharded(ShardReport {
                 access,
@@ -986,12 +1114,12 @@ fn read_event_kind(p: &mut Parser<'_>, key: &str) -> Result<EventKind, Error> {
 }
 
 fn read_event(p: &mut Parser<'_>, key: &str) -> Result<SimEvent, Error> {
-    let (kind, at, client, shard, item) = read_fields!(p.members(key) {
-        kind: read_event_kind,
+    let (at, client, shard, item, kind) = read_fields!(p.members(key) {
         at: Parser::f64,
         client: Parser::usize,
         shard: Parser::usize,
         item: Parser::usize,
+        kind: read_event_kind,
     });
     Ok(SimEvent {
         at,
@@ -1003,7 +1131,14 @@ fn read_event(p: &mut Parser<'_>, key: &str) -> Result<SimEvent, Error> {
 }
 
 fn read_events(p: &mut Parser<'_>, key: &str) -> Result<Vec<SimEvent>, Error> {
-    p.list_of(key, read_event)
+    // Every rendered event is longer than 50 bytes, and the reservation
+    // is bounded by text already in memory, whatever the input.
+    let mut events = Vec::with_capacity((p.bytes.len() - p.pos) / 50);
+    p.items(key, "an array", |p| {
+        events.push(read_event(p, key)?);
+        Ok(())
+    })?;
+    Ok(events)
 }
 
 /// Rebuilds a [`RunReport`] from a JSON document containing the fields
@@ -1015,7 +1150,7 @@ fn read_events(p: &mut Parser<'_>, key: &str) -> Result<Vec<SimEvent>, Error> {
 /// those the reconstruction is bit-identical to the original report.
 pub fn parse_report(text: &str) -> Result<RunReport, Error> {
     let (access, kind, section, events) = Parser::new(text, REPORT).document(|p| {
-        Ok(read_fields!(p.object() {
+        Ok(read_fields!(p.fields() {
             access: read_access,
             section_kind: Parser::str,
             // The section's shape depends on its kind, which may come
@@ -1176,7 +1311,7 @@ impl WireRun {
     pub fn parse(text: &str) -> Result<Self, Error> {
         let (chain, kind, backend, policy, requests_per_client, seed, traced, retrievals) =
             Parser::new(text, RUN).document(|p| {
-                Ok(read_fields!(p.object() {
+                Ok(read_fields!(p.fields() {
                     chain: read_chain,
                     kind: Parser::str,
                     backend: Parser::str,
@@ -1510,6 +1645,55 @@ mod tests {
         engine.run(&Workload::multi_client(chain, 20, 5)).unwrap()
     }
 
+    /// The multi-client report carrying a hand-made event log: every
+    /// event kind, fractional, signed-zero and huge times, and ids of
+    /// several digits — what a simulation rarely produces.
+    fn golden_events() -> RunReport {
+        let event = |at, client, shard, item, kind| SimEvent {
+            at,
+            client,
+            shard,
+            item,
+            kind,
+        };
+        let mut report = golden_multi_client();
+        report.events = vec![
+            event(0.0, 0, 0, 0, EventKind::Request),
+            event(-0.0, 9, 10, 11, EventKind::Served),
+            event(
+                0.1 + 0.2,
+                10,
+                99,
+                100,
+                EventKind::TransferStart(JobKind::Prefetch),
+            ),
+            event(
+                1e-7,
+                1234,
+                5,
+                67890,
+                EventKind::TransferStart(JobKind::Demand),
+            ),
+            event(
+                4_503_599_627_370_495.5,
+                1,
+                2,
+                3,
+                EventKind::TransferDone(JobKind::Prefetch),
+            ),
+            event(
+                9_007_199_254_740_991.0,
+                4_294_967_295,
+                12,
+                345,
+                EventKind::TransferDone(JobKind::Demand),
+            ),
+            event(9_007_199_254_740_992.0, 7, 8, 9, EventKind::Request),
+            event(1e20, 10, 10, 10, EventKind::Served),
+        ];
+        report
+    }
+
     fn golden_plan() -> (RunReport, Vec<String>) {
         let scenario =
             crate::Scenario::new(vec![0.4, 0.3, 0.2, 0.1], vec![4.0, 3.0, 2.0, 1.0], 5.0).unwrap();
@@ -1602,6 +1786,142 @@ mod tests {
 "bell\u0007é\u000d"],"gain":1.7000000000000002,"stretch":0,"expected_access_time":1.2999999999999998,
 "upper_bound":1.9000000000000001,"per_request":[0,3,2,0]},"events":[]"#;
 
+    const GOLDEN_EVENTS: &str = r#"
+"access":{"count":80,"mean":25.7,"p50":26,"p99":40,"min":0,"max":40},
+"section_kind":"multi-client","section":{"requests":80,"access":{"count":80,"mean":25.7,
+"p50":26,"p99":40,"min":0,"max":40},"utilisation":1,"wasted_transfer":154,
+"total_transfer":601,"mean_queue_len":4.625},"events":[{"at":0,"client":0,"shard":0,
+"item":0,"kind":"request"},{"at":-0,"client":9,"shard":10,"item":11,"kind":"served"},
+{"at":0.30000000000000004,"client":10,"shard":99,"item":100,
+"kind":"transfer-start:prefetch"},{"at":0.0000001,"client":1234,"shard":5,"item":67890,
+"kind":"transfer-start:demand"},{"at":4503599627370495.5,"client":1,"shard":2,"item":3,
+"kind":"transfer-done:prefetch"},{"at":9007199254740991,"client":4294967295,"shard":12,
+"item":345,"kind":"transfer-done:demand"},{"at":9007199254740992,"client":7,"shard":8,
+"item":9,"kind":"request"},{"at":100000000000000000000,"client":10,"shard":10,"item":10,
+"kind":"served"}]"#;
+
+    #[test]
+    fn event_golden_round_trips_bit_for_bit() {
+        let report = golden_events();
+        let rebuilt = parse_report(&format!("{{{}}}", GOLDEN_EVENTS.replace('\n', ""))).unwrap();
+        assert_eq!(rebuilt, report);
+        // `==` holds for -0.0 against 0.0: compare the times' bits too.
+        let bits = |r: &RunReport| r.events.iter().map(|e| e.at.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rebuilt), bits(&report));
+    }
+
+    /// Integer-looking tokens in `u64`, `usize` and `f64` fields decode
+    /// to what `str::parse` gives, or fail naming the field.
+    #[test]
+    fn number_tokens_decode_as_str_parse_does() {
+        let two53 = 1u64 << 53;
+        let mut tokens: Vec<String> = ["0", "9", "10"].map(String::from).to_vec();
+        for n in [
+            two53 - 1,
+            two53,
+            two53 + 1,
+            999_999_999_999_999_999,
+            10u64.pow(18),
+        ] {
+            tokens.push(n.to_string());
+        }
+        tokens.extend(
+            [
+                "18446744073709551615",
+                "18446744073709551616",
+                "00",
+                "0123",
+                "-0",
+                "1.0",
+                "1e2",
+                "42 ",
+                "4503599627370496\n\t",
+            ]
+            .map(String::from),
+        );
+        let doc = |count: &str, mean: &str, item: &str| {
+            format!(
+                "{{\"access\":{{\"count\":{count},\"mean\":{mean},\"p50\":0,\"p99\":0,\"min\":0,\
+                 \"max\":0}},\"section_kind\":\"multi-client\",\"section\":{{\"access\":{{\"count\":0,\
+                 \"mean\":0,\"p50\":0,\"p99\":0,\"min\":0,\"max\":0}},\"utilisation\":0,\
+                 \"wasted_transfer\":0,\"total_transfer\":0,\"mean_queue_len\":0}},\"events\":[{{\
+                 \"at\":{mean},\"client\":{item},\"shard\":0,\"item\":{item},\"kind\":\"served\"}}]}}"
+            )
+        };
+        let refused = |field: &str| {
+            format!("invalid wire report: field '{field}' must be an unsigned integer")
+        };
+        for token in &tokens {
+            let raw = token.trim_end();
+            let count = parse_report(&doc(token, "1", "1")).map(|r| r.access.count);
+            match raw.parse::<u64>() {
+                Ok(v) => assert_eq!(count.unwrap(), v, "{token:?}"),
+                Err(_) => assert_eq!(count.unwrap_err().to_string(), refused("count")),
+            }
+            let item = parse_report(&doc("1", "1", token)).map(|r| r.events[0].item);
+            match raw.parse::<usize>() {
+                Ok(v) => assert_eq!(item.unwrap(), v, "{token:?}"),
+                Err(_) => assert_eq!(item.unwrap_err().to_string(), refused("client")),
+            }
+            let report = parse_report(&doc("1", token, "1")).unwrap();
+            let bits = raw.parse::<f64>().unwrap().to_bits();
+            assert_eq!(report.access.mean.to_bits(), bits, "{token:?}");
+            assert_eq!(report.events[0].at.to_bits(), bits, "{token:?}");
+        }
+    }
+
+    #[test]
+    fn overflowing_numbers_are_refused() {
+        let fields = render_report_fields(&golden_sharded(), &[]);
+        for (from, to, field) in [
+            (
+                "\"mean\":2.125",
+                "\"mean\":1e999",
+                "'mean' must be a finite number",
+            ),
+            (
+                "{\"at\":0,",
+                "{\"at\":1e400,",
+                "'at' must be a finite number",
+            ),
+            (
+                "{\"at\":0,",
+                "{\"at\":-1e400,",
+                "'at' must be a finite number",
+            ),
+            (
+                "\"edges\":[1,",
+                "\"edges\":[1e999,",
+                "'edges' must be finite numbers",
+            ),
+        ] {
+            let text = fields.replacen(from, to, 1);
+            assert_ne!(text, fields);
+            let err = parse_report(&format!("{{{text}}}")).unwrap_err();
+            assert!(err.to_string().contains(field), "{to}: {err}");
+        }
+        let chain = MarkovChain::random(3, 1, 2, 1, 9, 1).unwrap();
+        let run = WireRun::new(
+            "sharded",
+            "sharded:1x1",
+            "skp-exact",
+            &chain,
+            &[1.0; 3],
+            1,
+            1,
+            false,
+        );
+        let text = run
+            .render()
+            .replacen("\"retrievals\":[1,", "\"retrievals\":[1e999,", 1);
+        let err = WireRun::parse(&text).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("'retrievals' must be finite numbers"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn renderer_matches_the_byte_golden() {
         let (plan, labels) = golden_plan();
@@ -1617,6 +1937,11 @@ mod tests {
                 GOLDEN_MULTI_CLIENT,
             ),
             ("plan", render_report_fields(&plan, &labels), GOLDEN_PLAN),
+            (
+                "events",
+                render_report_fields(&golden_events(), &[]),
+                GOLDEN_EVENTS,
+            ),
         ] {
             assert!(
                 !rendered.contains('\n'),
