@@ -29,6 +29,6 @@ pub use depgraph::DependencyGraph;
 pub use eval::PredictorEval;
 pub use freq::FreqTracker;
 pub use irm::IrmSource;
-pub use markov::MarkovChain;
+pub use markov::{MarkovChain, MergedRows};
 pub use markov_est::MarkovEstimator;
 pub use ngram::NgramPredictor;

@@ -68,7 +68,9 @@ impl std::error::Error for MarkovError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct MarkovChain {
-    /// `transitions[i]` = sorted, normalised `(successor, probability)`.
+    /// `transitions[i]` = row `i`'s `(successor, probability)` entries as
+    /// given: in any order, possibly repeating a successor (its entries
+    /// add up), summing to 1.
     transitions: Vec<Vec<(usize, f64)>>,
     viewing: Vec<f64>,
     /// Flat prefix-sum arena of the rows: `cdf[cdf_start[i]..
@@ -78,6 +80,23 @@ pub struct MarkovChain {
     /// sampling through it draws the identical successor.
     cdf: Vec<f64>,
     cdf_start: Vec<u32>,
+}
+
+/// A chain's rows merged into one flat table by
+/// [`MarkovChain::merged_rows`]: the sparse form of
+/// [`MarkovChain::row_probs`].
+#[derive(Debug, Clone)]
+pub struct MergedRows {
+    entries: Vec<(usize, f64)>,
+    /// Row `i` is `entries[start[i]..start[i + 1]]`.
+    start: Vec<usize>,
+}
+
+impl MergedRows {
+    /// Row `i`'s `(item, P)` entries, in ascending item order.
+    pub fn row(&self, i: usize) -> &[(usize, f64)] {
+        &self.entries[self.start[i]..self.start[i + 1]]
+    }
 }
 
 impl MarkovChain {
@@ -203,13 +222,14 @@ impl MarkovChain {
         &self.transitions[i]
     }
 
-    /// Transition probability `P(j | i)` (zero when `j` is not a
-    /// successor).
+    /// Transition probability `P(j | i)`: the sum of row `i`'s entries
+    /// for `j`, in row order, so it equals `row_probs(i)[j]` bit for bit
+    /// (zero when `j` is not a successor).
     pub fn transition_prob(&self, i: usize, j: usize) -> f64 {
         self.transitions[i]
-            .binary_search_by_key(&j, |&(s, _)| s)
-            .map(|k| self.transitions[i][k].1)
-            .unwrap_or(0.0)
+            .iter()
+            .filter(|&&(s, _)| s == j)
+            .fold(0.0, |acc, &(_, p)| acc + p)
     }
 
     /// The full next-access probability row of state `i` as a dense
@@ -221,6 +241,35 @@ impl MarkovChain {
             row[j] += p;
         }
         row
+    }
+
+    /// Every row merged into one flat table, one entry per successor in
+    /// ascending item order. A repeated successor's entries are summed
+    /// in row order, and every entry is added into a `0.0`, the
+    /// arithmetic of [`Self::row_probs`]: each entry equals the dense
+    /// row's value bit for bit. Zero entries are kept.
+    pub fn merged_rows(&self) -> MergedRows {
+        let total = self.transitions.iter().map(Vec::len).sum();
+        let mut entries = Vec::with_capacity(total);
+        let mut start = Vec::with_capacity(self.n_states() + 1);
+        start.push(0);
+        let mut merged: Vec<(usize, f64)> = Vec::new();
+        for row in &self.transitions {
+            merged.clear();
+            merged.extend(row.iter().map(|&(j, p)| (j, 0.0 + p)));
+            // Stable: a repeated successor's entries keep their row order.
+            merged.sort_by_key(|&(j, _)| j);
+            merged.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
+                }
+                same
+            });
+            entries.extend_from_slice(&merged);
+            start.push(entries.len());
+        }
+        MergedRows { entries, start }
     }
 
     /// Samples the next state from state `i`.
@@ -285,6 +334,56 @@ mod tests {
         assert_eq!(c.successors(1), &[(0, 1.0)]);
         assert!((c.transition_prob(0, 1) - 0.7).abs() < 1e-12);
         assert_eq!(c.transition_prob(1, 2), 0.0);
+    }
+
+    #[test]
+    fn transition_prob_reads_unsorted_and_repeated_rows() {
+        let c = MarkovChain::new(
+            vec![
+                vec![(2, 0.2), (1, 0.5), (0, 0.3)],
+                vec![(0, 0.5), (0, 0.5)],
+                vec![(1, 1.0)],
+            ],
+            vec![1.0; 3],
+        )
+        .unwrap();
+        assert_eq!(c.transition_prob(0, 2), 0.2);
+        assert_eq!(c.transition_prob(0, 0), 0.3);
+        assert_eq!(c.transition_prob(1, 0), 1.0);
+        for i in 0..3 {
+            let row = c.row_probs(i);
+            for (j, &p) in row.iter().enumerate() {
+                assert_eq!(c.transition_prob(i, j).to_bits(), p.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn merged_rows_are_the_sparse_dense_rows() {
+        let c = MarkovChain::new(
+            vec![
+                vec![(2, 0.2), (1, 0.5), (0, 0.3)],
+                vec![(2, 0.25), (0, 0.5), (2, -0.0), (0, 0.25)],
+                vec![(1, 1.0)],
+            ],
+            vec![1.0; 3],
+        )
+        .unwrap();
+        let rows = c.merged_rows();
+        assert_eq!(rows.row(0), &[(0, 0.3), (1, 0.5), (2, 0.2)]);
+        assert_eq!(rows.row(1), &[(0, 0.75), (2, 0.25)]);
+        assert_eq!(rows.row(2), &[(1, 1.0)]);
+        for i in 0..3 {
+            let mut dense = [0.0_f64; 3];
+            for &(j, p) in rows.row(i) {
+                dense[j] = p;
+            }
+            let expect: Vec<u64> = c.row_probs(i).iter().map(|p| p.to_bits()).collect();
+            assert_eq!(
+                dense.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                expect
+            );
+        }
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub fn gain_empty_cache(s: &Scenario, plan: &[ItemId]) -> f64 {
     let prefix_mass: f64 = plan[..plan.len() - 1].iter().map(|&i| s.prob(i)).sum();
     // Σ_{i∈N\K} P_i over *all* items that might be requested, including any
     // probability mass outside this scenario (it also suffers the stretch).
-    let penalty_mass = penalty_mass(s, prefix_mass);
+    let penalty_mass = penalty_mass(prefix_mass);
     profit - penalty_mass * st
 }
 
@@ -81,8 +81,7 @@ pub fn gain_empty_cache(s: &Scenario, plan: &[ItemId]) -> f64 {
 /// and extends to reduced scenarios (mass < 1) by charging the uncovered
 /// remainder too, matching the Section-5 derivation.
 #[inline]
-pub fn penalty_mass(s: &Scenario, prefix_mass: f64) -> f64 {
-    let _ = s;
+pub fn penalty_mass(prefix_mass: f64) -> f64 {
     (1.0 - prefix_mass).max(0.0)
 }
 
@@ -93,7 +92,7 @@ pub fn theorem3_delta(s: &Scenario, prefix: &[ItemId], z: ItemId) -> f64 {
     all.push(z);
     let st = stretch_time(s, &all);
     let prefix_mass: f64 = prefix.iter().map(|&i| s.prob(i)).sum();
-    s.delay_profit(z) - penalty_mass(s, prefix_mass) * st
+    s.delay_profit(z) - penalty_mass(prefix_mass) * st
 }
 
 /// Expected access time with **no prefetch** and cache contents `cache`:

@@ -27,6 +27,25 @@ pub trait Prefetcher: Send + Sync {
         self.plan_candidates(s, &vec![true; s.n()])
     }
 
+    /// Plan over all items of the scenario a sparse next-access row
+    /// describes: item `j` has probability `P_j` when `row` holds
+    /// `(j, P_j)` and zero otherwise, retrieval time `retrievals[j]`, and
+    /// the viewing time is `viewing`. Returns the plan's items in
+    /// prefetch order.
+    ///
+    /// `row` must be merged (one entry per item) and, with `retrievals`
+    /// and `viewing`, pass [`Scenario::new`]'s checks. The default builds
+    /// that dense scenario and calls [`plan`](Prefetcher::plan); a
+    /// policy that can plan from the row itself overrides it and must
+    /// return the same items.
+    ///
+    /// # Panics
+    /// The default panics when the dense scenario is invalid.
+    fn plan_row(&self, row: &[(ItemId, f64)], retrievals: &[f64], viewing: f64) -> Vec<ItemId> {
+        self.plan(&dense_scenario(row, retrievals, viewing))
+            .into_items()
+    }
+
     /// True for oracle policies whose plan depends on the *realised*
     /// request: their [`plan_candidates`](Prefetcher::plan_candidates)
     /// returns the empty plan, and drivers that know the request must
@@ -123,9 +142,32 @@ impl Prefetcher for PolicyKind {
         }
     }
 
+    fn plan_row(&self, row: &[(ItemId, f64)], retrievals: &[f64], viewing: f64) -> Vec<ItemId> {
+        // The SKP solvers search the row's positive entries only: build
+        // their view from the row, with no dense scenario in between.
+        let view = || skp::SortedView::from_row(row, retrievals, retrievals.len());
+        match self {
+            PolicyKind::SkpPaper => skp::paper::plan_on_view(viewing, &view()),
+            PolicyKind::SkpExact => skp::exact::plan_on_view(viewing, &view()),
+            _ => self
+                .plan(&dense_scenario(row, retrievals, viewing))
+                .into_items(),
+        }
+    }
+
     fn is_oracle(&self) -> bool {
         matches!(self, PolicyKind::Perfect)
     }
+}
+
+/// The dense scenario of [`Prefetcher::plan_row`]: the row's entries
+/// added into a zero vector, as `MarkovChain::row_probs` builds it.
+fn dense_scenario(row: &[(ItemId, f64)], retrievals: &[f64], viewing: f64) -> Scenario {
+    let mut probs = vec![0.0; retrievals.len()];
+    for &(j, p) in row {
+        probs[j] += p;
+    }
+    Scenario::new(probs, retrievals.to_vec(), viewing).expect("plan_row needs a valid scenario")
 }
 
 #[cfg(test)]

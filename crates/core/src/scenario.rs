@@ -37,16 +37,7 @@ impl Scenario {
                 retrievals: retrievals.len(),
             });
         }
-        let mut total = 0.0_f64;
-        for (i, &p) in probs.iter().enumerate() {
-            if !p.is_finite() || !(0.0..=1.0 + EPS).contains(&p) {
-                return Err(ModelError::BadProbability { index: i, value: p });
-            }
-            total += p;
-        }
-        if total > 1.0 + 1e-6 {
-            return Err(ModelError::MassExceedsOne { total });
-        }
+        let total = check_probs(probs.iter().copied().enumerate())?;
         for (i, &r) in retrievals.iter().enumerate() {
             if !r.is_finite() || r <= 0.0 {
                 return Err(ModelError::BadRetrievalTime { index: i, value: r });
@@ -61,6 +52,17 @@ impl Scenario {
             viewing,
             total_mass: total,
         })
+    }
+
+    /// Checks sparse `(item, P)` entries against [`Self::new`]'s
+    /// probability and mass rules, as if they were the non-zero entries
+    /// of a dense probability vector.
+    ///
+    /// With the entries in ascending item order the error and the summed
+    /// mass are the ones the dense check would give, bit for bit: the
+    /// dense vector's zeros leave a running sum unchanged.
+    pub fn check_row(entries: &[(ItemId, f64)]) -> Result<(), ModelError> {
+        check_probs(entries.iter().copied()).map(drop)
     }
 
     /// Builds a scenario whose probabilities are normalised to sum to one.
@@ -165,10 +167,10 @@ impl Scenario {
     /// Sorts a set of item ids in-place into the canonical order (Eq. 5).
     pub fn sort_canonical(&self, ids: &mut [ItemId]) {
         ids.sort_by(|&a, &b| {
-            self.probs[b]
-                .total_cmp(&self.probs[a])
-                .then(self.retrievals[a].total_cmp(&self.retrievals[b]))
-                .then(a.cmp(&b))
+            canonical_cmp(
+                (self.probs[a], self.retrievals[a], a),
+                (self.probs[b], self.retrievals[b], b),
+            )
         });
     }
 
@@ -180,6 +182,31 @@ impl Scenario {
             Err(ModelError::UnknownItem { id, n: self.n() })
         }
     }
+}
+
+/// The canonical order (Eq. 5) on `(P, r, id)` triples: probability
+/// descending, then retrieval ascending, then id ascending.
+pub(crate) fn canonical_cmp(a: (f64, f64, ItemId), b: (f64, f64, ItemId)) -> std::cmp::Ordering {
+    b.0.total_cmp(&a.0)
+        .then(a.1.total_cmp(&b.1))
+        .then(a.2.cmp(&b.2))
+}
+
+/// [`Scenario::new`]'s probability rules: every `P_i` finite and in
+/// `[0, 1 + EPS]`, checked in iteration order, then a total mass of at
+/// most `1 + 1e-6`. Returns the total.
+fn check_probs(probs: impl Iterator<Item = (ItemId, f64)>) -> Result<f64, ModelError> {
+    let mut total = 0.0_f64;
+    for (i, p) in probs {
+        if !p.is_finite() || !(0.0..=1.0 + EPS).contains(&p) {
+            return Err(ModelError::BadProbability { index: i, value: p });
+        }
+        total += p;
+    }
+    if total > 1.0 + 1e-6 {
+        return Err(ModelError::MassExceedsOne { total });
+    }
+    Ok(total)
 }
 
 #[cfg(test)]
@@ -250,6 +277,20 @@ mod tests {
     fn accepts_mass_under_one() {
         let s = Scenario::new(vec![0.2, 0.3], vec![1.0, 1.0], 1.0).unwrap();
         assert!((s.total_mass() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn check_row_matches_the_dense_rules() {
+        assert_eq!(Scenario::check_row(&[(1, 0.5), (4, 0.5)]), Ok(()));
+        assert_eq!(
+            Scenario::check_row(&[(0, 0.2), (3, 1.0000005)]),
+            Err(ModelError::BadProbability {
+                index: 3,
+                value: 1.0000005
+            })
+        );
+        let dense = Scenario::new(vec![0.0, 0.7, 0.0, 0.7], vec![1.0; 4], 1.0).unwrap_err();
+        assert_eq!(Scenario::check_row(&[(1, 0.7), (3, 0.7)]), Err(dense));
     }
 
     #[test]

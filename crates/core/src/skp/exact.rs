@@ -30,9 +30,15 @@
 //! candidates only. [`solve_generalized`] searches whatever view it is
 //! given and tests "if j < n goto 2" against
 //! [`SortedView::candidate_count`].
+//!
+//! The search itself needs only the viewing time, the view, the profits
+//! and `λ`. The `Scenario`-taking entry points wrap it and recompute the
+//! closed-form gain; [`plan_on_view`] returns the plan's items alone, for
+//! a view built from a sparse row ([`SortedView::from_row`]) with no
+//! scenario at hand.
 
 use crate::gain::penalty_mass;
-use crate::scenario::Scenario;
+use crate::scenario::{ItemId, Scenario};
 use crate::skp::order::SortedView;
 use crate::skp::paper::finish;
 use crate::skp::SkpSolution;
@@ -50,8 +56,19 @@ pub fn solve_exact(s: &Scenario) -> SkpSolution {
 /// covers only part of it (probability outside the view also waits out the
 /// stretch; see the Section-5 derivation).
 pub fn solve_on_view(s: &Scenario, view: &SortedView) -> SkpSolution {
-    let profits: Vec<f64> = (0..view.m()).map(|j| view.profit(j)).collect();
-    solve_generalized(s, view, &profits, 0.0)
+    solve_generalized(s, view, &profits(view), 0.0)
+}
+
+/// The items of [`solve_on_view`]'s plan, in prefetch order, for viewing
+/// time `viewing`; no closed-form gain is computed.
+pub fn plan_on_view(viewing: f64, view: &SortedView) -> Vec<ItemId> {
+    let (best_x, _, _) = search(viewing, view, &profits(view), 0.0);
+    view.selectors_to_items(&best_x)
+}
+
+/// Plain SKP's profits: the delay profit `P·r` of each view position.
+fn profits(view: &SortedView) -> Vec<f64> {
+    (0..view.m()).map(|j| view.profit(j)).collect()
 }
 
 /// Generalised corrected branch-and-bound used by the exact solver and the
@@ -74,11 +91,19 @@ pub fn solve_generalized(
     profits: &[f64],
     lambda: f64,
 ) -> SkpSolution {
+    let (best_x, best_g, nodes) = search(s.viewing(), view, profits, lambda);
+    finish(s, view, &best_x, best_g, nodes)
+}
+
+/// The corrected search: the best plan's selectors over the view's
+/// positions, its internal gain and the number of forward steps. An
+/// empty view gives empty selectors.
+fn search(viewing: f64, view: &SortedView, profits: &[f64], lambda: f64) -> (Vec<bool>, f64, u64) {
     let m = view.m();
     let n = view.candidate_count();
     assert_eq!(profits.len(), m, "one profit per candidate");
     if m == 0 {
-        return SkpSolution::empty();
+        return (Vec::new(), 0.0, 0);
     }
 
     // Suffix Dantzig bound over the generalised profits (items with
@@ -90,7 +115,7 @@ pub fn solve_generalized(
     let mut cur_x = vec![false; m];
     let mut cur_g = 0.0_f64;
     let mut included_mass = 0.0_f64; // Σ_{i∈K} P_i over included items
-    let mut cap = s.viewing();
+    let mut cap = viewing;
     let mut j = 0usize;
     let mut nodes = 0u64;
 
@@ -98,7 +123,6 @@ pub fn solve_generalized(
         let u = dantzig_generalized(view, &clamped, j, cap);
         if best_g >= cur_g + u {
             if !backtrack(
-                s,
                 view,
                 profits,
                 &mut cur_x,
@@ -117,7 +141,7 @@ pub fn solve_generalized(
             nodes += 1;
             let over = (view.r(j) - cap).max(0.0);
             // Theorem 3: δ = profit_z − ((1 − Σ_{i∈K} P_i)⁺ + λ) · st.
-            let delta = profits[j] - (penalty_mass(s, included_mass) + lambda) * over;
+            let delta = profits[j] - (penalty_mass(included_mass) + lambda) * over;
             if delta <= 0.0 {
                 cur_x[j] = false;
                 j += 1;
@@ -140,7 +164,6 @@ pub fn solve_generalized(
         }
 
         if !backtrack(
-            s,
             view,
             profits,
             &mut cur_x,
@@ -154,7 +177,7 @@ pub fn solve_generalized(
         }
     }
 
-    finish(s, view, &best_x, best_g, nodes)
+    (best_x, best_g, nodes)
 }
 
 /// Dantzig residual bound over arbitrary (clamped non-negative) profits.
@@ -181,7 +204,6 @@ fn dantzig_generalized(view: &SortedView, profits: &[f64], start: usize, capacit
 
 #[allow(clippy::too_many_arguments)]
 fn backtrack(
-    s: &Scenario,
     view: &SortedView,
     profits: &[f64],
     cur_x: &mut [bool],
@@ -198,7 +220,7 @@ fn backtrack(
     *cap += view.r(k);
     *included_mass -= view.p(k);
     let over = (view.r(k) - *cap).max(0.0);
-    let delta = profits[k] - (penalty_mass(s, *included_mass) + lambda) * over;
+    let delta = profits[k] - (penalty_mass(*included_mass) + lambda) * over;
     *cur_g -= delta;
     *j = k + 1;
     true

@@ -26,7 +26,9 @@
 //! descending, ties by retrieval ascending) per Theorem 1. The two
 //! branch-and-bound solvers sort only the positive-probability candidates
 //! ([`SortedView::positive`]): a zero-probability item never enters their
-//! plans.
+//! plans. From a sparse next-access row they build that view straight
+//! from the row's entries ([`SortedView::from_row`]) and return the plan's
+//! items through [`paper::plan_on_view`] and [`exact::plan_on_view`].
 //!
 //! ```
 //! use skp_core::{Scenario, skp};

@@ -1,21 +1,31 @@
 //! Canonical ordering (Theorem 1) and the sorted working view shared by
 //! all SKP solvers.
 //!
+//! Every view comes from one builder fed `(item, P)` entries: it sorts
+//! `(P, r, id)` triples into the canonical order of
+//! [`Scenario::sort_canonical`] and lays out the ids, probabilities,
+//! retrievals and suffix sums in vectors reserved to size. The entries
+//! come from a dense scenario ([`SortedView::new`],
+//! [`SortedView::with_candidates`], [`SortedView::positive`]) or from a
+//! sparse row ([`SortedView::from_row`]).
+//!
 //! The branch-and-bound solvers of [`crate::skp::paper`] and
-//! [`crate::skp::exact`] build their view with [`SortedView::positive`]:
-//! a zero-probability candidate has zero delay profit and, with the
+//! [`crate::skp::exact`] search the positive-probability view: a
+//! zero-probability candidate has zero delay profit and, with the
 //! uncovered mass clamped at zero, a non-positive Theorem-3 delta, so it
 //! never enters a plan. Such candidates are dropped before the sort, and
 //! the view keeps only the count of every candidate
 //! ([`SortedView::candidate_count`]) for Figure 3's "if j < n goto 2"
 //! test. A Markov row or n-gram forecast typically gives 10–20 of 100
 //! items a non-zero probability, so the sort and the search touch those
-//! only. Solvers that can pick zero-probability items (KP, the greedy
-//! heuristic, brute force, the global DP and the extension objectives)
-//! keep the full view of [`SortedView::new`] and
-//! [`SortedView::with_candidates`].
+//! only. [`SortedView::positive`] finds them by scanning a dense
+//! scenario; [`SortedView::from_row`] takes them straight from a merged
+//! Markov row and gives the same view bit for bit. Solvers that can pick
+//! zero-probability items (KP, the greedy heuristic, brute force, the
+//! global DP and the extension objectives) keep the full view of
+//! [`SortedView::new`] and [`SortedView::with_candidates`].
 
-use crate::scenario::{ItemId, Scenario};
+use crate::scenario::{canonical_cmp, ItemId, Scenario};
 
 /// A scenario's candidate items sorted into the canonical order of Eq. 5
 /// (probability descending, ties broken by retrieval ascending), with the
@@ -31,15 +41,15 @@ pub struct SortedView {
     r: Vec<f64>,
     /// `suffix_p[j] = Σ_{i≥j} p[i]`; length `m + 1` with `suffix_p[m] = 0`.
     suffix_p: Vec<f64>,
-    /// Number of candidates, including those [`SortedView::positive`]
-    /// dropped for zero probability.
+    /// Number of candidates, including the zero-probability ones that
+    /// [`SortedView::positive`] and [`SortedView::from_row`] drop.
     candidates: usize,
 }
 
 impl SortedView {
     /// Sorted view over every item of the scenario.
     pub fn new(s: &Scenario) -> Self {
-        Self::build(s, |_| true, false)
+        Self::build(dense_entries(s), s.retrievals(), s.n())
     }
 
     /// Sorted view over the items for which `candidates[i]` is true.
@@ -48,7 +58,8 @@ impl SortedView {
     /// Panics when `candidates.len() != s.n()`.
     pub fn with_candidates(s: &Scenario, candidates: &[bool]) -> Self {
         check_mask(s, candidates);
-        Self::build(s, |i| candidates[i], false)
+        let kept = dense_entries(s).filter(|&(i, _)| candidates[i]);
+        Self::build(kept, s.retrievals(), count_true(candidates))
     }
 
     /// The SKP solvers' view: the positive-probability candidates only.
@@ -60,26 +71,55 @@ impl SortedView {
     /// # Panics
     /// Panics when a mask is given and `candidates.len() != s.n()`.
     pub fn positive(s: &Scenario, candidates: Option<&[bool]>) -> Self {
+        let positive = dense_entries(s).filter(|&(_, p)| p > 0.0);
         match candidates {
-            None => Self::build(s, |_| true, true),
+            None => Self::build(positive, s.retrievals(), s.n()),
             Some(mask) => {
                 check_mask(s, mask);
-                Self::build(s, |i| mask[i], true)
+                let kept = positive.filter(|&(i, _)| mask[i]);
+                Self::build(kept, s.retrievals(), count_true(mask))
             }
         }
     }
 
-    fn build(s: &Scenario, keep: impl Fn(ItemId) -> bool, positive_only: bool) -> Self {
-        let mut candidates = 0;
-        let mut ids: Vec<ItemId> = (0..s.n())
-            .filter(|&i| keep(i))
-            .inspect(|_| candidates += 1)
-            .filter(|&i| !positive_only || s.prob(i) > 0.0)
-            .collect();
-        s.sort_canonical(&mut ids);
-        let p: Vec<f64> = ids.iter().map(|&i| s.prob(i)).collect();
-        let r: Vec<f64> = ids.iter().map(|&i| s.retrieval(i)).collect();
-        let m = ids.len();
+    /// The positive-probability view of a sparse row: the view
+    /// [`Self::positive`] builds, without a mask, from the dense scenario
+    /// whose probabilities are `row`'s entries (zero elsewhere) and whose
+    /// retrievals are `retrievals`. `n` is that scenario's item count, the
+    /// view's [`Self::candidate_count`].
+    ///
+    /// `row` must be merged: one entry per item, in any order. Its `0.0`
+    /// and `-0.0` entries are dropped like the dense zeros.
+    ///
+    /// # Panics
+    /// Panics when a positive entry's item has no retrieval time.
+    pub fn from_row(row: &[(ItemId, f64)], retrievals: &[f64], n: usize) -> Self {
+        let positive = row.iter().copied().filter(|&(_, p)| p > 0.0);
+        Self::build(positive, retrievals, n)
+    }
+
+    /// The one builder: sorts the `(item, P)` entries with their
+    /// retrieval times into the canonical order and lays out the view.
+    fn build(
+        entries: impl Iterator<Item = (ItemId, f64)>,
+        retrievals: &[f64],
+        candidates: usize,
+    ) -> Self {
+        let mut triples: Vec<(f64, f64, ItemId)> =
+            Vec::with_capacity(entries.size_hint().1.unwrap_or(0));
+        triples.extend(entries.map(|(i, p)| (p, retrievals[i], i)));
+        triples.sort_unstable_by(|&a, &b| canonical_cmp(a, b));
+        let m = triples.len();
+        let (mut ids, mut p, mut r) = (
+            Vec::with_capacity(m),
+            Vec::with_capacity(m),
+            Vec::with_capacity(m),
+        );
+        for &(pj, rj, id) in &triples {
+            ids.push(id);
+            p.push(pj);
+            r.push(rj);
+        }
         let mut suffix_p = vec![0.0; m + 1];
         for j in (0..m).rev() {
             suffix_p[j] = suffix_p[j + 1] + p[j];
@@ -100,8 +140,8 @@ impl SortedView {
     }
 
     /// Number of candidates the view was built from, zero-probability
-    /// ones dropped by [`Self::positive`] included. Equal to [`Self::m`]
-    /// for a full view. The branch-and-bound solvers test Figure 3's
+    /// ones dropped by [`Self::positive`] or [`Self::from_row`] included.
+    /// Equal to [`Self::m`] for a full view. The branch-and-bound solvers test Figure 3's
     /// "if j < n goto 2" against this count, so a trimmed view visits
     /// nodes in the same order as the full one.
     #[inline]
@@ -150,6 +190,15 @@ impl SortedView {
             .filter_map(|(j, &sel)| sel.then_some(self.ids[j]))
             .collect()
     }
+}
+
+/// The dense scenario's `(item, P)` entries, in item order.
+fn dense_entries(s: &Scenario) -> impl Iterator<Item = (ItemId, f64)> + '_ {
+    s.probs().iter().copied().enumerate()
+}
+
+fn count_true(mask: &[bool]) -> usize {
+    mask.iter().filter(|&&c| c).count()
 }
 
 fn check_mask(s: &Scenario, candidates: &[bool]) {

@@ -20,10 +20,16 @@
 //! breaks ties between equal-gain plans the same way and returns the same
 //! plan and gains bit for bit. [`SkpSolution::nodes`] counts forward steps
 //! over the positive-probability candidates only.
+//!
+//! The search itself needs only the viewing time and the view. The
+//! `Scenario`-taking entry points wrap it and recompute the closed-form
+//! gain; [`plan_on_view`] returns the plan's items alone, for a view
+//! built from a sparse row ([`SortedView::from_row`]) with no scenario
+//! at hand.
 
 use crate::gain::gain_empty_cache;
 use crate::plan::PrefetchPlan;
-use crate::scenario::Scenario;
+use crate::scenario::{ItemId, Scenario};
 use crate::skp::bound::dantzig_residual;
 use crate::skp::order::SortedView;
 use crate::skp::SkpSolution;
@@ -36,10 +42,25 @@ pub fn solve_paper(s: &Scenario) -> SkpSolution {
 
 /// Figure-3 solver over a pre-sorted candidate view.
 pub fn solve_on_view(s: &Scenario, view: &SortedView) -> SkpSolution {
+    let (best_x, best_g, nodes) = search(s.viewing(), view);
+    finish(s, view, &best_x, best_g, nodes)
+}
+
+/// The items of [`solve_on_view`]'s plan, in prefetch order, for viewing
+/// time `viewing`; no closed-form gain is computed.
+pub fn plan_on_view(viewing: f64, view: &SortedView) -> Vec<ItemId> {
+    let (best_x, _, _) = search(viewing, view);
+    view.selectors_to_items(&best_x)
+}
+
+/// The Figure-3 search: the best plan's selectors over the view's
+/// positions, its internal gain and the number of forward steps. An
+/// empty view gives empty selectors.
+fn search(viewing: f64, view: &SortedView) -> (Vec<bool>, f64, u64) {
     let m = view.m();
     let n = view.candidate_count();
     if m == 0 {
-        return SkpSolution::empty();
+        return (Vec::new(), 0.0, 0);
     }
 
     // Step 1: initialisation.
@@ -47,7 +68,7 @@ pub fn solve_on_view(s: &Scenario, view: &SortedView) -> SkpSolution {
     let mut best_g = 0.0_f64; // g: gain of best solution
     let mut cur_x = vec![false; m]; // x̂: current item selectors
     let mut cur_g = 0.0_f64; // ĝ: gain of current solution
-    let mut cap = s.viewing(); // v̂: current residual capacity
+    let mut cap = viewing; // v̂: current residual capacity
     let mut j = 0usize;
     let mut nodes = 0u64;
 
@@ -95,8 +116,7 @@ pub fn solve_on_view(s: &Scenario, view: &SortedView) -> SkpSolution {
         }
     }
 
-    // Step 6: assemble the final solution.
-    finish(s, view, &best_x, best_g, nodes)
+    (best_x, best_g, nodes)
 }
 
 /// Step 5 of Figure 3: remove the last inserted item. Returns `false` when
@@ -120,7 +140,8 @@ fn backtrack(
     true
 }
 
-/// Builds the [`SkpSolution`], recomputing the true closed-form gain.
+/// Step 6: builds the [`SkpSolution`], recomputing the true closed-form
+/// gain. Empty selectors (an empty view) give [`SkpSolution::empty`].
 pub(crate) fn finish(
     s: &Scenario,
     view: &SortedView,
@@ -128,6 +149,9 @@ pub(crate) fn finish(
     internal_gain: f64,
     nodes: u64,
 ) -> SkpSolution {
+    if best_x.is_empty() {
+        return SkpSolution::empty();
+    }
     let items = view.selectors_to_items(best_x);
     let gain = gain_empty_cache(s, &items);
     SkpSolution {

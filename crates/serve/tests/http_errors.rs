@@ -183,3 +183,45 @@ fn bad_retrieval_time_is_a_400_and_the_worker_keeps_serving() {
     assert_eq!(parse_report(&resp.body).expect("report parses"), expected);
     handle.shutdown().expect("clean shutdown");
 }
+
+#[test]
+fn row_a_scenario_refuses_is_a_400_and_the_worker_keeps_serving() {
+    // The row sums within `MarkovChain::new`'s 1e-6 of one, but its
+    // single probability is above the 1 + 1e-9 a scenario allows.
+    let handle = spawn_with(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr().to_string();
+    let run = |rows: Vec<Vec<(usize, f64)>>| {
+        let chain = MarkovChain::new(rows, vec![5.0, 5.0]).expect("valid chain");
+        WireRun::new(
+            "sharded",
+            "sharded:1x2:hash",
+            "skp-exact",
+            &chain,
+            &[3.0, 4.0],
+            5,
+            11,
+            true,
+        )
+    };
+    let bad = run(vec![vec![(1, 1.0000005)], vec![(0, 1.0)]]);
+    let resp = http_request(&addr, "POST", "/run", Some(&bad.render())).expect("daemon reachable");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(
+        resp.body.starts_with("{\"error\":{\"kind\":\"model\""),
+        "{}",
+        resp.body
+    );
+    assert!(resp.body.contains("probability"), "{}", resp.body);
+
+    let good = run(vec![vec![(1, 1.0)], vec![(0, 1.0)]]);
+    let resp =
+        http_request(&addr, "POST", "/run", Some(&good.render())).expect("daemon still serving");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let (mut engine, workload) = good.instantiate().expect("valid run");
+    let expected = engine.run(&workload).expect("in-process run");
+    assert_eq!(parse_report(&resp.body).expect("report parses"), expected);
+    handle.shutdown().expect("clean shutdown");
+}

@@ -413,8 +413,7 @@ impl Engine {
     }
 
     /// Canonical spec string of the configured plan store (reparses to
-    /// an equivalent store through
-    /// [`build_plan_store`](crate::build_plan_store)).
+    /// an equivalent store through [`build_plan_store`]).
     pub fn plan_store_spec_string(&self) -> String {
         self.store.spec_string()
     }
@@ -989,6 +988,12 @@ impl Engine {
             }
             Err(e) => return Err(e),
         };
+        // Every row merged and checked once, before any lookup: a row
+        // `Scenario::new` would refuse is refused here, visited or not.
+        let rows = chain.merged_rows();
+        for state in 0..chain.n_states() {
+            Scenario::check_row(rows.row(state))?;
+        }
         // Re-use previously solved plans for the same population:
         // registry policies are pure in the scenario, so the (spec,
         // chain, catalog) content key fully determines every per-state
@@ -1014,13 +1019,8 @@ impl Engine {
             carried.unwrap_or_else(|| vec![None; n]),
             store_hit,
             |state: usize| {
-                let scenario = Scenario::new(
-                    chain.row_probs(state),
-                    catalog.to_vec(),
-                    chain.viewing(state),
-                )
-                .expect("markov rows are valid scenarios");
-                self.policy.plan(&scenario).into_items()
+                self.policy
+                    .plan_row(rows.row(state), catalog, chain.viewing(state))
             },
         );
         timer.start("simulate");
@@ -1076,7 +1076,11 @@ fn section_shards(section: &ReportSection) -> Option<usize> {
 /// The facade's policies are pure functions of the [`Scenario`], and a
 /// population scenario depends only on the client's Markov state — not
 /// on the client id or the round — so each state's plan is solved once
-/// and replayed for every client and every round. Steady-state rounds
+/// and replayed for every client and every round. A solve reads the
+/// state's row from the run's merged row table
+/// ([`MarkovChain::merged_rows`]) and hands it to
+/// [`Prefetcher::plan_row`]; the SKP policies plan from the row's
+/// positive entries, with no dense scenario. Steady-state rounds
 /// copy the memoised plan straight into the executor's buffer
 /// ([`ClientPolicy::plan_into`]): no scenario rebuild, no knapsack
 /// solve, no allocation. Between runs the memo survives in the
@@ -1504,6 +1508,40 @@ mod tests {
                 ),
                 "{bad}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn population_runs_refuse_rows_a_scenario_would_refuse() {
+        // `MarkovChain::new` lets a row sum miss 1 by up to 1e-6, but a
+        // scenario refuses any probability above 1 + 1e-9: alone, or
+        // merged from a repeated successor.
+        let single = vec![vec![(1, 1.0000005)], vec![(0, 1.0)]];
+        let repeated = vec![vec![(1, 1.0)], vec![(0, 0.5000003), (0, 0.5000003)]];
+        for (rows, state) in [(single, 1), (repeated, 0)] {
+            let chain = MarkovChain::new(rows, vec![5.0, 5.0]).unwrap();
+            for policy in ["skp-exact", "skp-paper", "kp"] {
+                let mut engine = Engine::builder()
+                    .policy(policy)
+                    .backend_spec("sharded:1x2:hash")
+                    .catalog(vec![3.0, 4.0])
+                    .build()
+                    .unwrap();
+                let err = engine
+                    .run(&Workload::sharded(chain.clone(), 5, 1))
+                    .unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        Error::Model(ModelError::BadProbability { index, value })
+                            if index == state && value > 1.0 + skp_core::EPS
+                    ),
+                    "{policy}: {err}"
+                );
+                // The refusal leaves the engine usable.
+                let good = MarkovChain::new(vec![vec![(1, 1.0)], vec![(0, 1.0)]], vec![5.0; 2]);
+                engine.run(&Workload::sharded(good.unwrap(), 5, 1)).unwrap();
+            }
         }
     }
 
