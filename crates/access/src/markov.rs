@@ -255,6 +255,13 @@ impl MarkovChain {
         start.push(0);
         let mut merged: Vec<(usize, f64)> = Vec::new();
         for row in &self.transitions {
+            // Strictly ascending successors (every `random` row) are
+            // already merged: copy them without the sort.
+            if row.windows(2).all(|w| w[0].0 < w[1].0) {
+                entries.extend(row.iter().map(|&(j, p)| (j, 0.0 + p)));
+                start.push(entries.len());
+                continue;
+            }
             merged.clear();
             merged.extend(row.iter().map(|&(j, p)| (j, 0.0 + p)));
             // Stable: a repeated successor's entries keep their row order.
@@ -384,6 +391,89 @@ mod tests {
                 expect
             );
         }
+    }
+
+    /// The sort-and-dedup merge of one row: the reference the ordered
+    /// copy in `merged_rows` must equal.
+    fn sorted_merge(row: &[(usize, f64)]) -> Vec<(usize, f64)> {
+        let mut merged: Vec<(usize, f64)> = row.iter().map(|&(j, p)| (j, 0.0 + p)).collect();
+        merged.sort_by_key(|&(j, _)| j);
+        merged.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        merged
+    }
+
+    fn bits(row: &[(usize, f64)]) -> Vec<(usize, u64)> {
+        row.iter().map(|&(j, p)| (j, p.to_bits())).collect()
+    }
+
+    #[test]
+    fn merged_rows_equal_the_sorted_merge_on_random_rows() {
+        let (mut ascending, mut other) = (0, 0);
+        for seed in 0..400u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = rng.random_range(2..=9usize);
+            let rows: Vec<Vec<(usize, f64)>> = (0..n)
+                .map(|_| {
+                    let mut ids: Vec<usize> = (0..n).collect();
+                    ids.shuffle(&mut rng);
+                    ids.truncate(rng.random_range(1..=n));
+                    let weights: Vec<f64> = ids
+                        .iter()
+                        .map(|_| rng.random_range(1..=5u32) as f64)
+                        .collect();
+                    let sum: f64 = weights.iter().sum();
+                    let mut row: Vec<(usize, f64)> = ids
+                        .into_iter()
+                        .zip(weights.iter().map(|w| w / sum))
+                        .collect();
+                    for zero in [0.0, -0.0] {
+                        if rng.random_bool(0.3) {
+                            row.push((rng.random_range(0..n), zero));
+                        }
+                    }
+                    match rng.random_range(0..3u32) {
+                        // Strictly ascending: the ordered copy.
+                        0 => {
+                            row.sort_by_key(|&(j, _)| j);
+                            row.dedup_by_key(|e| e.0);
+                        }
+                        // Ascending with repeats, then unsorted.
+                        1 => row.sort_by_key(|&(j, _)| j),
+                        _ => {}
+                    }
+                    row
+                })
+                .collect();
+            let chain = MarkovChain::new(rows.clone(), vec![1.0; n]).unwrap();
+            let merged = chain.merged_rows();
+            for (i, row) in rows.iter().enumerate() {
+                if row.windows(2).all(|w| w[0].0 < w[1].0) {
+                    ascending += 1;
+                } else {
+                    other += 1;
+                }
+                let got = merged.row(i);
+                assert_eq!(
+                    bits(got),
+                    bits(&sorted_merge(row)),
+                    "row {i} of seed {seed}"
+                );
+                assert!(got.iter().all(|&(_, p)| p.to_bits() != (-0.0f64).to_bits()));
+                let mut dense = vec![0.0_f64; n];
+                for &(j, p) in got {
+                    dense[j] = p;
+                }
+                let want: Vec<u64> = chain.row_probs(i).iter().map(|p| p.to_bits()).collect();
+                assert_eq!(dense.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), want);
+            }
+        }
+        assert!(ascending > 100 && other > 100, "{ascending} / {other}");
     }
 
     #[test]

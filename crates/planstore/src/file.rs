@@ -15,7 +15,7 @@ use crate::{PlanGuard, PlanSet, PlanStore, PlanStoreStats, TierStats};
 
 /// Leading line of every stored file; bumping it invalidates (as
 /// misses) every entry written by an incompatible codec.
-const MAGIC: &str = "skp-planstore v1";
+const MAGIC: &str = "skp-planstore v2";
 
 /// Persistent one-file-per-key store (`file:<dir>`). The directory is
 /// created on first write; reads of missing, truncated or foreign
@@ -106,7 +106,7 @@ impl PlanStore for FileStore {
 /// Renders a plan set as the on-disk text form:
 ///
 /// ```text
-/// skp-planstore v1
+/// skp-planstore v2
 /// policy <spec>
 /// catalog <f64> <f64> …
 /// states <n>
@@ -247,7 +247,7 @@ mod tests {
             );
         }
         assert!(parse_plan_set(&format!("{full}junk\n")).is_none());
-        assert!(parse_plan_set(&full.replace("v1", "v0")).is_none());
+        assert!(parse_plan_set(&full.replace(MAGIC, "skp-planstore v0")).is_none());
         assert!(parse_plan_set(&full.replace("plan 0", "plan 9")).is_none());
     }
 
@@ -276,8 +276,33 @@ mod tests {
         let store = FileStore::new(&dir);
         store.put(7, Arc::new(awkward_set()));
         let path = dir.join(format!("{:016x}.plan", 7u64));
-        std::fs::write(&path, "skp-planstore v1\npolicy x\n").expect("writes");
+        std::fs::write(&path, format!("{MAGIC}\npolicy x\n")).expect("writes");
         assert!(store.get(7).is_none(), "corrupt file must miss");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn entries_of_the_previous_format_are_misses() {
+        // v1 entries were named by the byte-wise FNV-1a key. A
+        // well-formed v1 file sitting at a live key must not be read
+        // as a plan of the current key's inputs.
+        let dir = scratch("v1");
+        let store = FileStore::new(&dir);
+        let chain = access_model::MarkovChain::random(6, 2, 4, 5, 20, 3).unwrap();
+        let set = awkward_set();
+        let key = crate::population_plan_key(
+            &set.guard.policy_spec,
+            &chain,
+            &set.guard.catalog[..chain.n_states()],
+        );
+        let current = render_plan_set(&set);
+        let v1 = current.replace(MAGIC, "skp-planstore v1");
+        assert_ne!(v1, current);
+        std::fs::create_dir_all(&dir).expect("creates");
+        std::fs::write(store.entry_path(key), &v1).expect("writes");
+        assert!(store.get(key).is_none(), "a v1 entry must miss");
+        std::fs::write(store.entry_path(key), &current).expect("writes");
+        assert_eq!(store.get(key).as_deref(), Some(&set));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -1006,8 +1006,9 @@ impl Engine {
         let carried = key.and_then(|k| {
             let set = self.store.get(k)?;
             // The key is a non-cryptographic 64-bit hash: trust the
-            // entry only after its guard echoes the live inputs, so a
-            // collision or a corrupted file degrades to a miss.
+            // entry only after its guard echoes the live spec and
+            // catalog, so a collision in either or a corrupted file
+            // degrades to a miss. The guard does not echo the chain.
             if set.plans.len() == n && spec.is_some_and(|s| set.matches(s, catalog)) {
                 Some(set.plans.clone())
             } else {
@@ -1343,6 +1344,44 @@ mod tests {
         let report = engine.run(&workload).unwrap();
         assert_eq!(report.plan_store.lookups, 0);
         assert_eq!(report.plan_store.hits, 0);
+    }
+
+    #[test]
+    fn the_public_key_is_the_engine_key() {
+        // An entry put under `population_plan_key` with a matching
+        // guard is a hit for `Engine::run`: the engine and the public
+        // function share one key.
+        let chain = MarkovChain::random(6, 2, 4, 5, 20, 3).unwrap();
+        let catalog: Vec<f64> = (0..6).map(|i| 2.0 + i as f64).collect();
+        let engine = |store: Arc<dyn PlanStore>| {
+            Engine::builder()
+                .backend(Backend::MultiClient { clients: 2 })
+                .catalog(catalog.clone())
+                .plan_store_instance(store)
+                .build()
+                .unwrap()
+        };
+        let workload = Workload::multi_client(chain.clone(), 10, 1);
+        let solved = build_plan_store("memory:1x8").unwrap();
+        let cold = engine(solved.clone()).run(&workload).unwrap();
+        let key = planstore::population_plan_key("skp-exact", &chain, &catalog);
+        let plans = solved
+            .get(key)
+            .expect("the engine wrote under the public key");
+        let store = build_plan_store("memory:1x8").unwrap();
+        store.put(
+            key,
+            Arc::new(PlanSet {
+                plans: plans.plans.clone(),
+                guard: PlanGuard {
+                    policy_spec: "skp-exact".into(),
+                    catalog: catalog.clone(),
+                },
+            }),
+        );
+        let warm = engine(store.clone()).run(&workload).unwrap();
+        assert_eq!(warm.plan_store.hits, 1, "{:?}", warm.plan_store);
+        assert_eq!(cold, warm);
     }
 
     #[test]

@@ -97,8 +97,9 @@ fn file_store_survives_a_restart_bit_exactly() {
 }
 
 /// Different seeds key different entries: warming with one seed must
-/// not cross-contaminate a run with another (the key covers the chain
-/// and catalog, and the guard re-checks both on every hit).
+/// not cross-contaminate a run with another. The key covers the chain
+/// and the catalog; the guard re-checks only the spec and the catalog
+/// on a hit, so these chains are kept apart by their keys alone.
 #[test]
 fn runs_with_different_chains_do_not_share_entries() {
     let store = build_plan_store("memory:2x32").expect("valid spec");
