@@ -30,9 +30,6 @@
 //! - [`session`] — the client session of Figure 1/2, replayed as a
 //!   scheduler client; reproduces the paper's Section-3/4 closed forms
 //!   event by event;
-//! - [`multiclient`] — the paper's shared channel extended across a
-//!   client population: exactly [`ShardedSim`] with `shards = 1` (no
-//!   loop of its own);
 //! - [`shared`] — the companion paper's bandwidth-sharing arbitration
 //!   (reference \[15\]), its fluid replay driven through the same
 //!   scheduler;
@@ -41,8 +38,9 @@
 //!
 //! The `shards = 1` path is the system the paper analyses: the
 //! single-client session reproduces the Section-3/4 access-time model
-//! (Figures 1–2), and the single-channel multi-client system realises
-//! the Section-6 network-usage tension. Sharding (`shards > 1`) is the
+//! (Figures 1–2), and a client population on one shard — one shared
+//! FIFO server channel — realises the Section-6 network-usage tension
+//! (its tests live in `multiclient.rs`). Sharding (`shards > 1`) is the
 //! scaling axis beyond the paper: the same scheduler, the contention
 //! split across independent per-shard channels.
 //!
@@ -66,7 +64,8 @@
 pub mod engine;
 pub mod exec;
 pub mod faults;
-pub mod multiclient;
+#[cfg(test)]
+mod multiclient;
 pub mod network;
 pub mod scheduler;
 pub mod session;
@@ -78,8 +77,8 @@ pub use engine::EventQueue;
 pub use faults::{FaultPlan, FaultSpec, Outage};
 pub use network::{Catalog, Link, RetrievalModel};
 pub use scheduler::{
-    access_time_sharded, EventKind, Flow, Placement, Scheduler, ShardMap, ShardReport, ShardStats,
-    ShardedSim, SimEvent,
+    access_time_sharded, ClientPolicy, ClientWorkload, EventKind, Flow, Placement, Scheduler,
+    ShardMap, ShardReport, ShardStats, ShardedSim, SimEvent,
 };
 pub use session::{run_session, SessionConfig, SessionOutcome};
 pub use shared::{access_time_shared, run_session_shared};

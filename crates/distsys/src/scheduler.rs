@@ -1,7 +1,7 @@
 //! The sharded discrete-event simulation core.
 //!
 //! Every execution path in this crate — the single-client session of
-//! Figure 1/2, the shared-channel multi-client system, and the
+//! Figure 1/2, client populations on one or many shards, and the
 //! bandwidth-sharing arbitration — is a client of one [`Scheduler`]
 //! driving one [`EventQueue`]. This module holds that scheduler and the
 //! generalisation the ROADMAP asks for: a catalog partitioned across `N`
@@ -10,9 +10,8 @@
 //! ([`ShardedSim`]).
 //!
 //! The paper's single shared channel is exactly the `shards = 1` special
-//! case: [`MultiClientSim`](crate::multiclient::MultiClientSim) now
-//! delegates here, and the workspace tests assert the two backends agree
-//! event for event.
+//! case: there is no separate shared-channel simulation, and the facade's
+//! `multi-client:<clients>` backend spec builds `sharded:1x<clients>:hash`.
 //!
 //! Per-shard queue depth, utilisation and stall-time histograms come back
 //! in a [`ShardReport`], making contention visible shard by shard — the
@@ -243,7 +242,7 @@ impl ShardMap {
 }
 
 // ---------------------------------------------------------------------
-// Client-side traits (shared by every multi-client backend).
+// Client-side traits (shared by every population run).
 // ---------------------------------------------------------------------
 
 /// Per-client prefetch driver supplied by the harness.
@@ -1345,8 +1344,7 @@ mod tests {
 
     /// Golden event log, computed by hand from the paper's shared-channel
     /// discipline — pins the `shards = 1` semantics independently of the
-    /// implementation (the legacy `MultiClientSim` loop now delegates
-    /// here, so this is the ground truth the delegation must preserve).
+    /// implementation.
     ///
     /// One client, v = 10, r = 3, always prefetching the (deterministic)
     /// next item: each round the prefetch runs 0–3 (resp. 10–13, 20–23),

@@ -8,8 +8,7 @@
 
 /// Summary statistics of a set of access (stall) times.
 ///
-/// Carried by [`MultiClientResult`](crate::multiclient::MultiClientResult),
-/// [`SharedOutcome`](crate::shared::SharedOutcome) and
+/// Carried by [`SharedOutcome`](crate::shared::SharedOutcome) and
 /// [`ShardReport`](crate::scheduler::ShardReport), so single-channel and
 /// sharded runs read off the same fields.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

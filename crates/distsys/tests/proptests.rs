@@ -1,7 +1,6 @@
 //! Property tests for the discrete-event substrate: ordering laws of the
 //! event queue and structural properties of session replays.
 
-use distsys::multiclient::MultiClientSim;
 use distsys::shared::{access_time_fifo, access_time_shared, run_session_shared};
 use distsys::{run_session, Catalog, EventQueue, Placement, SessionConfig, ShardMap, ShardedSim};
 use proptest::prelude::*;
@@ -169,10 +168,10 @@ proptest! {
         }
     }
 
-    /// A single-shard `ShardedSim` and the legacy shared-channel
-    /// `MultiClientSim` are the same machine: identical event logs
-    /// (same events, same order, same times) for any placement, seed
-    /// and population.
+    /// One shard is one shared channel whatever the placement: a
+    /// single-shard run under any placement gives the hash-placed run's
+    /// event log (same events, same order, same times) and report, for
+    /// any seed and population.
     #[test]
     fn one_shard_matches_shared_channel_event_for_event(
         seed in 0u64..1_000,
@@ -188,10 +187,12 @@ proptest! {
         ][placement_pick];
 
         let mut p1 = |_c: usize, s: usize| vec![(s + 1) % 12];
-        let (legacy, legacy_log) = MultiClientSim {
+        let (legacy, legacy_log) = ShardedSim {
             workload: &ring,
             retrievals: &retrievals,
             clients,
+            shards: 1,
+            placement: Placement::Hash,
             requests_per_client: 25,
             seed,
             faults: None,
@@ -215,5 +216,6 @@ proptest! {
         prop_assert_eq!(legacy.access, sharded.access);
         prop_assert_eq!(legacy.wasted_transfer, sharded.wasted_transfer);
         prop_assert_eq!(legacy.total_transfer, sharded.total_transfer);
+        prop_assert_eq!(legacy, sharded);
     }
 }

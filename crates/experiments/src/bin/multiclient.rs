@@ -1,5 +1,5 @@
 //! Multi-client contention experiment — the Section-6 concern at system
-//! scale, driven through the facade's multi-client backend.
+//! scale, driven through the facade's sharded backend with one shard.
 //!
 //! A population of Markov-browsing clients shares one FIFO server
 //! channel. Every speculative prefetch queues ahead of other clients'
@@ -9,7 +9,8 @@
 //! network-aware objective (μ > 0) backs off and keeps latency lower.
 //!
 //! Each (policy × population) cell is one `SessionBuilder` line: the
-//! policy comes from the registry, the population from the backend.
+//! policy comes from the registry, the population from the backend
+//! (`sharded:1x<clients>:hash`, one shared channel).
 //!
 //! Reported per cell: mean access time, channel utilisation, and wasted
 //! transfer share.
@@ -17,7 +18,7 @@
 use experiments::{print_table, Args};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use speculative_prefetch::{write_csv, Backend, Engine, MarkovChain, Workload};
+use speculative_prefetch::{write_csv, Backend, Engine, MarkovChain, Placement, Workload};
 
 const N: usize = 40;
 
@@ -45,19 +46,24 @@ fn main() {
 
     // One workload value for the whole grid; each cell is one
     // `SessionBuilder` line plus `Engine::run`.
-    let workload = Workload::multi_client(chain, requests, seed);
+    let workload = Workload::sharded(chain, requests, seed);
     let mut rows = Vec::new();
     let mut csv_rows = Vec::new();
     for clients in [1usize, 2, 4, 8, 16] {
         for (pi, (name, spec)) in policies.iter().enumerate() {
             let mut engine = Engine::builder()
                 .policy(spec)
-                .backend(Backend::MultiClient { clients })
+                .backend(Backend::Sharded {
+                    shards: 1,
+                    clients,
+                    placement: Placement::Hash,
+                })
                 .catalog(retrievals.clone())
                 .build()
                 .expect("valid session");
             let run = engine.run(&workload).expect("backend configured");
-            let r = run.multi_client().expect("multi-client section");
+            let r = run.sharded().expect("sharded section");
+            let channel = &r.shards[0];
             let waste_share = if r.total_transfer > 0.0 {
                 r.wasted_transfer / r.total_transfer
             } else {
@@ -67,17 +73,17 @@ fn main() {
                 clients.to_string(),
                 name.to_string(),
                 format!("{:.2}", r.mean_access_time()),
-                format!("{:.0}%", r.utilisation * 100.0),
+                format!("{:.0}%", channel.utilisation * 100.0),
                 format!("{:.0}%", waste_share * 100.0),
-                format!("{:.1}", r.mean_queue_len),
+                format!("{:.1}", channel.mean_queue_depth),
             ]);
             csv_rows.push(vec![
                 clients as f64,
                 pi as f64,
                 r.mean_access_time(),
-                r.utilisation,
+                channel.utilisation,
                 waste_share,
-                r.mean_queue_len,
+                channel.mean_queue_depth,
             ]);
         }
     }

@@ -94,10 +94,12 @@ pub fn render_chrome_trace(
             tids[s.track.as_str()]
         ));
     }
+    // Counters are process-scoped; they carry the process's own
+    // thread id 0 so every record has a `pid` and a `tid`.
     for c in counters {
         for (at, v) in &c.points {
             events.push(format!(
-                "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"args\":{{\"value\":{}}}}}",
+                "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"args\":{{\"value\":{}}},\"tid\":0}}",
                 esc(&c.name),
                 num(*at),
                 num(*v)

@@ -58,14 +58,21 @@ fn served_multi_client_run_is_bit_identical_to_in_process() {
     let handle = spawn(ServeConfig::default());
     let addr = handle.addr();
 
-    let workload = Workload::multi_client(chain(), 30, 42);
+    // `multi-client:8` is an alias: the daemon runs `sharded:1x8:hash`.
+    let workload = Workload::sharded(chain(), 30, 42);
     let expected = engine("multi-client:8")
         .run(&workload)
         .expect("in-process run");
     let spec = format!("served:{}:{}:multi-client:8", addr.ip(), addr.port());
-    let actual = engine(&spec).run(&workload).expect("served run");
+    let mut served = engine(&spec);
+    assert_eq!(
+        served.backend_spec_string(),
+        format!("served:{}:{}:sharded:1x8:hash", addr.ip(), addr.port())
+    );
+    let actual = served.run(&workload).expect("served run");
 
     assert_eq!(expected, actual);
+    assert_eq!(actual.sharded().expect("sharded section").shards.len(), 1);
     handle.shutdown().expect("clean shutdown");
 }
 

@@ -1,7 +1,7 @@
 //! Simulation backends as registry entries.
 //!
-//! The substrate a workload runs on — private FIFO channel, shared
-//! channel, sharded server farm, parallel Monte-Carlo runner — is a
+//! The substrate a workload runs on — private FIFO channel, sharded
+//! server farm, parallel Monte-Carlo runner — is a
 //! [`BackendDriver`] implementation behind a string-keyed registry,
 //! mirroring the [policy](crate::registry) and
 //! [predictor](crate::predictor) registries. Adding a backend (an async
@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! single-client
-//! multi-client:<clients>
+//! multi-client:<clients>          (alias of sharded:1x<clients>:hash)
 //! sharded:<shards>x<clients>[:<hash|range|hot-cold@K>]
 //! monte-carlo:<chunks>[x<threads>]
 //! ```
@@ -21,8 +21,7 @@
 use std::sync::{Arc, LazyLock, RwLock};
 
 use access_model::MarkovChain;
-use distsys::multiclient::{ClientPolicy, ClientWorkload, MultiClientSim};
-use distsys::scheduler::{Placement, ShardedSim, SimEvent};
+use distsys::scheduler::{ClientPolicy, ClientWorkload, Placement, ShardedSim, SimEvent};
 use distsys::stats::AccessStats;
 use distsys::{run_session, Catalog, SessionConfig, ShardMap};
 use montecarlo::parallel::default_threads;
@@ -32,7 +31,7 @@ use crate::error::Error;
 use crate::report::ReportSection;
 
 /// Which mechanistic substrate the engine drives — the typed spec of the
-/// four built-in backends, kept as a convenience alongside the
+/// three built-in in-process backends, kept as a convenience alongside the
 /// string-keyed registry ([`build_backend`] resolves arbitrary entries,
 /// including ones registered at runtime).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -41,17 +40,12 @@ pub enum Backend {
     /// exactly with the paper's closed forms.
     #[default]
     SingleClient,
-    /// Many clients contending for one shared server channel
-    /// (`distsys::multiclient`) — the `shards = 1` special case of the
-    /// sharded scheduler.
-    MultiClient {
-        /// Number of concurrent clients.
-        clients: usize,
-    },
     /// The catalog partitioned across `shards` server shards, each with
     /// its own FIFO retrieval queue and channel, serving `clients`
-    /// browsing clients (`distsys::scheduler`). `shards: 1` reproduces
-    /// [`Backend::MultiClient`] event for event.
+    /// browsing clients (`distsys::scheduler`). `shards: 1` is the
+    /// paper's distributed information system: many clients sharing one
+    /// FIFO server channel (the registry's `multi-client:<clients>`
+    /// spelling builds exactly that, with hash placement).
     Sharded {
         /// Number of server shards.
         shards: usize,
@@ -76,7 +70,6 @@ impl Backend {
     pub fn name(&self) -> &'static str {
         match self {
             Backend::SingleClient => "single-client",
-            Backend::MultiClient { .. } => "multi-client",
             Backend::Sharded { .. } => "sharded",
             Backend::MonteCarlo { .. } => "monte-carlo",
         }
@@ -87,7 +80,6 @@ impl Backend {
     pub fn driver(&self) -> Arc<dyn BackendDriver> {
         match *self {
             Backend::SingleClient => Arc::new(SingleClientDriver),
-            Backend::MultiClient { clients } => Arc::new(MultiClientDriver { clients }),
             Backend::Sharded {
                 shards,
                 clients,
@@ -137,8 +129,8 @@ pub struct PopulationRun<'a> {
     pub seed: u64,
     /// Record the full mechanistic event log.
     pub traced: bool,
-    /// Name of the workload shape (`"multi-client"` / `"sharded"` /
-    /// `"generated"`), also used in error messages.
+    /// Name of the workload shape (`"sharded"` / `"generated"`), also
+    /// used in error messages.
     pub operation: &'static str,
     /// Optional fault injection (outage windows, slow links,
     /// heterogeneous service times) the substrate applies — produced by
@@ -153,12 +145,12 @@ pub struct PopulationRun<'a> {
     /// The engine's observability handle. Detached (`obs "none"`) by
     /// default, in which case the sharded executors skip their
     /// scheduler probes entirely; drivers without probe support
-    /// (multi-client, served) ignore it.
+    /// (served) ignore it.
     pub obs: obs::Obs,
     /// When set, the sharded executors push one [`obs::EpochMark`] per
     /// scheduler epoch here — the feed for trace export. `None` when
     /// observability is off; always `None` on drivers that do not
-    /// probe (multi-client, served).
+    /// probe (served).
     pub marks: Option<&'a mut Vec<obs::EpochMark>>,
 }
 
@@ -268,60 +260,6 @@ impl BackendDriver for SingleClientDriver {
 
     fn monte_carlo_fanout(&self) -> Result<McFanout, Error> {
         Ok(McFanout::Sequential)
-    }
-}
-
-/// A client population on one shared fair-share channel.
-struct MultiClientDriver {
-    clients: usize,
-}
-
-impl BackendDriver for MultiClientDriver {
-    fn name(&self) -> &'static str {
-        "multi-client"
-    }
-
-    fn spec_string(&self) -> String {
-        format!("multi-client:{}", self.clients)
-    }
-
-    fn validate(&self) -> Result<(), Error> {
-        if self.clients == 0 {
-            return Err(Error::InvalidParam {
-                what: "multi-client backend",
-                detail: "needs at least one client".into(),
-            });
-        }
-        Ok(())
-    }
-
-    fn session_access_time(&self, catalog: &Catalog, cfg: &SessionConfig<'_>) -> f64 {
-        distsys::access_time_shared(catalog, cfg)
-    }
-
-    fn supports_population(&self) -> bool {
-        true
-    }
-
-    fn run_population(
-        &self,
-        run: PopulationRun<'_>,
-    ) -> Result<(AccessStats, ReportSection, Vec<SimEvent>), Error> {
-        let workload = MarkovWorkload(run.chain);
-        let sim = MultiClientSim {
-            workload: &workload,
-            retrievals: run.retrievals,
-            clients: self.clients,
-            requests_per_client: run.requests_per_client,
-            seed: run.seed,
-            faults: run.faults,
-        };
-        let (report, log) = if run.traced {
-            sim.run_traced(run.planner)
-        } else {
-            (sim.run(run.planner), Vec::new())
-        };
-        Ok((report.access, ReportSection::MultiClient(report), log))
     }
 }
 
@@ -520,6 +458,8 @@ fn build_single_client(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Er
     Ok(Arc::new(SingleClientDriver))
 }
 
+/// `multi-client:<clients>` is a spelling of `sharded:1x<clients>:hash`:
+/// the paper's many clients on one FIFO server channel.
 fn build_multi_client(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
     const WHAT: &str = "multi-client backend spec";
     let clients = match param {
@@ -531,7 +471,11 @@ fn build_multi_client(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Err
             clients
         }
     };
-    Ok(Arc::new(MultiClientDriver { clients }))
+    Ok(Arc::new(ShardedDriver {
+        shards: 1,
+        clients,
+        placement: Placement::Hash,
+    }))
 }
 
 fn build_sharded(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
@@ -595,7 +539,8 @@ fn builtin_entries() -> Vec<BackendEntry> {
             spec: BackendSpec {
                 name: "multi-client",
                 params: "clients",
-                summary: "population sharing one FIFO server channel (sharded with 1 shard)",
+                summary:
+                    "population sharing one FIFO server channel (alias of sharded:1x<clients>:hash)",
             },
             build: build_multi_client,
         },
@@ -711,7 +656,6 @@ mod tests {
     fn backend_enum_drivers_match_registry_names() {
         for backend in [
             Backend::SingleClient,
-            Backend::MultiClient { clients: 3 },
             Backend::Sharded {
                 shards: 2,
                 clients: 4,
@@ -734,16 +678,29 @@ mod tests {
 
     #[test]
     fn spec_strings_are_fixed_points() {
-        for spec in [
-            "single-client",
-            "multi-client:5",
-            "sharded:4x16:hot-cold@6",
-            "monte-carlo:8x2",
-            "served:127.0.0.1:7077:sharded:8x64:hash",
-            "served:10.0.0.9:8080:sharded:4x16:hot-cold@6",
+        // Each spec builds a driver whose spec string is the canonical
+        // form, itself a fixed point. `multi-client:<clients>` is an
+        // alias: its canonical form is `sharded:1x<clients>:hash`.
+        for (spec, canonical) in [
+            ("single-client", "single-client"),
+            ("sharded:4x16:hot-cold@6", "sharded:4x16:hot-cold@6"),
+            ("monte-carlo:8x2", "monte-carlo:8x2"),
+            (
+                "served:127.0.0.1:7077:sharded:8x64:hash",
+                "served:127.0.0.1:7077:sharded:8x64:hash",
+            ),
+            (
+                "served:10.0.0.9:8080:sharded:4x16:hot-cold@6",
+                "served:10.0.0.9:8080:sharded:4x16:hot-cold@6",
+            ),
+            ("multi-client:5", "sharded:1x5:hash"),
+            (
+                "served:127.0.0.1:7077:multi-client:8",
+                "served:127.0.0.1:7077:sharded:1x8:hash",
+            ),
         ] {
             let driver = build_backend(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
-            assert_eq!(driver.spec_string(), spec);
+            assert_eq!(driver.spec_string(), canonical);
             let again = build_backend(&driver.spec_string()).unwrap();
             assert_eq!(again.spec_string(), driver.spec_string());
         }
@@ -753,7 +710,7 @@ mod tests {
     fn default_params_fill_in() {
         assert_eq!(
             build_backend("multi-client").unwrap().spec_string(),
-            "multi-client:1"
+            "sharded:1x1:hash"
         );
         assert_eq!(
             build_backend("sharded").unwrap().spec_string(),
@@ -830,10 +787,6 @@ mod tests {
             build_backend("sharded:0x3"),
             Err(Error::InvalidParam { .. })
         ));
-        assert!(Backend::MultiClient { clients: 0 }
-            .driver()
-            .validate()
-            .is_err());
         for (shards, clients) in [(0usize, 3usize), (3, 0)] {
             assert!(Backend::Sharded {
                 shards,

@@ -481,16 +481,6 @@ fn print_run_text(file: &WorkloadFile, engine: &Engine, report: &RunReport) {
                 r.gain.mean()
             );
         }
-        ReportSection::MultiClient(r) => {
-            println!(
-                "multi-client: {} requests  utilisation {:.1}%  waste {:.4}/{:.4}  queue {:.2}",
-                r.requests(),
-                r.utilisation * 100.0,
-                r.wasted_transfer,
-                r.total_transfer,
-                r.mean_queue_len
-            );
-        }
         ReportSection::Sharded(r) => {
             println!(
                 "sharded: {} requests  mean utilisation {:.1}%  waste {:.4}/{:.4}",

@@ -26,8 +26,7 @@ use std::sync::Arc;
 
 use access_model::MarkovChain;
 use cache_sim::{PrefetchCache, PrefetchCacheConfig, StepOutcome};
-use distsys::multiclient::ClientPolicy;
-use distsys::scheduler::SimEvent;
+use distsys::scheduler::{ClientPolicy, SimEvent};
 use distsys::stats::AccessStats;
 use distsys::{Catalog, SessionConfig, Trace};
 use montecarlo::parallel::par_monte_carlo;
@@ -508,7 +507,7 @@ impl Engine {
                     phases: timer.finish(Vec::new()),
                 })
             }
-            Workload::MultiClient(w) | Workload::Sharded(w) => {
+            Workload::Sharded(w) => {
                 let mut marks = Vec::new();
                 let collect = self.obs.enabled();
                 let (access, section, events) = self.population_report(
@@ -926,7 +925,7 @@ impl Engine {
     }
 
     // -----------------------------------------------------------------
-    // Population replays (multi-client / sharded).
+    // Population replays.
     // -----------------------------------------------------------------
 
     /// The catalog, checked to cover the chain's state universe with
@@ -1062,12 +1061,10 @@ impl Engine {
 }
 
 /// Shard count a population report section ran on — where fault
-/// windows are meaningful. The shared multi-client channel behaves as
-/// a single shard; non-population sections have none.
+/// windows are meaningful. Non-population sections have none.
 fn section_shards(section: &ReportSection) -> Option<usize> {
     match section {
         ReportSection::Sharded(r) => Some(r.shards.len()),
-        ReportSection::MultiClient(_) => Some(1),
         _ => None,
     }
 }
@@ -1287,12 +1284,12 @@ mod tests {
     fn repeat_population_runs_hit_the_plan_store() {
         let chain = MarkovChain::random(10, 2, 4, 5, 20, 5).unwrap();
         let mut engine = Engine::builder()
-            .backend(Backend::MultiClient { clients: 3 })
+            .backend_spec("multi-client:3")
             .catalog((0..10).map(|i| 2.0 + i as f64).collect())
             .plan_store("memory:2x16")
             .build()
             .unwrap();
-        let workload = Workload::multi_client(chain, 20, 1).traced(true);
+        let workload = Workload::sharded(chain, 20, 1).traced(true);
         let cold = engine.run(&workload).unwrap();
         assert_eq!(cold.plan_store.hits, 0);
         assert_eq!(cold.plan_store.lookups, 1);
@@ -1312,13 +1309,13 @@ mod tests {
         let catalog: Vec<f64> = (0..10).map(|i| 2.0 + i as f64).collect();
         let engine = |store: Arc<dyn PlanStore>| {
             Engine::builder()
-                .backend(Backend::MultiClient { clients: 3 })
+                .backend_spec("multi-client:3")
                 .catalog(catalog.clone())
                 .plan_store_instance(store)
                 .build()
                 .unwrap()
         };
-        let workload = Workload::multi_client(chain, 20, 1);
+        let workload = Workload::sharded(chain, 20, 1);
         let cold = engine(store.clone()).run(&workload).unwrap();
         // A different engine, same store: served from the shared state.
         let warm = engine(store.clone()).run(&workload).unwrap();
@@ -1334,12 +1331,12 @@ mod tests {
         let chain = MarkovChain::random(8, 2, 4, 5, 20, 5).unwrap();
         let mut engine = Engine::builder()
             .policy_instance(build_policy("skp-exact").unwrap())
-            .backend(Backend::MultiClient { clients: 2 })
+            .backend_spec("multi-client:2")
             .catalog((0..8).map(|i| 2.0 + i as f64).collect())
             .plan_store("memory:2x16")
             .build()
             .unwrap();
-        let workload = Workload::multi_client(chain, 10, 1);
+        let workload = Workload::sharded(chain, 10, 1);
         engine.run(&workload).unwrap();
         let report = engine.run(&workload).unwrap();
         assert_eq!(report.plan_store.lookups, 0);
@@ -1355,13 +1352,13 @@ mod tests {
         let catalog: Vec<f64> = (0..6).map(|i| 2.0 + i as f64).collect();
         let engine = |store: Arc<dyn PlanStore>| {
             Engine::builder()
-                .backend(Backend::MultiClient { clients: 2 })
+                .backend_spec("multi-client:2")
                 .catalog(catalog.clone())
                 .plan_store_instance(store)
                 .build()
                 .unwrap()
         };
-        let workload = Workload::multi_client(chain.clone(), 10, 1);
+        let workload = Workload::sharded(chain.clone(), 10, 1);
         let solved = build_plan_store("memory:1x8").unwrap();
         let cold = engine(solved.clone()).run(&workload).unwrap();
         let key = planstore::population_plan_key("skp-exact", &chain, &catalog);
@@ -1403,22 +1400,20 @@ mod tests {
             }),
         );
         let mut engine = Engine::builder()
-            .backend(Backend::MultiClient { clients: 2 })
+            .backend_spec("multi-client:2")
             .catalog(catalog)
             .plan_store_instance(store.clone())
             .build()
             .unwrap();
         let baseline = {
             let mut fresh = Engine::builder()
-                .backend(Backend::MultiClient { clients: 2 })
+                .backend_spec("multi-client:2")
                 .catalog((0..6).map(|i| 2.0 + i as f64).collect())
                 .build()
                 .unwrap();
-            fresh
-                .run(&Workload::multi_client(chain.clone(), 10, 1))
-                .unwrap()
+            fresh.run(&Workload::sharded(chain.clone(), 10, 1)).unwrap()
         };
-        let guarded = engine.run(&Workload::multi_client(chain, 10, 1)).unwrap();
+        let guarded = engine.run(&Workload::sharded(chain, 10, 1)).unwrap();
         assert_eq!(baseline, guarded, "stale entry must not leak into the run");
         // The mismatched entry was replaced by the freshly solved one.
         assert_eq!(store.get(key).unwrap().guard.policy_spec, "skp-exact");
@@ -1509,20 +1504,21 @@ mod tests {
         let mut engine = Engine::builder().build().unwrap();
         let chain = MarkovChain::random(6, 2, 4, 5, 20, 3).unwrap();
         assert!(matches!(
-            engine.run(&Workload::multi_client(chain.clone(), 10, 1)),
+            engine.run(&Workload::sharded(chain.clone(), 10, 1)),
             Err(Error::UnsupportedBackend { .. })
         ));
 
         let mut engine = Engine::builder()
-            .backend(Backend::MultiClient { clients: 3 })
+            .backend_spec("multi-client:3")
             .catalog((0..6).map(|i| 2.0 + i as f64).collect())
             .build()
             .unwrap();
-        let report = engine.run(&Workload::multi_client(chain, 20, 1)).unwrap();
-        let out = report.multi_client().expect("multi-client section");
+        let report = engine.run(&Workload::sharded(chain, 20, 1)).unwrap();
+        let out = report.sharded().expect("one-shard sharded section");
+        assert_eq!(out.shards.len(), 1);
         assert_eq!(out.requests(), 60);
         assert_eq!(report.access, out.access);
-        assert!(out.utilisation <= 1.0 + 1e-9);
+        assert!(out.shards[0].utilisation <= 1.0 + 1e-9);
     }
 
     #[test]
@@ -1614,38 +1610,38 @@ mod tests {
 
     #[test]
     fn population_workloads_cross_run_on_either_substrate() {
-        // The workload names mirror the legacy methods, but either shape
-        // runs on any population backend; the section reflects the
-        // substrate.
+        // The shared channel (`multi-client:<clients>`, an alias of
+        // `sharded:1x<clients>:hash`) and a multi-shard farm run the
+        // same workload and report the same section shape.
         let chain = MarkovChain::random(10, 2, 4, 5, 20, 5).unwrap();
-        let mut sharded = Engine::builder()
-            .backend(Backend::Sharded {
-                shards: 2,
-                clients: 3,
-                placement: Placement::Hash,
-            })
-            .catalog((0..10).map(|i| 2.0 + i as f64).collect())
-            .build()
-            .unwrap();
-        let report = sharded.run(&Workload::multi_client(chain, 10, 1)).unwrap();
-        assert_eq!(report.section.name(), "sharded");
-        assert!(report.sharded().is_some());
+        for (spec, shards) in [("multi-client:3", 1), ("sharded:2x3", 2)] {
+            let mut engine = Engine::builder()
+                .backend_spec(spec)
+                .catalog((0..10).map(|i| 2.0 + i as f64).collect())
+                .build()
+                .unwrap();
+            let report = engine
+                .run(&Workload::sharded(chain.clone(), 10, 1))
+                .unwrap();
+            assert_eq!(report.section.name(), "sharded", "{spec}");
+            assert_eq!(report.sharded().unwrap().shards.len(), shards, "{spec}");
+        }
     }
 
     #[test]
     fn traced_population_records_events() {
         let chain = MarkovChain::random(8, 2, 4, 5, 20, 5).unwrap();
         let mut engine = Engine::builder()
-            .backend(Backend::MultiClient { clients: 2 })
+            .backend_spec("multi-client:2")
             .catalog((0..8).map(|i| 2.0 + i as f64).collect())
             .build()
             .unwrap();
         let quiet = engine
-            .run(&Workload::multi_client(chain.clone(), 10, 1))
+            .run(&Workload::sharded(chain.clone(), 10, 1))
             .unwrap();
         assert!(quiet.events.is_empty());
         let traced = engine
-            .run(&Workload::multi_client(chain, 10, 1).traced(true))
+            .run(&Workload::sharded(chain, 10, 1).traced(true))
             .unwrap();
         assert!(!traced.events.is_empty());
         assert_eq!(
@@ -1686,10 +1682,17 @@ mod tests {
             })
             .build()
             .unwrap();
+        // So does the `multi-client` alias: its replays are FIFO, as
+        // its population runs are.
+        let shared = Engine::builder()
+            .backend_spec("multi-client:2")
+            .build()
+            .unwrap();
+        assert_eq!(shared.backend_spec_string(), "sharded:1x2:hash");
         for request in 0..4 {
-            assert!(
-                (one.replay(&s, &plan, request) - serial.replay(&s, &plan, request)).abs() < 1e-9
-            );
+            let fifo = serial.replay(&s, &plan, request);
+            assert!((one.replay(&s, &plan, request) - fifo).abs() < 1e-9);
+            assert!((shared.replay(&s, &plan, request) - fifo).abs() < 1e-9);
         }
     }
 
@@ -1714,7 +1717,6 @@ mod tests {
         let specs = backend_specs();
         for backend in [
             Backend::SingleClient,
-            Backend::MultiClient { clients: 1 },
             Backend::Sharded {
                 shards: 1,
                 clients: 1,

@@ -16,8 +16,9 @@
 //! 2. a **prefetch policy** ([`Prefetcher`]; [`build_policy`]),
 //! 3. a **client cache** with Figure-6 arbitration (`cache-sim`),
 //! 4. a **simulation backend** ([`BackendDriver`]; [`build_backend`] —
-//!    private-channel single client, shared channel, sharded farm
-//!    (`sharded:4x16:hash`), parallel Monte-Carlo, a `skp-serve`
+//!    private-channel single client, sharded farm
+//!    (`sharded:4x16:hash`; `multi-client:16` spells its one-shard
+//!    case `sharded:1x16:hash`), parallel Monte-Carlo, a `skp-serve`
 //!    daemon (`served:`), plus anything you [`register_backend`]),
 //!
 //! plus a fifth, orthogonal seam: a **plan store** ([`PlanStore`];
@@ -84,7 +85,8 @@
 //!
 //! Scaling out: the same policy against a sharded server farm, the
 //! catalog partitioned across per-shard FIFO channels (`1` shard is the
-//! paper's single shared channel, event for event):
+//! paper's single shared channel; the backend registry's
+//! `multi-client:<clients>` is an alias of `sharded:1x<clients>:hash`):
 //!
 //! ```
 //! use speculative_prefetch::{Engine, MarkovChain, Workload};
@@ -211,10 +213,9 @@ pub use cache_sim::{
 };
 
 // ---- distributed system substrate (distsys) --------------------------
-pub use distsys::multiclient::{ClientPolicy, ClientWorkload, MultiClientResult, MultiClientSim};
 pub use distsys::scheduler::{
-    access_time_sharded, EventKind, Placement, Scheduler, ShardMap, ShardReport, ShardStats,
-    ShardedSim, SimEvent,
+    access_time_sharded, ClientPolicy, ClientWorkload, EventKind, Placement, Scheduler, ShardMap,
+    ShardReport, ShardStats, ShardedSim, SimEvent,
 };
 pub use distsys::shared::{access_time_fifo, access_time_shared};
 pub use distsys::stats::{AccessStats, Histogram};

@@ -1,7 +1,7 @@
 //! The unified result surface of [`Engine::run`](crate::Engine::run).
 //!
 //! Every workload — closed-form plan evaluation, trace replay,
-//! Monte-Carlo, multi-client, sharded — used to return its own report
+//! Monte-Carlo, population — used to return its own report
 //! type with incompatible fields. [`RunReport`] is the one result shape:
 //! it always carries the common [`AccessStats`] block
 //! (count/mean/p50/p99/min/max of access time), so any two runs are
@@ -9,7 +9,6 @@
 //! workload/backend-specific detail and the mechanistic event log when
 //! the workload asked for tracing.
 
-use distsys::multiclient::MultiClientResult;
 use distsys::scheduler::{ShardReport, SimEvent};
 use distsys::stats::AccessStats;
 use montecarlo::stats::RunningStats;
@@ -65,11 +64,9 @@ pub struct SimReport {
 
 /// The workload/backend-specific detail block of a [`RunReport`].
 ///
-/// Which variant comes back is determined by the workload shape and —
-/// for population workloads — by the substrate that ran it: a
-/// population replay reports [`MultiClient`](ReportSection::MultiClient)
-/// on the shared-channel backend and
-/// [`Sharded`](ReportSection::Sharded) on the sharded backend.
+/// Which variant comes back is determined by the workload shape: every
+/// population replay reports [`Sharded`](ReportSection::Sharded), the
+/// paper's one shared server channel included (one shard).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReportSection {
     /// Closed-form plan evaluation ([`Workload::Plan`](crate::Workload::Plan)).
@@ -78,8 +75,6 @@ pub enum ReportSection {
     Trace(TraceReport),
     /// Monte-Carlo evaluation ([`Workload::MonteCarlo`](crate::Workload::MonteCarlo)).
     MonteCarlo(SimReport),
-    /// Shared-channel population replay.
-    MultiClient(MultiClientResult),
     /// Sharded population replay with per-shard statistics.
     Sharded(ShardReport),
 }
@@ -91,7 +86,6 @@ impl ReportSection {
             ReportSection::Plan(_) => "plan",
             ReportSection::Trace(_) => "trace",
             ReportSection::MonteCarlo(_) => "monte-carlo",
-            ReportSection::MultiClient(_) => "multi-client",
             ReportSection::Sharded(_) => "sharded",
         }
     }
@@ -160,17 +154,7 @@ impl RunReport {
         }
     }
 
-    /// The multi-client section, if a population ran on the shared
-    /// channel.
-    pub fn multi_client(&self) -> Option<&MultiClientResult> {
-        match &self.section {
-            ReportSection::MultiClient(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The sharded section, if a population ran on the sharded
-    /// substrate.
+    /// The sharded section, if this run replayed a client population.
     pub fn sharded(&self) -> Option<&ShardReport> {
         match &self.section {
             ReportSection::Sharded(r) => Some(r),
@@ -201,7 +185,6 @@ mod tests {
         assert!(report.trace().is_some());
         assert!(report.plan().is_none());
         assert!(report.monte_carlo().is_none());
-        assert!(report.multi_client().is_none());
         assert!(report.sharded().is_none());
         assert_eq!(report.access.mean, 2.0);
     }

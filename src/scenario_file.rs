@@ -20,7 +20,7 @@
 //! A workload file ([`parse_workload`]) adds engine and run directives:
 //!
 //! ```text
-//! workload sharded          # plan|trace|monte-carlo|multi-client|sharded|generated
+//! workload sharded          # plan|trace|monte-carlo|sharded|generated (multi-client = sharded)
 //! traced                    # record the mechanistic event log
 //! backend sharded:4x8:hash  # backend registry spec
 //! policy skp-exact          # policy registry spec
@@ -125,9 +125,8 @@ pub enum WorkloadKind {
     Trace,
     /// Monte-Carlo sweep over random scenarios of the catalog's size.
     MonteCarlo,
-    /// Shared-channel population replay of the file's `chain`.
-    MultiClient,
-    /// Sharded population replay of the file's `chain`.
+    /// Population replay of the file's `chain` (`workload sharded`,
+    /// also spelled `workload multi-client`).
     Sharded,
     /// Population replay of the file's `generate` spec (workload
     /// generator registry) over the catalog.
@@ -141,7 +140,6 @@ impl WorkloadKind {
             WorkloadKind::Plan => "plan",
             WorkloadKind::Trace => "trace",
             WorkloadKind::MonteCarlo => "monte-carlo",
-            WorkloadKind::MultiClient => "multi-client",
             WorkloadKind::Sharded => "sharded",
             WorkloadKind::Generated => "generated",
         }
@@ -153,8 +151,7 @@ impl WorkloadKind {
             "plan" => Some(WorkloadKind::Plan),
             "trace" => Some(WorkloadKind::Trace),
             "monte-carlo" => Some(WorkloadKind::MonteCarlo),
-            "multi-client" => Some(WorkloadKind::MultiClient),
-            "sharded" => Some(WorkloadKind::Sharded),
+            "sharded" | "multi-client" => Some(WorkloadKind::Sharded),
             "generated" => Some(WorkloadKind::Generated),
             _ => None,
         }
@@ -650,7 +647,7 @@ impl WorkloadFile {
                 iterations: self.iterations.unwrap_or(Self::DEFAULT_ITERATIONS),
                 seed: self.seed.unwrap_or(Self::DEFAULT_SEED),
             }),
-            WorkloadKind::MultiClient | WorkloadKind::Sharded => {
+            WorkloadKind::Sharded => {
                 let spec = self.chain.ok_or(Error::InvalidParam {
                     what: "population workload",
                     detail: "needs a 'chain <states> <min_fanout> <max_fanout> \
@@ -669,13 +666,11 @@ impl WorkloadFile {
                     what: "workload chain",
                     detail: e.to_string(),
                 })?;
-                let requests = self.requests.unwrap_or(Self::DEFAULT_REQUESTS);
-                let seed = self.seed.unwrap_or(Self::DEFAULT_SEED);
-                if self.kind == WorkloadKind::MultiClient {
-                    Workload::multi_client(chain, requests, seed)
-                } else {
-                    Workload::sharded(chain, requests, seed)
-                }
+                Workload::sharded(
+                    chain,
+                    self.requests.unwrap_or(Self::DEFAULT_REQUESTS),
+                    self.seed.unwrap_or(Self::DEFAULT_SEED),
+                )
             }
             WorkloadKind::Generated => {
                 let spec = self.generate.as_ref().ok_or(Error::InvalidParam {
@@ -967,6 +962,7 @@ item 0.2 9 video
     #[test]
     fn population_workload_requires_a_chain() {
         let f = parse_workload("v 5\nitem 1 1\nworkload multi-client\n").unwrap();
+        assert_eq!(f.kind, WorkloadKind::Sharded, "multi-client spells sharded");
         assert!(matches!(
             f.workload(),
             Err(crate::Error::InvalidParam { .. })

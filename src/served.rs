@@ -78,7 +78,7 @@ impl BackendDriver for ServedDriver {
                 WHAT,
                 format!(
                     "inner backend '{}' cannot run population workloads (the daemon only \
-                     serves multi-client and sharded runs)",
+                     serves population runs)",
                     self.inner.spec_string()
                 ),
             ));
@@ -114,16 +114,10 @@ impl BackendDriver for ServedDriver {
                      with a registry policy spec"
                 .into(),
         })?;
-        // The wire grammar predates generated workloads and admits only
-        // the two legacy population kinds; a generated chain runs as a
-        // sharded population on the daemon's substrate.
-        let wire_op = if run.operation == "multi-client" {
-            "multi-client"
-        } else {
-            "sharded"
-        };
+        // The wire grammar admits one population kind; a generated chain
+        // runs as a sharded population on the daemon's substrate.
         let wire_run = WireRun::new(
-            wire_op,
+            "sharded",
             &self.inner.spec_string(),
             policy,
             run.chain,

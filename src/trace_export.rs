@@ -168,11 +168,11 @@ mod tests {
     fn unobserved_report_still_renders_a_valid_document() {
         let chain = MarkovChain::random(8, 2, 4, 5, 20, 5).unwrap();
         let mut engine = Engine::builder()
-            .backend(Backend::MultiClient { clients: 2 })
+            .backend_spec("multi-client:2")
             .catalog((0..8).map(|i| 2.0 + i as f64).collect())
             .build()
             .unwrap();
-        let report = engine.run(&Workload::multi_client(chain, 10, 1)).unwrap();
+        let report = engine.run(&Workload::sharded(chain, 10, 1)).unwrap();
         let json = trace_json(&report);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(!json.contains("\"ph\":\"X\""), "no spans without obs");

@@ -32,7 +32,7 @@
 //!    looked up. Each number token is parsed once, straight into its
 //!    field. Keys may come in any order, unknown keys are validated and
 //!    dropped, and on a duplicate key the first one wins (as
-//!    [`Json::get`] does). Population sections (multi-client, sharded)
+//!    [`Json::get`] does). Population (`sharded`) sections
 //!    round-trip **bit-identically**: `f64` values are printed with
 //!    Rust's shortest-round-trip `Display` and re-parsed with
 //!    `str::parse`, which restores the exact bits. Plan, trace and
@@ -49,7 +49,6 @@ use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use access_model::MarkovChain;
-use distsys::multiclient::MultiClientResult;
 use distsys::scheduler::{EventKind, JobKind, ShardReport, ShardStats, SimEvent};
 use distsys::stats::{AccessStats, Histogram};
 
@@ -909,13 +908,6 @@ fn write_section(out: &mut String, section: &ReportSection, labels: &[String]) {
             .num("mean_access_time", r.access.mean())
             .num("std_err", r.access.std_err())
             .num("mean_gain", r.gain.mean()),
-        ReportSection::MultiClient(r) => obj
-            .uint("requests", r.requests())
-            .with("access", |out| write_access(out, &r.access))
-            .num("utilisation", r.utilisation)
-            .num("wasted_transfer", r.wasted_transfer)
-            .num("total_transfer", r.total_transfer)
-            .num("mean_queue_len", r.mean_queue_len),
         ReportSection::Sharded(r) => obj
             .uint("requests", r.requests())
             .with("access", |out| write_access(out, &r.access))
@@ -1061,22 +1053,6 @@ fn read_shards(p: &mut Parser<'_>, key: &str) -> Result<Vec<ShardStats>, Error> 
 /// Reads the population section of the given kind.
 fn read_section(p: &mut Parser<'_>, kind: &str) -> Result<ReportSection, Error> {
     Ok(match kind {
-        "multi-client" => {
-            let (access, utilisation, wasted_transfer, total_transfer, mean_queue_len) = read_fields!(p.members("section") {
-                access: read_access,
-                utilisation: Parser::f64,
-                wasted_transfer: Parser::f64,
-                total_transfer: Parser::f64,
-                mean_queue_len: Parser::f64,
-            });
-            ReportSection::MultiClient(MultiClientResult {
-                access,
-                utilisation,
-                wasted_transfer,
-                total_transfer,
-                mean_queue_len,
-            })
-        }
         "sharded" => {
             let (access, utilisation, wasted_transfer, total_transfer, shards) = read_fields!(p.members("section") {
                 access: read_access,
@@ -1097,8 +1073,7 @@ fn read_section(p: &mut Parser<'_>, kind: &str) -> Result<ReportSection, Error> 
             return Err(Error::InvalidParam {
                 what: REPORT,
                 detail: format!(
-                    "cannot rebuild a '{other}' section from the wire \
-                     (only multi-client and sharded reports round-trip)"
+                    "field 'section_kind' is '{other}': only sharded reports round-trip"
                 ),
             })
         }
@@ -1145,9 +1120,9 @@ fn read_events(p: &mut Parser<'_>, key: &str) -> Result<Vec<SimEvent>, Error> {
 /// emitted by [`render_report_fields`] (extra metadata keys are
 /// validated and ignored).
 ///
-/// Only the population sections (`multi-client`, `sharded`) can be
-/// rebuilt — they are what a `served:` round-trip carries — and for
-/// those the reconstruction is bit-identical to the original report.
+/// Only the population section (`sharded`) can be rebuilt — it is what
+/// a `served:` round-trip carries — and its reconstruction is
+/// bit-identical to the original report.
 pub fn parse_report(text: &str) -> Result<RunReport, Error> {
     let (access, kind, section, events) = Parser::new(text, REPORT).document(|p| {
         Ok(read_fields!(p.fields() {
@@ -1223,7 +1198,7 @@ fn read_chain(p: &mut Parser<'_>, key: &str) -> Result<(Vec<f64>, Vec<Vec<(usize
 /// its exact stored rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireRun {
-    /// Workload kind: `"multi-client"` or `"sharded"`.
+    /// Workload kind; `"sharded"` is the only population kind.
     pub kind: String,
     /// Registry spec of the backend the daemon should run
     /// (e.g. `sharded:8x64:hash`).
@@ -1373,12 +1348,11 @@ impl WireRun {
         }
         let engine = builder.build()?;
         let workload = match self.kind.as_str() {
-            "multi-client" => Workload::multi_client(chain, self.requests_per_client, self.seed),
             "sharded" => Workload::sharded(chain, self.requests_per_client, self.seed),
             other => {
                 return Err(Error::InvalidParam {
                     what: RUN,
-                    detail: format!("field 'kind' must be multi-client or sharded, not '{other}'"),
+                    detail: format!("field 'kind' must be sharded, not '{other}'"),
                 })
             }
         };
@@ -1452,17 +1426,13 @@ mod tests {
         assert_eq!(report, rebuilt);
     }
 
+    /// A `multi-client:<clients>` run reports a one-shard sharded
+    /// section, which round-trips like any other.
     #[test]
     fn multi_client_report_round_trips() {
-        let chain = MarkovChain::random(8, 2, 4, 2, 6, 3).unwrap();
-        let retrievals: Vec<f64> = (0..8).map(|i| 2.0 + i as f64).collect();
-        let mut engine = Engine::builder()
-            .policy("skp-exact")
-            .catalog(retrievals)
-            .backend_spec("multi-client:4")
-            .build()
-            .unwrap();
-        let report = engine.run(&Workload::multi_client(chain, 20, 5)).unwrap();
+        let report = golden_one_shard();
+        assert_eq!(report.section.name(), "sharded");
+        assert_eq!(report.sharded().unwrap().shards.len(), 1);
         let json = format!("{{{}}}", render_report_fields(&report, &[]));
         assert_eq!(parse_report(&json).unwrap(), report);
     }
@@ -1492,6 +1462,39 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("'kind'"), "{err}");
+        // `multi-client` is a backend spelling, not a wire kind: a reply
+        // or a run that names it is a structured error, not a panic.
+        let fields = render_report_fields(&golden_one_shard(), &[]);
+        let reply = fields.replacen(
+            "\"section_kind\":\"sharded\"",
+            "\"section_kind\":\"multi-client\"",
+            1,
+        );
+        assert_ne!(reply, fields);
+        match parse_report(&format!("{{{reply}}}")) {
+            Err(Error::InvalidParam { detail, .. }) => {
+                assert!(detail.contains("'section_kind'"), "{detail}")
+            }
+            other => panic!("expected InvalidParam, got {other:?}"),
+        }
+        let chain = MarkovChain::random(3, 1, 2, 1, 9, 1).unwrap();
+        let run = WireRun::new(
+            "multi-client",
+            "sharded:1x2",
+            "skp-exact",
+            &chain,
+            &[1.0; 3],
+            1,
+            1,
+            false,
+        );
+        match WireRun::parse(&run.render()).and_then(|run| run.instantiate()) {
+            Err(Error::InvalidParam { detail, .. }) => {
+                assert!(detail.contains("'kind'"), "{detail}")
+            }
+            Err(other) => panic!("expected InvalidParam, got {other:?}"),
+            Ok(_) => panic!("expected InvalidParam, got a runnable workload"),
+        }
     }
 
     #[test]
@@ -1570,7 +1573,7 @@ mod tests {
 
     #[test]
     fn key_order_unknown_keys_and_duplicates() {
-        let report = golden_multi_client();
+        let report = golden_one_shard();
         let fields = render_report_fields(&report, &[]);
         // Section before its kind, events first, an unknown nested key,
         // and a later duplicate `access` that must lose to the first.
@@ -1633,7 +1636,8 @@ mod tests {
             .unwrap()
     }
 
-    fn golden_multi_client() -> RunReport {
+    /// Four clients on one shared channel, spelled `multi-client:4`.
+    fn golden_one_shard() -> RunReport {
         let chain = MarkovChain::random(8, 2, 4, 2, 6, 3).unwrap();
         let retrievals: Vec<f64> = (0..8).map(|i| 2.0 + i as f64).collect();
         let mut engine = Engine::builder()
@@ -1642,10 +1646,10 @@ mod tests {
             .backend_spec("multi-client:4")
             .build()
             .unwrap();
-        engine.run(&Workload::multi_client(chain, 20, 5)).unwrap()
+        engine.run(&Workload::sharded(chain, 20, 5)).unwrap()
     }
 
-    /// The multi-client report carrying a hand-made event log: every
+    /// The one-shard report carrying a hand-made event log: every
     /// event kind, fractional, signed-zero and huge times, and ids of
     /// several digits — what a simulation rarely produces.
     fn golden_events() -> RunReport {
@@ -1656,7 +1660,7 @@ mod tests {
             item,
             kind,
         };
-        let mut report = golden_multi_client();
+        let mut report = golden_one_shard();
         report.events = vec![
             event(0.0, 0, 0, 0, EventKind::Request),
             event(-0.0, 9, 10, 11, EventKind::Served),
@@ -1774,23 +1778,21 @@ mod tests {
 "shard":0,"item":1,"kind":"transfer-start:prefetch"},{"at":19,"client":3,"shard":1,
 "item":8,"kind":"transfer-start:prefetch"}]"#;
 
-    const GOLDEN_MULTI_CLIENT: &str = r#"
-"access":{"count":80,"mean":25.7,"p50":26,"p99":40,"min":0,"max":40},"section_kind":"multi-client",
-"section":{"requests":80,"access":{"count":80,"mean":25.7,"p50":26,"p99":40,
-"min":0,"max":40},"utilisation":1,"wasted_transfer":154,"total_transfer":601,
-"mean_queue_len":4.625},"events":[]"#;
-
     const GOLDEN_PLAN: &str = r#"
 "access":{"count":4,"mean":1.3000000000000003,"p50":0,"p99":3,"min":0,"max":3},
 "section_kind":"plan","section":{"items":[0,3],"labels":["say \"hi\"\\\t\n",
 "bell\u0007é\u000d"],"gain":1.7000000000000002,"stretch":0,"expected_access_time":1.2999999999999998,
 "upper_bound":1.9000000000000001,"per_request":[0,3,2,0]},"events":[]"#;
 
+    // The section is `golden_one_shard`'s; the events are hand-made.
     const GOLDEN_EVENTS: &str = r#"
 "access":{"count":80,"mean":25.7,"p50":26,"p99":40,"min":0,"max":40},
-"section_kind":"multi-client","section":{"requests":80,"access":{"count":80,"mean":25.7,
+"section_kind":"sharded","section":{"requests":80,"access":{"count":80,"mean":25.7,
 "p50":26,"p99":40,"min":0,"max":40},"utilisation":1,"wasted_transfer":154,
-"total_transfer":601,"mean_queue_len":4.625},"events":[{"at":0,"client":0,"shard":0,
+"total_transfer":601,"shards":[{"shard":0,"jobs":121,"busy_time":601,"utilisation":1,
+"mean_queue_depth":4.625,"max_queue_depth":7,"total_transfer":601,"outage_time":0,
+"outage_delay":0,"service_scale":1,"stalls":{"edges":[1,2,4,8,16,32,64,128,256],
+"counts":[1,0,0,0,2,5,55,17,0,0,0],"sum":2056}}]},"events":[{"at":0,"client":0,"shard":0,
 "item":0,"kind":"request"},{"at":-0,"client":9,"shard":10,"item":11,"kind":"served"},
 {"at":0.30000000000000004,"client":10,"shard":99,"item":100,
 "kind":"transfer-start:prefetch"},{"at":0.0000001,"client":1234,"shard":5,"item":67890,
@@ -1842,9 +1844,9 @@ mod tests {
         let doc = |count: &str, mean: &str, item: &str| {
             format!(
                 "{{\"access\":{{\"count\":{count},\"mean\":{mean},\"p50\":0,\"p99\":0,\"min\":0,\
-                 \"max\":0}},\"section_kind\":\"multi-client\",\"section\":{{\"access\":{{\"count\":0,\
+                 \"max\":0}},\"section_kind\":\"sharded\",\"section\":{{\"access\":{{\"count\":0,\
                  \"mean\":0,\"p50\":0,\"p99\":0,\"min\":0,\"max\":0}},\"utilisation\":0,\
-                 \"wasted_transfer\":0,\"total_transfer\":0,\"mean_queue_len\":0}},\"events\":[{{\
+                 \"wasted_transfer\":0,\"total_transfer\":0,\"shards\":[]}},\"events\":[{{\
                  \"at\":{mean},\"client\":{item},\"shard\":0,\"item\":{item},\"kind\":\"served\"}}]}}"
             )
         };
@@ -1930,11 +1932,6 @@ mod tests {
                 "sharded",
                 render_report_fields(&golden_sharded(), &[]),
                 GOLDEN_SHARDED,
-            ),
-            (
-                "multi-client",
-                render_report_fields(&golden_multi_client(), &[]),
-                GOLDEN_MULTI_CLIENT,
             ),
             ("plan", render_report_fields(&plan, &labels), GOLDEN_PLAN),
             (

@@ -100,10 +100,11 @@ pub struct GeneratedWorkload {
 
 /// What to simulate: the one input of [`Engine::run`](crate::Engine::run).
 ///
-/// The `MultiClient` and `Sharded` variants mirror the legacy entry
-/// points and carry the same [`PopulationWorkload`] spec; either runs on
-/// any population-capable backend, and the report section reflects the
-/// substrate that ran it.
+/// Population replays ([`Sharded`](Workload::Sharded) and
+/// [`Generated`](Workload::Generated)) run on any population-capable
+/// backend; the paper's many-clients-one-server system is the sharded
+/// backend with one shard (`sharded:1x<clients>`, spelled
+/// `multi-client:<clients>` in the backend registry).
 #[derive(Debug, Clone)]
 pub enum Workload {
     /// One closed-form prefetch decision.
@@ -112,10 +113,7 @@ pub enum Workload {
     Trace(TraceWorkload),
     /// Monte-Carlo sweep over random scenarios.
     MonteCarlo(MonteCarloWorkload),
-    /// Shared-channel population replay (the legacy `multi_client`
-    /// shape).
-    MultiClient(PopulationWorkload),
-    /// Sharded population replay (the legacy `sharded` shape).
+    /// Chain-driven population replay: clients browse one Markov site.
     Sharded(PopulationWorkload),
     /// Population replay of a generator-synthesised adversarial
     /// workload (flash crowds, diurnal load, churn, fault injection).
@@ -143,17 +141,6 @@ impl Workload {
     pub fn monte_carlo(spec: MonteCarloSpec) -> Self {
         Workload::MonteCarlo(MonteCarloWorkload {
             spec,
-            traced: false,
-        })
-    }
-
-    /// A shared-channel population replay (pair with the multi-client
-    /// backend).
-    pub fn multi_client(chain: MarkovChain, requests_per_client: u64, seed: u64) -> Self {
-        Workload::MultiClient(PopulationWorkload {
-            chain,
-            requests_per_client,
-            seed,
             traced: false,
         })
     }
@@ -188,7 +175,6 @@ impl Workload {
             Workload::Plan(w) => w.traced = traced,
             Workload::Trace(w) => w.traced = traced,
             Workload::MonteCarlo(w) => w.traced = traced,
-            Workload::MultiClient(w) => w.traced = traced,
             Workload::Sharded(w) => w.traced = traced,
             Workload::Generated(w) => w.traced = traced,
         }
@@ -201,7 +187,6 @@ impl Workload {
             Workload::Plan(w) => w.traced,
             Workload::Trace(w) => w.traced,
             Workload::MonteCarlo(w) => w.traced,
-            Workload::MultiClient(w) => w.traced,
             Workload::Sharded(w) => w.traced,
             Workload::Generated(w) => w.traced,
         }
@@ -213,7 +198,6 @@ impl Workload {
             Workload::Plan(_) => "plan",
             Workload::Trace(_) => "trace",
             Workload::MonteCarlo(_) => "monte-carlo",
-            Workload::MultiClient(_) => "multi-client",
             Workload::Sharded(_) => "sharded",
             Workload::Generated(_) => "generated",
         }
@@ -240,10 +224,6 @@ mod tests {
         assert_eq!(Workload::plan(s).name(), "plan");
         assert_eq!(Workload::trace(trace).name(), "trace");
         assert_eq!(Workload::monte_carlo(spec).name(), "monte-carlo");
-        assert_eq!(
-            Workload::multi_client(chain.clone(), 5, 1).name(),
-            "multi-client"
-        );
         assert_eq!(Workload::sharded(chain, 5, 1).name(), "sharded");
         assert_eq!(
             Workload::generated("flash:1.2@0.5", 5, 1).name(),

@@ -5,6 +5,8 @@
 
 use std::process::Command;
 
+use speculative_prefetch::wire::Json;
+
 fn run_cli(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_skp-plan"))
         .args(args)
@@ -144,7 +146,8 @@ fn list_names_every_registry() {
 /// Registry consistency: `--list` enumerates *exactly* the backend
 /// registry (no drift between `backend_specs()` and the list
 /// subcommand), and every registered backend's spec round-trips
-/// through parse → `name()` → parse to a fixed point.
+/// through parse → `name()` → parse to a fixed point (an alias reaches
+/// the fixed point of the family it spells).
 #[test]
 fn list_backends_match_the_registry_exactly() {
     let (stdout, _, ok) = run_cli(&["--list"]);
@@ -163,15 +166,20 @@ fn list_backends_match_the_registry_exactly() {
     assert_eq!(listed, registry, "--list drifted from backend_specs()");
 
     for spec in speculative_prefetch::backend_specs() {
-        // Registry name → driver → name(): the identity.
+        // Registry name → driver → name(): the identity, except for the
+        // `multi-client` alias, which builds the one-shard sharded driver.
+        let family = match spec.name {
+            "multi-client" => "sharded",
+            name => name,
+        };
         let driver = speculative_prefetch::build_backend(spec.name)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-        assert_eq!(driver.name(), spec.name);
+        assert_eq!(driver.name(), family);
         // Canonical spec string → driver: a fixed point.
         let canonical = driver.spec_string();
         let again = speculative_prefetch::build_backend(&canonical)
             .unwrap_or_else(|e| panic!("{canonical}: {e}"));
-        assert_eq!(again.name(), spec.name);
+        assert_eq!(again.name(), family);
         assert_eq!(again.spec_string(), canonical);
     }
 }
@@ -382,6 +390,103 @@ fn run_trace_out_writes_a_chrome_trace() {
     for track in ["\"engine\"", "\"shard 0\"", "\"wire\"", "\"queue depth\""] {
         assert!(trace.contains(track), "missing {track}");
     }
+    assert_chrome_trace_schema(&trace);
+
+    // The checked-in sharded example writes a schema-valid trace too.
+    let example = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/workloads/sharded.skp"
+    );
+    let (_, stderr, ok) = run_cli(&["run", example, "--trace-out", out.to_str().unwrap()]);
+    assert!(ok, "stderr: {stderr}");
+    let trace = std::fs::read_to_string(&out).expect("trace file written");
+    let _ = std::fs::remove_file(&out);
+    assert_chrome_trace_schema(&trace);
+}
+
+/// The Chrome trace schema of `--trace-out`: every record is a complete
+/// M/X/C event, counter samples carry one series each, and a population
+/// run decomposes into the engine's build/simulate/stat-fold spans plus
+/// the CLI's own wire span.
+fn assert_chrome_trace_schema(text: &str) {
+    let doc = Json::parse(text).expect("trace is valid JSON");
+    assert_eq!(
+        doc.get("displayTimeUnit").and_then(Json::as_str),
+        Some("ms")
+    );
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents array");
+    assert!(!events.is_empty(), "trace must not be empty");
+    let mut spans = std::collections::BTreeSet::new();
+    for e in events {
+        let field = |key: &str| e.get(key).unwrap_or_else(|| panic!("{key} missing: {e:?}"));
+        let ph = field("ph").as_str().expect("ph is a string");
+        assert!(["M", "X", "C"].contains(&ph), "unexpected record {e:?}");
+        for id in ["pid", "tid"] {
+            assert!(
+                field(id).as_u64().is_some(),
+                "{id} is not an integer: {e:?}"
+            );
+        }
+        let name = field("name").as_str().expect("name is a string");
+        let args = e.get("args");
+        match ph {
+            "M" => {
+                assert!(["process_name", "thread_name"].contains(&name), "{e:?}");
+                assert!(args.and_then(|a| a.get("name")).is_some(), "{e:?}");
+            }
+            _ => assert!(field("ts").as_f64().is_some(), "ts is not a number: {e:?}"),
+        }
+        if ph == "X" {
+            let dur = field("dur").as_f64().expect("dur is a number");
+            assert!(dur >= 0.0, "{e:?}");
+            spans.insert(name.to_string());
+        }
+        if ph == "C" {
+            assert!(
+                matches!(args, Some(Json::Obj(series)) if series.len() == 1),
+                "a counter sample carries one series: {e:?}"
+            );
+        }
+    }
+    for span in ["build", "simulate", "stat-fold", "wire"] {
+        assert!(
+            spans.contains(span),
+            "missing engine span {span}: {spans:?}"
+        );
+    }
+}
+
+/// `workload multi-client` / `backend multi-client:8` spell the one-shard
+/// sharded run: the checked-in example prints the same JSON bytes as its
+/// `workload sharded` / `backend sharded:1x8:hash` twin.
+#[test]
+fn multiclient_example_matches_its_one_shard_twin() {
+    let example = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/workloads/multiclient.skp"
+    );
+    let text = std::fs::read_to_string(example).expect("example exists");
+    assert!(
+        text.contains("\nworkload multi-client\n") && text.contains("\nbackend multi-client:8\n")
+    );
+    let twin = text
+        .replace("\nworkload multi-client\n", "\nworkload sharded\n")
+        .replace("\nbackend multi-client:8\n", "\nbackend sharded:1x8:hash\n");
+    let twin = write_scenario("multiclient_twin.skp", &twin);
+    let run = |path: &str| {
+        let (stdout, stderr, ok) = run_cli(&["run", path, "--format", "json"]);
+        assert!(ok, "{path}: {stderr}");
+        stdout
+    };
+    let alias = run(example);
+    assert!(
+        alias.contains("\"backend\":\"sharded:1x8:hash\""),
+        "{alias}"
+    );
+    assert_eq!(alias, run(twin.to_str().unwrap()));
 }
 
 #[test]

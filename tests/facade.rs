@@ -447,7 +447,7 @@ fn runtime_registered_backend_is_reachable_via_spec_string() {
         .expect("builds on the custom backend");
     assert_eq!(engine.backend_name(), "constant-time");
     let report = engine
-        .run(&Workload::multi_client(chain, 17, 1))
+        .run(&Workload::sharded(chain, 17, 1))
         .expect("custom driver runs the population");
     assert_eq!(
         report.section,

@@ -96,7 +96,7 @@ proptest! {
         weights in proptest::collection::vec(1u32..1000, 2..10),
         retrievals in proptest::collection::vec(1u32..100, 10),
         viewing in 0u32..200,
-        kind_pick in 0usize..6,
+        kind_pick in 0usize..5,
         traced in proptest::bool::ANY,
         backend_pick in 0usize..6,
         policy_pick in 0usize..3,
@@ -115,7 +115,6 @@ proptest! {
             WorkloadKind::Plan,
             WorkloadKind::Trace,
             WorkloadKind::MonteCarlo,
-            WorkloadKind::MultiClient,
             WorkloadKind::Sharded,
             WorkloadKind::Generated,
         ][kind_pick];
@@ -182,7 +181,7 @@ proptest! {
             }
             None => {}
         }
-        let chain = if matches!(kind, WorkloadKind::MultiClient | WorkloadKind::Sharded) {
+        let chain = if kind == WorkloadKind::Sharded {
             let spec = ChainSpec {
                 states: n.max(2),
                 min_fanout: 1,

@@ -1,5 +1,6 @@
 //! Acceptance tests for the sharded backend: the `shards = 1` system
-//! reproduces the legacy shared-channel backend **event for event**, and
+//! reproduces the `multi-client:<clients>` spelling **event for event**
+//! under every placement, and
 //! sharding monotonically relieves contention on a uniform workload —
 //! all driven through the unified `Engine::run` / `Workload` surface.
 
@@ -20,21 +21,24 @@ fn engine(backend: Backend, policy: &str) -> Engine {
         .expect("valid session")
 }
 
-/// `Backend::Sharded { shards: 1 }` and the legacy `Backend::MultiClient`
+/// The `multi-client:<clients>` spec and `Backend::Sharded { shards: 1 }`
 /// run the identical event sequence on a seeded trace: same events, same
-/// order, same simulated times — for every placement strategy and for a
-/// planning (not just no-prefetch) policy.
+/// order, same simulated times and the same report — for every placement
+/// strategy and for a planning (not just no-prefetch) policy.
 #[test]
 fn one_shard_reproduces_multi_client_event_for_event() {
     let chain = MarkovChain::random(N, 3, 6, 4, 12, 21).expect("valid chain");
+    let workload = Workload::sharded(chain.clone(), 30, 1999).traced(true);
     for policy in ["skp-exact", "no-prefetch"] {
-        let mc_workload = Workload::multi_client(chain.clone(), 30, 1999).traced(true);
-        let mut legacy = engine(Backend::MultiClient { clients: 5 }, policy);
-        let legacy_run = legacy.run(&mc_workload).expect("legacy backend runs");
-        let legacy_result = legacy_run.multi_client().expect("multi-client section");
+        let mut legacy = Engine::builder()
+            .policy(policy)
+            .backend_spec("multi-client:5")
+            .catalog(catalog())
+            .build()
+            .expect("valid session");
+        let legacy_run = legacy.run(&workload).expect("multi-client alias runs");
         assert!(!legacy_run.events.is_empty());
 
-        let sh_workload = Workload::sharded(chain.clone(), 30, 1999).traced(true);
         for placement in [
             Placement::Hash,
             Placement::Range,
@@ -48,19 +52,14 @@ fn one_shard_reproduces_multi_client_event_for_event() {
                 },
                 policy,
             );
-            let run = sharded.run(&sh_workload).expect("sharded backend runs");
-            let report = run.sharded().expect("sharded section");
+            let run = sharded.run(&workload).expect("sharded backend runs");
             // Exact event order, timestamps included.
             assert_eq!(
                 legacy_run.events, run.events,
                 "{policy}/{placement:?} diverged"
             );
-            // And the aggregate reports carry the same common stats.
-            assert_eq!(legacy_result.access, report.access);
-            assert_eq!(legacy_run.access, run.access);
-            assert_eq!(legacy_result.wasted_transfer, report.wasted_transfer);
-            assert_eq!(legacy_result.total_transfer, report.total_transfer);
-            assert_eq!(legacy_result.utilisation, report.utilisation);
+            // And the same report: common stats and the one-shard section.
+            assert_eq!(legacy_run, run, "{policy}/{placement:?}");
         }
     }
 }
@@ -102,9 +101,16 @@ fn mean_stall_time_non_increasing_in_shards() {
 #[test]
 fn reports_share_the_common_stats_block() {
     let chain = MarkovChain::random(N, 3, 6, 4, 12, 3).expect("valid chain");
-    let mc = engine(Backend::MultiClient { clients: 4 }, "skp-exact")
-        .run(&Workload::multi_client(chain.clone(), 25, 7))
-        .expect("runs");
+    let mc = engine(
+        Backend::Sharded {
+            shards: 1,
+            clients: 4,
+            placement: Placement::Hash,
+        },
+        "skp-exact",
+    )
+    .run(&Workload::sharded(chain.clone(), 25, 7))
+    .expect("runs");
     let sh = engine(
         Backend::Sharded {
             shards: 4,

@@ -21,10 +21,7 @@ fn population_report(states: usize, requests: u64, seed: u64, sharded: bool) -> 
             Workload::sharded(chain, requests, seed).traced(true),
         )
     } else {
-        (
-            "multi-client:3",
-            Workload::multi_client(chain, requests, seed),
-        )
+        ("multi-client:3", Workload::sharded(chain, requests, seed))
     };
     Engine::builder()
         .policy("skp-exact")
