@@ -2,9 +2,9 @@
 //! acceptance bench of the obs subsystem's zero-overhead-when-off
 //! contract.
 //!
-//! Every cell runs the identical traced workload four times: with no
-//! obs configured (the baseline), and with the `none`, `memory` and
-//! `sampled:64` sinks. It (a) asserts all four `RunReport`s are
+//! Every cell runs the identical traced workload three times: with no
+//! obs configured (the baseline), and with the `none` and `memory`
+//! sinks. It (a) asserts all three `RunReport`s are
 //! bit-identical — observability never changes results — and (b)
 //! reports each sink's wall-clock overhead over the baseline. The
 //! acceptance claim (skipped under `--quick`): the `none` sink is
@@ -53,7 +53,6 @@ struct Cell {
     off: Duration,
     none: Duration,
     memory: Duration,
-    sampled: Duration,
 }
 
 impl Cell {
@@ -66,8 +65,8 @@ impl Cell {
     fn json(&self) -> String {
         format!(
             "{{\"shards\":{},\"clients\":{},\"events\":{},\"off_ms\":{},\
-             \"none_ms\":{},\"memory_ms\":{},\"sampled_ms\":{},\
-             \"none_overhead\":{},\"memory_overhead\":{},\"sampled_overhead\":{},\
+             \"none_ms\":{},\"memory_ms\":{},\
+             \"none_overhead\":{},\"memory_overhead\":{},\
              \"events_per_sec\":{}}}",
             self.shards,
             self.clients,
@@ -75,10 +74,8 @@ impl Cell {
             num(self.off.as_secs_f64() * 1e3),
             num(self.none.as_secs_f64() * 1e3),
             num(self.memory.as_secs_f64() * 1e3),
-            num(self.sampled.as_secs_f64() * 1e3),
             num(self.overhead(self.none)),
             num(self.overhead(self.memory)),
-            num(self.overhead(self.sampled)),
             num(self.events as f64 / self.memory.as_secs_f64().max(1e-12)),
         )
     }
@@ -121,18 +118,9 @@ fn main() {
                 &workload,
                 samples,
             );
-            let (sampled_report, sampled) = timed(
-                &mut engine(shards, clients, Some("sampled:64")),
-                &workload,
-                samples,
-            );
             // Observability never changes results (report equality
             // covers access/section/events and excludes phases).
-            for (sink, report) in [
-                ("none", &none_report),
-                ("memory", &memory_report),
-                ("sampled:64", &sampled_report),
-            ] {
+            for (sink, report) in [("none", &none_report), ("memory", &memory_report)] {
                 assert_eq!(
                     &off_report, report,
                     "obs '{sink}' changed results at {shards}x{clients}"
@@ -145,15 +133,13 @@ fn main() {
                 off,
                 none,
                 memory,
-                sampled,
             };
             println!(
                 "  {shards:>2} shards x {clients:>2} clients: off {:>8.3} ms  \
-                 none {:>+6.2}%  memory {:>+6.2}%  sampled:64 {:>+6.2}%",
+                 none {:>+6.2}%  memory {:>+6.2}%",
                 off.as_secs_f64() * 1e3,
                 cell.overhead(none) * 1e2,
                 cell.overhead(memory) * 1e2,
-                cell.overhead(sampled) * 1e2,
             );
             cells.push(cell);
         }
@@ -169,12 +155,10 @@ fn main() {
     }
     let none_med = median(cells.iter().map(|c| c.overhead(c.none)).collect());
     let memory_med = median(cells.iter().map(|c| c.overhead(c.memory)).collect());
-    let sampled_med = median(cells.iter().map(|c| c.overhead(c.sampled)).collect());
     println!(
-        "median overhead: none {:+.2}%  memory {:+.2}%  sampled:64 {:+.2}%",
+        "median overhead: none {:+.2}%  memory {:+.2}%",
         none_med * 1e2,
-        memory_med * 1e2,
-        sampled_med * 1e2
+        memory_med * 1e2
     );
     // The acceptance claims, on the full grid only (`--quick` keeps the
     // equivalence assertions but the 1-sample timings are too noisy to

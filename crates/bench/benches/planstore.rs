@@ -80,10 +80,12 @@ fn main() {
     let root = std::env::temp_dir().join(format!("skp-plan-store-bench-{}", std::process::id()));
     let specs: Vec<String> = vec![
         "none".to_string(),
-        "hot:256".to_string(),
         "memory:8x1024".to_string(),
         format!("file:{}", root.join("file").display()),
-        format!("tiered:hot:256,file:{}", root.join("tiered").display()),
+        format!(
+            "tiered:memory:8x1024,file:{}",
+            root.join("tiered").display()
+        ),
     ];
 
     // Solve-dominated: heavy fan-out makes each state's skp-exact solve

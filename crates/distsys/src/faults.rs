@@ -280,11 +280,13 @@ impl FaultPlan {
     }
 
     /// Total scheduled outage time of `shard` overlapping `[0, span]`.
+    /// A shard without windows reports `+0.0`, the fault-free value
+    /// (`f64`'s `Sum` of nothing is `-0.0`).
     pub fn outage_time(&self, shard: usize, span: f64) -> f64 {
         self.windows[shard]
             .iter()
             .map(|&(s, e)| (e.min(span) - s.min(span)).max(0.0))
-            .sum()
+            .fold(0.0, |total, t| total + t)
     }
 
     /// True when the plan can never perturb a run: no outage windows

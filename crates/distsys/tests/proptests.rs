@@ -2,9 +2,12 @@
 //! event queue and structural properties of session replays.
 
 use distsys::shared::{access_time_fifo, access_time_shared, run_session_shared};
-use distsys::{run_session, Catalog, EventQueue, Placement, SessionConfig, ShardMap, ShardedSim};
+use distsys::{
+    run_session, Catalog, EventQueue, FaultSpec, Placement, SessionConfig, ShardMap, ShardedSim,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
+use rand::Rng;
 
 /// Deterministic ring workload used by the sharding properties.
 struct Ring {
@@ -17,6 +20,23 @@ impl distsys::scheduler::ClientWorkload for Ring {
     }
     fn next(&self, state: usize, _rng: &mut SmallRng) -> usize {
         (state + 1) % self.n
+    }
+    fn n_items(&self) -> usize {
+        self.n
+    }
+}
+
+/// Seeded random walk: the next item is drawn uniformly, so a run's
+/// request stream depends on the seed.
+struct Walk {
+    n: usize,
+}
+impl distsys::scheduler::ClientWorkload for Walk {
+    fn viewing(&self, state: usize) -> f64 {
+        1.0 + (state % 4) as f64
+    }
+    fn next(&self, _state: usize, rng: &mut SmallRng) -> usize {
+        rng.random_range(0..self.n)
     }
     fn n_items(&self) -> usize {
         self.n
@@ -217,5 +237,44 @@ proptest! {
         prop_assert_eq!(legacy.wasted_transfer, sharded.wasted_transfer);
         prop_assert_eq!(legacy.total_transfer, sharded.total_transfer);
         prop_assert_eq!(legacy, sharded);
+    }
+
+    /// An inert fault plan is no fault plan: over random topologies,
+    /// placements and seeds, `faults: Some(&FaultSpec::inert())` gives
+    /// the `faults: None` report and event log, bit for bit.
+    #[test]
+    fn inert_faults_match_no_faults_bit_for_bit(
+        seed in 0u64..1_000_000,
+        shards in 1usize..6,
+        clients in 1usize..6,
+        placement_pick in 0usize..3,
+    ) {
+        let walk = Walk { n: 16 };
+        let retrievals: Vec<f64> = (0..16).map(|i| 0.5 + (i % 7) as f64).collect();
+        let placement = [
+            Placement::Hash,
+            Placement::Range,
+            Placement::HotCold { hot_items: 4 },
+        ][placement_pick];
+        let run = |faults: Option<&FaultSpec>| {
+            ShardedSim {
+                workload: &walk,
+                retrievals: &retrievals,
+                clients,
+                shards,
+                placement,
+                requests_per_client: 30,
+                seed,
+                faults,
+            }
+            .run_traced(&mut |_c: usize, s: usize| vec![(s + 1) % 16, (s + 7) % 16])
+        };
+        let (plain, plain_log) = run(None);
+        let (inert, inert_log) = run(Some(&FaultSpec::inert()));
+        // `Debug` prints every float's shortest round-trip form, so equal
+        // renderings are equal bits.
+        prop_assert_eq!(format!("{plain:?}"), format!("{inert:?}"));
+        prop_assert_eq!(format!("{plain_log:?}"), format!("{inert_log:?}"));
+        prop_assert!(!plain_log.is_empty());
     }
 }

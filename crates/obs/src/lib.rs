@@ -14,12 +14,9 @@
 //!   atomic operations on cells created up front; the benchmarked
 //!   budget is ≤2% on the `distsys` event-rate grid
 //!   (`crates/bench/benches/obs.rs`, snapshot `BENCH_obs.json`).
-//! - `sampled:<N>` keeps counters and gauges exact but records only
-//!   every Nth histogram observation, for hot paths where even the
-//!   timed section's clock reads would show up.
 //!
-//! Sinks are chosen by spec string through a registry that mirrors the
-//! workspace's other five seams (policies, predictors, backends, plan
+//! Sinks are chosen by spec string through the workspace's one
+//! registry (`skp-registry`, shared with backends, generators and plan
 //! stores — see the facade crate docs): [`build_obs`],
 //! [`register_obs_sink`], [`obs_sink_specs`], listed by
 //! `skp-plan --list`.
@@ -60,22 +57,9 @@ pub const TIME_BUCKETS: [f64; 12] = [
     1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0, 5.0, 10.0,
 ];
 
-/// Error from building or registering an observability sink.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObsError {
-    /// Which spec family was malformed (e.g. `"sampled obs spec"`).
-    pub what: &'static str,
-    /// Human-readable diagnosis of the malformation.
-    pub detail: String,
-}
-
-impl fmt::Display for ObsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid {}: {}", self.what, self.detail)
-    }
-}
-
-impl std::error::Error for ObsError {}
+/// Error from building or registering an observability sink: the
+/// workspace's one spec error.
+pub use skp_registry::SpecError as ObsError;
 
 /// The storage cell behind an attached [`Counter`].
 #[derive(Debug, Default)]
@@ -116,22 +100,17 @@ impl GaugeCell {
 
 /// The storage cell behind an attached [`TimeHistogram`]: fixed
 /// [`TIME_BUCKETS`] edges plus `+Inf`, a CAS-looped `f64` sum and an
-/// observation count. `sample_every > 1` records only every Nth
-/// observation (the `sampled:<N>` sink).
+/// observation count.
 #[derive(Debug)]
 pub struct HistCell {
-    sample_every: u64,
-    tick: AtomicU64,
     buckets: Vec<AtomicU64>,
     sum_bits: AtomicU64,
     count: AtomicU64,
 }
 
 impl HistCell {
-    fn new(sample_every: u64) -> Self {
+    fn new() -> Self {
         Self {
-            sample_every,
-            tick: AtomicU64::new(0),
             buckets: (0..=TIME_BUCKETS.len())
                 .map(|_| AtomicU64::new(0))
                 .collect(),
@@ -140,16 +119,8 @@ impl HistCell {
         }
     }
 
-    /// Records one duration (subject to the cell's sampling rate).
+    /// Records one duration.
     pub fn observe(&self, seconds: f64) {
-        if self.sample_every > 1
-            && !self
-                .tick
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(self.sample_every)
-        {
-            return;
-        }
         let idx = TIME_BUCKETS
             .iter()
             .position(|&le| seconds <= le)
@@ -285,7 +256,7 @@ impl TimeHistogram {
 }
 
 /// One histogram in a [`Snapshot`]: cumulative per-bucket counts
-/// (final edge `+Inf`), the (possibly sampled) sum and count.
+/// (final edge `+Inf`), the sum and count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// The instrument key.
@@ -404,56 +375,30 @@ impl Obs {
     }
 }
 
-/// The in-process sink behind the `memory` and `sampled:<N>` specs:
-/// instruments live in key-sorted maps, updates are relaxed atomics on
-/// the vended cells, snapshots are deterministic.
+/// The in-process sink behind the `memory` spec: instruments live in
+/// key-sorted maps, updates are relaxed atomics on the vended cells,
+/// snapshots are deterministic.
+#[derive(Default)]
 pub struct MemorySink {
-    sample_every: u64,
     counters: Mutex<BTreeMap<String, Arc<CounterCell>>>,
     gauges: Mutex<BTreeMap<String, Arc<GaugeCell>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistCell>>>,
 }
 
 impl MemorySink {
-    /// An exact sink (`memory`): every histogram observation recorded.
+    /// An empty sink (`memory`).
     pub fn new() -> Self {
-        Self::with_sampling(1)
-    }
-
-    /// A sampling sink (`sampled:<N>`): histograms record every Nth
-    /// observation; counters and gauges stay exact. `every` is clamped
-    /// to at least 1.
-    pub fn with_sampling(every: u64) -> Self {
-        Self {
-            sample_every: every.max(1),
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
-        }
-    }
-}
-
-impl Default for MemorySink {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
 impl ObsSink for MemorySink {
     fn name(&self) -> &'static str {
-        if self.sample_every > 1 {
-            "sampled"
-        } else {
-            "memory"
-        }
+        "memory"
     }
 
     fn spec_string(&self) -> String {
-        if self.sample_every > 1 {
-            format!("sampled:{}", self.sample_every)
-        } else {
-            "memory".to_string()
-        }
+        "memory".to_string()
     }
 
     fn counter_cell(&self, key: &str) -> Arc<CounterCell> {
@@ -470,7 +415,7 @@ impl ObsSink for MemorySink {
         let mut map = self.histograms.lock().expect("obs histograms poisoned");
         Arc::clone(
             map.entry(key.to_string())
-                .or_insert_with(|| Arc::new(HistCell::new(self.sample_every))),
+                .or_insert_with(|| Arc::new(HistCell::new())),
         )
     }
 
@@ -563,25 +508,6 @@ mod tests {
         // Cumulative: monotone non-decreasing.
         assert!(hist.buckets.windows(2).all(|w| w[0].1 <= w[1].1));
         assert_eq!(hist.buckets[0].1, 1);
-    }
-
-    #[test]
-    fn sampled_sink_records_every_nth_observation() {
-        let obs = Obs::from_sink(Arc::new(MemorySink::with_sampling(4)));
-        assert_eq!(obs.spec_string(), "sampled:4");
-        assert_eq!(obs.name(), "sampled");
-        let h = obs.time_histogram("lat");
-        for _ in 0..16 {
-            h.observe_seconds(1e-3);
-        }
-        let snap = obs.snapshot();
-        assert_eq!(snap.histograms[0].count, 4);
-        // Counters stay exact under sampling.
-        let c = obs.counter("n");
-        for _ in 0..16 {
-            c.inc();
-        }
-        assert_eq!(obs.snapshot().counters[0].1, 16);
     }
 
     #[test]

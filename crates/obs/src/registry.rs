@@ -1,139 +1,54 @@
 //! The string-keyed obs-sink registry: spec strings to [`Obs`]
-//! handles, mirroring the plan-store registry — builtin sinks plus
-//! runtime registration, with hardened per-shape parse errors.
+//! handles, on the workspace's one [`Registry`] — builtin sinks plus
+//! runtime registration.
 
-use std::sync::{Arc, LazyLock, RwLock};
+use std::sync::Arc;
+
+use skp_registry::{no_params, Registry, Spec};
 
 use crate::{MemorySink, Obs, ObsError};
 
-/// Default sampling rate of a bare `sampled` spec.
-const SAMPLED_DEFAULT_EVERY: u64 = 64;
-
 /// Describes one registered obs-sink kind for listings (`skp-plan
 /// --list`, `GET /registry`).
-#[derive(Debug, Clone, Copy)]
-pub struct ObsSpec {
-    /// Registry name (the spec string up to the first `:`).
-    pub name: &'static str,
-    /// Human-readable parameter syntax (empty when the sink takes
-    /// none).
-    pub params: &'static str,
-    /// One-line description for listings.
-    pub summary: &'static str,
-}
+pub use skp_registry::Spec as ObsSpec;
 
 /// Builds an [`Obs`] handle from the spec's parameter part (the text
 /// after the first `:`, absent for a bare name).
 pub type ObsBuilder = fn(Option<&str>) -> Result<Obs, ObsError>;
 
-struct SinkEntry {
-    spec: ObsSpec,
-    build: ObsBuilder,
-}
-
-fn param_err(what: &'static str, detail: String) -> ObsError {
-    ObsError {
-        what,
-        detail: format!("{detail} (see `skp-plan --list` for the syntax)"),
-    }
-}
-
-/// Parses a strictly positive integer field, with the same error
-/// shapes as the other registries' spec hardening.
-fn parse_positive(what: &'static str, field: &'static str, raw: &str) -> Result<u64, ObsError> {
-    match raw.parse::<u64>() {
-        Ok(0) => Err(param_err(
-            what,
-            format!("{field} must be at least 1, got '0'"),
-        )),
-        Ok(n) => Ok(n),
-        Err(_) => Err(param_err(
-            what,
-            format!("{field} '{raw}' is not a positive integer"),
-        )),
-    }
-}
-
-/// Rejects leftover `:`-separated parts after the expected ones.
-fn reject_trailing<'a>(
-    what: &'static str,
-    after: &'static str,
-    mut parts: impl Iterator<Item = &'a str>,
-) -> Result<(), ObsError> {
-    match parts.next() {
-        None => Ok(()),
-        Some(junk) => Err(param_err(
-            what,
-            format!("trailing ':{junk}' after the {after}"),
-        )),
-    }
-}
-
 fn build_none(param: Option<&str>) -> Result<Obs, ObsError> {
-    match param {
-        None => Ok(Obs::off()),
-        Some(raw) => Err(param_err(
-            "none obs spec",
-            format!("takes no parameters, got ':{raw}'"),
-        )),
-    }
+    no_params("none obs spec", param)?;
+    Ok(Obs::off())
 }
 
 fn build_memory(param: Option<&str>) -> Result<Obs, ObsError> {
-    match param {
-        None => Ok(Obs::from_sink(Arc::new(MemorySink::new()))),
-        Some(raw) => Err(param_err(
-            "memory obs spec",
-            format!("takes no parameters, got ':{raw}'"),
-        )),
-    }
+    no_params("memory obs spec", param)?;
+    Ok(Obs::from_sink(Arc::new(MemorySink::new())))
 }
 
-fn build_sampled(param: Option<&str>) -> Result<Obs, ObsError> {
-    const WHAT: &str = "sampled obs spec";
-    let every = match param {
-        None => SAMPLED_DEFAULT_EVERY,
-        Some(raw) => {
-            let mut parts = raw.split(':');
-            let every = parse_positive(WHAT, "rate", parts.next().unwrap_or_default())?;
-            reject_trailing(WHAT, "sampling rate", parts)?;
-            every
-        }
-    };
-    Ok(Obs::from_sink(Arc::new(MemorySink::with_sampling(every))))
-}
-
-fn builtin_entries() -> Vec<SinkEntry> {
-    vec![
-        SinkEntry {
-            spec: ObsSpec {
+static REGISTRY: Registry<ObsBuilder> = Registry::new(
+    "obs sink",
+    "obs spec",
+    &[
+        (
+            Spec {
                 name: "none",
                 params: "",
                 summary: "no-op sink: every instrument is a branch-on-null no-op (the default)",
             },
-            build: build_none,
-        },
-        SinkEntry {
-            spec: ObsSpec {
+            build_none,
+        ),
+        (
+            Spec {
                 name: "memory",
                 params: "",
-                summary: "in-process sink: relaxed-atomic counters/gauges + fixed-bucket time histograms",
+                summary:
+                    "in-process sink: relaxed-atomic counters/gauges + fixed-bucket time histograms",
             },
-            build: build_memory,
-        },
-        SinkEntry {
-            spec: ObsSpec {
-                name: "sampled",
-                params: ":N",
-                summary: "memory sink recording 1-in-N histogram observations (default 64); counters stay exact",
-            },
-            build: build_sampled,
-        },
-    ]
-}
-
-static REGISTRY: LazyLock<RwLock<Vec<SinkEntry>>> =
-    LazyLock::new(|| RwLock::new(builtin_entries()));
+            build_memory,
+        ),
+    ],
+);
 
 /// Registers an obs-sink kind under a new name, making it reachable
 /// from every spec-string surface (`SessionBuilder::obs`, the `obs`
@@ -145,65 +60,31 @@ pub fn register_obs_sink(
     summary: &'static str,
     build: ObsBuilder,
 ) -> Result<(), ObsError> {
-    let mut reg = REGISTRY.write().expect("obs registry poisoned");
-    if reg.iter().any(|e| e.spec.name == name) {
-        return Err(ObsError {
-            what: "obs sink registration",
-            detail: format!("the name '{name}' is already registered"),
-        });
-    }
-    reg.push(SinkEntry {
-        spec: ObsSpec {
+    REGISTRY.register(
+        Spec {
             name,
             params,
             summary,
         },
         build,
-    });
-    Ok(())
+    )
 }
 
 /// The registered obs-sink kinds, in registration order.
 pub fn obs_sink_specs() -> Vec<ObsSpec> {
-    REGISTRY
-        .read()
-        .expect("obs registry poisoned")
-        .iter()
-        .map(|e| e.spec)
-        .collect()
+    REGISTRY.specs()
 }
 
 /// The registered obs-sink names, in registration order.
 pub fn obs_sink_names() -> Vec<&'static str> {
-    REGISTRY
-        .read()
-        .expect("obs registry poisoned")
-        .iter()
-        .map(|e| e.spec.name)
-        .collect()
+    REGISTRY.names()
 }
 
 /// Builds an [`Obs`] handle from a spec string (`name` or
 /// `name:params`) through the registry.
 pub fn build_obs(spec: &str) -> Result<Obs, ObsError> {
-    let (name, param) = match spec.split_once(':') {
-        Some((name, param)) => (name, Some(param)),
-        None => (spec, None),
-    };
-    let build = {
-        let reg = REGISTRY.read().expect("obs registry poisoned");
-        reg.iter().find(|e| e.spec.name == name).map(|e| e.build)
-    };
-    match build {
-        Some(build) => build(param),
-        None => Err(ObsError {
-            what: "obs spec",
-            detail: format!(
-                "unknown obs sink '{name}' (known: {})",
-                obs_sink_names().join(", ")
-            ),
-        }),
-    }
+    let (build, param) = REGISTRY.lookup(spec)?;
+    build(param)
 }
 
 #[cfg(test)]
@@ -216,14 +97,7 @@ mod tests {
 
     #[test]
     fn builtin_specs_build_and_round_trip() {
-        for (spec, canonical) in [
-            ("none", "none"),
-            ("memory", "memory"),
-            ("sampled", "sampled:64"),
-            ("sampled:8", "sampled:8"),
-            // sampling every observation is the exact memory sink
-            ("sampled:1", "memory"),
-        ] {
+        for (spec, canonical) in [("none", "none"), ("memory", "memory")] {
             let obs = build_obs(spec).expect(spec);
             assert_eq!(obs.spec_string(), canonical, "spec {spec}");
             // The canonical string is a fixed point of the registry.
@@ -236,35 +110,19 @@ mod tests {
     fn none_is_detached_and_memory_is_attached() {
         assert!(!build_obs("none").unwrap().enabled());
         assert!(build_obs("memory").unwrap().enabled());
-        assert!(build_obs("sampled:64").unwrap().enabled());
     }
 
     #[test]
     fn unknown_sink_lists_the_known_names() {
         let msg = err("statsd:9");
         assert!(msg.contains("unknown obs sink 'statsd'"), "{msg}");
-        for name in ["none", "memory", "sampled"] {
+        for name in ["none", "memory"] {
             assert!(msg.contains(name), "{msg} missing {name}");
         }
     }
 
     #[test]
-    fn zero_and_non_numeric_rates_are_rejected() {
-        let msg = err("sampled:0");
-        assert!(msg.contains("rate must be at least 1, got '0'"), "{msg}");
-        let msg = err("sampled:often");
-        assert!(msg.contains("'often' is not a positive integer"), "{msg}");
-        let msg = err("sampled:");
-        assert!(msg.contains("'' is not a positive integer"), "{msg}");
-    }
-
-    #[test]
     fn trailing_junk_is_rejected() {
-        let msg = err("sampled:8:junk");
-        assert!(
-            msg.contains("trailing ':junk' after the sampling rate"),
-            "{msg}"
-        );
         let msg = err("none:x");
         assert!(msg.contains("takes no parameters, got ':x'"), "{msg}");
         let msg = err("memory:4");
@@ -273,7 +131,7 @@ mod tests {
 
     #[test]
     fn every_error_points_at_the_listing() {
-        for spec in ["sampled:0", "sampled:x:y", "none:x", "memory:8"] {
+        for spec in ["none:x", "memory:8"] {
             assert!(
                 err(spec).contains("see `skp-plan --list`"),
                 "{spec} error lacks the listing pointer"

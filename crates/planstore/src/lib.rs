@@ -9,14 +9,13 @@
 //! the solved [`PlanSet`] — across runs, across engines, and (with the
 //! `file:` tier) across process restarts.
 //!
-//! Stores are built from string specs through a runtime-extensible
-//! registry ([`build_plan_store`]), mirroring the facade's backend
-//! registry:
+//! Stores are built from string specs through the workspace's one
+//! runtime-extensible registry ([`build_plan_store`], shared with the
+//! backends, generators and obs sinks):
 //!
 //! | spec | store |
 //! |------|-------|
 //! | `none` | the null store: never hits, never retains |
-//! | `hot:<cap>` | per-thread unsynchronized LRU (no locks on the hot path) |
 //! | `memory:<shards>x<cap>` | sharded, lock-striped LRU (cap per shard) |
 //! | `file:<dir>` | persistent one-file-per-key store, bit-exact across restarts |
 //! | `tiered:<spec>,<spec>,…` | read-through/write-back chain with promotion on hit |
@@ -25,7 +24,7 @@
 //! use planstore::{build_plan_store, PlanGuard, PlanSet};
 //! use std::sync::Arc;
 //!
-//! let store = build_plan_store("tiered:hot:8,memory:2x64")?;
+//! let store = build_plan_store("tiered:memory:1x8,memory:2x64")?;
 //! let set = Arc::new(PlanSet {
 //!     plans: vec![Some(vec![0, 2]), None],
 //!     guard: PlanGuard { policy_spec: "skp-exact".into(), catalog: vec![3.0, 5.0] },
@@ -57,9 +56,8 @@ pub use registry::{
     build_plan_store, plan_store_names, plan_store_specs, register_plan_store, PlanStoreBuilder,
     PlanStoreSpec,
 };
-pub use tiers::{HotStore, MemoryStore, NoneStore, TieredStore};
+pub use tiers::{MemoryStore, NoneStore, TieredStore};
 
-use std::fmt;
 use std::sync::Arc;
 
 use access_model::MarkovChain;
@@ -169,23 +167,10 @@ impl PlanStoreStats {
     }
 }
 
-/// A malformed plan-store spec or registration conflict. Converted by
-/// the facade into its unified error type.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoreError {
-    /// Which spec family was malformed (e.g. `"hot plan-store spec"`).
-    pub what: &'static str,
-    /// Human-readable diagnosis of the malformation.
-    pub detail: String,
-}
-
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid {}: {}", self.what, self.detail)
-    }
-}
-
-impl std::error::Error for StoreError {}
+/// A malformed plan-store spec or registration conflict: the
+/// workspace's one spec error, converted by the facade into its
+/// unified error type.
+pub use skp_registry::SpecError as StoreError;
 
 /// A key-value store of solved population plans, content-addressed by
 /// [`population_plan_key`]. Implementations use interior mutability:

@@ -1,115 +1,32 @@
 //! The string-keyed plan-store registry: spec strings to store
-//! instances, mirroring the facade's backend registry — builtin tiers
-//! plus runtime registration, with hardened per-shape parse errors.
+//! instances, on the workspace's one [`Registry`] — builtin tiers plus
+//! runtime registration.
 
-use std::sync::{Arc, LazyLock, RwLock};
+use std::sync::Arc;
+
+use skp_registry::{
+    no_params, param_err, parse_topology, reject_trailing, split_spec, Registry, Spec,
+};
 
 use crate::file::FileStore;
-use crate::tiers::{HotStore, MemoryStore, NoneStore, TieredStore};
+use crate::tiers::{MemoryStore, NoneStore, TieredStore};
 use crate::{PlanStore, StoreError};
 
-/// Default per-thread capacity of a bare `hot` spec.
-const HOT_DEFAULT_CAP: usize = 256;
 /// Default topology of a bare `memory` spec.
 const MEMORY_DEFAULT_SHARDS: usize = 8;
 const MEMORY_DEFAULT_CAP: usize = 1024;
 
 /// Describes one registered plan-store kind for listings (`skp-plan
 /// --list`, `GET /registry`).
-#[derive(Debug, Clone, Copy)]
-pub struct PlanStoreSpec {
-    /// Registry name (the spec string up to the first `:`).
-    pub name: &'static str,
-    /// Human-readable parameter syntax (empty when the store takes
-    /// none).
-    pub params: &'static str,
-    /// One-line description for listings.
-    pub summary: &'static str,
-}
+pub use skp_registry::Spec as PlanStoreSpec;
 
 /// Builds a store from the spec's parameter part (the text after the
 /// first `:`, absent for a bare name).
 pub type PlanStoreBuilder = fn(Option<&str>) -> Result<Arc<dyn PlanStore>, StoreError>;
 
-struct StoreEntry {
-    spec: PlanStoreSpec,
-    build: PlanStoreBuilder,
-}
-
-fn param_err(what: &'static str, detail: String) -> StoreError {
-    StoreError {
-        what,
-        detail: format!("{detail} (see `skp-plan --list` for the syntax)"),
-    }
-}
-
-/// Parses a strictly positive integer field, with the same error
-/// shapes as the backend registry's spec hardening.
-fn parse_positive(what: &'static str, field: &'static str, raw: &str) -> Result<usize, StoreError> {
-    match raw.parse::<usize>() {
-        Ok(0) => Err(param_err(
-            what,
-            format!("{field} must be at least 1, got '0'"),
-        )),
-        Ok(n) => Ok(n),
-        Err(_) => Err(param_err(
-            what,
-            format!("{field} '{raw}' is not a positive integer"),
-        )),
-    }
-}
-
-/// Parses a `<shards>x<cap>` topology.
-fn parse_topology(what: &'static str, raw: &str) -> Result<(usize, usize), StoreError> {
-    let (shards, cap) = raw.split_once('x').ok_or_else(|| {
-        param_err(
-            what,
-            format!("topology '{raw}' must be '<shards>x<cap>' (e.g. 8x1024)"),
-        )
-    })?;
-    Ok((
-        parse_positive(what, "shards", shards)?,
-        parse_positive(what, "cap", cap)?,
-    ))
-}
-
-/// Rejects leftover `:`-separated parts after the expected ones.
-fn reject_trailing<'a>(
-    what: &'static str,
-    after: &'static str,
-    mut parts: impl Iterator<Item = &'a str>,
-) -> Result<(), StoreError> {
-    match parts.next() {
-        None => Ok(()),
-        Some(junk) => Err(param_err(
-            what,
-            format!("trailing ':{junk}' after the {after}"),
-        )),
-    }
-}
-
 fn build_none(param: Option<&str>) -> Result<Arc<dyn PlanStore>, StoreError> {
-    match param {
-        None => Ok(Arc::new(NoneStore)),
-        Some(raw) => Err(param_err(
-            "none plan-store spec",
-            format!("takes no parameters, got ':{raw}'"),
-        )),
-    }
-}
-
-fn build_hot(param: Option<&str>) -> Result<Arc<dyn PlanStore>, StoreError> {
-    const WHAT: &str = "hot plan-store spec";
-    let cap = match param {
-        None => HOT_DEFAULT_CAP,
-        Some(raw) => {
-            let mut parts = raw.split(':');
-            let cap = parse_positive(WHAT, "cap", parts.next().unwrap_or_default())?;
-            reject_trailing(WHAT, "capacity", parts)?;
-            cap
-        }
-    };
-    Ok(Arc::new(HotStore::new(cap)))
+    no_params("none plan-store spec", param)?;
+    Ok(Arc::new(NoneStore))
 }
 
 fn build_memory(param: Option<&str>) -> Result<Arc<dyn PlanStore>, StoreError> {
@@ -118,7 +35,13 @@ fn build_memory(param: Option<&str>) -> Result<Arc<dyn PlanStore>, StoreError> {
         None => (MEMORY_DEFAULT_SHARDS, MEMORY_DEFAULT_CAP),
         Some(raw) => {
             let mut parts = raw.split(':');
-            let topology = parse_topology(WHAT, parts.next().unwrap_or_default())?;
+            let topology = parse_topology(
+                WHAT,
+                parts.next().unwrap_or_default(),
+                "<shards>x<cap>",
+                "8x1024",
+                ["shards", "cap"],
+            )?;
             reject_trailing(WHAT, "topology", parts)?;
             topology
         }
@@ -127,13 +50,12 @@ fn build_memory(param: Option<&str>) -> Result<Arc<dyn PlanStore>, StoreError> {
 }
 
 fn build_file(param: Option<&str>) -> Result<Arc<dyn PlanStore>, StoreError> {
-    const WHAT: &str = "file plan-store spec";
     // The whole parameter is the directory (paths may contain ':'), so
     // there is no trailing-junk check to apply here.
     match param.map(str::trim) {
         None | Some("") => Err(param_err(
-            WHAT,
-            "needs a directory, e.g. 'file:.skp-plans'".to_string(),
+            "file plan-store spec",
+            "needs a directory, e.g. 'file:.skp-plans'",
         )),
         Some(dir) => Ok(Arc::new(FileStore::new(dir))),
     }
@@ -145,8 +67,7 @@ fn build_tiered(param: Option<&str>) -> Result<Arc<dyn PlanStore>, StoreError> {
         None | Some("") => {
             return Err(param_err(
                 WHAT,
-                "needs a comma-separated tier chain, e.g. 'tiered:hot:256,memory:8x1024'"
-                    .to_string(),
+                "needs a comma-separated tier chain, e.g. 'tiered:memory:1x64,file:.skp-plans'",
             ))
         }
         Some(raw) => raw,
@@ -157,11 +78,10 @@ fn build_tiered(param: Option<&str>) -> Result<Arc<dyn PlanStore>, StoreError> {
         if spec.is_empty() {
             return Err(param_err(WHAT, format!("empty tier in the chain '{raw}'")));
         }
-        let name = spec.split(':').next().unwrap_or_default();
-        if name == "tiered" {
+        if split_spec(spec).0 == "tiered" {
             return Err(param_err(
                 WHAT,
-                "tiers cannot nest: flatten the chain instead".to_string(),
+                "tiers cannot nest: flatten the chain instead",
             ));
         }
         tiers.push(build_plan_store(spec)?);
@@ -169,54 +89,44 @@ fn build_tiered(param: Option<&str>) -> Result<Arc<dyn PlanStore>, StoreError> {
     Ok(Arc::new(TieredStore::new(tiers)))
 }
 
-fn builtin_entries() -> Vec<StoreEntry> {
-    vec![
-        StoreEntry {
-            spec: PlanStoreSpec {
+static REGISTRY: Registry<PlanStoreBuilder> = Registry::new(
+    "plan store",
+    "plan store spec",
+    &[
+        (
+            Spec {
                 name: "none",
                 params: "",
                 summary: "null store: never hits, never retains (opts a session out of plan reuse)",
             },
-            build: build_none,
-        },
-        StoreEntry {
-            spec: PlanStoreSpec {
-                name: "hot",
-                params: ":cap",
-                summary:
-                    "per-thread unsynchronized LRU (default cap 256); no locks on the hot path",
-            },
-            build: build_hot,
-        },
-        StoreEntry {
-            spec: PlanStoreSpec {
+            build_none,
+        ),
+        (
+            Spec {
                 name: "memory",
                 params: ":SxC",
                 summary: "sharded lock-striped LRU, S stripes of C entries (default 8x1024)",
             },
-            build: build_memory,
-        },
-        StoreEntry {
-            spec: PlanStoreSpec {
+            build_memory,
+        ),
+        (
+            Spec {
                 name: "file",
                 params: ":dir",
                 summary: "persistent one-file-per-key store; plans survive restarts bit-exactly",
             },
-            build: build_file,
-        },
-        StoreEntry {
-            spec: PlanStoreSpec {
+            build_file,
+        ),
+        (
+            Spec {
                 name: "tiered",
                 params: ":spec,spec,..",
                 summary: "read-through/write-back chain with promotion on hit (hottest first)",
             },
-            build: build_tiered,
-        },
-    ]
-}
-
-static REGISTRY: LazyLock<RwLock<Vec<StoreEntry>>> =
-    LazyLock::new(|| RwLock::new(builtin_entries()));
+            build_tiered,
+        ),
+    ],
+);
 
 /// Registers a plan-store kind under a new name, making it reachable
 /// from every spec-string surface (`SessionBuilder::plan_store`, the
@@ -228,65 +138,31 @@ pub fn register_plan_store(
     summary: &'static str,
     build: PlanStoreBuilder,
 ) -> Result<(), StoreError> {
-    let mut reg = REGISTRY.write().expect("plan store registry poisoned");
-    if reg.iter().any(|e| e.spec.name == name) {
-        return Err(StoreError {
-            what: "plan store registration",
-            detail: format!("the name '{name}' is already registered"),
-        });
-    }
-    reg.push(StoreEntry {
-        spec: PlanStoreSpec {
+    REGISTRY.register(
+        Spec {
             name,
             params,
             summary,
         },
         build,
-    });
-    Ok(())
+    )
 }
 
 /// The registered plan-store kinds, in registration order.
 pub fn plan_store_specs() -> Vec<PlanStoreSpec> {
-    REGISTRY
-        .read()
-        .expect("plan store registry poisoned")
-        .iter()
-        .map(|e| e.spec)
-        .collect()
+    REGISTRY.specs()
 }
 
 /// The registered plan-store names, in registration order.
 pub fn plan_store_names() -> Vec<&'static str> {
-    REGISTRY
-        .read()
-        .expect("plan store registry poisoned")
-        .iter()
-        .map(|e| e.spec.name)
-        .collect()
+    REGISTRY.names()
 }
 
 /// Builds a store from a spec string (`name` or `name:params`) through
 /// the registry.
 pub fn build_plan_store(spec: &str) -> Result<Arc<dyn PlanStore>, StoreError> {
-    let (name, param) = match spec.split_once(':') {
-        Some((name, param)) => (name, Some(param)),
-        None => (spec, None),
-    };
-    let build = {
-        let reg = REGISTRY.read().expect("plan store registry poisoned");
-        reg.iter().find(|e| e.spec.name == name).map(|e| e.build)
-    };
-    match build {
-        Some(build) => build(param),
-        None => Err(StoreError {
-            what: "plan store spec",
-            detail: format!(
-                "unknown plan store '{name}' (known: {})",
-                plan_store_names().join(", ")
-            ),
-        }),
-    }
+    let (build, param) = REGISTRY.lookup(spec)?;
+    build(param)
 }
 
 #[cfg(test)]
@@ -301,12 +177,13 @@ mod tests {
     fn builtin_specs_build_and_round_trip() {
         for (spec, canonical) in [
             ("none", "none"),
-            ("hot", "hot:256"),
-            ("hot:32", "hot:32"),
             ("memory", "memory:8x1024"),
             ("memory:2x64", "memory:2x64"),
             ("file:/tmp/skp-plans", "file:/tmp/skp-plans"),
-            ("tiered:hot:8,memory:2x64", "tiered:hot:8,memory:2x64"),
+            (
+                "tiered:memory:1x8,memory:2x64",
+                "tiered:memory:1x8,memory:2x64",
+            ),
         ] {
             let store = build_plan_store(spec).expect(spec);
             assert_eq!(store.spec_string(), canonical, "spec {spec}");
@@ -320,15 +197,13 @@ mod tests {
     fn unknown_store_lists_the_known_names() {
         let msg = err("quantum:9");
         assert!(msg.contains("unknown plan store 'quantum'"), "{msg}");
-        for name in ["none", "hot", "memory", "file", "tiered"] {
+        for name in ["none", "memory", "file", "tiered"] {
             assert!(msg.contains(name), "{msg} missing {name}");
         }
     }
 
     #[test]
     fn zero_capacities_are_rejected() {
-        let msg = err("hot:0");
-        assert!(msg.contains("cap must be at least 1, got '0'"), "{msg}");
         let msg = err("memory:0x5");
         assert!(msg.contains("shards must be at least 1, got '0'"), "{msg}");
         let msg = err("memory:4x0");
@@ -337,7 +212,7 @@ mod tests {
 
     #[test]
     fn non_numeric_fields_are_rejected() {
-        let msg = err("hot:many");
+        let msg = err("memory:manyx8");
         assert!(msg.contains("'many' is not a positive integer"), "{msg}");
         let msg = err("memory:8xbig");
         assert!(msg.contains("'big' is not a positive integer"), "{msg}");
@@ -353,8 +228,6 @@ mod tests {
 
     #[test]
     fn trailing_junk_is_rejected() {
-        let msg = err("hot:8:junk");
-        assert!(msg.contains("trailing ':junk' after the capacity"), "{msg}");
         let msg = err("memory:2x4:junk");
         assert!(msg.contains("trailing ':junk' after the topology"), "{msg}");
         let msg = err("none:x");
@@ -371,16 +244,23 @@ mod tests {
 
     #[test]
     fn tiered_chains_reject_bad_links() {
-        assert!(err("tiered:hot:8,,memory:2x4").contains("empty tier"));
-        assert!(err("tiered:hot:8,tiered:memory:2x4").contains("cannot nest"));
+        assert!(err("tiered:memory:1x8,,memory:2x4").contains("empty tier"));
+        // The nest check reads a link's name by the registry's own rule,
+        // so a padded `tiered ` link is refused too.
+        for spec in [
+            "tiered:memory:1x8,tiered:memory:2x4",
+            "tiered:memory:1x4, tiered :memory:1x4",
+        ] {
+            assert!(err(spec).contains("cannot nest"), "{spec}");
+        }
         // Errors inside a link surface with the link's own shape.
-        assert!(err("tiered:hot:0").contains("cap must be at least 1"));
+        assert!(err("tiered:memory:1x0").contains("cap must be at least 1"));
         assert!(err("tiered:warp").contains("unknown plan store 'warp'"));
     }
 
     #[test]
     fn every_error_points_at_the_listing() {
-        for spec in ["hot:0", "memory:3", "none:x", "file", "tiered:"] {
+        for spec in ["memory:0x1", "memory:3", "none:x", "file", "tiered:"] {
             assert!(
                 err(spec).contains("see `skp-plan --list`"),
                 "{spec} error lacks the listing pointer"

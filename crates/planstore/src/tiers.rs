@@ -1,8 +1,6 @@
-//! The in-memory store tiers: the null store, the per-thread hot
-//! cache, the sharded lock-striped store, and the tiered composition.
+//! The in-memory store tiers: the null store, the sharded lock-striped
+//! store, and the tiered composition.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -64,98 +62,6 @@ impl PlanStore for NoneStore {
         PlanStoreStats::from_tier(TierStats {
             tier: "none".to_string(),
             ..TierStats::default()
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
-// hot:<cap>
-// ---------------------------------------------------------------------
-
-/// Distinguishes the per-thread lanes of distinct `HotStore` instances
-/// sharing one thread-local map.
-static NEXT_HOT_ID: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Per-thread LRU lanes, keyed by `HotStore` instance id. Living in
-    /// a thread-local means `get`/`put` never synchronise — the tier is
-    /// meant as the first link of a `tiered:` chain, absorbing repeat
-    /// lookups before they reach a locked tier.
-    static HOT_LANES: RefCell<HashMap<u64, LruLane>> = RefCell::new(HashMap::new());
-}
-
-/// Per-thread unsynchronized LRU (`hot:<cap>`). Each thread sees its
-/// own lane (capacity `cap` per thread); the counters are aggregated
-/// across threads with relaxed atomics, so `entries` reports the sum
-/// of all lanes.
-#[derive(Debug)]
-pub struct HotStore {
-    id: u64,
-    cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    entries: AtomicU64,
-}
-
-impl HotStore {
-    /// A hot store holding up to `cap` entries per thread.
-    pub fn new(cap: usize) -> Self {
-        HotStore {
-            id: NEXT_HOT_ID.fetch_add(1, Ordering::Relaxed),
-            cap: cap.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
-        }
-    }
-}
-
-impl PlanStore for HotStore {
-    fn name(&self) -> &'static str {
-        "hot"
-    }
-
-    fn spec_string(&self) -> String {
-        format!("hot:{}", self.cap)
-    }
-
-    fn get(&self, key: u64) -> Option<Arc<PlanSet>> {
-        let found = HOT_LANES.with(|lanes| {
-            let mut lanes = lanes.borrow_mut();
-            lane_get(lanes.entry(self.id).or_default(), key)
-        });
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn put(&self, key: u64, value: Arc<PlanSet>) {
-        HOT_LANES.with(|lanes| {
-            let mut lanes = lanes.borrow_mut();
-            let lane = lanes.entry(self.id).or_default();
-            if lane_put(lane, key, value) {
-                if lane.len() > self.cap {
-                    lane.pop();
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.entries.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-    }
-
-    fn stats(&self) -> PlanStoreStats {
-        PlanStoreStats::from_tier(TierStats {
-            tier: self.spec_string(),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            promotions: 0,
-            entries: self.entries.load(Ordering::Relaxed),
         })
     }
 }
@@ -385,41 +291,6 @@ mod tests {
         assert!(store.get(1).is_some());
         assert_eq!(store.stats().tiers[0].entries, 2);
         assert_eq!(store.spec_string(), "memory:2x1");
-    }
-
-    #[test]
-    fn hot_store_is_an_lru_too() {
-        let store = HotStore::new(1);
-        store.put(1, sample_set(1));
-        store.put(2, sample_set(2));
-        assert!(store.get(1).is_none());
-        assert!(store.get(2).is_some());
-        let stats = store.stats();
-        assert_eq!(stats.tiers[0].evictions, 1);
-        assert_eq!(stats.tiers[0].entries, 1);
-    }
-
-    #[test]
-    fn hot_store_instances_do_not_share_lanes() {
-        let a = HotStore::new(4);
-        let b = HotStore::new(4);
-        a.put(1, sample_set(1));
-        assert!(b.get(1).is_none(), "instance b must not see a's entries");
-        assert!(a.get(1).is_some());
-    }
-
-    #[test]
-    fn hot_store_lanes_are_per_thread() {
-        let store = Arc::new(HotStore::new(4));
-        store.put(1, sample_set(1));
-        let remote = {
-            let store = store.clone();
-            std::thread::spawn(move || store.get(1).is_none())
-                .join()
-                .expect("thread runs")
-        };
-        assert!(remote, "another thread has its own empty lane");
-        assert!(store.get(1).is_some(), "this thread's lane is intact");
     }
 
     #[test]

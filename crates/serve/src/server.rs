@@ -21,7 +21,7 @@ use speculative_prefetch::wire::{esc, list, render_access};
 use speculative_prefetch::{
     backend_specs, build_plan_store, obs_sink_specs, parse_workload, plan_store_specs,
     policy_specs, predictor_specs, render_report_fields, AccessStats, Engine, Error, PlanStore,
-    PlanStoreStats, WireRun, Workload,
+    PlanStoreStats, RegistrySpec, WireRun, Workload,
 };
 
 use crate::http::{self, Request, Response};
@@ -451,30 +451,19 @@ fn registry_json() -> String {
             opt(s.param)
         )
     });
-    let backends = list(&backend_specs(), |s| {
-        format!(
-            "{{\"name\":\"{}\",\"params\":\"{}\",\"summary\":\"{}\"}}",
-            esc(s.name),
-            esc(s.params),
-            esc(s.summary)
-        )
-    });
-    let plan_stores = list(&plan_store_specs(), |s| {
-        format!(
-            "{{\"name\":\"{}\",\"params\":\"{}\",\"summary\":\"{}\"}}",
-            esc(s.name),
-            esc(s.params),
-            esc(s.summary)
-        )
-    });
-    let obs_sinks = list(&obs_sink_specs(), |s| {
-        format!(
-            "{{\"name\":\"{}\",\"params\":\"{}\",\"summary\":\"{}\"}}",
-            esc(s.name),
-            esc(s.params),
-            esc(s.summary)
-        )
-    });
+    let spec_list = |specs: Vec<RegistrySpec>| {
+        list(&specs, |s| {
+            format!(
+                "{{\"name\":\"{}\",\"params\":\"{}\",\"summary\":\"{}\"}}",
+                esc(s.name),
+                esc(s.params),
+                esc(s.summary)
+            )
+        })
+    };
+    let backends = spec_list(backend_specs());
+    let plan_stores = spec_list(plan_store_specs());
+    let obs_sinks = spec_list(obs_sink_specs());
     format!(
         "{{\"policies\":{policies},\"predictors\":{predictors},\
          \"backends\":{backends},\"plan_stores\":{plan_stores},\"obs_sinks\":{obs_sinks}}}"
@@ -794,7 +783,6 @@ mod tests {
         assert!(j.contains("skp-exact"));
         assert!(j.contains("\"served\""));
         assert!(j.contains("\"tiered\""));
-        assert!(j.contains("\"sampled\""));
         // It is valid JSON by the wire module's own parser.
         speculative_prefetch::wire::Json::parse(&j).expect("registry JSON parses");
     }
@@ -809,13 +797,13 @@ mod tests {
             queue_depth: 3,
             routes: vec![("/run", 4), ("/stats", 1), ("other", 0)],
             latencies_ms: vec![250.0, 500.0, 750.0],
-            store_spec: "tiered:hot:4,memory:1x8".to_string(),
+            store_spec: "tiered:memory:1x4,memory:1x8".to_string(),
             store: PlanStoreStats {
                 lookups: 4,
                 hits: 3,
                 tiers: vec![
                     speculative_prefetch::TierStats {
-                        tier: "hot:4".to_string(),
+                        tier: "memory:1x4".to_string(),
                         hits: 2,
                         misses: 2,
                         evictions: 0,
@@ -873,7 +861,7 @@ skp_worker_queue_depth 3\n";
         assert!(text.contains("skp_run_latency_seconds_sum 1.5\n"));
         assert!(text.contains("skp_run_latency_seconds_count 3\n"));
         // Per-tier families carry the tier label.
-        assert!(text.contains("skp_plan_store_tier_hits_total{tier=\"hot:4\"} 2\n"));
+        assert!(text.contains("skp_plan_store_tier_hits_total{tier=\"memory:1x4\"} 2\n"));
         assert!(text.contains("skp_plan_store_tier_entries{tier=\"memory:1x8\"} 1\n"));
     }
 
@@ -953,7 +941,7 @@ skp_worker_queue_depth 3\n";
     #[test]
     fn bad_plan_store_spec_fails_bind() {
         let cfg = ServeConfig {
-            plan_store: "hot:0".to_string(),
+            plan_store: "memory:1x0".to_string(),
             ..ServeConfig::default()
         };
         let err = match Server::bind("127.0.0.1:0", cfg) {

@@ -18,7 +18,7 @@
 //! monte-carlo:<chunks>[x<threads>]
 //! ```
 
-use std::sync::{Arc, LazyLock, RwLock};
+use std::sync::Arc;
 
 use access_model::MarkovChain;
 use distsys::scheduler::{ClientPolicy, ClientWorkload, Placement, ShardedSim, SimEvent};
@@ -26,6 +26,10 @@ use distsys::stats::AccessStats;
 use distsys::{run_session, Catalog, SessionConfig, ShardMap};
 use montecarlo::parallel::default_threads;
 use rand::rngs::SmallRng;
+use skp_registry::{
+    no_params, param_err, parse_positive, parse_topology, reject_trailing, split_spec, Registry,
+    SpecError,
+};
 
 use crate::error::Error;
 use crate::report::ReportSection;
@@ -362,66 +366,14 @@ impl BackendDriver for MonteCarloDriver {
 // ---------------------------------------------------------------------
 
 /// One entry of the backend listing (`skp-plan --list`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackendSpec {
-    /// Backend family name (matches [`BackendDriver::name`]).
-    pub name: &'static str,
-    /// Spec-string parameter syntax after the name (empty if none).
-    pub params: &'static str,
-    /// One-line description.
-    pub summary: &'static str,
-}
+pub use skp_registry::Spec as BackendSpec;
 
 /// Constructor signature of a registered backend: parses the spec
 /// string's parameter part (the text after the first `:`, if any).
 pub type BackendBuilder = fn(Option<&str>) -> Result<Arc<dyn BackendDriver>, Error>;
 
-struct BackendEntry {
-    spec: BackendSpec,
-    build: BackendBuilder,
-}
-
-pub(crate) fn param_err(what: &'static str, detail: String) -> Error {
-    Error::InvalidParam {
-        what,
-        detail: format!("{detail} (see `skp-plan --list` for the syntax)"),
-    }
-}
-
-/// A spec field that must be a positive integer — errors name the field
-/// and the offending text, never just "cannot parse".
-fn parse_positive(what: &'static str, field: &str, raw: &str) -> Result<usize, Error> {
-    let text = raw.trim();
-    match text.parse::<usize>() {
-        Ok(0) => Err(param_err(
-            what,
-            format!("{field} must be at least 1, got '0'"),
-        )),
-        Ok(n) => Ok(n),
-        Err(_) => Err(param_err(
-            what,
-            format!("{field} '{text}' is not a positive integer"),
-        )),
-    }
-}
-
-/// A `<shards>x<clients>` topology field.
-fn parse_topology(what: &'static str, raw: &str) -> Result<(usize, usize), Error> {
-    let text = raw.trim();
-    let (shards, clients) = text.split_once('x').ok_or_else(|| {
-        param_err(
-            what,
-            format!("topology '{text}' must be '<shards>x<clients>' (e.g. 4x16)"),
-        )
-    })?;
-    Ok((
-        parse_positive(what, "shard count", shards)?,
-        parse_positive(what, "client count", clients)?,
-    ))
-}
-
 /// A placement field (`hash | range | hot-cold@K`).
-fn parse_placement(what: &'static str, raw: &str) -> Result<Placement, Error> {
+fn parse_placement(what: &'static str, raw: &str) -> Result<Placement, SpecError> {
     Placement::parse(raw).ok_or_else(|| {
         param_err(
             what,
@@ -433,28 +385,8 @@ fn parse_placement(what: &'static str, raw: &str) -> Result<Placement, Error> {
     })
 }
 
-/// Rejects anything after the last recognised field.
-fn reject_trailing<'p>(
-    what: &'static str,
-    after: &'static str,
-    parts: &mut impl Iterator<Item = &'p str>,
-) -> Result<(), Error> {
-    match parts.next() {
-        None => Ok(()),
-        Some(junk) => Err(param_err(
-            what,
-            format!("trailing ':{junk}' after the {after}"),
-        )),
-    }
-}
-
 fn build_single_client(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
-    if let Some(raw) = param {
-        return Err(param_err(
-            "single-client backend spec",
-            format!("takes no parameters, got ':{raw}'"),
-        ));
-    }
+    no_params("single-client backend spec", param)?;
     Ok(Arc::new(SingleClientDriver))
 }
 
@@ -467,7 +399,7 @@ fn build_multi_client(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Err
         Some(raw) => {
             let mut parts = raw.split(':');
             let clients = parse_positive(WHAT, "client count", parts.next().unwrap_or_default())?;
-            reject_trailing(WHAT, "client count", &mut parts)?;
+            reject_trailing(WHAT, "client count", parts)?;
             clients
         }
     };
@@ -484,12 +416,18 @@ fn build_sharded(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Error> {
         None => (1, 1, Placement::default()),
         Some(raw) => {
             let mut parts = raw.split(':');
-            let (shards, clients) = parse_topology(WHAT, parts.next().unwrap_or_default())?;
+            let (shards, clients) = parse_topology(
+                WHAT,
+                parts.next().unwrap_or_default(),
+                "<shards>x<clients>",
+                "4x16",
+                ["shard count", "client count"],
+            )?;
             let placement = match parts.next() {
                 None => Placement::default(),
                 Some(text) => parse_placement(WHAT, text)?,
             };
-            reject_trailing(WHAT, "placement", &mut parts)?;
+            reject_trailing(WHAT, "placement", parts)?;
             (shards, clients, placement)
         }
     };
@@ -507,7 +445,7 @@ fn build_monte_carlo(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Erro
         Some(raw) => {
             let mut parts = raw.split(':');
             let field = parts.next().unwrap_or_default();
-            reject_trailing(WHAT, "chunk/thread counts", &mut parts)?;
+            reject_trailing(WHAT, "chunk/thread counts", parts)?;
             match field.split_once('x') {
                 None => (parse_positive(WHAT, "chunk count", field)?, 0),
                 Some((c, t)) => (
@@ -525,59 +463,58 @@ fn build_monte_carlo(param: Option<&str>) -> Result<Arc<dyn BackendDriver>, Erro
     Ok(Arc::new(MonteCarloDriver { chunks, threads }))
 }
 
-fn builtin_entries() -> Vec<BackendEntry> {
-    vec![
-        BackendEntry {
-            spec: BackendSpec {
+static REGISTRY: Registry<BackendBuilder> = Registry::new(
+    "backend",
+    "backend spec",
+    &[
+        (
+            BackendSpec {
                 name: "single-client",
                 params: "",
                 summary: "one client on a private FIFO channel (the paper's model; the default)",
             },
-            build: build_single_client,
-        },
-        BackendEntry {
-            spec: BackendSpec {
+            build_single_client,
+        ),
+        (
+            BackendSpec {
                 name: "multi-client",
                 params: "clients",
                 summary:
                     "population sharing one FIFO server channel (alias of sharded:1x<clients>:hash)",
             },
-            build: build_multi_client,
-        },
-        BackendEntry {
-            spec: BackendSpec {
+            build_multi_client,
+        ),
+        (
+            BackendSpec {
                 name: "sharded",
                 params: "shards x clients : placement (hash|range|hot-cold@K)",
                 summary: "catalog partitioned across N server shards, one FIFO channel each",
             },
-            build: build_sharded,
-        },
-        BackendEntry {
-            spec: BackendSpec {
+            build_sharded,
+        ),
+        (
+            BackendSpec {
                 name: "monte-carlo",
                 params: "chunks x threads (0 threads = auto)",
                 summary: "deterministic parallel Monte-Carlo over random scenarios",
             },
-            build: build_monte_carlo,
-        },
+            build_monte_carlo,
+        ),
         // The registry seam stretched across a socket: population runs
         // are serialised, posted to a running skp-serve daemon and the
         // report parsed back — bit-identical to running the inner
         // backend in-process (pinned by crates/serve/tests).
-        BackendEntry {
-            spec: BackendSpec {
+        (
+            BackendSpec {
                 name: "served",
                 params: "host : port : inner-backend-spec",
                 summary: "ships population runs to a running skp-serve daemon \
                           (bit-identical to the inner backend in-process)",
             },
-            build: crate::served::build_served,
-        },
-    ]
-}
-
-static REGISTRY: LazyLock<RwLock<Vec<BackendEntry>>> =
-    LazyLock::new(|| RwLock::new(builtin_entries()));
+            crate::served::build_served,
+        ),
+    ],
+);
 
 /// Registers a backend family under `name`: `build_backend("name")` /
 /// `"name:<params>"` will call `build` with the parameter part, and the
@@ -590,56 +527,31 @@ pub fn register_backend(
     summary: &'static str,
     build: BackendBuilder,
 ) -> Result<(), Error> {
-    let mut registry = REGISTRY.write().expect("backend registry poisoned");
-    if registry.iter().any(|e| e.spec.name == name) {
-        return Err(Error::InvalidParam {
-            what: "backend registration",
-            detail: format!("the name '{name}' is already registered"),
-        });
-    }
-    registry.push(BackendEntry {
-        spec: BackendSpec {
-            name,
-            params,
-            summary,
-        },
-        build,
-    });
-    Ok(())
+    let spec = BackendSpec {
+        name,
+        params,
+        summary,
+    };
+    Ok(REGISTRY.register(spec, build)?)
 }
 
 /// Every registered backend, in registration order — derived from the
 /// registry, so `skp-plan --list` and the spec parser can never drift.
 pub fn backend_specs() -> Vec<BackendSpec> {
-    REGISTRY
-        .read()
-        .expect("backend registry poisoned")
-        .iter()
-        .map(|e| e.spec)
-        .collect()
+    REGISTRY.specs()
 }
 
 /// Names of every registered backend, in registration order.
 pub fn backend_names() -> Vec<&'static str> {
-    backend_specs().iter().map(|s| s.name).collect()
+    REGISTRY.names()
 }
 
 /// Builds a backend driver from a spec string: a registry name with an
 /// optional `:params` suffix, e.g. `"single-client"`,
 /// `"multi-client:16"`, `"sharded:4x16:hash"`, `"monte-carlo:8x0"`.
 pub fn build_backend(spec: &str) -> Result<Arc<dyn BackendDriver>, Error> {
-    let (name, param) = match spec.split_once(':') {
-        None => (spec.trim(), None),
-        Some((name, rest)) => (name.trim(), Some(rest)),
-    };
-    let build = {
-        let registry = REGISTRY.read().expect("backend registry poisoned");
-        registry
-            .iter()
-            .find(|e| e.spec.name == name)
-            .map(|e| e.build)
-    };
-    match build {
+    let (name, param) = split_spec(spec);
+    match REGISTRY.get(name) {
         Some(build) => build(param),
         None => Err(Error::UnknownBackend {
             name: name.to_string(),

@@ -22,7 +22,8 @@ use speculative_prefetch::wire::{esc, list, num, write_report_fields};
 use speculative_prefetch::{
     backend_specs, generator_specs, global_applicable, obs_sink_specs, parse_scenario_file,
     parse_workload, plan_store_specs, policy_specs, predictor_specs, trace_json, Engine, Error,
-    PhaseSpan, PlanReport, ReportSection, RunReport, Scenario, Workload, WorkloadFile,
+    PhaseSpan, PlanReport, RegistrySpec, ReportSection, RunReport, Scenario, Workload,
+    WorkloadFile,
 };
 
 fn usage() -> ! {
@@ -43,14 +44,20 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// `(params: ...)` suffix shared by every registry whose spec type
-/// carries a `params` grammar string.
-fn params_suffix(params: &str) -> String {
-    if params.is_empty() {
-        String::new()
-    } else {
-        format!(" (params: {params})")
-    }
+/// The rows of a runtime registry's listing (backends, plan stores, obs
+/// sinks, generators): name, then summary and any `params` grammar.
+fn spec_rows(specs: Vec<RegistrySpec>) -> Vec<(String, String)> {
+    specs
+        .iter()
+        .map(|spec| {
+            let params = if spec.params.is_empty() {
+                String::new()
+            } else {
+                format!(" (params: {})", spec.params)
+            };
+            (spec.name.to_string(), format!("{}{params}", spec.summary))
+        })
+        .collect()
 }
 
 /// The `--list` output as one table: every registry contributes a
@@ -95,51 +102,19 @@ fn registry_sections() -> Vec<(&'static str, Vec<(String, String)>)> {
         ),
         (
             "registered backends (workload files' 'backend' / SessionBuilder::backend_spec):",
-            backend_specs()
-                .iter()
-                .map(|spec| {
-                    (
-                        spec.name.to_string(),
-                        format!("{}{}", spec.summary, params_suffix(spec.params)),
-                    )
-                })
-                .collect(),
+            spec_rows(backend_specs()),
         ),
         (
             "registered plan stores ('plan-store' directive / --plan-store / SessionBuilder::plan_store):",
-            plan_store_specs()
-                .iter()
-                .map(|spec| {
-                    (
-                        spec.name.to_string(),
-                        format!("{}{}", spec.summary, params_suffix(spec.params)),
-                    )
-                })
-                .collect(),
+            spec_rows(plan_store_specs()),
         ),
         (
             "registered obs sinks ('obs' directive / --obs / SessionBuilder::obs):",
-            obs_sink_specs()
-                .iter()
-                .map(|spec| {
-                    (
-                        spec.name.to_string(),
-                        format!("{}{}", spec.summary, params_suffix(spec.params)),
-                    )
-                })
-                .collect(),
+            spec_rows(obs_sink_specs()),
         ),
         (
             "registered workload generators ('generate' directive / Workload::generated):",
-            generator_specs()
-                .iter()
-                .map(|spec| {
-                    (
-                        spec.name.to_string(),
-                        format!("{}{}", spec.summary, params_suffix(spec.params)),
-                    )
-                })
-                .collect(),
+            spec_rows(generator_specs()),
         ),
     ]
 }

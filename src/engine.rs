@@ -205,7 +205,7 @@ impl SessionBuilder {
     }
 
     /// Selects the plan store by registry spec string (e.g.
-    /// `"memory:8x4096"`, `"tiered:hot:256,memory:8x4096,file:.skp-plans"`;
+    /// `"memory:8x4096"`, `"tiered:memory:8x4096,file:.skp-plans"`;
     /// see [`plan_store_specs`](crate::plan_store_specs)). Without
     /// this, the engine keeps a small private in-memory store, so
     /// repeat runs of the same population on one engine still re-use
@@ -231,7 +231,7 @@ impl SessionBuilder {
     }
 
     /// Selects the observability sink by registry spec string (e.g.
-    /// `"memory"`, `"sampled:64"`; see
+    /// `"memory"`; see
     /// [`obs_sink_specs`](obs::obs_sink_specs)). The default is
     /// `"none"`: every instrument is a branch-on-null no-op, the phase
     /// clock is never read and [`RunReport::phases`](crate::RunReport)
@@ -1266,14 +1266,14 @@ mod tests {
     #[test]
     fn bad_plan_store_spec_surfaces_at_build() {
         let err = Engine::builder()
-            .plan_store("hot:0")
+            .plan_store("memory:0x4")
             .build()
             .err()
             .expect("must fail");
         assert!(matches!(err, Error::InvalidParam { .. }), "{err}");
         // A later valid spec clears the error.
         let engine = Engine::builder()
-            .plan_store("hot:0")
+            .plan_store("memory:0x4")
             .plan_store("memory:2x16")
             .build()
             .expect("valid spec wins");

@@ -167,20 +167,10 @@ impl From<std::io::Error> for Error {
     }
 }
 
-impl From<planstore::StoreError> for Error {
-    fn from(e: planstore::StoreError) -> Self {
-        // Plan-store spec errors are parameter errors of the same shape
-        // as the backend registry's — one variant covers both.
-        Error::InvalidParam {
-            what: e.what,
-            detail: e.detail,
-        }
-    }
-}
-
-impl From<obs::ObsError> for Error {
-    fn from(e: obs::ObsError) -> Self {
-        // Obs-sink spec errors follow the same parameter-error shape.
+impl From<skp_registry::SpecError> for Error {
+    fn from(e: skp_registry::SpecError) -> Self {
+        // Spec errors of every registry (backend, generator, plan store,
+        // obs sink) are parameter errors of one shape.
         Error::InvalidParam {
             what: e.what,
             detail: e.detail,

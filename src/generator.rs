@@ -26,12 +26,12 @@
 //! seed.
 
 use std::f64::consts::TAU;
-use std::sync::{Arc, LazyLock, RwLock};
+use std::sync::Arc;
 
 use access_model::MarkovChain;
 use distsys::FaultSpec;
+use skp_registry::{param_err, Registry, SpecError};
 
-use crate::backend::param_err;
 use crate::error::Error;
 
 /// Baseline viewing time (simulated units) of generated states — a
@@ -75,13 +75,14 @@ fn check_states(what: &'static str, n_items: usize) -> Result<(), Error> {
         return Err(param_err(
             what,
             format!("needs a catalog of at least 2 items, got {n_items}"),
-        ));
+        )
+        .into());
     }
     Ok(())
 }
 
 fn chain_err(what: &'static str, e: impl std::fmt::Display) -> Error {
-    param_err(what, format!("generated an invalid chain: {e}"))
+    param_err(what, format!("generated an invalid chain: {e}")).into()
 }
 
 // ---------------------------------------------------------------------
@@ -247,7 +248,7 @@ impl ScenarioGen for FaultsGen {
 
 /// A spec field that must be a finite number — errors name the field
 /// and the offending text.
-fn parse_number(what: &'static str, field: &str, raw: &str) -> Result<f64, Error> {
+fn parse_number(what: &'static str, field: &str, raw: &str) -> Result<f64, SpecError> {
     let text = raw.trim();
     match text.parse::<f64>() {
         Ok(v) if v.is_finite() => Ok(v),
@@ -272,16 +273,12 @@ fn build_flash(param: Option<&str>) -> Result<Arc<dyn ScenarioGen>, Error> {
             let zipf_s = parse_number(WHAT, "zipf exponent", s)?;
             let drift = parse_number(WHAT, "drift", d)?;
             if zipf_s < 0.0 {
-                return Err(param_err(
-                    WHAT,
-                    format!("zipf exponent must be >= 0, got '{zipf_s}'"),
-                ));
+                return Err(
+                    param_err(WHAT, format!("zipf exponent must be >= 0, got '{zipf_s}'")).into(),
+                );
             }
             if drift < 0.0 {
-                return Err(param_err(
-                    WHAT,
-                    format!("drift must be >= 0, got '{drift}'"),
-                ));
+                return Err(param_err(WHAT, format!("drift must be >= 0, got '{drift}'")).into());
             }
             (zipf_s, drift)
         }
@@ -306,16 +303,14 @@ fn build_diurnal(param: Option<&str>) -> Result<Arc<dyn ScenarioGen>, Error> {
             let period = parse_number(WHAT, "period", p)?;
             let amplitude = parse_number(WHAT, "amplitude", a)?;
             if period <= 0.0 {
-                return Err(param_err(
-                    WHAT,
-                    format!("period must be > 0, got '{period}'"),
-                ));
+                return Err(param_err(WHAT, format!("period must be > 0, got '{period}'")).into());
             }
             if !(0.0..1.0).contains(&amplitude) {
                 return Err(param_err(
                     WHAT,
                     format!("amplitude must be in [0, 1), got '{amplitude}'"),
-                ));
+                )
+                .into());
             }
             (period, amplitude)
         }
@@ -341,10 +336,9 @@ fn build_churn(param: Option<&str>) -> Result<Arc<dyn ScenarioGen>, Error> {
             let leave = parse_number(WHAT, "leave rate", l)?;
             for (field, v) in [("join rate", join), ("leave rate", leave)] {
                 if !(0.0..=1.0).contains(&v) {
-                    return Err(param_err(
-                        WHAT,
-                        format!("{field} must be in [0, 1], got '{v}'"),
-                    ));
+                    return Err(
+                        param_err(WHAT, format!("{field} must be in [0, 1], got '{v}'")).into(),
+                    );
                 }
             }
             (join, leave)
@@ -365,64 +359,50 @@ fn build_faults(param: Option<&str>) -> Result<Arc<dyn ScenarioGen>, Error> {
 // ---------------------------------------------------------------------
 
 /// One entry of the generator listing (`skp-plan --list`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GeneratorSpec {
-    /// Generator family name (matches [`ScenarioGen::name`]).
-    pub name: &'static str,
-    /// Spec-string parameter syntax after the name (empty if none).
-    pub params: &'static str,
-    /// One-line description.
-    pub summary: &'static str,
-}
+pub use skp_registry::Spec as GeneratorSpec;
 
 /// Constructor signature of a registered generator: parses the spec
 /// string's parameter part (the text after the first `:`, if any).
 pub type GeneratorBuilder = fn(Option<&str>) -> Result<Arc<dyn ScenarioGen>, Error>;
 
-struct GeneratorEntry {
-    spec: GeneratorSpec,
-    build: GeneratorBuilder,
-}
-
-fn builtin_entries() -> Vec<GeneratorEntry> {
-    vec![
-        GeneratorEntry {
-            spec: GeneratorSpec {
+static REGISTRY: Registry<GeneratorBuilder> = Registry::new(
+    "generator",
+    "workload generator spec",
+    &[
+        (
+            GeneratorSpec {
                 name: "flash",
                 params: "zipf-s @ drift (0@0 = uniform baseline)",
                 summary: "flash crowd: Zipf-skewed popularity around a drifting hot set",
             },
-            build: build_flash,
-        },
-        GeneratorEntry {
-            spec: GeneratorSpec {
+            build_flash,
+        ),
+        (
+            GeneratorSpec {
                 name: "diurnal",
                 params: "period x amplitude (amplitude in [0,1))",
                 summary: "sinusoidal arrival-rate modulation over a forward catalog cycle",
             },
-            build: build_diurnal,
-        },
-        GeneratorEntry {
-            spec: GeneratorSpec {
+            build_diurnal,
+        ),
+        (
+            GeneratorSpec {
                 name: "churn",
                 params: "join-rate / leave-rate (both in [0,1])",
                 summary: "sessions joining and leaving mid-run through a long-viewing lobby",
             },
-            build: build_churn,
-        },
-        GeneratorEntry {
-            spec: GeneratorSpec {
+            build_churn,
+        ),
+        (
+            GeneratorSpec {
                 name: "faults",
                 params: "out=<shard>@<start>+<dur>; slow=<shard>x<factor>; svc=<spread>",
                 summary: "uniform baseline chain + shard outages, slow links, service spread",
             },
-            build: build_faults,
-        },
-    ]
-}
-
-static REGISTRY: LazyLock<RwLock<Vec<GeneratorEntry>>> =
-    LazyLock::new(|| RwLock::new(builtin_entries()));
+            build_faults,
+        ),
+    ],
+);
 
 /// Registers a generator family under `name`: `build_generator("name")`
 /// / `"name:<params>"` will call `build` with the parameter part, and
@@ -435,38 +415,23 @@ pub fn register_generator(
     summary: &'static str,
     build: GeneratorBuilder,
 ) -> Result<(), Error> {
-    let mut registry = REGISTRY.write().expect("generator registry poisoned");
-    if registry.iter().any(|e| e.spec.name == name) {
-        return Err(Error::InvalidParam {
-            what: "generator registration",
-            detail: format!("the name '{name}' is already registered"),
-        });
-    }
-    registry.push(GeneratorEntry {
-        spec: GeneratorSpec {
-            name,
-            params,
-            summary,
-        },
-        build,
-    });
-    Ok(())
+    let spec = GeneratorSpec {
+        name,
+        params,
+        summary,
+    };
+    Ok(REGISTRY.register(spec, build)?)
 }
 
 /// Every registered generator, in registration order — derived from the
 /// registry, so `skp-plan --list` and the spec parser can never drift.
 pub fn generator_specs() -> Vec<GeneratorSpec> {
-    REGISTRY
-        .read()
-        .expect("generator registry poisoned")
-        .iter()
-        .map(|e| e.spec)
-        .collect()
+    REGISTRY.specs()
 }
 
 /// Names of every registered generator, in registration order.
 pub fn generator_names() -> Vec<&'static str> {
-    generator_specs().iter().map(|s| s.name).collect()
+    REGISTRY.names()
 }
 
 /// Builds a workload generator from a spec string: a registry name with
@@ -474,27 +439,8 @@ pub fn generator_names() -> Vec<&'static str> {
 /// `"diurnal:24x0.5"`, `"churn:0.2/0.05"`,
 /// `"faults:out=1@40+20;svc=1.2"`.
 pub fn build_generator(spec: &str) -> Result<Arc<dyn ScenarioGen>, Error> {
-    let (name, param) = match spec.split_once(':') {
-        None => (spec.trim(), None),
-        Some((name, rest)) => (name.trim(), Some(rest)),
-    };
-    let build = {
-        let registry = REGISTRY.read().expect("generator registry poisoned");
-        registry
-            .iter()
-            .find(|e| e.spec.name == name)
-            .map(|e| e.build)
-    };
-    match build {
-        Some(build) => build(param),
-        None => Err(Error::InvalidParam {
-            what: "workload generator spec",
-            detail: format!(
-                "unknown generator '{name}' (known: {})",
-                generator_names().join(", ")
-            ),
-        }),
-    }
+    let (build, param) = REGISTRY.lookup(spec)?;
+    build(param)
 }
 
 #[cfg(test)]

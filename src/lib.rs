@@ -24,19 +24,19 @@
 //! plus a fifth, orthogonal seam: a **plan store** ([`PlanStore`];
 //! [`build_plan_store`]) that caches solved population plan sets
 //! across runs, engines and — via `skp-serve` — across clients.
-//! `SessionBuilder::plan_store("tiered:hot:64,file:/var/cache/skp")`
+//! `SessionBuilder::plan_store("tiered:memory:8x1024,file:/var/cache/skp")`
 //! selects a tier chain by spec string; warm runs are bit-identical to
 //! cold ones, just faster.
 //!
 //! A sixth seam is **observability** ([`Obs`]; [`build_obs`]):
-//! `SessionBuilder::obs("memory")` (or `"sampled:64"`) attaches a
-//! telemetry sink, and every run then carries a wall-clock
-//! [`PhaseBreakdown`] (`build` / `plan-solve` / `simulate` /
-//! `stat-fold` spans plus per-epoch scheduler marks) in
-//! [`RunReport::phases`], ready for Chrome/Perfetto export via
-//! [`trace_json`] (`skp-plan run --trace-out <file>`). The default is
-//! `"none"`: every probe site compiles to a branch on a null sink, the
-//! phase clock is never read, and the overhead contract is pinned by
+//! `SessionBuilder::obs("memory")` attaches a telemetry sink, and
+//! every run then carries a wall-clock [`PhaseBreakdown`] (`build` /
+//! `plan-solve` / `simulate` / `stat-fold` spans plus per-epoch
+//! scheduler marks) in [`RunReport::phases`], ready for
+//! Chrome/Perfetto export via [`trace_json`] (`skp-plan run
+//! --trace-out <file>`). The default is `"none"`: every probe site
+//! compiles to a branch on a null sink, the phase clock is never read,
+//! and the overhead contract is pinned by
 //! `crates/bench/benches/obs.rs`. Like the plan store, observability
 //! never changes results — reports and event logs are bit-identical
 //! with the sink on or off.
@@ -178,6 +178,9 @@ pub use scenario_file::{
     ScenarioFile, WorkloadFile, WorkloadKind,
 };
 pub use served::{http_request, HttpResponse};
+/// The listing row shared by the backend, generator, plan-store and
+/// obs-sink registries.
+pub use skp_registry::Spec as RegistrySpec;
 pub use trace_export::trace_json;
 pub use wire::{parse_report, render_report_fields, WireRun};
 pub use workload::{

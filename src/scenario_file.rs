@@ -1010,7 +1010,7 @@ item 0.2 9 video
         assert_eq!(off.build_engine().unwrap().obs_spec_string(), "none");
         // A malformed spec surfaces through build_engine.
         let mut bad = f;
-        bad.obs = Some("sampled:0".to_string());
+        bad.obs = Some("memory:0".to_string());
         assert!(matches!(
             bad.build_engine(),
             Err(crate::Error::InvalidParam { .. })
@@ -1027,10 +1027,10 @@ item 0.2 9 video
         assert!(f.workload().unwrap().is_traced());
         assert_eq!(f.build_engine().unwrap().obs_spec_string(), "memory");
         // An explicit obs spec wins over the forced default.
-        let mut sampled = f.clone();
-        sampled.obs = Some("sampled:4".to_string());
-        let engine = sampled.build_engine().unwrap();
-        assert_eq!(engine.obs_spec_string(), "sampled:4");
+        let mut off = f.clone();
+        off.obs = Some("none".to_string());
+        let engine = off.build_engine().unwrap();
+        assert_eq!(engine.obs_spec_string(), "none");
         // And the directive round-trips.
         let again = parse_workload(&f.to_string()).unwrap();
         assert_eq!(again, f);
@@ -1038,7 +1038,7 @@ item 0.2 9 video
 
     #[test]
     fn file_plan_store_wins_over_an_injected_store() {
-        let shared = planstore::build_plan_store("hot:4").unwrap();
+        let shared = planstore::build_plan_store("memory:1x4").unwrap();
         // The file pins its own store: the host's shared one is ignored.
         let pinned = parse_workload(WORKLOAD_SAMPLE).unwrap();
         let engine = pinned
@@ -1049,6 +1049,6 @@ item 0.2 9 video
         let mut open = pinned.clone();
         open.plan_store = None;
         let engine = open.build_engine_with_store(Some(shared)).unwrap();
-        assert_eq!(engine.plan_store_spec_string(), "hot:4");
+        assert_eq!(engine.plan_store_spec_string(), "memory:1x4");
     }
 }

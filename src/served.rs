@@ -25,8 +25,9 @@ use std::time::Duration;
 use distsys::scheduler::SimEvent;
 use distsys::stats::AccessStats;
 use distsys::{Catalog, SessionConfig};
+use skp_registry::{param_err, split_spec};
 
-use crate::backend::{build_backend, param_err, BackendDriver, PopulationRun};
+use crate::backend::{build_backend, BackendDriver, PopulationRun};
 use crate::error::Error;
 use crate::report::ReportSection;
 use crate::wire::{self, Json, WireRun};
@@ -81,7 +82,8 @@ impl BackendDriver for ServedDriver {
                      serves population runs)",
                     self.inner.spec_string()
                 ),
-            ));
+            )
+            .into());
         }
         Ok(())
     }
@@ -147,19 +149,19 @@ pub(crate) fn build_served(param: Option<&str>) -> Result<Arc<dyn BackendDriver>
             let mut parts = raw.splitn(3, ':');
             let host = parts.next().unwrap_or_default().trim();
             if host.is_empty() {
-                return Err(param_err(WHAT, "daemon host must be non-empty".into()));
+                return Err(param_err(WHAT, "daemon host must be non-empty").into());
             }
             if host.chars().any(|c| c.is_whitespace()) {
                 return Err(param_err(
                     WHAT,
                     format!("daemon host '{host}' must not contain whitespace"),
-                ));
+                )
+                .into());
             }
             let port_raw = parts.next().map(str::trim).ok_or_else(|| {
                 param_err(
                     WHAT,
-                    "missing daemon port (syntax: served:<host>:<port>:<inner-backend-spec>)"
-                        .into(),
+                    "missing daemon port (syntax: served:<host>:<port>:<inner-backend-spec>)",
                 )
             })?;
             let port = match port_raw.parse::<u16>() {
@@ -168,7 +170,8 @@ pub(crate) fn build_served(param: Option<&str>) -> Result<Arc<dyn BackendDriver>
                     return Err(param_err(
                         WHAT,
                         format!("daemon port '{port_raw}' is not a port number (1-65535)"),
-                    ))
+                    )
+                    .into())
                 }
             };
             (host.to_string(), port, parts.next())
@@ -177,12 +180,12 @@ pub(crate) fn build_served(param: Option<&str>) -> Result<Arc<dyn BackendDriver>
     let inner = match inner {
         None => build_backend("sharded")?,
         Some(spec) => {
-            let name = spec.split(':').next().unwrap_or_default().trim();
-            if name == "served" {
+            if split_spec(spec).0 == "served" {
                 return Err(param_err(
                     WHAT,
-                    "inner backend must not itself be 'served' (no daemon chaining)".into(),
-                ));
+                    "inner backend must not itself be 'served' (no daemon chaining)",
+                )
+                .into());
             }
             build_backend(spec)?
         }

@@ -104,14 +104,13 @@ fn list_enumerates_policies_predictors_backends_and_plan_stores() {
     }
     assert!(stdout.contains("hash|range|hot-cold"));
     assert!(stdout.contains("registered plan stores"), "{stdout}");
-    for store in ["none", "hot", "memory", "file", "tiered"] {
+    for store in ["none", "memory", "file", "tiered"] {
         assert!(
             stdout.contains(store),
             "missing plan store {store}:\n{stdout}"
         );
     }
     assert!(stdout.contains("registered obs sinks"), "{stdout}");
-    assert!(stdout.contains("sampled"), "{stdout}");
 }
 
 /// Every registry seam is named by `--list`: the section headers are
@@ -209,10 +208,9 @@ fn list_plan_stores_match_the_registry_exactly() {
     let dir = std::env::temp_dir().join(format!("skp-cli-store-{}", std::process::id()));
     let examples = [
         "none".to_string(),
-        "hot:32".to_string(),
         "memory:2x64".to_string(),
         format!("file:{}", dir.display()),
-        "tiered:hot:4,memory:1x16".to_string(),
+        "tiered:memory:1x4,memory:1x16".to_string(),
     ];
     assert_eq!(examples.len(), registry.len(), "cover every tier");
     for (spec, entry) in examples
@@ -234,8 +232,7 @@ fn list_plan_stores_match_the_registry_exactly() {
 
 /// Same consistency for the obs seam: `--list` enumerates exactly
 /// `obs_sink_specs()`, and each sink's canonical spec string rebuilds
-/// to itself (`sampled:1` canonicalises to `memory` and is checked
-/// separately in the obs crate).
+/// to itself.
 #[test]
 fn list_obs_sinks_match_the_registry_exactly() {
     let (stdout, _, ok) = run_cli(&["--list"]);
@@ -253,7 +250,7 @@ fn list_obs_sinks_match_the_registry_exactly() {
         .collect();
     assert_eq!(listed, registry, "--list drifted from obs_sink_specs()");
 
-    let examples = ["none", "memory", "sampled:64"];
+    let examples = ["none", "memory"];
     assert_eq!(examples.len(), registry.len(), "cover every sink");
     for (spec, entry) in examples.iter().zip(speculative_prefetch::obs_sink_specs()) {
         let obs = speculative_prefetch::build_obs(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));

@@ -3,9 +3,10 @@
 //! runs end to end through `speculative_prefetch::{...}` items alone.
 
 use speculative_prefetch::{
-    build_backend, build_policy, build_predictor, policy_names, policy_specs, predictor_names,
-    predictor_specs, register_backend, Backend, BackendDriver, Engine, Error, MarkovChain,
-    MonteCarloSpec, ProbMethod, ReportSection, Scenario, Trace, TraceReport, Workload,
+    build_backend, build_generator, build_obs, build_plan_store, build_policy, build_predictor,
+    policy_names, policy_specs, predictor_names, predictor_specs, register_backend, Backend,
+    BackendDriver, Engine, Error, MarkovChain, MonteCarloSpec, ProbMethod, ReportSection, Scenario,
+    Trace, TraceReport, Workload,
 };
 
 fn scenario() -> Scenario {
@@ -464,4 +465,42 @@ fn runtime_registered_backend_is_reachable_via_spec_string() {
     assert_eq!(report.access.mean, 1.0);
     // Duplicate registration is rejected, so the registry stays sane.
     assert!(register_backend("constant-time", "", "dup", |_| unreachable!()).is_err());
+}
+
+/// One name rule for the four runtime registries (backend, generator,
+/// plan store, obs sink): the registry name and every numeric field may
+/// carry surrounding spaces, and the padded spec builds the same
+/// canonical spec as the tight one.
+#[test]
+fn every_registry_trims_names_and_numeric_fields() {
+    let canonical = |registry: &str, spec: &str| -> Result<String, Error> {
+        Ok(match registry {
+            "backend" => build_backend(spec)?.spec_string(),
+            "generator" => build_generator(spec)?.spec_string(),
+            "plan store" => build_plan_store(spec)?.spec_string(),
+            "obs sink" => build_obs(spec)?.spec_string(),
+            other => unreachable!("no registry '{other}'"),
+        })
+    };
+    for (registry, padded, want) in [
+        ("backend", " single-client ", "single-client"),
+        ("backend", " sharded : 2 x 8 : range", "sharded:2x8:range"),
+        ("backend", "multi-client: 4 ", "sharded:1x4:hash"),
+        ("backend", " monte-carlo: 4 x 2", "monte-carlo:4x2"),
+        ("generator", " flash : 1.2 @ 0.5", "flash:1.2@0.5"),
+        ("generator", "diurnal : 24 x 0.5 ", "diurnal:24x0.5"),
+        ("plan store", " memory ", "memory:8x1024"),
+        ("plan store", "memory: 2 x 8 ", "memory:2x8"),
+        (
+            "plan store",
+            " tiered : memory: 1x4 , memory:2 x8",
+            "tiered:memory:1x4,memory:2x8",
+        ),
+        ("obs sink", " memory", "memory"),
+        ("obs sink", "none ", "none"),
+    ] {
+        let built = canonical(registry, padded)
+            .unwrap_or_else(|e| panic!("{registry} spec '{padded}': {e}"));
+        assert_eq!(built, want, "{registry} spec '{padded}'");
+    }
 }

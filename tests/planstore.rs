@@ -44,7 +44,7 @@ fn run_with(store: &Arc<dyn PlanStore>, policy: &str, chain: &MarkovChain, seed:
 #[test]
 fn warm_runs_are_bit_identical_to_cold_runs_on_every_tier() {
     let chain = chain(77);
-    for spec in ["hot:4", "memory:2x32", "tiered:hot:4,memory:2x32"] {
+    for spec in ["memory:1x4", "memory:2x32", "tiered:memory:1x4,memory:2x32"] {
         let store = build_plan_store(spec).expect("valid spec");
         let cold = run_with(&store, "skp-exact", &chain, 1999);
         let warm = run_with(&store, "skp-exact", &chain, 1999);
@@ -138,7 +138,7 @@ proptest! {
         let chain = MarkovChain::random(states, min_fanout, max_fanout, 2, 9, chain_seed)
             .expect("valid chain");
         let policy = ["skp-exact", "no-prefetch", "greedy"][policy_pick];
-        let spec = ["hot:8", "memory:2x16", "tiered:hot:2,memory:1x16"][store_pick];
+        let spec = ["memory:1x8", "memory:2x16", "tiered:memory:1x2,memory:1x16"][store_pick];
         let retrievals: Vec<f64> = (0..states).map(|i| 1.0 + (i % 6) as f64).collect();
         let store = build_plan_store(spec).expect("valid spec");
         let workload = Workload::sharded(chain, requests, run_seed).traced(true);
