@@ -14,12 +14,31 @@ use std::collections::HashMap;
 pub struct NgramPredictor {
     n_items: usize,
     order: usize,
-    /// `tables[k]` maps a context of length `k+1` (most recent last,
-    /// encoded) to successor counts.
-    tables: Vec<HashMap<Vec<u32>, HashMap<u32, u32>>>,
+    /// `tables[k]` maps a context of length `k+1` (most recent last) to
+    /// its successor counts. Lookups borrow the context from `history`,
+    /// so only a context seen for the first time allocates its key.
+    tables: Vec<HashMap<Vec<u32>, Successors>>,
     unigram: Vec<u64>,
     history: Vec<u32>,
     observed: u64,
+}
+
+/// Successor counts of one context: `(item, count)` in ascending item
+/// order, and their sum.
+#[derive(Debug, Clone, Default)]
+struct Successors {
+    total: u32,
+    counts: Vec<(u32, u32)>,
+}
+
+impl Successors {
+    fn add(&mut self, item: u32) {
+        match self.counts.binary_search_by_key(&item, |&(i, _)| i) {
+            Ok(pos) => self.counts[pos].1 += 1,
+            Err(pos) => self.counts.insert(pos, (item, 1)),
+        }
+        self.total += 1;
+    }
 }
 
 impl NgramPredictor {
@@ -36,7 +55,7 @@ impl NgramPredictor {
             order,
             tables: vec![HashMap::new(); order],
             unigram: vec![0; n_items],
-            history: Vec::new(),
+            history: Vec::with_capacity(order + 1),
             observed: 0,
         }
     }
@@ -66,14 +85,12 @@ impl NgramPredictor {
     pub fn observe(&mut self, item: usize) {
         assert!(item < self.n_items, "item out of range");
         let item = item as u32;
-        for k in 0..self.order {
-            if self.history.len() > k {
-                let ctx = self.history[self.history.len() - (k + 1)..].to_vec();
-                *self.tables[k]
-                    .entry(ctx)
-                    .or_default()
-                    .entry(item)
-                    .or_insert(0) += 1;
+        let len = self.history.len();
+        for (k, table) in self.tables.iter_mut().enumerate().take(len) {
+            let ctx = &self.history[len - (k + 1)..];
+            match table.get_mut(ctx) {
+                Some(successors) => successors.add(item),
+                None => table.entry(ctx.to_vec()).or_default().add(item),
             }
         }
         self.unigram[item as usize] += 1;
@@ -85,34 +102,58 @@ impl NgramPredictor {
         }
     }
 
+    /// The successors of the longest context (most recent accesses)
+    /// with at least `min_support` observations, if any.
+    fn context(&self, min_support: u32) -> Option<&Successors> {
+        let len = self.history.len();
+        (0..self.order.min(len)).rev().find_map(|k| {
+            let ctx = &self.history[len - (k + 1)..];
+            self.tables[k]
+                .get(ctx)
+                .filter(|successors| successors.total >= min_support)
+        })
+    }
+
     /// Predicts next-access probabilities given the internal history,
     /// backing off from the longest context with at least `min_support`
     /// observations. Returns a dense probability vector (may be all zero
     /// before anything is observed).
     pub fn predict(&self, min_support: u32) -> Vec<f64> {
-        // Longest context first.
-        for k in (0..self.order.min(self.history.len())).rev() {
-            let ctx = &self.history[self.history.len() - (k + 1)..];
-            if let Some(counts) = self.tables[k].get(ctx) {
-                let total: u32 = counts.values().sum();
-                if total >= min_support {
-                    let mut probs = vec![0.0; self.n_items];
-                    for (&item, &c) in counts {
-                        probs[item as usize] = c as f64 / total as f64;
-                    }
-                    return probs;
-                }
-            }
+        let mut probs = vec![0.0; self.n_items];
+        let mut row = Vec::new();
+        self.predict_row(min_support, &mut row);
+        for (item, p) in row {
+            probs[item] = p;
         }
-        // Unigram back-off.
-        let total: u64 = self.unigram.iter().sum();
-        if total == 0 {
-            return vec![0.0; self.n_items];
+        probs
+    }
+
+    /// The non-zero entries of [`Self::predict`]'s vector as `(item, P)`
+    /// pairs in ascending item order, written into `row` (cleared
+    /// first). Each `P` has the bits of the dense entry. Looking up a
+    /// context allocates nothing, and neither does the call once `row`
+    /// has room for the entries.
+    pub fn predict_row(&self, min_support: u32, row: &mut Vec<(usize, f64)>) {
+        row.clear();
+        if let Some(successors) = self.context(min_support) {
+            let total = successors.total as f64;
+            row.extend(
+                successors
+                    .counts
+                    .iter()
+                    .map(|&(item, c)| (item as usize, c as f64 / total)),
+            );
+        } else if self.observed > 0 {
+            // Unigram back-off: every observation counted once.
+            let total = self.observed as f64;
+            row.extend(
+                self.unigram
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &c)| c > 0)
+                    .map(|(item, &c)| (item, c as f64 / total)),
+            );
         }
-        self.unigram
-            .iter()
-            .map(|&c| c as f64 / total as f64)
-            .collect()
     }
 
     /// Convenience: the most probable next item, if any has been seen.
@@ -198,6 +239,133 @@ mod tests {
         let probs = m.predict(1);
         let total: f64 = probs.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
+    }
+
+    /// The predictor as it was written before the row forecast: nested
+    /// hash maps of counts and a dense forecast. The reference the row
+    /// and the dense forecast are held to.
+    struct Reference {
+        n_items: usize,
+        order: usize,
+        tables: Vec<HashMap<Vec<u32>, HashMap<u32, u32>>>,
+        unigram: Vec<u64>,
+        history: Vec<u32>,
+    }
+
+    impl Reference {
+        fn new(n_items: usize, order: usize) -> Self {
+            Self {
+                n_items,
+                order,
+                tables: vec![HashMap::new(); order],
+                unigram: vec![0; n_items],
+                history: Vec::new(),
+            }
+        }
+
+        fn observe(&mut self, item: usize) {
+            let item = item as u32;
+            for k in 0..self.order.min(self.history.len()) {
+                let ctx = self.history[self.history.len() - (k + 1)..].to_vec();
+                *self.tables[k]
+                    .entry(ctx)
+                    .or_default()
+                    .entry(item)
+                    .or_insert(0) += 1;
+            }
+            self.unigram[item as usize] += 1;
+            self.history.push(item);
+            if self.history.len() > self.order {
+                self.history.remove(0);
+            }
+        }
+
+        fn predict(&self, min_support: u32) -> Vec<f64> {
+            for k in (0..self.order.min(self.history.len())).rev() {
+                let ctx = &self.history[self.history.len() - (k + 1)..];
+                if let Some(counts) = self.tables[k].get(ctx) {
+                    let total: u32 = counts.values().sum();
+                    if total >= min_support {
+                        let mut probs = vec![0.0; self.n_items];
+                        for (&item, &c) in counts {
+                            probs[item as usize] = c as f64 / total as f64;
+                        }
+                        return probs;
+                    }
+                }
+            }
+            let total: u64 = self.unigram.iter().sum();
+            if total == 0 {
+                return vec![0.0; self.n_items];
+            }
+            self.unigram
+                .iter()
+                .map(|&c| c as f64 / total as f64)
+                .collect()
+        }
+    }
+
+    fn bits(probs: &[f64]) -> Vec<u64> {
+        probs.iter().map(|p| p.to_bits()).collect()
+    }
+
+    #[test]
+    fn row_is_the_dense_forecast_at_every_order_and_back_off() {
+        // A stream with repeated and fresh contexts: after every access,
+        // for each order and support threshold, the dense forecast must
+        // equal the reference's bit for bit, and the row must be exactly
+        // its non-zero entries, ascending.
+        let stream = [
+            3usize, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6, 4, 3, 3, 8,
+            3, 2, 7, 9, 5, 0, 2, 8, 8, 4, 1, 9, 7, 1, 6, 9, 3, 9, 9, 3, 7, 5, 1,
+        ];
+        let mut row = vec![(99, 1.0)]; // stale content must be cleared
+        for order in 1..=4 {
+            let mut m = NgramPredictor::new(10, order);
+            let mut reference = Reference::new(10, order);
+            m.predict_row(2, &mut row);
+            assert!(row.is_empty(), "cold start");
+            let mut used_context = false;
+            let mut backed_off = false;
+            for &x in &stream {
+                m.observe(x);
+                reference.observe(x);
+                for min_support in [0, 1, 2, 3] {
+                    let want = reference.predict(min_support);
+                    assert_eq!(bits(&m.predict(min_support)), bits(&want), "order {order}");
+                    m.predict_row(min_support, &mut row);
+                    let nonzero: Vec<(usize, u64)> = want
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &p)| p != 0.0)
+                        .map(|(i, p)| (i, p.to_bits()))
+                        .collect();
+                    let got: Vec<(usize, u64)> =
+                        row.iter().map(|&(i, p)| (i, p.to_bits())).collect();
+                    assert_eq!(got, nonzero, "order {order}");
+                    if m.context(min_support).is_some() {
+                        used_context = true;
+                    } else {
+                        backed_off = true;
+                    }
+                }
+            }
+            assert!(
+                used_context && backed_off,
+                "order {order}: both paths covered"
+            );
+        }
+    }
+
+    #[test]
+    fn unigram_row_lists_only_seen_items() {
+        let mut m = NgramPredictor::new(6, 2);
+        for x in [4, 1, 4] {
+            m.observe(x);
+        }
+        let mut row = Vec::new();
+        m.predict_row(5, &mut row); // no context has support 5
+        assert_eq!(row, vec![(1, 1.0 / 3.0), (4, 2.0 / 3.0)]);
     }
 
     #[test]

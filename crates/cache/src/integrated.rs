@@ -169,9 +169,15 @@ impl PrefetchCache {
 
     /// Candidate mask for planning: `true` for every non-cached item.
     pub fn candidate_mask(&self) -> Vec<bool> {
-        (0..self.cache.n_items())
-            .map(|i| !self.cache.contains(i))
-            .collect()
+        let mut mask = Vec::new();
+        self.fill_candidate_mask(&mut mask);
+        mask
+    }
+
+    /// Writes [`Self::candidate_mask`] into `mask`, reusing its buffer.
+    pub fn fill_candidate_mask(&self, mask: &mut Vec<bool>) {
+        mask.clear();
+        mask.extend((0..self.cache.n_items()).map(|i| !self.cache.contains(i)));
     }
 
     /// Runs one request cycle with an externally produced tentative plan
@@ -197,15 +203,8 @@ impl PrefetchCache {
         assert!(alpha < scenario.n(), "request out of range");
 
         // Figure-6 arbitration against the cache.
-        let entries: Vec<CacheEntry> = self
-            .cache
-            .items()
-            .iter()
-            .map(|&id| CacheEntry {
-                id,
-                freq: self.freq.freq(id),
-            })
-            .collect();
+        let mut entries = Vec::with_capacity(self.cache.capacity());
+        self.fill_entries(&mut entries);
         let arb = arbitrate(
             scenario,
             &tentative,
@@ -243,15 +242,7 @@ impl PrefetchCache {
         let mut demand_victim = None;
         if demand_fetch && !self.cache.contains(alpha) {
             if self.cache.free_slots() == 0 {
-                let entries: Vec<CacheEntry> = self
-                    .cache
-                    .items()
-                    .iter()
-                    .map(|&id| CacheEntry {
-                        id,
-                        freq: self.freq.freq(id),
-                    })
-                    .collect();
+                self.fill_entries(&mut entries);
                 let v = choose_demand_victim(scenario, &entries, self.cfg.sub)
                     .expect("full cache has a victim");
                 self.cache.evict(v);
@@ -281,6 +272,16 @@ impl PrefetchCache {
             stretch: st,
             wasted_retrieval,
         }
+    }
+
+    /// The cache as the arbiter sees it, written into `entries`
+    /// (cleared first).
+    fn fill_entries(&self, entries: &mut Vec<CacheEntry>) {
+        entries.clear();
+        entries.extend(self.cache.items().iter().map(|&id| CacheEntry {
+            id,
+            freq: self.freq.freq(id),
+        }));
     }
 
     /// Empties the cache and statistics (fresh run).

@@ -43,6 +43,11 @@ pub enum ModelError {
         /// Number of items in the scenario.
         n: usize,
     },
+    /// A sparse row's item ids are not strictly ascending.
+    UnsortedRow {
+        /// The first id that is not above its predecessor.
+        id: usize,
+    },
     /// A prefetch plan references the same item twice.
     DuplicateItem {
         /// The duplicated id.
@@ -86,6 +91,9 @@ impl fmt::Display for ModelError {
             }
             ModelError::UnknownItem { id, n } => {
                 write!(f, "item id {id} out of range for scenario with {n} items")
+            }
+            ModelError::UnsortedRow { id } => {
+                write!(f, "row item {id} is not above the item before it")
             }
             ModelError::DuplicateItem { id } => {
                 write!(f, "item {id} appears more than once in the plan")

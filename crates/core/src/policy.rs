@@ -27,23 +27,24 @@ pub trait Prefetcher: Send + Sync {
         self.plan_candidates(s, &vec![true; s.n()])
     }
 
-    /// Plan over all items of the scenario a sparse next-access row
-    /// describes: item `j` has probability `P_j` when `row` holds
-    /// `(j, P_j)` and zero otherwise, retrieval time `retrievals[j]`, and
-    /// the viewing time is `viewing`. Returns the plan's items in
-    /// prefetch order.
+    /// Plan from a sparse next-access row: item `j` has probability
+    /// `P_j` when `row` holds `(j, P_j)` and zero otherwise. `basis`
+    /// gives the rest of the scenario and the candidates (see
+    /// [`RowBasis`]). Returns the plan's items in prefetch order.
     ///
-    /// `row` must be merged (one entry per item) and, with `retrievals`
-    /// and `viewing`, pass [`Scenario::new`]'s checks. The default builds
-    /// that dense scenario and calls [`plan`](Prefetcher::plan); a
-    /// policy that can plan from the row itself overrides it and must
-    /// return the same items.
+    /// `row` must be merged (one entry per item) and, with the basis,
+    /// describe a scenario that passes [`Scenario::new`]'s checks. The
+    /// default plans on the dense scenario — the basis's own, or one
+    /// built from the row — through [`plan`](Prefetcher::plan) or
+    /// [`plan_candidates`](Prefetcher::plan_candidates). A policy that
+    /// can plan from the row itself overrides it and must return the
+    /// same items.
     ///
     /// # Panics
-    /// The default panics when the dense scenario is invalid.
-    fn plan_row(&self, row: &[(ItemId, f64)], retrievals: &[f64], viewing: f64) -> Vec<ItemId> {
-        self.plan(&dense_scenario(row, retrievals, viewing))
-            .into_items()
+    /// The default panics when the scenario built from a
+    /// [`RowBasis::Catalog`] row is invalid.
+    fn plan_row(&self, row: &[(ItemId, f64)], basis: RowBasis<'_>) -> Vec<ItemId> {
+        plan_dense(self, row, basis)
     }
 
     /// True for oracle policies whose plan depends on the *realised*
@@ -53,6 +54,81 @@ pub trait Prefetcher: Send + Sync {
     fn is_oracle(&self) -> bool {
         false
     }
+}
+
+/// The scenario around a sparse row handed to [`Prefetcher::plan_row`].
+#[derive(Debug, Clone, Copy)]
+pub enum RowBasis<'a> {
+    /// No dense scenario exists: item `j` takes `retrievals[j]`, the
+    /// viewing time is `viewing`, and every item is a candidate (the
+    /// population planner's per-state rows).
+    Catalog {
+        /// Retrieval time of every item.
+        retrievals: &'a [f64],
+        /// The viewing time.
+        viewing: f64,
+    },
+    /// The dense scenario whose probabilities are the row's entries,
+    /// zero elsewhere, with the candidates to plan over: `None` plans
+    /// like [`Prefetcher::plan`], a mask like
+    /// [`Prefetcher::plan_candidates`] (the Section-5 client's
+    /// non-cached items).
+    Dense {
+        /// The scenario the row was taken from.
+        scenario: &'a Scenario,
+        /// Which items may be prefetched, when not all of them.
+        candidates: Option<&'a [bool]>,
+    },
+}
+
+impl RowBasis<'_> {
+    /// Retrieval time of every item.
+    pub(crate) fn retrievals(&self) -> &[f64] {
+        match self {
+            RowBasis::Catalog { retrievals, .. } => retrievals,
+            RowBasis::Dense { scenario, .. } => scenario.retrievals(),
+        }
+    }
+
+    /// The viewing time.
+    pub(crate) fn viewing(&self) -> f64 {
+        match self {
+            RowBasis::Catalog { viewing, .. } => *viewing,
+            RowBasis::Dense { scenario, .. } => scenario.viewing(),
+        }
+    }
+
+    /// The candidate mask, when not every item is a candidate.
+    pub(crate) fn candidates(&self) -> Option<&[bool]> {
+        match self {
+            RowBasis::Catalog { .. } => None,
+            RowBasis::Dense { candidates, .. } => *candidates,
+        }
+    }
+}
+
+/// [`Prefetcher::plan_row`]'s default: plan on the basis's dense
+/// scenario, building it from the row when the basis has none.
+fn plan_dense<P: Prefetcher + ?Sized>(
+    policy: &P,
+    row: &[(ItemId, f64)],
+    basis: RowBasis<'_>,
+) -> Vec<ItemId> {
+    let plan = match basis {
+        RowBasis::Catalog {
+            retrievals,
+            viewing,
+        } => policy.plan(&dense_scenario(row, retrievals, viewing)),
+        RowBasis::Dense {
+            scenario,
+            candidates: None,
+        } => policy.plan(scenario),
+        RowBasis::Dense {
+            scenario,
+            candidates: Some(mask),
+        } => policy.plan_candidates(scenario, mask),
+    };
+    plan.into_items()
 }
 
 /// The four strategies of the paper's 'prefetch only' evaluation plus the
@@ -142,16 +218,15 @@ impl Prefetcher for PolicyKind {
         }
     }
 
-    fn plan_row(&self, row: &[(ItemId, f64)], retrievals: &[f64], viewing: f64) -> Vec<ItemId> {
-        // The SKP solvers search the row's positive entries only: build
-        // their view from the row, with no dense scenario in between.
-        let view = || skp::SortedView::from_row(row, retrievals, retrievals.len());
+    fn plan_row(&self, row: &[(ItemId, f64)], basis: RowBasis<'_>) -> Vec<ItemId> {
+        // The SKP solvers search the row's positive candidate entries
+        // only: build their view from the row, with no dense scan. A
+        // masked-out item leaves the view as it leaves the dense one.
+        let view = || skp::SortedView::from_row(row, basis.retrievals(), basis.candidates());
         match self {
-            PolicyKind::SkpPaper => skp::paper::plan_on_view(viewing, &view()),
-            PolicyKind::SkpExact => skp::exact::plan_on_view(viewing, &view()),
-            _ => self
-                .plan(&dense_scenario(row, retrievals, viewing))
-                .into_items(),
+            PolicyKind::SkpPaper => skp::paper::plan_on_view(basis.viewing(), &view()),
+            PolicyKind::SkpExact => skp::exact::plan_on_view(basis.viewing(), &view()),
+            _ => plan_dense(self, row, basis),
         }
     }
 
@@ -160,7 +235,7 @@ impl Prefetcher for PolicyKind {
     }
 }
 
-/// The dense scenario of [`Prefetcher::plan_row`]: the row's entries
+/// The dense scenario of a [`RowBasis::Catalog`] row: the row's entries
 /// added into a zero vector, as `MarkovChain::row_probs` builds it.
 fn dense_scenario(row: &[(ItemId, f64)], retrievals: &[f64], viewing: f64) -> Scenario {
     let mut probs = vec![0.0; retrievals.len()];

@@ -65,6 +65,40 @@ impl Scenario {
         check_probs(entries.iter().copied()).map(drop)
     }
 
+    /// Refills the probabilities in place from sparse `(item, P)`
+    /// entries, zero elsewhere, and sets the viewing time; the retrieval
+    /// times stay. The result equals [`Self::new`] on the dense vector
+    /// and this scenario's retrievals, bit for bit, and it is checked by
+    /// the same rules: on an error the scenario is unchanged.
+    ///
+    /// The entries' items must be strictly ascending (as the mass is
+    /// summed in item order) and below [`Self::n`]. Each call writes all
+    /// `n` probabilities.
+    pub fn set_row(&mut self, entries: &[(ItemId, f64)], viewing: f64) -> Result<(), ModelError> {
+        let n = self.n();
+        let mut next = 0;
+        for &(id, _) in entries {
+            if id >= n {
+                return Err(ModelError::UnknownItem { id, n });
+            }
+            if id < next {
+                return Err(ModelError::UnsortedRow { id });
+            }
+            next = id + 1;
+        }
+        let total = check_probs(entries.iter().copied())?;
+        if !viewing.is_finite() || viewing < 0.0 {
+            return Err(ModelError::BadViewingTime { value: viewing });
+        }
+        self.probs.fill(0.0);
+        for &(id, p) in entries {
+            self.probs[id] = p;
+        }
+        self.viewing = viewing;
+        self.total_mass = total;
+        Ok(())
+    }
+
     /// Builds a scenario whose probabilities are normalised to sum to one.
     ///
     /// Convenience for workload generators that produce unnormalised
@@ -291,6 +325,65 @@ mod tests {
         );
         let dense = Scenario::new(vec![0.0, 0.7, 0.0, 0.7], vec![1.0; 4], 1.0).unwrap_err();
         assert_eq!(Scenario::check_row(&[(1, 0.7), (3, 0.7)]), Err(dense));
+    }
+
+    #[test]
+    fn set_row_equals_the_dense_scenario() {
+        let mut s = Scenario::new(vec![0.0; 5], vec![3.0, 1.0, 4.0, 1.0, 5.0], 2.0).unwrap();
+        s.set_row(&[(0, 0.1), (2, 0.2), (3, 0.3)], 7.0).unwrap();
+        s.set_row(&[(1, 0.25), (3, -0.0), (4, 0.5)], 6.0).unwrap();
+        let dense = Scenario::new(
+            vec![0.0, 0.25, 0.0, -0.0, 0.5],
+            vec![3.0, 1.0, 4.0, 1.0, 5.0],
+            6.0,
+        )
+        .unwrap();
+        let bits = |s: &Scenario| -> Vec<u64> { s.probs().iter().map(|p| p.to_bits()).collect() };
+        assert_eq!(bits(&s), bits(&dense));
+        assert_eq!(s.total_mass().to_bits(), dense.total_mass().to_bits());
+        assert_eq!(s, dense);
+    }
+
+    #[test]
+    fn set_row_refuses_what_new_refuses_and_keeps_the_scenario() {
+        let mut s = Scenario::new(vec![0.0; 3], vec![1.0; 3], 2.0).unwrap();
+        s.set_row(&[(1, 0.5)], 2.0).unwrap();
+        let before = s.clone();
+        type Case<'a> = (&'a [(ItemId, f64)], f64, ModelError);
+        let cases: [Case; 5] = [
+            (&[(3, 0.1)], 1.0, ModelError::UnknownItem { id: 3, n: 3 }),
+            (
+                &[(2, 0.1), (1, 0.1)],
+                1.0,
+                ModelError::UnsortedRow { id: 1 },
+            ),
+            (
+                &[(1, 0.1), (1, 0.1)],
+                1.0,
+                ModelError::UnsortedRow { id: 1 },
+            ),
+            (
+                &[(0, -0.5)],
+                1.0,
+                ModelError::BadProbability {
+                    index: 0,
+                    value: -0.5,
+                },
+            ),
+            (
+                &[(0, 0.5)],
+                -1.0,
+                ModelError::BadViewingTime { value: -1.0 },
+            ),
+        ];
+        for (row, viewing, err) in cases {
+            assert_eq!(s.set_row(row, viewing), Err(err));
+            assert_eq!(s, before);
+        }
+        assert!(matches!(
+            s.set_row(&[(0, 0.7), (2, 0.7)], 1.0),
+            Err(ModelError::MassExceedsOne { .. })
+        ));
     }
 
     #[test]

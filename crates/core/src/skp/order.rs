@@ -3,11 +3,11 @@
 //!
 //! Every view comes from one builder fed `(item, P)` entries: it sorts
 //! `(P, r, id)` triples into the canonical order of
-//! [`Scenario::sort_canonical`] and lays out the ids, probabilities,
-//! retrievals and suffix sums in vectors reserved to size. The entries
-//! come from a dense scenario ([`SortedView::new`],
-//! [`SortedView::with_candidates`], [`SortedView::positive`]) or from a
-//! sparse row ([`SortedView::from_row`]).
+//! [`Scenario::sort_canonical`], in place in the view's one entry
+//! vector, and adds the suffix sums. The entries come from a dense
+//! scenario ([`SortedView::new`], [`SortedView::with_candidates`],
+//! [`SortedView::positive`]) or from a sparse row
+//! ([`SortedView::from_row`]).
 //!
 //! The branch-and-bound solvers of [`crate::skp::paper`] and
 //! [`crate::skp::exact`] search the positive-probability view: a
@@ -19,11 +19,15 @@
 //! test. A Markov row or n-gram forecast typically gives 10–20 of 100
 //! items a non-zero probability, so the sort and the search touch those
 //! only. [`SortedView::positive`] finds them by scanning a dense
-//! scenario; [`SortedView::from_row`] takes them straight from a merged
-//! Markov row and gives the same view bit for bit. Solvers that can pick
-//! zero-probability items (KP, the greedy heuristic, brute force, the
-//! global DP and the extension objectives) keep the full view of
-//! [`SortedView::new`] and [`SortedView::with_candidates`].
+//! scenario. [`SortedView::from_row`] takes them straight from a sparse
+//! row and gives the same view bit for bit, with or without a candidate
+//! mask. The row is a merged Markov row when a population planner
+//! plans a state. It is a predictor's row forecast when the Section-5
+//! client plans a round; the mask then rules out the cached items, and
+//! the candidate count is the number of items not cached. Solvers
+//! that can pick zero-probability items (KP, the greedy heuristic,
+//! brute force, the global DP and the extension objectives) keep the
+//! full view of [`SortedView::new`] and [`SortedView::with_candidates`].
 
 use crate::scenario::{canonical_cmp, ItemId, Scenario};
 
@@ -36,9 +40,8 @@ use crate::scenario::{canonical_cmp, ItemId, Scenario};
 /// branch-and-bound solvers enumerate subsets of this permutation only.
 #[derive(Debug, Clone)]
 pub struct SortedView {
-    ids: Vec<ItemId>,
-    p: Vec<f64>,
-    r: Vec<f64>,
+    /// `(P, r, id)` of every candidate, in canonical order.
+    entries: Vec<(f64, f64, ItemId)>,
     /// `suffix_p[j] = Σ_{i≥j} p[i]`; length `m + 1` with `suffix_p[m] = 0`.
     suffix_p: Vec<f64>,
     /// Number of candidates, including the zero-probability ones that
@@ -57,7 +60,7 @@ impl SortedView {
     /// # Panics
     /// Panics when `candidates.len() != s.n()`.
     pub fn with_candidates(s: &Scenario, candidates: &[bool]) -> Self {
-        check_mask(s, candidates);
+        check_mask(s.n(), candidates);
         let kept = dense_entries(s).filter(|&(i, _)| candidates[i]);
         Self::build(kept, s.retrievals(), count_true(candidates))
     }
@@ -75,7 +78,7 @@ impl SortedView {
         match candidates {
             None => Self::build(positive, s.retrievals(), s.n()),
             Some(mask) => {
-                check_mask(s, mask);
+                check_mask(s.n(), mask);
                 let kept = positive.filter(|&(i, _)| mask[i]);
                 Self::build(kept, s.retrievals(), count_true(mask))
             }
@@ -83,51 +86,53 @@ impl SortedView {
     }
 
     /// The positive-probability view of a sparse row: the view
-    /// [`Self::positive`] builds, without a mask, from the dense scenario
-    /// whose probabilities are `row`'s entries (zero elsewhere) and whose
-    /// retrievals are `retrievals`. `n` is that scenario's item count, the
-    /// view's [`Self::candidate_count`].
+    /// [`Self::positive`] builds, with the same `candidates`, from the
+    /// dense scenario whose probabilities are `row`'s entries (zero
+    /// elsewhere) and whose retrievals are `retrievals`.
+    /// [`Self::candidate_count`] is that scenario's item count,
+    /// `retrievals.len()`, or the mask's count of candidates.
     ///
     /// `row` must be merged: one entry per item, in any order. Its `0.0`
-    /// and `-0.0` entries are dropped like the dense zeros.
+    /// and `-0.0` entries are dropped like the dense zeros, and so are
+    /// the entries the mask rules out.
     ///
     /// # Panics
-    /// Panics when a positive entry's item has no retrieval time.
-    pub fn from_row(row: &[(ItemId, f64)], retrievals: &[f64], n: usize) -> Self {
+    /// Panics when a positive entry's item has no retrieval time, or
+    /// when a mask is given and `candidates.len() != retrievals.len()`.
+    pub fn from_row(
+        row: &[(ItemId, f64)],
+        retrievals: &[f64],
+        candidates: Option<&[bool]>,
+    ) -> Self {
         let positive = row.iter().copied().filter(|&(_, p)| p > 0.0);
-        Self::build(positive, retrievals, n)
+        match candidates {
+            None => Self::build(positive, retrievals, retrievals.len()),
+            Some(mask) => {
+                check_mask(retrievals.len(), mask);
+                let kept = positive.filter(|&(i, _)| mask[i]);
+                Self::build(kept, retrievals, count_true(mask))
+            }
+        }
     }
 
     /// The one builder: sorts the `(item, P)` entries with their
     /// retrieval times into the canonical order and lays out the view.
     fn build(
-        entries: impl Iterator<Item = (ItemId, f64)>,
+        items: impl Iterator<Item = (ItemId, f64)>,
         retrievals: &[f64],
         candidates: usize,
     ) -> Self {
-        let mut triples: Vec<(f64, f64, ItemId)> =
-            Vec::with_capacity(entries.size_hint().1.unwrap_or(0));
-        triples.extend(entries.map(|(i, p)| (p, retrievals[i], i)));
-        triples.sort_unstable_by(|&a, &b| canonical_cmp(a, b));
-        let m = triples.len();
-        let (mut ids, mut p, mut r) = (
-            Vec::with_capacity(m),
-            Vec::with_capacity(m),
-            Vec::with_capacity(m),
-        );
-        for &(pj, rj, id) in &triples {
-            ids.push(id);
-            p.push(pj);
-            r.push(rj);
-        }
+        let mut entries: Vec<(f64, f64, ItemId)> =
+            Vec::with_capacity(items.size_hint().1.unwrap_or(0));
+        entries.extend(items.map(|(i, p)| (p, retrievals[i], i)));
+        entries.sort_unstable_by(|&a, &b| canonical_cmp(a, b));
+        let m = entries.len();
         let mut suffix_p = vec![0.0; m + 1];
         for j in (0..m).rev() {
-            suffix_p[j] = suffix_p[j + 1] + p[j];
+            suffix_p[j] = suffix_p[j + 1] + entries[j].0;
         }
         Self {
-            ids,
-            p,
-            r,
+            entries,
             suffix_p,
             candidates,
         }
@@ -136,7 +141,7 @@ impl SortedView {
     /// Number of candidate items in the view.
     #[inline]
     pub fn m(&self) -> usize {
-        self.ids.len()
+        self.entries.len()
     }
 
     /// Number of candidates the view was built from, zero-probability
@@ -152,25 +157,26 @@ impl SortedView {
     /// Original scenario id of the item at sorted position `j`.
     #[inline]
     pub fn id(&self, j: usize) -> ItemId {
-        self.ids[j]
+        self.entries[j].2
     }
 
     /// Probability of the item at sorted position `j`.
     #[inline]
     pub fn p(&self, j: usize) -> f64 {
-        self.p[j]
+        self.entries[j].0
     }
 
     /// Retrieval time of the item at sorted position `j`.
     #[inline]
     pub fn r(&self, j: usize) -> f64 {
-        self.r[j]
+        self.entries[j].1
     }
 
     /// Delay profit `P·r` of the item at sorted position `j`.
     #[inline]
     pub fn profit(&self, j: usize) -> f64 {
-        self.p[j] * self.r[j]
+        let (p, r, _) = self.entries[j];
+        p * r
     }
 
     /// `Σ_{i≥j} P_i` over candidates, the paper's stretch-penalty mass for
@@ -187,7 +193,7 @@ impl SortedView {
         selected
             .iter()
             .enumerate()
-            .filter_map(|(j, &sel)| sel.then_some(self.ids[j]))
+            .filter_map(|(j, &sel)| sel.then_some(self.entries[j].2))
             .collect()
     }
 }
@@ -201,10 +207,10 @@ fn count_true(mask: &[bool]) -> usize {
     mask.iter().filter(|&&c| c).count()
 }
 
-fn check_mask(s: &Scenario, candidates: &[bool]) {
+fn check_mask(n: usize, candidates: &[bool]) {
     assert_eq!(
         candidates.len(),
-        s.n(),
+        n,
         "candidate mask length must equal the number of items"
     );
 }

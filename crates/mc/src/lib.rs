@@ -18,9 +18,10 @@
 //! - [`output`] — tiny CSV writer and ASCII scatter/line plots so the
 //!   experiment binaries can render the figures in a terminal;
 //! - [`convergence`] — adaptive stopping (run until a target standard
-//!   error) instead of the paper's fixed 50,000 iterations;
-//! - [`trace_replay`] — replay recorded access traces through the
-//!   integrated client with online learned probabilities.
+//!   error) instead of the paper's fixed 50,000 iterations.
+//!
+//! Trace replay with an online predictor lives in the facade's engine
+//! (`Workload::Trace`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,11 +34,9 @@ pub mod prefetch_only;
 pub mod probgen;
 pub mod scenario_gen;
 pub mod stats;
-pub mod trace_replay;
 
 pub use convergence::Convergence;
 pub use prefetch_cache::{CachePoint, PrefetchCacheSim};
 pub use prefetch_only::{PrefetchOnlySim, Sample};
 pub use probgen::ProbMethod;
 pub use scenario_gen::ScenarioGen;
-pub use trace_replay::{replay, ReplayResult};

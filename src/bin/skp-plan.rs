@@ -18,6 +18,8 @@
 //! skp-plan --list
 //! ```
 
+use std::io::{self, Write};
+
 use speculative_prefetch::wire::{esc, list, num, write_report_fields};
 use speculative_prefetch::{
     backend_specs, generator_specs, global_applicable, obs_sink_specs, parse_scenario_file,
@@ -119,23 +121,39 @@ fn registry_sections() -> Vec<(&'static str, Vec<(String, String)>)> {
     ]
 }
 
-fn print_registry() {
+fn print_registry(out: &mut dyn Write) -> io::Result<()> {
     for (i, (header, rows)) in registry_sections().iter().enumerate() {
         if i > 0 {
-            println!();
+            writeln!(out)?;
         }
-        println!("{header}");
+        writeln!(out, "{header}")?;
         for (name, detail) in rows {
-            println!("  {name:<18} {detail}");
+            writeln!(out, "  {name:<18} {detail}")?;
         }
     }
+    Ok(())
 }
 
 fn main() {
+    let stdout = io::stdout();
+    let mut out = io::BufWriter::new(stdout.lock());
+    if let Err(e) = run(&mut out).and_then(|()| out.flush()) {
+        // A reader that stops early (`skp-plan --list | head -1`) ends
+        // the output, not the run.
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("skp-plan: cannot write output: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// The command line's work, every report written to `out`. Errors in the
+/// input exit with their code; the error returned is a failed write.
+fn run(out: &mut dyn Write) -> io::Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list") {
-        print_registry();
-        return;
+        return print_registry(out);
     }
     let flag = |name: &str| {
         args.iter()
@@ -156,21 +174,21 @@ fn main() {
         let plan_store = flag("--plan-store").map(String::from);
         let obs = flag("--obs").map(String::from);
         let trace_out = flag("--trace-out").map(String::from);
-        run_workload_file(
+        return run_workload_file(
+            out,
             path,
             plan_store.as_deref(),
             obs.as_deref(),
             trace_out.as_deref(),
             &format,
         );
-        return;
     }
 
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         usage();
     };
     let solver = flag("--solver").unwrap_or("all").to_string();
-    plan_scenario_file(path, &solver, &format);
+    plan_scenario_file(out, path, &solver, &format)
 }
 
 fn read_file(path: &str) -> String {
@@ -187,7 +205,12 @@ fn read_file(path: &str) -> String {
 // Planning mode: solver comparison on a scenario file.
 // ---------------------------------------------------------------------
 
-fn plan_scenario_file(path: &str, solver: &str, format: &str) {
+fn plan_scenario_file(
+    out: &mut dyn Write,
+    path: &str,
+    solver: &str,
+    format: &str,
+) -> io::Result<()> {
     let text = read_file(path);
     let parsed = match parse_scenario_file(&text) {
         Ok(p) => p,
@@ -254,26 +277,28 @@ fn plan_scenario_file(path: &str, solver: &str, format: &str) {
     }
 
     match format {
-        "json" => print_plans_json(&s, &labels, &reports),
-        _ => print_plans_text(&s, &labels, &reports),
+        "json" => print_plans_json(out, &s, &labels, &reports),
+        _ => print_plans_text(out, &s, &labels, &reports),
     }
 }
 
 fn print_plans_text(
+    out: &mut dyn Write,
     s: &Scenario,
     labels: &[String],
     reports: &[(String, PlanReport, Option<String>)],
-) {
-    println!("scenario: {} items, v = {}", s.n(), s.viewing());
-    println!(
+) -> io::Result<()> {
+    writeln!(out, "scenario: {} items, v = {}", s.n(), s.viewing())?;
+    writeln!(
+        out,
         "expected access time with no prefetch: {:.4}",
         s.expected_no_prefetch()
-    );
+    )?;
     let bound = reports
         .first()
         .map(|(_, r, _)| r.upper_bound)
         .unwrap_or_default();
-    println!("upper bound on any gain (Eq. 7): {bound:.4}\n");
+    writeln!(out, "upper bound on any gain (Eq. 7): {bound:.4}\n")?;
 
     for (name, report, note) in reports {
         let items: Vec<&str> = report
@@ -282,28 +307,31 @@ fn print_plans_text(
             .iter()
             .map(|&i| labels[i].as_str())
             .collect();
-        println!("[{name}] prefetch {items:?}");
-        println!(
+        writeln!(out, "[{name}] prefetch {items:?}")?;
+        writeln!(
+            out,
             "  gain {:.4}  stretch {:.4}  expected T {:.4}",
             report.gain, report.stretch, report.expected_access_time,
-        );
-        print!("  per-request T:");
+        )?;
+        write!(out, "  per-request T:")?;
         for (label, t) in labels.iter().zip(&report.per_request) {
-            print!(" {label}={t:.2}");
+            write!(out, " {label}={t:.2}")?;
         }
-        println!();
+        writeln!(out)?;
         if let Some(note) = note {
-            println!("  note: {note}");
+            writeln!(out, "  note: {note}")?;
         }
-        println!();
+        writeln!(out)?;
     }
+    Ok(())
 }
 
 fn print_plans_json(
+    out: &mut dyn Write,
     s: &Scenario,
     labels: &[String],
     reports: &[(String, PlanReport, Option<String>)],
-) {
+) -> io::Result<()> {
     let bound = reports
         .first()
         .map(|(_, r, _)| r.upper_bound)
@@ -332,7 +360,7 @@ fn print_plans_json(
             list(&r.per_request, |t| num(*t)),
         )
     });
-    println!("{{\"scenario\":{scenario},\"plans\":{plans}}}");
+    writeln!(out, "{{\"scenario\":{scenario},\"plans\":{plans}}}")
 }
 
 // ---------------------------------------------------------------------
@@ -340,12 +368,13 @@ fn print_plans_json(
 // ---------------------------------------------------------------------
 
 fn run_workload_file(
+    out: &mut dyn Write,
     path: &str,
     plan_store: Option<&str>,
     obs: Option<&str>,
     trace_out: Option<&str>,
     format: &str,
-) {
+) -> io::Result<()> {
     let text = read_file(path);
     let mut file = match parse_workload(&text) {
         Ok(f) => f,
@@ -389,8 +418,8 @@ fn run_workload_file(
         write_trace(out, &report);
     }
     match format {
-        "json" => print_run_json(&file, &engine, &report),
-        _ => print_run_text(&file, &engine, &report),
+        "json" => print_run_json(out, &file, &engine, &report),
+        _ => print_run_text(out, &file, &engine, &report),
     }
 }
 
@@ -413,18 +442,25 @@ fn write_trace(out: &str, report: &RunReport) {
     eprintln!("skp-plan: trace written to {out}");
 }
 
-fn print_run_text(file: &WorkloadFile, engine: &Engine, report: &RunReport) {
-    println!(
+fn print_run_text(
+    out: &mut dyn Write,
+    file: &WorkloadFile,
+    engine: &Engine,
+    report: &RunReport,
+) -> io::Result<()> {
+    writeln!(
+        out,
         "workload {} on backend {} (policy: {})",
         file.kind.name(),
         engine.backend_spec_string(),
         engine.policy_name()
-    );
+    )?;
     let a = &report.access;
-    println!(
+    writeln!(
+        out,
         "access: count {}  mean {:.4}  p50 {:.4}  p99 {:.4}  min {:.4}  max {:.4}",
         a.count, a.mean, a.p50, a.p99, a.min, a.max
-    );
+    )?;
     match &report.section {
         ReportSection::Plan(r) => {
             let items: Vec<&str> = r
@@ -433,77 +469,89 @@ fn print_run_text(file: &WorkloadFile, engine: &Engine, report: &RunReport) {
                 .iter()
                 .map(|&i| file.labels[i].as_str())
                 .collect();
-            println!("plan: prefetch {items:?}");
-            println!(
+            writeln!(out, "plan: prefetch {items:?}")?;
+            writeln!(
+                out,
                 "  gain {:.4}  stretch {:.4}  expected T {:.4}  bound {:.4}",
                 r.gain, r.stretch, r.expected_access_time, r.upper_bound
-            );
+            )?;
         }
         ReportSection::Trace(r) => {
-            println!(
+            writeln!(
+                out,
                 "trace: {} requests  hit rate {:.1}%  wasted/request {:.4}",
                 r.requests,
                 r.hit_rate * 100.0,
                 r.wasted_per_request
-            );
+            )?;
         }
         ReportSection::MonteCarlo(r) => {
-            println!(
+            writeln!(
+                out,
                 "monte-carlo: {} iterations  mean T {:.4} ± {:.4}  mean gain {:.4}",
                 r.iterations,
                 r.access.mean(),
                 r.access.std_err(),
                 r.gain.mean()
-            );
+            )?;
         }
         ReportSection::Sharded(r) => {
-            println!(
+            writeln!(
+                out,
                 "sharded: {} requests  mean utilisation {:.1}%  waste {:.4}/{:.4}",
                 r.requests(),
                 r.utilisation * 100.0,
                 r.wasted_transfer,
                 r.total_transfer
-            );
+            )?;
             for shard in &r.shards {
-                println!(
+                writeln!(
+                    out,
                     "  shard {}: jobs {}  busy {:.1}%  queue mean {:.2} max {}",
                     shard.shard,
                     shard.jobs,
                     shard.utilisation * 100.0,
                     shard.mean_queue_depth,
                     shard.max_queue_depth
-                );
+                )?;
             }
         }
     }
     if !report.events.is_empty() {
-        println!("events: {} recorded (traced)", report.events.len());
+        writeln!(out, "events: {} recorded (traced)", report.events.len())?;
     }
     let ps = &report.plan_store;
     if ps.lookups > 0 {
-        println!(
+        writeln!(
+            out,
             "plan store [{}]: {} lookups  {} hits ({:.0}%)",
             engine.plan_store_spec_string(),
             ps.lookups,
             ps.hits,
             ps.hit_rate() * 100.0
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn print_run_json(file: &WorkloadFile, engine: &Engine, report: &RunReport) {
+fn print_run_json(
+    out: &mut dyn Write,
+    file: &WorkloadFile,
+    engine: &Engine,
+    report: &RunReport,
+) -> io::Result<()> {
     // The report body (access / section / events) is rendered by the
     // shared wire module — the same encoding skp-serve answers with, so
     // `skp-plan run --format json` and a daemon round-trip are
     // byte-comparable after stripping the metadata prefix. The prefix
     // and the body share one buffer.
-    let mut out = format!(
+    let mut json = format!(
         "{{\"workload\":\"{}\",\"backend\":\"{}\",\"policy\":\"{}\",",
         esc(file.kind.name()),
         esc(&engine.backend_spec_string()),
         esc(engine.policy_name()),
     );
-    write_report_fields(&mut out, report, &file.labels);
-    out.push('}');
-    println!("{out}");
+    write_report_fields(&mut json, report, &file.labels);
+    json.push('}');
+    writeln!(out, "{json}")
 }

@@ -43,14 +43,14 @@ use skp_core::arbitration::{PlanSolver, SubArbitration};
 use skp_core::gain::{
     access_time_empty, expected_access_time_empty, gain_empty_cache, stretch_time,
 };
-use skp_core::policy::{PolicyKind, Prefetcher};
+use skp_core::policy::{PolicyKind, Prefetcher, RowBasis};
 use skp_core::skp::upper_bound;
 use skp_core::{ModelError, PrefetchPlan, Scenario};
 
 use crate::backend::{build_backend, Backend, BackendDriver, McFanout, PopulationRun};
 use crate::error::Error;
 use crate::generator::build_generator;
-use crate::predictor::{build_predictor, Predictor};
+use crate::predictor::{build_predictor, dense_row, Predictor};
 use crate::registry::build_policy;
 use crate::report::{PlanReport, ReportSection, RunReport, SimReport, TraceReport};
 use crate::workload::{MonteCarloSpec, Workload};
@@ -344,6 +344,9 @@ impl SessionBuilder {
             driver,
             store,
             obs: self.obs.unwrap_or_default(),
+            forecast: None,
+            row: Vec::new(),
+            mask: Vec::new(),
         })
     }
 }
@@ -374,6 +377,12 @@ pub struct Engine {
     /// (`"none"`) by default: each probe site costs one branch, the
     /// phase clock is never read, and no epoch marks are collected.
     obs: Obs,
+    /// Reused state of the online step: the catalog scenario that
+    /// [`step_forecast`](Engine::step_forecast) refills from each
+    /// forecast, a forecast row and the cache candidate mask.
+    forecast: Option<Scenario>,
+    row: Vec<(usize, f64)>,
+    mask: Vec<bool>,
 }
 
 impl Engine {
@@ -743,13 +752,75 @@ impl Engine {
     /// Oracle policies (`"perfect"`) prefetch exactly `alpha` here —
     /// the realised request is in hand.
     ///
+    /// The cycle is the one [`step_forecast`](Engine::step_forecast)
+    /// runs; this entry point hands it the scenario's own row.
+    ///
     /// # Panics
     /// Panics when the scenario's universe differs from the cache's.
     pub fn step(&mut self, s: &Scenario, alpha: usize) -> StepOutcome {
+        let mut row = std::mem::take(&mut self.row);
+        dense_row(s.probs(), &mut row);
+        let out = self.step_row(s, &row, alpha);
+        self.row = row;
+        out
+    }
+
+    /// One round of the online loop, sparse: forecast from `current`,
+    /// plan, arbitrate and serve `alpha`. Returns what
+    /// `step(&scenario(current, viewing)?, alpha)` returns, bit for bit,
+    /// with the same errors, without building a scenario: the
+    /// predictor's row ([`Predictor::predict_row`]) refills one catalog
+    /// scenario in place, and the SKP policies plan from the row. This is
+    /// the round [`Workload::Trace`] replays.
+    ///
+    /// Like `step`, it learns nothing: call
+    /// [`observe`](Engine::observe) with the realised access.
+    pub fn step_forecast(
+        &mut self,
+        current: usize,
+        viewing: f64,
+        alpha: usize,
+    ) -> Result<StepOutcome, Error> {
+        let retrievals = self.retrievals.as_ref().ok_or(Error::MissingComponent {
+            component: "catalog",
+            needed_for: "scenario",
+        })?;
+        if self.predictor.is_none() {
+            return Err(Error::MissingComponent {
+                component: "predictor",
+                needed_for: "predict",
+            });
+        }
+        let n = retrievals.len();
+        // Checked once, as `scenario` checks it each round: its
+        // probabilities always pass, so a bad retrieval time is the
+        // first error.
+        let mut s = match self.forecast.take() {
+            Some(s) => s,
+            None => Scenario::new(vec![0.0; n], retrievals.clone(), 0.0)?,
+        };
+        let mut row = std::mem::take(&mut self.row);
+        self.forecast_row(current, n, &mut row);
+        let out = s
+            .set_row(&row, viewing)
+            .map(|()| self.step_row(&s, &row, alpha));
+        self.row = row;
+        self.forecast = Some(s);
+        Ok(out?)
+    }
+
+    /// The one request cycle behind [`step`](Engine::step) and
+    /// [`step_forecast`](Engine::step_forecast). `row` lists every entry
+    /// of `s`'s probabilities other than `+0.0`, in ascending item
+    /// order: the SKP policies plan from it ([`Prefetcher::plan_row`]),
+    /// every other policy from `s`.
+    fn step_row(&mut self, s: &Scenario, row: &[(usize, f64)], alpha: usize) -> StepOutcome {
+        let oracle = self.policy.is_oracle();
         match &mut self.client {
             Some(client) => {
-                let mask = client.candidate_mask();
-                let tentative = if self.policy.is_oracle() {
+                client.fill_candidate_mask(&mut self.mask);
+                let mask = &self.mask;
+                let tentative = if oracle {
                     // The oracle prefetches the request itself, unless
                     // it is already cached.
                     if mask.get(alpha).copied().unwrap_or(false) {
@@ -758,15 +829,23 @@ impl Engine {
                         PrefetchPlan::empty()
                     }
                 } else {
-                    self.policy.plan_candidates(s, &mask)
+                    let basis = RowBasis::Dense {
+                        scenario: s,
+                        candidates: Some(mask),
+                    };
+                    unique_plan(self.policy.plan_row(row, basis))
                 };
                 client.step_with_plan(s, alpha, tentative)
             }
             None => {
-                let plan = if self.policy.is_oracle() {
+                let plan = if oracle {
                     PolicyKind::plan_oracle(s, alpha)
                 } else {
-                    self.policy.plan(s)
+                    let basis = RowBasis::Dense {
+                        scenario: s,
+                        candidates: None,
+                    };
+                    unique_plan(self.policy.plan_row(row, basis))
                 };
                 let items = plan.items();
                 let access_time = access_time_empty(s, items, alpha);
@@ -790,12 +869,37 @@ impl Engine {
         }
     }
 
+    /// The predictor's forecast row for the coming round, clamped and
+    /// normalised over an `n`-item catalog with the arithmetic of
+    /// [`scenario`](Engine::scenario): items past the catalog dropped,
+    /// non-finite and negative entries zeroed, and the row rescaled
+    /// when its mass exceeds one. Summed in ascending item order, the
+    /// mass has the dense sum's bits. Lists every entry other than
+    /// `+0.0`, ascending.
+    fn forecast_row(&self, current: usize, n: usize, row: &mut Vec<(usize, f64)>) {
+        let predictor = self.predictor.as_ref().expect("checked by the caller");
+        predictor.predict_row(current, row);
+        row.retain_mut(|(item, p)| {
+            if !p.is_finite() || *p < 0.0 {
+                *p = 0.0;
+            }
+            *item < n && p.to_bits() != 0
+        });
+        let mass: f64 = row.iter().map(|&(_, p)| p).sum();
+        if mass > 1.0 {
+            for (_, p) in row.iter_mut() {
+                *p /= mass;
+            }
+        }
+    }
+
     // -----------------------------------------------------------------
     // Trace replay.
     // -----------------------------------------------------------------
 
     /// The engine of [`Workload::Trace`]: replays the records, returning
-    /// the common stats plus the legacy report shape.
+    /// the common stats plus the legacy report shape. Each round is one
+    /// [`step_forecast`](Engine::step_forecast).
     fn trace_report(&mut self, trace: &Trace) -> Result<(AccessStats, TraceReport), Error> {
         if self.predictor.is_none() {
             return Err(Error::MissingComponent {
@@ -834,8 +938,7 @@ impl Engine {
         self.observe(records[0].item);
         for w in records.windows(2) {
             let (here, next) = (w[0], w[1]);
-            let s = self.scenario(here.item, here.viewing)?;
-            let out = self.step(&s, next.item);
+            let out = self.step_forecast(here.item, here.viewing, next.item)?;
             access.push(out.access_time);
             samples.push(out.access_time);
             wasted.push(out.wasted_retrieval);
@@ -1019,8 +1122,11 @@ impl Engine {
             carried.unwrap_or_else(|| vec![None; n]),
             store_hit,
             |state: usize| {
-                self.policy
-                    .plan_row(rows.row(state), catalog, chain.viewing(state))
+                let basis = RowBasis::Catalog {
+                    retrievals: catalog,
+                    viewing: chain.viewing(state),
+                };
+                self.policy.plan_row(rows.row(state), basis)
             },
         );
         timer.start("simulate");
@@ -1058,6 +1164,11 @@ impl Engine {
         timer.stop();
         out
     }
+}
+
+/// A policy's planned items as a plan.
+fn unique_plan(items: Vec<usize>) -> PrefetchPlan {
+    PrefetchPlan::new(items).expect("a policy plans each item once")
 }
 
 /// Shard count a population report section ran on — where fault
@@ -1756,5 +1867,71 @@ mod tests {
         assert_eq!(run.access.count, 299);
         assert!((run.access.mean - report.mean_access_time).abs() < 1e-9);
         assert_eq!(run.access.min, 0.0, "hits are zero-time accesses");
+    }
+
+    /// A trace over `0, 1, 2, 0, …` with viewing 10 (plenty for r = 3).
+    fn cyclic_trace(len: usize) -> Trace {
+        let mut t = Trace::new();
+        for i in 0..len {
+            t.push(i % 3, 10.0);
+        }
+        t
+    }
+
+    fn trace_engine(policy: &str, predictor: &str, items: usize, cache: usize) -> Engine {
+        Engine::builder()
+            .policy(policy)
+            .predictor(predictor)
+            .catalog(vec![3.0; items])
+            .cache(cache)
+            .sub_arbitration(SubArbitration::DelaySaving)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn trace_without_prefetch_pays_every_miss() {
+        // One slot on a 3-cycle: every request misses without prefetch.
+        let mut engine = trace_engine("no-prefetch", "ngram:1", 3, 1);
+        let run = engine.run(&Workload::trace(cyclic_trace(100))).unwrap();
+        let report = run.trace().expect("trace section");
+        assert!(report.hit_rate < 0.05, "hit rate {}", report.hit_rate);
+        assert!((report.mean_access_time - 3.0).abs() < 0.2);
+    }
+
+    #[test]
+    fn trace_catalog_may_exceed_the_trace_universe() {
+        // A 10-item catalog; the trace visits 3 of them.
+        let mut engine = trace_engine("skp-exact", "ngram:1", 10, 4);
+        let run = engine.run(&Workload::trace(cyclic_trace(30))).unwrap();
+        assert_eq!(run.trace().expect("trace section").requests, 29);
+    }
+
+    #[test]
+    fn trace_replay_with_depgraph_hits() {
+        let mut engine = trace_engine("skp-exact", "depgraph:1", 3, 2);
+        let run = engine.run(&Workload::trace(cyclic_trace(200))).unwrap();
+        let report = run.trace().expect("trace section");
+        assert!(report.hit_rate > 0.8, "hit rate {}", report.hit_rate);
+    }
+
+    #[test]
+    fn trace_of_one_record_is_refused() {
+        let mut t = Trace::new();
+        t.push(0, 1.0);
+        let mut engine = trace_engine("no-prefetch", "ngram:1", 1, 1);
+        let e = engine.run(&Workload::trace(t)).unwrap_err();
+        assert!(
+            matches!(e, Error::InvalidParam { what: "trace", .. }),
+            "{e}"
+        );
+        assert!(e.to_string().contains("at least two records"), "{e}");
+    }
+
+    #[test]
+    fn trace_past_the_catalog_is_refused() {
+        let mut engine = trace_engine("no-prefetch", "ngram:1", 1, 1);
+        let e = engine.run(&Workload::trace(cyclic_trace(10))).unwrap_err();
+        assert!(e.to_string().contains("references item 2"), "{e}");
     }
 }

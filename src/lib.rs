@@ -196,7 +196,7 @@ pub use skp_core::gain::{
     expected_no_prefetch_cached, gain_empty_cache, gain_with_cache, stretch_time,
 };
 pub use skp_core::kp::{greedy_by_density, solve_kp, solve_kp_dp, KpSolution};
-pub use skp_core::policy::{PolicyKind, Prefetcher};
+pub use skp_core::policy::{PolicyKind, Prefetcher, RowBasis};
 pub use skp_core::skp::{
     global_applicable, linear_relaxation, solve_exact, solve_global, solve_optimal, solve_paper,
     solve_paper_candidates, upper_bound, SkpSolution,

@@ -14,7 +14,8 @@ use access_model::{DependencyGraph, FreqTracker, MarkovEstimator, NgramPredictor
 use crate::error::Error;
 
 /// An online next-access model: learns from the realised request stream
-/// and forecasts a dense probability vector over the item universe.
+/// and forecasts the next access, as a dense probability vector over
+/// the item universe or as its sparse row.
 ///
 /// Forecasts need not be normalised — the engine clamps negatives and
 /// rescales rows whose mass exceeds one before building a
@@ -31,6 +32,32 @@ pub trait Predictor: Send {
 
     /// Forecast `P[next = i]` for every item, given the current item.
     fn predict(&self, current: usize) -> Vec<f64>;
+
+    /// The row forecast: [`predict`](Predictor::predict)'s vector as
+    /// `(item, P)` entries in ascending item order, written into `row`
+    /// (cleared first) so a caller can reuse one buffer for every
+    /// forecast. Every entry other than `+0.0` is listed, with its bits
+    /// (a `-0.0`, negative or NaN entry too: the engine clamps the row
+    /// exactly as it clamps the dense vector).
+    ///
+    /// The default derives the row from `predict`; a model that can
+    /// forecast its non-zero entries directly overrides it.
+    fn predict_row(&self, current: usize, row: &mut Vec<(usize, f64)>) {
+        dense_row(&self.predict(current), row);
+    }
+}
+
+/// Writes the row of a dense vector into `row` (cleared first): every
+/// entry other than `+0.0`, in ascending item order, bits kept.
+pub(crate) fn dense_row(probs: &[f64], row: &mut Vec<(usize, f64)>) {
+    row.clear();
+    row.extend(
+        probs
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, p)| p.to_bits() != 0),
+    );
 }
 
 impl Predictor for NgramPredictor {
@@ -48,11 +75,23 @@ impl Predictor for NgramPredictor {
 
     fn predict(&self, _current: usize) -> Vec<f64> {
         // The n-gram model tracks its own context window; `current` is
-        // implicit in the observation stream. Support threshold 2
-        // matches the trace-replay adapter in `montecarlo`.
-        NgramPredictor::predict(self, 2)
+        // implicit in the observation stream.
+        NgramPredictor::predict(self, NGRAM_MIN_SUPPORT)
+    }
+
+    fn predict_row(&self, _current: usize, row: &mut Vec<(usize, f64)>) {
+        NgramPredictor::predict_row(self, NGRAM_MIN_SUPPORT, row);
     }
 }
+
+/// Observations a context needs before the `ngram` predictor trusts it
+/// over a shorter one.
+const NGRAM_MIN_SUPPORT: u32 = 2;
+
+/// Longest context the `ngram` predictor family accepts. Each order
+/// adds one table and one lookup per access; the workspace uses at most
+/// order 3, and a larger order only starves every context of support.
+const MAX_NGRAM_ORDER: usize = 8;
 
 impl Predictor for DependencyGraph {
     fn name(&self) -> &str {
@@ -130,10 +169,10 @@ fn bad_param(what: &'static str, detail: String) -> Error {
 
 fn build_ngram(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Error> {
     let order = param.unwrap_or(2.0);
-    if order < 1.0 || order.fract() != 0.0 {
+    if !(1.0..=MAX_NGRAM_ORDER as f64).contains(&order) || order.fract() != 0.0 {
         return Err(bad_param(
             "ngram order",
-            format!("expected a positive integer, got {order}"),
+            format!("expected an integer from 1 to {MAX_NGRAM_ORDER}, got {order}"),
         ));
     }
     Ok(Box::new(NgramPredictor::new(n, order as usize)))
@@ -174,7 +213,7 @@ pub fn predictor_specs() -> &'static [PredictorSpec] {
         PredictorSpec {
             name: "ngram",
             summary: "online order-k Markov (PPM-flavoured) predictor",
-            param: Some("context order k (default 2)"),
+            param: Some("context order k, 1 to 8 (default 2)"),
             build: build_ngram,
         },
         PredictorSpec {
@@ -275,6 +314,10 @@ mod tests {
     fn bad_params_rejected() {
         assert!(build_predictor("ngram:0", 4).is_err());
         assert!(build_predictor("ngram:1.5", 4).is_err());
+        assert!(build_predictor("ngram:9", 4).is_err());
+        assert!(build_predictor("ngram:1e300", 4).is_err());
+        assert!(build_predictor("ngram:NaN", 4).is_err());
+        assert!(build_predictor(&format!("ngram:{MAX_NGRAM_ORDER}"), 4).is_ok());
         assert!(build_predictor("markov:-1", 4).is_err());
         assert!(build_predictor("freq:2", 4).is_err());
         assert!(build_predictor("depgraph:zero", 4).is_err());

@@ -702,3 +702,64 @@ mod json {
         }
     }
 }
+
+/// `run examples/workloads/trace.skp --format json`, byte for byte, as
+/// the dense trace replay printed it before the replay went sparse.
+#[test]
+fn trace_workload_json_matches_its_golden() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/workloads/trace.skp");
+    let (stdout, stderr, ok) = run_cli(&["run", path, "--format", "json"]);
+    assert!(ok, "stderr: {stderr}");
+    let golden = include_str!("golden/trace.json");
+    assert_eq!(stdout, golden);
+}
+
+/// An n-gram order past the cap (8) is a structured workload
+/// error (exit 2), not an allocation abort or a capacity panic.
+#[test]
+fn run_refuses_an_unbounded_ngram_order() {
+    let trace = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/workloads/trace.skp");
+    let text = std::fs::read_to_string(trace).unwrap();
+    for order in ["1000000000000", "1e300", "9"] {
+        let body = text.replace("predictor ngram:1", &format!("predictor ngram:{order}"));
+        assert_ne!(body, text, "the example names its predictor");
+        let path = write_scenario(&format!("ngram_{order}.skp"), &body);
+        let out = Command::new(env!("CARGO_BIN_EXE_skp-plan"))
+            .args(["run", path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "order {order}: {stderr}");
+        assert!(stderr.contains("ngram order"), "order {order}: {stderr}");
+        assert!(!stderr.contains("panicked"), "order {order}: {stderr}");
+        assert!(
+            !stderr.contains("memory allocation"),
+            "order {order}: {stderr}"
+        );
+    }
+}
+
+/// A reader that closes the pipe early ends the output quietly: exit 0,
+/// nothing on stderr. The sharded run's JSON (over 64 KiB) outgrows any
+/// pipe buffer, so its write meets the closed pipe whatever the timing.
+#[test]
+fn closed_stdout_pipe_exits_quietly() {
+    use std::process::Stdio;
+    let sharded = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/workloads/sharded.skp"
+    );
+    for args in [vec!["--list"], vec!["run", sharded, "--format", "json"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_skp-plan"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+}

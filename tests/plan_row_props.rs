@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use speculative_prefetch::core::skp::SortedView;
-use speculative_prefetch::{build_policy, policy_specs, ItemId, MarkovChain, Scenario};
+use speculative_prefetch::{build_policy, policy_specs, ItemId, MarkovChain, RowBasis, Scenario};
 
 /// A view's columns: ids, then the bits of `P`, `r` and the suffix sums
 /// (all `m + 1` of them), then the candidate count.
@@ -90,24 +90,30 @@ proptest! {
                 .expect("valid scenario");
             for spec in policy_specs() {
                 let want = build_policy(spec.name).unwrap().plan(&dense).into_items();
-                let got = build_policy(spec.name).unwrap().plan_row(row, &catalog, v);
+                let basis = RowBasis::Catalog { retrievals: &catalog, viewing: v };
+                let got = build_policy(spec.name).unwrap().plan_row(row, basis);
                 prop_assert_eq!(got, want, "{} in state {} of seed {}", spec.name, state, seed);
             }
         }
     }
 
     /// The SKP solvers' row view ≡ their dense positive view: ids, `P`,
-    /// `r`, suffix sums and candidate count, bit for bit.
+    /// `r`, suffix sums and candidate count, bit for bit, over every
+    /// item and over a random candidate mask.
     #[test]
     fn row_views_equal_dense_positive_views(seed in 0u64..u64::MAX) {
         let (chain, catalog) = chain_and_catalog(seed);
         let rows = chain.merged_rows();
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x6d61_736b);
         for state in 0..chain.n_states() {
             let dense = Scenario::new(chain.row_probs(state), catalog.clone(), 1.0)
                 .expect("valid scenario");
-            let want = SortedView::positive(&dense, None);
-            let got = SortedView::from_row(rows.row(state), &catalog, catalog.len());
-            prop_assert_eq!(columns(&got), columns(&want), "state {} of seed {}", state, seed);
+            let mask: Vec<bool> = (0..catalog.len()).map(|_| rng.random_bool(0.6)).collect();
+            for candidates in [None, Some(mask.as_slice())] {
+                let want = SortedView::positive(&dense, candidates);
+                let got = SortedView::from_row(rows.row(state), &catalog, candidates);
+                prop_assert_eq!(columns(&got), columns(&want), "state {} of seed {}", state, seed);
+            }
         }
     }
 }
