@@ -136,6 +136,17 @@ impl BackendDriver for ServedDriver {
             });
         }
         let report = wire::parse_report(&response.body)?;
+        // An untraced local run logs no events; a reply that carries some
+        // would break local ≡ served:.
+        if !run.traced && !report.events.is_empty() {
+            return Err(Error::InvalidParam {
+                what: "served backend",
+                detail: format!(
+                    "daemon sent {} events for an untraced run",
+                    report.events.len()
+                ),
+            });
+        }
         Ok((report.access, report.section, report.events))
     }
 }
@@ -531,6 +542,57 @@ mod tests {
             let _ = sock.write_all(raw.as_bytes());
         });
         addr
+    }
+
+    #[test]
+    fn events_on_an_untraced_run_are_refused() {
+        let chain = MarkovChain::random(6, 2, 3, 2, 5, 1).unwrap();
+        let retrievals = vec![1.0; 6];
+        let workload = crate::Workload::sharded(chain.clone(), 5, 1).traced(true);
+        let traced = crate::Engine::builder()
+            .policy("skp-exact")
+            .catalog(retrievals.clone())
+            .backend_spec("sharded:1x1:hash")
+            .build()
+            .unwrap()
+            .run(&workload)
+            .unwrap();
+        assert!(!traced.events.is_empty());
+        let body = format!("{{{}}}", wire::render_report_fields(&traced, &[]));
+        let reply = format!(
+            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let run = |addr: String, traced: bool| {
+            let mut planner = |_client: usize, _state: usize| Vec::new();
+            build_backend(&format!("served:{addr}:sharded:1x1:hash"))
+                .unwrap()
+                .run_population(PopulationRun {
+                    chain: &chain,
+                    retrievals: &retrievals,
+                    planner: &mut planner,
+                    requests_per_client: 5,
+                    seed: 1,
+                    traced,
+                    operation: "sharded",
+                    faults: None,
+                    policy_spec: Some("skp-exact"),
+                    obs: obs::Obs::off(),
+                    marks: None,
+                })
+        };
+        // The same reply is taken on a traced run and refused on an
+        // untraced one.
+        let (_, _, events) = run(serve_canned(reply.clone()), true).unwrap();
+        assert_eq!(events, traced.events);
+        match run(serve_canned(reply), false) {
+            Err(Error::InvalidParam { what, detail }) => {
+                assert_eq!(what, "served backend");
+                assert!(detail.contains("events for an untraced run"), "{detail}");
+            }
+            Err(other) => panic!("expected InvalidParam, got {other:?}"),
+            Ok(_) => panic!("expected InvalidParam, got a report"),
+        }
     }
 
     #[test]

@@ -12,25 +12,18 @@
 //!    their *raw token text* so 64-bit seeds survive parsing without
 //!    being squeezed through `f64` (which only holds 53 bits of integer
 //!    precision).
-//!    Typed reads take a plain run of at most 18 digits (no sign,
-//!    fraction, exponent or leading zero, ending at a delimiter) on an
-//!    integer fast path that sums the digits — the same value
-//!    `str::parse` gives, checked against it token by token in the
-//!    tests — and hand every other token to `str::parse`. A float field
-//!    refuses a token that overflows to an infinity, as it refuses
-//!    anything else that is not a finite number.
+//!    Typed reads sum a plain run of digits on an integer fast path and
+//!    hand every other token to `str::parse`; a float field refuses a
+//!    token that overflows to an infinity.
 //! 2. **Report rendering and parsing**: [`render_report_fields`] emits
-//!    the `"access"` / `"section_kind"` / `"section"` / `"events"`
-//!    fragment both the CLI and the daemon embed in their responses,
-//!    written straight into one buffer. Events, the bulk of a traced
-//!    reply, are written as fixed fragments: constant keys and one of
-//!    six pre-quoted kind tails. [`parse_report`] rebuilds a
-//!    [`RunReport`] from it without building a tree: each object's key
-//!    is first compared, as bytes, with the key that follows the last
-//!    one matched in the reader's field list, which is the order the
-//!    renderer writes; any other key is read as a borrowed slice and
-//!    looked up. Each number token is parsed once, straight into its
-//!    field. Keys may come in any order, unknown keys are validated and
+//!    the `"wire"` ([`WIRE_VERSION`]) / `"access"` / `"section_kind"` /
+//!    `"section"` / `"events"` fragment the CLI and the daemon embed in
+//!    their responses. The event log, the bulk of a traced reply, is
+//!    five parallel columns, Apache Arrow's columnar layout in JSON (see
+//!    [`EVENT_KINDS`]). [`parse_report`] rebuilds a [`RunReport`] from
+//!    it without building a tree, parsing each number token once,
+//!    straight into its field. Keys may come in any order (the
+//!    renderer's order is the cheapest), unknown keys are validated and
 //!    dropped, and on a duplicate key the first one wins (as
 //!    [`Json::get`] does). Population (`sharded`) sections
 //!    round-trip **bit-identically**: `f64` values are printed with
@@ -820,38 +813,36 @@ fn write_access(out: &mut String, a: &AccessStats) {
         .end();
 }
 
-fn event_kind_from_str(s: &str) -> Option<EventKind> {
-    Some(match s {
-        "request" => EventKind::Request,
-        "served" => EventKind::Served,
-        "transfer-start:prefetch" => EventKind::TransferStart(JobKind::Prefetch),
-        "transfer-start:demand" => EventKind::TransferStart(JobKind::Demand),
-        "transfer-done:prefetch" => EventKind::TransferDone(JobKind::Prefetch),
-        "transfer-done:demand" => EventKind::TransferDone(JobKind::Demand),
-        _ => return None,
-    })
-}
+/// The version [`write_report_fields`] writes as `"wire"` and the only
+/// one [`parse_report`] reads. Version 2 is the columnar event log.
+pub const WIRE_VERSION: u64 = 2;
 
-/// Writes one event as fixed fragments: the keys and the six kind
-/// names are constants, so none of them needs an escape scan. The bytes
-/// are the ones an [`ObjWriter`] would write for the same members.
-fn write_event(out: &mut String, e: &SimEvent) {
-    out.push_str("{\"at\":");
-    push_num(out, e.at);
-    out.push_str(",\"client\":");
-    push_uint(out, e.client as u64);
-    out.push_str(",\"shard\":");
-    push_uint(out, e.shard as u64);
-    out.push_str(",\"item\":");
-    push_uint(out, e.item as u64);
-    out.push_str(match e.kind {
-        EventKind::Request => ",\"kind\":\"request\"}",
-        EventKind::Served => ",\"kind\":\"served\"}",
-        EventKind::TransferStart(JobKind::Prefetch) => ",\"kind\":\"transfer-start:prefetch\"}",
-        EventKind::TransferStart(JobKind::Demand) => ",\"kind\":\"transfer-start:demand\"}",
-        EventKind::TransferDone(JobKind::Prefetch) => ",\"kind\":\"transfer-done:prefetch\"}",
-        EventKind::TransferDone(JobKind::Demand) => ",\"kind\":\"transfer-done:demand\"}",
-    });
+/// The event kinds by wire code: an event's `kind` column holds the
+/// index of its kind here.
+pub const EVENT_KINDS: [EventKind; 6] = [
+    EventKind::Request,
+    EventKind::Served,
+    EventKind::TransferStart(JobKind::Prefetch),
+    EventKind::TransferStart(JobKind::Demand),
+    EventKind::TransferDone(JobKind::Prefetch),
+    EventKind::TransferDone(JobKind::Demand),
+];
+
+/// Writes the event log as one object of five parallel columns.
+fn write_events(out: &mut String, events: &[SimEvent]) {
+    fn kind(e: &SimEvent) -> usize {
+        let code = EVENT_KINDS.iter().position(|&k| k == e.kind);
+        code.expect("EVENT_KINDS lists every kind")
+    }
+    let column =
+        |write: fn(&mut String, &SimEvent)| move |out: &mut String| push_arr(out, events, write);
+    ObjWriter::new(out)
+        .with("at", column(|out, e| push_num(out, e.at)))
+        .with("client", column(|out, e| push_uint(out, e.client as u64)))
+        .with("shard", column(|out, e| push_uint(out, e.shard as u64)))
+        .with("item", column(|out, e| push_uint(out, e.item as u64)))
+        .with("kind", column(|out, e| push_uint(out, kind(e) as u64)))
+        .end();
 }
 
 fn write_histogram(out: &mut String, h: &Histogram) {
@@ -920,34 +911,28 @@ fn write_section(out: &mut String, section: &ReportSection, labels: &[String]) {
 }
 
 /// Appends a [`RunReport`] to `out` as the JSON object *fields*
-/// `"access":…,"section_kind":…,"section":…,"events":…` (no braces),
-/// so callers can write their own metadata keys around them in the same
-/// buffer. Reserves room for the whole body up front.
+/// `"wire":2,"access":…,"section_kind":…,"section":…,"events":…` (no
+/// braces), so callers can write their own metadata keys around them in
+/// the same buffer. Reserves room for the whole body up front.
 ///
 /// `labels` are the catalog item labels (used by plan sections only;
 /// pass `&[]` when there are none).
 pub fn write_report_fields(out: &mut String, report: &RunReport, labels: &[String]) {
-    // At most about 90 bytes per event and 350 per shard.
+    // Usually under 24 bytes per event and 350 per shard.
     let shards = report.sharded().map_or(0, |r| r.shards.len());
-    out.reserve(512 + 96 * report.events.len() + 384 * shards);
-    out.push_str("\"access\":");
+    out.reserve(512 + 24 * report.events.len() + 384 * shards);
+    let _ = write!(out, "\"wire\":{WIRE_VERSION},\"access\":");
     write_access(out, &report.access);
     out.push_str(",\"section_kind\":");
     push_string(out, report.section.name());
     out.push_str(",\"section\":");
     write_section(out, &report.section, labels);
     out.push_str(",\"events\":");
-    push_arr(out, &report.events, write_event);
+    write_events(out, &report.events);
 }
 
-/// Renders a [`RunReport`] as the JSON object *fields*
-/// `"access":…,"section_kind":…,"section":…,"events":…` (no braces),
-/// so callers can splice their own metadata keys around them. The CLI
-/// prefixes workload/backend/policy; the daemon prefixes what it knows.
-/// [`write_report_fields`] appends the same bytes to a caller's buffer.
-///
-/// `labels` are the catalog item labels (used by plan sections only;
-/// pass `&[]` when there are none).
+/// The fields [`write_report_fields`] appends, as a new string. The CLI
+/// and the daemon prefix them with workload/backend/policy metadata.
 pub fn render_report_fields(report: &RunReport, labels: &[String]) -> String {
     let mut out = String::new();
     write_report_fields(&mut out, report, labels);
@@ -959,6 +944,13 @@ pub fn render_report_fields(report: &RunReport, labels: &[String]) -> String {
 // ---------------------------------------------------------------------
 
 const REPORT: &str = "wire report";
+
+fn invalid(detail: String) -> Error {
+    Error::InvalidParam {
+        what: REPORT,
+        detail,
+    }
+}
 
 fn read_access(p: &mut Parser<'_>, key: &str) -> Result<AccessStats, Error> {
     let (count, mean, p50, p99, min, max) = read_fields!(p.members(key) {
@@ -994,13 +986,10 @@ fn read_histogram(p: &mut Parser<'_>, key: &str) -> Result<Histogram, Error> {
             .try_fold(0u64, |a, &c| a.checked_add(c))
             .is_none()
     {
-        return Err(Error::InvalidParam {
-            what: REPORT,
-            detail: format!(
-                "field '{key}' is not a valid histogram (edges must be increasing and \
-                 positive, with one count per bin and a total that fits in 64 bits)"
-            ),
-        });
+        return Err(invalid(format!(
+            "field '{key}' is not a valid histogram (edges must be increasing and positive, \
+             with one count per bin and a total that fits in 64 bits)"
+        )));
     }
     Ok(Histogram::from_parts(edges, counts, sum))
 }
@@ -1070,50 +1059,57 @@ fn read_section(p: &mut Parser<'_>, kind: &str) -> Result<ReportSection, Error> 
             })
         }
         other => {
-            return Err(Error::InvalidParam {
-                what: REPORT,
-                detail: format!(
-                    "field 'section_kind' is '{other}': only sharded reports round-trip"
-                ),
-            })
+            return Err(invalid(format!(
+                "field 'section_kind' is '{other}': only sharded reports round-trip"
+            )))
         }
     })
 }
 
-fn read_event_kind(p: &mut Parser<'_>, key: &str) -> Result<EventKind, Error> {
-    let kind = p.str(key)?;
-    event_kind_from_str(&kind).ok_or_else(|| Error::InvalidParam {
-        what: REPORT,
-        detail: format!("unknown event kind '{kind}'"),
+/// Reads the version member, refusing any version but [`WIRE_VERSION`].
+fn read_version(p: &mut Parser<'_>, key: &str) -> Result<u64, Error> {
+    match p.u64(key)? {
+        WIRE_VERSION => Ok(WIRE_VERSION),
+        got => Err(invalid(format!(
+            "field '{key}' is version {got}, but this reader reads version {WIRE_VERSION}"
+        ))),
+    }
+}
+
+fn read_kinds(p: &mut Parser<'_>, key: &str) -> Result<Vec<EventKind>, Error> {
+    p.list_of(key, |p, key| {
+        let code = p.uint(key, "unsigned integers")?;
+        let unknown = || invalid(format!("field '{key}' has unknown kind code {code}"));
+        EVENT_KINDS.get(code as usize).copied().ok_or_else(unknown)
     })
 }
 
-fn read_event(p: &mut Parser<'_>, key: &str) -> Result<SimEvent, Error> {
-    let (at, client, shard, item, kind) = read_fields!(p.members(key) {
-        at: Parser::f64,
-        client: Parser::usize,
-        shard: Parser::usize,
-        item: Parser::usize,
-        kind: read_event_kind,
-    });
-    Ok(SimEvent {
-        at,
-        client,
-        shard,
-        item,
-        kind,
-    })
-}
-
+/// Reads the columnar event log. Each column grows only as its elements
+/// are parsed, so no buffer is sized from a count the peer declares.
 fn read_events(p: &mut Parser<'_>, key: &str) -> Result<Vec<SimEvent>, Error> {
-    // Every rendered event is longer than 50 bytes, and the reservation
-    // is bounded by text already in memory, whatever the input.
-    let mut events = Vec::with_capacity((p.bytes.len() - p.pos) / 50);
-    p.items(key, "an array", |p| {
-        events.push(read_event(p, key)?);
-        Ok(())
-    })?;
-    Ok(events)
+    let (at, client, shard, item, kind) = read_fields!(p.members(key) {
+        at: Parser::f64s,
+        client: Parser::u64s,
+        shard: Parser::u64s,
+        item: Parser::u64s,
+        kind: read_kinds,
+    });
+    let lens = [at.len(), client.len(), shard.len(), item.len(), kind.len()];
+    if lens.iter().any(|&len| len != lens[0]) {
+        return Err(invalid(format!(
+            "field '{key}' has columns of unequal length (at, client, shard, item, kind: {lens:?})"
+        )));
+    }
+    let events = at.into_iter().zip(client).zip(shard).zip(item).zip(kind);
+    Ok(events
+        .map(|((((at, client), shard), item), kind)| SimEvent {
+            at,
+            client: client as usize,
+            shard: shard as usize,
+            item: item as usize,
+            kind,
+        })
+        .collect())
 }
 
 /// Rebuilds a [`RunReport`] from a JSON document containing the fields
@@ -1122,10 +1118,12 @@ fn read_events(p: &mut Parser<'_>, key: &str) -> Result<Vec<SimEvent>, Error> {
 ///
 /// Only the population section (`sharded`) can be rebuilt — it is what
 /// a `served:` round-trip carries — and its reconstruction is
-/// bit-identical to the original report.
+/// bit-identical to the original report. A document whose `"wire"`
+/// version is missing or is not [`WIRE_VERSION`] is refused.
 pub fn parse_report(text: &str) -> Result<RunReport, Error> {
-    let (access, kind, section, events) = Parser::new(text, REPORT).document(|p| {
+    let (_, access, kind, section, events) = Parser::new(text, REPORT).document(|p| {
         Ok(read_fields!(p.fields() {
+            wire: read_version,
             access: read_access,
             section_kind: Parser::str,
             // The section's shape depends on its kind, which may come
@@ -1579,8 +1577,8 @@ mod tests {
         // and a later duplicate `access` that must lose to the first.
         let (access, rest) = fields.split_once(",\"section_kind\":").unwrap();
         let text = format!(
-            "{{\"events\":[],\"extra\":{{\"a\":[1,{{}},\"\\u00e9\"]}},\"section_kind\":{rest},{access},\
-             \"access\":7}}"
+            "{{\"events\":{{\"kind\":[],\"item\":[],\"at\":[],\"shard\":[],\"client\":[]}},\
+             \"extra\":{{\"a\":[1,{{}},\"\\u00e9\"]}},\"section_kind\":{rest},{access},\"access\":7}}"
         );
         assert_eq!(parse_report(&text).unwrap(), report);
         let text = format!("{{\"x\":1,{fields},\"access\":{{}}}}");
@@ -1708,99 +1706,53 @@ mod tests {
         (engine.run(&Workload::plan(scenario)).unwrap(), labels)
     }
 
-    // `render_report_fields` output of the three reports above, captured
-    // before the renderer wrote into one buffer, wrapped after commas for
-    // reading (the renderer never emits a raw newline).
+    // `render_report_fields` output of the three reports above, wrapped
+    // after commas for reading (the renderer never emits a raw newline).
+    // Wire version 2 re-cut them: each differs from its version-1 form
+    // only in the `wire` member and the columnar `events` value.
     const GOLDEN_SHARDED: &str = r#"
-"access":{"count":8,"mean":2.125,"p50":0,"p99":6,"min":0,"max":6},"section_kind":"sharded",
-"section":{"requests":8,"access":{"count":8,"mean":2.125,"p50":0,"p99":6,"min":0,
-"max":6},"utilisation":0.8771929824561404,"wasted_transfer":24,"total_transfer":57,
-"shards":[{"shard":0,"jobs":9,"busy_time":12,"utilisation":0.631578947368421,
-"mean_queue_depth":0.75,"max_queue_depth":3,"total_transfer":12,"outage_time":0,
-"outage_delay":0,"service_scale":1,"stalls":{"edges":[1,2,4,8,16,32,64,128,256],
-"counts":[1,0,0,0,0,0,0,0,0,0,0],"sum":0}},{"shard":1,"jobs":8,"busy_time":23,
-"utilisation":1,"mean_queue_depth":1.5714285714285714,"max_queue_depth":3,"total_transfer":23,
-"outage_time":0,"outage_delay":0,"service_scale":1,"stalls":{"edges":[1,2,4,
-8,16,32,64,128,256],"counts":[3,0,0,0,2,0,0,0,0,0,0],"sum":11}},{"shard":2,"jobs":8,
-"busy_time":22,"utilisation":1,"mean_queue_depth":3.4285714285714284,"max_queue_depth":5,
-"total_transfer":22,"outage_time":0,"outage_delay":0,"service_scale":1,"stalls":{"edges":[1,
-2,4,8,16,32,64,128,256],"counts":[1,0,0,0,1,0,0,0,0,0,0],"sum":6}}]},"events":[{"at":0,
-"client":1,"shard":0,"item":0,"kind":"transfer-start:prefetch"},{"at":0,"client":1,
-"shard":1,"item":6,"kind":"transfer-start:prefetch"},{"at":0,"client":0,"shard":2,
-"item":7,"kind":"transfer-start:prefetch"},{"at":1,"client":1,"shard":0,"item":0,
-"kind":"transfer-done:prefetch"},{"at":1,"client":2,"shard":0,"item":1,"kind":"transfer-start:prefetch"},
-{"at":2,"client":1,"shard":1,"item":6,"kind":"transfer-done:prefetch"},{"at":2,
-"client":3,"shard":1,"item":5,"kind":"transfer-start:prefetch"},{"at":3,"client":0,
-"shard":2,"item":7,"kind":"transfer-done:prefetch"},{"at":3,"client":0,"shard":2,
-"item":11,"kind":"transfer-start:prefetch"},{"at":3,"client":2,"shard":0,"item":1,
-"kind":"transfer-done:prefetch"},{"at":3,"client":3,"shard":0,"item":0,"kind":"transfer-start:prefetch"},
-{"at":3,"client":3,"shard":1,"item":5,"kind":"transfer-done:prefetch"},{"at":3,
-"client":3,"shard":1,"item":6,"kind":"transfer-start:prefetch"},{"at":4,"client":2,
-"shard":1,"item":8,"kind":"request"},{"at":4,"client":3,"shard":0,"item":0,"kind":"transfer-done:prefetch"},
-{"at":5,"client":0,"shard":2,"item":7,"kind":"request"},{"at":5,"client":0,"shard":2,
-"item":7,"kind":"served"},{"at":5,"client":0,"shard":0,"item":0,"kind":"transfer-start:prefetch"},
-{"at":5,"client":1,"shard":1,"item":6,"kind":"request"},{"at":5,"client":1,"shard":1,
-"item":6,"kind":"served"},{"at":5,"client":0,"shard":2,"item":11,"kind":"transfer-done:prefetch"},
-{"at":5,"client":1,"shard":2,"item":7,"kind":"transfer-start:prefetch"},{"at":5,
-"client":3,"shard":1,"item":6,"kind":"transfer-done:prefetch"},{"at":5,"client":2,
-"shard":1,"item":8,"kind":"transfer-start:demand"},{"at":6,"client":0,"shard":0,
-"item":0,"kind":"transfer-done:prefetch"},{"at":6,"client":1,"shard":0,"item":1,
-"kind":"transfer-start:prefetch"},{"at":7,"client":3,"shard":1,"item":5,"kind":"request"},
-{"at":7,"client":3,"shard":1,"item":5,"kind":"served"},{"at":8,"client":1,"shard":2,
-"item":7,"kind":"transfer-done:prefetch"},{"at":8,"client":2,"shard":2,"item":11,
-"kind":"transfer-start:prefetch"},{"at":8,"client":1,"shard":0,"item":1,"kind":"transfer-done:prefetch"},
-{"at":8,"client":3,"shard":0,"item":0,"kind":"transfer-start:prefetch"},{"at":9,
-"client":1,"shard":2,"item":11,"kind":"request"},{"at":9,"client":2,"shard":1,
-"item":8,"kind":"transfer-done:demand"},{"at":9,"client":2,"shard":1,"item":8,
-"kind":"served"},{"at":9,"client":0,"shard":1,"item":9,"kind":"transfer-start:prefetch"},
-{"at":9,"client":3,"shard":0,"item":0,"kind":"transfer-done:prefetch"},{"at":9,
-"client":2,"shard":0,"item":0,"kind":"transfer-start:prefetch"},{"at":10,"client":2,
-"shard":2,"item":11,"kind":"transfer-done:prefetch"},{"at":10,"client":3,"shard":2,
-"item":7,"kind":"transfer-start:prefetch"},{"at":10,"client":2,"shard":0,"item":0,
-"kind":"transfer-done:prefetch"},{"at":11,"client":3,"shard":1,"item":2,"kind":"request"},
-{"at":12,"client":0,"shard":0,"item":0,"kind":"request"},{"at":12,"client":0,
-"shard":0,"item":0,"kind":"served"},{"at":13,"client":2,"shard":2,"item":11,
-"kind":"request"},{"at":13,"client":3,"shard":2,"item":7,"kind":"transfer-done:prefetch"},
-{"at":13,"client":1,"shard":2,"item":11,"kind":"transfer-start:prefetch"},{"at":14,
-"client":0,"shard":1,"item":9,"kind":"transfer-done:prefetch"},{"at":14,"client":3,
-"shard":1,"item":2,"kind":"transfer-start:prefetch"},{"at":15,"client":1,"shard":2,
-"item":11,"kind":"transfer-done:prefetch"},{"at":15,"client":1,"shard":2,"item":11,
-"kind":"served"},{"at":15,"client":1,"shard":0,"item":0,"kind":"transfer-start:prefetch"},
-{"at":15,"client":2,"shard":2,"item":7,"kind":"transfer-start:prefetch"},{"at":16,
-"client":1,"shard":0,"item":0,"kind":"transfer-done:prefetch"},{"at":17,"client":3,
-"shard":1,"item":2,"kind":"transfer-done:prefetch"},{"at":17,"client":3,"shard":1,
-"item":2,"kind":"served"},{"at":17,"client":0,"shard":1,"item":6,"kind":"transfer-start:prefetch"},
-{"at":18,"client":2,"shard":2,"item":7,"kind":"transfer-done:prefetch"},{"at":18,
-"client":0,"shard":2,"item":3,"kind":"transfer-start:prefetch"},{"at":19,"client":0,
-"shard":1,"item":6,"kind":"request"},{"at":19,"client":1,"shard":2,"item":7,
-"kind":"request"},{"at":19,"client":0,"shard":1,"item":6,"kind":"transfer-done:prefetch"},
-{"at":19,"client":0,"shard":1,"item":6,"kind":"served"},{"at":19,"client":0,
-"shard":0,"item":1,"kind":"transfer-start:prefetch"},{"at":19,"client":3,"shard":1,
-"item":8,"kind":"transfer-start:prefetch"}]"#;
+"wire":2,"access":{"count":8,"mean":2.125,"p50":0,"p99":6,"min":0,"max":6},
+"section_kind":"sharded","section":{"requests":8,"access":{"count":8,"mean":2.125,"p50":0,
+"p99":6,"min":0,"max":6},"utilisation":0.8771929824561404,"wasted_transfer":24,
+"total_transfer":57,"shards":[{"shard":0,"jobs":9,"busy_time":12,
+"utilisation":0.631578947368421,"mean_queue_depth":0.75,"max_queue_depth":3,
+"total_transfer":12,"outage_time":0,"outage_delay":0,"service_scale":1,
+"stalls":{"edges":[1,2,4,8,16,32,64,128,256],"counts":[1,0,0,0,0,0,0,0,0,0,0],"sum":0}},
+{"shard":1,"jobs":8,"busy_time":23,"utilisation":1,"mean_queue_depth":1.5714285714285714,
+"max_queue_depth":3,"total_transfer":23,"outage_time":0,"outage_delay":0,
+"service_scale":1,"stalls":{"edges":[1,2,4,8,16,32,64,128,256],"counts":[3,0,0,0,2,0,0,0,
+0,0,0],"sum":11}},{"shard":2,"jobs":8,"busy_time":22,"utilisation":1,
+"mean_queue_depth":3.4285714285714284,"max_queue_depth":5,"total_transfer":22,
+"outage_time":0,"outage_delay":0,"service_scale":1,"stalls":{"edges":[1,2,4,8,16,32,64,
+128,256],"counts":[1,0,0,0,1,0,0,0,0,0,0],"sum":6}}]},"events":{"at":[0,0,0,1,1,2,2,3,3,3,
+3,3,3,4,4,5,5,5,5,5,5,5,5,5,6,6,7,7,8,8,8,8,9,9,9,9,9,9,10,10,10,11,12,12,13,13,13,14,14,
+15,15,15,15,16,17,17,17,18,18,19,19,19,19,19,19],"client":[1,1,0,1,2,1,3,0,0,2,3,3,3,2,3,
+0,0,0,1,1,0,1,3,2,0,1,3,3,1,2,1,3,1,2,2,0,3,2,2,3,2,3,0,0,2,3,1,0,3,1,1,1,2,1,3,3,0,2,0,0,
+1,0,0,0,3],"shard":[0,1,2,0,0,1,1,2,2,0,0,1,1,1,0,2,2,0,1,1,2,2,1,1,0,0,1,1,2,2,0,0,2,1,1,
+1,0,0,2,2,0,1,0,0,2,2,2,1,1,2,2,0,2,0,1,1,1,2,2,1,2,1,1,0,1],"item":[0,6,7,0,1,6,5,7,11,1,
+0,5,6,8,0,7,7,0,6,6,11,7,6,8,0,1,5,5,7,11,1,0,11,8,8,9,0,0,11,7,0,2,0,0,11,7,11,9,2,11,11,
+0,7,0,2,2,6,7,3,6,7,6,6,1,8],"kind":[2,2,2,4,2,4,2,4,2,4,2,4,2,0,4,0,1,2,0,1,4,2,4,3,4,2,
+0,1,4,2,4,2,0,5,1,2,4,2,4,2,4,0,0,1,0,4,2,4,2,4,1,2,2,4,4,1,2,4,2,0,0,4,1,2,2]}"#;
 
     const GOLDEN_PLAN: &str = r#"
-"access":{"count":4,"mean":1.3000000000000003,"p50":0,"p99":3,"min":0,"max":3},
+"wire":2,"access":{"count":4,"mean":1.3000000000000003,"p50":0,"p99":3,"min":0,"max":3},
 "section_kind":"plan","section":{"items":[0,3],"labels":["say \"hi\"\\\t\n",
-"bell\u0007é\u000d"],"gain":1.7000000000000002,"stretch":0,"expected_access_time":1.2999999999999998,
-"upper_bound":1.9000000000000001,"per_request":[0,3,2,0]},"events":[]"#;
+"bell\u0007é\u000d"],"gain":1.7000000000000002,"stretch":0,
+"expected_access_time":1.2999999999999998,"upper_bound":1.9000000000000001,
+"per_request":[0,3,2,0]},"events":{"at":[],"client":[],"shard":[],"item":[],"kind":[]}"#;
 
     // The section is `golden_one_shard`'s; the events are hand-made.
     const GOLDEN_EVENTS: &str = r#"
-"access":{"count":80,"mean":25.7,"p50":26,"p99":40,"min":0,"max":40},
+"wire":2,"access":{"count":80,"mean":25.7,"p50":26,"p99":40,"min":0,"max":40},
 "section_kind":"sharded","section":{"requests":80,"access":{"count":80,"mean":25.7,
 "p50":26,"p99":40,"min":0,"max":40},"utilisation":1,"wasted_transfer":154,
 "total_transfer":601,"shards":[{"shard":0,"jobs":121,"busy_time":601,"utilisation":1,
 "mean_queue_depth":4.625,"max_queue_depth":7,"total_transfer":601,"outage_time":0,
 "outage_delay":0,"service_scale":1,"stalls":{"edges":[1,2,4,8,16,32,64,128,256],
-"counts":[1,0,0,0,2,5,55,17,0,0,0],"sum":2056}}]},"events":[{"at":0,"client":0,"shard":0,
-"item":0,"kind":"request"},{"at":-0,"client":9,"shard":10,"item":11,"kind":"served"},
-{"at":0.30000000000000004,"client":10,"shard":99,"item":100,
-"kind":"transfer-start:prefetch"},{"at":0.0000001,"client":1234,"shard":5,"item":67890,
-"kind":"transfer-start:demand"},{"at":4503599627370495.5,"client":1,"shard":2,"item":3,
-"kind":"transfer-done:prefetch"},{"at":9007199254740991,"client":4294967295,"shard":12,
-"item":345,"kind":"transfer-done:demand"},{"at":9007199254740992,"client":7,"shard":8,
-"item":9,"kind":"request"},{"at":100000000000000000000,"client":10,"shard":10,"item":10,
-"kind":"served"}]"#;
+"counts":[1,0,0,0,2,5,55,17,0,0,0],"sum":2056}}]},"events":{"at":[0,-0,
+0.30000000000000004,0.0000001,4503599627370495.5,9007199254740991,9007199254740992,
+100000000000000000000],"client":[0,9,10,1234,1,4294967295,7,10],"shard":[0,10,99,5,2,12,8,
+10],"item":[0,11,100,67890,3,345,9,10],"kind":[0,1,2,3,4,5,0,1]}"#;
 
     #[test]
     fn event_golden_round_trips_bit_for_bit() {
@@ -1843,27 +1795,33 @@ mod tests {
         );
         let doc = |count: &str, mean: &str, item: &str| {
             format!(
-                "{{\"access\":{{\"count\":{count},\"mean\":{mean},\"p50\":0,\"p99\":0,\"min\":0,\
+                "{{\"wire\":2,\"access\":{{\"count\":{count},\"mean\":{mean},\"p50\":0,\"p99\":0,\"min\":0,\
                  \"max\":0}},\"section_kind\":\"sharded\",\"section\":{{\"access\":{{\"count\":0,\
                  \"mean\":0,\"p50\":0,\"p99\":0,\"min\":0,\"max\":0}},\"utilisation\":0,\
-                 \"wasted_transfer\":0,\"total_transfer\":0,\"shards\":[]}},\"events\":[{{\
-                 \"at\":{mean},\"client\":{item},\"shard\":0,\"item\":{item},\"kind\":\"served\"}}]}}"
+                 \"wasted_transfer\":0,\"total_transfer\":0,\"shards\":[]}},\"events\":{{\
+                 \"at\":[{mean}],\"client\":[{item}],\"shard\":[0],\"item\":[{item}],\"kind\":[1]}}}}"
             )
         };
-        let refused = |field: &str| {
-            format!("invalid wire report: field '{field}' must be an unsigned integer")
+        let refused = |field: &str, expected: &str| {
+            format!("invalid wire report: field '{field}' must be {expected}")
         };
         for token in &tokens {
             let raw = token.trim_end();
             let count = parse_report(&doc(token, "1", "1")).map(|r| r.access.count);
             match raw.parse::<u64>() {
                 Ok(v) => assert_eq!(count.unwrap(), v, "{token:?}"),
-                Err(_) => assert_eq!(count.unwrap_err().to_string(), refused("count")),
+                Err(_) => assert_eq!(
+                    count.unwrap_err().to_string(),
+                    refused("count", "an unsigned integer")
+                ),
             }
             let item = parse_report(&doc("1", "1", token)).map(|r| r.events[0].item);
             match raw.parse::<usize>() {
                 Ok(v) => assert_eq!(item.unwrap(), v, "{token:?}"),
-                Err(_) => assert_eq!(item.unwrap_err().to_string(), refused("client")),
+                Err(_) => assert_eq!(
+                    item.unwrap_err().to_string(),
+                    refused("client", "unsigned integers")
+                ),
             }
             let report = parse_report(&doc("1", token, "1")).unwrap();
             let bits = raw.parse::<f64>().unwrap().to_bits();
@@ -1882,14 +1840,14 @@ mod tests {
                 "'mean' must be a finite number",
             ),
             (
-                "{\"at\":0,",
-                "{\"at\":1e400,",
-                "'at' must be a finite number",
+                "\"at\":[0,",
+                "\"at\":[1e400,",
+                "'at' must be finite numbers",
             ),
             (
-                "{\"at\":0,",
-                "{\"at\":-1e400,",
-                "'at' must be a finite number",
+                "\"at\":[0,",
+                "\"at\":[-1e400,",
+                "'at' must be finite numbers",
             ),
             (
                 "\"edges\":[1,",

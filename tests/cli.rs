@@ -704,7 +704,8 @@ mod json {
 }
 
 /// `run examples/workloads/trace.skp --format json`, byte for byte, as
-/// the dense trace replay printed it before the replay went sparse.
+/// the dense trace replay printed it before the replay went sparse. Wire
+/// version 2 changed only its `wire` member and its empty `events` block.
 #[test]
 fn trace_workload_json_matches_its_golden() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/workloads/trace.skp");

@@ -1,7 +1,8 @@
 //! Parse semantics of the typed wire reader on random population
 //! reports: the layout of a document — key order, whitespace, unknown
-//! keys, later duplicates — never changes the report it decodes to, and
-//! hostile bytes give an error, never a panic.
+//! keys, later duplicates — never changes the report it decodes to,
+//! hostile bytes give an error, never a panic, and a hostile event log
+//! or version member is a structured error naming the field.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -9,7 +10,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use speculative_prefetch::wire::{esc, Json};
 use speculative_prefetch::{
-    parse_report, render_report_fields, Engine, MarkovChain, RunReport, WireRun, Workload,
+    parse_report, render_report_fields, Engine, Error, MarkovChain, RunReport, WireRun, Workload,
 };
 
 fn population_report(states: usize, requests: u64, seed: u64, sharded: bool) -> RunReport {
@@ -147,6 +148,109 @@ proptest! {
     }
 }
 
+/// The member `key` of an object.
+fn member<'a>(doc: &'a mut Json, key: &str) -> &'a mut Json {
+    match doc {
+        Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).expect("member").1,
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+/// The elements of an array.
+fn elements(doc: &mut Json) -> &mut Vec<Json> {
+    match doc {
+        Json::Arr(items) => items,
+        other => panic!("not an array: {other:?}"),
+    }
+}
+
+/// The `InvalidParam` detail `parse_report` gives for `doc`.
+fn refusal(doc: &Json) -> String {
+    let mut text = String::new();
+    write(doc, &mut SmallRng::seed_from_u64(0), &mut text);
+    match parse_report(&text) {
+        Err(Error::InvalidParam { what, detail }) => {
+            assert_eq!(what, "wire report");
+            detail
+        }
+        other => panic!("expected InvalidParam, got {other:?}"),
+    }
+}
+
+const COLUMNS: [&str; 5] = ["at", "client", "shard", "item", "kind"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every hostile edit of one element of a traced report's event log,
+    /// or of its version member, is refused with an error naming the
+    /// field.
+    #[test]
+    fn hostile_event_logs_and_versions_are_refused(
+        states in 3usize..9,
+        requests in 1u64..6,
+        seed in 0u64..10_000,
+        column in 0usize..5,
+        position in 0usize..usize::MAX,
+        big_code in 6u64..u64::MAX,
+        id_token in 0usize..3,
+        at_token in 0usize..3,
+    ) {
+        let report = population_report(states, requests, seed, true);
+        let clean = Json::parse(&format!("{{{}}}", render_report_fields(&report, &[])))
+            .expect("rendered reports parse");
+        let len = report.events.len();
+        prop_assert!(len > 0);
+        let i = position % len;
+        let edit = |f: &dyn Fn(&mut Json)| {
+            let mut doc = clean.clone();
+            f(&mut doc);
+            refusal(&doc)
+        };
+        let cell = |doc: &mut Json, column: &str, token: &str| {
+            elements(member(member(doc, "events"), column))[i] = match token {
+                "null" => Json::Null,
+                raw => Json::Num(raw.to_string()),
+            };
+        };
+
+        // Columns of unequal length: one column loses an element.
+        let name = COLUMNS[column];
+        let detail = edit(&|doc| {
+            elements(member(member(doc, "events"), name)).remove(i);
+        });
+        prop_assert!(detail.contains("'events'") && detail.contains("unequal length"), "{}", detail);
+
+        // Kind codes run 0 to 5.
+        for code in [6, big_code] {
+            let detail = edit(&|doc| cell(doc, "kind", &code.to_string()));
+            let want = format!("field 'kind' has unknown kind code {code}");
+            prop_assert_eq!(&detail, &want);
+        }
+
+        // Ids are unsigned 64-bit integers.
+        let id = ["client", "shard", "item"][column % 3];
+        let token = ["-1", "1.5", "18446744073709551616"][id_token];
+        let detail = edit(&|doc| cell(doc, id, token));
+        prop_assert_eq!(detail, format!("field '{id}' must be unsigned integers"));
+
+        // Times are finite: an overflowing token and the `null` the
+        // renderer writes for a non-finite value are both refused.
+        let token = ["1e999", "-1e400", "null"][at_token];
+        let detail = edit(&|doc| cell(doc, "at", token));
+        prop_assert_eq!(detail, "field 'at' must be finite numbers");
+
+        // The version member is required and must be 2.
+        let detail = edit(&|doc| {
+            let Json::Obj(pairs) = doc else { unreachable!() };
+            pairs.retain(|(k, _)| k != "wire");
+        });
+        prop_assert_eq!(detail, "missing field 'wire'");
+        let detail = edit(&|doc| *member(doc, "wire") = Json::Num("1".into()));
+        prop_assert!(detail.contains("'wire'") && detail.contains("version 1"), "{}", detail);
+    }
+}
+
 proptest! {
     // Each case parses every prefix of two documents.
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -159,6 +263,9 @@ proptest! {
     ) {
         let report = population_report(4, 2, seed, sharded);
         let text = format!("{{{}}}", render_report_fields(&report, &[]));
+        // The traced (sharded) reports carry a columnar event log.
+        prop_assert_eq!(sharded, !report.events.is_empty());
+        prop_assert!(text.contains("\"events\":{\"at\":["));
         let chain = MarkovChain::random(5, 1, 3, 1, 9, seed).expect("valid chain");
         let run = WireRun::new("sharded", "sharded:2x2:hash", "skp-exact", &chain, &[1.0; 5], 3, seed, true)
             .render();
