@@ -787,6 +787,12 @@ mod tests {
         speculative_prefetch::wire::Json::parse(&j).expect("registry JSON parses");
     }
 
+    /// The `GET /registry` body, byte for byte.
+    #[test]
+    fn registry_json_matches_its_golden() {
+        assert_eq!(registry_json(), include_str!("registry.golden.json"));
+    }
+
     /// A fully deterministic snapshot for the exposition goldens.
     fn sample_snapshot() -> StatsSnapshot {
         StatsSnapshot {

@@ -113,6 +113,15 @@ fn list_enumerates_policies_predictors_backends_and_plan_stores() {
     assert!(stdout.contains("registered obs sinks"), "{stdout}");
 }
 
+/// `--list`, byte for byte: every registry's rows, aliases and
+/// parameter syntax in registration order.
+#[test]
+fn list_matches_its_golden() {
+    let (stdout, stderr, ok) = run_cli(&["--list"]);
+    assert!(ok, "stderr: {stderr}");
+    assert_eq!(stdout, include_str!("golden/list.txt"));
+}
+
 /// Every registry seam is named by `--list`: the section headers are
 /// exactly the known set, in order — a new seam that forgets to add
 /// itself to `registry_sections()` fails here.

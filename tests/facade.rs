@@ -467,10 +467,10 @@ fn runtime_registered_backend_is_reachable_via_spec_string() {
     assert!(register_backend("constant-time", "", "dup", |_| unreachable!()).is_err());
 }
 
-/// One name rule for the four runtime registries (backend, generator,
-/// plan store, obs sink): the registry name and every numeric field may
-/// carry surrounding spaces, and the padded spec builds the same
-/// canonical spec as the tight one.
+/// One name rule for all six registries (policy, predictor, backend,
+/// generator, plan store, obs sink): the registry name and every
+/// numeric field may carry surrounding spaces, and the padded spec
+/// builds what the tight one builds.
 #[test]
 fn every_registry_trims_names_and_numeric_fields() {
     let canonical = |registry: &str, spec: &str| -> Result<String, Error> {
@@ -502,5 +502,31 @@ fn every_registry_trims_names_and_numeric_fields() {
         let built = canonical(registry, padded)
             .unwrap_or_else(|e| panic!("{registry} spec '{padded}': {e}"));
         assert_eq!(built, want, "{registry} spec '{padded}'");
+    }
+    let s = scenario();
+    for (padded, tight) in [
+        (" paper ", "skp-paper"),
+        (" network-aware : 0.25 ", "network-aware:0.25"),
+        ("two-step: 0.5", "two-step:0.5"),
+    ] {
+        let built = build_policy(padded).unwrap_or_else(|e| panic!("policy '{padded}': {e}"));
+        let want = build_policy(tight).expect("tight policy spec");
+        assert_eq!(built.name(), want.name(), "policy '{padded}'");
+        assert_eq!(built.plan(&s), want.plan(&s), "policy '{padded}'");
+    }
+    for (padded, tight) in [
+        (" ngram : 3 ", "ngram:3"),
+        (" markov: 0.1", "markov:0.1"),
+        (" freq ", "freq"),
+    ] {
+        let mut built =
+            build_predictor(padded, 6).unwrap_or_else(|e| panic!("predictor '{padded}': {e}"));
+        let mut want = build_predictor(tight, 6).expect("tight predictor spec");
+        for item in [0, 1, 2, 0, 1, 2, 3, 0, 1, 4] {
+            built.observe(item);
+            want.observe(item);
+        }
+        assert_eq!(built.name(), want.name(), "predictor '{padded}'");
+        assert_eq!(built.predict(1), want.predict(1), "predictor '{padded}'");
     }
 }
