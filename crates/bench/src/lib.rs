@@ -1,1 +1,1 @@
-//! Criterion benchmark crate (benchmarks live in benches/).
+//! Snapshot benchmarks with timing gates (benchmarks live in benches/).

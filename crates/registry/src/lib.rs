@@ -1,8 +1,9 @@
 //! The one string-keyed registry behind the workspace's runtime seams.
 //!
-//! Backends, workload generators, obs sinks and plan stores are each
-//! chosen by a spec string `name[:params]`. Each seam is a static
-//! [`Registry`] mapping names to builders, with runtime registration.
+//! Policies, predictors, backends, workload generators, obs sinks and
+//! plan stores are each chosen by a spec string `name[:params]`. Each
+//! seam is a static [`Registry`] mapping names to builders, with
+//! runtime registration.
 //! `skp-plan --list` and `GET /registry` print the same [`Spec`] rows
 //! the lookup reads, so the listings and the parser cannot drift.
 //!
@@ -130,13 +131,15 @@ impl<B: Copy + 'static> Registry<B> {
         entries.iter().map(|(spec, _)| spec.name).collect()
     }
 
+    /// The listing row and builder registered under exactly `name`.
+    pub fn entry(&self, name: &str) -> Option<(Spec, B)> {
+        let entries = self.entries.read().expect("registry poisoned");
+        entries.iter().find(|(spec, _)| spec.name == name).copied()
+    }
+
     /// The builder registered under exactly `name`.
     pub fn get(&self, name: &str) -> Option<B> {
-        let entries = self.entries.read().expect("registry poisoned");
-        entries
-            .iter()
-            .find(|(spec, _)| spec.name == name)
-            .map(|&(_, build)| build)
+        self.entry(name).map(|(_, build)| build)
     }
 
     /// Resolves a spec string through [`split_spec`]: the builder of its
@@ -355,5 +358,6 @@ mod tests {
         let (build, param) = OWN.lookup("late").unwrap();
         assert_eq!(build(param), Ok(0));
         assert!(OWN.get("zero").is_some() && OWN.get(" zero").is_none());
+        assert_eq!(OWN.entry("late").map(|(spec, _)| spec), Some(row("late")));
     }
 }

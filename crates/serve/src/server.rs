@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 use speculative_prefetch::wire::{esc, list, render_access};
 use speculative_prefetch::{
     backend_specs, build_plan_store, obs_sink_specs, parse_workload, plan_store_specs,
-    policy_specs, predictor_specs, render_report_fields, AccessStats, Engine, Error, PlanStore,
-    PlanStoreStats, RegistrySpec, WireRun, Workload,
+    policy_aliases, policy_specs, predictor_specs, render_report_fields, AccessStats, Engine,
+    Error, PlanStore, PlanStoreStats, RegistrySpec, WireRun, Workload,
 };
 
 use crate::http::{self, Request, Response};
@@ -430,25 +430,25 @@ fn route(req: &Request, state: &Arc<ServerState>, cfg: &ServeConfig) -> Response
 }
 
 fn registry_json() -> String {
-    let opt = |p: Option<&'static str>| match p {
-        Some(p) => format!("\"{}\"", esc(p)),
-        None => "null".to_string(),
+    let param = |p: &str| match p {
+        "" => "null".to_string(),
+        p => format!("\"{}\"", esc(p)),
     };
-    let policies = list(policy_specs(), |s| {
+    let policies = list(&policy_specs(), |s| {
         format!(
             "{{\"name\":\"{}\",\"aliases\":{},\"summary\":\"{}\",\"param\":{}}}",
             esc(s.name),
-            list(s.aliases, |a| format!("\"{}\"", esc(a))),
+            list(&policy_aliases(s.name), |a| format!("\"{}\"", esc(a))),
             esc(s.summary),
-            opt(s.param)
+            param(s.params)
         )
     });
-    let predictors = list(predictor_specs(), |s| {
+    let predictors = list(&predictor_specs(), |s| {
         format!(
             "{{\"name\":\"{}\",\"summary\":\"{}\",\"param\":{}}}",
             esc(s.name),
             esc(s.summary),
-            opt(s.param)
+            param(s.params)
         )
     });
     let spec_list = |specs: Vec<RegistrySpec>| {

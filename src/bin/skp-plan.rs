@@ -23,9 +23,9 @@ use std::io::{self, Write};
 use speculative_prefetch::wire::{esc, list, num, write_report_fields};
 use speculative_prefetch::{
     backend_specs, generator_specs, global_applicable, obs_sink_specs, parse_scenario_file,
-    parse_workload, plan_store_specs, policy_specs, predictor_specs, trace_json, Engine, Error,
-    PhaseSpan, PlanReport, RegistrySpec, ReportSection, RunReport, Scenario, Workload,
-    WorkloadFile,
+    parse_workload, plan_store_specs, policy_aliases, policy_specs, predictor_specs, trace_json,
+    Engine, Error, PhaseSpan, PlanReport, RegistrySpec, ReportSection, RunReport, Scenario,
+    Workload, WorkloadFile,
 };
 
 fn usage() -> ! {
@@ -62,6 +62,34 @@ fn spec_rows(specs: Vec<RegistrySpec>) -> Vec<(String, String)> {
         .collect()
 }
 
+/// The rows of the policy and predictor listings: name, then summary,
+/// any aliases and the meaning of the `:param` suffix.
+fn param_rows(
+    specs: Vec<RegistrySpec>,
+    aliases: fn(&str) -> Vec<&'static str>,
+) -> Vec<(String, String)> {
+    specs
+        .iter()
+        .map(|spec| {
+            let aliases = aliases(spec.name);
+            let aliases = if aliases.is_empty() {
+                String::new()
+            } else {
+                format!(" (aliases: {})", aliases.join(", "))
+            };
+            let param = if spec.params.is_empty() {
+                String::new()
+            } else {
+                format!("; :param = {}", spec.params)
+            };
+            (
+                spec.name.to_string(),
+                format!("{}{aliases}{param}", spec.summary),
+            )
+        })
+        .collect()
+}
+
 /// The `--list` output as one table: every registry contributes a
 /// `(header, rows)` section and one loop prints them all, so a new
 /// seam cannot format differently — or be forgotten — without editing
@@ -70,37 +98,11 @@ fn registry_sections() -> Vec<(&'static str, Vec<(String, String)>)> {
     vec![
         (
             "registered policies (--solver):",
-            policy_specs()
-                .iter()
-                .map(|spec| {
-                    let aliases = if spec.aliases.is_empty() {
-                        String::new()
-                    } else {
-                        format!(" (aliases: {})", spec.aliases.join(", "))
-                    };
-                    let param = spec
-                        .param
-                        .map(|p| format!("; :param = {p}"))
-                        .unwrap_or_default();
-                    (
-                        spec.name.to_string(),
-                        format!("{}{aliases}{param}", spec.summary),
-                    )
-                })
-                .collect(),
+            param_rows(policy_specs(), policy_aliases),
         ),
         (
             "registered predictors (for the library's SessionBuilder):",
-            predictor_specs()
-                .iter()
-                .map(|spec| {
-                    let param = spec
-                        .param
-                        .map(|p| format!("; :param = {p}"))
-                        .unwrap_or_default();
-                    (spec.name.to_string(), format!("{}{param}", spec.summary))
-                })
-                .collect(),
+            param_rows(predictor_specs(), |_| Vec::new()),
         ),
         (
             "registered backends (workload files' 'backend' / SessionBuilder::backend_spec):",

@@ -171,15 +171,15 @@ pub use planstore::{
     TierStats,
 };
 pub use predictor::{build_predictor, predictor_names, predictor_specs, Predictor, PredictorSpec};
-pub use registry::{build_policy, policy_names, policy_specs, PolicySpec};
+pub use registry::{build_policy, policy_aliases, policy_names, policy_specs, PolicySpec};
 pub use report::{PlanReport, ReportSection, RunReport, SimReport, TraceReport};
 pub use scenario_file::{
     parse as parse_scenario_file, parse_workload, render_workload, ChainSpec, ParseError,
     ScenarioFile, WorkloadFile, WorkloadKind,
 };
 pub use served::{http_request, HttpResponse};
-/// The listing row shared by the backend, generator, plan-store and
-/// obs-sink registries.
+/// The listing row shared by all six registries (policy, predictor,
+/// backend, generator, plan store, obs sink).
 pub use skp_registry::Spec as RegistrySpec;
 pub use trace_export::trace_json;
 pub use wire::{parse_report, render_report_fields, WireRun};

@@ -10,8 +10,13 @@
 //! configuration, CLI flags or experiment sweeps.
 
 use access_model::{DependencyGraph, FreqTracker, MarkovEstimator, NgramPredictor};
+use skp_registry::{split_spec, Registry};
 
 use crate::error::Error;
+use crate::registry::numeric_param;
+
+/// A predictor family's listing row (`params` empty without a `:param`).
+pub use skp_registry::Spec as PredictorSpec;
 
 /// An online next-access model: learns from the realised request stream
 /// and forecasts the next access, as a dense probability vector over
@@ -149,31 +154,16 @@ impl Predictor for FreqTracker {
     }
 }
 
-/// Constructor signature of a registered predictor family.
+/// Constructor of a registered predictor family: universe size, `:param`.
 type PredictorBuilder = fn(usize, Option<f64>) -> Result<Box<dyn Predictor>, Error>;
-
-/// A registered predictor family.
-pub struct PredictorSpec {
-    /// Registry name (the part before `:` in a spec string).
-    pub name: &'static str,
-    /// One-line description for `--list`-style output.
-    pub summary: &'static str,
-    /// Meaning of the optional `:param` suffix, if the family takes one.
-    pub param: Option<&'static str>,
-    build: PredictorBuilder,
-}
-
-fn bad_param(what: &'static str, detail: String) -> Error {
-    Error::InvalidParam { what, detail }
-}
 
 fn build_ngram(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Error> {
     let order = param.unwrap_or(2.0);
     if !(1.0..=MAX_NGRAM_ORDER as f64).contains(&order) || order.fract() != 0.0 {
-        return Err(bad_param(
-            "ngram order",
-            format!("expected an integer from 1 to {MAX_NGRAM_ORDER}, got {order}"),
-        ));
+        return Err(Error::InvalidParam {
+            what: "ngram order",
+            detail: format!("expected an integer from 1 to {MAX_NGRAM_ORDER}, got {order}"),
+        });
     }
     Ok(Box::new(NgramPredictor::new(n, order as usize)))
 }
@@ -181,10 +171,10 @@ fn build_ngram(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Error
 fn build_depgraph(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Error> {
     let window = param.unwrap_or(2.0);
     if window < 1.0 || window.fract() != 0.0 {
-        return Err(bad_param(
-            "depgraph window",
-            format!("expected a positive integer, got {window}"),
-        ));
+        return Err(Error::InvalidParam {
+            what: "depgraph window",
+            detail: format!("expected a positive integer, got {window}"),
+        });
     }
     Ok(Box::new(DependencyGraph::new(n, window as usize)))
 }
@@ -192,85 +182,82 @@ fn build_depgraph(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Er
 fn build_markov(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Error> {
     let alpha = param.unwrap_or(0.5);
     if !alpha.is_finite() || alpha <= 0.0 {
-        return Err(bad_param(
-            "markov smoothing",
-            format!("expected a positive smoothing constant, got {alpha}"),
-        ));
+        return Err(Error::InvalidParam {
+            what: "markov smoothing",
+            detail: format!("expected a positive smoothing constant, got {alpha}"),
+        });
     }
     Ok(Box::new(MarkovEstimator::new(n, alpha)))
 }
 
-fn build_freq(n: usize, param: Option<f64>) -> Result<Box<dyn Predictor>, Error> {
-    if param.is_some() {
-        return Err(bad_param("freq predictor", "takes no parameter".into()));
-    }
-    Ok(Box::new(FreqTracker::new(n)))
-}
+static PREDICTORS: Registry<PredictorBuilder> = Registry::new(
+    "predictor",
+    "predictor spec",
+    &[
+        (
+            PredictorSpec {
+                name: "ngram",
+                params: "context order k, 1 to 8 (default 2)",
+                summary: "online order-k Markov (PPM-flavoured) predictor",
+            },
+            build_ngram,
+        ),
+        (
+            PredictorSpec {
+                name: "depgraph",
+                params: "observation window w (default 2)",
+                summary: "Padmanabhan–Mogul dependency-graph predictor",
+            },
+            build_depgraph,
+        ),
+        (
+            PredictorSpec {
+                name: "markov",
+                params: "smoothing alpha (default 0.5)",
+                summary: "first-order Markov row estimator with add-alpha smoothing",
+            },
+            build_markov,
+        ),
+        (
+            PredictorSpec {
+                name: "freq",
+                params: "",
+                summary: "IRM-style empirical access-frequency forecast",
+            },
+            |n, _| Ok(Box::new(FreqTracker::new(n))),
+        ),
+    ],
+);
 
 /// Every registered predictor family, in stable order.
-pub fn predictor_specs() -> &'static [PredictorSpec] {
-    &[
-        PredictorSpec {
-            name: "ngram",
-            summary: "online order-k Markov (PPM-flavoured) predictor",
-            param: Some("context order k, 1 to 8 (default 2)"),
-            build: build_ngram,
-        },
-        PredictorSpec {
-            name: "depgraph",
-            summary: "Padmanabhan–Mogul dependency-graph predictor",
-            param: Some("observation window w (default 2)"),
-            build: build_depgraph,
-        },
-        PredictorSpec {
-            name: "markov",
-            summary: "first-order Markov row estimator with add-alpha smoothing",
-            param: Some("smoothing alpha (default 0.5)"),
-            build: build_markov,
-        },
-        PredictorSpec {
-            name: "freq",
-            summary: "IRM-style empirical access-frequency forecast",
-            param: None,
-            build: build_freq,
-        },
-    ]
+pub fn predictor_specs() -> Vec<PredictorSpec> {
+    PREDICTORS.specs()
 }
 
 /// Names of every registered predictor family.
 pub fn predictor_names() -> Vec<&'static str> {
-    predictor_specs().iter().map(|s| s.name).collect()
+    PREDICTORS.names()
 }
 
 /// Builds a predictor over `n_items` from a spec string: a registry
 /// name with an optional `:param` suffix, e.g. `"ngram"`, `"ngram:3"`,
-/// `"markov:0.1"`.
+/// `"markov:0.1"`. An empty universe (`n_items == 0`) is refused.
 pub fn build_predictor(spec: &str, n_items: usize) -> Result<Box<dyn Predictor>, Error> {
-    let (name, param) = split_spec(spec, "predictor parameter")?;
-    for entry in predictor_specs() {
-        if entry.name == name {
-            return (entry.build)(n_items, param);
-        }
+    let (name, param) = split_spec(spec);
+    let Some((row, build)) = PREDICTORS.entry(name) else {
+        return Err(Error::UnknownPredictor {
+            name: name.to_string(),
+            known: predictor_names(),
+        });
+    };
+    let param = numeric_param("predictor parameter", row, param)?;
+    if n_items == 0 {
+        return Err(Error::InvalidParam {
+            what: "predictor universe",
+            detail: "a predictor needs at least one item, got 0".into(),
+        });
     }
-    Err(Error::UnknownPredictor {
-        name: name.to_string(),
-        known: predictor_names(),
-    })
-}
-
-/// Splits `"name"` / `"name:1.5"` into the name and the parsed
-/// parameter.
-pub(crate) fn split_spec(spec: &str, what: &'static str) -> Result<(String, Option<f64>), Error> {
-    match spec.split_once(':') {
-        None => Ok((spec.trim().to_string(), None)),
-        Some((name, raw)) => {
-            let value: f64 = raw.trim().parse().map_err(|_| Error::InvalidParam {
-                what,
-                detail: format!("'{raw}' is not a number"),
-            })?;
-            Ok((name.trim().to_string(), Some(value)))
-        }
-    }
+    build(n_items, param)
 }
 
 #[cfg(test)]
@@ -284,6 +271,29 @@ mod tests {
             assert_eq!(p.name(), spec.name);
             assert_eq!(p.n_items(), 8);
         }
+    }
+
+    #[test]
+    fn an_empty_universe_is_refused_for_every_family() {
+        for spec in predictor_specs() {
+            match build_predictor(spec.name, 0) {
+                Err(Error::InvalidParam { what, .. }) => assert_eq!(what, "predictor universe"),
+                Err(e) => panic!("{}: {e}", spec.name),
+                Ok(_) => panic!("{} built over zero items", spec.name),
+            }
+        }
+        let built = crate::Engine::builder().predictor("ngram").items(0).build();
+        assert!(
+            matches!(
+                built,
+                Err(Error::InvalidParam {
+                    what: "predictor universe",
+                    ..
+                })
+            ),
+            "{:?}",
+            built.err()
+        );
     }
 
     #[test]

@@ -13,25 +13,15 @@ use skp_core::ext::{NetworkAwarePolicy, StretchPenalisedPolicy, TwoStepPolicy};
 use skp_core::policy::{PolicyKind, Prefetcher};
 use skp_core::skp::solve_global;
 use skp_core::{PrefetchPlan, Scenario};
+use skp_registry::{split_spec, Registry, Spec};
 
 use crate::error::Error;
-use crate::predictor::split_spec;
 
-/// Constructor signature of a registered policy.
+/// A policy's listing row (`params` empty when it takes no `:param`).
+pub use skp_registry::Spec as PolicySpec;
+
+/// Constructor of a registered policy, given its `:param` value.
 type PolicyBuilder = fn(Option<f64>) -> Result<Box<dyn Prefetcher>, Error>;
-
-/// A registered prefetch policy.
-pub struct PolicySpec {
-    /// Canonical registry name (the part before `:` in a spec string).
-    pub name: &'static str,
-    /// Accepted shorthands (CLI compatibility: `paper`, `exact`, …).
-    pub aliases: &'static [&'static str],
-    /// One-line description for `--list`-style output.
-    pub summary: &'static str,
-    /// Meaning of the optional `:param` suffix, if the policy takes one.
-    pub param: Option<&'static str>,
-    build: PolicyBuilder,
-}
 
 /// The global DP packaged as a policy: exact on integral instances,
 /// falling back to the canonical branch-and-bound otherwise (the DP
@@ -76,177 +66,198 @@ impl Prefetcher for PersistentTwoStep {
     }
 }
 
-fn kind(kind: PolicyKind) -> Result<Box<dyn Prefetcher>, Error> {
-    Ok(Box::new(kind))
-}
-
-fn no_param(name: &'static str, param: Option<f64>) -> Result<(), Error> {
-    if param.is_some() {
+/// A finite, non-negative policy parameter; `expected` names it in errors.
+fn non_negative(what: &'static str, expected: &str, value: f64) -> Result<f64, Error> {
+    if !value.is_finite() || value < 0.0 {
         return Err(Error::InvalidParam {
-            what: name,
-            detail: "takes no parameter".into(),
+            what,
+            detail: format!("expected a non-negative {expected}, got {value}"),
         });
     }
-    Ok(())
+    Ok(value)
 }
 
-macro_rules! kind_builder {
-    ($fn_name:ident, $label:literal, $kind:expr) => {
-        fn $fn_name(param: Option<f64>) -> Result<Box<dyn Prefetcher>, Error> {
-            no_param($label, param)?;
-            kind($kind)
-        }
-    };
-}
+static POLICIES: Registry<PolicyBuilder> = Registry::new(
+    "policy",
+    "policy spec",
+    &[
+        (
+            PolicySpec {
+                name: "no-prefetch",
+                params: "",
+                summary: "never prefetch; every access is a demand fetch",
+            },
+            |_| Ok(Box::new(PolicyKind::NoPrefetch)),
+        ),
+        (
+            PolicySpec {
+                name: "kp",
+                params: "",
+                summary: "0/1-knapsack selection that never stretches (paper's KP prefetch)",
+            },
+            |_| Ok(Box::new(PolicyKind::Kp)),
+        ),
+        (
+            PolicySpec {
+                name: "kp-greedy",
+                params: "",
+                summary: "greedy density-order knapsack heuristic",
+            },
+            |_| Ok(Box::new(PolicyKind::KpGreedy)),
+        ),
+        (
+            PolicySpec {
+                name: "skp-paper",
+                params: "",
+                summary: "the paper's Figure-3 SKP branch-and-bound, verbatim bookkeeping",
+            },
+            |_| Ok(Box::new(PolicyKind::SkpPaper)),
+        ),
+        (
+            PolicySpec {
+                name: "skp-exact",
+                params: "",
+                summary: "canonical-space SKP with corrected Theorem-3 bookkeeping",
+            },
+            |_| Ok(Box::new(PolicyKind::SkpExact)),
+        ),
+        (
+            PolicySpec {
+                name: "skp-global",
+                params: "",
+                summary: "pseudo-polynomial global DP on integral instances \
+                          (falls back to skp-exact otherwise)",
+            },
+            |_| Ok(Box::new(GlobalDpPolicy)),
+        ),
+        (
+            PolicySpec {
+                name: "skp-optimal",
+                params: "",
+                summary: "exhaustive SKP optimum — ground truth for small n",
+            },
+            |_| Ok(Box::new(PolicyKind::SkpOptimal)),
+        ),
+        (
+            PolicySpec {
+                name: "perfect",
+                params: "",
+                summary: "oracle that prefetches exactly the realised request",
+            },
+            |_| Ok(Box::new(PolicyKind::Perfect)),
+        ),
+        (
+            PolicySpec {
+                name: "stretch-penalised",
+                params: "shadow price lambda (default 0.5)",
+                summary: "SKP with stretch intrusion priced at a shadow price lambda",
+            },
+            |lambda| {
+                let lambda = non_negative(
+                    "stretch-penalised lambda",
+                    "shadow price",
+                    lambda.unwrap_or(0.5),
+                )?;
+                Ok(Box::new(StretchPenalisedPolicy::new(lambda)))
+            },
+        ),
+        (
+            PolicySpec {
+                name: "network-aware",
+                params: "usage price mu (default 0.4)",
+                summary: "SKP taxing expected wasted retrieval at price mu",
+            },
+            |mu| {
+                let mu = non_negative("network-aware mu", "usage price", mu.unwrap_or(0.4))?;
+                Ok(Box::new(NetworkAwarePolicy::new(mu)))
+            },
+        ),
+        (
+            PolicySpec {
+                name: "two-step",
+                params: "discount gamma on the next round's value (default 1)",
+                summary: "two-step lookahead over a persistence forecast of the next round",
+            },
+            |gamma| {
+                let discount = non_negative("two-step discount", "discount", gamma.unwrap_or(1.0))?;
+                Ok(Box::new(PersistentTwoStep { discount }))
+            },
+        ),
+    ],
+);
 
-kind_builder!(build_no_prefetch, "no-prefetch", PolicyKind::NoPrefetch);
-kind_builder!(build_kp, "kp", PolicyKind::Kp);
-kind_builder!(build_kp_greedy, "kp-greedy", PolicyKind::KpGreedy);
-kind_builder!(build_skp_paper, "skp-paper", PolicyKind::SkpPaper);
-kind_builder!(build_skp_exact, "skp-exact", PolicyKind::SkpExact);
-kind_builder!(build_skp_optimal, "skp-optimal", PolicyKind::SkpOptimal);
-kind_builder!(build_perfect, "perfect", PolicyKind::Perfect);
-
-fn build_skp_global(param: Option<f64>) -> Result<Box<dyn Prefetcher>, Error> {
-    no_param("skp-global", param)?;
-    Ok(Box::new(GlobalDpPolicy))
-}
-
-fn build_stretch_penalised(param: Option<f64>) -> Result<Box<dyn Prefetcher>, Error> {
-    let lambda = param.unwrap_or(0.5);
-    if !lambda.is_finite() || lambda < 0.0 {
-        return Err(Error::InvalidParam {
-            what: "stretch-penalised lambda",
-            detail: format!("expected a non-negative shadow price, got {lambda}"),
-        });
-    }
-    Ok(Box::new(StretchPenalisedPolicy::new(lambda)))
-}
-
-fn build_network_aware(param: Option<f64>) -> Result<Box<dyn Prefetcher>, Error> {
-    let mu = param.unwrap_or(0.4);
-    if !mu.is_finite() || mu < 0.0 {
-        return Err(Error::InvalidParam {
-            what: "network-aware mu",
-            detail: format!("expected a non-negative usage price, got {mu}"),
-        });
-    }
-    Ok(Box::new(NetworkAwarePolicy::new(mu)))
-}
-
-fn build_two_step(param: Option<f64>) -> Result<Box<dyn Prefetcher>, Error> {
-    let discount = param.unwrap_or(1.0);
-    if !discount.is_finite() || discount < 0.0 {
-        return Err(Error::InvalidParam {
-            what: "two-step discount",
-            detail: format!("expected a non-negative discount, got {discount}"),
-        });
-    }
-    Ok(Box::new(PersistentTwoStep { discount }))
-}
+/// `(alias, name)` shorthands for registered policies (`paper`, …).
+const ALIASES: [(&str, &str); 10] = [
+    ("none", "no-prefetch"),
+    ("greedy", "kp-greedy"),
+    ("paper", "skp-paper"),
+    ("exact", "skp-exact"),
+    ("global", "skp-global"),
+    ("optimal", "skp-optimal"),
+    ("oracle", "perfect"),
+    ("lookahead", "stretch-penalised"),
+    ("netaware", "network-aware"),
+    ("twostep", "two-step"),
+];
 
 /// Every registered policy, in stable order.
-pub fn policy_specs() -> &'static [PolicySpec] {
-    &[
-        PolicySpec {
-            name: "no-prefetch",
-            aliases: &["none"],
-            summary: "never prefetch; every access is a demand fetch",
-            param: None,
-            build: build_no_prefetch,
-        },
-        PolicySpec {
-            name: "kp",
-            aliases: &[],
-            summary: "0/1-knapsack selection that never stretches (paper's KP prefetch)",
-            param: None,
-            build: build_kp,
-        },
-        PolicySpec {
-            name: "kp-greedy",
-            aliases: &["greedy"],
-            summary: "greedy density-order knapsack heuristic",
-            param: None,
-            build: build_kp_greedy,
-        },
-        PolicySpec {
-            name: "skp-paper",
-            aliases: &["paper"],
-            summary: "the paper's Figure-3 SKP branch-and-bound, verbatim bookkeeping",
-            param: None,
-            build: build_skp_paper,
-        },
-        PolicySpec {
-            name: "skp-exact",
-            aliases: &["exact"],
-            summary: "canonical-space SKP with corrected Theorem-3 bookkeeping",
-            param: None,
-            build: build_skp_exact,
-        },
-        PolicySpec {
-            name: "skp-global",
-            aliases: &["global"],
-            summary: "pseudo-polynomial global DP on integral instances (falls back to skp-exact otherwise)",
-            param: None,
-            build: build_skp_global,
-        },
-        PolicySpec {
-            name: "skp-optimal",
-            aliases: &["optimal"],
-            summary: "exhaustive SKP optimum — ground truth for small n",
-            param: None,
-            build: build_skp_optimal,
-        },
-        PolicySpec {
-            name: "perfect",
-            aliases: &["oracle"],
-            summary: "oracle that prefetches exactly the realised request",
-            param: None,
-            build: build_perfect,
-        },
-        PolicySpec {
-            name: "stretch-penalised",
-            aliases: &["lookahead"],
-            summary: "SKP with stretch intrusion priced at a shadow price lambda",
-            param: Some("shadow price lambda (default 0.5)"),
-            build: build_stretch_penalised,
-        },
-        PolicySpec {
-            name: "network-aware",
-            aliases: &["netaware"],
-            summary: "SKP taxing expected wasted retrieval at price mu",
-            param: Some("usage price mu (default 0.4)"),
-            build: build_network_aware,
-        },
-        PolicySpec {
-            name: "two-step",
-            aliases: &["twostep"],
-            summary: "two-step lookahead over a persistence forecast of the next round",
-            param: Some("discount gamma on the next round's value (default 1)"),
-            build: build_two_step,
-        },
-    ]
+pub fn policy_specs() -> Vec<PolicySpec> {
+    POLICIES.specs()
 }
 
 /// Names of every registered policy, in registry order.
 pub fn policy_names() -> Vec<&'static str> {
-    policy_specs().iter().map(|s| s.name).collect()
+    POLICIES.names()
+}
+
+/// The aliases of the policy registered as `name`, in table order.
+pub fn policy_aliases(name: &str) -> Vec<&'static str> {
+    ALIASES
+        .iter()
+        .filter(|&&(_, target)| target == name)
+        .map(|&(alias, _)| alias)
+        .collect()
 }
 
 /// Builds a policy from a spec string: a registry name or alias with an
 /// optional `:param` suffix, e.g. `"skp-exact"`, `"paper"`,
 /// `"network-aware:0.25"`.
 pub fn build_policy(spec: &str) -> Result<Box<dyn Prefetcher>, Error> {
-    let (name, param) = split_spec(spec, "policy parameter")?;
-    for entry in policy_specs() {
-        if entry.name == name || entry.aliases.contains(&name.as_str()) {
-            return (entry.build)(param);
-        }
+    let (name, param) = split_spec(spec);
+    let name = ALIASES
+        .iter()
+        .find(|&&(alias, _)| alias == name)
+        .map_or(name, |&(_, target)| target);
+    match POLICIES.entry(name) {
+        Some((row, build)) => build(numeric_param("policy parameter", row, param)?),
+        None => Err(Error::UnknownPolicy {
+            name: name.to_string(),
+            known: policy_names(),
+        }),
     }
-    Err(Error::UnknownPolicy {
-        name: name.to_string(),
-        known: policy_names(),
-    })
+}
+
+/// The `:param` of a policy or predictor spec as a number (trimmed);
+/// refused when the entry's `params` is empty, `what` names a non-number.
+pub(crate) fn numeric_param(
+    what: &'static str,
+    row: Spec,
+    param: Option<&str>,
+) -> Result<Option<f64>, Error> {
+    match param {
+        None => Ok(None),
+        Some(_) if row.params.is_empty() => Err(Error::InvalidParam {
+            what: row.name,
+            detail: "takes no parameter".into(),
+        }),
+        Some(raw) => match raw.trim().parse() {
+            Ok(value) => Ok(Some(value)),
+            Err(_) => Err(Error::InvalidParam {
+                what,
+                detail: format!("'{raw}' is not a number"),
+            }),
+        },
+    }
 }
 
 #[cfg(test)]
@@ -272,7 +283,7 @@ mod tests {
     fn every_policy_and_alias_builds_and_plans() {
         let s = scenario();
         for spec in policy_specs() {
-            for name in std::iter::once(&spec.name).chain(spec.aliases) {
+            for name in std::iter::once(spec.name).chain(policy_aliases(spec.name)) {
                 let p = build_policy(name).unwrap_or_else(|e| panic!("{name}: {e}"));
                 let plan = p.plan(&s);
                 assert!(
@@ -313,11 +324,18 @@ mod tests {
     }
 
     #[test]
+    fn every_alias_names_a_registered_policy() {
+        for (alias, name) in ALIASES {
+            assert!(policy_names().contains(&name), "{alias} -> {name}");
+        }
+    }
+
+    #[test]
     fn names_and_aliases_are_unique() {
         let mut seen = std::collections::HashSet::new();
         for spec in policy_specs() {
             assert!(seen.insert(spec.name), "duplicate {}", spec.name);
-            for a in spec.aliases {
+            for a in policy_aliases(spec.name) {
                 assert!(seen.insert(a), "duplicate alias {a}");
             }
         }

@@ -4,9 +4,9 @@
 
 use speculative_prefetch::{
     build_backend, build_generator, build_obs, build_plan_store, build_policy, build_predictor,
-    policy_names, policy_specs, predictor_names, predictor_specs, register_backend, Backend,
-    BackendDriver, Engine, Error, MarkovChain, MonteCarloSpec, ProbMethod, ReportSection, Scenario,
-    Trace, TraceReport, Workload,
+    policy_aliases, policy_names, policy_specs, predictor_names, predictor_specs, register_backend,
+    Backend, BackendDriver, Engine, Error, MarkovChain, MonteCarloSpec, ProbMethod, ReportSection,
+    Scenario, Trace, TraceReport, Workload,
 };
 
 fn scenario() -> Scenario {
@@ -24,7 +24,7 @@ fn policy_registry_enumerates_and_builds_everything() {
     assert!(names.len() >= 6, "registry too small: {names:?}");
     let s = scenario();
     for spec in policy_specs() {
-        for name in std::iter::once(&spec.name).chain(spec.aliases) {
+        for name in std::iter::once(spec.name).chain(policy_aliases(spec.name)) {
             let policy = build_policy(name).unwrap_or_else(|e| panic!("{name}: {e}"));
             let plan = policy.plan(&s);
             for &item in plan.items() {
@@ -32,7 +32,7 @@ fn policy_registry_enumerates_and_builds_everything() {
             }
         }
         // Parameterised entries accept an explicit parameter too.
-        if spec.param.is_some() {
+        if !spec.params.is_empty() {
             let with_param = format!("{}:0.5", spec.name);
             assert!(build_policy(&with_param).is_ok(), "{with_param} must build");
         }
