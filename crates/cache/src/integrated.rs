@@ -1,32 +1,36 @@
-//! The integrated prefetch–cache client of Section 5: plan over non-cached
-//! items, arbitrate against the cache (Figure 6), serve the request, and
+//! The integrated prefetch–cache client of Section 5: arbitrate a
+//! tentative plan against the cache (Figure 6), serve the request, and
 //! account for the demand fetch — one `step` per request.
 //!
-//! This is the object the Figure-7 simulation drives with a Markov source:
-//! policies `No+Pr`, `KP+Pr`, `SKP+Pr`, `SKP+Pr+LFU` and `SKP+Pr+DS` are
-//! all configurations of [`PrefetchCacheConfig`].
+//! The client does not plan. The caller plans the tentative list `F̂`
+//! over the non-cached items ([`PrefetchCache::candidate_mask`]) with any
+//! [`Prefetcher`](skp_core::policy::Prefetcher) and hands it to
+//! [`PrefetchCache::step`]. The Figure-7 simulation drives it with a
+//! Markov source: policies `No+Pr`, `KP+Pr`, `SKP+Pr`, `SKP+Pr+LFU` and
+//! `SKP+Pr+DS` are a planning [`PolicyKind`] plus a
+//! [`PrefetchCacheConfig`] each ([`PrefetchCacheConfig::figure7_policies`]).
 //!
 //! ```
 //! use cache_sim::{PrefetchCache, PrefetchCacheConfig};
-//! use skp_core::arbitration::{PlanSolver, SubArbitration};
+//! use skp_core::arbitration::SubArbitration;
+//! use skp_core::policy::{PolicyKind, Prefetcher};
 //! use skp_core::Scenario;
 //!
 //! let cfg = PrefetchCacheConfig {
-//!     solver: PlanSolver::SkpExact,
 //!     sub: SubArbitration::DelaySaving,
 //!     capacity: 2,
 //! };
 //! let mut client = PrefetchCache::new(cfg, 3);
 //! let s = Scenario::new(vec![0.7, 0.2, 0.1], vec![4.0, 6.0, 8.0], 10.0).unwrap();
-//! let out = client.step(&s, 0); // item 0 was planned: served instantly
+//! let plan = PolicyKind::SkpExact.plan_candidates(&s, &client.candidate_mask());
+//! let out = client.step(&s, 0, plan); // item 0 was planned: served instantly
 //! assert!(out.hit && out.access_time == 0.0);
 //! ```
 
 use access_model::FreqTracker;
-use skp_core::arbitration::{
-    arbitrate, choose_demand_victim, CacheEntry, PlanSolver, SubArbitration,
-};
-use skp_core::gain::stretch_time;
+use skp_core::arbitration::{arbitrate, choose_demand_victim, CacheEntry, SubArbitration};
+use skp_core::gain::{access_time_empty, stretch_time};
+use skp_core::policy::PolicyKind;
 use skp_core::{PrefetchPlan, Scenario};
 
 use crate::cache::Cache;
@@ -34,8 +38,6 @@ use crate::cache::Cache;
 /// Configuration of the integrated client.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefetchCacheConfig {
-    /// Planner for the tentative prefetch list `F̂` over non-cached items.
-    pub solver: PlanSolver,
     /// Sub-arbitration for Pr ties (Section 5.2).
     pub sub: SubArbitration,
     /// Cache capacity in slots (equal item sizes).
@@ -43,57 +45,22 @@ pub struct PrefetchCacheConfig {
 }
 
 impl PrefetchCacheConfig {
-    /// The paper's five Figure-7 policies, in plot order, with the SKP
-    /// entries backed by the verbatim Figure-3 solver.
-    pub fn figure7_policies(capacity: usize) -> [(&'static str, Self); 5] {
-        Self::figure7_policies_with(capacity, PlanSolver::SkpPaper)
-    }
-
-    /// The Figure-7 policy table with a chosen solver behind the three
-    /// `SKP+Pr*` entries (`SkpPaper` for strict pseudocode fidelity,
-    /// `SkpExact` for the corrected bookkeeping; see `skp_core::skp`).
-    pub fn figure7_policies_with(capacity: usize, skp: PlanSolver) -> [(&'static str, Self); 5] {
+    /// The paper's five Figure-7 policies, in plot order: each name with
+    /// its planning policy and client configuration. `skp` plans the
+    /// three `SKP+Pr*` entries ([`PolicyKind::SkpPaper`] for strict
+    /// pseudocode fidelity, [`PolicyKind::SkpExact`] for the corrected
+    /// bookkeeping; see `skp_core::skp`).
+    pub fn figure7_policies(
+        capacity: usize,
+        skp: PolicyKind,
+    ) -> [(&'static str, PolicyKind, Self); 5] {
+        let cfg = |sub| Self { sub, capacity };
         [
-            (
-                "No+Pr",
-                Self {
-                    solver: PlanSolver::None,
-                    sub: SubArbitration::None,
-                    capacity,
-                },
-            ),
-            (
-                "KP+Pr",
-                Self {
-                    solver: PlanSolver::Kp,
-                    sub: SubArbitration::None,
-                    capacity,
-                },
-            ),
-            (
-                "SKP+Pr",
-                Self {
-                    solver: skp,
-                    sub: SubArbitration::None,
-                    capacity,
-                },
-            ),
-            (
-                "SKP+Pr+LFU",
-                Self {
-                    solver: skp,
-                    sub: SubArbitration::Lfu,
-                    capacity,
-                },
-            ),
-            (
-                "SKP+Pr+DS",
-                Self {
-                    solver: skp,
-                    sub: SubArbitration::DelaySaving,
-                    capacity,
-                },
-            ),
+            ("No+Pr", PolicyKind::NoPrefetch, cfg(SubArbitration::None)),
+            ("KP+Pr", PolicyKind::Kp, cfg(SubArbitration::None)),
+            ("SKP+Pr", skp, cfg(SubArbitration::None)),
+            ("SKP+Pr+LFU", skp, cfg(SubArbitration::Lfu)),
+            ("SKP+Pr+DS", skp, cfg(SubArbitration::DelaySaving)),
         ]
     }
 }
@@ -149,24 +116,6 @@ impl PrefetchCache {
         &self.freq
     }
 
-    /// Runs one request cycle: prefetch during the viewing time encoded in
-    /// `scenario`, then serve the request `alpha`.
-    ///
-    /// # Panics
-    /// Panics when `scenario.n()` differs from the item universe or
-    /// `alpha` is out of range.
-    pub fn step(&mut self, scenario: &Scenario, alpha: usize) -> StepOutcome {
-        assert_eq!(
-            scenario.n(),
-            self.cache.n_items(),
-            "scenario and cache must share the item universe"
-        );
-        // Tentative plan over non-cached candidates with the configured
-        // solver, then the shared cycle.
-        let tentative = self.cfg.solver.solve(scenario, &self.candidate_mask()).plan;
-        self.step_with_plan(scenario, alpha, tentative)
-    }
-
     /// Candidate mask for planning: `true` for every non-cached item.
     pub fn candidate_mask(&self) -> Vec<bool> {
         let mut mask = Vec::new();
@@ -180,16 +129,16 @@ impl PrefetchCache {
         mask.extend((0..self.cache.n_items()).map(|i| !self.cache.contains(i)));
     }
 
-    /// Runs one request cycle with an externally produced tentative plan
-    /// (any [`skp_core::policy::Prefetcher`], not just the built-in
-    /// [`PlanSolver`] kinds). The plan must cover only non-cached items;
-    /// cached entries in it are ignored by arbitration pairing but waste
-    /// no slots.
+    /// Runs one request cycle: arbitrate the tentative plan against the
+    /// cache, prefetch during the viewing time encoded in `scenario`,
+    /// then serve the request `alpha`. The plan should cover only
+    /// non-cached items ([`Self::candidate_mask`]); cached entries in it
+    /// are ignored by arbitration pairing but waste no slots.
     ///
     /// # Panics
     /// Panics when `scenario.n()` differs from the item universe or
     /// `alpha` is out of range.
-    pub fn step_with_plan(
+    pub fn step(
         &mut self,
         scenario: &Scenario,
         alpha: usize,
@@ -213,21 +162,18 @@ impl PrefetchCache {
             self.cfg.sub,
         );
 
-        // Access time from the pre-application cache state (Section 5
-        // case analysis).
+        // Access time from the pre-application cache state: a kept
+        // cache entry is free, anything else is Figure 2's empty-cache
+        // case analysis of the executed plan.
         let st = stretch_time(scenario, &arb.prefetch);
-        let in_kept_cache = self.cache.contains(alpha) && !arb.eject.contains(&alpha);
-        let (access_time, hit, demand_fetch) = if in_kept_cache {
-            (0.0, true, false)
-        } else if let Some(pos) = arb.prefetch.iter().position(|&i| i == alpha) {
-            if pos + 1 == arb.prefetch.len() {
-                (st, st == 0.0, false) // the stretching last item
-            } else {
-                (0.0, true, false) // fully prefetched prefix
-            }
+        let cached = self.cache.contains(alpha) && !arb.eject.contains(&alpha);
+        let access_time = if cached {
+            0.0
         } else {
-            (st + scenario.retrieval(alpha), false, true)
+            access_time_empty(scenario, &arb.prefetch, alpha)
         };
+        let hit = access_time == 0.0;
+        let demand_fetch = !cached && !arb.prefetch.contains(&alpha);
 
         // Apply ejections and insertions.
         for &d in &arb.eject {
@@ -294,6 +240,7 @@ impl PrefetchCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skp_core::policy::Prefetcher;
 
     fn scenario(viewing: f64) -> Scenario {
         Scenario::new(
@@ -304,38 +251,37 @@ mod tests {
         .unwrap()
     }
 
-    fn client(solver: PlanSolver, sub: SubArbitration, capacity: usize) -> PrefetchCache {
-        PrefetchCache::new(
-            PrefetchCacheConfig {
-                solver,
-                sub,
-                capacity,
-            },
-            5,
-        )
+    fn client(sub: SubArbitration, capacity: usize) -> PrefetchCache {
+        PrefetchCache::new(PrefetchCacheConfig { sub, capacity }, 5)
+    }
+
+    /// One cycle with `policy` planning over the non-cached items.
+    fn step(c: &mut PrefetchCache, policy: PolicyKind, s: &Scenario, alpha: usize) -> StepOutcome {
+        let plan = policy.plan_candidates(s, &c.candidate_mask());
+        c.step(s, alpha, plan)
     }
 
     #[test]
     fn no_prefetch_demand_fills_cache() {
-        let mut c = client(PlanSolver::None, SubArbitration::None, 2);
+        let mut c = client(SubArbitration::None, 2);
         let s = scenario(10.0);
-        let o = c.step(&s, 1);
+        let o = step(&mut c, PolicyKind::NoPrefetch, &s, 1);
         assert!(!o.hit);
         assert!(o.demand_fetch);
         assert_eq!(o.access_time, 6.0);
         assert!(c.cache().contains(1));
         // Second access to the same item is a hit.
-        let o = c.step(&s, 1);
+        let o = step(&mut c, PolicyKind::NoPrefetch, &s, 1);
         assert!(o.hit);
         assert_eq!(o.access_time, 0.0);
     }
 
     #[test]
     fn prefetched_item_is_hit() {
-        let mut c = client(PlanSolver::SkpPaper, SubArbitration::None, 4);
+        let mut c = client(SubArbitration::None, 4);
         let s = scenario(12.0);
         // v = 12 fits items 0 and 1 (r 4+6 = 10): both should prefetch.
-        let o = c.step(&s, 0);
+        let o = step(&mut c, PolicyKind::SkpPaper, &s, 0);
         assert!(o.prefetched.contains(&0));
         assert!(o.hit, "outcome {o:?}");
         assert_eq!(o.access_time, 0.0);
@@ -344,9 +290,9 @@ mod tests {
     #[test]
     fn stretching_tail_costs_stretch_time() {
         // viewing 5: plan [0 (r4), 1 (r6)] stretches by 5 if chosen.
-        let mut c = client(PlanSolver::SkpExact, SubArbitration::None, 4);
+        let mut c = client(SubArbitration::None, 4);
         let s = scenario(5.0);
-        let o = c.step(&s, 1);
+        let o = step(&mut c, PolicyKind::SkpExact, &s, 1);
         if o.prefetched.last() == Some(&1) {
             assert!((o.access_time - o.stretch).abs() < 1e-9);
         }
@@ -354,10 +300,10 @@ mod tests {
 
     #[test]
     fn demand_fetch_evicts_when_full() {
-        let mut c = client(PlanSolver::None, SubArbitration::None, 1);
+        let mut c = client(SubArbitration::None, 1);
         let s = scenario(10.0);
-        c.step(&s, 4); // cache: {4} (P=0 item)
-        let o = c.step(&s, 0); // miss; cache full -> evict 4
+        step(&mut c, PolicyKind::NoPrefetch, &s, 4); // cache: {4} (P=0 item)
+        let o = step(&mut c, PolicyKind::NoPrefetch, &s, 0); // miss; cache full -> evict 4
         assert_eq!(o.demand_victim, Some(4));
         assert!(c.cache().contains(0));
         assert!(!c.cache().contains(4));
@@ -365,48 +311,48 @@ mod tests {
 
     #[test]
     fn miss_pays_stretch_plus_retrieval() {
-        let mut c = client(PlanSolver::SkpExact, SubArbitration::None, 4);
+        let mut c = client(SubArbitration::None, 4);
         let s = scenario(5.0);
-        let o = c.step(&s, 4); // P=0 item never prefetched
+        let o = step(&mut c, PolicyKind::SkpExact, &s, 4); // P=0 item never prefetched
         assert!(o.demand_fetch);
         assert!((o.access_time - (o.stretch + 5.0)).abs() < 1e-9);
     }
 
     #[test]
     fn cache_never_exceeds_capacity() {
-        let mut c = client(PlanSolver::SkpPaper, SubArbitration::DelaySaving, 2);
+        let mut c = client(SubArbitration::DelaySaving, 2);
         let s = scenario(15.0);
         for alpha in [0usize, 1, 2, 3, 4, 0, 2, 1] {
-            c.step(&s, alpha);
+            step(&mut c, PolicyKind::SkpPaper, &s, alpha);
             assert!(c.cache().len() <= 2);
         }
     }
 
     #[test]
     fn wasted_retrieval_excludes_the_request() {
-        let mut c = client(PlanSolver::SkpPaper, SubArbitration::None, 4);
+        let mut c = client(SubArbitration::None, 4);
         let s = scenario(12.0);
-        let o = c.step(&s, 0);
+        let o = step(&mut c, PolicyKind::SkpPaper, &s, 0);
         let total: f64 = o.prefetched.iter().map(|&i| s.retrieval(i)).sum();
         assert!((o.wasted_retrieval - (total - 4.0)).abs() < 1e-9);
     }
 
     #[test]
     fn frequencies_recorded() {
-        let mut c = client(PlanSolver::None, SubArbitration::None, 2);
+        let mut c = client(SubArbitration::None, 2);
         let s = scenario(10.0);
-        c.step(&s, 3);
-        c.step(&s, 3);
-        c.step(&s, 1);
+        step(&mut c, PolicyKind::NoPrefetch, &s, 3);
+        step(&mut c, PolicyKind::NoPrefetch, &s, 3);
+        step(&mut c, PolicyKind::NoPrefetch, &s, 1);
         assert_eq!(c.freq().freq(3), 2);
         assert_eq!(c.freq().freq(1), 1);
     }
 
     #[test]
     fn reset_restores_fresh_state() {
-        let mut c = client(PlanSolver::None, SubArbitration::None, 2);
+        let mut c = client(SubArbitration::None, 2);
         let s = scenario(10.0);
-        c.step(&s, 1);
+        step(&mut c, PolicyKind::NoPrefetch, &s, 1);
         c.reset();
         assert!(c.cache().is_empty());
         assert_eq!(c.freq().total(), 0);
@@ -414,20 +360,23 @@ mod tests {
 
     #[test]
     fn figure7_policy_table_is_complete() {
-        let pols = PrefetchCacheConfig::figure7_policies(10);
-        let names: Vec<&str> = pols.iter().map(|(n, _)| *n).collect();
+        let pols = PrefetchCacheConfig::figure7_policies(10, PolicyKind::SkpPaper);
+        let names: Vec<&str> = pols.iter().map(|(n, _, _)| *n).collect();
         assert_eq!(
             names,
             vec!["No+Pr", "KP+Pr", "SKP+Pr", "SKP+Pr+LFU", "SKP+Pr+DS"]
         );
-        assert!(pols.iter().all(|(_, c)| c.capacity == 10));
+        assert!(pols.iter().all(|(_, _, c)| c.capacity == 10));
+        assert_eq!(pols[0].1, PolicyKind::NoPrefetch);
+        assert_eq!(pols[1].1, PolicyKind::Kp);
+        assert!(pols[2..].iter().all(|(_, p, _)| *p == PolicyKind::SkpPaper));
     }
 
     #[test]
     #[should_panic(expected = "share the item universe")]
     fn scenario_size_mismatch_panics() {
-        let mut c = client(PlanSolver::None, SubArbitration::None, 2);
+        let mut c = client(SubArbitration::None, 2);
         let s = Scenario::new(vec![1.0], vec![1.0], 1.0).unwrap();
-        c.step(&s, 0);
+        step(&mut c, PolicyKind::NoPrefetch, &s, 0);
     }
 }

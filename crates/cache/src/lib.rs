@@ -9,9 +9,10 @@
 //!   Pr-arbitration family (via `skp-core`) plus classic LRU, LFU, FIFO
 //!   and Random baselines for ablations;
 //! - [`integrated`] — [`integrated::PrefetchCache`], the full Section-5
-//!   client: SKP/KP planning over non-cached items, Figure-6 arbitration,
-//!   demand-fetch eviction and access-frequency tracking. This is the
-//!   object the Figure-7 simulation drives.
+//!   client: Figure-6 arbitration of a tentative plan (planned by the
+//!   caller over the non-cached items), demand-fetch eviction and
+//!   access-frequency tracking. This is the object the Figure-7
+//!   simulation drives.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

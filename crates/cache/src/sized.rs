@@ -5,9 +5,9 @@
 //! and the same access-time accounting as the equal-size client.
 
 use access_model::FreqTracker;
-use skp_core::arbitration::PlanSolver;
 use skp_core::ext::sizes::{arbitrate_sized, SizedEntry};
-use skp_core::gain::stretch_time;
+use skp_core::gain::access_time_empty;
+use skp_core::policy::{PolicyKind, Prefetcher};
 use skp_core::Scenario;
 
 /// A cache holding whole items with heterogeneous sizes in a byte budget.
@@ -132,17 +132,17 @@ pub struct SizedStepOutcome {
 pub struct SizedPrefetchCache {
     cache: SizedCache,
     freq: FreqTracker,
-    solver: PlanSolver,
+    policy: PolicyKind,
 }
 
 impl SizedPrefetchCache {
-    /// Creates an empty client.
-    pub fn new(capacity_bytes: f64, sizes: Vec<f64>, solver: PlanSolver) -> Self {
+    /// Creates an empty client that plans with `policy`.
+    pub fn new(capacity_bytes: f64, sizes: Vec<f64>, policy: PolicyKind) -> Self {
         let n = sizes.len();
         Self {
             cache: SizedCache::new(capacity_bytes, sizes),
             freq: FreqTracker::new(n),
-            solver,
+            policy,
         }
     }
 
@@ -158,7 +158,7 @@ impl SizedPrefetchCache {
 
         // Plan over non-cached items.
         let candidates: Vec<bool> = (0..n).map(|i| !self.cache.contains(i)).collect();
-        let tentative = self.solver.solve(scenario, &candidates).plan;
+        let tentative = self.policy.plan_candidates(scenario, &candidates);
         let tentative_sized: Vec<SizedEntry> = tentative
             .items()
             .iter()
@@ -177,20 +177,17 @@ impl SizedPrefetchCache {
         )
         .expect("sizes validated at construction");
 
-        // Access time from the pre-application state.
-        let st = stretch_time(scenario, &arb.prefetch);
-        let in_kept_cache = self.cache.contains(alpha) && !arb.eject.contains(&alpha);
-        let (access_time, hit, demand_fetch) = if in_kept_cache {
-            (0.0, true, false)
-        } else if let Some(pos) = arb.prefetch.iter().position(|&i| i == alpha) {
-            if pos + 1 == arb.prefetch.len() {
-                (st, st == 0.0, false)
-            } else {
-                (0.0, true, false)
-            }
+        // Access time from the pre-application cache state: a kept
+        // cache entry is free, anything else is Figure 2's empty-cache
+        // case analysis of the executed plan.
+        let cached = self.cache.contains(alpha) && !arb.eject.contains(&alpha);
+        let access_time = if cached {
+            0.0
         } else {
-            (st + scenario.retrieval(alpha), false, true)
+            access_time_empty(scenario, &arb.prefetch, alpha)
         };
+        let hit = access_time == 0.0;
+        let demand_fetch = !cached && !arb.prefetch.contains(&alpha);
 
         // Apply.
         let mut ejected = arb.eject.clone();
@@ -276,7 +273,7 @@ mod tests {
 
     #[test]
     fn prefetched_items_hit() {
-        let mut client = SizedPrefetchCache::new(20.0, sizes(), PlanSolver::SkpExact);
+        let mut client = SizedPrefetchCache::new(20.0, sizes(), PolicyKind::SkpExact);
         let s = scenario();
         let out = client.step(&s, 0);
         assert!(out.prefetched.contains(&0));
@@ -286,7 +283,7 @@ mod tests {
 
     #[test]
     fn demand_fetch_evicts_enough_bytes() {
-        let mut client = SizedPrefetchCache::new(6.0, sizes(), PlanSolver::None);
+        let mut client = SizedPrefetchCache::new(6.0, sizes(), PolicyKind::NoPrefetch);
         let s = scenario();
         // Fill with items 1 (2B) and 4 (3B): 5 of 6 bytes used.
         client.step(&s, 1);
@@ -302,7 +299,7 @@ mod tests {
 
     #[test]
     fn byte_budget_never_exceeded() {
-        let mut client = SizedPrefetchCache::new(7.0, sizes(), PlanSolver::SkpPaper);
+        let mut client = SizedPrefetchCache::new(7.0, sizes(), PolicyKind::SkpPaper);
         let s = scenario();
         for alpha in [0usize, 2, 1, 3, 4, 2, 0, 1, 2, 4] {
             client.step(&s, alpha);
@@ -318,7 +315,7 @@ mod tests {
     fn oversized_demand_is_served_but_not_cached() {
         let tiny_sizes = vec![100.0, 1.0];
         let s = Scenario::new(vec![0.5, 0.5], vec![5.0, 5.0], 3.0).unwrap();
-        let mut client = SizedPrefetchCache::new(2.0, tiny_sizes, PlanSolver::None);
+        let mut client = SizedPrefetchCache::new(2.0, tiny_sizes, PolicyKind::NoPrefetch);
         let out = client.step(&s, 0);
         assert!(out.demand_fetch);
         assert!(!client.cache().contains(0));
@@ -327,7 +324,7 @@ mod tests {
     #[test]
     fn sized_beats_nothing_on_repeats() {
         // Repeated accesses to the same working set should become hits.
-        let mut client = SizedPrefetchCache::new(10.0, sizes(), PlanSolver::SkpExact);
+        let mut client = SizedPrefetchCache::new(10.0, sizes(), PolicyKind::SkpExact);
         let s = scenario();
         let mut last_round_time = f64::INFINITY;
         for round in 0..3 {

@@ -2,8 +2,9 @@
 //! and invariants of the integrated prefetch–cache client.
 
 use proptest::prelude::*;
-use skp_core::arbitration::{PlanSolver, SubArbitration};
-use skp_core::Scenario;
+use skp_core::arbitration::SubArbitration;
+use skp_core::policy::{PolicyKind, Prefetcher};
+use skp_core::{PrefetchPlan, Scenario};
 
 use cache_sim::{Cache, PrefetchCache, PrefetchCacheConfig};
 
@@ -100,10 +101,10 @@ mod integrated_props {
             solver_pick in 0u8..3,
             sub_pick in 0u8..3,
         ) {
-            let solver = match solver_pick {
-                0 => PlanSolver::None,
-                1 => PlanSolver::Kp,
-                _ => PlanSolver::SkpExact,
+            let policy = match solver_pick {
+                0 => PolicyKind::NoPrefetch,
+                1 => PolicyKind::Kp,
+                _ => PolicyKind::SkpExact,
             };
             let sub = match sub_pick {
                 0 => SubArbitration::None,
@@ -112,11 +113,12 @@ mod integrated_props {
             };
             let s = random_scenario(&weights, viewing);
             let mut client = PrefetchCache::new(
-                PrefetchCacheConfig { solver, sub, capacity },
+                PrefetchCacheConfig { sub, capacity },
                 6,
             );
             for &alpha in &requests {
-                let out = client.step(&s, alpha);
+                let plan = policy.plan_candidates(&s, &client.candidate_mask());
+                let out = client.step(&s, alpha, plan);
                 // Cache never exceeds capacity.
                 prop_assert!(client.cache().len() <= capacity);
                 // Access time is non-negative and bounded by st + max r.
@@ -151,7 +153,6 @@ mod integrated_props {
             let s = random_scenario(&weights, 5.0);
             let mut client = PrefetchCache::new(
                 PrefetchCacheConfig {
-                    solver: PlanSolver::None,
                     sub: SubArbitration::None,
                     capacity: 5,
                 },
@@ -159,10 +160,10 @@ mod integrated_props {
             );
             // Seed every item once.
             for alpha in 0..5 {
-                client.step(&s, alpha);
+                client.step(&s, alpha, PrefetchPlan::empty());
             }
             for &alpha in &stream {
-                let out = client.step(&s, alpha);
+                let out = client.step(&s, alpha, PrefetchPlan::empty());
                 prop_assert!(out.hit, "everything fits: all hits");
             }
         }

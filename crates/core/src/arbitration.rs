@@ -29,8 +29,6 @@
 
 use crate::plan::PrefetchPlan;
 use crate::scenario::{ItemId, Scenario};
-use crate::skp::SkpSolution;
-use crate::{kp, skp};
 
 /// Tolerance for "equal `P_d r_d`" when deciding whether sub-arbitration
 /// applies.
@@ -58,40 +56,6 @@ pub struct CacheEntry {
     pub id: ItemId,
     /// Number of past accesses to the item (LFU / DS statistic).
     pub freq: u64,
-}
-
-/// Which solver produces the tentative plan `F̂` over the non-cached items.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlanSolver {
-    /// No prefetching: arbitration degenerates to demand-fetch caching
-    /// (paper's `No+Pr`).
-    None,
-    /// 0/1 knapsack (paper's `KP+Pr`).
-    Kp,
-    /// Figure-3 SKP (paper's `SKP+Pr` family).
-    SkpPaper,
-    /// Corrected canonical SKP.
-    SkpExact,
-}
-
-impl PlanSolver {
-    /// Solves for the tentative plan `F̂ ⊆ N \ C`.
-    pub fn solve(&self, s: &Scenario, candidates: &[bool]) -> SkpSolution {
-        match self {
-            PlanSolver::None => SkpSolution::empty(),
-            PlanSolver::Kp => {
-                let sol = kp::bb::solve_kp_candidates(s, candidates);
-                SkpSolution {
-                    gain: sol.profit,
-                    internal_gain: sol.profit,
-                    nodes: sol.nodes,
-                    plan: sol.plan,
-                }
-            }
-            PlanSolver::SkpPaper => skp::solve_paper_candidates(s, candidates),
-            PlanSolver::SkpExact => skp::solve_exact_candidates(s, candidates),
-        }
-    }
 }
 
 /// The outcome of Figure 6: what to prefetch and what to eject, pairwise.
@@ -324,20 +288,27 @@ mod tests {
 
     #[test]
     fn plan_solver_variants_produce_plans() {
+        use crate::policy::{PolicyKind, Prefetcher};
+        use crate::{kp, skp};
+
         let s = sc();
         let candidates = vec![true; s.n()];
-        assert!(PlanSolver::None.solve(&s, &candidates).plan.is_empty());
-        let kp = PlanSolver::Kp.solve(&s, &candidates);
+        let plan = |kind: PolicyKind| kind.plan_candidates(&s, &candidates);
+        assert!(plan(PolicyKind::NoPrefetch).is_empty());
+        let kp = kp::bb::solve_kp_candidates(&s, &candidates);
+        assert_eq!(plan(PolicyKind::Kp), kp.plan);
         assert!(kp.plan.total_retrieval(&s) <= s.viewing() + 1e-9);
         // The KP solution is stretch-free and thus feasible for SKP, so the
         // Figure-3 solver's own accounting dominates the KP profit (its
         // *true* gain may not; see skp::exact's suffix-mass-bug test).
-        let skp = PlanSolver::SkpPaper.solve(&s, &candidates);
-        assert!(skp.internal_gain >= kp.gain - 1e-9);
+        let skp = skp::solve_paper_candidates(&s, &candidates);
+        assert_eq!(plan(PolicyKind::SkpPaper), skp.plan);
+        assert!(skp.internal_gain >= kp.profit - 1e-9);
         // The corrected solver maximises the true gain over the canonical
         // space, which contains the KP solution.
-        let exact = PlanSolver::SkpExact.solve(&s, &candidates);
-        assert!(exact.gain >= kp.gain - 1e-9);
+        let exact = skp::solve_exact_candidates(&s, &candidates);
+        assert_eq!(plan(PolicyKind::SkpExact), exact.plan);
+        assert!(exact.gain >= kp.profit - 1e-9);
         assert!(exact.gain >= skp.gain - 1e-9);
     }
 }

@@ -13,22 +13,21 @@ use experiments::{print_table, Args};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use speculative_prefetch::{
-    write_csv, IrmSource, PlanSolver, PrefetchCache, PrefetchCacheConfig, PrefetchCacheSim,
-    RunningStats, Scenario, SubArbitration,
+    write_csv, IrmSource, PolicyKind, PrefetchCache, PrefetchCacheConfig, PrefetchCacheSim,
+    Prefetcher, RunningStats, Scenario, SubArbitration,
 };
 
 fn run_irm(
     irm: &IrmSource,
     retrievals: &[f64],
     capacity: usize,
-    solver: PlanSolver,
+    policy: PolicyKind,
     requests: u64,
     seed: u64,
 ) -> (f64, f64) {
     let n = irm.n_items();
     let mut client = PrefetchCache::new(
         PrefetchCacheConfig {
-            solver,
             sub: SubArbitration::DelaySaving,
             capacity,
         },
@@ -42,7 +41,8 @@ fn run_irm(
         let s = Scenario::new(scenario_probs.clone(), retrievals.to_vec(), irm.viewing())
             .expect("valid scenario");
         let alpha = irm.next_request(&mut rng);
-        let out = client.step(&s, alpha);
+        let plan = policy.plan_candidates(&s, &client.candidate_mask());
+        let out = client.step(&s, alpha, plan);
         acc.push(out.access_time);
         if out.hit {
             hits += 1;
@@ -64,7 +64,7 @@ fn main() {
         min_fanout: 6,
         max_fanout: 12,
         requests,
-        skp_solver: PlanSolver::SkpExact,
+        skp_policy: PolicyKind::SkpExact,
         ..PrefetchCacheSim::paper(requests, seed)
     };
     let (chain, catalog) = sim.workload();
@@ -100,7 +100,7 @@ fn main() {
             &irm,
             &retrievals,
             capacity,
-            PlanSolver::None,
+            PolicyKind::NoPrefetch,
             requests,
             seed,
         );
@@ -108,7 +108,7 @@ fn main() {
             &irm,
             &retrievals,
             capacity,
-            PlanSolver::SkpExact,
+            PolicyKind::SkpExact,
             requests,
             seed,
         );

@@ -13,7 +13,7 @@ use experiments::{print_table, Args};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use speculative_prefetch::{
-    write_csv, MarkovChain, PlanSolver, RunningStats, Scenario, SizedPrefetchCache,
+    write_csv, MarkovChain, PolicyKind, RunningStats, Scenario, SizedPrefetchCache,
 };
 
 const N: usize = 60;
@@ -23,11 +23,11 @@ fn run(
     sizes: &[f64],
     retrievals: &[f64],
     budget: f64,
-    solver: PlanSolver,
+    policy: PolicyKind,
     requests: u64,
     seed: u64,
 ) -> (f64, f64) {
-    let mut client = SizedPrefetchCache::new(budget, sizes.to_vec(), solver);
+    let mut client = SizedPrefetchCache::new(budget, sizes.to_vec(), policy);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut state = rng.random_range(0..N);
     let mut acc = RunningStats::new();
@@ -78,7 +78,7 @@ fn main() {
             &sizes,
             &retrievals,
             budget,
-            PlanSolver::None,
+            PolicyKind::NoPrefetch,
             requests,
             seed,
         );
@@ -87,7 +87,7 @@ fn main() {
             &sizes,
             &retrievals,
             budget,
-            PlanSolver::SkpExact,
+            PolicyKind::SkpExact,
             requests,
             seed,
         );

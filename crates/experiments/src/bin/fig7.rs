@@ -10,9 +10,7 @@
 //! `SKP+Pr+DS ≤ SKP+Pr+LFU ≤ SKP+Pr ≤ KP+Pr ≤ No+Pr`, with sub-arbitration
 //! clearly improving the result.
 use experiments::{print_table, Args};
-use speculative_prefetch::{ascii_plot, write_csv, PrefetchCacheSim};
-
-const POLICY_ORDER: [&str; 5] = ["No+Pr", "KP+Pr", "SKP+Pr", "SKP+Pr+LFU", "SKP+Pr+DS"];
+use speculative_prefetch::{ascii_plot, write_csv, CachePoint, PolicyKind, PrefetchCacheSim};
 
 fn main() {
     let args = Args::from_env();
@@ -30,7 +28,7 @@ fn main() {
     if args.has("paper-solver") {
         println!("   (SKP policies backed by the verbatim Figure-3 solver)");
     } else {
-        sim.skp_solver = speculative_prefetch::PlanSolver::SkpExact;
+        sim.skp_policy = PolicyKind::SkpExact;
         println!("   (SKP policies backed by the corrected canonical solver; --paper-solver for verbatim)");
     }
     let capacities: Vec<usize> = (1..=100).step_by(step).collect();
@@ -43,22 +41,23 @@ fn main() {
     );
 
     let points = sim.sweep(&capacities);
+    // One curve per policy in legend order (the sweep's): entry `j` of
+    // each is the point at `capacities[j]`.
+    let curves: Vec<&[CachePoint]> = points.chunks(capacities.len()).collect();
+    let names: Vec<&str> = curves.iter().map(|c| c[0].policy.as_str()).collect();
 
-    // Series per policy.
-    let series_data: Vec<(String, Vec<(f64, f64)>)> = POLICY_ORDER
+    let series_data: Vec<Vec<(f64, f64)>> = curves
         .iter()
-        .map(|&name| {
-            let pts: Vec<(f64, f64)> = points
-                .iter()
-                .filter(|p| p.policy == name)
+        .map(|c| {
+            c.iter()
                 .map(|p| (p.capacity as f64, p.access.mean()))
-                .collect();
-            (name.to_string(), pts)
+                .collect()
         })
         .collect();
-    let series_refs: Vec<(&str, &[(f64, f64)])> = series_data
+    let series_refs: Vec<(&str, &[(f64, f64)])> = names
         .iter()
-        .map(|(n, p)| (n.as_str(), p.as_slice()))
+        .zip(&series_data)
+        .map(|(&n, p)| (n, p.as_slice()))
         .collect();
     let y_max = points
         .iter()
@@ -84,23 +83,13 @@ fn main() {
         .filter(|c| capacities.contains(c))
         .collect();
     let mut rows = Vec::new();
-    for &name in &POLICY_ORDER {
+    for (curve, name) in curves.iter().zip(&names) {
         let mut row = vec![name.to_string()];
         for &cap in &samples {
-            let p = points
-                .iter()
-                .find(|p| p.policy == name && p.capacity == cap)
-                .expect("swept point");
+            let p = curve.iter().find(|p| p.capacity == cap).expect("swept");
             row.push(format!("{:.2}", p.access.mean()));
         }
-        let avg: f64 = {
-            let s: Vec<f64> = points
-                .iter()
-                .filter(|p| p.policy == name)
-                .map(|p| p.access.mean())
-                .collect();
-            s.iter().sum::<f64>() / s.len() as f64
-        };
+        let avg = curve.iter().map(|p| p.access.mean()).sum::<f64>() / curve.len() as f64;
         row.push(format!("{avg:.2}"));
         rows.push(row);
     }
@@ -113,27 +102,15 @@ fn main() {
 
     // CSV: capacity + a column per policy (+hit rates and waste).
     let mut csv_rows = Vec::new();
-    for &cap in &capacities {
+    for (j, &cap) in capacities.iter().enumerate() {
         let mut row = vec![cap as f64];
-        for &name in &POLICY_ORDER {
-            let p = points
-                .iter()
-                .find(|p| p.policy == name && p.capacity == cap)
-                .expect("swept point");
-            row.push(p.access.mean());
-        }
-        for &name in &POLICY_ORDER {
-            let p = points
-                .iter()
-                .find(|p| p.policy == name && p.capacity == cap)
-                .expect("swept point");
-            row.push(p.hit_rate);
-        }
+        row.extend(curves.iter().map(|c| c[j].access.mean()));
+        row.extend(curves.iter().map(|c| c[j].hit_rate));
         csv_rows.push(row);
     }
     let mut headers: Vec<String> = vec!["cache_size".into()];
-    headers.extend(POLICY_ORDER.iter().map(|n| format!("T_{n}")));
-    headers.extend(POLICY_ORDER.iter().map(|n| format!("hit_{n}")));
+    headers.extend(names.iter().map(|n| format!("T_{n}")));
+    headers.extend(names.iter().map(|n| format!("hit_{n}")));
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let path = out.join("fig7.csv");
     write_csv(&path, &header_refs, &csv_rows).expect("write csv");

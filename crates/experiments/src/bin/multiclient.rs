@@ -18,7 +18,7 @@
 use experiments::{print_table, Args};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use speculative_prefetch::{write_csv, Backend, Engine, MarkovChain, Placement, Workload};
+use speculative_prefetch::{write_csv, Engine, MarkovChain, Workload};
 
 const N: usize = 40;
 
@@ -53,11 +53,7 @@ fn main() {
         for (pi, (name, spec)) in policies.iter().enumerate() {
             let mut engine = Engine::builder()
                 .policy(spec)
-                .backend(Backend::Sharded {
-                    shards: 1,
-                    clients,
-                    placement: Placement::Hash,
-                })
+                .backend_spec(&format!("sharded:1x{clients}:hash"))
                 .catalog(retrievals.clone())
                 .build()
                 .expect("valid session");

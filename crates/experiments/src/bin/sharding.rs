@@ -9,7 +9,8 @@
 //! ROADMAP's "millions of users" north star needs.
 //!
 //! Each grid cell is one `SessionBuilder` line: the policy from the
-//! registry, the topology from `Backend::Sharded`.
+//! registry, the topology from a `sharded:<shards>x<clients>:<placement>`
+//! backend spec.
 //!
 //! Reported per cell: mean/p50/p99 stall time, mean channel
 //! utilisation, deepest shard queue, and waste share.
@@ -17,19 +18,9 @@
 use experiments::{print_table, Args};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use speculative_prefetch::{write_csv, Backend, Engine, MarkovChain, Placement, Workload};
+use speculative_prefetch::{write_csv, Engine, MarkovChain, Workload};
 
 const N: usize = 48;
-
-fn placement_from(name: &str) -> Placement {
-    // The canonical spec syntax (`hash`, `range`, `hot-cold@K`), with a
-    // bare `hot-cold` defaulting to an N/8 hot set.
-    if name == "hot-cold" {
-        return Placement::HotCold { hot_items: N / 8 };
-    }
-    Placement::parse(name)
-        .unwrap_or_else(|| panic!("--placement expects hash|range|hot-cold[@K], got {name}"))
-}
 
 fn main() {
     let args = Args::from_env();
@@ -37,7 +28,12 @@ fn main() {
     let requests = args.get_u64("requests", if quick { 200 } else { 2_000 });
     let seed = args.get_u64("seed", 1999);
     let policy = args.get_str("policy", "skp-exact");
-    let placement = placement_from(&args.get_str("placement", "hash"));
+    // The backend spec's placement field (`hash`, `range`, `hot-cold@K`),
+    // with a bare `hot-cold` meaning an N/8 hot set.
+    let placement = match args.get_str("placement", "hash").as_str() {
+        "hot-cold" => format!("hot-cold@{}", N / 8),
+        other => other.to_string(),
+    };
     let out = args.out_dir();
 
     // Uniform workload: every state reaches many successors with
@@ -53,7 +49,7 @@ fn main() {
     };
 
     println!("== Sharded contention sweep: clients x shards, policy '{policy}' ==");
-    println!("   {N} items, v in [2,8], r in [1,30], {requests} requests/client, {placement:?} placement\n");
+    println!("   {N} items, v in [2,8], r in [1,30], {requests} requests/client, {placement} placement\n");
 
     // One workload value for the whole grid; each cell is one
     // `SessionBuilder` line plus `Engine::run`.
@@ -65,11 +61,7 @@ fn main() {
         for &shards in shard_axis {
             let mut engine = Engine::builder()
                 .policy(&policy)
-                .backend(Backend::Sharded {
-                    shards,
-                    clients,
-                    placement,
-                })
+                .backend_spec(&format!("sharded:{shards}x{clients}:{placement}"))
                 .catalog(retrievals.clone())
                 .build()
                 .expect("valid session");

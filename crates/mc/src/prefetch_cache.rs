@@ -16,7 +16,7 @@ use cache_sim::{PrefetchCache, PrefetchCacheConfig};
 use distsys::{Catalog, RetrievalModel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use skp_core::arbitration::PlanSolver;
+use skp_core::policy::{PolicyKind, Prefetcher};
 use skp_core::Scenario;
 
 use crate::parallel::{default_threads, derive_seed, par_map_indexed};
@@ -60,11 +60,11 @@ pub struct PrefetchCacheSim {
     pub seed: u64,
     /// Worker threads (0 = auto).
     pub threads: usize,
-    /// Which SKP solver backs the three `SKP+Pr*` policies of
+    /// Which SKP policy plans the three `SKP+Pr*` policies of
     /// [`Self::sweep`]: the verbatim Figure-3 algorithm
-    /// ([`PlanSolver::SkpPaper`], the default) or the corrected
-    /// canonical solver ([`PlanSolver::SkpExact`]).
-    pub skp_solver: PlanSolver,
+    /// ([`PolicyKind::SkpPaper`], the default) or the corrected
+    /// canonical solver ([`PolicyKind::SkpExact`]).
+    pub skp_policy: PolicyKind,
 }
 
 impl PrefetchCacheSim {
@@ -80,7 +80,7 @@ impl PrefetchCacheSim {
             warmup: 0,
             seed,
             threads: 0,
-            skp_solver: PlanSolver::SkpPaper,
+            skp_policy: PolicyKind::SkpPaper,
         }
     }
 
@@ -104,12 +104,14 @@ impl PrefetchCacheSim {
         (chain, catalog)
     }
 
-    /// Runs one policy at one cache size against a workload.
+    /// Runs one policy at one cache size against a workload: `policy`
+    /// plans over the non-cached items, the client arbitrates.
     pub fn run_point(
         &self,
         chain: &MarkovChain,
         catalog: &Catalog,
         policy_name: &str,
+        policy: PolicyKind,
         cfg: PrefetchCacheConfig,
         point_seed: u64,
     ) -> CachePoint {
@@ -129,7 +131,8 @@ impl PrefetchCacheSim {
             let scenario = Scenario::new(probs, retrievals.clone(), chain.viewing(state))
                 .expect("markov row is a valid scenario");
             let alpha = chain.next_state(state, &mut rng);
-            let out = client.step(&scenario, alpha);
+            let plan = policy.plan_candidates(&scenario, &client.candidate_mask());
+            let out = client.step(&scenario, alpha, plan);
             if step >= self.warmup {
                 access.push(out.access_time);
                 if out.hit {
@@ -160,49 +163,34 @@ impl PrefetchCacheSim {
     /// policy (Figure-7 legend order), then capacity.
     pub fn sweep(&self, capacities: &[usize]) -> Vec<CachePoint> {
         let (chain, catalog) = self.workload();
-        let solver = self.skp_solver;
-        let work: Vec<(String, PrefetchCacheConfig, usize)> = capacities
+        let work: Vec<(&str, PolicyKind, PrefetchCacheConfig)> = capacities
             .iter()
-            .flat_map(|&cap| {
-                PrefetchCacheConfig::figure7_policies_with(cap, solver)
-                    .into_iter()
-                    .map(move |(name, cfg)| (name.to_string(), cfg, cap))
-            })
+            .flat_map(|&cap| PrefetchCacheConfig::figure7_policies(cap, self.skp_policy))
             .collect();
         let threads = if self.threads == 0 {
             default_threads(work.len())
         } else {
             self.threads
         };
-        let mut points = par_map_indexed(&work, threads, |idx, (name, cfg, _cap)| {
+        let mut points = par_map_indexed(&work, threads, |idx, &(name, policy, cfg)| {
             // The request stream is the same for every policy at a given
             // capacity index (paired comparison): derive the seed from the
             // capacity only.
             let cap_index = idx / 5;
-            self.run_point(
-                &chain,
-                &catalog,
-                name,
-                *cfg,
-                derive_seed(self.seed, 0x9E0 + cap_index as u64),
-            )
+            let seed = derive_seed(self.seed, 0x9E0 + cap_index as u64);
+            let point = self.run_point(&chain, &catalog, name, policy, cfg, seed);
+            (idx % 5, point)
         });
-        // Order by legend position then capacity for stable output.
-        let legend = |p: &CachePoint| {
-            ["No+Pr", "KP+Pr", "SKP+Pr", "SKP+Pr+LFU", "SKP+Pr+DS"]
-                .iter()
-                .position(|&n| n == p.policy)
-                .unwrap_or(usize::MAX)
-        };
-        points.sort_by_key(|p| (legend(p), p.capacity));
-        points
+        // Order by legend position (the table's) then capacity.
+        points.sort_by_key(|(legend, p)| (*legend, p.capacity));
+        points.into_iter().map(|(_, p)| p).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skp_core::arbitration::{PlanSolver, SubArbitration};
+    use skp_core::arbitration::SubArbitration;
 
     fn small_sim() -> PrefetchCacheSim {
         PrefetchCacheSim {
@@ -215,16 +203,12 @@ mod tests {
             warmup: 100,
             seed: 99,
             threads: 2,
-            skp_solver: PlanSolver::SkpPaper,
+            skp_policy: PolicyKind::SkpPaper,
         }
     }
 
-    fn cfg(solver: PlanSolver, sub: SubArbitration, capacity: usize) -> PrefetchCacheConfig {
-        PrefetchCacheConfig {
-            solver,
-            sub,
-            capacity,
-        }
+    fn cfg(sub: SubArbitration, capacity: usize) -> PrefetchCacheConfig {
+        PrefetchCacheConfig { sub, capacity }
     }
 
     #[test]
@@ -241,7 +225,8 @@ mod tests {
             &chain,
             &catalog,
             "No+Pr",
-            cfg(PlanSolver::None, SubArbitration::None, 30),
+            PolicyKind::NoPrefetch,
+            cfg(SubArbitration::None, 30),
             7,
         );
         assert!(
@@ -260,14 +245,16 @@ mod tests {
             &chain,
             &catalog,
             "No+Pr",
-            cfg(PlanSolver::None, SubArbitration::None, 8),
+            PolicyKind::NoPrefetch,
+            cfg(SubArbitration::None, 8),
             11,
         );
         let skp = sim.run_point(
             &chain,
             &catalog,
             "SKP+Pr",
-            cfg(PlanSolver::SkpPaper, SubArbitration::None, 8),
+            PolicyKind::SkpPaper,
+            cfg(SubArbitration::None, 8),
             11,
         );
         assert!(
@@ -286,14 +273,16 @@ mod tests {
             &chain,
             &catalog,
             "SKP+Pr+DS",
-            cfg(PlanSolver::SkpPaper, SubArbitration::DelaySaving, 3),
+            PolicyKind::SkpPaper,
+            cfg(SubArbitration::DelaySaving, 3),
             5,
         );
         let large = sim.run_point(
             &chain,
             &catalog,
             "SKP+Pr+DS",
-            cfg(PlanSolver::SkpPaper, SubArbitration::DelaySaving, 25),
+            PolicyKind::SkpPaper,
+            cfg(SubArbitration::DelaySaving, 25),
             5,
         );
         assert!(
@@ -330,14 +319,16 @@ mod tests {
             &chain,
             &catalog,
             "KP+Pr",
-            cfg(PlanSolver::Kp, SubArbitration::None, 5),
+            PolicyKind::Kp,
+            cfg(SubArbitration::None, 5),
             3,
         );
         let b = sim.run_point(
             &chain,
             &catalog,
             "KP+Pr",
-            cfg(PlanSolver::Kp, SubArbitration::None, 5),
+            PolicyKind::Kp,
+            cfg(SubArbitration::None, 5),
             3,
         );
         assert_eq!(a.access.mean(), b.access.mean());
@@ -352,7 +343,7 @@ mod tests {
         let sim = PrefetchCacheSim {
             requests: 4000,
             warmup: 0,
-            skp_solver: PlanSolver::SkpExact,
+            skp_policy: PolicyKind::SkpExact,
             ..small_sim()
         };
         let pts = sim.sweep(&[8]);

@@ -9,13 +9,21 @@
 //! [`register_backend`] call; the [`Engine`](crate::Engine) dispatches
 //! through the trait and never matches on a backend type.
 //!
-//! Spec-string grammar (see [`build_backend`]):
+//! The spec string is the one name of a backend: the engine takes it
+//! through [`backend_spec`](crate::SessionBuilder::backend_spec), or a
+//! built driver through
+//! [`backend_driver`](crate::SessionBuilder::backend_driver). The
+//! parser refuses a degenerate configuration (zero shards, zero
+//! clients, a `served:` inner backend that cannot run populations), so
+//! every driver it returns is valid. Spec-string grammar (see
+//! [`build_backend`]):
 //!
 //! ```text
 //! single-client
 //! multi-client:<clients>          (alias of sharded:1x<clients>:hash)
 //! sharded:<shards>x<clients>[:<hash|range|hot-cold@K>]
 //! monte-carlo:<chunks>[x<threads>]
+//! served:<host>:<port>:<inner-backend-spec>
 //! ```
 
 use std::sync::Arc;
@@ -33,72 +41,6 @@ use skp_registry::{
 
 use crate::error::Error;
 use crate::report::ReportSection;
-
-/// Which mechanistic substrate the engine drives — the typed spec of the
-/// three built-in in-process backends, kept as a convenience alongside the
-/// string-keyed registry ([`build_backend`] resolves arbitrary entries,
-/// including ones registered at runtime).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum Backend {
-    /// One client on a private FIFO channel (`distsys`): replays agree
-    /// exactly with the paper's closed forms.
-    #[default]
-    SingleClient,
-    /// The catalog partitioned across `shards` server shards, each with
-    /// its own FIFO retrieval queue and channel, serving `clients`
-    /// browsing clients (`distsys::scheduler`). `shards: 1` is the
-    /// paper's distributed information system: many clients sharing one
-    /// FIFO server channel (the registry's `multi-client:<clients>`
-    /// spelling builds exactly that, with hash placement).
-    Sharded {
-        /// Number of server shards.
-        shards: usize,
-        /// Number of concurrent clients.
-        clients: usize,
-        /// How catalog items are placed on shards.
-        placement: Placement,
-    },
-    /// Deterministic parallel Monte-Carlo over random scenarios
-    /// (`montecarlo::parallel`).
-    MonteCarlo {
-        /// Number of independently seeded chunks (fixes the result
-        /// regardless of thread count).
-        chunks: usize,
-        /// Worker threads (0 = auto).
-        threads: usize,
-    },
-}
-
-impl Backend {
-    /// Short backend name (matches the registry entry).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Backend::SingleClient => "single-client",
-            Backend::Sharded { .. } => "sharded",
-            Backend::MonteCarlo { .. } => "monte-carlo",
-        }
-    }
-
-    /// The driver implementing this backend — the only place the closed
-    /// enum meets the open trait.
-    pub fn driver(&self) -> Arc<dyn BackendDriver> {
-        match *self {
-            Backend::SingleClient => Arc::new(SingleClientDriver),
-            Backend::Sharded {
-                shards,
-                clients,
-                placement,
-            } => Arc::new(ShardedDriver {
-                shards,
-                clients,
-                placement,
-            }),
-            Backend::MonteCarlo { chunks, threads } => {
-                Arc::new(MonteCarloDriver { chunks, threads })
-            }
-        }
-    }
-}
 
 /// How a backend fans Monte-Carlo iterations out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,12 +117,6 @@ pub trait BackendDriver: Send + Sync {
     /// string.
     fn spec_string(&self) -> String;
 
-    /// Validates the configuration (called at
-    /// [`build`](crate::SessionBuilder::build) time).
-    fn validate(&self) -> Result<(), Error> {
-        Ok(())
-    }
-
     /// Mechanistic access time of one session on this substrate's
     /// channel model. The default is the paper's private FIFO channel.
     fn session_access_time(&self, catalog: &Catalog, cfg: &SessionConfig<'_>) -> f64 {
@@ -246,8 +182,9 @@ impl ClientWorkload for MarkovWorkload<'_> {
 // Built-in drivers.
 // ---------------------------------------------------------------------
 
-/// The paper's model: one client on a private FIFO channel.
-struct SingleClientDriver;
+/// The paper's model: one client on a private FIFO channel (the
+/// engine's default backend).
+pub(crate) struct SingleClientDriver;
 
 impl BackendDriver for SingleClientDriver {
     fn name(&self) -> &'static str {
@@ -284,22 +221,6 @@ impl BackendDriver for ShardedDriver {
             "sharded:{}x{}:{}",
             self.shards, self.clients, self.placement
         )
-    }
-
-    fn validate(&self) -> Result<(), Error> {
-        if self.shards == 0 {
-            return Err(Error::InvalidParam {
-                what: "sharded backend",
-                detail: "needs at least one shard".into(),
-            });
-        }
-        if self.clients == 0 {
-            return Err(Error::InvalidParam {
-                what: "sharded backend",
-                detail: "needs at least one client".into(),
-            });
-        }
-        Ok(())
     }
 
     fn session_access_time(&self, catalog: &Catalog, cfg: &SessionConfig<'_>) -> f64 {
@@ -566,20 +487,9 @@ mod tests {
 
     #[test]
     fn backend_enum_drivers_match_registry_names() {
-        for backend in [
-            Backend::SingleClient,
-            Backend::Sharded {
-                shards: 2,
-                clients: 4,
-                placement: Placement::Range,
-            },
-            Backend::MonteCarlo {
-                chunks: 4,
-                threads: 2,
-            },
-        ] {
-            let driver = backend.driver();
-            assert_eq!(driver.name(), backend.name());
+        for spec in ["single-client", "sharded:2x4:range", "monte-carlo:4x2"] {
+            let driver = build_backend(spec).unwrap();
+            assert_eq!(driver.name(), split_spec(spec).0);
             assert!(
                 backend_names().contains(&driver.name()),
                 "{} not registered",
@@ -692,24 +602,15 @@ mod tests {
 
     #[test]
     fn validation_catches_degenerate_topologies() {
-        // The spec parser already rejects zero counts with a named
-        // field; `validate()` still guards programmatically-built
-        // drivers (`Backend::Sharded { shards: 0, .. }`).
-        assert!(matches!(
-            build_backend("sharded:0x3"),
-            Err(Error::InvalidParam { .. })
-        ));
+        // The spec parser is the only way to name a backend, and it
+        // refuses zero counts with a named field.
         for (shards, clients) in [(0usize, 3usize), (3, 0)] {
-            assert!(Backend::Sharded {
-                shards,
-                clients,
-                placement: Placement::Hash,
-            }
-            .driver()
-            .validate()
-            .is_err());
+            assert!(matches!(
+                build_backend(&format!("sharded:{shards}x{clients}:hash")),
+                Err(Error::InvalidParam { .. })
+            ));
         }
-        assert!(build_backend("sharded:3x3").unwrap().validate().is_ok());
+        assert!(build_backend("sharded:3x3").is_ok());
     }
 
     /// `parallel:` is not a registered backend and gets no special case:

@@ -39,7 +39,7 @@ use planstore::{
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use skp_core::arbitration::{PlanSolver, SubArbitration};
+use skp_core::arbitration::SubArbitration;
 use skp_core::gain::{
     access_time_empty, expected_access_time_empty, gain_empty_cache, stretch_time,
 };
@@ -47,7 +47,7 @@ use skp_core::policy::{PolicyKind, Prefetcher, RowBasis};
 use skp_core::skp::upper_bound;
 use skp_core::{ModelError, PrefetchPlan, Scenario};
 
-use crate::backend::{build_backend, Backend, BackendDriver, McFanout, PopulationRun};
+use crate::backend::{build_backend, BackendDriver, McFanout, PopulationRun, SingleClientDriver};
 use crate::error::Error;
 use crate::generator::build_generator;
 use crate::predictor::{build_predictor, dense_row, Predictor};
@@ -173,18 +173,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects a built-in simulation backend by typed spec (default:
-    /// single client).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.driver = Some(backend.driver());
-        self.backend_spec_err = None;
-        self
-    }
-
     /// Selects the simulation backend by registry spec string (e.g.
     /// `"sharded:4x16:hash"`; see
-    /// [`backend_specs`](crate::backend::backend_specs)) — the route
-    /// through which runtime-registered backends are reachable.
+    /// [`backend_specs`](crate::backend::backend_specs)). The default is
+    /// `single-client`.
     pub fn backend_spec(mut self, spec: &str) -> Self {
         match build_backend(spec) {
             Ok(d) => {
@@ -311,12 +303,8 @@ impl SessionBuilder {
                     component: "item universe (catalog(..) or items(..))",
                     needed_for: "cache construction",
                 })?;
-                // The solver field is bypassed: the engine always plans
-                // through its boxed policy and enters via
-                // `step_with_plan`.
                 Some(PrefetchCache::new(
                     PrefetchCacheConfig {
-                        solver: PlanSolver::None,
                         sub: self.sub,
                         capacity,
                     },
@@ -324,11 +312,7 @@ impl SessionBuilder {
                 ))
             }
         };
-        let driver = match self.driver {
-            Some(d) => d,
-            None => Backend::SingleClient.driver(),
-        };
-        driver.validate()?;
+        let driver = self.driver.unwrap_or_else(|| Arc::new(SingleClientDriver));
         // The fallback store is engine-private and tiny: just enough to
         // carry the previous run's plans across repeat runs of the same
         // population on this engine (the pre-store behaviour).
@@ -835,7 +819,7 @@ impl Engine {
                     };
                     unique_plan(self.policy.plan_row(row, basis))
                 };
-                client.step_with_plan(s, alpha, tentative)
+                client.step(s, alpha, tentative)
             }
             None => {
                 let plan = if oracle {
@@ -1291,7 +1275,6 @@ fn plan_access_stats(s: &Scenario, per_request: &[f64]) -> AccessStats {
 mod tests {
     use super::*;
     use crate::backend::backend_specs;
-    use distsys::scheduler::Placement;
     use montecarlo::probgen::ProbMethod;
 
     fn scenario() -> Scenario {
@@ -1594,7 +1577,7 @@ mod tests {
         };
         let run = |threads| {
             Engine::builder()
-                .backend(Backend::MonteCarlo { chunks: 8, threads })
+                .backend_spec(&format!("monte-carlo:8x{threads}"))
                 .build()
                 .unwrap()
                 .run(&Workload::monte_carlo(spec))
@@ -1695,11 +1678,7 @@ mod tests {
     fn sharded_backend_runs_and_reports_per_shard() {
         let chain = MarkovChain::random(12, 2, 4, 5, 20, 5).unwrap();
         let mut engine = Engine::builder()
-            .backend(Backend::Sharded {
-                shards: 3,
-                clients: 4,
-                placement: Placement::Hash,
-            })
+            .backend_spec("sharded:3x4:hash")
             .catalog((0..12).map(|i| 2.0 + i as f64).collect())
             .build()
             .unwrap();
@@ -1772,11 +1751,7 @@ mod tests {
         .unwrap();
         let plan = PrefetchPlan::new(vec![0, 2]).unwrap();
         let sharded = Engine::builder()
-            .backend(Backend::Sharded {
-                shards: 2,
-                clients: 1,
-                placement: Placement::Range,
-            })
+            .backend_spec("sharded:2x1:range")
             .build()
             .unwrap();
         // The miss on item 1 (shard 0) queues behind item 0 only:
@@ -1786,11 +1761,7 @@ mod tests {
         assert!((serial.replay(&s, &plan, 1) - 24.0).abs() < 1e-9);
         // One shard collapses to the serial FIFO discipline.
         let one = Engine::builder()
-            .backend(Backend::Sharded {
-                shards: 1,
-                clients: 1,
-                placement: Placement::Range,
-            })
+            .backend_spec("sharded:1x1:range")
             .build()
             .unwrap();
         // So does the `multi-client` alias: its replays are FIFO, as
@@ -1811,11 +1782,7 @@ mod tests {
     fn sharded_builder_validation() {
         for (shards, clients) in [(0usize, 3usize), (2, 0)] {
             let err = Engine::builder()
-                .backend(Backend::Sharded {
-                    shards,
-                    clients,
-                    placement: Placement::Hash,
-                })
+                .backend_spec(&format!("sharded:{shards}x{clients}:hash"))
                 .build()
                 .err()
                 .expect("must fail");
@@ -1826,18 +1793,8 @@ mod tests {
     #[test]
     fn backend_specs_cover_every_builtin_variant() {
         let specs = backend_specs();
-        for backend in [
-            Backend::SingleClient,
-            Backend::Sharded {
-                shards: 1,
-                clients: 1,
-                placement: Placement::Hash,
-            },
-            Backend::MonteCarlo {
-                chunks: 1,
-                threads: 1,
-            },
-        ] {
+        for spec in ["single-client", "sharded:1x1:hash", "monte-carlo:1x1"] {
+            let backend = build_backend(spec).unwrap();
             assert!(
                 specs.iter().any(|s| s.name == backend.name()),
                 "backend {} missing from specs",

@@ -153,8 +153,8 @@ pub use skp_core as core;
 
 // ---- the facade ------------------------------------------------------
 pub use backend::{
-    backend_names, backend_specs, build_backend, register_backend, Backend, BackendBuilder,
-    BackendDriver, BackendSpec, McFanout, PopulationRun,
+    backend_names, backend_specs, build_backend, register_backend, BackendBuilder, BackendDriver,
+    BackendSpec, McFanout, PopulationRun,
 };
 pub use engine::{Engine, SessionBuilder};
 pub use error::Error;
@@ -189,7 +189,7 @@ pub use workload::{
 };
 
 // ---- model layer (skp-core) ------------------------------------------
-pub use skp_core::arbitration::{arbitrate, CacheEntry, PlanSolver, SubArbitration};
+pub use skp_core::arbitration::{arbitrate, CacheEntry, SubArbitration};
 pub use skp_core::ext::{NetworkAwarePolicy, StretchPenalisedPolicy, TwoStepPolicy};
 pub use skp_core::gain::{
     access_time_cached, access_time_empty, expected_access_time_cached, expected_access_time_empty,

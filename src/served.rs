@@ -72,22 +72,6 @@ impl BackendDriver for ServedDriver {
         )
     }
 
-    fn validate(&self) -> Result<(), Error> {
-        self.inner.validate()?;
-        if !self.inner.supports_population() {
-            return Err(param_err(
-                WHAT,
-                format!(
-                    "inner backend '{}' cannot run population workloads (the daemon only \
-                     serves population runs)",
-                    self.inner.spec_string()
-                ),
-            )
-            .into());
-        }
-        Ok(())
-    }
-
     fn session_access_time(&self, catalog: &Catalog, cfg: &SessionConfig<'_>) -> f64 {
         // The daemon simulates the same substrate; the timing model is
         // the inner backend's.
@@ -201,6 +185,17 @@ pub(crate) fn build_served(param: Option<&str>) -> Result<Arc<dyn BackendDriver>
             build_backend(spec)?
         }
     };
+    if !inner.supports_population() {
+        return Err(param_err(
+            WHAT,
+            format!(
+                "inner backend '{}' cannot run population workloads (the daemon only \
+                 serves population runs)",
+                inner.spec_string()
+            ),
+        )
+        .into());
+    }
     Ok(Arc::new(ServedDriver { host, port, inner }))
 }
 
@@ -249,8 +244,9 @@ impl HttpResponse {
 /// same cap `skp-serve` puts on request lines.
 pub const MAX_HEADER_LINE: usize = 8 * 1024;
 
-/// Most header lines the client reads from one response.
-const MAX_HEADERS: usize = 64;
+/// Most header lines the client reads from one response — the same cap
+/// `skp-serve` puts on requests.
+pub const MAX_HEADERS: usize = 64;
 
 /// Most body bytes reserved before they arrive, whatever
 /// `Content-Length` claims.
@@ -441,13 +437,12 @@ mod tests {
 
     #[test]
     fn non_population_inner_backends_fail_validation() {
-        let driver = build_backend("served:localhost:8080:monte-carlo:8x2").unwrap();
-        let err = driver.validate().unwrap_err().to_string();
+        let err = build_backend("served:localhost:8080:monte-carlo:8x2")
+            .err()
+            .expect("must fail")
+            .to_string();
         assert!(err.contains("cannot run population workloads"), "{err}");
-        assert!(build_backend("served:localhost:8080:sharded:2x4:hash")
-            .unwrap()
-            .validate()
-            .is_ok());
+        assert!(build_backend("served:localhost:8080:sharded:2x4:hash").is_ok());
     }
 
     #[test]

@@ -131,7 +131,6 @@ fn fault_spans(faults: &[obs::FaultWindow]) -> Vec<TraceSpan> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Backend;
     use crate::engine::Engine;
     use crate::workload::Workload;
     use access_model::MarkovChain;
@@ -140,11 +139,7 @@ mod tests {
     fn observed_traced_run_renders_all_track_families() {
         let chain = MarkovChain::random(10, 2, 4, 5, 20, 5).unwrap();
         let mut engine = Engine::builder()
-            .backend(Backend::Sharded {
-                shards: 2,
-                clients: 3,
-                placement: distsys::scheduler::Placement::Hash,
-            })
+            .backend_spec("sharded:2x3:hash")
             .catalog((0..10).map(|i| 2.0 + i as f64).collect())
             .obs("memory")
             .build()
@@ -181,11 +176,7 @@ mod tests {
     #[test]
     fn observed_faulted_run_renders_outage_spans() {
         let mut engine = Engine::builder()
-            .backend(Backend::Sharded {
-                shards: 2,
-                clients: 3,
-                placement: distsys::scheduler::Placement::Hash,
-            })
+            .backend_spec("sharded:2x3:hash")
             .catalog((0..10).map(|i| 2.0 + i as f64).collect())
             .obs("memory")
             .build()

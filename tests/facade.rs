@@ -5,8 +5,8 @@
 use speculative_prefetch::{
     build_backend, build_generator, build_obs, build_plan_store, build_policy, build_predictor,
     policy_aliases, policy_names, policy_specs, predictor_names, predictor_specs, register_backend,
-    Backend, BackendDriver, Engine, Error, MarkovChain, MonteCarloSpec, ProbMethod, ReportSection,
-    Scenario, Trace, TraceReport, Workload,
+    BackendDriver, Engine, Error, MarkovChain, MonteCarloSpec, ProbMethod, ReportSection, Scenario,
+    Trace, TraceReport, Workload,
 };
 
 fn scenario() -> Scenario {
@@ -262,7 +262,7 @@ fn monte_carlo_backend_is_deterministic() {
     let run = |threads| {
         Engine::builder()
             .policy("skp-paper")
-            .backend(Backend::MonteCarlo { chunks: 6, threads })
+            .backend_spec(&format!("monte-carlo:6x{threads}"))
             .build()
             .unwrap()
             .run(&Workload::monte_carlo(spec))

@@ -6,7 +6,6 @@ use montecarlo::prefetch_cache::PrefetchCacheSim;
 use montecarlo::prefetch_only::PrefetchOnlySim;
 use montecarlo::probgen::ProbMethod;
 use montecarlo::scenario_gen::ScenarioGen;
-use speculative_prefetch::core::arbitration::PlanSolver;
 use speculative_prefetch::core::policy::PolicyKind;
 
 fn prefetch_only(n: usize, method: ProbMethod, iterations: u64) -> PrefetchOnlySim {
@@ -146,7 +145,7 @@ fn fig7_policy_ranking() {
         min_fanout: 5,
         max_fanout: 10,
         requests: 6_000,
-        skp_solver: PlanSolver::SkpExact,
+        skp_policy: PolicyKind::SkpExact,
         ..PrefetchCacheSim::paper(6_000, 1999)
     };
     let pts = sim.sweep(&[15]);
@@ -181,7 +180,7 @@ fn fig7_curves_decrease_with_cache_size() {
         min_fanout: 5,
         max_fanout: 10,
         requests: 4_000,
-        skp_solver: PlanSolver::SkpExact,
+        skp_policy: PolicyKind::SkpExact,
         ..PrefetchCacheSim::paper(4_000, 1999)
     };
     let pts = sim.sweep(&[5, 25, 50]);

@@ -11,8 +11,8 @@ use std::fmt::Write;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use speculative_prefetch::{
-    IrmSource, MarkovChain, PlanSolver, PrefetchCache, PrefetchCacheConfig, PrefetchCacheSim,
-    Scenario, SizedPrefetchCache, SubArbitration,
+    IrmSource, MarkovChain, PolicyKind, PrefetchCache, PrefetchCacheConfig, PrefetchCacheSim,
+    Prefetcher, Scenario, SizedPrefetchCache, SubArbitration,
 };
 
 /// Request outcomes folded into the hit count, the summed access
@@ -42,8 +42,8 @@ impl Fold {
 
 fn sweep(out: &mut String) {
     for (label, skp) in [
-        ("verbatim", PlanSolver::SkpPaper),
-        ("exact", PlanSolver::SkpExact),
+        ("verbatim", PolicyKind::SkpPaper),
+        ("exact", PolicyKind::SkpExact),
     ] {
         let sim = PrefetchCacheSim {
             n_states: 24,
@@ -52,7 +52,7 @@ fn sweep(out: &mut String) {
             requests: 300,
             warmup: 20,
             threads: 1,
-            skp_solver: skp,
+            skp_policy: skp,
             ..PrefetchCacheSim::paper(300, 1999)
         };
         writeln!(out, "sweep {label}").unwrap();
@@ -80,7 +80,10 @@ fn sized_stream(out: &mut String) {
     let sizes: Vec<f64> = (0..N).map(|_| rng.random_range(1u32..=20) as f64).collect();
     let retrievals: Vec<f64> = sizes.iter().map(|&s| 1.0 + s).collect();
     let chain = MarkovChain::random(N, 3, 6, 5, 60, 43).unwrap();
-    for (label, solver) in [("none", PlanSolver::None), ("skp", PlanSolver::SkpExact)] {
+    for (label, solver) in [
+        ("none", PolicyKind::NoPrefetch),
+        ("skp", PolicyKind::SkpExact),
+    ] {
         let mut client = SizedPrefetchCache::new(30.0, sizes.clone(), solver);
         let mut rng = SmallRng::seed_from_u64(47);
         let mut state = rng.random_range(0..N);
@@ -104,20 +107,20 @@ fn irm_stream(out: &mut String) {
     let viewing: f64 = (0..N).map(|i| pi[i] * chain.viewing(i)).sum();
     let irm = IrmSource::new(&pi, viewing.max(1.0));
     let retrievals: Vec<f64> = (0..N).map(|i| 1.0 + (i * 7 % 23) as f64).collect();
-    for (label, solver) in [("none", PlanSolver::None), ("skp", PlanSolver::SkpExact)] {
+    for (label, solver) in [
+        ("none", PolicyKind::NoPrefetch),
+        ("skp", PolicyKind::SkpExact),
+    ] {
         let sub = SubArbitration::DelaySaving;
-        let cfg = PrefetchCacheConfig {
-            solver,
-            sub,
-            capacity: 4,
-        };
+        let cfg = PrefetchCacheConfig { sub, capacity: 4 };
         let mut client = PrefetchCache::new(cfg, N);
         let mut rng = SmallRng::seed_from_u64(59);
         let mut fold = Fold::default();
         for _ in 0..200 {
             let s = Scenario::new(irm.probs().to_vec(), retrievals.clone(), irm.viewing()).unwrap();
             let alpha = irm.next_request(&mut rng);
-            let o = client.step(&s, alpha);
+            let plan = solver.plan_candidates(&s, &client.candidate_mask());
+            let o = client.step(&s, alpha, plan);
             fold.push(o.access_time, &o);
         }
         out.push_str(&fold.line(&format!("irm {label}")));

@@ -4,7 +4,7 @@
 //! sharding monotonically relieves contention on a uniform workload —
 //! all driven through the unified `Engine::run` / `Workload` surface.
 
-use speculative_prefetch::{Backend, Engine, EventKind, MarkovChain, Placement, Workload};
+use speculative_prefetch::{Engine, EventKind, MarkovChain, Placement, Workload};
 
 const N: usize = 32;
 
@@ -12,16 +12,16 @@ fn catalog() -> Vec<f64> {
     (0..N).map(|i| 1.0 + (i % 13) as f64).collect()
 }
 
-fn engine(backend: Backend, policy: &str) -> Engine {
+fn engine(backend: &str, policy: &str) -> Engine {
     Engine::builder()
         .policy(policy)
-        .backend(backend)
+        .backend_spec(backend)
         .catalog(catalog())
         .build()
         .expect("valid session")
 }
 
-/// The `multi-client:<clients>` spec and `Backend::Sharded { shards: 1 }`
+/// The `multi-client:<clients>` spec and `sharded:1x<clients>:<placement>`
 /// run the identical event sequence on a seeded trace: same events, same
 /// order, same simulated times and the same report — for every placement
 /// strategy and for a planning (not just no-prefetch) policy.
@@ -44,14 +44,7 @@ fn one_shard_reproduces_multi_client_event_for_event() {
             Placement::Range,
             Placement::HotCold { hot_items: 8 },
         ] {
-            let mut sharded = engine(
-                Backend::Sharded {
-                    shards: 1,
-                    clients: 5,
-                    placement,
-                },
-                policy,
-            );
+            let mut sharded = engine(&format!("sharded:1x5:{placement}"), policy);
             let run = sharded.run(&workload).expect("sharded backend runs");
             // Exact event order, timestamps included.
             assert_eq!(
@@ -75,16 +68,9 @@ fn mean_stall_time_non_increasing_in_shards() {
     let workload = Workload::sharded(chain, 150, 1999);
     let mut last = f64::INFINITY;
     for shards in [1usize, 2, 4, 8] {
-        let report = engine(
-            Backend::Sharded {
-                shards,
-                clients: 12,
-                placement: Placement::Hash,
-            },
-            "skp-exact",
-        )
-        .run(&workload)
-        .expect("runs");
+        let report = engine(&format!("sharded:{shards}x12:hash"), "skp-exact")
+            .run(&workload)
+            .expect("runs");
         assert!(
             report.access.mean <= last + 1e-9,
             "{shards} shards: mean {} rose above {}",
@@ -101,26 +87,12 @@ fn mean_stall_time_non_increasing_in_shards() {
 #[test]
 fn reports_share_the_common_stats_block() {
     let chain = MarkovChain::random(N, 3, 6, 4, 12, 3).expect("valid chain");
-    let mc = engine(
-        Backend::Sharded {
-            shards: 1,
-            clients: 4,
-            placement: Placement::Hash,
-        },
-        "skp-exact",
-    )
-    .run(&Workload::sharded(chain.clone(), 25, 7))
-    .expect("runs");
-    let sh = engine(
-        Backend::Sharded {
-            shards: 4,
-            clients: 4,
-            placement: Placement::Range,
-        },
-        "skp-exact",
-    )
-    .run(&Workload::sharded(chain.clone(), 25, 7))
-    .expect("runs");
+    let mc = engine("sharded:1x4:hash", "skp-exact")
+        .run(&Workload::sharded(chain.clone(), 25, 7))
+        .expect("runs");
+    let sh = engine("sharded:4x4:range", "skp-exact")
+        .run(&Workload::sharded(chain.clone(), 25, 7))
+        .expect("runs");
     // Same fields, same meaning: requests and orderings hold on both.
     assert_eq!(mc.access.count, sh.access.count);
     for stats in [&mc.access, &sh.access] {
@@ -131,16 +103,9 @@ fn reports_share_the_common_stats_block() {
     assert!(sh.access.mean <= mc.access.mean + 1e-9);
 
     // Event-log consistency: requests alternate with services per client.
-    let run = engine(
-        Backend::Sharded {
-            shards: 2,
-            clients: 3,
-            placement: Placement::Hash,
-        },
-        "skp-exact",
-    )
-    .run(&Workload::sharded(chain, 10, 7).traced(true))
-    .expect("runs");
+    let run = engine("sharded:2x3:hash", "skp-exact")
+        .run(&Workload::sharded(chain, 10, 7).traced(true))
+        .expect("runs");
     let report = run.sharded().expect("sharded section");
     let served = run
         .events
