@@ -12,6 +12,8 @@
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 
+use speculative_prefetch::served::MAX_HEADERS;
+
 /// Longest accepted request line or header line, in bytes. Anything
 /// longer is a client bug or an attack, not a workload. The `served:`
 /// client holds the daemon's replies to the same cap.
@@ -138,10 +140,19 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     let path = path.to_string();
 
     let mut content_length: Option<usize> = None;
+    let mut headers = 0;
     loop {
         let header = read_line(&mut reader)?;
         if header.is_empty() {
             break;
+        }
+        // A cap on the count too, so one connection cannot hold a
+        // worker by sending headers forever.
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(HttpError::BadRequest(format!(
+                "more than {MAX_HEADERS} header lines"
+            )));
         }
         let Some((name, value)) = header.split_once(':') else {
             return Err(HttpError::BadRequest(format!(

@@ -26,6 +26,11 @@
 //! run gets its plans from the store — the body stays byte-identical,
 //! only `GET /stats` shows the hit.
 //!
+//! A posted run on the `served:` backend and a posted file with a
+//! `plan-store` line answer `400 invalid-param`: the daemon never dials
+//! or writes where a body says. Past 64 header lines a request answers
+//! `400 bad-request`.
+//!
 //! Connections are dispatched to a fixed worker pool through a bounded
 //! admission queue; when the queue is full the accept loop sheds the
 //! connection with `503` + `Retry-After` before reading a single

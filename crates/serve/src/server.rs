@@ -694,24 +694,26 @@ fn handle_run(body: &str, store: &Arc<dyn PlanStore>) -> Response {
 
 fn run_wire(body: &str, store: &Arc<dyn PlanStore>) -> Result<String, Error> {
     let wire_run = WireRun::parse(body)?;
-    if wire_run.backend.starts_with("served") {
-        return Err(Error::InvalidParam {
-            what: "wire run",
-            detail: "the daemon does not chain to other daemons; \
-                     post the inner backend spec directly"
-                .to_string(),
-        });
-    }
     let (mut engine, workload) = wire_run.instantiate_with_store(Arc::clone(store))?;
+    refuse_served(&engine)?;
     let report = engine.run(&workload)?;
     Ok(report_json(&wire_run.kind, &engine, &report, &[]))
 }
 
 fn run_workload_file(body: &str, store: &Arc<dyn PlanStore>) -> Result<String, Error> {
     let file = parse_workload(body)?;
-    // A `plan-store` directive in the posted file still wins; files
-    // without one share the daemon's store across clients.
+    // Every posted run shares the daemon's store; a file may not name
+    // its own (a `file:` store would write wherever the body says).
+    if file.plan_store.is_some() {
+        return Err(Error::InvalidParam {
+            what: "posted workload",
+            detail: "a posted file may not carry a 'plan-store' directive; \
+                     runs on the daemon share its plan store"
+                .to_string(),
+        });
+    }
     let mut engine = file.build_engine_with_store(Some(Arc::clone(store)))?;
+    refuse_served(&engine)?;
     let workload: Workload = file.workload()?;
     let report = engine.run(&workload)?;
     Ok(report_json(
@@ -720,6 +722,20 @@ fn run_workload_file(body: &str, store: &Arc<dyn PlanStore>) -> Result<String, E
         &report,
         &file.labels,
     ))
+}
+
+/// Refuses a posted run whose backend is `served:`: the daemon must not
+/// dial out to another daemon (or any listener) a body names.
+fn refuse_served(engine: &Engine) -> Result<(), Error> {
+    if engine.backend_name() == "served" {
+        return Err(Error::InvalidParam {
+            what: "posted run",
+            detail: "the daemon does not chain to other daemons; \
+                     post the inner backend spec directly"
+                .to_string(),
+        });
+    }
+    Ok(())
 }
 
 fn report_json(

@@ -2,9 +2,12 @@
 //! to a structured HTTP error, not a dropped connection.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use skp_serve::{ServeConfig, Server, ServerHandle};
+use speculative_prefetch::served::MAX_HEADERS;
 use speculative_prefetch::{http_request, parse_report, MarkovChain, WireRun};
 
 fn spawn() -> ServerHandle {
@@ -223,5 +226,102 @@ fn row_a_scenario_refuses_is_a_400_and_the_worker_keeps_serving() {
     let (mut engine, workload) = good.instantiate().expect("valid run");
     let expected = engine.run(&workload).expect("in-process run");
     assert_eq!(parse_report(&resp.body).expect("report parses"), expected);
+    handle.shutdown().expect("clean shutdown");
+}
+
+/// A small population workload file on `backend`, with `extra` lines.
+fn workload_file(backend: &str, extra: &str) -> String {
+    format!(
+        "workload sharded\nbackend {backend}\npolicy skp-exact\nrequests 5\nseed 1\n\
+         chain 4 1 2 2 8 11\n{extra}v 5\nitem 0.25 3 a\nitem 0.25 4 b\nitem 0.25 5 c\n\
+         item 0.25 6 d\n"
+    )
+}
+
+/// A 400 `invalid-param` answer to `body`.
+fn assert_refused(addr: &str, body: &str, needle: &str) {
+    let resp = http_request(addr, "POST", "/run", Some(body)).expect("daemon reachable");
+    let kind = "{\"error\":{\"kind\":\"invalid-param\"";
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.starts_with(kind), "{}", resp.body);
+    assert!(resp.body.contains(needle), "{}", resp.body);
+}
+
+#[test]
+fn posted_runs_may_not_dial_out_through_served() {
+    let handle = spawn();
+    let addr = handle.addr().to_string();
+    // Stands in for whatever a hostile body points the daemon at: it
+    // counts connections and drops each at once, so a daemon that dials
+    // out fails fast instead of waiting for a reply. The test's own
+    // connection after `done` is set ends the count.
+    let target = TcpListener::bind("127.0.0.1:0").expect("bind target");
+    let target_addr = target.local_addr().expect("target address");
+    let served = format!("served:{target_addr}:sharded:1x2:hash");
+    let done = Arc::new(AtomicBool::new(false));
+    let seen = Arc::clone(&done);
+    let counter = std::thread::spawn(move || {
+        let mut dialled = 0;
+        for _ in target.incoming() {
+            if seen.load(Ordering::SeqCst) {
+                break;
+            }
+            dialled += 1;
+        }
+        dialled
+    });
+
+    // A workload file naming the served: backend.
+    assert_refused(&addr, &workload_file(&served, ""), "chain to other daemons");
+    // A wire run whose backend hides the name behind a leading space.
+    let chain = MarkovChain::new(vec![vec![(1, 1.0)], vec![(0, 1.0)]], vec![5.0; 2]).unwrap();
+    let wire = WireRun::new(
+        "sharded",
+        &format!(" {served}"),
+        "skp-exact",
+        &chain,
+        &[3.0, 4.0],
+        5,
+        11,
+        false,
+    );
+    assert_refused(&addr, &wire.render(), "chain to other daemons");
+
+    done.store(true, Ordering::SeqCst);
+    TcpStream::connect(target_addr).expect("wake the counter");
+    let dialled = counter.join().expect("counter thread");
+    assert_eq!(dialled, 0, "the daemon dialled out");
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn posted_files_may_not_name_a_plan_store() {
+    let handle = spawn();
+    let addr = handle.addr().to_string();
+    let dir = std::env::temp_dir().join(format!("skp-posted-store-{}", std::process::id()));
+    assert!(!dir.exists(), "{} already exists", dir.display());
+    let body = workload_file(
+        "sharded:1x2:hash",
+        &format!("plan-store file:{}\n", dir.display()),
+    );
+    assert_refused(&addr, &body, "plan-store");
+    assert!(!dir.exists(), "the daemon created {}", dir.display());
+    // The same file without the directive runs.
+    let body = workload_file("sharded:1x2:hash", "");
+    let resp = http_request(&addr, "POST", "/run", Some(&body)).expect("daemon reachable");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn header_lines_are_capped_at_the_clients_limit() {
+    let handle = spawn();
+    let request = |n: usize| format!("GET /version HTTP/1.1\r\n{}\r\n", "X-Pad: p\r\n".repeat(n));
+    let answer = raw_exchange(&handle, request(MAX_HEADERS).as_bytes());
+    assert!(answer.starts_with("HTTP/1.1 200 "), "{answer}");
+    let answer = raw_exchange(&handle, request(MAX_HEADERS + 1).as_bytes());
+    assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
+    assert!(answer.contains("bad-request"), "{answer}");
+    assert!(answer.contains("header lines"), "{answer}");
     handle.shutdown().expect("clean shutdown");
 }
