@@ -1765,7 +1765,10 @@ mod tests {
     }
 
     /// Integer-looking tokens in `u64`, `usize` and `f64` fields decode
-    /// to what `str::parse` gives, or fail naming the field.
+    /// to what `str::parse` gives, or fail naming the field. Each token
+    /// is tried alone and first, in the middle and last of a three-event
+    /// log, so a list reader that hands an odd token on mid-column is
+    /// pinned too; `kind` codes decode to their [`EVENT_KINDS`] entry.
     #[test]
     fn number_tokens_decode_as_str_parse_does() {
         let two53 = 1u64 << 53;
@@ -1793,21 +1796,46 @@ mod tests {
             ]
             .map(String::from),
         );
-        let doc = |count: &str, mean: &str, item: &str| {
+        let doc = |count: &str, mean: &str, events: &str| {
             format!(
                 "{{\"wire\":2,\"access\":{{\"count\":{count},\"mean\":{mean},\"p50\":0,\"p99\":0,\"min\":0,\
                  \"max\":0}},\"section_kind\":\"sharded\",\"section\":{{\"access\":{{\"count\":0,\
                  \"mean\":0,\"p50\":0,\"p99\":0,\"min\":0,\"max\":0}},\"utilisation\":0,\
-                 \"wasted_transfer\":0,\"total_transfer\":0,\"shards\":[]}},\"events\":{{\
-                 \"at\":[{mean}],\"client\":[{item}],\"shard\":[0],\"item\":[{item}],\"kind\":[1]}}}}"
+                 \"wasted_transfer\":0,\"total_transfer\":0,\"shards\":[]}},\"events\":{{{events}}}}}"
             )
+        };
+        let single = |mean: &str, item: &str| {
+            format!(
+                "\"at\":[{mean}],\"client\":[{item}],\"shard\":[0],\"item\":[{item}],\"kind\":[1]"
+            )
+        };
+        // Three events whose column `name` is `list`, the others plain.
+        let log = |name: &str, list: &str| {
+            let column = |col: &str| if col == name { list } else { "0,1,2" };
+            doc(
+                "1",
+                "1",
+                &format!(
+                    "\"at\":[{}],\"client\":[{}],\"shard\":[0,0,0],\"item\":[{}],\"kind\":[{}]",
+                    column("at"),
+                    column("client"),
+                    column("item"),
+                    column("kind")
+                ),
+            )
+        };
+        // `token` as element `slot` of a three-element list.
+        let placed = |token: &str, slot: usize| {
+            let mut list = ["0", "1", "2"];
+            list[slot] = token;
+            list.join(",")
         };
         let refused = |field: &str, expected: &str| {
             format!("invalid wire report: field '{field}' must be {expected}")
         };
         for token in &tokens {
             let raw = token.trim_end();
-            let count = parse_report(&doc(token, "1", "1")).map(|r| r.access.count);
+            let count = parse_report(&doc(token, "1", &single("1", "1"))).map(|r| r.access.count);
             match raw.parse::<u64>() {
                 Ok(v) => assert_eq!(count.unwrap(), v, "{token:?}"),
                 Err(_) => assert_eq!(
@@ -1815,7 +1843,7 @@ mod tests {
                     refused("count", "an unsigned integer")
                 ),
             }
-            let item = parse_report(&doc("1", "1", token)).map(|r| r.events[0].item);
+            let item = parse_report(&doc("1", "1", &single("1", token))).map(|r| r.events[0].item);
             match raw.parse::<usize>() {
                 Ok(v) => assert_eq!(item.unwrap(), v, "{token:?}"),
                 Err(_) => assert_eq!(
@@ -1823,10 +1851,61 @@ mod tests {
                     refused("client", "unsigned integers")
                 ),
             }
-            let report = parse_report(&doc("1", token, "1")).unwrap();
+            let report = parse_report(&doc("1", token, &single(token, "1"))).unwrap();
             let bits = raw.parse::<f64>().unwrap().to_bits();
             assert_eq!(report.access.mean.to_bits(), bits, "{token:?}");
             assert_eq!(report.events[0].at.to_bits(), bits, "{token:?}");
+            for slot in 0..3 {
+                let list = placed(token, slot);
+                let report = parse_report(&log("at", &list)).unwrap();
+                assert_eq!(report.events[slot].at.to_bits(), bits, "{list:?}");
+                for name in ["client", "item"] {
+                    let got = parse_report(&log(name, &list)).map(|r| {
+                        let e = r.events[slot];
+                        if name == "client" {
+                            e.client
+                        } else {
+                            e.item
+                        }
+                    });
+                    match raw.parse::<usize>() {
+                        Ok(v) => assert_eq!(got.unwrap(), v, "{name} {list:?}"),
+                        Err(_) => assert_eq!(
+                            got.unwrap_err().to_string(),
+                            refused(name, "unsigned integers"),
+                            "{list:?}"
+                        ),
+                    }
+                }
+            }
+        }
+        for token in [
+            "0",
+            "5",
+            "6",
+            "05",
+            "5 ",
+            "-0",
+            "1.0",
+            "18446744073709551616",
+        ] {
+            let raw = token.trim_end();
+            for slot in 0..3 {
+                let list = placed(token, slot);
+                let got = parse_report(&log("kind", &list)).map(|r| r.events[slot].kind);
+                match raw.parse::<u64>() {
+                    Ok(v) if v < 6 => assert_eq!(got.unwrap(), EVENT_KINDS[v as usize], "{list:?}"),
+                    Ok(v) => assert_eq!(
+                        got.unwrap_err().to_string(),
+                        format!("invalid wire report: field 'kind' has unknown kind code {v}")
+                    ),
+                    Err(_) => assert_eq!(
+                        got.unwrap_err().to_string(),
+                        refused("kind", "unsigned integers"),
+                        "{list:?}"
+                    ),
+                }
+            }
         }
     }
 
