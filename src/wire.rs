@@ -14,15 +14,23 @@
 //!    precision).
 //!    Typed reads sum a plain run of digits on an integer fast path and
 //!    hand every other token to `str::parse`; a float field refuses a
-//!    token that overflows to an infinity.
+//!    token that overflows to an infinity. A numeric list is read in one
+//!    loop: a plain run of 1–18 digits with no leading zero, directly
+//!    followed by `,` or `]` and below the element type's limit, is
+//!    decoded in place; any other token is handed, at its first byte and
+//!    inside the same loop, to the reader of a lone element, so values
+//!    and errors are those of the element reader.
 //! 2. **Report rendering and parsing**: [`render_report_fields`] emits
 //!    the `"wire"` ([`WIRE_VERSION`]) / `"access"` / `"section_kind"` /
 //!    `"section"` / `"events"` fragment the CLI and the daemon embed in
 //!    their responses. The event log, the bulk of a traced reply, is
 //!    five parallel columns, Apache Arrow's columnar layout in JSON (see
-//!    [`EVENT_KINDS`]). [`parse_report`] rebuilds a [`RunReport`] from
-//!    it without building a tree, parsing each number token once,
-//!    straight into its field. Keys may come in any order (the
+//!    [`EVENT_KINDS`]). Each column, and every other numeric list, is
+//!    written by its own monomorphic loop, whole numbers two digits per
+//!    divide and `kind` codes by a `match`. [`parse_report`] rebuilds a
+//!    [`RunReport`] from it without building a tree, parsing each
+//!    number token once, straight into its field; the event columns are
+//!    read straight into the events. Keys may come in any order (the
 //!    renderer's order is the cheapest), unknown keys are validated and
 //!    dropped, and on a duplicate key the first one wins (as
 //!    [`Json::get`] does). Population (`sharded`) sections
@@ -85,22 +93,59 @@ fn push_string(out: &mut String, raw: &str) {
     out.push('"');
 }
 
-fn push_uint(out: &mut String, mut n: u64) {
+/// The two ASCII digits of every value below 100, in order: numbers
+/// are written two digits per divide.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut n = 0;
+    while n < 100 {
+        pairs[2 * n] = b'0' + (n / 10) as u8;
+        pairs[2 * n + 1] = b'0' + (n % 10) as u8;
+        n += 1;
+    }
+    pairs
+};
+
+/// Appends the one or two digits of `n < 100`.
+fn push_small(out: &mut String, n: u64) {
     if n < 10 {
         out.push(char::from(b'0' + n as u8));
-        return;
+    } else {
+        push_pair(out, n);
     }
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
+}
+
+/// Appends the two digits of `n < 100`, a leading zero included.
+fn push_pair(out: &mut String, n: u64) {
+    let pair = 2 * n as usize;
+    out.push(char::from(DIGIT_PAIRS[pair]));
+    out.push(char::from(DIGIT_PAIRS[pair + 1]));
+}
+
+/// Appends the decimal digits of `n`. Event columns are mostly below
+/// 10,000, which takes at most one divide; longer numbers are built
+/// right to left, two digits per divide.
+fn push_uint(out: &mut String, n: u64) {
+    if n < 100 {
+        push_small(out, n);
+    } else if n < 10_000 {
+        push_small(out, n / 100);
+        push_pair(out, n % 100);
+    } else {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        let mut n = n;
+        while n >= 100 {
+            let pair = 2 * (n % 100) as usize;
+            n /= 100;
+            i -= 2;
+            digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        push_small(out, n);
+        for &d in &digits[i..] {
+            out.push(char::from(d));
         }
     }
-    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
 }
 
 /// Appends a finite `f64` in Rust's shortest-round-trip `Display` form
@@ -119,19 +164,22 @@ fn push_num(out: &mut String, x: f64) {
 }
 
 /// Appends `items` as a JSON array, each element written by `item`.
+/// Every call site passes its own closure, so each list is one
+/// monomorphic loop with no call per element.
 fn push_arr<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
     out.push('[');
-    for (i, x) in items.iter().enumerate() {
-        if i > 0 {
+    if let Some((first, rest)) = items.split_first() {
+        item(out, first);
+        for x in rest {
             out.push(',');
+            item(out, x);
         }
-        item(out, x);
     }
     out.push(']');
 }
 
 fn push_nums(out: &mut String, xs: &[f64]) {
-    push_arr(out, xs, |out, x| push_num(out, *x));
+    push_arr(out, xs, |out, &x| push_num(out, x));
 }
 
 /// Writes one JSON object, member by member, into the buffer.
@@ -472,14 +520,29 @@ impl<'a> Parser<'a> {
     }
 
     /// Walks a `open … close` container, calling `item` once per
-    /// comma-separated element. The only place nesting grows, so the
-    /// depth cap covers the tree builder and every typed read.
+    /// comma-separated element. Nesting grows only through
+    /// [`enter`](Self::enter), so the depth cap covers the tree builder
+    /// and every typed read.
     fn nested(
         &mut self,
         open: u8,
         close: u8,
         mut item: impl FnMut(&mut Self) -> Result<(), Error>,
     ) -> Result<(), Error> {
+        if self.enter(open, close)? {
+            loop {
+                item(self)?;
+                if self.next(close)? {
+                    break;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Opens an `open … close` container one level deeper. Returns
+    /// `false`, with the container consumed, if it is empty.
+    fn enter(&mut self, open: u8, close: u8) -> Result<bool, Error> {
         self.skip_ws();
         self.eat(open)?;
         if self.depth == MAX_DEPTH {
@@ -490,20 +553,26 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(close) {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(());
+            return Ok(false);
         }
-        loop {
-            item(self)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(c) if c == close => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err(format!("expected ',' or '{}'", close as char))),
+        Ok(true)
+    }
+
+    /// Steps past the separator after an element: `true` once `close`
+    /// has ended the container.
+    fn next(&mut self, close: u8) -> Result<bool, Error> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(false)
             }
+            Some(c) if c == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(true)
+            }
+            _ => Err(self.err(format!("expected ',' or '{}'", close as char))),
         }
     }
 
@@ -668,34 +737,21 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// The fast path for the common token: a plain run of at most 18
-    /// digits with no leading zero, ending at a delimiter. Its value is
-    /// summed directly — the value `str::parse` gives — and consumed only
-    /// if it is below `limit`. Any other token (a sign, a fraction, an
-    /// exponent, a leading zero, 19 or more digits, or the end of the
-    /// text) returns `None` and is left for [`number_as`](Self::number_as).
+    /// The fast path for a scalar field's common token: a plain run of
+    /// digits (see [`plain_digits`]) ending at a delimiter. Its value is
+    /// consumed only if it is below `limit`. Any other token (a sign, a
+    /// fraction, an exponent, a leading zero, 19 or more digits, or the
+    /// end of the text) returns `None` and is left for
+    /// [`number_as`](Self::number_as).
     fn plain_uint(&mut self, limit: u64) -> Option<u64> {
         self.skip_ws();
-        let rest = &self.bytes[self.pos..];
-        let digits = rest
-            .iter()
-            .take(19)
-            .take_while(|b| b.is_ascii_digit())
-            .count();
-        if digits == 0 || digits > 18 || (digits > 1 && rest[0] == b'0') {
-            return None;
-        }
-        if !matches!(
-            rest.get(digits),
+        let (n, end) = plain_digits(self.bytes, self.pos)?;
+        let delimited = matches!(
+            self.bytes.get(end),
             Some(b',' | b'}' | b']' | b' ' | b'\t' | b'\n' | b'\r')
-        ) {
-            return None;
-        }
-        let n = rest[..digits]
-            .iter()
-            .fold(0, |n, &b| n * 10 + u64::from(b - b'0'));
-        (n < limit).then(|| {
-            self.pos += digits;
+        );
+        (delimited && n < limit).then(|| {
+            self.pos = end;
             n
         })
     }
@@ -749,12 +805,56 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn f64s(&mut self, key: &str) -> Result<Vec<f64>, Error> {
-        self.list_of(key, |p, key| p.finite(key, "finite numbers"))
+    /// An array field of numbers, read in one loop that hands each
+    /// element to `put`. The common element — a plain run of digits (see
+    /// [`plain_digits`]) directly followed by `,` or `]`, with a value
+    /// below [`T::LIMIT`](Element::LIMIT) — is decoded in place. Any
+    /// other element is handed, at its first byte, to [`Element::read`],
+    /// the reader of a lone element: whitespace, a sign, a fraction, an
+    /// exponent, a leading zero, a longer run, `null`, a value at or past
+    /// the limit, or the end of the text. So every value and every error
+    /// is the one `T::read` alone gives.
+    fn numbers<T: Element>(&mut self, key: &str, mut put: impl FnMut(T)) -> Result<(), Error> {
+        self.expect(b'[', key, "an array")?;
+        if !self.enter(b'[', b']')? {
+            return Ok(());
+        }
+        // The common element never touches the cursor: `pos` tracks it.
+        let bytes = self.bytes;
+        let mut pos = self.pos;
+        loop {
+            if let Some((n, end)) = plain_digits(bytes, pos) {
+                if n < T::LIMIT {
+                    match bytes.get(end) {
+                        Some(b',') => {
+                            put(T::plain(n));
+                            pos = end + 1;
+                            continue;
+                        }
+                        Some(b']') => {
+                            put(T::plain(n));
+                            self.pos = end + 1;
+                            self.depth -= 1;
+                            return Ok(());
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            self.pos = pos;
+            put(T::read(self, key)?);
+            if self.next(b']')? {
+                return Ok(());
+            }
+            pos = self.pos;
+        }
     }
 
-    fn u64s(&mut self, key: &str) -> Result<Vec<u64>, Error> {
-        self.list_of(key, |p, key| p.uint(key, "unsigned integers"))
+    /// An array field of numbers (see [`numbers`](Self::numbers)).
+    fn list<T: Element>(&mut self, key: &str) -> Result<Vec<T>, Error> {
+        let mut out = Vec::new();
+        self.numbers(key, |x| out.push(x))?;
+        Ok(out)
     }
 
     /// Validates a value and returns where it starts, to be read later
@@ -764,6 +864,95 @@ impl<'a> Parser<'a> {
         let start = self.pos;
         self.skip()?;
         Ok(start)
+    }
+}
+
+/// The plain run of digits at `at` — 1 to 18 ASCII digits with no
+/// leading zero — as its value (the one `str::parse` gives) and the
+/// index just past it. `None` for any other token, a longer run
+/// included, which is left to `str::parse`.
+fn plain_digits(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
+    let mut n = 0u64;
+    let mut end = at;
+    while let Some(&b) = bytes.get(end) {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
+        if end - at == 18 {
+            return None;
+        }
+        n = n * 10 + u64::from(digit);
+        end += 1;
+    }
+    match end - at {
+        0 => None,
+        1 => Some((n, end)),
+        _ => (bytes[at] != b'0').then_some((n, end)),
+    }
+}
+
+/// An element type of a numeric list (see [`Parser::numbers`]).
+trait Element: Sized {
+    /// Plain runs of digits below this value take the fast path.
+    const LIMIT: u64;
+    /// The element a plain run of digits below [`LIMIT`](Self::LIMIT)
+    /// stands for.
+    fn plain(n: u64) -> Self;
+    /// Reads a lone element of the list `key`, any token at all.
+    fn read(p: &mut Parser<'_>, key: &str) -> Result<Self, Error>;
+}
+
+impl Element for f64 {
+    // Below 2^53 every integer converts to `f64` exactly.
+    const LIMIT: u64 = 1 << 53;
+
+    fn plain(n: u64) -> Self {
+        n as f64
+    }
+
+    fn read(p: &mut Parser<'_>, key: &str) -> Result<Self, Error> {
+        p.finite(key, "finite numbers")
+    }
+}
+
+impl Element for u64 {
+    const LIMIT: u64 = u64::MAX;
+
+    fn plain(n: u64) -> Self {
+        n
+    }
+
+    fn read(p: &mut Parser<'_>, key: &str) -> Result<Self, Error> {
+        p.uint(key, "unsigned integers")
+    }
+}
+
+impl Element for usize {
+    const LIMIT: u64 = u64::MAX;
+
+    fn plain(n: u64) -> Self {
+        n as usize
+    }
+
+    fn read(p: &mut Parser<'_>, key: &str) -> Result<Self, Error> {
+        u64::read(p, key).map(|n| n as usize)
+    }
+}
+
+/// A `kind` column element: its wire code, an index into
+/// [`EVENT_KINDS`].
+impl Element for EventKind {
+    const LIMIT: u64 = EVENT_KINDS.len() as u64;
+
+    fn plain(code: u64) -> Self {
+        EVENT_KINDS[code as usize]
+    }
+
+    fn read(p: &mut Parser<'_>, key: &str) -> Result<Self, Error> {
+        let code = u64::read(p, key)?;
+        let unknown = || invalid(format!("field '{key}' has unknown kind code {code}"));
+        EVENT_KINDS.get(code as usize).copied().ok_or_else(unknown)
     }
 }
 
@@ -828,20 +1017,37 @@ pub const EVENT_KINDS: [EventKind; 6] = [
     EventKind::TransferDone(JobKind::Demand),
 ];
 
-/// Writes the event log as one object of five parallel columns.
-fn write_events(out: &mut String, events: &[SimEvent]) {
-    fn kind(e: &SimEvent) -> usize {
-        let code = EVENT_KINDS.iter().position(|&k| k == e.kind);
-        code.expect("EVENT_KINDS lists every kind")
+/// The wire code of `kind`: its index in [`EVENT_KINDS`].
+fn kind_code(kind: EventKind) -> u64 {
+    match kind {
+        EventKind::Request => 0,
+        EventKind::Served => 1,
+        EventKind::TransferStart(JobKind::Prefetch) => 2,
+        EventKind::TransferStart(JobKind::Demand) => 3,
+        EventKind::TransferDone(JobKind::Prefetch) => 4,
+        EventKind::TransferDone(JobKind::Demand) => 5,
     }
-    let column =
-        |write: fn(&mut String, &SimEvent)| move |out: &mut String| push_arr(out, events, write);
+}
+
+/// Writes the event log as one object of five parallel columns, each
+/// written by its own loop.
+fn write_events(out: &mut String, events: &[SimEvent]) {
     ObjWriter::new(out)
-        .with("at", column(|out, e| push_num(out, e.at)))
-        .with("client", column(|out, e| push_uint(out, e.client as u64)))
-        .with("shard", column(|out, e| push_uint(out, e.shard as u64)))
-        .with("item", column(|out, e| push_uint(out, e.item as u64)))
-        .with("kind", column(|out, e| push_uint(out, kind(e) as u64)))
+        .with("at", |out| {
+            push_arr(out, events, |out, e| push_num(out, e.at))
+        })
+        .with("client", |out| {
+            push_arr(out, events, |out, e| push_uint(out, e.client as u64))
+        })
+        .with("shard", |out| {
+            push_arr(out, events, |out, e| push_uint(out, e.shard as u64))
+        })
+        .with("item", |out| {
+            push_arr(out, events, |out, e| push_uint(out, e.item as u64))
+        })
+        .with("kind", |out| {
+            push_arr(out, events, |out, e| push_small(out, kind_code(e.kind)))
+        })
         .end();
 }
 
@@ -849,7 +1055,7 @@ fn write_histogram(out: &mut String, h: &Histogram) {
     ObjWriter::new(out)
         .with("edges", |out| push_nums(out, h.edges()))
         .with("counts", |out| {
-            push_arr(out, h.counts(), |out, c| push_uint(out, *c))
+            push_arr(out, h.counts(), |out, &c| push_uint(out, c))
         })
         .num("sum", h.sum())
         .end();
@@ -973,8 +1179,8 @@ fn read_access(p: &mut Parser<'_>, key: &str) -> Result<AccessStats, Error> {
 
 fn read_histogram(p: &mut Parser<'_>, key: &str) -> Result<Histogram, Error> {
     let (edges, counts, sum) = read_fields!(p.members(key) {
-        edges: Parser::f64s,
-        counts: Parser::u64s,
+        edges: Parser::list::<f64>,
+        counts: Parser::list::<u64>,
         sum: Parser::f64,
     });
     if edges.is_empty()
@@ -1076,40 +1282,53 @@ fn read_version(p: &mut Parser<'_>, key: &str) -> Result<u64, Error> {
     }
 }
 
-fn read_kinds(p: &mut Parser<'_>, key: &str) -> Result<Vec<EventKind>, Error> {
-    p.list_of(key, |p, key| {
-        let code = p.uint(key, "unsigned integers")?;
-        let unknown = || invalid(format!("field '{key}' has unknown kind code {code}"));
-        EVENT_KINDS.get(code as usize).copied().ok_or_else(unknown)
-    })
+/// An event the columns fill in field by field.
+const BLANK_EVENT: SimEvent = SimEvent {
+    at: 0.0,
+    client: 0,
+    shard: 0,
+    item: 0,
+    kind: EventKind::Request,
+};
+
+/// Reads the event column `key` straight into `log`, storing element
+/// `i` in event `i` with `set`, and returns the column's length. The
+/// log grows only as elements are parsed, so no buffer is sized from a
+/// count the peer declares.
+fn read_column<T: Element>(
+    p: &mut Parser<'_>,
+    key: &str,
+    log: &mut Vec<SimEvent>,
+    set: impl Fn(&mut SimEvent, T),
+) -> Result<usize, Error> {
+    let mut len = 0;
+    p.numbers(key, |x| {
+        if len == log.len() {
+            log.push(BLANK_EVENT);
+        }
+        set(&mut log[len], x);
+        len += 1;
+    })?;
+    Ok(len)
 }
 
-/// Reads the columnar event log. Each column grows only as its elements
-/// are parsed, so no buffer is sized from a count the peer declares.
+/// Reads the columnar event log, each column straight into the events.
 fn read_events(p: &mut Parser<'_>, key: &str) -> Result<Vec<SimEvent>, Error> {
+    let mut log = Vec::new();
     let (at, client, shard, item, kind) = read_fields!(p.members(key) {
-        at: Parser::f64s,
-        client: Parser::u64s,
-        shard: Parser::u64s,
-        item: Parser::u64s,
-        kind: read_kinds,
+        at: |p: &mut Parser<'_>, key: &str| read_column(p, key, &mut log, |e, at| e.at = at),
+        client: |p: &mut Parser<'_>, key: &str| read_column(p, key, &mut log, |e, c| e.client = c),
+        shard: |p: &mut Parser<'_>, key: &str| read_column(p, key, &mut log, |e, s| e.shard = s),
+        item: |p: &mut Parser<'_>, key: &str| read_column(p, key, &mut log, |e, i| e.item = i),
+        kind: |p: &mut Parser<'_>, key: &str| read_column(p, key, &mut log, |e, k| e.kind = k),
     });
-    let lens = [at.len(), client.len(), shard.len(), item.len(), kind.len()];
+    let lens = [at, client, shard, item, kind];
     if lens.iter().any(|&len| len != lens[0]) {
         return Err(invalid(format!(
             "field '{key}' has columns of unequal length (at, client, shard, item, kind: {lens:?})"
         )));
     }
-    let events = at.into_iter().zip(client).zip(shard).zip(item).zip(kind);
-    Ok(events
-        .map(|((((at, client), shard), item), kind)| SimEvent {
-            at,
-            client: client as usize,
-            shard: shard as usize,
-            item: item as usize,
-            kind,
-        })
-        .collect())
+    Ok(log)
 }
 
 /// Rebuilds a [`RunReport`] from a JSON document containing the fields
@@ -1185,7 +1404,7 @@ fn read_rows(p: &mut Parser<'_>, key: &str) -> Result<Vec<Vec<(usize, f64)>>, Er
 fn read_chain(p: &mut Parser<'_>, key: &str) -> Result<(Vec<f64>, Vec<Vec<(usize, f64)>>), Error> {
     let (rows, viewing) = read_fields!(p.members(key) {
         rows: read_rows,
-        viewing: Parser::f64s,
+        viewing: Parser::list::<f64>,
     });
     Ok((viewing, rows))
 }
@@ -1292,7 +1511,7 @@ impl WireRun {
                     requests_per_client: Parser::u64,
                     seed: Parser::u64,
                     traced: Parser::bool,
-                    retrievals: Parser::f64s,
+                    retrievals: Parser::list::<f64>,
                 }))
             })?;
         let (viewing, rows) = chain;
@@ -1906,6 +2125,13 @@ mod tests {
                     ),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn kind_codes_index_event_kinds() {
+        for (code, &kind) in EVENT_KINDS.iter().enumerate() {
+            assert_eq!(kind_code(kind), code as u64, "{kind:?}");
         }
     }
 
