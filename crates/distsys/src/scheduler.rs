@@ -993,8 +993,9 @@ impl<W: ClientWorkload> ShardedSim<'_, W> {
     /// Runs the simulation with the given planning policy.
     ///
     /// # Panics
-    /// Panics when `clients == 0`, `shards == 0`, or retrieval data does
-    /// not cover the workload's items.
+    /// Panics when `clients == 0`, `shards == 0`, retrieval data does
+    /// not cover the workload's items, or `requests_per_client × clients`
+    /// overflows a `u64` (in every build profile).
     pub fn run(&self, policy: &mut dyn ClientPolicy) -> ShardReport {
         self.run_core(policy, None, None)
     }
@@ -1032,7 +1033,10 @@ impl<W: ClientWorkload> ShardedSim<'_, W> {
         trace: Option<&mut Vec<SimEvent>>,
         mut probe: Option<SchedProbe<'_>>,
     ) -> ShardReport {
-        let total_requests = self.requests_per_client * self.clients as u64;
+        let total_requests = self
+            .requests_per_client
+            .checked_mul(self.clients as u64)
+            .expect("requests_per_client × clients overflows a u64");
         let mut st = SimState::new(self, trace);
         let mut sched: Scheduler<Ev> = Scheduler::new();
         st.kickoff(policy, &mut sched);
@@ -1248,6 +1252,16 @@ mod tests {
         for item in 10..40 {
             assert!(map.shard_of(item) >= 1, "cold item {item} on the hot shard");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "requests_per_client × clients overflows a u64")]
+    fn overflowing_request_total_panics_in_every_profile() {
+        let rr = RoundRobin { viewing: 1.0, n: 4 };
+        let retrievals = vec![1.0; 4];
+        let mut s = sim(&rr, &retrievals, 16, 2);
+        s.requests_per_client = 1 << 60;
+        s.run(&mut |_c: usize, _s: usize| Vec::new());
     }
 
     #[test]

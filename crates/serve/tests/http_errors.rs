@@ -229,6 +229,40 @@ fn row_a_scenario_refuses_is_a_400_and_the_worker_keeps_serving() {
     handle.shutdown().expect("clean shutdown");
 }
 
+#[test]
+fn overflowing_request_total_is_a_400_and_the_worker_keeps_serving() {
+    // 2^60 requests for each of 16 clients overflows the simulator's
+    // 64-bit request count; the wire accepts any u64 per client.
+    let handle = spawn_with(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr().to_string();
+    let chain = MarkovChain::random(6, 2, 4, 5, 20, 3).expect("valid chain");
+    let run = |requests_per_client: u64| {
+        WireRun::new(
+            "sharded",
+            "sharded:2x16:hash",
+            "skp-exact",
+            &chain,
+            &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+            requests_per_client,
+            11,
+            true,
+        )
+    };
+    assert_refused(&addr, &run(1 << 60).render(), "overflows");
+
+    let good = run(5);
+    let resp =
+        http_request(&addr, "POST", "/run", Some(&good.render())).expect("daemon still serving");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let (mut engine, workload) = good.instantiate().expect("valid run");
+    let expected = engine.run(&workload).expect("in-process run");
+    assert_eq!(parse_report(&resp.body).expect("report parses"), expected);
+    handle.shutdown().expect("clean shutdown");
+}
+
 /// A small population workload file on `backend`, with `extra` lines.
 fn workload_file(backend: &str, extra: &str) -> String {
     format!(

@@ -240,6 +240,20 @@ impl BackendDriver for ShardedDriver {
         &self,
         run: PopulationRun<'_>,
     ) -> Result<(AccessStats, ReportSection, Vec<SimEvent>), Error> {
+        // The simulator counts every client's requests in one `u64`.
+        if run
+            .requests_per_client
+            .checked_mul(self.clients as u64)
+            .is_none()
+        {
+            return Err(Error::InvalidParam {
+                what: "sharded backend",
+                detail: format!(
+                    "{} requests per client times {} clients overflows a 64-bit request count",
+                    run.requests_per_client, self.clients
+                ),
+            });
+        }
         let workload = MarkovWorkload(run.chain);
         let sim = ShardedSim {
             workload: &workload,
@@ -625,6 +639,29 @@ mod tests {
             }
             Err(other) => panic!("expected UnknownBackend, got {other:?}"),
             Ok(_) => panic!("expected UnknownBackend, got a driver"),
+        }
+    }
+
+    /// `requests × clients` past `u64::MAX` is refused before the
+    /// simulator runs, on the sharded driver and on its alias.
+    #[test]
+    fn overflowing_request_totals_are_invalid_params() {
+        let chain = access_model::MarkovChain::random(6, 1, 3, 1, 9, 5).unwrap();
+        for spec in ["sharded:2x16:hash", "multi-client:16"] {
+            let mut engine = crate::Engine::builder()
+                .policy("skp-exact")
+                .catalog(vec![2.0; 6])
+                .backend_spec(spec)
+                .build()
+                .unwrap();
+            let workload = crate::Workload::sharded(chain.clone(), 1 << 60, 7);
+            match engine.run(&workload) {
+                Err(Error::InvalidParam { detail, .. }) => {
+                    assert!(detail.contains("overflows"), "{spec}: {detail}")
+                }
+                Err(other) => panic!("{spec}: expected InvalidParam, got {other:?}"),
+                Ok(report) => panic!("{spec}: expected InvalidParam, got {:?}", report.access),
+            }
         }
     }
 
