@@ -266,6 +266,7 @@ impl Response {
         let reason = match self.status {
             200 => "OK",
             400 => "Bad Request",
+            403 => "Forbidden",
             404 => "Not Found",
             405 => "Method Not Allowed",
             411 => "Length Required",

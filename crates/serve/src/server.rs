@@ -7,12 +7,13 @@
 //! daemon one `write` and no parsing work. Workers pull connections,
 //! parse one request each (`Connection: close`), route it and answer.
 //!
-//! Shutdown is cooperative: `POST /shutdown` sets a flag and dials the
+//! Shutdown is cooperative: `POST /shutdown` from a loopback peer (any
+//! other peer gets `403 forbidden`) sets a flag and dials the
 //! daemon's own listener once to wake the accept loop, which then
 //! drains — the channel closes, workers finish their current request
 //! and exit, and [`Server::run`] returns.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -375,7 +376,8 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>, cfg: &Serv
     let started = Instant::now();
     let response = match http::read_request(&mut stream, cfg.max_body) {
         Ok(req) => {
-            let response = route(&req, state, cfg);
+            let local = stream.peer_addr().is_ok_and(|peer| is_loopback(peer.ip()));
+            let response = route(&req, state, cfg, local);
             if req.method == "POST" && req.path == "/run" {
                 let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
                 state
@@ -396,7 +398,21 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>, cfg: &Serv
     }
 }
 
-fn route(req: &Request, state: &Arc<ServerState>, cfg: &ServeConfig) -> Response {
+/// Whether `peer` is this host: IPv4 127/8, `::1`, or 127/8 mapped into
+/// IPv6 (`::ffff:127.x.y.z`), which `Ipv6Addr::is_loopback` does not
+/// count.
+fn is_loopback(peer: IpAddr) -> bool {
+    match peer {
+        IpAddr::V4(v4) => v4.is_loopback(),
+        IpAddr::V6(v6) => {
+            v6.is_loopback() || v6.to_ipv4_mapped().is_some_and(|v4| v4.is_loopback())
+        }
+    }
+}
+
+/// Answers one request; `local` is whether the peer is loopback, the
+/// only peer that may stop the daemon.
+fn route(req: &Request, state: &Arc<ServerState>, cfg: &ServeConfig, local: bool) -> Response {
     state.routes.hit(&req.path);
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/version") => Response::json(format!(
@@ -410,6 +426,11 @@ fn route(req: &Request, state: &Arc<ServerState>, cfg: &ServeConfig) -> Response
         ("GET", "/metrics") => Response::json(metrics_text(&state.snapshot()))
             .with_content_type("text/plain; version=0.0.4; charset=utf-8"),
         ("POST", "/run") => handle_run(&req.body, &state.store),
+        ("POST", "/shutdown") if !local => Response::error(
+            403,
+            "forbidden",
+            "only a loopback peer may shut the daemon down",
+        ),
         ("POST", "/shutdown") => {
             state.request_shutdown();
             Response::json("{\"shutting_down\":true}".to_string())
@@ -783,6 +804,21 @@ fn status_for(e: &Error) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn only_loopback_peers_count_as_local() {
+        for (peer, local) in [
+            ("127.0.0.1", true),
+            ("127.8.9.10", true),
+            ("::1", true),
+            ("::ffff:127.0.0.1", true),
+            ("192.0.2.7", false),
+            ("::ffff:192.0.2.7", false),
+        ] {
+            let ip: IpAddr = peer.parse().expect("valid address");
+            assert_eq!(is_loopback(ip), local, "{peer}");
+        }
+    }
 
     fn test_store() -> Arc<dyn PlanStore> {
         build_plan_store("memory:1x8").expect("valid spec")
