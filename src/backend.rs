@@ -240,20 +240,7 @@ impl BackendDriver for ShardedDriver {
         &self,
         run: PopulationRun<'_>,
     ) -> Result<(AccessStats, ReportSection, Vec<SimEvent>), Error> {
-        // The simulator counts every client's requests in one `u64`.
-        if run
-            .requests_per_client
-            .checked_mul(self.clients as u64)
-            .is_none()
-        {
-            return Err(Error::InvalidParam {
-                what: "sharded backend",
-                detail: format!(
-                    "{} requests per client times {} clients overflows a 64-bit request count",
-                    run.requests_per_client, self.clients
-                ),
-            });
-        }
+        check_request_total(run.requests_per_client, self.clients)?;
         let workload = MarkovWorkload(run.chain);
         let sim = ShardedSim {
             workload: &workload,
@@ -267,6 +254,25 @@ impl BackendDriver for ShardedDriver {
         };
         let (report, log) = sim.run_observed(run.planner, &run.obs, run.marks, run.traced);
         Ok((report.access, ReportSection::Sharded(report), log))
+    }
+}
+
+/// Refuses a population whose `requests_per_client × clients`
+/// overflows the `u64` in which the simulator counts requests.
+fn check_request_total(requests_per_client: u64, clients: usize) -> Result<(), Error> {
+    #[cold]
+    fn overflow(requests_per_client: u64, clients: usize) -> Error {
+        Error::InvalidParam {
+            what: "sharded backend",
+            detail: format!(
+                "{requests_per_client} requests per client times {clients} clients \
+                 overflows a 64-bit request count"
+            ),
+        }
+    }
+    match requests_per_client.checked_mul(clients as u64) {
+        Some(_) => Ok(()),
+        None => Err(overflow(requests_per_client, clients)),
     }
 }
 
