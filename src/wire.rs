@@ -165,7 +165,7 @@ fn push_num(out: &mut String, x: f64) {
 
 /// Appends `items` as a JSON array, each element written by `item`.
 /// Every call site passes its own closure, so each list is one
-/// monomorphic loop with no call per element.
+/// monomorphic loop with no indirect call per element.
 fn push_arr<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
     out.push('[');
     if let Some((first, rest)) = items.split_first() {
@@ -928,18 +928,6 @@ impl Element for u64 {
     }
 }
 
-impl Element for usize {
-    const LIMIT: u64 = u64::MAX;
-
-    fn plain(n: u64) -> Self {
-        n as usize
-    }
-
-    fn read(p: &mut Parser<'_>, key: &str) -> Result<Self, Error> {
-        u64::read(p, key).map(|n| n as usize)
-    }
-}
-
 /// A `kind` column element: its wire code, an index into
 /// [`EVENT_KINDS`].
 impl Element for EventKind {
@@ -1317,9 +1305,9 @@ fn read_events(p: &mut Parser<'_>, key: &str) -> Result<Vec<SimEvent>, Error> {
     let mut log = Vec::new();
     let (at, client, shard, item, kind) = read_fields!(p.members(key) {
         at: |p: &mut Parser<'_>, key: &str| read_column(p, key, &mut log, |e, at| e.at = at),
-        client: |p: &mut Parser<'_>, key: &str| read_column(p, key, &mut log, |e, c| e.client = c),
-        shard: |p: &mut Parser<'_>, key: &str| read_column(p, key, &mut log, |e, s| e.shard = s),
-        item: |p: &mut Parser<'_>, key: &str| read_column(p, key, &mut log, |e, i| e.item = i),
+        client: |p: &mut Parser<'_>, key: &str| read_column(p, key, &mut log, |e, c: u64| e.client = c as usize),
+        shard: |p: &mut Parser<'_>, key: &str| read_column(p, key, &mut log, |e, s: u64| e.shard = s as usize),
+        item: |p: &mut Parser<'_>, key: &str| read_column(p, key, &mut log, |e, i: u64| e.item = i as usize),
         kind: |p: &mut Parser<'_>, key: &str| read_column(p, key, &mut log, |e, k| e.kind = k),
     });
     let lens = [at, client, shard, item, kind];
