@@ -510,6 +510,48 @@ fn run_reports_workload_file_errors() {
     assert!(stderr.contains("cannot read"));
 }
 
+/// `skp-plan run` exits with the code of the stage that failed: 1 for
+/// reading and parsing the file, 2 for building the engine or the
+/// workload it describes, 1 for the run itself.
+#[test]
+fn run_exit_codes_name_the_failing_stage() {
+    let base = "v 5\nitem 0.5 2 a\nitem 0.5 3 b\n";
+    let trace = "workload trace\npredictor ngram:1\naccess 0 5\naccess 1 5\n";
+    let cases = [
+        ("parse", format!("{base}bogus 1\n"), 1, "line 4"),
+        (
+            "policy",
+            format!("{base}policy magic\n"),
+            2,
+            "unknown policy",
+        ),
+        (
+            "predictor",
+            format!("{base}{}", trace.replace("ngram:1", "ngram:9")),
+            2,
+            "ngram order",
+        ),
+        ("chain", format!("{base}workload sharded\n"), 2, "chain"),
+        ("run", format!("{base}{trace}access 7 5\n"), 1, "item 7"),
+    ];
+    for (name, body, code, needle) in cases {
+        let path = write_scenario(&format!("exit_{name}.skp"), &body);
+        let out = Command::new(env!("CARGO_BIN_EXE_skp-plan"))
+            .args(["run", path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{name}: {stderr}");
+        assert!(stderr.contains(needle), "{name}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name}: nothing reaches stdout");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_skp-plan"))
+        .args(["run", "/nonexistent/exit.skp"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+}
+
 #[test]
 fn run_json_output_parses_for_every_workload_shape() {
     let files = [
