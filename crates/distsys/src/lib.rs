@@ -17,9 +17,6 @@
 //!   (hash / range / hot–cold [`Placement`]), and the sharded
 //!   multi-client simulation [`ShardedSim`] with per-shard queues,
 //!   service channels and [`ShardReport`] statistics;
-//! - [`exec`] — deterministic-parallel plumbing (thread-pool sizing,
-//!   ordered parallel map, seed derivation) for fanning out independent
-//!   runs, used by the Monte-Carlo runner;
 //! - [`faults`] — fault-injection specs ([`FaultSpec`]: outage windows,
 //!   slow links, seed-derived heterogeneous service times) materialised
 //!   per run from the seed and applied inside the scheduler's event
@@ -62,7 +59,6 @@
 #![forbid(unsafe_code)]
 
 pub mod engine;
-pub mod exec;
 pub mod faults;
 #[cfg(test)]
 mod multiclient;

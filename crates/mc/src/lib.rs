@@ -11,9 +11,8 @@
 //!   (cache used only for prefetching, flushed after every request);
 //! - [`prefetch_cache`] — the Figure-7 simulation: a Markov request source
 //!   driving the integrated prefetch–cache client across cache sizes;
-//! - [`parallel`] — a deterministic parallel runner (on the shared
-//!   `distsys::exec` crossbeam executor)
-//!   (per-chunk seeding, order-stable results);
+//! - [`parallel`] — a deterministic parallel runner on scoped crossbeam
+//!   threads (per-chunk seeding, order-stable results);
 //! - [`stats`] — streaming mean/variance and binned-mean accumulators;
 //! - [`output`] — tiny CSV writer and ASCII scatter/line plots so the
 //!   experiment binaries can render the figures in a terminal;

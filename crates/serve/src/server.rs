@@ -14,6 +14,7 @@
 //! and exit, and [`Server::run`] returns.
 
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -22,7 +23,7 @@ use speculative_prefetch::wire::{esc, list, render_access};
 use speculative_prefetch::{
     backend_specs, build_plan_store, obs_sink_specs, parse_workload, plan_store_specs,
     policy_aliases, policy_specs, predictor_specs, render_report_fields, AccessStats, Engine,
-    Error, PlanStore, PlanStoreStats, RegistrySpec, WireRun, Workload,
+    Error, PlanStore, PlanStoreStats, RegistrySpec, WireRun,
 };
 
 use crate::http::{self, Request, Response};
@@ -115,6 +116,7 @@ pub struct ServerState {
     started: Instant,
     served: AtomicU64,
     shed: AtomicU64,
+    worker_panics: AtomicU64,
     in_flight: AtomicU64,
     queued: AtomicU64,
     routes: RouteCounters,
@@ -130,6 +132,7 @@ struct StatsSnapshot {
     uptime_secs: f64,
     served: u64,
     shed: u64,
+    worker_panics: u64,
     in_flight: u64,
     queue_depth: u64,
     routes: Vec<(&'static str, u64)>,
@@ -188,6 +191,7 @@ impl ServerState {
             uptime_secs: self.uptime_secs(),
             served: self.served(),
             shed: self.shed(),
+            worker_panics: self.worker_panics.load(Ordering::SeqCst),
             in_flight: self.in_flight(),
             queue_depth: self.queue_depth(),
             routes: self.routes.snapshot(),
@@ -223,6 +227,7 @@ impl Server {
             started: Instant::now(),
             served: AtomicU64::new(0),
             shed: AtomicU64::new(0),
+            worker_panics: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             queued: AtomicU64::new(0),
             routes: RouteCounters::default(),
@@ -377,7 +382,13 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>, cfg: &Serv
     let response = match http::read_request(&mut stream, cfg.max_body) {
         Ok(req) => {
             let local = stream.peer_addr().is_ok_and(|peer| is_loopback(peer.ip()));
-            let response = route(&req, state, cfg, local);
+            // A request that panics its worker gets a 500; the worker
+            // lives on to serve the next connection.
+            let routed = panic::catch_unwind(AssertUnwindSafe(|| route(&req, state, cfg, local)));
+            let response = routed.unwrap_or_else(|_| {
+                state.worker_panics.fetch_add(1, Ordering::SeqCst);
+                Response::error(500, "internal", "the request panicked its worker")
+            });
             if req.method == "POST" && req.path == "/run" {
                 let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
                 state
@@ -511,13 +522,14 @@ fn stats_json(snap: &StatsSnapshot) -> String {
         format!("{{\"route\":\"{}\",\"requests\":{n}}}", esc(route))
     });
     format!(
-        "{{\"uptime_secs\":{:.3},\"served\":{},\"shed\":{},\"in_flight\":{},\
-         \"queue_depth\":{},\"requests\":{requests},\"run_latency_ms\":{},\
+        "{{\"uptime_secs\":{:.3},\"served\":{},\"shed\":{},\"worker_panics\":{},\
+         \"in_flight\":{},\"queue_depth\":{},\"requests\":{requests},\"run_latency_ms\":{},\
          \"plan_store\":{{\"spec\":\"{}\",\"lookups\":{},\"hits\":{},\"misses\":{},\
          \"tiers\":{tiers}}}}}",
         snap.uptime_secs,
         snap.served,
         snap.shed,
+        snap.worker_panics,
         snap.in_flight,
         snap.queue_depth,
         render_access(&access),
@@ -621,6 +633,12 @@ fn metrics_text(snap: &StatsSnapshot) -> String {
             MetricKind::Gauge,
             snap.queue_depth as f64,
         ),
+        plain(
+            "skp_worker_panics_total",
+            "Requests whose handling panicked (answered 500; the worker lives on).",
+            MetricKind::Counter,
+            snap.worker_panics as f64,
+        ),
         Family {
             name: "skp_run_latency_seconds".to_string(),
             help: "POST /run wall time, request read to response routed.".to_string(),
@@ -694,55 +712,44 @@ fn metrics_text(snap: &StatsSnapshot) -> String {
 // ---------------------------------------------------------------------
 
 fn handle_run(body: &str, store: &Arc<dyn PlanStore>) -> Response {
-    let trimmed = body.trim_start();
-    if trimmed.is_empty() {
+    if body.trim_start().is_empty() {
         return Response::error(
             400,
             "empty-body",
             "POST /run needs a .skp workload file or a wire-run JSON object as its body",
         );
     }
-    let outcome = if trimmed.starts_with('{') {
-        run_wire(body, store)
-    } else {
-        run_workload_file(body, store)
-    };
-    match outcome {
+    match run_posted(body, store) {
         Ok(body) => Response::json(body),
         Err(e) => Response::error(status_for(&e), error_kind(&e), &e.to_string()),
     }
 }
 
-fn run_wire(body: &str, store: &Arc<dyn PlanStore>) -> Result<String, Error> {
-    let wire_run = WireRun::parse(body)?;
-    let (mut engine, workload) = wire_run.instantiate_with_store(Arc::clone(store))?;
+/// Builds a posted wire run (a JSON object) or `.skp` workload file on
+/// the daemon's shared plan store, then runs both the same way.
+fn run_posted(body: &str, store: &Arc<dyn PlanStore>) -> Result<String, Error> {
+    let (workload_name, labels, (mut engine, workload)) = if body.trim_start().starts_with('{') {
+        let run = WireRun::parse(body)?;
+        let built = run.instantiate_with_store(Arc::clone(store))?;
+        (run.kind, Vec::new(), built)
+    } else {
+        let file = parse_workload(body)?;
+        // Every posted run shares the daemon's store; a file may not name
+        // its own (a `file:` store would write wherever the body says).
+        if file.plan_store.is_some() {
+            return Err(Error::InvalidParam {
+                what: "posted workload",
+                detail: "a posted file may not carry a 'plan-store' directive; \
+                         runs on the daemon share its plan store"
+                    .to_string(),
+            });
+        }
+        let built = file.instantiate(Some(Arc::clone(store)))?;
+        (file.kind.name().to_string(), file.labels, built)
+    };
     refuse_served(&engine)?;
     let report = engine.run(&workload)?;
-    Ok(report_json(&wire_run.kind, &engine, &report, &[]))
-}
-
-fn run_workload_file(body: &str, store: &Arc<dyn PlanStore>) -> Result<String, Error> {
-    let file = parse_workload(body)?;
-    // Every posted run shares the daemon's store; a file may not name
-    // its own (a `file:` store would write wherever the body says).
-    if file.plan_store.is_some() {
-        return Err(Error::InvalidParam {
-            what: "posted workload",
-            detail: "a posted file may not carry a 'plan-store' directive; \
-                     runs on the daemon share its plan store"
-                .to_string(),
-        });
-    }
-    let mut engine = file.build_engine_with_store(Some(Arc::clone(store)))?;
-    refuse_served(&engine)?;
-    let workload: Workload = file.workload()?;
-    let report = engine.run(&workload)?;
-    Ok(report_json(
-        file.kind.name(),
-        &engine,
-        &report,
-        &file.labels,
-    ))
+    Ok(report_json(&workload_name, &engine, &report, &labels))
 }
 
 /// Refuses a posted run whose backend is `served:`: the daemon must not
@@ -851,6 +858,7 @@ mod tests {
             uptime_secs: 12.5,
             served: 9,
             shed: 2,
+            worker_panics: 5,
             in_flight: 1,
             queue_depth: 3,
             routes: vec![("/run", 4), ("/stats", 1), ("other", 0)],
@@ -909,6 +917,12 @@ skp_worker_queue_depth 3\n";
             text.starts_with(golden),
             "exposition prefix drifted:\n{text}"
         );
+        assert!(text.contains(
+            "# HELP skp_worker_panics_total Requests whose handling panicked \
+             (answered 500; the worker lives on).\n\
+             # TYPE skp_worker_panics_total counter\n\
+             skp_worker_panics_total 5\n"
+        ));
         // The latency histogram is a complete triple over the shared
         // bucket edges: 250ms and 500ms fall under the 0.5s edge,
         // 750ms under 1s.
@@ -939,6 +953,7 @@ skp_worker_queue_depth 3\n";
         };
         assert_eq!(scalar("skp_requests_served_total"), snap.served as f64);
         assert_eq!(scalar("skp_requests_shed_total"), snap.shed as f64);
+        assert_eq!(scalar("skp_worker_panics_total"), snap.worker_panics as f64);
         assert_eq!(scalar("skp_worker_queue_depth"), snap.queue_depth as f64);
         assert_eq!(scalar("skp_plan_store_hits_total"), snap.store.hits as f64);
         let routes = find("skp_requests_total");
@@ -957,6 +972,7 @@ skp_worker_queue_depth 3\n";
         let j = stats_json(&snap);
         assert!(j.contains("\"uptime_secs\":12.500"), "{j}");
         assert!(j.contains("\"queue_depth\":3"), "{j}");
+        assert!(j.contains("\"worker_panics\":5"), "{j}");
         assert!(j.contains("{\"route\":\"/run\",\"requests\":4}"), "{j}");
         speculative_prefetch::wire::Json::parse(&j).expect("stats JSON parses");
     }
@@ -974,7 +990,7 @@ skp_worker_queue_depth 3\n";
             viewing: vec![1.0, 1.0],
             rows: vec![vec![(1, 1.0)], vec![(0, 1.0)]],
         };
-        let err = run_wire(&run.render(), &test_store())
+        let err = run_posted(&run.render(), &test_store())
             .unwrap_err()
             .to_string();
         assert!(err.contains("chain"), "{err}");

@@ -8,7 +8,9 @@ use std::sync::Arc;
 
 use skp_serve::{ServeConfig, Server, ServerHandle};
 use speculative_prefetch::served::MAX_HEADERS;
-use speculative_prefetch::{http_request, parse_report, MarkovChain, WireRun};
+use speculative_prefetch::{
+    build_plan_store, http_request, parse_report, MarkovChain, PlanStore, WireRun,
+};
 
 fn spawn() -> ServerHandle {
     spawn_with(ServeConfig::default())
@@ -19,6 +21,12 @@ fn spawn_with(cfg: ServeConfig) -> ServerHandle {
         .expect("bind ephemeral port")
         .spawn()
         .expect("spawn server thread")
+}
+
+/// A plan store that keeps nothing, for the in-process side of a
+/// comparison (reports are equal on every store).
+fn no_store() -> Arc<dyn PlanStore> {
+    build_plan_store("none").expect("valid spec")
 }
 
 /// Writes raw bytes, half-closes, and returns the daemon's full answer.
@@ -181,7 +189,7 @@ fn bad_retrieval_time_is_a_400_and_the_worker_keeps_serving() {
     let resp =
         http_request(&addr, "POST", "/run", Some(&good.render())).expect("daemon still serving");
     assert_eq!(resp.status, 200, "{}", resp.body);
-    let (mut engine, workload) = good.instantiate().expect("valid run");
+    let (mut engine, workload) = good.instantiate_with_store(no_store()).expect("valid run");
     let expected = engine.run(&workload).expect("in-process run");
     assert_eq!(parse_report(&resp.body).expect("report parses"), expected);
     handle.shutdown().expect("clean shutdown");
@@ -223,7 +231,7 @@ fn row_a_scenario_refuses_is_a_400_and_the_worker_keeps_serving() {
     let resp =
         http_request(&addr, "POST", "/run", Some(&good.render())).expect("daemon still serving");
     assert_eq!(resp.status, 200, "{}", resp.body);
-    let (mut engine, workload) = good.instantiate().expect("valid run");
+    let (mut engine, workload) = good.instantiate_with_store(no_store()).expect("valid run");
     let expected = engine.run(&workload).expect("in-process run");
     assert_eq!(parse_report(&resp.body).expect("report parses"), expected);
     handle.shutdown().expect("clean shutdown");
@@ -257,7 +265,7 @@ fn overflowing_request_total_is_a_400_and_the_worker_keeps_serving() {
     let resp =
         http_request(&addr, "POST", "/run", Some(&good.render())).expect("daemon still serving");
     assert_eq!(resp.status, 200, "{}", resp.body);
-    let (mut engine, workload) = good.instantiate().expect("valid run");
+    let (mut engine, workload) = good.instantiate_with_store(no_store()).expect("valid run");
     let expected = engine.run(&workload).expect("in-process run");
     assert_eq!(parse_report(&resp.body).expect("report parses"), expected);
     handle.shutdown().expect("clean shutdown");
@@ -357,5 +365,42 @@ fn header_lines_are_capped_at_the_clients_limit() {
     assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
     assert!(answer.contains("bad-request"), "{answer}");
     assert!(answer.contains("header lines"), "{answer}");
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn a_panicking_request_is_a_500_and_the_worker_keeps_serving() {
+    // Fault windows this long overflow the simulator's clock to a
+    // non-finite event time, which panics the run.
+    let handle = spawn_with(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr().to_string();
+    let body = "workload generated\n\
+                generate faults:out=0@0+1e300;slow=0x1e300;svc=1e300\n\
+                backend sharded:2x4:hash\nv 5\nitem 0.25 2 a\nitem 0.25 3 b\n\
+                item 0.25 4 c\nitem 0.25 5 d\n";
+    let resp = http_request(&addr, "POST", "/run", Some(body)).expect("daemon reachable");
+    assert_eq!(resp.status, 500, "{}", resp.body);
+    assert!(
+        resp.body.starts_with("{\"error\":{\"kind\":\"internal\""),
+        "{}",
+        resp.body
+    );
+
+    // The one worker answers the next requests and counts the panic;
+    // the only connection it holds is the `/stats` request itself.
+    let resp = http_request(&addr, "GET", "/version", None).expect("worker still serving");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let resp = http_request(&addr, "GET", "/stats", None).expect("worker still serving");
+    assert!(resp.body.contains("\"worker_panics\":1,"), "{}", resp.body);
+    assert!(resp.body.contains("\"in_flight\":1,"), "{}", resp.body);
+    let resp = http_request(&addr, "GET", "/metrics", None).expect("worker still serving");
+    assert!(
+        resp.body.contains("\nskp_worker_panics_total 1\n"),
+        "{}",
+        resp.body
+    );
     handle.shutdown().expect("clean shutdown");
 }

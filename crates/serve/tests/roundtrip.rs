@@ -7,7 +7,9 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use skp_serve::{ServeConfig, Server, ServerHandle};
-use speculative_prefetch::{http_request, Engine, MarkovChain, Workload};
+use speculative_prefetch::{
+    http_request, run_file, Engine, MarkovChain, ReportFormat, RunOverrides, Workload,
+};
 
 fn catalog() -> Vec<f64> {
     (0..24).map(|i| 1.0 + (i % 8) as f64).collect()
@@ -50,6 +52,42 @@ fn served_sharded_run_is_bit_identical_to_in_process() {
 
     assert_eq!(expected, actual);
     assert!(!actual.events.is_empty(), "traced run ships its event log");
+    handle.shutdown().expect("clean shutdown");
+}
+
+/// `POST /run` answers a checked-in workload file with the bytes that
+/// `skp-plan run <file> --format json` prints, less the final newline:
+/// the two are diffable line for line.
+#[test]
+fn posted_workload_files_answer_what_run_file_prints() {
+    let handle = spawn(ServeConfig::default());
+    let addr = handle.addr().to_string();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/workloads");
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("examples directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "skp"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 9, "{files:?}");
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("readable example");
+        let mut local = Vec::new();
+        run_file(
+            &text,
+            &RunOverrides::default(),
+            ReportFormat::Json,
+            &mut local,
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let resp = http_request(&addr, "POST", "/run", Some(&text)).expect("daemon reachable");
+        assert_eq!(resp.status, 200, "{}: {}", path.display(), resp.body);
+        assert!(
+            format!("{}\n", resp.body).as_bytes() == local,
+            "{}: the daemon's reply differs from run_file's output",
+            path.display()
+        );
+    }
     handle.shutdown().expect("clean shutdown");
 }
 

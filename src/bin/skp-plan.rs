@@ -5,8 +5,9 @@
 //! `speculative_prefetch::scenario_file`) and prints what each policy
 //! would prefetch, with gains, the Eq. 7 bound and per-item access
 //! times. Run mode executes a full *workload file* (scenario, workload,
-//! backend and policy/predictor specs in one file) through
-//! `Engine::run` and prints the unified `RunReport`. Policies and
+//! backend and policy/predictor specs in one file) through the
+//! library's `run_file` and prints the unified `RunReport`; this binary
+//! maps the stage that failed to its exit code. Policies and
 //! backends are resolved through their registries, so every registered
 //! spec works, including parameterised ones (`network-aware:0.4`,
 //! `sharded:4x8:hash`).
@@ -20,12 +21,11 @@
 
 use std::io::{self, Write};
 
-use speculative_prefetch::wire::{esc, list, num, write_report_fields};
+use speculative_prefetch::wire::{esc, list, num};
 use speculative_prefetch::{
     backend_specs, generator_specs, global_applicable, obs_sink_specs, parse_scenario_file,
-    parse_workload, plan_store_specs, policy_aliases, policy_specs, predictor_specs, trace_json,
-    Engine, Error, PhaseSpan, PlanReport, RegistrySpec, ReportSection, RunReport, Scenario,
-    Workload, WorkloadFile,
+    plan_store_specs, policy_aliases, policy_specs, predictor_specs, run_file, Engine, Error,
+    PlanReport, RegistrySpec, ReportFormat, RunFileError, RunOverrides, Scenario, Workload,
 };
 
 fn usage() -> ! {
@@ -46,27 +46,12 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The rows of a runtime registry's listing (backends, plan stores, obs
-/// sinks, generators): name, then summary and any `params` grammar.
-fn spec_rows(specs: Vec<RegistrySpec>) -> Vec<(String, String)> {
-    specs
-        .iter()
-        .map(|spec| {
-            let params = if spec.params.is_empty() {
-                String::new()
-            } else {
-                format!(" (params: {})", spec.params)
-            };
-            (spec.name.to_string(), format!("{}{params}", spec.summary))
-        })
-        .collect()
-}
-
-/// The rows of the policy and predictor listings: name, then summary,
-/// any aliases and the meaning of the `:param` suffix.
-fn param_rows(
+/// The rows of one registry's listing: name, then summary, any aliases
+/// and the `params` grammar as `params` spells it.
+fn rows(
     specs: Vec<RegistrySpec>,
     aliases: fn(&str) -> Vec<&'static str>,
+    params: fn(&str) -> String,
 ) -> Vec<(String, String)> {
     specs
         .iter()
@@ -77,15 +62,13 @@ fn param_rows(
             } else {
                 format!(" (aliases: {})", aliases.join(", "))
             };
-            let param = if spec.params.is_empty() {
+            let params = if spec.params.is_empty() {
                 String::new()
             } else {
-                format!("; :param = {}", spec.params)
+                params(spec.params)
             };
-            (
-                spec.name.to_string(),
-                format!("{}{aliases}{param}", spec.summary),
-            )
+            let detail = format!("{}{aliases}{params}", spec.summary);
+            (spec.name.to_string(), detail)
         })
         .collect()
 }
@@ -95,30 +78,33 @@ fn param_rows(
 /// seam cannot format differently — or be forgotten — without editing
 /// this single function.
 fn registry_sections() -> Vec<(&'static str, Vec<(String, String)>)> {
+    let none = |_: &str| Vec::new();
+    let param = |p: &str| format!("; :param = {p}");
+    let spec = |specs| rows(specs, none, |p| format!(" (params: {p})"));
     vec![
         (
             "registered policies (--solver):",
-            param_rows(policy_specs(), policy_aliases),
+            rows(policy_specs(), policy_aliases, param),
         ),
         (
             "registered predictors (for the library's SessionBuilder):",
-            param_rows(predictor_specs(), |_| Vec::new()),
+            rows(predictor_specs(), none, param),
         ),
         (
             "registered backends (workload files' 'backend' / SessionBuilder::backend_spec):",
-            spec_rows(backend_specs()),
+            spec(backend_specs()),
         ),
         (
             "registered plan stores ('plan-store' directive / --plan-store / SessionBuilder::plan_store):",
-            spec_rows(plan_store_specs()),
+            spec(plan_store_specs()),
         ),
         (
             "registered obs sinks ('obs' directive / --obs / SessionBuilder::obs):",
-            spec_rows(obs_sink_specs()),
+            spec(obs_sink_specs()),
         ),
         (
             "registered workload generators ('generate' directive / Workload::generated):",
-            spec_rows(generator_specs()),
+            spec(generator_specs()),
         ),
     ]
 }
@@ -145,9 +131,14 @@ fn main() {
         if e.kind() == io::ErrorKind::BrokenPipe {
             std::process::exit(0);
         }
-        eprintln!("skp-plan: cannot write output: {e}");
-        std::process::exit(1);
+        fail(1, format_args!("cannot write output: {e}"));
     }
+}
+
+/// Reports `message` on stderr and exits with `code`.
+fn fail(code: i32, message: impl std::fmt::Display) -> ! {
+    eprintln!("skp-plan: {message}");
+    std::process::exit(code)
 }
 
 /// The command line's work, every report written to `out`. Errors in the
@@ -161,46 +152,51 @@ fn run(out: &mut dyn Write) -> io::Result<()> {
         args.iter()
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
+            .cloned()
     };
-    let format = flag("--format").unwrap_or("text").to_string();
-    if format != "text" && format != "json" {
-        eprintln!("skp-plan: unknown format '{format}' (expected text or json)");
-        std::process::exit(2);
-    }
+    let format = match flag("--format").as_deref().unwrap_or("text") {
+        "text" => ReportFormat::Text,
+        "json" => ReportFormat::Json,
+        other => fail(
+            2,
+            format_args!("unknown format '{other}' (expected text or json)"),
+        ),
+    };
 
     if args.first().map(String::as_str) == Some("run") {
         let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
             usage();
         };
-        let plan_store = flag("--plan-store").map(String::from);
-        let obs = flag("--obs").map(String::from);
-        let trace_out = flag("--trace-out").map(String::from);
-        return run_workload_file(
-            out,
-            path,
-            plan_store.as_deref(),
-            obs.as_deref(),
-            trace_out.as_deref(),
-            &format,
-        );
+        let overrides = RunOverrides {
+            plan_store: flag("--plan-store"),
+            obs: flag("--obs"),
+            trace_out: flag("--trace-out"),
+        };
+        return match run_file(&read_file(path), &overrides, format, out) {
+            Ok(trace) => {
+                if let Some(trace) = trace {
+                    // On stderr so `--format json` output stays parseable.
+                    eprintln!("skp-plan: trace written to {trace}");
+                }
+                Ok(())
+            }
+            Err(RunFileError::Write(e)) => Err(e),
+            Err(e @ RunFileError::Trace(..)) => fail(1, e),
+            Err(e @ RunFileError::Build(_)) => fail(2, format_args!("{path}: {e}")),
+            Err(e) => fail(1, format_args!("{path}: {e}")),
+        };
     }
 
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         usage();
     };
-    let solver = flag("--solver").unwrap_or("all").to_string();
-    plan_scenario_file(out, path, &solver, &format)
+    let solver = flag("--solver").unwrap_or_else(|| "all".to_string());
+    plan_scenario_file(out, path, &solver, format)
 }
 
 fn read_file(path: &str) -> String {
-    match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("skp-plan: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(1, format_args!("cannot read {path}: {e}")))
 }
 
 // ---------------------------------------------------------------------
@@ -211,16 +207,10 @@ fn plan_scenario_file(
     out: &mut dyn Write,
     path: &str,
     solver: &str,
-    format: &str,
+    format: ReportFormat,
 ) -> io::Result<()> {
-    let text = read_file(path);
-    let parsed = match parse_scenario_file(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("skp-plan: {path}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let parsed = parse_scenario_file(&read_file(path))
+        .unwrap_or_else(|e| fail(1, format_args!("{path}: {e}")));
     let s = parsed.scenario;
     let labels = parsed.labels;
 
@@ -264,23 +254,20 @@ fn plan_scenario_file(
                 let report = run.plan().expect("plan section").clone();
                 reports.push((spec.clone(), report, note));
             }
-            Err(Error::UnknownPolicy { name, known }) => {
-                eprintln!(
-                    "skp-plan: unknown solver '{name}' (known: {}, or any alias; see --list)",
+            Err(Error::UnknownPolicy { name, known }) => fail(
+                2,
+                format_args!(
+                    "unknown solver '{name}' (known: {}, or any alias; see --list)",
                     known.join(", ")
-                );
-                std::process::exit(2);
-            }
-            Err(e) => {
-                eprintln!("skp-plan: {e}");
-                std::process::exit(2);
-            }
+                ),
+            ),
+            Err(e) => fail(2, e),
         }
     }
 
     match format {
-        "json" => print_plans_json(out, &s, &labels, &reports),
-        _ => print_plans_text(out, &s, &labels, &reports),
+        ReportFormat::Json => print_plans_json(out, &s, &labels, &reports),
+        ReportFormat::Text => print_plans_text(out, &s, &labels, &reports),
     }
 }
 
@@ -363,197 +350,4 @@ fn print_plans_json(
         )
     });
     writeln!(out, "{{\"scenario\":{scenario},\"plans\":{plans}}}")
-}
-
-// ---------------------------------------------------------------------
-// Run mode: execute a workload file through Engine::run.
-// ---------------------------------------------------------------------
-
-fn run_workload_file(
-    out: &mut dyn Write,
-    path: &str,
-    plan_store: Option<&str>,
-    obs: Option<&str>,
-    trace_out: Option<&str>,
-    format: &str,
-) -> io::Result<()> {
-    let text = read_file(path);
-    let mut file = match parse_workload(&text) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("skp-plan: {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    // CLI flags override the matching file directives.
-    if let Some(spec) = plan_store {
-        file.plan_store = Some(spec.to_string());
-    }
-    if let Some(spec) = obs {
-        file.obs = Some(spec.to_string());
-    }
-    if let Some(out) = trace_out {
-        file.trace_out = Some(out.to_string());
-    }
-    let mut engine = match file.build_engine() {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("skp-plan: {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let workload = match file.workload() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("skp-plan: {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let report = match engine.run(&workload) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("skp-plan: {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Some(out) = file.trace_out.as_deref() {
-        write_trace(out, &report);
-    }
-    match format {
-        "json" => print_run_json(out, &file, &engine, &report),
-        _ => print_run_text(out, &file, &engine, &report),
-    }
-}
-
-/// Writes the Chrome/Perfetto trace, appending skp-plan's own `wire`
-/// span (the serialisation cost) — trace-only, never in the report:
-/// the first render times the conversion, the second includes it.
-fn write_trace(out: &str, report: &RunReport) {
-    let started = std::time::Instant::now();
-    let _ = trace_json(report);
-    let mut timed = report.clone();
-    timed.phases.spans.push(PhaseSpan {
-        name: "wire",
-        seconds: started.elapsed().as_secs_f64(),
-    });
-    if let Err(e) = std::fs::write(out, trace_json(&timed)) {
-        eprintln!("skp-plan: cannot write trace to {out}: {e}");
-        std::process::exit(1);
-    }
-    // On stderr so `--format json` output stays parseable.
-    eprintln!("skp-plan: trace written to {out}");
-}
-
-fn print_run_text(
-    out: &mut dyn Write,
-    file: &WorkloadFile,
-    engine: &Engine,
-    report: &RunReport,
-) -> io::Result<()> {
-    writeln!(
-        out,
-        "workload {} on backend {} (policy: {})",
-        file.kind.name(),
-        engine.backend_spec_string(),
-        engine.policy_name()
-    )?;
-    let a = &report.access;
-    writeln!(
-        out,
-        "access: count {}  mean {:.4}  p50 {:.4}  p99 {:.4}  min {:.4}  max {:.4}",
-        a.count, a.mean, a.p50, a.p99, a.min, a.max
-    )?;
-    match &report.section {
-        ReportSection::Plan(r) => {
-            let items: Vec<&str> = r
-                .plan
-                .items()
-                .iter()
-                .map(|&i| file.labels[i].as_str())
-                .collect();
-            writeln!(out, "plan: prefetch {items:?}")?;
-            writeln!(
-                out,
-                "  gain {:.4}  stretch {:.4}  expected T {:.4}  bound {:.4}",
-                r.gain, r.stretch, r.expected_access_time, r.upper_bound
-            )?;
-        }
-        ReportSection::Trace(r) => {
-            writeln!(
-                out,
-                "trace: {} requests  hit rate {:.1}%  wasted/request {:.4}",
-                r.requests,
-                r.hit_rate * 100.0,
-                r.wasted_per_request
-            )?;
-        }
-        ReportSection::MonteCarlo(r) => {
-            writeln!(
-                out,
-                "monte-carlo: {} iterations  mean T {:.4} ± {:.4}  mean gain {:.4}",
-                r.iterations,
-                r.access.mean(),
-                r.access.std_err(),
-                r.gain.mean()
-            )?;
-        }
-        ReportSection::Sharded(r) => {
-            writeln!(
-                out,
-                "sharded: {} requests  mean utilisation {:.1}%  waste {:.4}/{:.4}",
-                r.requests(),
-                r.utilisation * 100.0,
-                r.wasted_transfer,
-                r.total_transfer
-            )?;
-            for shard in &r.shards {
-                writeln!(
-                    out,
-                    "  shard {}: jobs {}  busy {:.1}%  queue mean {:.2} max {}",
-                    shard.shard,
-                    shard.jobs,
-                    shard.utilisation * 100.0,
-                    shard.mean_queue_depth,
-                    shard.max_queue_depth
-                )?;
-            }
-        }
-    }
-    if !report.events.is_empty() {
-        writeln!(out, "events: {} recorded (traced)", report.events.len())?;
-    }
-    let ps = &report.plan_store;
-    if ps.lookups > 0 {
-        writeln!(
-            out,
-            "plan store [{}]: {} lookups  {} hits ({:.0}%)",
-            engine.plan_store_spec_string(),
-            ps.lookups,
-            ps.hits,
-            ps.hit_rate() * 100.0
-        )?;
-    }
-    Ok(())
-}
-
-fn print_run_json(
-    out: &mut dyn Write,
-    file: &WorkloadFile,
-    engine: &Engine,
-    report: &RunReport,
-) -> io::Result<()> {
-    // The report body (access / section / events) is rendered by the
-    // shared wire module — the same encoding skp-serve answers with, so
-    // `skp-plan run --format json` and a daemon round-trip are
-    // byte-comparable after stripping the metadata prefix. The prefix
-    // and the body share one buffer.
-    let mut json = format!(
-        "{{\"workload\":\"{}\",\"backend\":\"{}\",\"policy\":\"{}\",",
-        esc(file.kind.name()),
-        esc(&engine.backend_spec_string()),
-        esc(engine.policy_name()),
-    );
-    write_report_fields(&mut json, report, &file.labels);
-    json.push('}');
-    writeln!(out, "{json}")
 }

@@ -1127,7 +1127,7 @@ impl Engine {
             obs: self.obs.clone(),
             marks,
         });
-        timer.start("stat-fold");
+        timer.start("plan-store-put");
         // Write back only when the run added information: a hit whose
         // rounds solved nothing new would rewrite identical bytes into
         // every tier (the `file:` tier in particular) for no gain.

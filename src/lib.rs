@@ -31,8 +31,8 @@
 //! A sixth seam is **observability** ([`Obs`]; [`build_obs`]):
 //! `SessionBuilder::obs("memory")` attaches a telemetry sink, and
 //! every run then carries a wall-clock [`PhaseBreakdown`] (`build` /
-//! `plan-solve` / `simulate` / `stat-fold` spans plus per-epoch
-//! scheduler marks) in [`RunReport::phases`], ready for
+//! `plan-solve` / `simulate` / `stat-fold` / `plan-store-put` spans
+//! plus per-epoch scheduler marks) in [`RunReport::phases`], ready for
 //! Chrome/Perfetto export via [`trace_json`] (`skp-plan run
 //! --trace-out <file>`). The default is `"none"`: every probe site
 //! compiles to a branch on a null sink, the phase clock is never read,
@@ -113,8 +113,8 @@
 //!
 //! Workloads are also *files*: the [`scenario_file`] format carries
 //! scenario + workload + backend + policy/predictor specs in one
-//! checked-in file, and `skp-plan run <file>` (or
-//! [`WorkloadFile::execute`]) replays it — see `examples/workloads/`.
+//! checked-in file, and `skp-plan run <file>` (the library's
+//! [`run_file`]) replays it — see `examples/workloads/`.
 //!
 //! Every fallible facade call returns the unified [`Error`].
 //!
@@ -174,8 +174,8 @@ pub use predictor::{build_predictor, predictor_names, predictor_specs, Predictor
 pub use registry::{build_policy, policy_aliases, policy_names, policy_specs, PolicySpec};
 pub use report::{PlanReport, ReportSection, RunReport, SimReport, TraceReport};
 pub use scenario_file::{
-    parse as parse_scenario_file, parse_workload, render_workload, ChainSpec, ParseError,
-    ScenarioFile, WorkloadFile, WorkloadKind,
+    parse as parse_scenario_file, parse_workload, render_workload, run_file, ChainSpec, ParseError,
+    ReportFormat, RunFileError, RunOverrides, ScenarioFile, WorkloadFile, WorkloadKind,
 };
 pub use served::{http_request, HttpResponse};
 /// The listing row shared by all six registries (policy, predictor,

@@ -110,7 +110,8 @@ pub struct RunReport {
     /// their hit counters differ.
     pub plan_store: PlanStoreStats,
     /// Wall-clock phase decomposition of the run (build / plan-solve /
-    /// simulate / stat-fold spans, plus per-epoch scheduler marks from
+    /// simulate / stat-fold / plan-store-put spans, plus per-epoch
+    /// scheduler marks from
     /// the sharded executors). Empty unless the engine's observability
     /// sink is on ([`SessionBuilder::obs`](crate::SessionBuilder::obs)).
     /// Excluded from `PartialEq` and the wire form exactly like

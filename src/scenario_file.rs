@@ -40,12 +40,18 @@
 //! trace workloads replay the `access` lines.
 
 use montecarlo::probgen::ProbMethod;
+use obs::PhaseSpan;
+use planstore::PlanStore;
 use skp_core::{ModelError, Scenario};
 use std::fmt;
+use std::io::Write;
+use std::sync::Arc;
 
 use crate::engine::Engine;
 use crate::error::Error;
-use crate::report::RunReport;
+use crate::report::{ReportSection, RunReport};
+use crate::trace_export::trace_json;
+use crate::wire::{esc, write_report_fields};
 use crate::workload::{MonteCarloSpec, Workload};
 
 /// A parsed scenario plus the item labels from the file.
@@ -180,8 +186,9 @@ pub struct ChainSpec {
 /// A parsed workload file: the scenario core plus engine composition
 /// (policy / predictor / cache / backend specs) and the workload
 /// description. Produced by [`parse_workload`]; rendered back by
-/// [`render_workload`] (and `Display`); executed by
-/// [`WorkloadFile::execute`].
+/// [`render_workload`] (and `Display`); built into an engine and a
+/// workload by [`WorkloadFile::instantiate`]; run end to end by
+/// [`run_file`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadFile {
     /// The validated scenario (doubles as the engine catalog).
@@ -202,7 +209,7 @@ pub struct WorkloadFile {
     /// `trace_out` forces the in-process `memory` sink).
     pub obs: Option<String>,
     /// Chrome/Perfetto trace output path (`skp-plan run` writes
-    /// [`trace_json`](crate::trace_json) here). Forces `traced` and —
+    /// [`trace_json`] here). Forces `traced` and —
     /// when no explicit `obs` spec is given — the `memory` sink, so
     /// the trace has phase spans and epoch marks to show.
     pub trace_out: Option<String>,
@@ -624,7 +631,7 @@ impl WorkloadFile {
 
     /// Builds the [`Workload`] value this file describes (constructing
     /// the browsing chain / trace where needed).
-    pub fn workload(&self) -> Result<Workload, Error> {
+    fn workload(&self) -> Result<Workload, Error> {
         use access_model::MarkovChain;
         let workload = match self.kind {
             WorkloadKind::Plan => Workload::plan(self.scenario.clone()),
@@ -690,21 +697,18 @@ impl WorkloadFile {
         Ok(workload.traced(self.traced || self.trace_out.is_some()))
     }
 
-    /// Builds the [`Engine`] this file composes: the `item` lines as
-    /// catalog, plus the file's policy / predictor / cache / backend /
-    /// plan-store specs (engine defaults where omitted).
-    pub fn build_engine(&self) -> Result<Engine, Error> {
-        self.build_engine_with_store(None)
-    }
-
-    /// Like [`build_engine`](Self::build_engine), but with a host-supplied
-    /// shared plan store as the default. The file's own `plan-store`
-    /// directive wins when present — a workload that pins its store
-    /// behaves identically whether run by the CLI or inside a daemon.
-    pub fn build_engine_with_store(
+    /// Builds the [`Engine`] and the [`Workload`] this file describes,
+    /// in that order: the `item` lines as catalog, plus the file's
+    /// policy / predictor / cache / backend / plan-store / obs specs
+    /// (engine defaults where omitted). `store` is a host-supplied
+    /// shared plan store (`skp-serve` passes the daemon-wide one); the
+    /// file's own `plan-store` directive wins over it, so a workload
+    /// that pins its store behaves identically whether run by the CLI
+    /// or inside a daemon.
+    pub fn instantiate(
         &self,
-        shared: Option<std::sync::Arc<dyn planstore::PlanStore>>,
-    ) -> Result<Engine, Error> {
+        store: Option<Arc<dyn PlanStore>>,
+    ) -> Result<(Engine, Workload), Error> {
         let mut builder = Engine::builder().catalog(self.scenario.retrievals().to_vec());
         if let Some(policy) = &self.policy {
             builder = builder.policy(policy);
@@ -718,7 +722,7 @@ impl WorkloadFile {
         if let Some(backend) = &self.backend {
             builder = builder.backend_spec(backend);
         }
-        match (&self.plan_store, shared) {
+        match (&self.plan_store, store) {
             (Some(spec), _) => builder = builder.plan_store(spec),
             (None, Some(store)) => builder = builder.plan_store_instance(store),
             (None, None) => {}
@@ -731,13 +735,219 @@ impl WorkloadFile {
             (None, Some(_)) => builder = builder.obs("memory"),
             (None, None) => {}
         }
-        builder.build()
+        let engine = builder.build()?;
+        Ok((engine, self.workload()?))
     }
+}
 
-    /// One-shot execution: build the engine, build the workload, run.
-    pub fn execute(&self) -> Result<RunReport, Error> {
-        self.build_engine()?.run(&self.workload()?)
+/// Values that replace a workload file's `plan-store`, `obs` and
+/// `trace-out` directives in [`run_file`] (`skp-plan run`'s flags of
+/// the same names).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunOverrides {
+    /// Plan-store registry spec.
+    pub plan_store: Option<String>,
+    /// Observability-sink registry spec.
+    pub obs: Option<String>,
+    /// Chrome/Perfetto trace output path.
+    pub trace_out: Option<String>,
+}
+
+/// How [`run_file`] renders the report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReportFormat {
+    /// A human-readable summary.
+    Text,
+    /// One JSON object: the workload, backend and policy names, then
+    /// the wire report fields (the body `skp-serve` answers `POST /run`
+    /// with).
+    Json,
+}
+
+/// The stage of [`run_file`] that failed, with its error.
+#[derive(Debug)]
+pub enum RunFileError {
+    /// The text is not a workload file.
+    Parse(ParseError),
+    /// The engine or the workload the file describes could not be built.
+    Build(Error),
+    /// [`Engine::run`] failed.
+    Run(Error),
+    /// The Chrome trace could not be written to the named path.
+    Trace(String, std::io::Error),
+    /// Writing the report to the output failed.
+    Write(std::io::Error),
+}
+
+impl fmt::Display for RunFileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunFileError::Parse(e) => e.fmt(f),
+            RunFileError::Build(e) | RunFileError::Run(e) => e.fmt(f),
+            RunFileError::Trace(path, e) => write!(f, "cannot write trace to {path}: {e}"),
+            RunFileError::Write(e) => write!(f, "cannot write output: {e}"),
+        }
     }
+}
+
+impl std::error::Error for RunFileError {}
+
+/// Runs a workload file end to end, as `skp-plan run` does: parses
+/// `text`, applies `overrides`, builds the engine and workload
+/// ([`WorkloadFile::instantiate`] without a host store), runs it,
+/// writes the Chrome trace when the file or the overrides name a path,
+/// and renders the report to `out`. Returns the path the trace was
+/// written to, if any.
+pub fn run_file(
+    text: &str,
+    overrides: &RunOverrides,
+    format: ReportFormat,
+    out: &mut dyn Write,
+) -> Result<Option<String>, RunFileError> {
+    let mut file = parse_workload(text).map_err(RunFileError::Parse)?;
+    file.plan_store = overrides.plan_store.clone().or(file.plan_store);
+    file.obs = overrides.obs.clone().or(file.obs);
+    file.trace_out = overrides.trace_out.clone().or(file.trace_out);
+    let (mut engine, workload) = file.instantiate(None).map_err(RunFileError::Build)?;
+    let report = engine.run(&workload).map_err(RunFileError::Run)?;
+    if let Some(path) = &file.trace_out {
+        std::fs::write(path, timed_trace(&report))
+            .map_err(|e| RunFileError::Trace(path.clone(), e))?;
+    }
+    match format {
+        ReportFormat::Json => write_run_json(out, &file, &engine, &report),
+        ReportFormat::Text => write_run_text(out, &file, &engine, &report),
+    }
+    .map_err(RunFileError::Write)?;
+    Ok(file.trace_out)
+}
+
+/// The Chrome/Perfetto trace of `report` with one more span,
+/// `trace-render`, timing the conversion itself — trace-only, never in
+/// the report: the first render times the conversion, the second
+/// includes it.
+fn timed_trace(report: &RunReport) -> String {
+    let started = std::time::Instant::now();
+    let _ = trace_json(report);
+    let mut timed = report.clone();
+    timed.phases.spans.push(PhaseSpan {
+        name: "trace-render",
+        seconds: started.elapsed().as_secs_f64(),
+    });
+    trace_json(&timed)
+}
+
+fn write_run_text(
+    out: &mut dyn Write,
+    file: &WorkloadFile,
+    engine: &Engine,
+    report: &RunReport,
+) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "workload {} on backend {} (policy: {})",
+        file.kind.name(),
+        engine.backend_spec_string(),
+        engine.policy_name()
+    )?;
+    let a = &report.access;
+    writeln!(
+        out,
+        "access: count {}  mean {:.4}  p50 {:.4}  p99 {:.4}  min {:.4}  max {:.4}",
+        a.count, a.mean, a.p50, a.p99, a.min, a.max
+    )?;
+    match &report.section {
+        ReportSection::Plan(r) => {
+            let items: Vec<&str> = r
+                .plan
+                .items()
+                .iter()
+                .map(|&i| file.labels[i].as_str())
+                .collect();
+            writeln!(out, "plan: prefetch {items:?}")?;
+            writeln!(
+                out,
+                "  gain {:.4}  stretch {:.4}  expected T {:.4}  bound {:.4}",
+                r.gain, r.stretch, r.expected_access_time, r.upper_bound
+            )?;
+        }
+        ReportSection::Trace(r) => {
+            writeln!(
+                out,
+                "trace: {} requests  hit rate {:.1}%  wasted/request {:.4}",
+                r.requests,
+                r.hit_rate * 100.0,
+                r.wasted_per_request
+            )?;
+        }
+        ReportSection::MonteCarlo(r) => {
+            writeln!(
+                out,
+                "monte-carlo: {} iterations  mean T {:.4} ± {:.4}  mean gain {:.4}",
+                r.iterations,
+                r.access.mean(),
+                r.access.std_err(),
+                r.gain.mean()
+            )?;
+        }
+        ReportSection::Sharded(r) => {
+            writeln!(
+                out,
+                "sharded: {} requests  mean utilisation {:.1}%  waste {:.4}/{:.4}",
+                r.requests(),
+                r.utilisation * 100.0,
+                r.wasted_transfer,
+                r.total_transfer
+            )?;
+            for shard in &r.shards {
+                writeln!(
+                    out,
+                    "  shard {}: jobs {}  busy {:.1}%  queue mean {:.2} max {}",
+                    shard.shard,
+                    shard.jobs,
+                    shard.utilisation * 100.0,
+                    shard.mean_queue_depth,
+                    shard.max_queue_depth
+                )?;
+            }
+        }
+    }
+    if !report.events.is_empty() {
+        writeln!(out, "events: {} recorded (traced)", report.events.len())?;
+    }
+    let ps = &report.plan_store;
+    if ps.lookups > 0 {
+        writeln!(
+            out,
+            "plan store [{}]: {} lookups  {} hits ({:.0}%)",
+            engine.plan_store_spec_string(),
+            ps.lookups,
+            ps.hits,
+            ps.hit_rate() * 100.0
+        )?;
+    }
+    Ok(())
+}
+
+fn write_run_json(
+    out: &mut dyn Write,
+    file: &WorkloadFile,
+    engine: &Engine,
+    report: &RunReport,
+) -> std::io::Result<()> {
+    // The report body (access / section / events) is rendered by the
+    // shared wire module — the same encoding skp-serve answers with, so
+    // `skp-plan run --format json` and a daemon round-trip are
+    // byte-comparable. The prefix and the body share one buffer.
+    let mut json = format!(
+        "{{\"workload\":\"{}\",\"backend\":\"{}\",\"policy\":\"{}\",",
+        esc(file.kind.name()),
+        esc(&engine.backend_spec_string()),
+        esc(engine.policy_name()),
+    );
+    write_report_fields(&mut json, report, &file.labels);
+    json.push('}');
+    writeln!(out, "{json}")
 }
 
 #[cfg(test)]
@@ -969,9 +1179,15 @@ item 0.2 9 video
         ));
     }
 
+    /// Builds and runs a workload file's text.
+    fn run(text: &str) -> RunReport {
+        let (mut engine, workload) = parse_workload(text).unwrap().instantiate(None).unwrap();
+        engine.run(&workload).unwrap()
+    }
+
     #[test]
     fn execute_runs_a_plan_file_end_to_end() {
-        let report = parse_workload(SAMPLE).unwrap().execute().unwrap();
+        let report = run(SAMPLE);
         let plan = report.plan().expect("plan section");
         assert!(plan.gain > 0.0);
         assert_eq!(report.access.count, 3);
@@ -979,7 +1195,7 @@ item 0.2 9 video
 
     #[test]
     fn execute_runs_a_sharded_file_end_to_end() {
-        let report = parse_workload(WORKLOAD_SAMPLE).unwrap().execute().unwrap();
+        let report = run(WORKLOAD_SAMPLE);
         let sharded = report.sharded().expect("sharded section");
         assert_eq!(sharded.requests(), 4 * 50);
         assert!(!report.events.is_empty(), "traced file records events");
@@ -988,13 +1204,13 @@ item 0.2 9 video
     #[test]
     fn plan_store_directive_configures_the_engine() {
         let f = parse_workload(WORKLOAD_SAMPLE).unwrap();
-        let engine = f.build_engine().unwrap();
+        let engine = f.instantiate(None).unwrap().0;
         assert_eq!(engine.plan_store_spec_string(), "memory:2x64");
-        // A malformed spec surfaces through build_engine.
+        // A malformed spec surfaces through instantiate.
         let mut bad = f.clone();
         bad.plan_store = Some("memory:0x4".to_string());
         assert!(matches!(
-            bad.build_engine(),
+            bad.instantiate(None),
             Err(crate::Error::InvalidParam { .. })
         ));
     }
@@ -1002,17 +1218,17 @@ item 0.2 9 video
     #[test]
     fn obs_directive_configures_the_engine() {
         let f = parse_workload(WORKLOAD_SAMPLE).unwrap();
-        let engine = f.build_engine().unwrap();
+        let engine = f.instantiate(None).unwrap().0;
         assert_eq!(engine.obs_spec_string(), "memory");
         // Without a directive the engine stays unobserved.
         let mut off = f.clone();
         off.obs = None;
-        assert_eq!(off.build_engine().unwrap().obs_spec_string(), "none");
-        // A malformed spec surfaces through build_engine.
+        assert_eq!(off.instantiate(None).unwrap().0.obs_spec_string(), "none");
+        // A malformed spec surfaces through instantiate.
         let mut bad = f;
         bad.obs = Some("memory:0".to_string());
         assert!(matches!(
-            bad.build_engine(),
+            bad.instantiate(None),
             Err(crate::Error::InvalidParam { .. })
         ));
     }
@@ -1025,11 +1241,11 @@ item 0.2 9 video
         assert_eq!(f.trace_out.as_deref(), Some("out.json"));
         assert!(!f.traced, "the directive itself is not 'traced'");
         assert!(f.workload().unwrap().is_traced());
-        assert_eq!(f.build_engine().unwrap().obs_spec_string(), "memory");
+        assert_eq!(f.instantiate(None).unwrap().0.obs_spec_string(), "memory");
         // An explicit obs spec wins over the forced default.
         let mut off = f.clone();
         off.obs = Some("none".to_string());
-        let engine = off.build_engine().unwrap();
+        let engine = off.instantiate(None).unwrap().0;
         assert_eq!(engine.obs_spec_string(), "none");
         // And the directive round-trips.
         let again = parse_workload(&f.to_string()).unwrap();
@@ -1041,14 +1257,12 @@ item 0.2 9 video
         let shared = planstore::build_plan_store("memory:1x4").unwrap();
         // The file pins its own store: the host's shared one is ignored.
         let pinned = parse_workload(WORKLOAD_SAMPLE).unwrap();
-        let engine = pinned
-            .build_engine_with_store(Some(shared.clone()))
-            .unwrap();
+        let (engine, _) = pinned.instantiate(Some(shared.clone())).unwrap();
         assert_eq!(engine.plan_store_spec_string(), "memory:2x64");
         // Without a directive, the injected store is the default.
         let mut open = pinned.clone();
         open.plan_store = None;
-        let engine = open.build_engine_with_store(Some(shared)).unwrap();
+        let (engine, _) = open.instantiate(Some(shared)).unwrap();
         assert_eq!(engine.plan_store_spec_string(), "memory:1x4");
     }
 }

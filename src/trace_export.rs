@@ -15,8 +15,8 @@
 //! The shard and counter tracks live in *simulated* time, which has no
 //! wall-clock unit; one simulated time unit renders as one microsecond
 //! so both domains stay readable on the shared timeline. `skp-plan run
-//! --trace-out <file>` writes this document (plus its own `wire` span
-//! covering serialisation).
+//! --trace-out <file>` writes this document (plus a `trace-render` span
+//! timing the conversion itself).
 
 use distsys::scheduler::{EventKind, JobKind, SimEvent};
 use obs::trace::{render_chrome_trace, TraceCounter, TraceSpan};

@@ -1516,27 +1516,15 @@ impl WireRun {
         })
     }
 
-    /// Builds the engine and workload this wire run describes. Running
+    /// Builds the engine and workload this wire run describes, with
+    /// `store` as the engine's plan store. Running
     /// `engine.run(&workload)` replays the original simulation
-    /// bit-identically (same chain rows, same seed, same specs).
-    pub fn instantiate(&self) -> Result<(Engine, Workload), Error> {
-        self.build_with_store(None)
-    }
-
-    /// Like [`instantiate`](Self::instantiate), but composing a shared
-    /// plan store into the engine — `skp-serve` hands every request the
-    /// daemon-wide store, which is what turns the second identical run
-    /// into a store hit (the report stays bit-identical either way).
+    /// bit-identically (same chain rows, same seed, same specs) on any
+    /// store; `skp-serve` hands every request the daemon-wide one,
+    /// which is what turns the second identical run into a store hit.
     pub fn instantiate_with_store(
         &self,
         store: std::sync::Arc<dyn planstore::PlanStore>,
-    ) -> Result<(Engine, Workload), Error> {
-        self.build_with_store(Some(store))
-    }
-
-    fn build_with_store(
-        &self,
-        store: Option<std::sync::Arc<dyn planstore::PlanStore>>,
     ) -> Result<(Engine, Workload), Error> {
         let chain = MarkovChain::new(self.rows.clone(), self.viewing.clone()).map_err(|e| {
             Error::InvalidParam {
@@ -1544,14 +1532,12 @@ impl WireRun {
                 detail: format!("field 'chain' is not a valid markov chain: {e}"),
             }
         })?;
-        let mut builder = Engine::builder()
+        let engine = Engine::builder()
             .policy(&self.policy)
             .catalog(self.retrievals.clone())
-            .backend_spec(&self.backend);
-        if let Some(store) = store {
-            builder = builder.plan_store_instance(store);
-        }
-        let engine = builder.build()?;
+            .backend_spec(&self.backend)
+            .plan_store_instance(store)
+            .build()?;
         let workload = match self.kind.as_str() {
             "sharded" => Workload::sharded(chain, self.requests_per_client, self.seed),
             other => {
@@ -1693,7 +1679,8 @@ mod tests {
             1,
             false,
         );
-        match WireRun::parse(&run.render()).and_then(|run| run.instantiate()) {
+        let store = planstore::build_plan_store("none").unwrap();
+        match WireRun::parse(&run.render()).and_then(|run| run.instantiate_with_store(store)) {
             Err(Error::InvalidParam { detail, .. }) => {
                 assert!(detail.contains("'kind'"), "{detail}")
             }
@@ -1729,7 +1716,8 @@ mod tests {
         let expected = direct
             .run(&Workload::sharded(chain, 15, 1999).traced(true))
             .unwrap();
-        let (mut engine, workload) = parsed.instantiate().unwrap();
+        let store = planstore::build_plan_store("none").unwrap();
+        let (mut engine, workload) = parsed.instantiate_with_store(store).unwrap();
         assert_eq!(engine.run(&workload).unwrap(), expected);
     }
 

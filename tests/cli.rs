@@ -368,7 +368,7 @@ fn run_executes_a_sharded_workload_file() {
 }
 
 /// `--trace-out` writes a Chrome/Perfetto trace next to the normal
-/// report output, including the CLI's own `wire` span, and stdout
+/// report output, including the CLI's own `trace-render` span, and stdout
 /// stays parseable JSON (the note goes to stderr).
 #[test]
 fn run_trace_out_writes_a_chrome_trace() {
@@ -393,7 +393,12 @@ fn run_trace_out_writes_a_chrome_trace() {
     let _ = std::fs::remove_file(&out);
     json::check(trace.trim()).expect("trace is valid JSON");
     assert!(trace.starts_with("{\"traceEvents\":["), "{trace}");
-    for track in ["\"engine\"", "\"shard 0\"", "\"wire\"", "\"queue depth\""] {
+    for track in [
+        "\"engine\"",
+        "\"shard 0\"",
+        "\"trace-render\"",
+        "\"queue depth\"",
+    ] {
         assert!(trace.contains(track), "missing {track}");
     }
     assert_chrome_trace_schema(&trace);
@@ -412,8 +417,8 @@ fn run_trace_out_writes_a_chrome_trace() {
 
 /// The Chrome trace schema of `--trace-out`: every record is a complete
 /// M/X/C event, counter samples carry one series each, and a population
-/// run decomposes into the engine's build/simulate/stat-fold spans plus
-/// the CLI's own wire span.
+/// run decomposes into the engine's build/simulate/plan-store-put spans
+/// plus the CLI's own trace-render span.
 fn assert_chrome_trace_schema(text: &str) {
     let doc = Json::parse(text).expect("trace is valid JSON");
     assert_eq!(
@@ -457,7 +462,7 @@ fn assert_chrome_trace_schema(text: &str) {
             );
         }
     }
-    for span in ["build", "simulate", "stat-fold", "wire"] {
+    for span in ["build", "simulate", "plan-store-put", "trace-render"] {
         assert!(
             spans.contains(span),
             "missing engine span {span}: {spans:?}"
