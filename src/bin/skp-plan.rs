@@ -183,7 +183,9 @@ fn run(out: &mut dyn Write) -> io::Result<()> {
             Err(RunFileError::Write(e)) => Err(e),
             Err(e @ RunFileError::Trace(..)) => fail(1, e),
             Err(e @ RunFileError::Build(_)) => fail(2, format_args!("{path}: {e}")),
-            Err(e) => fail(1, format_args!("{path}: {e}")),
+            Err(e @ (RunFileError::Parse(_) | RunFileError::Run(_))) => {
+                fail(1, format_args!("{path}: {e}"))
+            }
         };
     }
 
