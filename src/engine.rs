@@ -1885,6 +1885,46 @@ mod tests {
         assert!(e.to_string().contains("at least two records"), "{e}");
     }
 
+    /// A custom policy that plans item 0 twice from every row.
+    struct PlansTwice;
+
+    impl Prefetcher for PlansTwice {
+        fn name(&self) -> &str {
+            "plans-twice"
+        }
+        fn plan_candidates(&self, _: &Scenario, _: &[bool]) -> PrefetchPlan {
+            PrefetchPlan::empty()
+        }
+        fn plan_row(&self, _: &[(usize, f64)], _: RowBasis<'_>) -> Vec<usize> {
+            vec![0, 0]
+        }
+    }
+
+    fn plans_twice_engine() -> Engine {
+        Engine::builder()
+            .policy_instance(Box::new(PlansTwice))
+            .predictor("ngram:1")
+            .catalog(vec![3.0; 3])
+            .cache(2)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "a policy plans each item once")]
+    fn step_refuses_a_plan_that_repeats_an_item() {
+        let s = Scenario::new(vec![0.5, 0.5, 0.0], vec![3.0; 3], 10.0).unwrap();
+        plans_twice_engine().step(&s, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a policy plans each item once")]
+    fn step_forecast_refuses_a_plan_that_repeats_an_item() {
+        let mut engine = plans_twice_engine();
+        engine.observe(0);
+        let _ = engine.step_forecast(0, 10.0, 1);
+    }
+
     #[test]
     fn trace_past_the_catalog_is_refused() {
         let mut engine = trace_engine("no-prefetch", "ngram:1", 1, 1);
