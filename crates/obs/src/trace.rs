@@ -137,6 +137,17 @@ mod tests {
             points: vec![(0.0, 3.0), (100.0, 1.0)],
         }];
         let out = render_chrome_trace("skp-plan run", &spans, &counters);
+        let expected = concat!(
+            "{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"skp-plan run\"}},",
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"engine\"}},",
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,\"args\":{\"name\":\"shard 0\"}},",
+            "{\"name\":\"simulate\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":10,\"dur\":250.5,\"pid\":1,\"tid\":1},",
+            "{\"name\":\"xfer demand\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":20,\"dur\":5,\"pid\":1,\"tid\":2},",
+            "{\"name\":\"queue depth\",\"ph\":\"C\",\"ts\":0,\"pid\":1,\"args\":{\"value\":3},\"tid\":0},",
+            "{\"name\":\"queue depth\",\"ph\":\"C\",\"ts\":100,\"pid\":1,\"args\":{\"value\":1},\"tid\":0}],\"displayTimeUnit\":\"ms\"}",
+            "\n"
+        );
+        assert_eq!(out, expected);
         assert!(out.starts_with("{\"traceEvents\":["));
         assert!(out.contains("\"process_name\""));
         assert!(out.contains("\"name\":\"engine\""));
@@ -174,5 +185,29 @@ mod tests {
         let out = render_chrome_trace("p", &spans, &[]);
         assert!(out.contains("t\\\"rack"));
         assert!(out.contains("a\\\\b\\nc"));
+    }
+
+    #[test]
+    fn control_characters_and_non_finite_numbers_are_pinned() {
+        let spans = vec![TraceSpan {
+            track: "t\u{1}\r\t".to_string(),
+            name: "é\u{1f}".to_string(),
+            start_us: f64::NAN,
+            dur_us: f64::INFINITY,
+        }];
+        let counters = vec![TraceCounter {
+            name: "c\"".to_string(),
+            points: vec![(-0.0, f64::NEG_INFINITY), (1e21, 1e-7)],
+        }];
+        let out = render_chrome_trace("p\\", &spans, &counters);
+        let expected = concat!(
+            "{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"p\\\\\"}},",
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"t\\u0001\\r\\t\"}},",
+            "{\"name\":\"é\\u001f\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":0,\"dur\":0,\"pid\":1,\"tid\":1},",
+            "{\"name\":\"c\\\"\",\"ph\":\"C\",\"ts\":-0,\"pid\":1,\"args\":{\"value\":0},\"tid\":0},",
+            "{\"name\":\"c\\\"\",\"ph\":\"C\",\"ts\":1000000000000000000000,\"pid\":1,\"args\":{\"value\":0.0000001},\"tid\":0}],\"displayTimeUnit\":\"ms\"}",
+            "\n"
+        );
+        assert_eq!(out, expected);
     }
 }

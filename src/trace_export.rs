@@ -193,6 +193,80 @@ mod tests {
     }
 
     #[test]
+    fn trace_json_bytes_are_pinned() {
+        use distsys::scheduler::{EventKind, JobKind, SimEvent};
+        use obs::{EpochMark, FaultWindow, PhaseSpan};
+        let mut engine = Engine::builder().build().unwrap();
+        let s = skp_core::Scenario::new(vec![0.5, 0.5], vec![2.0, 3.0], 4.0).unwrap();
+        let mut report = engine.run(&Workload::plan(s)).unwrap();
+        let ev = |at, shard, item, kind| SimEvent {
+            at,
+            client: 1,
+            shard,
+            item,
+            kind,
+        };
+        report.events = vec![
+            ev(1.0, 0, 3, EventKind::Request),
+            ev(1.0, 0, 3, EventKind::TransferStart(JobKind::Demand)),
+            ev(1.5, 1, 4, EventKind::TransferStart(JobKind::Prefetch)),
+            ev(2.25, 1, 4, EventKind::TransferDone(JobKind::Prefetch)),
+            ev(4.0, 0, 3, EventKind::TransferDone(JobKind::Demand)),
+            ev(4.0, 0, 3, EventKind::Served),
+        ];
+        report.phases.spans = vec![
+            PhaseSpan {
+                name: "build",
+                seconds: 0.000125,
+            },
+            PhaseSpan {
+                name: "simulate",
+                seconds: 0.0025,
+            },
+        ];
+        report.phases.marks = vec![
+            EpochMark {
+                epoch: 0,
+                at: 0.0,
+                events: 2,
+                pending: 3,
+                dirty_shards: 1,
+            },
+            EpochMark {
+                epoch: 1,
+                at: 2.5,
+                events: 4,
+                pending: 0,
+                dirty_shards: 2,
+            },
+        ];
+        report.phases.faults = vec![FaultWindow {
+            shard: 1,
+            start: 0.5,
+            end: 1.25,
+        }];
+        let expected = concat!(
+            "{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"skp run\"}},",
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"engine\"}},",
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,\"args\":{\"name\":\"shard 1\"}},",
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":3,\"args\":{\"name\":\"shard 0\"}},",
+            "{\"name\":\"build\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":0,\"dur\":125,\"pid\":1,\"tid\":1},",
+            "{\"name\":\"simulate\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":125,\"dur\":2500,\"pid\":1,\"tid\":1},",
+            "{\"name\":\"prefetch item 4 (client 1)\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":1.5,\"dur\":0.75,\"pid\":1,\"tid\":2},",
+            "{\"name\":\"demand item 3 (client 1)\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":1,\"dur\":3,\"pid\":1,\"tid\":3},",
+            "{\"name\":\"outage\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":0.5,\"dur\":0.75,\"pid\":1,\"tid\":2},",
+            "{\"name\":\"events per epoch\",\"ph\":\"C\",\"ts\":0,\"pid\":1,\"args\":{\"value\":2},\"tid\":0},",
+            "{\"name\":\"events per epoch\",\"ph\":\"C\",\"ts\":2.5,\"pid\":1,\"args\":{\"value\":4},\"tid\":0},",
+            "{\"name\":\"queue depth\",\"ph\":\"C\",\"ts\":0,\"pid\":1,\"args\":{\"value\":3},\"tid\":0},",
+            "{\"name\":\"queue depth\",\"ph\":\"C\",\"ts\":2.5,\"pid\":1,\"args\":{\"value\":0},\"tid\":0},",
+            "{\"name\":\"dirty shards\",\"ph\":\"C\",\"ts\":0,\"pid\":1,\"args\":{\"value\":1},\"tid\":0},",
+            "{\"name\":\"dirty shards\",\"ph\":\"C\",\"ts\":2.5,\"pid\":1,\"args\":{\"value\":2},\"tid\":0}],\"displayTimeUnit\":\"ms\"}",
+            "\n"
+        );
+        assert_eq!(trace_json(&report), expected);
+    }
+
+    #[test]
     fn busy_intervals_pair_start_and_done_per_shard() {
         use distsys::scheduler::{EventKind, JobKind, SimEvent};
         let ev = |at, shard, kind| SimEvent {

@@ -116,7 +116,8 @@ fn a_steady_state_trace_round_allocates_nothing() {
     let b = allocations(|| reports.push(engine.run(&tt).unwrap()));
     assert_eq!(reports[1].access.count, 2 * reports[0].access.count + 1);
     assert_eq!(
-        a, b,
+        a,
+        b,
         "a run over T made {a} allocations and one over T twice made {b}: \
          the {} extra rounds allocated",
         once.len()
