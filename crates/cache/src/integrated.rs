@@ -28,7 +28,10 @@
 //! ```
 
 use access_model::FreqTracker;
-use skp_core::arbitration::{arbitrate, choose_demand_victim, CacheEntry, SubArbitration};
+use skp_core::arbitration::{
+    arbitrate_into, choose_demand_victim, Arbitration, ArbitrationScratch, CacheEntry,
+    SubArbitration,
+};
 use skp_core::gain::{access_time_empty, stretch_time};
 use skp_core::policy::PolicyKind;
 use skp_core::{PrefetchPlan, Scenario};
@@ -88,12 +91,53 @@ pub struct StepOutcome {
     pub wasted_retrieval: f64,
 }
 
+/// What one request cycle did, apart from its item lists: the
+/// [`StepOutcome`] of [`PrefetchCache::serve`], whose executed plan and
+/// ejections stay in the client ([`PrefetchCache::prefetched`],
+/// [`PrefetchCache::ejected`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Round {
+    /// [`StepOutcome::access_time`].
+    pub access_time: f64,
+    /// [`StepOutcome::hit`].
+    pub hit: bool,
+    /// [`StepOutcome::demand_victim`].
+    pub demand_victim: Option<usize>,
+    /// [`StepOutcome::demand_fetch`].
+    pub demand_fetch: bool,
+    /// [`StepOutcome::stretch`].
+    pub stretch: f64,
+    /// [`StepOutcome::wasted_retrieval`].
+    pub wasted_retrieval: f64,
+}
+
+impl Round {
+    /// The full outcome, with the cycle's item lists copied in.
+    pub fn outcome(self, prefetched: &[usize], ejected: &[usize]) -> StepOutcome {
+        StepOutcome {
+            access_time: self.access_time,
+            hit: self.hit,
+            prefetched: prefetched.to_vec(),
+            ejected: ejected.to_vec(),
+            demand_victim: self.demand_victim,
+            demand_fetch: self.demand_fetch,
+            stretch: self.stretch,
+            wasted_retrieval: self.wasted_retrieval,
+        }
+    }
+}
+
 /// The integrated prefetch–cache client.
 #[derive(Debug, Clone)]
 pub struct PrefetchCache {
     cfg: PrefetchCacheConfig,
     cache: Cache,
     freq: FreqTracker,
+    /// The cache as the arbiter sees it, rebuilt each cycle.
+    entries: Vec<CacheEntry>,
+    scratch: ArbitrationScratch,
+    /// The last cycle's executed plan and ejections.
+    arbitration: Arbitration,
 }
 
 impl PrefetchCache {
@@ -102,6 +146,9 @@ impl PrefetchCache {
         Self {
             cache: Cache::new(cfg.capacity, n_items),
             freq: FreqTracker::new(n_items),
+            entries: Vec::with_capacity(cfg.capacity),
+            scratch: ArbitrationScratch::default(),
+            arbitration: Arbitration::default(),
             cfg,
         }
     }
@@ -144,6 +191,18 @@ impl PrefetchCache {
         alpha: usize,
         tentative: PrefetchPlan,
     ) -> StepOutcome {
+        self.serve(scenario, alpha, tentative.items())
+            .outcome(self.prefetched(), self.ejected())
+    }
+
+    /// [`Self::step`] on a tentative plan given as its items, each listed
+    /// once. The executed plan and the ejections stay in the client until
+    /// the next cycle ([`Self::prefetched`], [`Self::ejected`]), so a
+    /// cycle whose lists fit in the client's buffers allocates nothing.
+    ///
+    /// # Panics
+    /// As [`Self::step`].
+    pub fn serve(&mut self, scenario: &Scenario, alpha: usize, tentative: &[usize]) -> Round {
         assert_eq!(
             scenario.n(),
             self.cache.n_items(),
@@ -152,15 +211,17 @@ impl PrefetchCache {
         assert!(alpha < scenario.n(), "request out of range");
 
         // Figure-6 arbitration against the cache.
-        let mut entries = Vec::with_capacity(self.cache.capacity());
-        self.fill_entries(&mut entries);
-        let arb = arbitrate(
+        fill_entries(&self.cache, &self.freq, &mut self.entries);
+        arbitrate_into(
             scenario,
-            &tentative,
-            &entries,
+            tentative,
+            &self.entries,
             self.cache.free_slots(),
             self.cfg.sub,
+            &mut self.scratch,
+            &mut self.arbitration,
         );
+        let arb = &self.arbitration;
 
         // Access time from the pre-application cache state: a kept
         // cache entry is free, anything else is Figure 2's empty-cache
@@ -188,8 +249,8 @@ impl PrefetchCache {
         let mut demand_victim = None;
         if demand_fetch && !self.cache.contains(alpha) {
             if self.cache.free_slots() == 0 {
-                self.fill_entries(&mut entries);
-                let v = choose_demand_victim(scenario, &entries, self.cfg.sub)
+                fill_entries(&self.cache, &self.freq, &mut self.entries);
+                let v = choose_demand_victim(scenario, &self.entries, self.cfg.sub)
                     .expect("full cache has a victim");
                 self.cache.evict(v);
                 demand_victim = Some(v);
@@ -208,11 +269,9 @@ impl PrefetchCache {
             .map(|&i| scenario.retrieval(i))
             .sum();
 
-        StepOutcome {
+        Round {
             access_time,
             hit,
-            prefetched: arb.prefetch,
-            ejected: arb.eject,
             demand_victim,
             demand_fetch,
             stretch: st,
@@ -220,21 +279,34 @@ impl PrefetchCache {
         }
     }
 
-    /// The cache as the arbiter sees it, written into `entries`
-    /// (cleared first).
-    fn fill_entries(&self, entries: &mut Vec<CacheEntry>) {
-        entries.clear();
-        entries.extend(self.cache.items().iter().map(|&id| CacheEntry {
-            id,
-            freq: self.freq.freq(id),
-        }));
+    /// Items the last cycle prefetched (after arbitration), in prefetch
+    /// order.
+    pub fn prefetched(&self) -> &[usize] {
+        &self.arbitration.prefetch
+    }
+
+    /// Cache items the last cycle's arbitration ejected.
+    pub fn ejected(&self) -> &[usize] {
+        &self.arbitration.eject
     }
 
     /// Empties the cache and statistics (fresh run).
     pub fn reset(&mut self) {
         self.cache.flush();
         self.freq.reset();
+        self.arbitration.prefetch.clear();
+        self.arbitration.eject.clear();
     }
+}
+
+/// The cache as the arbiter sees it, written into `entries` (cleared
+/// first).
+fn fill_entries(cache: &Cache, freq: &FreqTracker, entries: &mut Vec<CacheEntry>) {
+    entries.clear();
+    entries.extend(cache.items().iter().map(|&id| CacheEntry {
+        id,
+        freq: freq.freq(id),
+    }));
 }
 
 #[cfg(test)]

@@ -23,6 +23,6 @@ pub mod replacement;
 pub mod sized;
 
 pub use cache::Cache;
-pub use integrated::{PrefetchCache, PrefetchCacheConfig, StepOutcome};
+pub use integrated::{PrefetchCache, PrefetchCacheConfig, Round, StepOutcome};
 pub use replacement::Replacement;
 pub use sized::{SizedCache, SizedPrefetchCache};

@@ -81,22 +81,66 @@ pub fn arbitrate(
     free_slots: usize,
     sub: SubArbitration,
 ) -> Arbitration {
+    let mut out = Arbitration::default();
+    let mut scratch = ArbitrationScratch::default();
+    arbitrate_into(
+        s,
+        tentative.items(),
+        cache,
+        free_slots,
+        sub,
+        &mut scratch,
+        &mut out,
+    );
+    out
+}
+
+/// The working buffers of [`arbitrate_into`], kept by the caller between
+/// rounds: the candidates by worth, the live cache entries and the kept
+/// candidates. Each call clears and refills them.
+#[derive(Debug, Clone, Default)]
+pub struct ArbitrationScratch {
+    by_worth: Vec<ItemId>,
+    live: Vec<CacheEntry>,
+    kept: Vec<ItemId>,
+}
+
+/// [`arbitrate`] over a tentative plan given as its items (each listed
+/// once), writing the outcome into `out` (both lists cleared first) and
+/// working in `scratch`. A call whose lists fit in the buffers allocates
+/// nothing.
+pub fn arbitrate_into(
+    s: &Scenario,
+    tentative: &[ItemId],
+    cache: &[CacheEntry],
+    free_slots: usize,
+    sub: SubArbitration,
+    scratch: &mut ArbitrationScratch,
+    out: &mut Arbitration,
+) {
+    let ArbitrationScratch {
+        by_worth,
+        live,
+        kept,
+    } = scratch;
     // Candidates in descending delay profit P_f r_f.
-    let mut by_worth: Vec<ItemId> = tentative.items().to_vec();
+    by_worth.clear();
+    by_worth.extend_from_slice(tentative);
     by_worth.sort_by(|&a, &b| s.delay_profit(b).total_cmp(&s.delay_profit(a)));
 
-    let mut live: Vec<CacheEntry> = cache.to_vec();
-    let mut kept: Vec<ItemId> = Vec::with_capacity(by_worth.len());
-    let mut eject: Vec<ItemId> = Vec::new();
+    live.clear();
+    live.extend_from_slice(cache);
+    kept.clear();
+    out.eject.clear();
     let mut free = free_slots;
 
-    for f in by_worth {
+    for &f in by_worth.iter() {
         if free > 0 {
             free -= 1;
             kept.push(f);
             continue;
         }
-        let Some(pos) = victim_position(s, &live, sub) else {
+        let Some(pos) = victim_position(s, live, sub) else {
             break; // no cache entries left to evict
         };
         let d = live[pos];
@@ -106,19 +150,14 @@ pub fn arbitrate(
         }
         live.swap_remove(pos);
         kept.push(f);
-        eject.push(d.id);
+        out.eject.push(d.id);
     }
 
     // Preserve the tentative plan's prefetch order for the kept items so
     // the stretch structure (construction 1) survives arbitration.
-    let prefetch: Vec<ItemId> = tentative
-        .items()
-        .iter()
-        .copied()
-        .filter(|i| kept.contains(i))
-        .collect();
-
-    Arbitration { prefetch, eject }
+    out.prefetch.clear();
+    out.prefetch
+        .extend(tentative.iter().copied().filter(|i| kept.contains(i)));
 }
 
 /// Victim selection for a **demand-fetched** item: the minimum `P_d r_d`

@@ -6,6 +6,7 @@ use crate::kp;
 use crate::plan::PrefetchPlan;
 use crate::scenario::{ItemId, Scenario};
 use crate::skp;
+use crate::skp::SolveScratch;
 
 /// A prefetch decision procedure: given the current scenario (and
 /// optionally a candidate mask), produce the plan to prefetch during the
@@ -45,6 +46,23 @@ pub trait Prefetcher: Send + Sync {
     /// [`RowBasis::Catalog`] row is invalid.
     fn plan_row(&self, row: &[(ItemId, f64)], basis: RowBasis<'_>) -> Vec<ItemId> {
         plan_dense(self, row, basis)
+    }
+
+    /// [`plan_row`](Prefetcher::plan_row) into `plan` (cleared first),
+    /// with `scratch` for the solve's working buffers. The default calls
+    /// `plan_row`. The SKP policies override it and plan in the buffers
+    /// the caller keeps, so a round whose solve fits in them allocates
+    /// nothing.
+    fn plan_row_into(
+        &self,
+        row: &[(ItemId, f64)],
+        basis: RowBasis<'_>,
+        scratch: &mut SolveScratch,
+        plan: &mut Vec<ItemId>,
+    ) {
+        let _ = scratch;
+        plan.clear();
+        plan.extend(self.plan_row(row, basis));
     }
 
     /// True for oracle policies whose plan depends on the *realised*
@@ -219,14 +237,33 @@ impl Prefetcher for PolicyKind {
     }
 
     fn plan_row(&self, row: &[(ItemId, f64)], basis: RowBasis<'_>) -> Vec<ItemId> {
+        let mut plan = Vec::new();
+        self.plan_row_into(row, basis, &mut SolveScratch::default(), &mut plan);
+        plan
+    }
+
+    fn plan_row_into(
+        &self,
+        row: &[(ItemId, f64)],
+        basis: RowBasis<'_>,
+        scratch: &mut SolveScratch,
+        plan: &mut Vec<ItemId>,
+    ) {
         // The SKP solvers search the row's positive candidate entries
         // only: build their view from the row, with no dense scan. A
         // masked-out item leaves the view as it leaves the dense one.
-        let view = || skp::SortedView::from_row(row, basis.retrievals(), basis.candidates());
+        let (retrievals, candidates) = (basis.retrievals(), basis.candidates());
         match self {
-            PolicyKind::SkpPaper => skp::paper::plan_on_view(basis.viewing(), &view()),
-            PolicyKind::SkpExact => skp::exact::plan_on_view(basis.viewing(), &view()),
-            _ => plan_dense(self, row, basis),
+            PolicyKind::SkpPaper => {
+                scratch.plan_paper(row, retrievals, candidates, basis.viewing(), plan)
+            }
+            PolicyKind::SkpExact => {
+                scratch.plan_exact(row, retrievals, candidates, basis.viewing(), plan)
+            }
+            _ => {
+                plan.clear();
+                plan.extend(plan_dense(self, row, basis));
+            }
         }
     }
 

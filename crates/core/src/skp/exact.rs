@@ -31,17 +31,20 @@
 //! given and tests "if j < n goto 2" against
 //! [`SortedView::candidate_count`].
 //!
-//! The search itself needs only the viewing time, the view, the profits
-//! and `λ`. The `Scenario`-taking entry points wrap it and recompute the
-//! closed-form gain; [`plan_on_view`] returns the plan's items alone, for
-//! a view built from a sparse row ([`SortedView::from_row`]) with no
-//! scenario at hand.
+//! The search itself needs only the viewing time, the view, the profits,
+//! `λ` and its clamped-profit and selector buffers. The
+//! `Scenario`-taking entry points wrap it and recompute the closed-form
+//! gain; [`SolveScratch::plan_exact`] writes the plan's items alone, for
+//! a view built from a sparse row ([`SortedView::refill_from_row`]) with
+//! no scenario at hand, in buffers the caller keeps.
+//!
+//! [`SolveScratch::plan_exact`]: crate::skp::SolveScratch::plan_exact
 
 use crate::gain::penalty_mass;
-use crate::scenario::{ItemId, Scenario};
+use crate::scenario::Scenario;
 use crate::skp::order::SortedView;
 use crate::skp::paper::finish;
-use crate::skp::SkpSolution;
+use crate::skp::{Selectors, SkpSolution};
 
 /// Solves SKP over all items with corrected incremental bookkeeping.
 pub fn solve_exact(s: &Scenario) -> SkpSolution {
@@ -56,19 +59,16 @@ pub fn solve_exact(s: &Scenario) -> SkpSolution {
 /// covers only part of it (probability outside the view also waits out the
 /// stretch; see the Section-5 derivation).
 pub fn solve_on_view(s: &Scenario, view: &SortedView) -> SkpSolution {
-    solve_generalized(s, view, &profits(view), 0.0)
+    let mut profits = Vec::new();
+    write_profits(view, &mut profits);
+    solve_generalized(s, view, &profits, 0.0)
 }
 
-/// The items of [`solve_on_view`]'s plan, in prefetch order, for viewing
-/// time `viewing`; no closed-form gain is computed.
-pub fn plan_on_view(viewing: f64, view: &SortedView) -> Vec<ItemId> {
-    let (best_x, _, _) = search(viewing, view, &profits(view), 0.0);
-    view.selectors_to_items(&best_x)
-}
-
-/// Plain SKP's profits: the delay profit `P·r` of each view position.
-fn profits(view: &SortedView) -> Vec<f64> {
-    (0..view.m()).map(|j| view.profit(j)).collect()
+/// Plain SKP's profits, written into `profits` (cleared first): the
+/// delay profit `P·r` of each view position.
+pub(crate) fn write_profits(view: &SortedView, profits: &mut Vec<f64>) {
+    profits.clear();
+    profits.extend((0..view.m()).map(|j| view.profit(j)));
 }
 
 /// Generalised corrected branch-and-bound used by the exact solver and the
@@ -91,28 +91,41 @@ pub fn solve_generalized(
     profits: &[f64],
     lambda: f64,
 ) -> SkpSolution {
-    let (best_x, best_g, nodes) = search(s.viewing(), view, profits, lambda);
-    finish(s, view, &best_x, best_g, nodes)
+    let (mut clamped, mut x) = (Vec::new(), Selectors::default());
+    let (best_g, nodes) = search(s.viewing(), view, profits, lambda, &mut clamped, &mut x);
+    finish(s, view, &x.best, best_g, nodes)
 }
 
-/// The corrected search: the best plan's selectors over the view's
-/// positions, its internal gain and the number of forward steps. An
-/// empty view gives empty selectors.
-fn search(viewing: f64, view: &SortedView, profits: &[f64], lambda: f64) -> (Vec<bool>, f64, u64) {
+/// The corrected search: leaves the best plan's selectors over the
+/// view's positions in `x.best` and returns its internal gain and the
+/// number of forward steps. An empty view gives empty selectors.
+/// `clamped` is working space for the bound's profits.
+pub(crate) fn search(
+    viewing: f64,
+    view: &SortedView,
+    profits: &[f64],
+    lambda: f64,
+    clamped: &mut Vec<f64>,
+    x: &mut Selectors,
+) -> (f64, u64) {
     let m = view.m();
     let n = view.candidate_count();
     assert_eq!(profits.len(), m, "one profit per candidate");
+    x.reset(m);
     if m == 0 {
-        return (Vec::new(), 0.0, 0);
+        return (0.0, 0);
     }
 
     // Suffix Dantzig bound over the generalised profits (items with
     // non-positive profit contribute nothing, so clamp at zero).
-    let clamped: Vec<f64> = profits.iter().map(|&p| p.max(0.0)).collect();
+    clamped.clear();
+    clamped.extend(profits.iter().map(|&p| p.max(0.0)));
 
-    let mut best_x = vec![false; m];
+    let Selectors {
+        best: best_x,
+        cur: cur_x,
+    } = x;
     let mut best_g = 0.0_f64;
-    let mut cur_x = vec![false; m];
     let mut cur_g = 0.0_f64;
     let mut included_mass = 0.0_f64; // Σ_{i∈K} P_i over included items
     let mut cap = viewing;
@@ -120,12 +133,12 @@ fn search(viewing: f64, view: &SortedView, profits: &[f64], lambda: f64) -> (Vec
     let mut nodes = 0u64;
 
     'step2: loop {
-        let u = dantzig_generalized(view, &clamped, j, cap);
+        let u = dantzig_generalized(view, clamped, j, cap);
         if best_g >= cur_g + u {
             if !backtrack(
                 view,
                 profits,
-                &mut cur_x,
+                cur_x,
                 &mut cur_g,
                 &mut included_mass,
                 &mut cap,
@@ -160,13 +173,13 @@ fn search(viewing: f64, view: &SortedView, profits: &[f64], lambda: f64) -> (Vec
 
         if cur_g > best_g {
             best_g = cur_g;
-            best_x.copy_from_slice(&cur_x);
+            best_x.copy_from_slice(cur_x);
         }
 
         if !backtrack(
             view,
             profits,
-            &mut cur_x,
+            cur_x,
             &mut cur_g,
             &mut included_mass,
             &mut cap,
@@ -177,7 +190,7 @@ fn search(viewing: f64, view: &SortedView, profits: &[f64], lambda: f64) -> (Vec
         }
     }
 
-    (best_x, best_g, nodes)
+    (best_g, nodes)
 }
 
 /// Dantzig residual bound over arbitrary (clamped non-negative) profits.

@@ -27,8 +27,11 @@
 //! branch-and-bound solvers sort only the positive-probability candidates
 //! ([`SortedView::positive`]): a zero-probability item never enters their
 //! plans. From a sparse next-access row they build that view straight
-//! from the row's entries ([`SortedView::from_row`]) and return the plan's
-//! items through [`paper::plan_on_view`] and [`exact::plan_on_view`].
+//! from the row's entries ([`SortedView::refill_from_row`]) and write the
+//! plan's items into a caller buffer through [`SolveScratch::plan_paper`]
+//! and [`SolveScratch::plan_exact`]. A [`SolveScratch`] keeps the view and
+//! the search's buffers between solves, so a solve that fits in them
+//! allocates nothing.
 //!
 //! ```
 //! use skp_core::{Scenario, skp};
@@ -58,7 +61,7 @@ pub use order::SortedView;
 pub use paper::solve_paper;
 
 use crate::plan::PrefetchPlan;
-use crate::scenario::Scenario;
+use crate::scenario::{ItemId, Scenario};
 
 /// Result of an SKP solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,6 +91,85 @@ impl SkpSolution {
             gain: 0.0,
             internal_gain: 0.0,
             nodes: 0,
+        }
+    }
+}
+
+/// The buffers of a row solve by the two branch-and-bound solvers, kept
+/// by the caller between solves: the sorted view (its entries and
+/// suffix masses), the profits and clamped profits of the corrected
+/// search, and the best and current selectors. Each solve clears and
+/// refills them, so results never depend on what an earlier solve left.
+#[derive(Debug, Clone, Default)]
+pub struct SolveScratch {
+    view: SortedView,
+    profits: Vec<f64>,
+    clamped: Vec<f64>,
+    selectors: Selectors,
+}
+
+impl SolveScratch {
+    /// The Figure-3 plan ([`paper::solve_on_view`]'s items) of the sparse
+    /// row `row` over `retrievals` and `candidates`
+    /// ([`SortedView::from_row`]) with viewing time `viewing`, written into
+    /// `plan` (cleared first) in prefetch order.
+    ///
+    /// # Panics
+    /// As [`SortedView::from_row`].
+    pub fn plan_paper(
+        &mut self,
+        row: &[(ItemId, f64)],
+        retrievals: &[f64],
+        candidates: Option<&[bool]>,
+        viewing: f64,
+        plan: &mut Vec<ItemId>,
+    ) {
+        self.view.refill_from_row(row, retrievals, candidates);
+        paper::search(viewing, &self.view, &mut self.selectors);
+        self.view.write_items(&self.selectors.best, plan);
+    }
+
+    /// [`Self::plan_paper`] with the corrected search
+    /// ([`exact::solve_on_view`]'s items).
+    ///
+    /// # Panics
+    /// As [`SortedView::from_row`].
+    pub fn plan_exact(
+        &mut self,
+        row: &[(ItemId, f64)],
+        retrievals: &[f64],
+        candidates: Option<&[bool]>,
+        viewing: f64,
+        plan: &mut Vec<ItemId>,
+    ) {
+        self.view.refill_from_row(row, retrievals, candidates);
+        exact::write_profits(&self.view, &mut self.profits);
+        exact::search(
+            viewing,
+            &self.view,
+            &self.profits,
+            0.0,
+            &mut self.clamped,
+            &mut self.selectors,
+        );
+        self.view.write_items(&self.selectors.best, plan);
+    }
+}
+
+/// The best and the current item selectors of one branch-and-bound
+/// search, one per view position.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Selectors {
+    pub(crate) best: Vec<bool>,
+    pub(crate) cur: Vec<bool>,
+}
+
+impl Selectors {
+    /// `m` unselected positions in each.
+    pub(crate) fn reset(&mut self, m: usize) {
+        for x in [&mut self.best, &mut self.cur] {
+            x.clear();
+            x.resize(m, false);
         }
     }
 }

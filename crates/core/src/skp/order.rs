@@ -38,7 +38,7 @@ use crate::scenario::{canonical_cmp, ItemId, Scenario};
 /// Theorem 1 proves that among plans with positive stretch, an optimal one
 /// lists items in this order (minimum-probability item last), so the
 /// branch-and-bound solvers enumerate subsets of this permutation only.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SortedView {
     /// `(P, r, id)` of every candidate, in canonical order.
     entries: Vec<(f64, f64, ItemId)>,
@@ -104,38 +104,67 @@ impl SortedView {
         retrievals: &[f64],
         candidates: Option<&[bool]>,
     ) -> Self {
+        let mut view = Self::default();
+        view.refill_from_row(row, retrievals, candidates);
+        view
+    }
+
+    /// Rebuilds this view as [`Self::from_row`] builds one, in place:
+    /// the view's buffers are reused, so a refill that fits in them
+    /// allocates nothing.
+    ///
+    /// # Panics
+    /// As [`Self::from_row`].
+    pub fn refill_from_row(
+        &mut self,
+        row: &[(ItemId, f64)],
+        retrievals: &[f64],
+        candidates: Option<&[bool]>,
+    ) {
         let positive = row.iter().copied().filter(|&(_, p)| p > 0.0);
         match candidates {
-            None => Self::build(positive, retrievals, retrievals.len()),
+            None => self.fill(positive, retrievals, retrievals.len()),
             Some(mask) => {
                 check_mask(retrievals.len(), mask);
                 let kept = positive.filter(|&(i, _)| mask[i]);
-                Self::build(kept, retrievals, count_true(mask))
+                self.fill(kept, retrievals, count_true(mask))
             }
         }
     }
 
-    /// The one builder: sorts the `(item, P)` entries with their
-    /// retrieval times into the canonical order and lays out the view.
+    /// A new view from [`Self::fill`].
     fn build(
         items: impl Iterator<Item = (ItemId, f64)>,
         retrievals: &[f64],
         candidates: usize,
     ) -> Self {
-        let mut entries: Vec<(f64, f64, ItemId)> =
-            Vec::with_capacity(items.size_hint().1.unwrap_or(0));
+        let mut view = Self::default();
+        view.fill(items, retrievals, candidates);
+        view
+    }
+
+    /// The one builder: sorts the `(item, P)` entries with their
+    /// retrieval times into the canonical order and lays out the view,
+    /// in this view's buffers.
+    fn fill(
+        &mut self,
+        items: impl Iterator<Item = (ItemId, f64)>,
+        retrievals: &[f64],
+        candidates: usize,
+    ) {
+        let entries = &mut self.entries;
+        entries.clear();
+        entries.reserve(items.size_hint().1.unwrap_or(0));
         entries.extend(items.map(|(i, p)| (p, retrievals[i], i)));
         entries.sort_unstable_by(|&a, &b| canonical_cmp(a, b));
         let m = entries.len();
-        let mut suffix_p = vec![0.0; m + 1];
+        let suffix_p = &mut self.suffix_p;
+        suffix_p.clear();
+        suffix_p.resize(m + 1, 0.0);
         for j in (0..m).rev() {
             suffix_p[j] = suffix_p[j + 1] + entries[j].0;
         }
-        Self {
-            entries,
-            suffix_p,
-            candidates,
-        }
+        self.candidates = candidates;
     }
 
     /// Number of candidate items in the view.
@@ -190,11 +219,20 @@ impl SortedView {
     /// Converts a selector vector over sorted positions into a plan's item
     /// list in canonical prefetch order.
     pub fn selectors_to_items(&self, selected: &[bool]) -> Vec<ItemId> {
-        selected
-            .iter()
-            .enumerate()
-            .filter_map(|(j, &sel)| sel.then_some(self.entries[j].2))
-            .collect()
+        let mut items = Vec::new();
+        self.write_items(selected, &mut items);
+        items
+    }
+
+    /// [`Self::selectors_to_items`] into `items` (cleared first).
+    pub fn write_items(&self, selected: &[bool], items: &mut Vec<ItemId>) {
+        items.clear();
+        items.extend(
+            selected
+                .iter()
+                .enumerate()
+                .filter_map(|(j, &sel)| sel.then_some(self.entries[j].2)),
+        );
     }
 }
 

@@ -21,18 +21,21 @@
 //! plan and gains bit for bit. [`SkpSolution::nodes`] counts forward steps
 //! over the positive-probability candidates only.
 //!
-//! The search itself needs only the viewing time and the view. The
-//! `Scenario`-taking entry points wrap it and recompute the closed-form
-//! gain; [`plan_on_view`] returns the plan's items alone, for a view
-//! built from a sparse row ([`SortedView::from_row`]) with no scenario
-//! at hand.
+//! The search itself needs only the viewing time, the view and two
+//! selector buffers. The `Scenario`-taking entry points wrap it and
+//! recompute the closed-form gain; [`SolveScratch::plan_paper`] writes
+//! the plan's items alone, for a view built from a sparse row
+//! ([`SortedView::refill_from_row`]) with no scenario at hand, in
+//! buffers the caller keeps.
+//!
+//! [`SolveScratch::plan_paper`]: crate::skp::SolveScratch::plan_paper
 
 use crate::gain::gain_empty_cache;
 use crate::plan::PrefetchPlan;
-use crate::scenario::{ItemId, Scenario};
+use crate::scenario::Scenario;
 use crate::skp::bound::dantzig_residual;
 use crate::skp::order::SortedView;
-use crate::skp::SkpSolution;
+use crate::skp::{Selectors, SkpSolution};
 
 /// Solves SKP with the verbatim Figure-3 algorithm over all items.
 pub fn solve_paper(s: &Scenario) -> SkpSolution {
@@ -42,31 +45,27 @@ pub fn solve_paper(s: &Scenario) -> SkpSolution {
 
 /// Figure-3 solver over a pre-sorted candidate view.
 pub fn solve_on_view(s: &Scenario, view: &SortedView) -> SkpSolution {
-    let (best_x, best_g, nodes) = search(s.viewing(), view);
-    finish(s, view, &best_x, best_g, nodes)
+    let mut x = Selectors::default();
+    let (best_g, nodes) = search(s.viewing(), view, &mut x);
+    finish(s, view, &x.best, best_g, nodes)
 }
 
-/// The items of [`solve_on_view`]'s plan, in prefetch order, for viewing
-/// time `viewing`; no closed-form gain is computed.
-pub fn plan_on_view(viewing: f64, view: &SortedView) -> Vec<ItemId> {
-    let (best_x, _, _) = search(viewing, view);
-    view.selectors_to_items(&best_x)
-}
-
-/// The Figure-3 search: the best plan's selectors over the view's
-/// positions, its internal gain and the number of forward steps. An
-/// empty view gives empty selectors.
-fn search(viewing: f64, view: &SortedView) -> (Vec<bool>, f64, u64) {
+/// The Figure-3 search: leaves the best plan's selectors over the view's
+/// positions in `x.best` and returns its internal gain and the number of
+/// forward steps. An empty view gives empty selectors.
+pub(crate) fn search(viewing: f64, view: &SortedView, x: &mut Selectors) -> (f64, u64) {
     let m = view.m();
     let n = view.candidate_count();
+    // Step 1: initialisation. x: best item selectors, x̂: current ones.
+    x.reset(m);
     if m == 0 {
-        return (Vec::new(), 0.0, 0);
+        return (0.0, 0);
     }
-
-    // Step 1: initialisation.
-    let mut best_x = vec![false; m]; // x: best item selectors
+    let Selectors {
+        best: best_x,
+        cur: cur_x,
+    } = x;
     let mut best_g = 0.0_f64; // g: gain of best solution
-    let mut cur_x = vec![false; m]; // x̂: current item selectors
     let mut cur_g = 0.0_f64; // ĝ: gain of current solution
     let mut cap = viewing; // v̂: current residual capacity
     let mut j = 0usize;
@@ -77,7 +76,7 @@ fn search(viewing: f64, view: &SortedView) -> (Vec<bool>, f64, u64) {
         let u = dantzig_residual(view, j, cap);
         if best_g >= cur_g + u {
             // Bound cannot beat the incumbent: backtrack.
-            if !backtrack(view, &mut cur_x, &mut cur_g, &mut cap, &mut j) {
+            if !backtrack(view, cur_x, &mut cur_g, &mut cap, &mut j) {
                 break 'step2;
             }
             continue 'step2;
@@ -107,16 +106,16 @@ fn search(viewing: f64, view: &SortedView) -> (Vec<bool>, f64, u64) {
         // Step 4: update the best solution.
         if cur_g > best_g {
             best_g = cur_g;
-            best_x.copy_from_slice(&cur_x);
+            best_x.copy_from_slice(cur_x);
         }
 
         // Step 5: backtrack.
-        if !backtrack(view, &mut cur_x, &mut cur_g, &mut cap, &mut j) {
+        if !backtrack(view, cur_x, &mut cur_g, &mut cap, &mut j) {
             break 'step2;
         }
     }
 
-    (best_x, best_g, nodes)
+    (best_g, nodes)
 }
 
 /// Step 5 of Figure 3: remove the last inserted item. Returns `false` when

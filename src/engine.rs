@@ -25,7 +25,7 @@
 use std::sync::Arc;
 
 use access_model::MarkovChain;
-use cache_sim::{PrefetchCache, PrefetchCacheConfig, StepOutcome};
+use cache_sim::{PrefetchCache, PrefetchCacheConfig, Round, StepOutcome};
 use distsys::scheduler::{ClientPolicy, SimEvent};
 use distsys::stats::AccessStats;
 use distsys::{Catalog, SessionConfig, Trace};
@@ -44,7 +44,7 @@ use skp_core::gain::{
     access_time_empty, expected_access_time_empty, gain_empty_cache, stretch_time,
 };
 use skp_core::policy::{PolicyKind, Prefetcher, RowBasis};
-use skp_core::skp::upper_bound;
+use skp_core::skp::{upper_bound, SolveScratch};
 use skp_core::{ModelError, PrefetchPlan, Scenario};
 
 use crate::backend::{build_backend, BackendDriver, McFanout, PopulationRun, SingleClientDriver};
@@ -331,6 +331,9 @@ impl SessionBuilder {
             forecast: None,
             row: Vec::new(),
             mask: Vec::new(),
+            plan: Vec::new(),
+            marks: Vec::new(),
+            solve: SolveScratch::default(),
         })
     }
 }
@@ -363,10 +366,17 @@ pub struct Engine {
     obs: Obs,
     /// Reused state of the online step: the catalog scenario that
     /// [`step_forecast`](Engine::step_forecast) refills from each
-    /// forecast, a forecast row and the cache candidate mask.
+    /// forecast, a forecast row, the cache candidate mask, the round's
+    /// plan and the marks that check it plans each item once. A
+    /// steady-state round allocates nothing.
     forecast: Option<Scenario>,
     row: Vec<(usize, f64)>,
     mask: Vec<bool>,
+    plan: Vec<usize>,
+    marks: Vec<bool>,
+    /// The SKP solves' working buffers, shared by the online round and
+    /// the population planner.
+    solve: SolveScratch,
 }
 
 impl Engine {
@@ -598,10 +608,17 @@ impl Engine {
     /// Drive them through [`step`](Engine::step) or a Monte-Carlo
     /// [`Workload`], which know the request.
     pub fn plan(&self, s: &Scenario) -> PrefetchPlan {
-        match &self.client {
-            Some(client) => self.policy.plan_candidates(s, &client.candidate_mask()),
-            None => self.policy.plan(s),
-        }
+        let mut row = Vec::new();
+        dense_row(s.probs(), &mut row);
+        let mask = self.client.as_ref().map(PrefetchCache::candidate_mask);
+        let basis = RowBasis::Dense {
+            scenario: s,
+            candidates: mask.as_deref(),
+        };
+        let mut items = Vec::new();
+        self.policy
+            .plan_row_into(&row, basis, &mut SolveScratch::default(), &mut items);
+        PrefetchPlan::new(items).expect("a policy plans each item once")
     }
 
     /// Plans and evaluates in closed form — the engine of
@@ -744,9 +761,9 @@ impl Engine {
     pub fn step(&mut self, s: &Scenario, alpha: usize) -> StepOutcome {
         let mut row = std::mem::take(&mut self.row);
         dense_row(s.probs(), &mut row);
-        let out = self.step_row(s, &row, alpha);
+        let round = self.round(s, &row, alpha);
         self.row = row;
-        out
+        self.outcome(round)
     }
 
     /// One round of the online loop, sparse: forecast from `current`,
@@ -765,6 +782,19 @@ impl Engine {
         viewing: f64,
         alpha: usize,
     ) -> Result<StepOutcome, Error> {
+        let round = self.forecast_round(current, viewing, alpha)?;
+        Ok(self.outcome(round))
+    }
+
+    /// [`step_forecast`](Engine::step_forecast) without the item lists:
+    /// they stay in the engine's buffers, so a steady-state round
+    /// allocates nothing.
+    fn forecast_round(
+        &mut self,
+        current: usize,
+        viewing: f64,
+        alpha: usize,
+    ) -> Result<Round, Error> {
         let retrievals = self.retrievals.as_ref().ok_or(Error::MissingComponent {
             component: "catalog",
             needed_for: "scenario",
@@ -785,71 +815,72 @@ impl Engine {
         };
         let mut row = std::mem::take(&mut self.row);
         self.forecast_row(current, n, &mut row);
-        let out = s
+        let round = s
             .set_row(&row, viewing)
-            .map(|()| self.step_row(&s, &row, alpha));
+            .map(|()| self.round(&s, &row, alpha));
         self.row = row;
         self.forecast = Some(s);
-        Ok(out?)
+        Ok(round?)
     }
 
     /// The one request cycle behind [`step`](Engine::step) and
     /// [`step_forecast`](Engine::step_forecast). `row` lists every entry
     /// of `s`'s probabilities other than `+0.0`, in ascending item
-    /// order: the SKP policies plan from it ([`Prefetcher::plan_row`]),
-    /// every other policy from `s`.
-    fn step_row(&mut self, s: &Scenario, row: &[(usize, f64)], alpha: usize) -> StepOutcome {
-        let oracle = self.policy.is_oracle();
-        match &mut self.client {
+    /// order: the SKP policies plan from it ([`Prefetcher::plan_row_into`]),
+    /// every other policy from `s`. The plan is left in `self.plan`
+    /// and, with a cache, the executed plan and ejections in the client.
+    fn round(&mut self, s: &Scenario, row: &[(usize, f64)], alpha: usize) -> Round {
+        let candidates = match &self.client {
             Some(client) => {
                 client.fill_candidate_mask(&mut self.mask);
-                let mask = &self.mask;
-                let tentative = if oracle {
-                    // The oracle prefetches the request itself, unless
-                    // it is already cached.
-                    if mask.get(alpha).copied().unwrap_or(false) {
-                        PolicyKind::plan_oracle(s, alpha)
-                    } else {
-                        PrefetchPlan::empty()
-                    }
-                } else {
-                    let basis = RowBasis::Dense {
-                        scenario: s,
-                        candidates: Some(mask),
-                    };
-                    unique_plan(self.policy.plan_row(row, basis))
-                };
-                client.step(s, alpha, tentative)
+                Some(self.mask.as_slice())
             }
+            None => None,
+        };
+        self.plan.clear();
+        if self.policy.is_oracle() {
+            // The oracle prefetches the request itself, unless it is
+            // already cached.
+            if candidates.is_none_or(|mask| mask.get(alpha).copied().unwrap_or(false)) {
+                self.plan.push(alpha);
+            }
+        } else {
+            let basis = RowBasis::Dense {
+                scenario: s,
+                candidates,
+            };
+            self.policy
+                .plan_row_into(row, basis, &mut self.solve, &mut self.plan);
+            check_planned_once(&self.plan, s.n(), &mut self.marks);
+        }
+        let items = &self.plan;
+        match &mut self.client {
+            Some(client) => client.serve(s, alpha, items),
             None => {
-                let plan = if oracle {
-                    PolicyKind::plan_oracle(s, alpha)
-                } else {
-                    let basis = RowBasis::Dense {
-                        scenario: s,
-                        candidates: None,
-                    };
-                    unique_plan(self.policy.plan_row(row, basis))
-                };
-                let items = plan.items();
                 let access_time = access_time_empty(s, items, alpha);
-                let stretch = stretch_time(s, items);
-                let wasted_retrieval = items
-                    .iter()
-                    .filter(|&&i| i != alpha)
-                    .map(|&i| s.retrieval(i))
-                    .sum();
-                StepOutcome {
+                Round {
                     access_time,
                     hit: access_time == 0.0,
-                    prefetched: items.to_vec(),
-                    ejected: Vec::new(),
                     demand_victim: None,
                     demand_fetch: !items.contains(&alpha),
-                    stretch,
-                    wasted_retrieval,
+                    stretch: stretch_time(s, items),
+                    wasted_retrieval: items
+                        .iter()
+                        .filter(|&&i| i != alpha)
+                        .map(|&i| s.retrieval(i))
+                        .sum(),
                 }
             }
+        }
+    }
+
+    /// The full outcome of the last [`round`](Engine::round): without a
+    /// cache the buffer is flushed after the request, so nothing is
+    /// ejected.
+    fn outcome(&self, round: Round) -> StepOutcome {
+        match &self.client {
+            Some(client) => round.outcome(client.prefetched(), client.ejected()),
+            None => round.outcome(&self.plan, &[]),
         }
     }
 
@@ -883,7 +914,8 @@ impl Engine {
 
     /// The engine of [`Workload::Trace`]: replays the records, returning
     /// the common stats plus the legacy report shape. Each round is one
-    /// [`step_forecast`](Engine::step_forecast).
+    /// [`step_forecast`](Engine::step_forecast) round, its item lists
+    /// left in the engine's buffers.
     fn trace_report(&mut self, trace: &Trace) -> Result<(AccessStats, TraceReport), Error> {
         if self.predictor.is_none() {
             return Err(Error::MissingComponent {
@@ -922,7 +954,7 @@ impl Engine {
         self.observe(records[0].item);
         for w in records.windows(2) {
             let (here, next) = (w[0], w[1]);
-            let out = self.step_forecast(here.item, here.viewing, next.item)?;
+            let out = self.forecast_round(here.item, here.viewing, next.item)?;
             access.push(out.access_time);
             samples.push(out.access_time);
             wasted.push(out.wasted_retrieval);
@@ -1051,7 +1083,7 @@ impl Engine {
     /// backend driver.
     #[allow(clippy::too_many_arguments)]
     fn population_report(
-        &self,
+        &mut self,
         chain: &MarkovChain,
         requests_per_client: u64,
         seed: u64,
@@ -1062,6 +1094,9 @@ impl Engine {
         marks: Option<&mut Vec<EpochMark>>,
     ) -> Result<(AccessStats, ReportSection, Vec<SimEvent>), Error> {
         timer.start("build");
+        // The solves reuse the online round's buffers; an early return
+        // leaves the engine fresh ones.
+        let mut solve = std::mem::take(&mut self.solve);
         let retrievals = match self.catalog_for(chain, operation) {
             Ok(r) => r,
             // A backend that cannot run populations at all outranks a
@@ -1110,7 +1145,10 @@ impl Engine {
                     retrievals: catalog,
                     viewing: chain.viewing(state),
                 };
-                self.policy.plan_row(rows.row(state), basis)
+                let mut plan = Vec::new();
+                self.policy
+                    .plan_row_into(rows.row(state), basis, &mut solve, &mut plan);
+                plan
             },
         );
         timer.start("simulate");
@@ -1146,13 +1184,33 @@ impl Engine {
             }
         }
         timer.stop();
+        self.solve = solve;
         out
     }
 }
 
-/// A policy's planned items as a plan.
-fn unique_plan(items: Vec<usize>) -> PrefetchPlan {
-    PrefetchPlan::new(items).expect("a policy plans each item once")
+/// Panics unless `plan` lists each of its items under `n` once. `marks`
+/// is all `false` on entry and on return (it grows to `n` once). Items
+/// at `n` or past it are not marked: the round panics when it looks
+/// them up in its `n`-item scenario.
+fn check_planned_once(plan: &[usize], n: usize, marks: &mut Vec<bool>) {
+    marks.resize(n, false);
+    let mut repeated = None;
+    for &i in plan {
+        if let Some(mark) = marks.get_mut(i) {
+            if std::mem::replace(mark, true) {
+                repeated = repeated.or(Some(i));
+            }
+        }
+    }
+    for &i in plan {
+        if let Some(mark) = marks.get_mut(i) {
+            *mark = false;
+        }
+    }
+    if let Some(i) = repeated {
+        panic!("a policy plans each item once, but planned item {i} twice");
+    }
 }
 
 /// Shard count a population report section ran on — where fault

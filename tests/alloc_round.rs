@@ -91,7 +91,6 @@ fn trace(records: &[(usize, f64)]) -> Workload {
 }
 
 #[test]
-#[ignore = "rounds still allocate their solver, arbitration and plan buffers"]
 fn a_steady_state_trace_round_allocates_nothing() {
     let once = walk(300);
     let twice: Vec<(usize, f64)> = once.iter().chain(&once).copied().collect();
