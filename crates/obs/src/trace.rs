@@ -29,8 +29,8 @@ pub struct TraceCounter {
     pub points: Vec<(f64, f64)>,
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Writes `s` into `out` as the body of a JSON string.
+fn esc(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -44,14 +44,14 @@ fn esc(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
-fn num(v: f64) -> String {
+/// Writes `v` into `out` as a JSON number; a non-finite value as `0`.
+fn num(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "0".to_string()
+        out.push('0');
     }
 }
 
@@ -59,6 +59,7 @@ fn num(v: f64) -> String {
 /// `{"traceEvents":[...],"displayTimeUnit":"ms"}`. Tracks become
 /// named threads of one process (`process`); track/thread ids are
 /// assigned in order of first appearance, so output is deterministic.
+/// Every record is written straight into the one returned string.
 pub fn render_chrome_trace(
     process: &str,
     spans: &[TraceSpan],
@@ -73,43 +74,47 @@ pub fn render_chrome_trace(
         });
     }
 
-    let mut events = Vec::new();
-    events.push(format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
-        esc(process)
-    ));
+    let points: usize = counters.iter().map(|c| c.points.len()).sum();
+    let mut out = String::with_capacity(128 + 96 * (order.len() + spans.len() + points));
+    out.push_str("{\"traceEvents\":[");
+    out.push_str(
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"",
+    );
+    esc(&mut out, process);
+    out.push_str("\"}}");
     for track in &order {
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-            tids[track],
-            esc(track)
-        ));
+        let _ = write!(
+            out,
+            ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"",
+            tids[track]
+        );
+        esc(&mut out, track);
+        out.push_str("\"}}");
     }
     for s in spans {
-        events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
-            esc(&s.name),
-            num(s.start_us),
-            num(s.dur_us),
-            tids[s.track.as_str()]
-        ));
+        out.push_str(",{\"name\":\"");
+        esc(&mut out, &s.name);
+        out.push_str("\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":");
+        num(&mut out, s.start_us);
+        out.push_str(",\"dur\":");
+        num(&mut out, s.dur_us);
+        let _ = write!(out, ",\"pid\":1,\"tid\":{}}}", tids[s.track.as_str()]);
     }
     // Counters are process-scoped; they carry the process's own
     // thread id 0 so every record has a `pid` and a `tid`.
     for c in counters {
-        for (at, v) in &c.points {
-            events.push(format!(
-                "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"args\":{{\"value\":{}}},\"tid\":0}}",
-                esc(&c.name),
-                num(*at),
-                num(*v)
-            ));
+        for &(at, v) in &c.points {
+            out.push_str(",{\"name\":\"");
+            esc(&mut out, &c.name);
+            out.push_str("\",\"ph\":\"C\",\"ts\":");
+            num(&mut out, at);
+            out.push_str(",\"pid\":1,\"args\":{\"value\":");
+            num(&mut out, v);
+            out.push_str("},\"tid\":0}");
         }
     }
-    format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}\n",
-        events.join(",")
-    )
+    out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
+    out
 }
 
 #[cfg(test)]

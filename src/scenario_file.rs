@@ -50,7 +50,7 @@ use std::sync::Arc;
 use crate::engine::Engine;
 use crate::error::Error;
 use crate::report::{ReportSection, RunReport};
-use crate::trace_export::trace_json;
+use crate::trace_export::TraceRecords;
 use crate::wire::{esc, write_report_fields};
 use crate::workload::{MonteCarloSpec, Workload};
 
@@ -209,7 +209,7 @@ pub struct WorkloadFile {
     /// `trace_out` forces the in-process `memory` sink).
     pub obs: Option<String>,
     /// Chrome/Perfetto trace output path (`skp-plan run` writes
-    /// [`trace_json`] here). Forces `traced` and —
+    /// [`trace_json`](crate::trace_json) here). Forces `traced` and —
     /// when no explicit `obs` spec is given — the `memory` sink, so
     /// the trace has phase spans and epoch marks to show.
     pub trace_out: Option<String>,
@@ -822,19 +822,18 @@ pub fn run_file(
     Ok(file.trace_out)
 }
 
-/// The Chrome/Perfetto trace of `report` with one more span,
-/// `trace-render`, timing the conversion itself — trace-only, never in
-/// the report: the first render times the conversion, the second
-/// includes it.
+/// The Chrome/Perfetto trace of `report` with one more engine span,
+/// `trace-render`, timing the conversion of the report into trace
+/// records — trace-only, never in the report. The records are built
+/// once and rendered once; the render is not in the span.
 fn timed_trace(report: &RunReport) -> String {
     let started = std::time::Instant::now();
-    let _ = trace_json(report);
-    let mut timed = report.clone();
-    timed.phases.spans.push(PhaseSpan {
+    let mut records = TraceRecords::of(report);
+    records.push_phase(PhaseSpan {
         name: "trace-render",
         seconds: started.elapsed().as_secs_f64(),
     });
-    trace_json(&timed)
+    records.render()
 }
 
 fn write_run_text(

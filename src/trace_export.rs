@@ -15,11 +15,13 @@
 //! The shard and counter tracks live in *simulated* time, which has no
 //! wall-clock unit; one simulated time unit renders as one microsecond
 //! so both domains stay readable on the shared timeline. `skp-plan run
-//! --trace-out <file>` writes this document (plus a `trace-render` span
-//! timing the conversion itself).
+//! --trace-out <file>` writes this document, plus a `trace-render` span
+//! timing the conversion of the report into trace records (the one JSON
+//! render that follows is not in it).
 
 use distsys::scheduler::{EventKind, JobKind, SimEvent};
 use obs::trace::{render_chrome_trace, TraceCounter, TraceSpan};
+use obs::PhaseSpan;
 
 use crate::report::RunReport;
 
@@ -34,50 +36,77 @@ const ENGINE_TRACK: &str = "engine";
 /// fewer tracks — an un-traced, un-observed report renders a valid
 /// document with only the process metadata.
 pub fn trace_json(report: &RunReport) -> String {
-    let mut spans = phase_spans(&report.phases.spans);
-    spans.extend(busy_spans(&report.events));
-    spans.extend(fault_spans(&report.phases.faults));
-
-    let mut counters = Vec::new();
-    if !report.phases.marks.is_empty() {
-        let marks = &report.phases.marks;
-        counters.push(TraceCounter {
-            name: "events per epoch".to_string(),
-            points: marks.iter().map(|m| (m.at, m.events as f64)).collect(),
-        });
-        counters.push(TraceCounter {
-            name: "queue depth".to_string(),
-            points: marks.iter().map(|m| (m.at, m.pending as f64)).collect(),
-        });
-        counters.push(TraceCounter {
-            name: "dirty shards".to_string(),
-            points: marks
-                .iter()
-                .map(|m| (m.at, f64::from(m.dirty_shards)))
-                .collect(),
-        });
-    }
-    render_chrome_trace("skp run", &spans, &counters)
+    TraceRecords::of(report).render()
 }
 
-/// The engine phases laid end to end: `PhaseSpan` records durations
-/// only, and the phases are sequential by construction, so start times
-/// are the running total.
-fn phase_spans(phases: &[obs::PhaseSpan]) -> Vec<TraceSpan> {
-    let mut at = 0.0;
-    phases
-        .iter()
-        .map(|p| {
-            let span = TraceSpan {
-                track: ENGINE_TRACK.to_string(),
-                name: p.name.to_string(),
-                start_us: at * 1e6,
-                dur_us: p.seconds * 1e6,
-            };
-            at += p.seconds;
-            span
-        })
-        .collect()
+/// A report's trace records before rendering: [`trace_json`] in two
+/// steps, so that a caller can time building the records and add that
+/// time as one more engine phase before the one render.
+pub(crate) struct TraceRecords {
+    /// The engine phases first, then the shard busy and outage spans.
+    spans: Vec<TraceSpan>,
+    counters: Vec<TraceCounter>,
+    /// Number of engine phase spans at the front of `spans`.
+    phases: usize,
+    /// End of the last engine phase, seconds.
+    phase_end: f64,
+}
+
+impl TraceRecords {
+    /// The records of `report`.
+    pub(crate) fn of(report: &RunReport) -> Self {
+        let mut records = TraceRecords {
+            spans: Vec::new(),
+            counters: Vec::new(),
+            phases: 0,
+            phase_end: 0.0,
+        };
+        for &phase in &report.phases.spans {
+            records.push_phase(phase);
+        }
+        records.spans.extend(busy_spans(&report.events));
+        records.spans.extend(fault_spans(&report.phases.faults));
+
+        if !report.phases.marks.is_empty() {
+            let marks = &report.phases.marks;
+            records.counters.push(TraceCounter {
+                name: "events per epoch".to_string(),
+                points: marks.iter().map(|m| (m.at, m.events as f64)).collect(),
+            });
+            records.counters.push(TraceCounter {
+                name: "queue depth".to_string(),
+                points: marks.iter().map(|m| (m.at, m.pending as f64)).collect(),
+            });
+            records.counters.push(TraceCounter {
+                name: "dirty shards".to_string(),
+                points: marks
+                    .iter()
+                    .map(|m| (m.at, f64::from(m.dirty_shards)))
+                    .collect(),
+            });
+        }
+        records
+    }
+
+    /// Lays `phase` on the engine track after the phases already there:
+    /// `PhaseSpan` records durations only, and the phases are sequential
+    /// by construction, so start times are the running total.
+    pub(crate) fn push_phase(&mut self, phase: PhaseSpan) {
+        let span = TraceSpan {
+            track: ENGINE_TRACK.to_string(),
+            name: phase.name.to_string(),
+            start_us: self.phase_end * 1e6,
+            dur_us: phase.seconds * 1e6,
+        };
+        self.spans.insert(self.phases, span);
+        self.phases += 1;
+        self.phase_end += phase.seconds;
+    }
+
+    /// The Chrome trace-event JSON document.
+    pub(crate) fn render(&self) -> String {
+        render_chrome_trace("skp run", &self.spans, &self.counters)
+    }
 }
 
 /// Per-shard channel busy intervals. Each shard's channel transfers
