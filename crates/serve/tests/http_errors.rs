@@ -368,19 +368,55 @@ fn header_lines_are_capped_at_the_clients_limit() {
     handle.shutdown().expect("clean shutdown");
 }
 
+/// The three population workload files whose simulated clock could
+/// overflow: each runs four items on `sharded:2x4:hash`, the first one
+/// retrieved in the given time.
+const CLOCK_OVERFLOWS: [(&str, &str); 3] = [
+    ("workload generated\ngenerate faults:slow=0x1e308\n", "2"),
+    (
+        "workload generated\ngenerate faults:slow=0x1e300;svc=1e300\n",
+        "2",
+    ),
+    ("workload sharded\nchain 4 1 2 2 8 11\n", "1e308"),
+];
+
+fn clock_overflow_file((head, retrieval): (&str, &str)) -> String {
+    format!(
+        "{head}backend sharded:2x4:hash\nv 5\nitem 0.25 {retrieval} a\nitem 0.25 3 b\n\
+         item 0.25 4 c\nitem 0.25 5 d\n"
+    )
+}
+
 #[test]
-fn a_panicking_request_is_a_500_and_the_worker_keeps_serving() {
-    // Fault windows this long overflow the simulator's clock to a
-    // non-finite event time, which panics the run.
+fn an_overflowing_simulated_clock_is_a_400_and_the_worker_keeps_serving() {
     let handle = spawn_with(ServeConfig {
         workers: 1,
         ..ServeConfig::default()
     });
     let addr = handle.addr().to_string();
-    let body = "workload generated\n\
-                generate faults:out=0@0+1e300;slow=0x1e300;svc=1e300\n\
-                backend sharded:2x4:hash\nv 5\nitem 0.25 2 a\nitem 0.25 3 b\n\
-                item 0.25 4 c\nitem 0.25 5 d\n";
+    for case in CLOCK_OVERFLOWS {
+        assert_refused(&addr, &clock_overflow_file(case), "simulated clock");
+        let resp = http_request(&addr, "GET", "/version", None).expect("worker still serving");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+    let resp = http_request(&addr, "GET", "/stats", None).expect("worker still serving");
+    assert!(resp.body.contains("\"worker_panics\":0,"), "{}", resp.body);
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn a_panicking_request_is_a_500_and_the_worker_keeps_serving() {
+    // A shard count this large overflows the capacity of the
+    // simulator's per-shard state before anything is allocated, which
+    // panics the run.
+    let handle = spawn_with(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr().to_string();
+    let body = "workload sharded\nchain 4 1 2 2 8 11\n\
+                backend sharded:4611686018427387904x1:hash\nv 5\nitem 0.25 2 a\n\
+                item 0.25 3 b\nitem 0.25 4 c\nitem 0.25 5 d\n";
     let resp = http_request(&addr, "POST", "/run", Some(body)).expect("daemon reachable");
     assert_eq!(resp.status, 500, "{}", resp.body);
     assert!(

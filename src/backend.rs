@@ -241,6 +241,7 @@ impl BackendDriver for ShardedDriver {
         run: PopulationRun<'_>,
     ) -> Result<(AccessStats, ReportSection, Vec<SimEvent>), Error> {
         check_request_total(run.requests_per_client, self.clients)?;
+        check_clock(&run, self.clients)?;
         let workload = MarkovWorkload(run.chain);
         let sim = ShardedSim {
             workload: &workload,
@@ -274,6 +275,46 @@ fn check_request_total(requests_per_client: u64, clients: usize) -> Result<(), E
         Some(_) => Ok(()),
         None => Err(overflow(requests_per_client, clients)),
     }
+}
+
+/// Refuses a population whose simulated clock could overflow to a
+/// non-finite event time, which the event queue cannot order. No event
+/// of the run comes later than the last outage window's end, plus every
+/// request's demand fetch and prefetches (at most one per item) at the
+/// slowest retrieval time under the slowest service scaling, plus every
+/// request's viewing time.
+#[cold]
+#[inline(never)]
+fn check_clock(run: &PopulationRun<'_>, clients: usize) -> Result<(), Error> {
+    let items = run.chain.n_states();
+    // Checked by `check_request_total` first.
+    let requests = run.requests_per_client * clients as u64;
+    let retrieval = run
+        .retrievals
+        .iter()
+        .take(items)
+        .fold(0.0, |a, &r| r.max(a));
+    let viewing = (0..items).map(|s| run.chain.viewing(s)).fold(0.0, f64::max);
+    let (outages_end, slowdown) = run.faults.map_or((0.0, 1.0), |f| {
+        let end = f.outages.iter().map(|o| o.start + o.duration);
+        let slow: f64 = f.slow.iter().map(|&(_, factor)| factor).product();
+        (end.fold(0.0, f64::max), slow * f.spread)
+    });
+    let transfers = requests as f64 * (1.0 + items as f64);
+    let latest = outages_end + transfers * retrieval * slowdown + requests as f64 * viewing;
+    if latest.is_finite() {
+        return Ok(());
+    }
+    Err(Error::InvalidParam {
+        what: "workload",
+        detail: format!(
+            "the simulated clock can overflow: {requests} requests of up to {} transfers \
+             at retrieval times up to {retrieval:?}, slowed {slowdown:?} times (slow factors \
+             × svc spread), with viewing times up to {viewing:?} and outages ending at \
+             {outages_end:?}, add up past the largest finite time",
+            items + 1
+        ),
+    })
 }
 
 /// Deterministic parallel Monte-Carlo runner.

@@ -558,6 +558,46 @@ fn run_exit_codes_name_the_failing_stage() {
 }
 
 #[test]
+fn an_overflowing_simulated_clock_is_a_run_stage_error() {
+    // Each input alone can push an event time past the largest finite
+    // double: slow links, slow links times a service spread, and a
+    // retrieval time.
+    let cases = [
+        (
+            "slow",
+            "workload generated\ngenerate faults:slow=0x1e308\n",
+            "2",
+        ),
+        (
+            "svc",
+            "workload generated\ngenerate faults:slow=0x1e300;svc=1e300\n",
+            "2",
+        ),
+        (
+            "retrieval",
+            "workload sharded\nchain 4 1 2 2 8 11\n",
+            "1e308",
+        ),
+    ];
+    for (name, head, retrieval) in cases {
+        let body = format!(
+            "{head}backend sharded:2x4:hash\nv 5\nitem 0.25 {retrieval} a\nitem 0.25 3 b\n\
+             item 0.25 4 c\nitem 0.25 5 d\n"
+        );
+        let path = write_scenario(&format!("clock_{name}.skp"), &body);
+        let out = Command::new(env!("CARGO_BIN_EXE_skp-plan"))
+            .args(["run", path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains("simulated clock"), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name}: nothing reaches stdout");
+    }
+}
+
+#[test]
 fn run_json_output_parses_for_every_workload_shape() {
     let files = [
         (
