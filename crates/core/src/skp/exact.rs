@@ -34,11 +34,10 @@
 //! The search itself needs only the viewing time, the view, the profits,
 //! `λ` and its clamped-profit and selector buffers. The
 //! `Scenario`-taking entry points wrap it and recompute the closed-form
-//! gain; [`SolveScratch::plan_exact`] writes the plan's items alone, for
-//! a view built from a sparse row ([`SortedView::refill_from_row`]) with
-//! no scenario at hand, in buffers the caller keeps.
-//!
-//! [`SolveScratch::plan_exact`]: crate::skp::SolveScratch::plan_exact
+//! gain; a row solve in a [`SolveScratch`](crate::skp::SolveScratch)
+//! writes the plan's items alone, for a view built from a sparse row
+//! ([`SortedView::from_row`]) with no scenario at hand, in buffers the
+//! caller keeps.
 
 use crate::gain::penalty_mass;
 use crate::scenario::Scenario;

@@ -27,11 +27,11 @@
 //! branch-and-bound solvers sort only the positive-probability candidates
 //! ([`SortedView::positive`]): a zero-probability item never enters their
 //! plans. From a sparse next-access row they build that view straight
-//! from the row's entries ([`SortedView::refill_from_row`]) and write the
-//! plan's items into a caller buffer through [`SolveScratch::plan_paper`]
-//! and [`SolveScratch::plan_exact`]. A [`SolveScratch`] keeps the view and
-//! the search's buffers between solves, so a solve that fits in them
-//! allocates nothing.
+//! from the row's entries (as [`SortedView::from_row`] does) and write
+//! the plan's items into a caller buffer. A [`SolveScratch`] keeps the
+//! view and the search's buffers between such solves, so a solve that
+//! fits in them allocates nothing
+//! ([`Prefetcher::plan_row_into`](crate::policy::Prefetcher::plan_row_into)).
 //!
 //! ```
 //! use skp_core::{Scenario, skp};
@@ -116,7 +116,7 @@ impl SolveScratch {
     ///
     /// # Panics
     /// As [`SortedView::from_row`].
-    pub fn plan_paper(
+    pub(crate) fn plan_paper(
         &mut self,
         row: &[(ItemId, f64)],
         retrievals: &[f64],
@@ -134,7 +134,7 @@ impl SolveScratch {
     ///
     /// # Panics
     /// As [`SortedView::from_row`].
-    pub fn plan_exact(
+    pub(crate) fn plan_exact(
         &mut self,
         row: &[(ItemId, f64)],
         retrievals: &[f64],

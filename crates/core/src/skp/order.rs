@@ -115,7 +115,7 @@ impl SortedView {
     ///
     /// # Panics
     /// As [`Self::from_row`].
-    pub fn refill_from_row(
+    pub(crate) fn refill_from_row(
         &mut self,
         row: &[(ItemId, f64)],
         retrievals: &[f64],
@@ -225,7 +225,7 @@ impl SortedView {
     }
 
     /// [`Self::selectors_to_items`] into `items` (cleared first).
-    pub fn write_items(&self, selected: &[bool], items: &mut Vec<ItemId>) {
+    pub(crate) fn write_items(&self, selected: &[bool], items: &mut Vec<ItemId>) {
         items.clear();
         items.extend(
             selected

@@ -23,12 +23,10 @@
 //!
 //! The search itself needs only the viewing time, the view and two
 //! selector buffers. The `Scenario`-taking entry points wrap it and
-//! recompute the closed-form gain; [`SolveScratch::plan_paper`] writes
-//! the plan's items alone, for a view built from a sparse row
-//! ([`SortedView::refill_from_row`]) with no scenario at hand, in
-//! buffers the caller keeps.
-//!
-//! [`SolveScratch::plan_paper`]: crate::skp::SolveScratch::plan_paper
+//! recompute the closed-form gain; a row solve in a
+//! [`SolveScratch`](crate::skp::SolveScratch) writes the plan's items
+//! alone, for a view built from a sparse row ([`SortedView::from_row`])
+//! with no scenario at hand, in buffers the caller keeps.
 
 use crate::gain::gain_empty_cache;
 use crate::plan::PrefetchPlan;
