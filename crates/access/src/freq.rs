@@ -64,7 +64,7 @@ impl FreqTracker {
 
     /// Halves every counter — a standard aging step so ancient history
     /// cannot dominate forever. (Not used by the paper's experiments, but
-    /// needed for long-running deployments; exercised by the ablations.)
+    /// needed for long-running deployments.)
     pub fn age(&mut self) {
         self.total = 0;
         for c in &mut self.counts {

@@ -4,8 +4,8 @@
 //! distribution — the classic cache-analysis workload and the natural
 //! *memoryless* contrast to the paper's Markov source: a prefetcher with
 //! one-access look-ahead sees the same `P` at every step, so caching by
-//! popularity is all there is to exploit. Used by the ablations to show
-//! how much of Figure 7's win comes from *sequence* structure.
+//! popularity is all there is to exploit. The Section-5 golden drives
+//! the prefetch–cache client with it.
 
 use rand::Rng;
 

@@ -1,17 +1,12 @@
-//! An equal-slot cache over a fixed item universe `0..n`, with the
-//! recency/insertion bookkeeping LRU and FIFO need.
+//! An equal-slot cache over a fixed item universe `0..n`.
 
-/// Fixed-capacity, equal-slot cache. Membership and stamps are dense
-/// (`Vec` indexed by item id), matching the paper's setting of a known
-/// item universe.
+/// Fixed-capacity, equal-slot cache. Membership is dense (`Vec` indexed
+/// by item id), matching the paper's setting of a known item universe.
 #[derive(Debug, Clone)]
 pub struct Cache {
     capacity: usize,
     present: Vec<bool>,
-    last_used: Vec<u64>,
-    inserted_at: Vec<u64>,
     occupants: Vec<usize>,
-    tick: u64,
 }
 
 impl Cache {
@@ -24,10 +19,7 @@ impl Cache {
         Self {
             capacity,
             present: vec![false; n_items],
-            last_used: vec![0; n_items],
-            inserted_at: vec![0; n_items],
             occupants: Vec::with_capacity(capacity),
-            tick: 0,
         }
     }
 
@@ -73,14 +65,6 @@ impl Cache {
         &self.occupants
     }
 
-    /// Marks an access to `item` for LRU recency. No-op if absent.
-    pub fn touch(&mut self, item: usize) {
-        self.tick += 1;
-        if self.present[item] {
-            self.last_used[item] = self.tick;
-        }
-    }
-
     /// Inserts `item` into a free slot.
     ///
     /// # Panics
@@ -90,10 +74,7 @@ impl Cache {
     pub fn insert(&mut self, item: usize) {
         assert!(self.free_slots() > 0, "cache full: evict before inserting");
         assert!(!self.present[item], "item {item} already cached");
-        self.tick += 1;
         self.present[item] = true;
-        self.last_used[item] = self.tick;
-        self.inserted_at[item] = self.tick;
         self.occupants.push(item);
     }
 
@@ -110,18 +91,6 @@ impl Cache {
             .position(|&x| x == item)
             .expect("present implies occupant");
         self.occupants.swap_remove(pos);
-    }
-
-    /// Tick of the last access to `item` (for LRU; 0 = never).
-    #[inline]
-    pub fn last_used(&self, item: usize) -> u64 {
-        self.last_used[item]
-    }
-
-    /// Tick at which `item` was inserted (for FIFO; 0 = never).
-    #[inline]
-    pub fn inserted_at(&self, item: usize) -> u64 {
-        self.inserted_at[item]
     }
 
     /// Empties the cache (the 'prefetch only' simulation flushes between
@@ -172,33 +141,6 @@ mod tests {
     fn evict_absent_panics() {
         let mut c = Cache::new(1, 3);
         c.evict(0);
-    }
-
-    #[test]
-    fn lru_stamps_advance_on_touch() {
-        let mut c = Cache::new(2, 3);
-        c.insert(0);
-        c.insert(1);
-        let before = c.last_used(0);
-        c.touch(0);
-        assert!(c.last_used(0) > before);
-        assert!(c.last_used(0) > c.last_used(1));
-    }
-
-    #[test]
-    fn touch_absent_is_noop() {
-        let mut c = Cache::new(1, 3);
-        c.touch(2);
-        assert_eq!(c.last_used(2), 0);
-    }
-
-    #[test]
-    fn fifo_stamp_fixed_at_insertion() {
-        let mut c = Cache::new(2, 3);
-        c.insert(0);
-        let at = c.inserted_at(0);
-        c.touch(0);
-        assert_eq!(c.inserted_at(0), at);
     }
 
     #[test]

@@ -260,7 +260,6 @@ impl PrefetchCache {
 
         // Statistics.
         self.freq.record(alpha);
-        self.cache.touch(alpha);
 
         let wasted_retrieval = arb
             .prefetch

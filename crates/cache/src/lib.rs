@@ -3,11 +3,7 @@
 //! The prefetcher of Section 5 "must contest the items already in the
 //! cache". This crate provides that cache and everything around it:
 //!
-//! - [`cache`] — an equal-slot cache over a fixed item universe with
-//!   LRU/FIFO recency bookkeeping;
-//! - [`replacement`] — victim-selection policies: the paper's
-//!   Pr-arbitration family (via `skp-core`) plus classic LRU, LFU, FIFO
-//!   and Random baselines for ablations;
+//! - [`cache`] — an equal-slot cache over a fixed item universe;
 //! - [`integrated`] — [`integrated::PrefetchCache`], the full Section-5
 //!   client: Figure-6 arbitration of a tentative plan (planned by the
 //!   caller over the non-cached items), demand-fetch eviction and
@@ -19,10 +15,6 @@
 
 pub mod cache;
 pub mod integrated;
-pub mod replacement;
-pub mod sized;
 
 pub use cache::Cache;
 pub use integrated::{PrefetchCache, PrefetchCacheConfig, Round, StepOutcome};
-pub use replacement::Replacement;
-pub use sized::{SizedCache, SizedPrefetchCache};

@@ -10,16 +10,11 @@
 //! - [`netaware`] — "a policy is needed to weigh the opposing goals of
 //!   maximising access improvement and minimising network usage"; the
 //!   network-aware objective taxes expected wasted retrieval time.
-//! - [`sizes`] — "we assume uniform size for all items. We are currently
-//!   addressing this limitation"; size-aware arbitration evicts by
-//!   delay-profit density per byte.
 
 pub mod lookahead;
 pub mod netaware;
-pub mod sizes;
 pub mod twostep;
 
 pub use lookahead::StretchPenalisedPolicy;
 pub use netaware::NetworkAwarePolicy;
-pub use sizes::{arbitrate_sized, SizedEntry};
 pub use twostep::TwoStepPolicy;

@@ -27,9 +27,6 @@
 //! - [`session`] — the client session of Figure 1/2, replayed as a
 //!   scheduler client; reproduces the paper's Section-3/4 closed forms
 //!   event by event;
-//! - [`shared`] — the companion paper's bandwidth-sharing arbitration
-//!   (reference \[15\]), its fluid replay driven through the same
-//!   scheduler;
 //! - [`stats`] — the common [`AccessStats`] (mean/p50/p99) every report
 //!   carries, and the stall-time [`Histogram`].
 //!
@@ -65,7 +62,6 @@ mod multiclient;
 pub mod network;
 pub mod scheduler;
 pub mod session;
-pub mod shared;
 pub mod stats;
 pub mod trace;
 
@@ -77,6 +73,5 @@ pub use scheduler::{
     ShardMap, ShardReport, ShardStats, ShardedSim, SimEvent,
 };
 pub use session::{run_session, SessionConfig, SessionOutcome};
-pub use shared::{access_time_shared, run_session_shared};
 pub use stats::{AccessStats, Histogram};
 pub use trace::{Trace, TraceRecord};

@@ -8,9 +8,9 @@
 
 /// Summary statistics of a set of access (stall) times.
 ///
-/// Carried by [`SharedOutcome`](crate::shared::SharedOutcome) and
-/// [`ShardReport`](crate::scheduler::ShardReport), so single-channel and
-/// sharded runs read off the same fields.
+/// Carried by [`ShardReport`](crate::scheduler::ShardReport), whose
+/// one-shard case is the single channel, so single-channel and sharded
+/// runs read off the same fields.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AccessStats {
     /// Number of observations.

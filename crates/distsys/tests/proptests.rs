@@ -1,7 +1,6 @@
 //! Property tests for the discrete-event substrate: ordering laws of the
 //! event queue and structural properties of session replays.
 
-use distsys::shared::{access_time_fifo, access_time_shared, run_session_shared};
 use distsys::{
     run_session, Catalog, EventQueue, FaultSpec, Placement, SessionConfig, ShardMap, ShardedSim,
 };
@@ -120,45 +119,6 @@ proptest! {
         let cached = [request];
         let cfg3 = SessionConfig { viewing, plan: &plan, request, cached: &cached };
         prop_assert_eq!(run_session(&catalog, &cfg3).access_time, 0.0);
-    }
-
-    /// The shared-bandwidth channel never loses to FIFO, agrees with FIFO
-    /// for planned/cached requests, and its fluid replay matches its
-    /// closed form.
-    #[test]
-    fn shared_channel_laws(
-        retrievals in proptest::collection::vec(1.0f64..30.0, 2..8),
-        plan_picks in proptest::collection::vec(0usize..8, 0..5),
-        request in 0usize..8,
-        viewing in 0.0f64..60.0,
-    ) {
-        let n = retrievals.len();
-        let catalog = Catalog::new(retrievals.clone());
-        let mut plan: Vec<usize> = Vec::new();
-        for p in plan_picks {
-            let id = p % n;
-            if !plan.contains(&id) {
-                plan.push(id);
-            }
-        }
-        let request = request % n;
-        let cfg = SessionConfig { viewing, plan: &plan, request, cached: &[] };
-
-        let fifo = access_time_fifo(&catalog, &cfg);
-        let shared = access_time_shared(&catalog, &cfg);
-        let fluid = run_session_shared(&catalog, &cfg).access_time();
-
-        prop_assert!(shared <= fifo + 1e-9, "sharing must not hurt");
-        prop_assert!((shared - fluid).abs() < 1e-9, "closed form vs fluid");
-        if plan.contains(&request) {
-            prop_assert!((shared - fifo).abs() < 1e-9, "planned items identical");
-        }
-        // Sharing can at most halve... no: it saves at most the
-        // outstanding work W − r (when r ≤ W), i.e. shared ≥ fifo − r...
-        // check the closed bound shared ≥ r for misses.
-        if !plan.contains(&request) {
-            prop_assert!(shared >= retrievals[request] - 1e-9);
-        }
     }
 
     /// Every catalog item maps to exactly one shard, in range and

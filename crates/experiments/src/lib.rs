@@ -61,17 +61,6 @@ impl Args {
         self.get_u64(key, default as u64) as usize
     }
 
-    /// Float argument with default.
-    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.flags
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects a number, got {v}"))
-            })
-            .unwrap_or(default)
-    }
-
     /// Boolean switch.
     pub fn has(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
@@ -138,7 +127,6 @@ mod tests {
     fn defaults_apply() {
         let a = args("");
         assert_eq!(a.get_u64("iters", 50_000), 50_000);
-        assert_eq!(a.get_f64("mu", 0.5), 0.5);
         assert_eq!(a.out_dir(), PathBuf::from("results"));
     }
 

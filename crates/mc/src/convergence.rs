@@ -2,8 +2,8 @@
 //! the mean reaches a target.
 //!
 //! The paper fixes 50,000 iterations everywhere; this module answers
-//! whether that is enough (it is — see `ablation` notes) and gives
-//! downstream users a precision knob instead of a magic constant.
+//! whether that is enough and gives downstream users a precision knob
+//! instead of a magic constant.
 
 use crate::parallel::derive_seed;
 use crate::stats::RunningStats;

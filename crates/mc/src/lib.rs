@@ -4,7 +4,7 @@
 //!
 //! - [`probgen`] — next-access probability generators: the paper's
 //!   *skewy* and *flat* methods (as interpreted in DESIGN.md §4.1) plus
-//!   Zipf and Dirichlet variants for sensitivity ablations;
+//!   Zipf and Dirichlet variants for sensitivity checks;
 //! - [`scenario_gen`] — random `(n, P, r, v)` scenario generation with the
 //!   paper's parameter ranges;
 //! - [`prefetch_only`] — the 'prefetch only' simulation of Figures 4–5

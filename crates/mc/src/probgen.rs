@@ -13,8 +13,8 @@
 //!   ≈ 0.7 at `n = 10`).
 //!
 //! Zipf and symmetric-Dirichlet generators are included so the sensitivity
-//! of every figure to this interpretation can be measured
-//! (`ablation_probgen`).
+//! of every figure to this interpretation can be measured (a workload
+//! file selects them with `mc-method zipf:<s>` or `dirichlet:<a>`).
 
 use rand::Rng;
 

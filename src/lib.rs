@@ -210,17 +210,13 @@ pub use access_model::{
 };
 
 // ---- client cache (cache-sim) ----------------------------------------
-pub use cache_sim::{
-    Cache, PrefetchCache, PrefetchCacheConfig, Replacement, SizedCache, SizedPrefetchCache,
-    StepOutcome,
-};
+pub use cache_sim::{Cache, PrefetchCache, PrefetchCacheConfig, StepOutcome};
 
 // ---- distributed system substrate (distsys) --------------------------
 pub use distsys::scheduler::{
     access_time_sharded, ClientPolicy, ClientWorkload, EventKind, Placement, Scheduler, ShardMap,
     ShardReport, ShardStats, ShardedSim, SimEvent,
 };
-pub use distsys::shared::{access_time_fifo, access_time_shared};
 pub use distsys::stats::{AccessStats, Histogram};
 pub use distsys::{
     run_session, Catalog, EventQueue, FaultSpec, Link, Outage, RetrievalModel, SessionConfig, Trace,

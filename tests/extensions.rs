@@ -8,13 +8,9 @@ use montecarlo::stats::RunningStats;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use speculative_prefetch::core::ext::lookahead::shadow_price;
-use speculative_prefetch::core::ext::{
-    arbitrate_sized, NetworkAwarePolicy, SizedEntry, StretchPenalisedPolicy,
-};
+use speculative_prefetch::core::ext::{NetworkAwarePolicy, StretchPenalisedPolicy};
 use speculative_prefetch::core::gain::{access_time_empty, stretch_time};
 use speculative_prefetch::core::policy::{PolicyKind, Prefetcher};
-use speculative_prefetch::core::skp::solve_global;
-use speculative_prefetch::Scenario;
 
 /// Chained sessions where stretch eats the next window: some positive λ
 /// must beat λ = 0 in realised mean access time.
@@ -114,22 +110,6 @@ fn network_aware_traces_a_monotone_frontier() {
     let (t_big, w_big) = evaluate(50.0);
     assert!(w_big < 1.0, "huge mu nearly eliminates waste, got {w_big}");
     assert!(t_big > t0, "eliminating waste costs access time");
-}
-
-/// Size-aware arbitration composes with the global solver: plans from
-/// `solve_global` survive arbitration with their order intact.
-#[test]
-fn sized_arbitration_preserves_global_plan_order() {
-    let s = Scenario::new(vec![0.4, 0.3, 0.2, 0.1], vec![6.0, 5.0, 9.0, 2.0], 10.0).unwrap();
-    let plan = solve_global(&s).expect("integral").plan;
-    let sized: Vec<SizedEntry> = plan
-        .items()
-        .iter()
-        .map(|&id| SizedEntry { id, size: 1.0 })
-        .collect();
-    let out = arbitrate_sized(&s, &sized, &[], plan.len() as f64, plan.len() as f64).unwrap();
-    assert_eq!(out.prefetch, plan.items(), "order must survive arbitration");
-    assert!(out.eject.is_empty());
 }
 
 /// The extension objectives never return a plan whose *objective value*

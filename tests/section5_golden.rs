@@ -1,7 +1,7 @@
 //! The Section-5 clients pinned bit for bit against
 //! `tests/golden/section5.txt`: a small Figure-7 sweep under both SKP
-//! solvers, a byte-addressed `SizedPrefetchCache` stream and an
-//! IRM-driven `PrefetchCache` stream (the `ablation_irm` loop). Every
+//! solvers and a `PrefetchCache` stream of independent requests drawn
+//! from a chain's stationary distribution (`IrmSource`). Every
 //! `f64` is written as its bit pattern and each stream is folded into
 //! one hash of every outcome, so any change to planning, arbitration or
 //! accounting moves the file.
@@ -9,10 +9,10 @@
 use std::fmt::Write;
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use speculative_prefetch::{
     IrmSource, MarkovChain, PolicyKind, PrefetchCache, PrefetchCacheConfig, PrefetchCacheSim,
-    Prefetcher, Scenario, SizedPrefetchCache, SubArbitration,
+    Prefetcher, Scenario, SubArbitration,
 };
 
 /// Request outcomes folded into the hit count, the summed access
@@ -74,32 +74,6 @@ fn sweep(out: &mut String) {
     }
 }
 
-fn sized_stream(out: &mut String) {
-    const N: usize = 16;
-    let mut rng = SmallRng::seed_from_u64(41);
-    let sizes: Vec<f64> = (0..N).map(|_| rng.random_range(1u32..=20) as f64).collect();
-    let retrievals: Vec<f64> = sizes.iter().map(|&s| 1.0 + s).collect();
-    let chain = MarkovChain::random(N, 3, 6, 5, 60, 43).unwrap();
-    for (label, solver) in [
-        ("none", PolicyKind::NoPrefetch),
-        ("skp", PolicyKind::SkpExact),
-    ] {
-        let mut client = SizedPrefetchCache::new(30.0, sizes.clone(), solver);
-        let mut rng = SmallRng::seed_from_u64(47);
-        let mut state = rng.random_range(0..N);
-        let mut fold = Fold::default();
-        for _ in 0..200 {
-            let row = chain.row_probs(state);
-            let s = Scenario::new(row, retrievals.clone(), chain.viewing(state)).unwrap();
-            let alpha = chain.next_state(state, &mut rng);
-            let o = client.step(&s, alpha);
-            fold.push(o.access_time, &o);
-            state = alpha;
-        }
-        out.push_str(&fold.line(&format!("sized {label}")));
-    }
-}
-
 fn irm_stream(out: &mut String) {
     const N: usize = 14;
     let chain = MarkovChain::random(N, 3, 6, 2, 30, 53).unwrap();
@@ -131,7 +105,6 @@ fn irm_stream(out: &mut String) {
 fn section5_clients_match_their_golden() {
     let mut out = String::new();
     sweep(&mut out);
-    sized_stream(&mut out);
     irm_stream(&mut out);
     assert_eq!(out, include_str!("golden/section5.txt"));
 }
