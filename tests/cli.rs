@@ -6,6 +6,7 @@
 use std::process::Command;
 
 use speculative_prefetch::wire::Json;
+use speculative_prefetch::WorkloadKind;
 
 fn run_cli(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_skp-plan"))
@@ -415,11 +416,70 @@ fn run_trace_out_writes_a_chrome_trace() {
     assert_chrome_trace_schema(&trace);
 }
 
+/// `--trace-out` on every checked-in example (the daemon template
+/// `served.skp.in` aside) writes a schema-valid Chrome trace; each
+/// population run also carries the `queue depth` counter track built
+/// from the scheduler's epoch marks.
+#[test]
+fn every_example_writes_a_chrome_trace() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/workloads");
+    let mut examples: Vec<_> = std::fs::read_dir(dir)
+        .expect("examples directory")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "skp"))
+        .collect();
+    examples.sort();
+    assert_eq!(examples.len(), 9, "{examples:?}");
+    let out = std::env::temp_dir().join(format!("skp-cli-examples-{}.json", std::process::id()));
+    for path in &examples {
+        let text = std::fs::read_to_string(path).expect("example readable");
+        let kind = speculative_prefetch::parse_workload(&text)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+            .kind;
+        let (_, stderr, ok) = run_cli(&[
+            "run",
+            path.to_str().unwrap(),
+            "--trace-out",
+            out.to_str().unwrap(),
+        ]);
+        assert!(ok, "{}: {stderr}", path.display());
+        let trace = std::fs::read_to_string(&out).expect("trace file written");
+        let _ = std::fs::remove_file(&out);
+        if matches!(kind, WorkloadKind::Sharded | WorkloadKind::Generated) {
+            assert_chrome_trace_schema(&trace);
+            assert!(
+                trace.contains("\"queue depth\""),
+                "{}: no queue depth track",
+                path.display()
+            );
+        } else {
+            let spans = chrome_trace_spans(&trace);
+            assert!(
+                spans.contains("trace-render"),
+                "{}: {spans:?}",
+                path.display()
+            );
+        }
+    }
+}
+
 /// The Chrome trace schema of `--trace-out`: every record is a complete
 /// M/X/C event, counter samples carry one series each, and a population
 /// run decomposes into the engine's build/simulate/plan-store-put spans
 /// plus the CLI's own trace-render span.
 fn assert_chrome_trace_schema(text: &str) {
+    let spans = chrome_trace_spans(text);
+    for span in ["build", "simulate", "plan-store-put", "trace-render"] {
+        assert!(
+            spans.contains(span),
+            "missing engine span {span}: {spans:?}"
+        );
+    }
+}
+
+/// Checks the record schema of a `--trace-out` file and returns the
+/// names of its `X` spans.
+fn chrome_trace_spans(text: &str) -> std::collections::BTreeSet<String> {
     let doc = Json::parse(text).expect("trace is valid JSON");
     assert_eq!(
         doc.get("displayTimeUnit").and_then(Json::as_str),
@@ -462,12 +522,7 @@ fn assert_chrome_trace_schema(text: &str) {
             );
         }
     }
-    for span in ["build", "simulate", "plan-store-put", "trace-render"] {
-        assert!(
-            spans.contains(span),
-            "missing engine span {span}: {spans:?}"
-        );
-    }
+    spans
 }
 
 /// `workload multi-client` / `backend multi-client:8` spell the one-shard
