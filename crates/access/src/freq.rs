@@ -62,17 +62,6 @@ impl FreqTracker {
         self.counts[item] as f64 * retrieval
     }
 
-    /// Halves every counter — a standard aging step so ancient history
-    /// cannot dominate forever. (Not used by the paper's experiments, but
-    /// needed for long-running deployments.)
-    pub fn age(&mut self) {
-        self.total = 0;
-        for c in &mut self.counts {
-            *c /= 2;
-            self.total += *c;
-        }
-    }
-
     /// Clears all counters.
     pub fn reset(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
@@ -116,19 +105,6 @@ mod tests {
         t.record(1);
         // Equal frequency: the slower item has the higher profit.
         assert!(t.delay_saving_profit(0, 9.0) > t.delay_saving_profit(1, 2.0));
-    }
-
-    #[test]
-    fn aging_halves() {
-        let mut t = FreqTracker::new(2);
-        for _ in 0..5 {
-            t.record(0);
-        }
-        t.record(1);
-        t.age();
-        assert_eq!(t.freq(0), 2);
-        assert_eq!(t.freq(1), 0);
-        assert_eq!(t.total(), 2);
     }
 
     #[test]

@@ -45,14 +45,6 @@ impl IrmSource {
         }
     }
 
-    /// Zipf popularities with exponent `s` over `n` items (item 0 most
-    /// popular).
-    pub fn zipf(n: usize, s: f64, viewing: f64) -> Self {
-        assert!(n >= 1 && s > 0.0, "invalid zipf parameters");
-        let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
-        Self::new(&weights, viewing)
-    }
-
     /// Number of items.
     pub fn n_items(&self) -> usize {
         self.probs.len()
@@ -93,14 +85,6 @@ mod tests {
         assert!((s.probs().iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert_eq!(s.n_items(), 3);
         assert_eq!(s.viewing(), 5.0);
-    }
-
-    #[test]
-    fn zipf_head_is_heaviest() {
-        let s = IrmSource::zipf(10, 1.0, 1.0);
-        for k in 1..10 {
-            assert!(s.probs()[k - 1] > s.probs()[k]);
-        }
     }
 
     #[test]

@@ -18,7 +18,6 @@
 #![forbid(unsafe_code)]
 
 pub mod depgraph;
-pub mod eval;
 pub mod freq;
 pub mod irm;
 pub mod markov;
@@ -26,7 +25,6 @@ pub mod markov_est;
 pub mod ngram;
 
 pub use depgraph::DependencyGraph;
-pub use eval::PredictorEval;
 pub use freq::FreqTracker;
 pub use irm::IrmSource;
 pub use markov::{MarkovChain, MergedRows};

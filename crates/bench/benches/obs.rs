@@ -3,13 +3,14 @@
 //! contract.
 //!
 //! Every cell runs the identical traced workload three times: with no
-//! obs configured (the baseline), and with the `none` and `memory`
-//! sinks. It (a) asserts all three `RunReport`s are
-//! bit-identical — observability never changes results — and (b)
-//! reports each sink's wall-clock overhead over the baseline. The
-//! acceptance claim (skipped under `--quick`): the `none` sink is
-//! indistinguishable from no obs at all, and the `memory` sink's
-//! median overhead across the grid stays within 2%.
+//! obs configured (the baseline), with `none` (the switch off) and
+//! with `memory` (the switch on: phase spans and scheduler epoch
+//! marks). It (a) asserts all three `RunReport`s are bit-identical —
+//! observability never changes results — and (b) reports each spec's
+//! wall-clock overhead over the baseline. The acceptance claim
+//! (skipped under `--quick`): `none` is indistinguishable from no obs
+//! at all, and `memory`'s median overhead across the grid stays
+//! within 2%.
 //!
 //! `--out <path>` writes the grid as a JSON snapshot — the checked-in
 //! `BENCH_obs.json` at the repo root is one such run (CI's schema

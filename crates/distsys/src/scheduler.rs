@@ -23,7 +23,7 @@ use crate::faults::{FaultPlan, FaultSpec};
 use crate::network::RetrievalModel;
 use crate::session::SessionConfig;
 use crate::stats::{AccessStats, Histogram};
-use obs::{EpochMark, Obs};
+use obs::EpochMark;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -533,59 +533,38 @@ impl ChannelStats {
 /// popped events.
 const MARK_EVERY: u64 = 1024;
 
-/// The observation tap of the event loop: folds per-epoch
-/// scheduler state (events popped, queue occupancy, dirty shards) into
-/// `obs` instruments and, when trace collection is on, an
+/// The observation tap of the event loop: records per-epoch scheduler
+/// state (events popped, queue occupancy, dirty shards) as an
 /// [`EpochMark`] series. Built only for observed runs — the plain
 /// `run`/`run_traced` paths never construct one, so their loops keep a
 /// single `is_some` branch per event and nothing else.
 struct SchedProbe<'m> {
-    marks: Option<&'m mut Vec<EpochMark>>,
-    events_total: obs::Counter,
-    epochs_total: obs::Counter,
-    queue_depth: obs::Gauge,
-    dirty_shards: obs::Gauge,
+    marks: &'m mut Vec<EpochMark>,
     epoch: u64,
     last_events: u64,
 }
 
 impl<'m> SchedProbe<'m> {
-    /// A probe over `o` and an optional mark log; `None` when both are
-    /// off (the loop then skips all bookkeeping).
-    fn new(o: &Obs, marks: Option<&'m mut Vec<EpochMark>>) -> Option<Self> {
-        if !o.enabled() && marks.is_none() {
-            return None;
-        }
-        Some(Self {
+    fn new(marks: &'m mut Vec<EpochMark>) -> Self {
+        Self {
             marks,
-            events_total: o.counter("sim_events_total"),
-            epochs_total: o.counter("sim_epochs_total"),
-            queue_depth: o.gauge("sim_queue_depth"),
-            dirty_shards: o.gauge("sim_dirty_shards"),
             epoch: 0,
             last_events: 0,
-        })
+        }
     }
 
     /// Records one boundary: `events` is the loop's cumulative popped
     /// count, `pending`/`dirty` the queue and dirty-shard occupancy at
     /// the boundary.
     fn mark(&mut self, at: f64, events: u64, pending: usize, dirty: u32) {
-        let delta = events - self.last_events;
+        self.marks.push(EpochMark {
+            epoch: self.epoch,
+            at,
+            events: events - self.last_events,
+            pending,
+            dirty_shards: dirty,
+        });
         self.last_events = events;
-        self.events_total.add(delta);
-        self.epochs_total.inc();
-        self.queue_depth.set(pending as f64);
-        self.dirty_shards.set(f64::from(dirty));
-        if let Some(marks) = self.marks.as_deref_mut() {
-            marks.push(EpochMark {
-                epoch: self.epoch,
-                at,
-                events: delta,
-                pending,
-                dirty_shards: dirty,
-            });
-        }
         self.epoch += 1;
     }
 }
@@ -1009,20 +988,19 @@ impl<W: ClientWorkload> ShardedSim<'_, W> {
     }
 
     /// Like [`run_traced`](Self::run_traced), with the event loop
-    /// observed: scheduler counters/gauges fold into `o`, and a mark is
-    /// appended to `marks` every `MARK_EVERY` popped events. The
-    /// event log is collected only when `traced` (empty otherwise).
+    /// observed when `marks` is given: a mark is appended every
+    /// `MARK_EVERY` popped events and at the end of the run. The event
+    /// log is collected only when `traced` (empty otherwise).
     /// Observation never changes results — the report and event log are
     /// bit-identical to the unobserved run's.
     pub fn run_observed(
         &self,
         policy: &mut dyn ClientPolicy,
-        o: &Obs,
         marks: Option<&mut Vec<EpochMark>>,
         traced: bool,
     ) -> (ShardReport, Vec<SimEvent>) {
         let mut log = Vec::new();
-        let probe = SchedProbe::new(o, marks);
+        let probe = marks.map(SchedProbe::new);
         let report = self.run_core(policy, traced.then_some(&mut log), probe);
         (report, log)
     }
@@ -1319,31 +1297,23 @@ mod tests {
 
     /// The observability contract at the scheduler level: an observed
     /// run's report and event log are bit-identical to the unobserved
-    /// run's, while the sink and the mark series fill up.
+    /// run's, while the mark series fills up.
     #[test]
     fn observed_run_matches_unobserved_bit_for_bit() {
         let rr = RoundRobin { viewing: 2.0, n: 8 };
         let retrievals = vec![3.0; 8];
         let mut p1 = |_c: usize, s: usize| vec![(s + 1) % 8];
         let (plain, plain_log) = sim(&rr, &retrievals, 3, 2).run_traced(&mut p1);
-        let o = obs::build_obs("memory").expect("builtin");
         let mut marks = Vec::new();
         let mut p2 = |_c: usize, s: usize| vec![(s + 1) % 8];
         let (observed, observed_log) =
-            sim(&rr, &retrievals, 3, 2).run_observed(&mut p2, &o, Some(&mut marks), true);
+            sim(&rr, &retrievals, 3, 2).run_observed(&mut p2, Some(&mut marks), true);
         assert_eq!(plain, observed);
         assert_eq!(plain_log, observed_log);
-        // The final-boundary mark always fires; its cumulative event
-        // count matches the sink's counter.
+        // The final-boundary mark always fires and the series counts
+        // the popped events.
         assert!(!marks.is_empty());
         let total: u64 = marks.iter().map(|m| m.events).sum();
-        let snap = o.snapshot();
-        let events = snap
-            .counters
-            .iter()
-            .find(|(k, _)| k == "sim_events_total")
-            .expect("counter registered");
-        assert_eq!(events.1, total);
         assert!(total > 0);
         // Marks carry monotone epochs and timestamps.
         assert!(marks.windows(2).all(|w| w[0].epoch < w[1].epoch));

@@ -48,19 +48,6 @@ impl AccessStats {
             max: samples[n - 1],
         }
     }
-
-    /// The summary of a single observation (all quantiles collapse onto
-    /// it) — the degenerate view a one-session outcome carries.
-    pub fn single(x: f64) -> Self {
-        Self {
-            count: 1,
-            mean: x,
-            p50: x,
-            p99: x,
-            min: x,
-            max: x,
-        }
-    }
 }
 
 /// A fixed-boundary histogram of non-negative durations.
@@ -255,14 +242,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_empty_and_single() {
+    fn stats_empty_is_all_zeroes() {
         let s = AccessStats::from_samples(&mut []);
         assert_eq!(s, AccessStats::default());
-        let one = AccessStats::single(7.0);
-        assert_eq!(one.count, 1);
-        assert_eq!(one.mean, 7.0);
-        assert_eq!(one.p50, 7.0);
-        assert_eq!(one.p99, 7.0);
     }
 
     #[test]

@@ -15,9 +15,7 @@
 //!   threads (per-chunk seeding, order-stable results);
 //! - [`stats`] — streaming mean/variance and binned-mean accumulators;
 //! - [`output`] — tiny CSV writer and ASCII scatter/line plots so the
-//!   experiment binaries can render the figures in a terminal;
-//! - [`convergence`] — adaptive stopping (run until a target standard
-//!   error) instead of the paper's fixed 50,000 iterations.
+//!   experiment binaries can render the figures in a terminal.
 //!
 //! Trace replay with an online predictor lives in the facade's engine
 //! (`Workload::Trace`).
@@ -25,7 +23,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod convergence;
 pub mod output;
 pub mod parallel;
 pub mod prefetch_cache;
@@ -34,7 +31,6 @@ pub mod probgen;
 pub mod scenario_gen;
 pub mod stats;
 
-pub use convergence::Convergence;
 pub use prefetch_cache::{CachePoint, PrefetchCacheSim};
 pub use prefetch_only::{PrefetchOnlySim, Sample};
 pub use probgen::ProbMethod;

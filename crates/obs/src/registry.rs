@@ -1,18 +1,16 @@
 //! The string-keyed obs-sink registry: spec strings to [`Obs`]
-//! handles, on the workspace's one [`Registry`] — builtin sinks plus
-//! runtime registration.
-
-use std::sync::Arc;
+//! switch states, on the workspace's one [`Registry`] — builtin sinks
+//! plus runtime registration.
 
 use skp_registry::{no_params, Registry, Spec};
 
-use crate::{MemorySink, Obs, ObsError};
+use crate::{Obs, ObsError};
 
 /// Describes one registered obs-sink kind for listings (`skp-plan
 /// --list`, `GET /registry`).
 pub use skp_registry::Spec as ObsSpec;
 
-/// Builds an [`Obs`] handle from the spec's parameter part (the text
+/// Builds an [`Obs`] switch from the spec's parameter part (the text
 /// after the first `:`, absent for a bare name).
 pub type ObsBuilder = fn(Option<&str>) -> Result<Obs, ObsError>;
 
@@ -23,7 +21,7 @@ fn build_none(param: Option<&str>) -> Result<Obs, ObsError> {
 
 fn build_memory(param: Option<&str>) -> Result<Obs, ObsError> {
     no_params("memory obs spec", param)?;
-    Ok(Obs::from_sink(Arc::new(MemorySink::new())))
+    Ok(Obs::on())
 }
 
 static REGISTRY: Registry<ObsBuilder> = Registry::new(
@@ -34,7 +32,7 @@ static REGISTRY: Registry<ObsBuilder> = Registry::new(
             Spec {
                 name: "none",
                 params: "",
-                summary: "no-op sink: every instrument is a branch-on-null no-op (the default)",
+                summary: "observability off: no clock reads, no scheduler probe (the default)",
             },
             build_none,
         ),
@@ -42,8 +40,7 @@ static REGISTRY: Registry<ObsBuilder> = Registry::new(
             Spec {
                 name: "memory",
                 params: "",
-                summary:
-                    "in-process sink: relaxed-atomic counters/gauges + fixed-bucket time histograms",
+                summary: "observability on: phase spans, epoch marks and fault windows per run",
             },
             build_memory,
         ),
@@ -80,7 +77,7 @@ pub fn obs_sink_names() -> Vec<&'static str> {
     REGISTRY.names()
 }
 
-/// Builds an [`Obs`] handle from a spec string (`name` or
+/// Builds an [`Obs`] switch from a spec string (`name` or
 /// `name:params`) through the registry.
 pub fn build_obs(spec: &str) -> Result<Obs, ObsError> {
     let (build, param) = REGISTRY.lookup(spec)?;

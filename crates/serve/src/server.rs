@@ -571,8 +571,8 @@ fn metrics_text(snap: &StatsSnapshot) -> String {
         };
 
     // The run-latency histogram: `/stats` keeps millisecond percentiles
-    // for humans; the exposition uses base-unit seconds over the same
-    // bucket edges every obs time histogram uses.
+    // for humans; the exposition uses base-unit seconds over the
+    // workspace's fixed `obs::TIME_BUCKETS` edges.
     let mut buckets: Vec<(f64, u64)> = obs::TIME_BUCKETS.iter().map(|&le| (le, 0)).collect();
     buckets.push((f64::INFINITY, 0));
     let mut sum = 0.0;

@@ -88,15 +88,11 @@ pub struct PopulationRun<'a> {
     /// was configured from one (`None` for custom policy instances).
     /// Remote backends ship this spec instead of the closure.
     pub policy_spec: Option<&'a str>,
-    /// The engine's observability handle. Detached (`obs "none"`) by
-    /// default, in which case the sharded executors skip their
-    /// scheduler probes entirely; drivers without probe support
-    /// (served) ignore it.
-    pub obs: obs::Obs,
     /// When set, the sharded executors push one [`obs::EpochMark`] per
     /// scheduler epoch here — the feed for trace export. `None` when
-    /// observability is off; always `None` on drivers that do not
-    /// probe (served).
+    /// observability is off, in which case the sharded executors skip
+    /// their scheduler probe entirely; drivers that do not probe
+    /// (served) ignore it.
     pub marks: Option<&'a mut Vec<obs::EpochMark>>,
 }
 
@@ -253,7 +249,7 @@ impl BackendDriver for ShardedDriver {
             seed: run.seed,
             faults: run.faults,
         };
-        let (report, log) = sim.run_observed(run.planner, &run.obs, run.marks, run.traced);
+        let (report, log) = sim.run_observed(run.planner, run.marks, run.traced);
         Ok((report.access, ReportSection::Sharded(report), log))
     }
 }

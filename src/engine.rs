@@ -72,7 +72,7 @@ pub struct SessionBuilder {
     backend_spec_err: Option<Error>,
     store: Option<Arc<dyn PlanStore>>,
     store_spec_err: Option<Error>,
-    obs: Option<Obs>,
+    obs: Obs,
     obs_spec_err: Option<Error>,
 }
 
@@ -100,7 +100,7 @@ impl SessionBuilder {
             backend_spec_err: None,
             store: None,
             store_spec_err: None,
-            obs: None,
+            obs: Obs::off(),
             obs_spec_err: None,
         }
     }
@@ -222,30 +222,22 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the observability sink by registry spec string (e.g.
-    /// `"memory"`; see
-    /// [`obs_sink_specs`](obs::obs_sink_specs)). The default is
-    /// `"none"`: every instrument is a branch-on-null no-op, the phase
-    /// clock is never read and [`RunReport::phases`](crate::RunReport)
-    /// stays empty. Observability never changes results — reports and
-    /// event logs are bit-identical with the sink on or off.
+    /// Switches observability by registry spec string (`"memory"` on,
+    /// `"none"` off; see [`obs_sink_specs`](obs::obs_sink_specs)). The
+    /// default is `"none"`: the phase clock is never read, the event
+    /// loop builds no probe and [`RunReport::phases`](crate::RunReport)
+    /// stays empty. With `"memory"` every run records its phase spans,
+    /// the scheduler's epoch marks and any fault windows there.
+    /// Observability never changes results — reports and event logs
+    /// are bit-identical on or off.
     pub fn obs(mut self, spec: &str) -> Self {
         match build_obs(spec) {
             Ok(o) => {
-                self.obs = Some(o);
+                self.obs = o;
                 self.obs_spec_err = None;
             }
             Err(e) => self.obs_spec_err = Some(e.into()),
         }
-        self
-    }
-
-    /// Installs an already-built observability handle — the route for
-    /// *sharing* one sink across engines (`skp-serve` hands every
-    /// worker the same handle so `/metrics` aggregates the fleet).
-    pub fn obs_instance(mut self, obs: Obs) -> Self {
-        self.obs = Some(obs);
-        self.obs_spec_err = None;
         self
     }
 
@@ -327,7 +319,7 @@ impl SessionBuilder {
             retrievals: self.retrievals,
             driver,
             store,
-            obs: self.obs.unwrap_or_default(),
+            obs: self.obs,
             forecast: None,
             row: Vec::new(),
             mask: Vec::new(),
@@ -431,13 +423,6 @@ impl Engine {
     /// through [`build_obs`]).
     pub fn obs_spec_string(&self) -> String {
         self.obs.spec_string()
-    }
-
-    /// The engine's observability handle — snapshot it after runs to
-    /// read the recorded counters ([`obs::Obs::snapshot`]; empty when
-    /// the sink is `"none"`).
-    pub fn obs(&self) -> &Obs {
-        &self.obs
     }
 
     /// The cache contents, when a cache is configured.
@@ -1162,7 +1147,6 @@ impl Engine {
             operation,
             faults,
             policy_spec: self.policy_spec.as_deref(),
-            obs: self.obs.clone(),
             marks,
         });
         timer.start("plan-store-put");

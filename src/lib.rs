@@ -28,18 +28,18 @@
 //! selects a tier chain by spec string; warm runs are bit-identical to
 //! cold ones, just faster.
 //!
-//! A sixth seam is **observability** ([`Obs`]; [`build_obs`]):
-//! `SessionBuilder::obs("memory")` attaches a telemetry sink, and
-//! every run then carries a wall-clock [`PhaseBreakdown`] (`build` /
+//! A sixth seam is **observability** ([`Obs`]; [`build_obs`]), one
+//! switch: `SessionBuilder::obs("memory")` turns it on, and every run
+//! then carries a wall-clock [`PhaseBreakdown`] (`build` /
 //! `plan-solve` / `simulate` / `stat-fold` / `plan-store-put` spans
-//! plus per-epoch scheduler marks) in [`RunReport::phases`], ready for
-//! Chrome/Perfetto export via [`trace_json`] (`skp-plan run
-//! --trace-out <file>`). The default is `"none"`: every probe site
-//! compiles to a branch on a null sink, the phase clock is never read,
-//! and the overhead contract is pinned by
+//! plus per-epoch scheduler marks and fault windows) in
+//! [`RunReport::phases`], ready for Chrome/Perfetto export via
+//! [`trace_json`] (`skp-plan run --trace-out <file>`). The default is
+//! `"none"`: the phase clock is never read, the event loop builds no
+//! probe, and the overhead contract is pinned by
 //! `crates/bench/benches/obs.rs`. Like the plan store, observability
 //! never changes results — reports and event logs are bit-identical
-//! with the sink on or off.
+//! with it on or off.
 //!
 //! ## Quickstart
 //!
@@ -163,7 +163,7 @@ pub use generator::{
 };
 pub use obs::{
     build_obs, obs_sink_names, obs_sink_specs, register_obs_sink, EpochMark, FaultWindow, Obs,
-    ObsError, ObsSink, ObsSpec, PhaseBreakdown, PhaseSpan, Snapshot as ObsSnapshot,
+    ObsError, ObsSpec, PhaseBreakdown, PhaseSpan,
 };
 pub use planstore::{
     build_plan_store, plan_store_names, plan_store_specs, population_plan_key, register_plan_store,
@@ -206,7 +206,6 @@ pub use skp_core::{ItemId, ModelError, PrefetchPlan, Scenario};
 // ---- access prediction (access-model) --------------------------------
 pub use access_model::{
     DependencyGraph, FreqTracker, IrmSource, MarkovChain, MarkovEstimator, NgramPredictor,
-    PredictorEval,
 };
 
 // ---- client cache (cache-sim) ----------------------------------------
@@ -230,4 +229,3 @@ pub use montecarlo::prefetch_only::{PolicyResult, PrefetchOnlySim};
 pub use montecarlo::probgen::ProbMethod;
 pub use montecarlo::scenario_gen::ScenarioGen;
 pub use montecarlo::stats::{BinnedMeans, RunningStats};
-pub use montecarlo::Convergence;

@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn section_accessors_are_exclusive() {
         let report = RunReport {
-            access: AccessStats::single(2.0),
+            access: AccessStats::from_samples(&mut [2.0]),
             section: ReportSection::Trace(TraceReport {
                 requests: 1,
                 mean_access_time: 2.0,
@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn equality_ignores_the_plan_store_counters() {
         let report = RunReport {
-            access: AccessStats::single(2.0),
+            access: AccessStats::from_samples(&mut [2.0]),
             section: ReportSection::MonteCarlo(SimReport {
                 access: RunningStats::new(),
                 gain: RunningStats::new(),
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn equality_ignores_the_phase_breakdown() {
         let report = RunReport {
-            access: AccessStats::single(2.0),
+            access: AccessStats::from_samples(&mut [2.0]),
             section: ReportSection::MonteCarlo(SimReport {
                 access: RunningStats::new(),
                 gain: RunningStats::new(),

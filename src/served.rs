@@ -462,7 +462,6 @@ mod tests {
                 operation: "sharded",
                 faults: None,
                 policy_spec: None,
-                obs: obs::Obs::off(),
                 marks: None,
             })
             .unwrap_err();
@@ -487,7 +486,6 @@ mod tests {
                 operation: "generated",
                 faults: Some(&faults),
                 policy_spec: Some("skp-exact"),
-                obs: obs::Obs::off(),
                 marks: None,
             })
             .unwrap_err();
@@ -516,7 +514,6 @@ mod tests {
                 operation: "sharded",
                 faults: None,
                 policy_spec: Some("skp-exact"),
-                obs: obs::Obs::off(),
                 marks: None,
             })
             .unwrap_err();
@@ -572,7 +569,6 @@ mod tests {
                     operation: "sharded",
                     faults: None,
                     policy_spec: Some("skp-exact"),
-                    obs: obs::Obs::off(),
                     marks: None,
                 })
         };

@@ -6,6 +6,7 @@ use montecarlo::prefetch_cache::PrefetchCacheSim;
 use montecarlo::prefetch_only::PrefetchOnlySim;
 use montecarlo::probgen::ProbMethod;
 use montecarlo::scenario_gen::ScenarioGen;
+use montecarlo::stats::RunningStats;
 use speculative_prefetch::core::policy::PolicyKind;
 
 fn prefetch_only(n: usize, method: ProbMethod, iterations: u64) -> PrefetchOnlySim {
@@ -198,4 +199,30 @@ fn fig7_curves_decrease_with_cache_size() {
             series[0]
         );
     }
+}
+
+/// One single-threaded 'prefetch only' run of corrected SKP on the
+/// paper's skewy n = 10 workload.
+fn batch(seed: u64, iters: u64) -> RunningStats {
+    let sim = PrefetchOnlySim {
+        gen: ScenarioGen::paper(10, ProbMethod::skewy()),
+        iterations: iters,
+        seed,
+        threads: 1,
+        chunks: 1,
+    };
+    sim.run(&[PolicyKind::SkpExact], 0)[0].overall
+}
+
+#[test]
+fn the_papers_budget_is_past_the_knee() {
+    // At the paper's 50,000 iterations the standard error of the mean
+    // access time is far below any visible plot feature (< 0.05 time
+    // units on a 0..25 axis).
+    let stats = batch(7, 50_000);
+    assert!(
+        stats.std_err() < 0.05,
+        "se at 50k iterations: {}",
+        stats.std_err()
+    );
 }
