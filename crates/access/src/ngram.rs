@@ -303,6 +303,20 @@ mod tests {
                 .map(|&c| c as f64 / total as f64)
                 .collect()
         }
+
+        /// The length of the context [`Self::predict`] draws from, 0 for
+        /// the unigram back-off.
+        fn depth(&self, min_support: u32) -> usize {
+            (0..self.order.min(self.history.len()))
+                .rev()
+                .find(|&k| {
+                    let ctx = &self.history[self.history.len() - (k + 1)..];
+                    self.tables[k]
+                        .get(ctx)
+                        .is_some_and(|counts| counts.values().sum::<u32>() >= min_support)
+                })
+                .map_or(0, |k| k + 1)
+        }
     }
 
     fn bits(probs: &[f64]) -> Vec<u64> {
@@ -355,6 +369,79 @@ mod tests {
                 "order {order}: both paths covered"
             );
         }
+    }
+
+    #[test]
+    fn random_streams_match_the_reference_at_every_access() {
+        // Seeded streams of 0-400 accesses over 1-40 items, orders 1-8
+        // (the facade's cap) and supports 0-3. Each stream follows a
+        // random successor table most of the time, so deep contexts
+        // repeat, and jumps at random otherwise, so new contexts keep
+        // appearing. After every access, the dense forecast and the row
+        // must equal the reference's bit for bit.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        const MAX_ORDER: usize = 8;
+        let mut rng = SmallRng::seed_from_u64(0x5eed_9a11);
+        // Per depth (context length): contexts created by an access and
+        // forecasts drawn from a context of that length.
+        let mut created = [0u32; MAX_ORDER + 1];
+        let mut used = [0u32; MAX_ORDER + 1];
+        let mut row = Vec::new();
+        for _ in 0..300 {
+            let n_items = rng.random_range(1usize..=40);
+            let order = rng.random_range(1usize..=MAX_ORDER);
+            let len = rng.random_range(0usize..=400);
+            let follow = rng.random_range(0.0..1.0f64);
+            let successor: Vec<usize> =
+                (0..n_items).map(|_| rng.random_range(0..n_items)).collect();
+            let mut m = NgramPredictor::new(n_items, order);
+            let mut reference = Reference::new(n_items, order);
+            let mut current = rng.random_range(0..n_items);
+            for _ in 0..len {
+                current = if rng.random_bool(follow) {
+                    successor[current]
+                } else {
+                    rng.random_range(0..n_items)
+                };
+                let h = &reference.history;
+                for k in 0..order.min(h.len()) {
+                    if !reference.tables[k].contains_key(&h[h.len() - (k + 1)..]) {
+                        created[k + 1] += 1;
+                    }
+                }
+                m.observe(current);
+                reference.observe(current);
+                for min_support in 0..=3 {
+                    let want = reference.predict(min_support);
+                    assert_eq!(
+                        bits(&m.predict(min_support)),
+                        bits(&want),
+                        "n {n_items} order {order} support {min_support}"
+                    );
+                    m.predict_row(min_support, &mut row);
+                    let nonzero: Vec<(usize, u64)> = want
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &p)| p != 0.0)
+                        .map(|(i, p)| (i, p.to_bits()))
+                        .collect();
+                    let got: Vec<(usize, u64)> =
+                        row.iter().map(|&(i, p)| (i, p.to_bits())).collect();
+                    assert_eq!(got, nonzero, "n {n_items} order {order}");
+                    used[reference.depth(min_support)] += 1;
+                }
+            }
+        }
+        for depth in 1..=MAX_ORDER {
+            assert!(created[depth] > 0, "no new context of length {depth}");
+            assert!(
+                used[depth] > 0,
+                "no forecast from a context of length {depth}"
+            );
+        }
+        assert!(used[0] > 0, "no unigram back-off");
     }
 
     #[test]
