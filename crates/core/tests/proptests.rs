@@ -340,6 +340,150 @@ mod arbitration_props {
     }
 }
 
+/// Figure-6 arbitration and the demand victim against a frozen copy of
+/// the straightforward implementation, which prices every entry again for
+/// each victim search. Prices are drawn from a few levels with nudges of
+/// 0, 1e-14, 1e-13 and 5e-13 so that `P·r` ties come both exact and
+/// within `PR_TIE_TOL`, and some near-ties fall outside it.
+mod arbitration_reference_props {
+    use super::*;
+    use skp_core::arbitration::{
+        arbitrate, arbitrate_into, choose_demand_victim, Arbitration, ArbitrationScratch,
+        CacheEntry, SubArbitration, PR_TIE_TOL,
+    };
+    use skp_core::ItemId;
+
+    fn reference_victim(s: &Scenario, cache: &[CacheEntry], sub: SubArbitration) -> Option<usize> {
+        if cache.is_empty() {
+            return None;
+        }
+        let pr = |e: &CacheEntry| s.delay_profit(e.id);
+        let min_pr = cache
+            .iter()
+            .map(pr)
+            .min_by(f64::total_cmp)
+            .expect("non-empty");
+        let tied = cache
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| (pr(e) - min_pr).abs() <= PR_TIE_TOL);
+        match sub {
+            SubArbitration::None => tied.map(|(i, _)| i).next(),
+            SubArbitration::Lfu => tied.min_by_key(|(_, e)| e.freq).map(|(i, _)| i),
+            SubArbitration::DelaySaving => tied
+                .min_by(|(_, a), (_, b)| {
+                    let da = a.freq as f64 * s.retrieval(a.id);
+                    let db = b.freq as f64 * s.retrieval(b.id);
+                    da.total_cmp(&db)
+                })
+                .map(|(i, _)| i),
+        }
+    }
+
+    fn reference_arbitrate(
+        s: &Scenario,
+        tentative: &[ItemId],
+        cache: &[CacheEntry],
+        free_slots: usize,
+        sub: SubArbitration,
+    ) -> Arbitration {
+        let mut by_worth = tentative.to_vec();
+        by_worth.sort_by(|&a, &b| s.delay_profit(b).total_cmp(&s.delay_profit(a)));
+        let mut live = cache.to_vec();
+        let mut kept = Vec::new();
+        let mut eject = Vec::new();
+        let mut free = free_slots;
+        for &f in &by_worth {
+            if free > 0 {
+                free -= 1;
+                kept.push(f);
+                continue;
+            }
+            let Some(pos) = reference_victim(s, &live, sub) else {
+                break;
+            };
+            let d = live[pos];
+            if s.delay_profit(f) < s.delay_profit(d.id) {
+                break;
+            }
+            live.swap_remove(pos);
+            kept.push(f);
+            eject.push(d.id);
+        }
+        let prefetch = tentative
+            .iter()
+            .copied()
+            .filter(|i| kept.contains(i))
+            .collect();
+        Arbitration { prefetch, eject }
+    }
+
+    const LEVELS: [f64; 3] = [0.0, 0.02, 0.05];
+    const NUDGES: [f64; 4] = [0.0, 1e-14, 1e-13, 5e-13];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn arbitration_matches_the_reference(
+            items in proptest::collection::vec((0usize..3, 0usize..4, 1u32..=6, 0u64..4), 1..=16),
+            viewing in 0u32..=50,
+            cache_picks in proptest::collection::vec(0usize..64, 0..=10),
+            free in 0usize..=8,
+            plan_picks in proptest::collection::vec(0usize..64, 0..=16),
+            sub_pick in 0u8..3,
+        ) {
+            let sub = match sub_pick {
+                0 => SubArbitration::None,
+                1 => SubArbitration::Lfu,
+                _ => SubArbitration::DelaySaving,
+            };
+            let probs: Vec<f64> = items.iter().map(|&(l, d, _, _)| LEVELS[l] + NUDGES[d]).collect();
+            let r: Vec<f64> = items.iter().map(|&(_, _, r, _)| r as f64).collect();
+            let s = Scenario::new(probs, r, viewing as f64).expect("valid scenario");
+            let n = s.n();
+            let mut cache: Vec<CacheEntry> = Vec::new();
+            for &p in &cache_picks {
+                let id = p % n;
+                if !cache.iter().any(|e| e.id == id) {
+                    cache.push(CacheEntry { id, freq: items[id].3 });
+                }
+            }
+            // Distinct non-cached items in a random order; with few free
+            // slots this is often longer than the cache.
+            let mut tentative: Vec<ItemId> = Vec::new();
+            for &p in &plan_picks {
+                let id = p % n;
+                if !tentative.contains(&id) && !cache.iter().any(|e| e.id == id) {
+                    tentative.push(id);
+                }
+            }
+
+            let want = reference_arbitrate(&s, &tentative, &cache, free, sub);
+            let plan = PrefetchPlan::new(tentative.clone()).expect("distinct items");
+            prop_assert_eq!(&arbitrate(&s, &plan, &cache, free, sub), &want);
+            // Reused buffers holding a previous call's state.
+            let mut scratch = ArbitrationScratch::default();
+            let mut out = Arbitration::default();
+            arbitrate_into(&s, &tentative, &cache, 0, SubArbitration::DelaySaving, &mut scratch, &mut out);
+            arbitrate_into(&s, &tentative, &cache, free, sub, &mut scratch, &mut out);
+            prop_assert_eq!(&out, &want);
+
+            // The demand victim, before and after the arbitration.
+            let want = reference_victim(&s, &cache, sub).map(|pos| cache[pos].id);
+            prop_assert_eq!(choose_demand_victim(&s, &cache, sub), want);
+            let mut after: Vec<CacheEntry> = cache
+                .iter()
+                .copied()
+                .filter(|e| !out.eject.contains(&e.id))
+                .collect();
+            after.extend(out.prefetch.iter().map(|&id| CacheEntry { id, freq: items[id].3 }));
+            let want = reference_victim(&s, &after, sub).map(|pos| after[pos].id);
+            prop_assert_eq!(choose_demand_victim(&s, &after, sub), want);
+        }
+    }
+}
+
 /// The branch-and-bound solvers search only the positive-probability
 /// candidates; on sparse forecasts that trimmed search must return what
 /// the search over every candidate returns, bit for bit.
