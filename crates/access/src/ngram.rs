@@ -6,21 +6,40 @@
 //! request, estimates next-access probabilities from the longest matching
 //! context with enough evidence, backing off to shorter contexts (down to
 //! the unigram distribution) when the long context is unseen.
+//!
+//! Contexts live in a trie, as in PPM (Cleary & Witten, 1984): the root
+//! of an item is the one-access context of that item, and each edge steps
+//! one access further back. An access walks one path from the most recent
+//! access backwards, so observing and forecasting cost `O(k · log f)` for
+//! a fan-out `f`, with no hashing: a posted trace cannot steer lookups
+//! into hash collisions.
 
-use std::collections::HashMap;
+/// Marks an item whose one-access context has not been seen.
+const NO_NODE: u32 = u32::MAX;
 
 /// Online n-gram predictor over items `0..n`.
 #[derive(Debug, Clone)]
 pub struct NgramPredictor {
     n_items: usize,
     order: usize,
-    /// `tables[k]` maps a context of length `k+1` (most recent last) to
-    /// its successor counts. Lookups borrow the context from `history`,
-    /// so only a context seen for the first time allocates its key.
-    tables: Vec<HashMap<Vec<u32>, Successors>>,
+    /// `roots[item]` is the node of the context `[item]`, or [`NO_NODE`].
+    roots: Vec<u32>,
+    /// The trie's nodes. The node reached from `roots[a]` through the
+    /// edges `b`, `c` is the context `[c, b, a]` (most recent last).
+    nodes: Vec<Node>,
     unigram: Vec<u64>,
+    /// The last `order` accesses, most recent last.
     history: Vec<u32>,
     observed: u64,
+}
+
+/// One context of the trie.
+#[derive(Debug, Clone, Default)]
+struct Node {
+    successors: Successors,
+    /// `(earlier access, child)` in ascending access order: the child is
+    /// this context extended one access back.
+    children: Vec<(u32, u32)>,
 }
 
 /// Successor counts of one context: `(item, count)` in ascending item
@@ -41,6 +60,26 @@ impl Successors {
     }
 }
 
+impl Node {
+    /// The child of this context one access (`earlier`) further back.
+    fn child(&self, earlier: u32) -> Option<u32> {
+        self.children
+            .binary_search_by_key(&earlier, |&(access, _)| access)
+            .ok()
+            .map(|pos| self.children[pos].1)
+    }
+}
+
+/// Appends a fresh node to `nodes` and returns its index.
+fn push_node(nodes: &mut Vec<Node>) -> u32 {
+    let id = u32::try_from(nodes.len())
+        .ok()
+        .filter(|&id| id != NO_NODE)
+        .expect("n-gram trie node count fits in u32");
+    nodes.push(Node::default());
+    id
+}
+
 impl NgramPredictor {
     /// Creates a predictor over `n_items` items using contexts up to
     /// `order` (≥ 1) most recent accesses.
@@ -53,7 +92,8 @@ impl NgramPredictor {
         Self {
             n_items,
             order,
-            tables: vec![HashMap::new(); order],
+            roots: vec![NO_NODE; n_items],
+            nodes: Vec::new(),
             unigram: vec![0; n_items],
             history: Vec::with_capacity(order + 1),
             observed: 0,
@@ -78,19 +118,40 @@ impl NgramPredictor {
         self.observed
     }
 
-    /// Feeds the next access into the model.
+    /// Feeds the next access into the model: `item` is counted as the
+    /// successor of every context along the history's path, each one
+    /// created when first seen.
     ///
     /// # Panics
     /// Panics when `item >= n_items`.
     pub fn observe(&mut self, item: usize) {
         assert!(item < self.n_items, "item out of range");
         let item = item as u32;
-        let len = self.history.len();
-        for (k, table) in self.tables.iter_mut().enumerate().take(len) {
-            let ctx = &self.history[len - (k + 1)..];
-            match table.get_mut(ctx) {
-                Some(successors) => successors.add(item),
-                None => table.entry(ctx.to_vec()).or_default().add(item),
+        let Self {
+            roots,
+            nodes,
+            history,
+            ..
+        } = self;
+        let mut path = history.iter().rev();
+        if let Some(&latest) = path.next() {
+            let root = &mut roots[latest as usize];
+            if *root == NO_NODE {
+                *root = push_node(nodes);
+            }
+            let mut node = *root;
+            nodes[node as usize].successors.add(item);
+            for &earlier in path {
+                let children = &nodes[node as usize].children;
+                node = match children.binary_search_by_key(&earlier, |&(access, _)| access) {
+                    Ok(pos) => children[pos].1,
+                    Err(pos) => {
+                        let child = push_node(nodes);
+                        nodes[node as usize].children.insert(pos, (earlier, child));
+                        child
+                    }
+                };
+                nodes[node as usize].successors.add(item);
             }
         }
         self.unigram[item as usize] += 1;
@@ -103,15 +164,26 @@ impl NgramPredictor {
     }
 
     /// The successors of the longest context (most recent accesses)
-    /// with at least `min_support` observations, if any.
+    /// with at least `min_support` observations, if any. A context has
+    /// no more observations than its one-shorter suffix, so the walk
+    /// stops at the first node short of support.
     fn context(&self, min_support: u32) -> Option<&Successors> {
-        let len = self.history.len();
-        (0..self.order.min(len)).rev().find_map(|k| {
-            let ctx = &self.history[len - (k + 1)..];
-            self.tables[k]
-                .get(ctx)
-                .filter(|successors| successors.total >= min_support)
-        })
+        let mut path = self.history.iter().rev();
+        let &latest = path.next()?;
+        let mut node = self.roots[latest as usize];
+        let mut found = None;
+        while node != NO_NODE {
+            let here = &self.nodes[node as usize];
+            if here.successors.total < min_support {
+                break;
+            }
+            found = Some(&here.successors);
+            node = path
+                .next()
+                .and_then(|&earlier| here.child(earlier))
+                .unwrap_or(NO_NODE);
+        }
+        found
     }
 
     /// Predicts next-access probabilities given the internal history,
@@ -171,6 +243,7 @@ impl NgramPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn learns_a_deterministic_cycle() {
