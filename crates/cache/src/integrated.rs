@@ -29,7 +29,7 @@
 
 use access_model::FreqTracker;
 use skp_core::arbitration::{
-    arbitrate_into, choose_demand_victim, Arbitration, ArbitrationScratch, CacheEntry,
+    arbitrate_into, choose_demand_victim_with, Arbitration, ArbitrationScratch, CacheEntry,
     SubArbitration,
 };
 use skp_core::gain::{access_time_empty, stretch_time};
@@ -250,8 +250,13 @@ impl PrefetchCache {
         if demand_fetch && !self.cache.contains(alpha) {
             if self.cache.free_slots() == 0 {
                 fill_entries(&self.cache, &self.freq, &mut self.entries);
-                let v = choose_demand_victim(scenario, &self.entries, self.cfg.sub)
-                    .expect("full cache has a victim");
+                let v = choose_demand_victim_with(
+                    scenario,
+                    &self.entries,
+                    self.cfg.sub,
+                    &mut self.scratch,
+                )
+                .expect("full cache has a victim");
                 self.cache.evict(v);
                 demand_victim = Some(v);
             }

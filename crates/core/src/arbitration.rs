@@ -95,20 +95,77 @@ pub fn arbitrate(
     out
 }
 
-/// The working buffers of [`arbitrate_into`], kept by the caller between
-/// rounds: the candidates by worth, the live cache entries and the kept
-/// candidates. Each call clears and refills them.
+/// The working buffers of [`arbitrate_into`] and
+/// [`choose_demand_victim_with`], kept by the caller between rounds: the
+/// candidates by worth, the live cache entries with their prices, and
+/// the kept candidates. Each call clears and refills them.
 #[derive(Debug, Clone, Default)]
 pub struct ArbitrationScratch {
     by_worth: Vec<ItemId>,
-    live: Vec<CacheEntry>,
+    live: PricedCache,
     kept: Vec<ItemId>,
+}
+
+/// Cache entries priced once per call: `pr[i]` is `P·r` of `entries[i]`
+/// and, under [`SubArbitration::DelaySaving`], `saving[i]` its
+/// delay-saving profit `freq·r` (empty otherwise). The three lists stay
+/// parallel: every removal is applied to all of them.
+#[derive(Debug, Clone, Default)]
+struct PricedCache {
+    entries: Vec<CacheEntry>,
+    pr: Vec<f64>,
+    saving: Vec<f64>,
+}
+
+impl PricedCache {
+    /// Replaces the contents with `cache`, priced under `s`.
+    fn fill(&mut self, s: &Scenario, cache: &[CacheEntry], sub: SubArbitration) {
+        self.entries.clear();
+        self.entries.extend_from_slice(cache);
+        self.pr.clear();
+        self.pr.extend(cache.iter().map(|e| s.delay_profit(e.id)));
+        self.saving.clear();
+        if sub == SubArbitration::DelaySaving {
+            self.saving
+                .extend(cache.iter().map(|e| e.freq as f64 * s.retrieval(e.id)));
+        }
+    }
+
+    /// Removes entry `pos`, moving the last entry into its place.
+    fn swap_remove(&mut self, pos: usize) {
+        self.entries.swap_remove(pos);
+        self.pr.swap_remove(pos);
+        if !self.saving.is_empty() {
+            self.saving.swap_remove(pos);
+        }
+    }
+
+    /// Index of the cheapest victim under Pr-arbitration +
+    /// sub-arbitration: among the entries within [`PR_TIE_TOL`] of the
+    /// minimum `P·r`, the first one, the first least frequent one, or the
+    /// first with the least `freq·r`. `None` when empty.
+    fn cheapest(&self, sub: SubArbitration) -> Option<usize> {
+        let min_pr = self.pr.iter().copied().min_by(f64::total_cmp)?;
+        let mut tied = self
+            .pr
+            .iter()
+            .enumerate()
+            .filter(|&(_, &pr)| (pr - min_pr).abs() <= PR_TIE_TOL)
+            .map(|(i, _)| i);
+        match sub {
+            SubArbitration::None => tied.next(),
+            SubArbitration::Lfu => tied.min_by_key(|&i| self.entries[i].freq),
+            SubArbitration::DelaySaving => {
+                tied.min_by(|&a, &b| self.saving[a].total_cmp(&self.saving[b]))
+            }
+        }
+    }
 }
 
 /// [`arbitrate`] over a tentative plan given as its items (each listed
 /// once), writing the outcome into `out` (both lists cleared first) and
-/// working in `scratch`. A call whose lists fit in the buffers allocates
-/// nothing.
+/// working in `scratch`. Each cache entry is priced once per call. A
+/// call whose lists fit in the buffers allocates nothing.
 pub fn arbitrate_into(
     s: &Scenario,
     tentative: &[ItemId],
@@ -128,8 +185,7 @@ pub fn arbitrate_into(
     by_worth.extend_from_slice(tentative);
     by_worth.sort_by(|&a, &b| s.delay_profit(b).total_cmp(&s.delay_profit(a)));
 
-    live.clear();
-    live.extend_from_slice(cache);
+    live.fill(s, cache, sub);
     kept.clear();
     out.eject.clear();
     let mut free = free_slots;
@@ -140,17 +196,16 @@ pub fn arbitrate_into(
             kept.push(f);
             continue;
         }
-        let Some(pos) = victim_position(s, live, sub) else {
+        let Some(pos) = live.cheapest(sub) else {
             break; // no cache entries left to evict
         };
-        let d = live[pos];
         // Figure 6: break when the newcomer is worth less than the victim.
-        if s.delay_profit(f) < s.delay_profit(d.id) {
+        if s.delay_profit(f) < live.pr[pos] {
             break;
         }
+        out.eject.push(live.entries[pos].id);
         live.swap_remove(pos);
         kept.push(f);
-        out.eject.push(d.id);
     }
 
     // Preserve the tentative plan's prefetch order for the kept items so
@@ -168,35 +223,20 @@ pub fn choose_demand_victim(
     cache: &[CacheEntry],
     sub: SubArbitration,
 ) -> Option<ItemId> {
-    victim_position(s, cache, sub).map(|pos| cache[pos].id)
+    choose_demand_victim_with(s, cache, sub, &mut ArbitrationScratch::default())
 }
 
-/// Index of the cheapest victim under Pr-arbitration + sub-arbitration.
-fn victim_position(s: &Scenario, cache: &[CacheEntry], sub: SubArbitration) -> Option<usize> {
-    if cache.is_empty() {
-        return None;
-    }
-    let pr = |e: &CacheEntry| s.delay_profit(e.id);
-    let min_pr = cache
-        .iter()
-        .map(pr)
-        .min_by(f64::total_cmp)
-        .expect("non-empty");
-    let tied = cache
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| (pr(e) - min_pr).abs() <= PR_TIE_TOL);
-    match sub {
-        SubArbitration::None => tied.map(|(i, _)| i).next(),
-        SubArbitration::Lfu => tied.min_by_key(|(_, e)| e.freq).map(|(i, _)| i),
-        SubArbitration::DelaySaving => tied
-            .min_by(|(_, a), (_, b)| {
-                let da = a.freq as f64 * s.retrieval(a.id);
-                let db = b.freq as f64 * s.retrieval(b.id);
-                da.total_cmp(&db)
-            })
-            .map(|(i, _)| i),
-    }
+/// [`choose_demand_victim`] working in `scratch`: a call whose cache fits
+/// in the buffers allocates nothing.
+pub fn choose_demand_victim_with(
+    s: &Scenario,
+    cache: &[CacheEntry],
+    sub: SubArbitration,
+    scratch: &mut ArbitrationScratch,
+) -> Option<ItemId> {
+    let live = &mut scratch.live;
+    live.fill(s, cache, sub);
+    live.cheapest(sub).map(|pos| live.entries[pos].id)
 }
 
 #[cfg(test)]
