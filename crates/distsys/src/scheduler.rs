@@ -534,7 +534,7 @@ impl ChannelStats {
 const MARK_EVERY: u64 = 1024;
 
 /// The observation tap of the event loop: records per-epoch scheduler
-/// state (events popped, queue occupancy, dirty shards) as an
+/// state (events popped, queue occupancy) as an
 /// [`EpochMark`] series. Built only for observed runs — the plain
 /// `run`/`run_traced` paths never construct one, so their loops keep a
 /// single `is_some` branch per event and nothing else.
@@ -554,15 +554,13 @@ impl<'m> SchedProbe<'m> {
     }
 
     /// Records one boundary: `events` is the loop's cumulative popped
-    /// count, `pending`/`dirty` the queue and dirty-shard occupancy at
-    /// the boundary.
-    fn mark(&mut self, at: f64, events: u64, pending: usize, dirty: u32) {
+    /// count, `pending` the queue occupancy at the boundary.
+    fn mark(&mut self, at: f64, events: u64, pending: usize) {
         self.marks.push(EpochMark {
             epoch: self.epoch,
             at,
             events: events - self.last_events,
             pending,
-            dirty_shards: dirty,
         });
         self.last_events = events;
         self.epoch += 1;
@@ -692,13 +690,6 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
             None => d,
             Some(plan) => d * plan.scale[self.shard_lut[item] as usize],
         }
-    }
-
-    /// Shards currently marked dirty (whichever representation holds
-    /// them) — a scheduler-mark diagnostic, not a hot-path value.
-    #[inline]
-    fn dirty_count(&self) -> u32 {
-        self.dirty_bits.count_ones() + self.dirty.len() as u32
     }
 
     /// Plans client `c`'s round: fills `planned[c]` and queues one
@@ -1030,7 +1021,7 @@ impl<W: ClientWorkload> ShardedSim<'_, W> {
                 events += 1;
                 if events.is_multiple_of(MARK_EVERY) {
                     if let Some(p) = probe.as_mut() {
-                        p.mark(now, events, q.len(), st.dirty_count());
+                        p.mark(now, events, q.len());
                     }
                 }
             }
@@ -1041,7 +1032,7 @@ impl<W: ClientWorkload> ShardedSim<'_, W> {
             }
         });
         if let Some(p) = probe.as_mut() {
-            p.mark(span, events, sched.queue_mut().len(), st.dirty_count());
+            p.mark(span, events, sched.queue_mut().len());
         }
         st.build_report(span)
     }

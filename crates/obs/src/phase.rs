@@ -27,8 +27,6 @@ pub struct EpochMark {
     pub events: u64,
     /// Events pending in the queue at the boundary.
     pub pending: usize,
-    /// Shards with un-flushed statistics at the boundary.
-    pub dirty_shards: u32,
 }
 
 /// One shard-outage window in *simulated* time — a fault-injection
@@ -154,7 +152,6 @@ mod tests {
             at: 1.0,
             events: 10,
             pending: 2,
-            dirty_shards: 1,
         }]);
         let names: Vec<_> = b.spans.iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["build", "simulate", "fold"]);

@@ -232,7 +232,6 @@ mod tests {
             at: 1.0,
             events: 100,
             pending: 3,
-            dirty_shards: 1,
         });
         assert_eq!(report, timed, "timings are observability, not results");
     }

@@ -10,7 +10,7 @@
 //!   mechanistic [`events`](RunReport::events) log become per-shard
 //!   busy-interval tracks,
 //! - the per-epoch scheduler marks become counter tracks (events per
-//!   epoch, queue occupancy, dirty shards).
+//!   epoch and queue occupancy).
 //!
 //! The shard and counter tracks live in *simulated* time, which has no
 //! wall-clock unit; one simulated time unit renders as one microsecond
@@ -76,13 +76,6 @@ impl TraceRecords {
             records.counters.push(TraceCounter {
                 name: "queue depth".to_string(),
                 points: marks.iter().map(|m| (m.at, m.pending as f64)).collect(),
-            });
-            records.counters.push(TraceCounter {
-                name: "dirty shards".to_string(),
-                points: marks
-                    .iter()
-                    .map(|m| (m.at, f64::from(m.dirty_shards)))
-                    .collect(),
             });
         }
         records
@@ -184,7 +177,6 @@ mod tests {
         assert!(json.contains("\"name\":\"simulate\""));
         assert!(json.contains("\"name\":\"shard 0\""));
         assert!(json.contains("\"name\":\"queue depth\""));
-        assert!(json.contains("\"name\":\"dirty shards\""));
         assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}\n"));
     }
 
@@ -259,14 +251,12 @@ mod tests {
                 at: 0.0,
                 events: 2,
                 pending: 3,
-                dirty_shards: 1,
             },
             EpochMark {
                 epoch: 1,
                 at: 2.5,
                 events: 4,
                 pending: 0,
-                dirty_shards: 2,
             },
         ];
         report.phases.faults = vec![FaultWindow {
@@ -287,9 +277,7 @@ mod tests {
             "{\"name\":\"events per epoch\",\"ph\":\"C\",\"ts\":0,\"pid\":1,\"args\":{\"value\":2},\"tid\":0},",
             "{\"name\":\"events per epoch\",\"ph\":\"C\",\"ts\":2.5,\"pid\":1,\"args\":{\"value\":4},\"tid\":0},",
             "{\"name\":\"queue depth\",\"ph\":\"C\",\"ts\":0,\"pid\":1,\"args\":{\"value\":3},\"tid\":0},",
-            "{\"name\":\"queue depth\",\"ph\":\"C\",\"ts\":2.5,\"pid\":1,\"args\":{\"value\":0},\"tid\":0},",
-            "{\"name\":\"dirty shards\",\"ph\":\"C\",\"ts\":0,\"pid\":1,\"args\":{\"value\":1},\"tid\":0},",
-            "{\"name\":\"dirty shards\",\"ph\":\"C\",\"ts\":2.5,\"pid\":1,\"args\":{\"value\":2},\"tid\":0}],\"displayTimeUnit\":\"ms\"}",
+            "{\"name\":\"queue depth\",\"ph\":\"C\",\"ts\":2.5,\"pid\":1,\"args\":{\"value\":0},\"tid\":0}],\"displayTimeUnit\":\"ms\"}",
             "\n"
         );
         assert_eq!(trace_json(&report), expected);

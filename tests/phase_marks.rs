@@ -34,12 +34,11 @@ fn observed_marks_and_fault_windows_match_their_golden() {
     for m in &phases.marks {
         writeln!(
             out,
-            "mark {} at {:#018x} events {} pending {} dirty {}",
+            "mark {} at {:#018x} events {} pending {}",
             m.epoch,
             m.at.to_bits(),
             m.events,
-            m.pending,
-            m.dirty_shards
+            m.pending
         )
         .unwrap();
     }
