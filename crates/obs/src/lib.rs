@@ -12,9 +12,9 @@
 //!
 //! Sinks are chosen by spec string through the workspace's one
 //! registry (`skp-registry`, shared with backends, generators and plan
-//! stores — see the facade crate docs): [`build_obs`],
-//! [`register_obs_sink`], [`obs_sink_specs`], listed by
-//! `skp-plan --list`.
+//! stores — see the facade crate docs): [`build_obs`] and
+//! [`obs_sink_specs`], listed by `skp-plan --list`. The registry holds
+//! exactly `none` and `memory`; there is nothing else to register.
 //!
 //! Observability never changes results: reports and event logs are
 //! bit-identical in both states, and the facade excludes its
@@ -35,9 +35,7 @@ mod registry;
 pub mod trace;
 
 pub use phase::{EpochMark, FaultWindow, PhaseBreakdown, PhaseSpan, PhaseTimer};
-pub use registry::{
-    build_obs, obs_sink_names, obs_sink_specs, register_obs_sink, ObsBuilder, ObsSpec,
-};
+pub use registry::{build_obs, obs_sink_names, obs_sink_specs, ObsBuilder, ObsSpec};
 
 /// Upper bucket edges (seconds) of the workspace's time histograms
 /// (the daemon's `/metrics` run latency); a final `+Inf` bucket is

@@ -1,6 +1,6 @@
 //! The string-keyed obs-sink registry: spec strings to [`Obs`]
-//! switch states, on the workspace's one [`Registry`] — builtin sinks
-//! plus runtime registration.
+//! switch states, on the workspace's one [`Registry`]. Observability
+//! is one on/off switch, so the two builtin sinks are the whole set.
 
 use skp_registry::{no_params, Registry, Spec};
 
@@ -46,26 +46,6 @@ static REGISTRY: Registry<ObsBuilder> = Registry::new(
         ),
     ],
 );
-
-/// Registers an obs-sink kind under a new name, making it reachable
-/// from every spec-string surface (`SessionBuilder::obs`, the `obs`
-/// workload directive, `skp-plan run --obs`). Errors if the name is
-/// taken.
-pub fn register_obs_sink(
-    name: &'static str,
-    params: &'static str,
-    summary: &'static str,
-    build: ObsBuilder,
-) -> Result<(), ObsError> {
-    REGISTRY.register(
-        Spec {
-            name,
-            params,
-            summary,
-        },
-        build,
-    )
-}
 
 /// The registered obs-sink kinds, in registration order.
 pub fn obs_sink_specs() -> Vec<ObsSpec> {
@@ -134,17 +114,5 @@ mod tests {
                 "{spec} error lacks the listing pointer"
             );
         }
-    }
-
-    #[test]
-    fn duplicate_registration_is_rejected() {
-        let e = register_obs_sink("memory", "", "dup", build_memory).expect_err("must fail");
-        assert!(e.to_string().contains("already registered"));
-        fn build_probe(_: Option<&str>) -> Result<Obs, ObsError> {
-            Ok(Obs::off())
-        }
-        register_obs_sink("probe-sink", "", "test-only", build_probe).expect("fresh name");
-        assert!(obs_sink_names().contains(&"probe-sink"));
-        assert_eq!(build_obs("probe-sink").unwrap().name(), "none");
     }
 }

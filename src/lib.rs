@@ -162,8 +162,8 @@ pub use generator::{
     build_generator, generator_names, generator_specs, register_generator, GeneratorSpec,
 };
 pub use obs::{
-    build_obs, obs_sink_names, obs_sink_specs, register_obs_sink, EpochMark, FaultWindow, Obs,
-    ObsError, ObsSpec, PhaseBreakdown, PhaseSpan,
+    build_obs, obs_sink_names, obs_sink_specs, EpochMark, FaultWindow, Obs, ObsError, ObsSpec,
+    PhaseBreakdown, PhaseSpan,
 };
 pub use planstore::{
     build_plan_store, plan_store_names, plan_store_specs, population_plan_key, register_plan_store,
