@@ -94,8 +94,8 @@ impl Predictor for NgramPredictor {
 const NGRAM_MIN_SUPPORT: u32 = 2;
 
 /// Longest context the `ngram` predictor family accepts. Each order
-/// adds one table and one lookup per access; the workspace uses at most
-/// order 3, and a larger order only starves every context of support.
+/// adds one trie level per access; the workspace uses at most order 3,
+/// and a larger order only starves every context of support.
 const MAX_NGRAM_ORDER: usize = 8;
 
 impl Predictor for DependencyGraph {
