@@ -1,19 +1,18 @@
-//! The integrated prefetch–cache client of Section 5: arbitrate a
-//! tentative plan against the cache (Figure 6), serve the request, and
-//! account for the demand fetch — one `step` per request.
+//! The integrated prefetch–cache client of Section 5: plan over the
+//! non-cached items, arbitrate the tentative plan against the cache
+//! (Figure 6), serve the request, and account for the demand fetch.
 //!
-//! The client does not plan. The caller plans the tentative list `F̂`
-//! over the non-cached items ([`PrefetchCache::candidate_mask`]) with any
-//! [`Prefetcher`](skp_core::policy::Prefetcher) and hands it to
-//! [`PrefetchCache::step`]. The Figure-7 simulation drives it with a
-//! Markov source: policies `No+Pr`, `KP+Pr`, `SKP+Pr`, `SKP+Pr+LFU` and
-//! `SKP+Pr+DS` are a planning [`PolicyKind`] plus a
-//! [`PrefetchCacheConfig`] each ([`PrefetchCacheConfig::figure7_policies`]).
+//! [`PrefetchCache::round`] is that round, in buffers the caller keeps
+//! ([`RoundScratch`]); the facade engine and the Figure-7 sweep both run
+//! it. [`PrefetchCache::step`] serves a plan made elsewhere. The Figure-7
+//! policies `No+Pr`, `KP+Pr`, `SKP+Pr`, `SKP+Pr+LFU` and `SKP+Pr+DS` are
+//! a planning [`PolicyKind`] plus a [`PrefetchCacheConfig`] each
+//! ([`PrefetchCacheConfig::figure7_policies`]).
 //!
 //! ```
-//! use cache_sim::{PrefetchCache, PrefetchCacheConfig};
+//! use cache_sim::{PrefetchCache, PrefetchCacheConfig, RoundScratch};
 //! use skp_core::arbitration::SubArbitration;
-//! use skp_core::policy::{PolicyKind, Prefetcher};
+//! use skp_core::policy::PolicyKind;
 //! use skp_core::Scenario;
 //!
 //! let cfg = PrefetchCacheConfig {
@@ -21,10 +20,13 @@
 //!     capacity: 2,
 //! };
 //! let mut client = PrefetchCache::new(cfg, 3);
+//! let mut scratch = RoundScratch::default();
 //! let s = Scenario::new(vec![0.7, 0.2, 0.1], vec![4.0, 6.0, 8.0], 10.0).unwrap();
-//! let plan = PolicyKind::SkpExact.plan_candidates(&s, &client.candidate_mask());
-//! let out = client.step(&s, 0, plan); // item 0 was planned: served instantly
+//! let row = [(0, 0.7), (1, 0.2), (2, 0.1)];
+//! // Item 0 was planned: served instantly.
+//! let out = client.round(&PolicyKind::SkpExact, &s, &row, 0, &mut scratch);
 //! assert!(out.hit && out.access_time == 0.0);
+//! assert!(client.prefetched().contains(&0));
 //! ```
 
 use access_model::FreqTracker;
@@ -33,7 +35,8 @@ use skp_core::arbitration::{
     SubArbitration,
 };
 use skp_core::gain::{access_time_empty, stretch_time};
-use skp_core::policy::PolicyKind;
+use skp_core::policy::{PolicyKind, Prefetcher, RowBasis};
+use skp_core::skp::SolveScratch;
 use skp_core::{PrefetchPlan, Scenario};
 
 use crate::cache::Cache;
@@ -112,6 +115,30 @@ pub struct Round {
 }
 
 impl Round {
+    /// The round that prefetched `items` and served `alpha`, with no
+    /// demand victim: at once when `cached`, else by Figure 2's
+    /// empty-cache case analysis. Uncached, it is the "prefetch only"
+    /// round.
+    pub fn served(s: &Scenario, items: &[usize], alpha: usize, cached: bool) -> Self {
+        let access_time = if cached {
+            0.0
+        } else {
+            access_time_empty(s, items, alpha)
+        };
+        Round {
+            access_time,
+            hit: access_time == 0.0,
+            demand_victim: None,
+            demand_fetch: !cached && !items.contains(&alpha),
+            stretch: stretch_time(s, items),
+            wasted_retrieval: items
+                .iter()
+                .filter(|&&i| i != alpha)
+                .map(|&i| s.retrieval(i))
+                .sum(),
+        }
+    }
+
     /// The full outcome, with the cycle's item lists copied in.
     pub fn outcome(self, prefetched: &[usize], ejected: &[usize]) -> StepOutcome {
         StepOutcome {
@@ -223,18 +250,10 @@ impl PrefetchCache {
         );
         let arb = &self.arbitration;
 
-        // Access time from the pre-application cache state: a kept
-        // cache entry is free, anything else is Figure 2's empty-cache
-        // case analysis of the executed plan.
-        let st = stretch_time(scenario, &arb.prefetch);
+        // Served from the pre-application cache state: a kept cache
+        // entry is free, anything else waits on the executed plan.
         let cached = self.cache.contains(alpha) && !arb.eject.contains(&alpha);
-        let access_time = if cached {
-            0.0
-        } else {
-            access_time_empty(scenario, &arb.prefetch, alpha)
-        };
-        let hit = access_time == 0.0;
-        let demand_fetch = !cached && !arb.prefetch.contains(&alpha);
+        let mut round = Round::served(scenario, &arb.prefetch, alpha, cached);
 
         // Apply ejections and insertions.
         for &d in &arb.eject {
@@ -246,8 +265,7 @@ impl PrefetchCache {
 
         // Demand fetch brings `alpha` into the cache, evicting a
         // minimum-Pr victim when full (it "must have a victim").
-        let mut demand_victim = None;
-        if demand_fetch && !self.cache.contains(alpha) {
+        if round.demand_fetch && !self.cache.contains(alpha) {
             if self.cache.free_slots() == 0 {
                 fill_entries(&self.cache, &self.freq, &mut self.entries);
                 let v = choose_demand_victim_with(
@@ -258,29 +276,32 @@ impl PrefetchCache {
                 )
                 .expect("full cache has a victim");
                 self.cache.evict(v);
-                demand_victim = Some(v);
+                round.demand_victim = Some(v);
             }
             self.cache.insert(alpha);
         }
 
         // Statistics.
         self.freq.record(alpha);
+        round
+    }
 
-        let wasted_retrieval = arb
-            .prefetch
-            .iter()
-            .filter(|&&i| i != alpha)
-            .map(|&i| scenario.retrieval(i))
-            .sum();
-
-        Round {
-            access_time,
-            hit,
-            demand_victim,
-            demand_fetch,
-            stretch: st,
-            wasted_retrieval,
-        }
+    /// The Section-5 round: plans with `policy` over the non-cached
+    /// items ([`RoundScratch::plan`]), then [`Self::serve`]s `alpha`. A
+    /// round whose lists and solve fit in the buffers allocates nothing.
+    ///
+    /// # Panics
+    /// As [`Self::serve`], and when the policy plans an item twice.
+    pub fn round<P: Prefetcher + ?Sized>(
+        &mut self,
+        policy: &P,
+        s: &Scenario,
+        row: &[(usize, f64)],
+        alpha: usize,
+        scratch: &mut RoundScratch,
+    ) -> Round {
+        let items = scratch.plan(policy, s, row, alpha, Some(self));
+        self.serve(s, alpha, items)
     }
 
     /// Items the last cycle prefetched (after arbitration), in prefetch
@@ -300,6 +321,70 @@ impl PrefetchCache {
         self.freq.reset();
         self.arbitration.prefetch.clear();
         self.arbitration.eject.clear();
+    }
+}
+
+/// The buffers a round plans in, kept by the caller between rounds.
+#[derive(Debug, Clone, Default)]
+pub struct RoundScratch {
+    mask: Vec<bool>,
+    plan: Vec<usize>,
+    marks: Vec<bool>,
+    solve: SolveScratch,
+}
+
+impl RoundScratch {
+    /// The tentative plan of the round that requests `alpha`, over the
+    /// items `client` does not hold (all of them without one). The
+    /// oracle prefetches `alpha` itself; every other policy plans from
+    /// `row`, the non-zero entries of `s`'s probabilities in ascending
+    /// item order ([`Prefetcher::plan_row_into`]).
+    ///
+    /// # Panics
+    /// Panics when the policy plans an item twice.
+    pub fn plan<P: Prefetcher + ?Sized>(
+        &mut self,
+        policy: &P,
+        s: &Scenario,
+        row: &[(usize, f64)],
+        alpha: usize,
+        client: Option<&PrefetchCache>,
+    ) -> &[usize] {
+        let candidates = client.map(|client| {
+            client.fill_candidate_mask(&mut self.mask);
+            self.mask.as_slice()
+        });
+        self.plan.clear();
+        if policy.is_oracle() {
+            if candidates.is_none_or(|mask| mask.get(alpha).copied().unwrap_or(false)) {
+                self.plan.push(alpha);
+            }
+        } else {
+            let basis = RowBasis::Dense {
+                scenario: s,
+                candidates,
+            };
+            policy.plan_row_into(row, basis, &mut self.solve, &mut self.plan);
+            check_planned_once(&self.plan, s.n(), &mut self.marks);
+        }
+        &self.plan
+    }
+
+    /// The tentative plan of the last [`Self::plan`].
+    pub fn planned(&self) -> &[usize] {
+        &self.plan
+    }
+}
+
+/// Panics unless `plan` lists each of its items under `n` once (an item
+/// past `n` fails later, in the scenario). `marks` is all `false` around it.
+fn check_planned_once(plan: &[usize], n: usize, marks: &mut Vec<bool>) {
+    marks.resize(n, false);
+    let in_range = || plan.iter().copied().filter(|&i| i < n);
+    let repeated = in_range().find(|&i| std::mem::replace(&mut marks[i], true));
+    in_range().for_each(|i| marks[i] = false);
+    if let Some(i) = repeated {
+        panic!("a policy plans each item once, but planned item {i} twice");
     }
 }
 

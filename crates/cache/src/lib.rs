@@ -5,10 +5,10 @@
 //!
 //! - [`cache`] — an equal-slot cache over a fixed item universe;
 //! - [`integrated`] — [`integrated::PrefetchCache`], the full Section-5
-//!   client: Figure-6 arbitration of a tentative plan (planned by the
-//!   caller over the non-cached items), demand-fetch eviction and
-//!   access-frequency tracking. This is the object the Figure-7
-//!   simulation drives.
+//!   client: planning over the non-cached items, Figure-6 arbitration
+//!   of the tentative plan, demand-fetch eviction and access-frequency
+//!   tracking. Its one round ([`PrefetchCache::round`]) is what both
+//!   the facade engine and the Figure-7 simulation run.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -17,4 +17,4 @@ pub mod cache;
 pub mod integrated;
 
 pub use cache::Cache;
-pub use integrated::{PrefetchCache, PrefetchCacheConfig, Round, StepOutcome};
+pub use integrated::{PrefetchCache, PrefetchCacheConfig, Round, RoundScratch, StepOutcome};

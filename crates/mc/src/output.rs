@@ -96,30 +96,6 @@ pub fn ascii_plot(
     out
 }
 
-/// Convenience: bounds covering a set of series with a small margin.
-pub fn nice_bounds(series: &[(&str, &[(f64, f64)])]) -> ((f64, f64), (f64, f64)) {
-    let mut x_lo = f64::INFINITY;
-    let mut x_hi = f64::NEG_INFINITY;
-    let mut y_lo = f64::INFINITY;
-    let mut y_hi = f64::NEG_INFINITY;
-    for (_, pts) in series {
-        for &(x, y) in *pts {
-            x_lo = x_lo.min(x);
-            x_hi = x_hi.max(x);
-            y_lo = y_lo.min(y);
-            y_hi = y_hi.max(y);
-        }
-    }
-    if !x_lo.is_finite() {
-        return ((0.0, 1.0), (0.0, 1.0));
-    }
-    let pad = |lo: f64, hi: f64| {
-        let d = (hi - lo).max(1e-9);
-        (lo - 0.02 * d, hi + 0.02 * d)
-    };
-    (pad(x_lo, x_hi), pad(y_lo.min(0.0), y_hi))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,19 +147,5 @@ mod tests {
             && l.starts_with(' ')
             && l.contains('|')
             && l.split('|').nth(1).is_some_and(|g| g.contains('*'))));
-    }
-
-    #[test]
-    fn nice_bounds_cover_data() {
-        let s: Vec<(f64, f64)> = vec![(1.0, 2.0), (9.0, 8.0)];
-        let ((xl, xh), (yl, yh)) = nice_bounds(&[("s", &s)]);
-        assert!(xl <= 1.0 && xh >= 9.0);
-        assert!(yl <= 0.0 && yh >= 8.0);
-    }
-
-    #[test]
-    fn nice_bounds_empty_input() {
-        let ((xl, xh), (yl, yh)) = nice_bounds(&[]);
-        assert!(xh > xl && yh > yl);
     }
 }

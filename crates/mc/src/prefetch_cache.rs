@@ -8,15 +8,17 @@
 //! The prefetcher is given the *true* transition row of the current state
 //! as its next-access probabilities (the paper's model "presupposes some
 //! knowledge about future accesses"), the state's viewing time, and the
-//! catalog's retrieval times. Sweep points (policy × cache size) are
+//! catalog's retrieval times. Each request is one
+//! [`PrefetchCache::round`], the facade engine's Section-5 round, on the
+//! state's merged row. Sweep points (policy × cache size) are
 //! independent runs fanned out over the thread pool.
 
 use access_model::MarkovChain;
-use cache_sim::{PrefetchCache, PrefetchCacheConfig};
+use cache_sim::{PrefetchCache, PrefetchCacheConfig, RoundScratch};
 use distsys::{Catalog, RetrievalModel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use skp_core::policy::{PolicyKind, Prefetcher};
+use skp_core::policy::PolicyKind;
 use skp_core::Scenario;
 
 use crate::parallel::{default_threads, derive_seed, par_map_indexed};
@@ -104,8 +106,9 @@ impl PrefetchCacheSim {
         (chain, catalog)
     }
 
-    /// Runs one policy at one cache size against a workload: `policy`
-    /// plans over the non-cached items, the client arbitrates.
+    /// Runs one policy at one cache size against a workload. The rows
+    /// refill one catalog scenario in place, so a steady-state request of
+    /// the SKP and no-prefetch policies allocates nothing.
     pub fn run_point(
         &self,
         chain: &MarkovChain,
@@ -116,8 +119,11 @@ impl PrefetchCacheSim {
         point_seed: u64,
     ) -> CachePoint {
         let n = self.n_states;
-        let retrievals = catalog.retrieval_vector();
+        let rows = chain.merged_rows();
+        let mut scenario = Scenario::new(vec![0.0; n], catalog.retrieval_vector(), 0.0)
+            .expect("catalog retrievals are valid");
         let mut client = PrefetchCache::new(cfg, n);
+        let mut scratch = RoundScratch::default();
         let mut rng = SmallRng::seed_from_u64(point_seed);
         let mut state = rng.random_range(0..n);
 
@@ -127,12 +133,12 @@ impl PrefetchCacheSim {
         let mut stretch = RunningStats::new();
 
         for step in 0..(self.warmup + self.requests) {
-            let probs = chain.row_probs(state);
-            let scenario = Scenario::new(probs, retrievals.clone(), chain.viewing(state))
+            let row = rows.row(state);
+            scenario
+                .set_row(row, chain.viewing(state))
                 .expect("markov row is a valid scenario");
             let alpha = chain.next_state(state, &mut rng);
-            let plan = policy.plan_candidates(&scenario, &client.candidate_mask());
-            let out = client.step(&scenario, alpha, plan);
+            let out = client.round(&policy, &scenario, row, alpha, &mut scratch);
             if step >= self.warmup {
                 access.push(out.access_time);
                 if out.hit {

@@ -7,16 +7,19 @@
 //! 3) generate a random request, 4) calculate access time, 5) output `v`
 //! and `T`."
 //!
-//! All policies are evaluated on the *same* scenario/request draws
-//! (paired comparison), iterations are fanned out over threads in
-//! deterministic chunks, and each policy accumulates a `v`-binned mean
-//! (Figure 5) plus the first `scatter_cap` raw `(v, T)` samples
-//! (Figure 4 plots 500 of them).
+//! [`sample_chunk`] runs those steps for a chunk of iterations, for the
+//! facade engine's Monte-Carlo workload (one policy) and for
+//! [`PrefetchOnlySim`] (all policies on the *same* scenario/request
+//! draws: a paired comparison). Chunks fan out over threads
+//! deterministically, and each policy accumulates a `v`-binned mean
+//! (Figure 5) plus the first `scatter_cap` raw `(v, T)` samples (Figure
+//! 4 plots 500 of them).
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use skp_core::gain::access_time_empty;
 use skp_core::policy::{PolicyKind, Prefetcher};
+use skp_core::Scenario;
 
 use crate::parallel::{default_threads, par_monte_carlo};
 use crate::scenario_gen::ScenarioGen;
@@ -92,6 +95,18 @@ impl PrefetchOnlySim {
         // therefore the results — independent of the machine's core count.
         let chunks = if self.chunks == 0 { 64 } else { self.chunks };
         let (v_lo, v_hi) = self.gen.v_range;
+        let empty = || -> Vec<PolicyResult> {
+            policies
+                .iter()
+                .map(|&policy| PolicyResult {
+                    policy,
+                    binned: BinnedMeans::new(v_lo as i64, v_hi as i64),
+                    overall: RunningStats::new(),
+                    scatter: Vec::new(),
+                })
+                .collect()
+        };
+        let planners: Vec<&dyn Prefetcher> = policies.iter().map(|p| p as _).collect();
 
         let merged = par_monte_carlo(
             self.iterations,
@@ -99,7 +114,16 @@ impl PrefetchOnlySim {
             self.seed,
             threads,
             |chunk_seed, iters| {
-                self.run_chunk(policies, chunk_seed, iters, scatter_cap, v_lo, v_hi)
+                let mut out = empty();
+                sample_chunk(&self.gen, &planners, chunk_seed, iters, |k, s, _, t| {
+                    let res = &mut out[k];
+                    res.binned.push(s.viewing(), t);
+                    res.overall.push(t);
+                    if res.scatter.len() < scatter_cap {
+                        res.scatter.push(Sample { v: s.viewing(), t });
+                    }
+                });
+                out
             },
             |mut a, b| {
                 for (pa, pb) in a.iter_mut().zip(b) {
@@ -111,54 +135,34 @@ impl PrefetchOnlySim {
                 a
             },
         );
-        merged.unwrap_or_else(|| {
-            policies
-                .iter()
-                .map(|&p| empty_result(p, v_lo, v_hi))
-                .collect()
-        })
-    }
-
-    fn run_chunk(
-        &self,
-        policies: &[PolicyKind],
-        chunk_seed: u64,
-        iters: u64,
-        scatter_cap: usize,
-        v_lo: u32,
-        v_hi: u32,
-    ) -> Vec<PolicyResult> {
-        let mut rng = SmallRng::seed_from_u64(chunk_seed);
-        let mut out: Vec<PolicyResult> = policies
-            .iter()
-            .map(|&p| empty_result(p, v_lo, v_hi))
-            .collect();
-        for _ in 0..iters {
-            let s = self.gen.generate(&mut rng);
-            let alpha = ScenarioGen::draw_request(&s, &mut rng);
-            for res in &mut out {
-                let plan = match res.policy {
-                    PolicyKind::Perfect => PolicyKind::plan_oracle(&s, alpha),
-                    p => p.plan(&s),
-                };
-                let t = access_time_empty(&s, plan.items(), alpha);
-                res.binned.push(s.viewing(), t);
-                res.overall.push(t);
-                if res.scatter.len() < scatter_cap {
-                    res.scatter.push(Sample { v: s.viewing(), t });
-                }
-            }
-        }
-        out
+        merged.unwrap_or_else(empty)
     }
 }
 
-fn empty_result(policy: PolicyKind, v_lo: u32, v_hi: u32) -> PolicyResult {
-    PolicyResult {
-        policy,
-        binned: BinnedMeans::new(v_lo as i64, v_hi as i64),
-        overall: RunningStats::new(),
-        scatter: Vec::new(),
+/// The "prefetch only" loop of one chunk: `iters` times, generates a
+/// scenario and draws its request (from a generator seeded with
+/// `chunk_seed`), plans it with each policy `k` (an oracle prefetches
+/// the request) and calls `visit(k, scenario, request, T)` with the
+/// plan's empty-cache access time `T`.
+pub fn sample_chunk(
+    gen: &ScenarioGen,
+    policies: &[&dyn Prefetcher],
+    chunk_seed: u64,
+    iters: u64,
+    mut visit: impl FnMut(usize, &Scenario, usize, f64),
+) {
+    let mut rng = SmallRng::seed_from_u64(chunk_seed);
+    for _ in 0..iters {
+        let s = gen.generate(&mut rng);
+        let alpha = ScenarioGen::draw_request(&s, &mut rng);
+        for (k, policy) in policies.iter().enumerate() {
+            let plan = if policy.is_oracle() {
+                PolicyKind::plan_oracle(&s, alpha)
+            } else {
+                policy.plan(&s)
+            };
+            visit(k, &s, alpha, access_time_empty(&s, plan.items(), alpha));
+        }
     }
 }
 

@@ -168,15 +168,6 @@ impl BinnedMeans {
             a.merge(b);
         }
     }
-
-    /// Overall mean of `y` across all bins.
-    pub fn overall_mean(&self) -> f64 {
-        let mut all = RunningStats::new();
-        for b in &self.bins {
-            all.merge(b);
-        }
-        all.mean()
-    }
 }
 
 #[cfg(test)]
@@ -261,7 +252,6 @@ mod tests {
         b.push(2.0, 3.0);
         a.merge(&b);
         assert!((a.bin(2).unwrap().mean() - 2.0).abs() < TOL);
-        assert!((a.overall_mean() - 2.0).abs() < TOL);
     }
 
     #[test]

@@ -145,8 +145,10 @@ pub(crate) fn render_plan_set(set: &PlanSet) -> String {
 }
 
 /// Strict inverse of [`render_plan_set`]: any deviation — wrong magic,
-/// missing section, unparsable number, out-of-range state, missing
-/// `end` — yields `None` (a miss).
+/// missing section, unparsable number, a `states` count other than the
+/// catalog's length, out-of-range state, a plan item at or past that
+/// count or listed twice in one plan, missing `end` — yields `None` (a
+/// miss).
 pub(crate) fn parse_plan_set(text: &str) -> Option<PlanSet> {
     let mut lines = text.lines();
     if lines.next()? != MAGIC {
@@ -159,7 +161,11 @@ pub(crate) fn parse_plan_set(text: &str) -> Option<PlanSet> {
         catalog.push(tok.parse::<f64>().ok()?);
     }
     let n: usize = lines.next()?.strip_prefix("states ")?.parse().ok()?;
+    if n != catalog.len() {
+        return None;
+    }
     let mut plans: Vec<Option<Vec<usize>>> = vec![None; n];
+    let mut listed = vec![false; n];
     let mut ended = false;
     for line in lines {
         if ended {
@@ -176,7 +182,14 @@ pub(crate) fn parse_plan_set(text: &str) -> Option<PlanSet> {
         }
         let mut items = Vec::new();
         for tok in toks {
-            items.push(tok.parse::<usize>().ok()?);
+            let item: usize = tok.parse().ok()?;
+            if item >= n || std::mem::replace(&mut listed[item], true) {
+                return None;
+            }
+            items.push(item);
+        }
+        for &item in &items {
+            listed[item] = false;
         }
         plans[state] = Some(items);
     }
@@ -205,7 +218,15 @@ mod tests {
 
     fn awkward_set() -> PlanSet {
         PlanSet {
-            plans: vec![Some(vec![0, 2, 5]), None, Some(vec![]), Some(vec![7])],
+            plans: vec![
+                Some(vec![0, 2, 5]),
+                None,
+                Some(vec![]),
+                Some(vec![6]),
+                None,
+                None,
+                None,
+            ],
             guard: PlanGuard {
                 policy_spec: "network-aware:0.4".into(),
                 // Values whose decimal forms stress shortest-round-trip:
@@ -249,6 +270,17 @@ mod tests {
         assert!(parse_plan_set(&format!("{full}junk\n")).is_none());
         assert!(parse_plan_set(&full.replace(MAGIC, "skp-planstore v0")).is_none());
         assert!(parse_plan_set(&full.replace("plan 0", "plan 9")).is_none());
+        // Counts and items no population plans: a state count other
+        // than the catalog's, an item past it, an item listed twice.
+        for (from, to) in [
+            ("states 7", "states 4000000000"),
+            ("states 7", "states 6"),
+            ("plan 3 6", "plan 3 7"),
+            ("plan 0 0 2 5", "plan 0 0 2 0"),
+        ] {
+            let bad = full.replace(from, to);
+            assert!(bad != full && parse_plan_set(&bad).is_none(), "{to} parsed");
+        }
     }
 
     #[test]

@@ -25,11 +25,12 @@
 use std::sync::Arc;
 
 use access_model::MarkovChain;
-use cache_sim::{PrefetchCache, PrefetchCacheConfig, Round, StepOutcome};
+use cache_sim::{PrefetchCache, PrefetchCacheConfig, Round, RoundScratch, StepOutcome};
 use distsys::scheduler::{ClientPolicy, SimEvent};
 use distsys::stats::AccessStats;
 use distsys::{Catalog, SessionConfig, Trace};
 use montecarlo::parallel::par_monte_carlo;
+use montecarlo::prefetch_only::sample_chunk;
 use montecarlo::scenario_gen::ScenarioGen;
 use montecarlo::stats::RunningStats;
 use obs::{build_obs, EpochMark, Obs, PhaseTimer};
@@ -37,13 +38,11 @@ use planstore::{
     build_plan_store, population_plan_key, MemoryStore, PlanGuard, PlanSet, PlanStore,
     PlanStoreStats,
 };
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use skp_core::arbitration::SubArbitration;
 use skp_core::gain::{
     access_time_empty, expected_access_time_empty, gain_empty_cache, stretch_time,
 };
-use skp_core::policy::{PolicyKind, Prefetcher, RowBasis};
+use skp_core::policy::{Prefetcher, RowBasis};
 use skp_core::skp::{upper_bound, SolveScratch};
 use skp_core::{ModelError, PrefetchPlan, Scenario};
 
@@ -322,10 +321,7 @@ impl SessionBuilder {
             obs: self.obs,
             forecast: None,
             row: Vec::new(),
-            mask: Vec::new(),
-            plan: Vec::new(),
-            marks: Vec::new(),
-            solve: SolveScratch::default(),
+            scratch: RoundScratch::default(),
         })
     }
 }
@@ -358,17 +354,11 @@ pub struct Engine {
     obs: Obs,
     /// Reused state of the online step: the catalog scenario that
     /// [`step_forecast`](Engine::step_forecast) refills from each
-    /// forecast, a forecast row, the cache candidate mask, the round's
-    /// plan and the marks that check it plans each item once. A
+    /// forecast, a forecast row and the round's buffers. A
     /// steady-state round allocates nothing.
     forecast: Option<Scenario>,
     row: Vec<(usize, f64)>,
-    mask: Vec<bool>,
-    plan: Vec<usize>,
-    marks: Vec<bool>,
-    /// The SKP solves' working buffers, shared by the online round and
-    /// the population planner.
-    solve: SolveScratch,
+    scratch: RoundScratch,
 }
 
 impl Engine {
@@ -593,17 +583,15 @@ impl Engine {
     /// Drive them through [`step`](Engine::step) or a Monte-Carlo
     /// [`Workload`], which know the request.
     pub fn plan(&self, s: &Scenario) -> PrefetchPlan {
+        if self.policy.is_oracle() {
+            return PrefetchPlan::empty();
+        }
         let mut row = Vec::new();
         dense_row(s.probs(), &mut row);
-        let mask = self.client.as_ref().map(PrefetchCache::candidate_mask);
-        let basis = RowBasis::Dense {
-            scenario: s,
-            candidates: mask.as_deref(),
-        };
-        let mut items = Vec::new();
-        self.policy
-            .plan_row_into(&row, basis, &mut SolveScratch::default(), &mut items);
-        PrefetchPlan::new(items).expect("a policy plans each item once")
+        let mut scratch = RoundScratch::default();
+        // The request (0) only matters to the oracle, handled above.
+        let items = scratch.plan(&*self.policy, s, &row, 0, self.client.as_ref());
+        PrefetchPlan::new(items.to_vec()).expect("the round checks each item is planned once")
     }
 
     /// Plans and evaluates in closed form — the engine of
@@ -809,52 +797,16 @@ impl Engine {
     }
 
     /// The one request cycle behind [`step`](Engine::step) and
-    /// [`step_forecast`](Engine::step_forecast). `row` lists every entry
-    /// of `s`'s probabilities other than `+0.0`, in ascending item
-    /// order: the SKP policies plan from it ([`Prefetcher::plan_row_into`]),
-    /// every other policy from `s`. The plan is left in `self.plan`
-    /// and, with a cache, the executed plan and ejections in the client.
+    /// [`step_forecast`](Engine::step_forecast): the Section-5 round
+    /// ([`PrefetchCache::round`]), or without a cache its plan served
+    /// from a flushed buffer. `row` lists `s`'s entries other than `+0.0`,
+    /// ascending.
     fn round(&mut self, s: &Scenario, row: &[(usize, f64)], alpha: usize) -> Round {
-        let candidates = match &self.client {
-            Some(client) => {
-                client.fill_candidate_mask(&mut self.mask);
-                Some(self.mask.as_slice())
-            }
-            None => None,
-        };
-        self.plan.clear();
-        if self.policy.is_oracle() {
-            // The oracle prefetches the request itself, unless it is
-            // already cached.
-            if candidates.is_none_or(|mask| mask.get(alpha).copied().unwrap_or(false)) {
-                self.plan.push(alpha);
-            }
-        } else {
-            let basis = RowBasis::Dense {
-                scenario: s,
-                candidates,
-            };
-            self.policy
-                .plan_row_into(row, basis, &mut self.solve, &mut self.plan);
-            check_planned_once(&self.plan, s.n(), &mut self.marks);
-        }
-        let items = &self.plan;
         match &mut self.client {
-            Some(client) => client.serve(s, alpha, items),
+            Some(client) => client.round(&*self.policy, s, row, alpha, &mut self.scratch),
             None => {
-                let access_time = access_time_empty(s, items, alpha);
-                Round {
-                    access_time,
-                    hit: access_time == 0.0,
-                    demand_victim: None,
-                    demand_fetch: !items.contains(&alpha),
-                    stretch: stretch_time(s, items),
-                    wasted_retrieval: items
-                        .iter()
-                        .filter(|&&i| i != alpha)
-                        .map(|&i| s.retrieval(i))
-                        .sum(),
-                }
+                let items = self.scratch.plan(&*self.policy, s, row, alpha, None);
+                Round::served(s, items, alpha, false)
             }
         }
     }
@@ -865,7 +817,7 @@ impl Engine {
     fn outcome(&self, round: Round) -> StepOutcome {
         match &self.client {
             Some(client) => round.outcome(client.prefetched(), client.ejected()),
-            None => round.outcome(&self.plan, &[]),
+            None => round.outcome(self.scratch.planned(), &[]),
         }
     }
 
@@ -973,31 +925,20 @@ impl Engine {
                 detail: "must be positive".into(),
             });
         }
-        // The oracle plans per realised request; everything else plans
-        // from the scenario alone.
-        let oracle = self.policy.is_oracle();
+        let gen = ScenarioGen::paper(spec.n_items, spec.method);
+        let policy: [&dyn Prefetcher; 1] = [&*self.policy];
         let sim = |chunk_seed: u64, iters: u64| -> (SimReport, Vec<f64>) {
-            let mut rng = SmallRng::seed_from_u64(chunk_seed);
-            let gen = ScenarioGen::paper(spec.n_items, spec.method);
             let mut access = RunningStats::new();
             let mut gain = RunningStats::new();
             // Capacity hint only — capped so an absurd `iterations`
             // value cannot abort on one huge eager allocation; the
             // buffer grows with samples actually produced.
             let mut samples = Vec::with_capacity(iters.min(1 << 20) as usize);
-            for _ in 0..iters {
-                let s = gen.generate(&mut rng);
-                let alpha = ScenarioGen::draw_request(&s, &mut rng);
-                let plan = if oracle {
-                    PolicyKind::plan_oracle(&s, alpha)
-                } else {
-                    self.policy.plan(&s)
-                };
-                let t = access_time_empty(&s, plan.items(), alpha);
+            sample_chunk(&gen, &policy, chunk_seed, iters, |_, s, alpha, t| {
                 access.push(t);
                 samples.push(t);
                 gain.push(s.retrieval(alpha) - t);
-            }
+            });
             (
                 SimReport {
                     access,
@@ -1079,9 +1020,7 @@ impl Engine {
         marks: Option<&mut Vec<EpochMark>>,
     ) -> Result<(AccessStats, ReportSection, Vec<SimEvent>), Error> {
         timer.start("build");
-        // The solves reuse the online round's buffers; an early return
-        // leaves the engine fresh ones.
-        let mut solve = std::mem::take(&mut self.solve);
+        let mut solve = SolveScratch::default();
         let retrievals = match self.catalog_for(chain, operation) {
             Ok(r) => r,
             // A backend that cannot run populations at all outranks a
@@ -1168,32 +1107,7 @@ impl Engine {
             }
         }
         timer.stop();
-        self.solve = solve;
         out
-    }
-}
-
-/// Panics unless `plan` lists each of its items under `n` once. `marks`
-/// is all `false` on entry and on return (it grows to `n` once). Items
-/// at `n` or past it are not marked: the round panics when it looks
-/// them up in its `n`-item scenario.
-fn check_planned_once(plan: &[usize], n: usize, marks: &mut Vec<bool>) {
-    marks.resize(n, false);
-    let mut repeated = None;
-    for &i in plan {
-        if let Some(mark) = marks.get_mut(i) {
-            if std::mem::replace(mark, true) {
-                repeated = repeated.or(Some(i));
-            }
-        }
-    }
-    for &i in plan {
-        if let Some(mark) = marks.get_mut(i) {
-            *mark = false;
-        }
-    }
-    if let Some(i) = repeated {
-        panic!("a policy plans each item once, but planned item {i} twice");
     }
 }
 

@@ -10,11 +10,17 @@
 //! rounds need. A further run over T, and one over T‖T (T twice in a
 //! row), then differ only in the number of rounds. If they make the same
 //! number of allocations, the extra rounds of T‖T made none: what is
-//! left is the run's fixed setup and report.
+//! left is the run's fixed setup and report. The Figure-7 sweep point
+//! runs the same round, and is pinned the same way: two runs with the
+//! same warm-up, one measuring twice the requests of the other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use montecarlo::prefetch_cache::PrefetchCacheSim;
+use speculative_prefetch::cache::PrefetchCacheConfig;
+use speculative_prefetch::core::arbitration::SubArbitration;
+use speculative_prefetch::core::policy::PolicyKind;
 use speculative_prefetch::{Engine, Trace, Workload};
 
 struct Counting;
@@ -121,4 +127,39 @@ fn a_steady_state_trace_round_allocates_nothing() {
          the {} extra rounds allocated",
         once.len()
     );
+}
+
+#[test]
+fn a_steady_state_figure7_round_allocates_nothing() {
+    let sim = |requests| PrefetchCacheSim {
+        n_states: 40,
+        min_fanout: 4,
+        max_fanout: 10,
+        warmup: 4_000,
+        ..PrefetchCacheSim::paper(requests, 11)
+    };
+    let (chain, catalog) = sim(0).workload();
+    for (policy, sub) in [
+        (PolicyKind::NoPrefetch, SubArbitration::None),
+        (PolicyKind::SkpPaper, SubArbitration::Lfu),
+        (PolicyKind::SkpExact, SubArbitration::DelaySaving),
+    ] {
+        let cfg = PrefetchCacheConfig { sub, capacity: 8 };
+        let run = |requests| {
+            let mut point = None;
+            let made = allocations(|| {
+                point = Some(sim(requests).run_point(&chain, &catalog, "p", policy, cfg, 5));
+            });
+            (made, point.expect("ran"))
+        };
+        let (a, once) = run(500);
+        let (b, twice) = run(1_000);
+        assert_eq!(twice.access.count(), 2 * once.access.count());
+        assert!(twice.hit_rate > 0.0, "{policy:?}: rounds hit");
+        assert_eq!(
+            a, b,
+            "{policy:?}: a point measuring 500 requests made {a} allocations and one \
+             measuring 1000 made {b}: the 500 extra rounds allocated"
+        );
+    }
 }

@@ -7,11 +7,12 @@ use montecarlo::prefetch_cache::PrefetchCacheSim;
 use montecarlo::prefetch_only::PrefetchOnlySim;
 use montecarlo::probgen::ProbMethod;
 use montecarlo::scenario_gen::ScenarioGen;
+use montecarlo::stats::RunningStats;
 use proptest::prelude::*;
 use speculative_prefetch::access::MarkovChain;
 use speculative_prefetch::core::policy::PolicyKind;
 use speculative_prefetch::distsys::Catalog;
-use speculative_prefetch::{Engine, Workload};
+use speculative_prefetch::{Engine, MonteCarloSpec, Workload};
 
 fn prefetch_only(threads: usize, chunks: usize) -> PrefetchOnlySim {
     PrefetchOnlySim {
@@ -64,6 +65,51 @@ fn prefetch_cache_sweep_stable_across_threads() {
         assert_eq!(x.capacity, y.capacity);
         assert_eq!(x.access.mean().to_bits(), y.access.mean().to_bits());
         assert_eq!(x.hit_rate.to_bits(), y.hit_rate.to_bits());
+    }
+}
+
+/// The engine's `monte-carlo:<C>x<T>` run and the Figures 4–5 sampler
+/// draw the same scenarios and requests: for each policy, the report's
+/// access statistics are the `overall` statistics of a `PrefetchOnlySim`
+/// with `C` chunks on that one policy, bit for bit.
+#[test]
+fn monte_carlo_runs_equal_the_prefetch_only_sampler() {
+    let method = ProbMethod::skewy();
+    let (n_items, iterations, seed, chunks) = (10, 1_500, 4242, 6);
+    let bits = |s: &RunningStats| {
+        (
+            s.count(),
+            [s.mean(), s.variance(), s.min(), s.max()].map(f64::to_bits),
+        )
+    };
+    for (spec, kind) in [
+        ("skp-paper", PolicyKind::SkpPaper),
+        ("skp-exact", PolicyKind::SkpExact),
+        ("kp", PolicyKind::Kp),
+        ("perfect", PolicyKind::Perfect),
+    ] {
+        let report = Engine::builder()
+            .policy(spec)
+            .backend_spec(&format!("monte-carlo:{chunks}x2"))
+            .build()
+            .unwrap()
+            .run(&Workload::monte_carlo(MonteCarloSpec {
+                n_items,
+                method,
+                iterations,
+                seed,
+            }))
+            .unwrap();
+        let sim = PrefetchOnlySim {
+            gen: ScenarioGen::paper(n_items, method),
+            iterations,
+            seed,
+            threads: 3,
+            chunks,
+        };
+        let overall = sim.run(&[kind], 0)[0].overall;
+        let access = report.monte_carlo().expect("monte-carlo section").access;
+        assert_eq!(bits(&access), bits(&overall), "{spec}");
     }
 }
 

@@ -10,7 +10,9 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use speculative_prefetch::{build_plan_store, Engine, MarkovChain, PlanStore, RunReport, Workload};
+use speculative_prefetch::{
+    build_plan_store, parse_workload, Engine, MarkovChain, PlanStore, RunReport, Workload,
+};
 
 const N: usize = 24;
 
@@ -116,6 +118,56 @@ fn runs_with_different_chains_do_not_share_entries() {
     let warm_a = run_with(&store, "skp-exact", &a, 9);
     assert_eq!(cold_a, warm_a);
     assert_eq!(store.stats().hits, 1);
+}
+
+/// A `file:` entry for `sharded.skp`'s population that no run could
+/// have written — a `states` count other than the catalog's length, a
+/// plan item past the catalog, an item listed twice in one plan — is a
+/// miss: the run solves afresh and reports what the cold run reported.
+#[test]
+fn file_entries_no_population_plans_are_misses() {
+    let text = include_str!("../examples/workloads/sharded.skp");
+    let file = parse_workload(text).expect("parses");
+    let dir = std::env::temp_dir().join(format!("skp-planstore-bad-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = format!("file:{}", dir.display());
+    let run = || -> RunReport {
+        let store = build_plan_store(&spec).expect("valid spec");
+        let (mut engine, workload) = file.instantiate(Some(store)).expect("builds");
+        engine.run(&workload).expect("runs")
+    };
+    let cold = run();
+    assert_eq!(cold.plan_store.hits, 0);
+    let entries: Vec<_> = std::fs::read_dir(&dir)
+        .expect("the cold run wrote its entry")
+        .map(|e| e.expect("lists").path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "plan"))
+        .collect();
+    assert_eq!(entries.len(), 1, "{entries:?}");
+    let entry = &entries[0];
+    let good = std::fs::read_to_string(entry).expect("reads");
+    assert!(good.contains("\nstates 24\n"), "{good}");
+    // A solved state that prefetches something: `plan <state> <item> …`.
+    let line = good
+        .lines()
+        .find(|l| l.starts_with("plan ") && l.split(' ').count() > 2)
+        .expect("some state prefetches");
+    let first_item = line.split(' ').nth(2).expect("an item");
+    let state = line.split(' ').nth(1).expect("a state");
+    let bad_entries = [
+        good.replace("\nstates 24\n", "\nstates 4000000000\n"),
+        good.replace(line, &format!("plan {state} 999999")),
+        good.replace(line, &format!("{line} {first_item}")),
+    ];
+    for bad in bad_entries {
+        assert_ne!(bad, good);
+        std::fs::write(entry, &bad).expect("writes");
+        let warm = run();
+        assert_eq!(warm.plan_store.hits, 0, "{bad}");
+        assert_eq!(warm.plan_store.misses(), 1, "{bad}");
+        assert_eq!(cold, warm, "{bad}");
+    }
+    std::fs::remove_dir_all(&dir).expect("scratch dir removable");
 }
 
 proptest! {
