@@ -1,23 +1,13 @@
-//! Minimal HTTP/1.1 request parsing and response writing over a
-//! [`TcpStream`].
-//!
-//! This is deliberately not a web framework: the daemon speaks exactly
-//! the subset the `served:` backend and a curl session need —
-//! `Connection: close` per request, `Content-Length` bodies, no chunked
-//! transfer, no keep-alive, no TLS. Every way a request can be
-//! malformed maps to one typed [`HttpError`] carrying the status code
-//! the worker answers with, so wire-boundary failures are structured
-//! instead of dropped connections.
+//! The daemon's side of HTTP/1.1: the routable [`Request`], the typed
+//! [`HttpError`] each malformed request maps to (so wire-boundary
+//! failures are structured answers, not dropped connections) and the
+//! [`Response`] a worker writes. The framing is
+//! `speculative_prefetch::http`, which the `served:` client reads
+//! replies with.
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, ErrorKind, Write};
 
-use speculative_prefetch::served::MAX_HEADERS;
-
-/// Longest accepted request line or header line, in bytes. Anything
-/// longer is a client bug or an attack, not a workload. The `served:`
-/// client holds the daemon's replies to the same cap.
-pub const MAX_LINE: usize = speculative_prefetch::served::MAX_HEADER_LINE;
+use speculative_prefetch::http;
 
 /// A parsed request: method, path and (possibly empty) body.
 #[derive(Debug)]
@@ -72,140 +62,39 @@ impl HttpError {
     }
 }
 
-/// Reads one `\r\n`-terminated line, rejecting lines over `MAX_LINE`
-/// bytes. EOF before the terminator is a truncated request.
-fn read_line(reader: &mut BufReader<&mut TcpStream>) -> Result<String, HttpError> {
-    let mut line = Vec::with_capacity(128);
-    let mut byte = [0u8; 1];
-    loop {
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                return if line.is_empty() {
-                    Err(HttpError::Disconnected)
-                } else {
-                    Err(HttpError::BadRequest(
-                        "request truncated mid-line (connection closed before CRLF)".to_string(),
-                    ))
-                }
+impl From<io::Error> for HttpError {
+    fn from(e: io::Error) -> Self {
+        match e.kind() {
+            ErrorKind::InvalidData => HttpError::BadRequest(e.to_string()),
+            ErrorKind::UnexpectedEof | ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+                HttpError::Disconnected
             }
-            Ok(_) => {}
-            Err(e) => {
-                return Err(match e.kind() {
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
-                        HttpError::Disconnected
-                    }
-                    _ => HttpError::BadRequest(format!("read failed: {e}")),
-                })
-            }
-        }
-        if byte[0] == b'\n' {
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            return String::from_utf8(line).map_err(|_| {
-                HttpError::BadRequest("header bytes are not valid UTF-8".to_string())
-            });
-        }
-        line.push(byte[0]);
-        if line.len() > MAX_LINE {
-            return Err(HttpError::BadRequest(format!(
-                "header line exceeds {MAX_LINE} bytes"
-            )));
+            _ => HttpError::BadRequest(format!("read failed: {e}")),
         }
     }
 }
 
-/// Reads and parses one request from the stream, enforcing `max_body`.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
-
-    let request_line = read_line(&mut reader)?;
-    let mut parts = request_line.split(' ');
-    let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v), None) if !m.is_empty() && !p.is_empty() => (m, p, v),
-        _ => {
-            return Err(HttpError::BadRequest(format!(
-                "malformed request line '{}' (expected 'METHOD /path HTTP/1.1')",
-                truncate(&request_line)
-            )))
-        }
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::BadRequest(format!(
-            "unsupported protocol version '{}'",
-            truncate(version)
-        )));
-    }
-    let method = method.to_string();
-    let path = path.to_string();
-
-    let mut content_length: Option<usize> = None;
-    let mut headers = 0;
-    loop {
-        let header = read_line(&mut reader)?;
-        if header.is_empty() {
-            break;
-        }
-        // A cap on the count too, so one connection cannot hold a
-        // worker by sending headers forever.
-        headers += 1;
-        if headers > MAX_HEADERS {
-            return Err(HttpError::BadRequest(format!(
-                "more than {MAX_HEADERS} header lines"
-            )));
-        }
-        let Some((name, value)) = header.split_once(':') else {
-            return Err(HttpError::BadRequest(format!(
-                "malformed header '{}' (no colon)",
-                truncate(&header)
-            )));
-        };
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = Some(value.trim().parse().map_err(|_| {
-                HttpError::BadRequest(format!(
-                    "Content-Length '{}' is not a byte count",
-                    value.trim()
-                ))
-            })?);
-        }
-    }
-
-    let body = match content_length {
+/// Reads and parses one request, enforcing `max_body`: a declared body
+/// over the cap is refused before a byte of it is read.
+pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Request, HttpError> {
+    let head = http::read_head(reader)?;
+    let (method, path) = head.request_line()?;
+    let body = match head.content_length {
         None if method == "POST" => return Err(HttpError::LengthRequired),
-        None | Some(0) => String::new(),
+        None => String::new(),
         Some(declared) if declared > max_body => {
             return Err(HttpError::PayloadTooLarge {
                 declared,
                 limit: max_body,
             })
         }
-        Some(declared) => {
-            let mut raw = vec![0u8; declared];
-            reader.read_exact(&mut raw).map_err(|e| match e.kind() {
-                std::io::ErrorKind::UnexpectedEof => HttpError::BadRequest(format!(
-                    "body truncated (Content-Length said {declared} bytes)"
-                )),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
-                    HttpError::Disconnected
-                }
-                _ => HttpError::BadRequest(format!("body read failed: {e}")),
-            })?;
-            String::from_utf8(raw)
-                .map_err(|_| HttpError::BadRequest("body bytes are not valid UTF-8".to_string()))?
-        }
+        Some(declared) => http::read_body(reader, declared)?,
     };
-
-    Ok(Request { method, path, body })
-}
-
-fn truncate(raw: &str) -> String {
-    const SHOWN: usize = 64;
-    if raw.len() <= SHOWN {
-        raw.to_string()
-    } else {
-        let cut = (0..=SHOWN).rev().find(|&i| raw.is_char_boundary(i));
-        format!("{}…", &raw[..cut.unwrap_or(0)])
-    }
+    Ok(Request {
+        method: method.to_string(),
+        path: path.to_string(),
+        body,
+    })
 }
 
 /// A response ready to serialise: status, body, content type and the
@@ -261,8 +150,8 @@ impl Response {
         self
     }
 
-    /// Serialises the response onto the stream (`Connection: close`).
-    pub fn write(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+    /// Serialises the response onto `out` (`Connection: close`).
+    pub fn write(&self, out: &mut impl Write) -> io::Result<()> {
         let reason = match self.status {
             200 => "OK",
             400 => "Bad Request",
@@ -275,19 +164,15 @@ impl Response {
             503 => "Service Unavailable",
             _ => "Unknown",
         };
-        let retry = self
-            .retry_after
-            .map(|s| format!("Retry-After: {s}\r\n"))
-            .unwrap_or_default();
-        let head = format!(
-            "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{retry}Connection: close\r\n\r\n",
-            self.status,
+        let retry = self.retry_after.map(|s| s.to_string());
+        let retry = retry.as_deref().map(|s| ("Retry-After", s));
+        http::write_message(
+            out,
+            &format!("HTTP/1.1 {} {reason}", self.status),
+            retry.as_slice(),
             self.content_type,
-            self.body.len()
-        );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(self.body.as_bytes())?;
-        stream.flush()
+            &self.body,
+        )
     }
 }
 
@@ -343,5 +228,64 @@ mod tests {
         assert_eq!(r.status, 413);
         assert!(r.body.contains("10") && r.body.contains('5'));
         assert!(HttpError::Disconnected.into_response().is_none());
+    }
+
+    fn read(raw: &[u8], max_body: usize) -> Result<Request, HttpError> {
+        read_request(&mut &raw[..], max_body)
+    }
+
+    fn status(result: Result<Request, HttpError>) -> Option<u16> {
+        result.unwrap_err().into_response().map(|r| r.status)
+    }
+
+    #[test]
+    fn requests_read_from_bytes() {
+        let req = read(b"POST /run HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi", 16).unwrap();
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/run"));
+        assert_eq!(req.body, "hi");
+        let req = read(b"GET /stats HTTP/1.0\r\n\r\n", 16).unwrap();
+        assert_eq!((req.path.as_str(), req.body.as_str()), ("/stats", ""));
+    }
+
+    #[test]
+    fn each_framing_failure_maps_to_its_status() {
+        assert_eq!(status(read(b"POST /run HTTP/1.1\r\n\r\n", 16)), Some(411));
+        // Refused from the header alone: no body byte follows.
+        let head = b"POST /run HTTP/1.1\r\nContent-Length: 17\r\n\r\n";
+        assert_eq!(status(read(head, 16)), Some(413));
+        assert_eq!(status(read(b"POST /ru", 16)), Some(400));
+        assert_eq!(
+            status(read(b"GET / HTTP/1.1\r\nNoColon\r\n\r\n", 16)),
+            Some(400)
+        );
+        assert_eq!(status(read(b"GET / HTTP/2\r\n\r\n", 16)), Some(400));
+        let raw = b"POST /run HTTP/1.1\r\nContent-Length: +2\r\n\r\nhi";
+        assert_eq!(status(read(raw, 16)), Some(400));
+        // Nothing sent, or a read timeout: nothing to answer.
+        assert_eq!(status(read(b"", 16)), None);
+        let timeout = io::Error::from(ErrorKind::TimedOut);
+        assert!(matches!(HttpError::from(timeout), HttpError::Disconnected));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random bytes are a request or an error, never a panic; a
+        /// strict prefix of a valid request is never a request.
+        #[test]
+        fn hostile_and_truncated_requests_are_errors(
+            junk in proptest::collection::vec(0u8..=255, 0..200),
+            body in proptest::collection::vec(32u8..127, 0..32),
+        ) {
+            let _ = read(&junk, 16);
+            let mut raw = format!("POST /run HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len())
+                .into_bytes();
+            raw.extend_from_slice(&body);
+            let request = read(&raw, 64).unwrap();
+            proptest::prop_assert_eq!(request.body.as_bytes(), &body[..]);
+            for cut in 0..raw.len() {
+                proptest::prop_assert!(read(&raw[..cut], 64).is_err(), "cut {}", cut);
+            }
+        }
     }
 }

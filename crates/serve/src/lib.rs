@@ -28,7 +28,9 @@
 //!
 //! A posted run on the `served:` backend and a posted file with a
 //! `plan-store` line answer `400 invalid-param`: the daemon never dials
-//! or writes where a body says. Past 64 header lines a request answers
+//! or writes where a body says. Requests are framed by
+//! `speculative_prefetch::http`, the module the `served:` client reads
+//! replies with: past 64 header lines a request answers
 //! `400 bad-request`.
 //!
 //! Connections are dispatched to a fixed worker pool through a bounded

@@ -13,6 +13,7 @@
 //! drains — the channel closes, workers finish their current request
 //! and exit, and [`Server::run`] returns.
 
+use std::io::BufReader;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -379,7 +380,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>, cfg: &Serv
     let _ = stream.set_read_timeout(Some(CLIENT_TIMEOUT));
     let _ = stream.set_write_timeout(Some(CLIENT_TIMEOUT));
     let started = Instant::now();
-    let response = match http::read_request(&mut stream, cfg.max_body) {
+    let response = match http::read_request(&mut BufReader::new(&mut stream), cfg.max_body) {
         Ok(req) => {
             let local = stream.peer_addr().is_ok_and(|peer| is_loopback(peer.ip()));
             // A request that panics its worker gets a 500; the worker

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use skp_serve::{ServeConfig, Server, ServerHandle};
-use speculative_prefetch::served::MAX_HEADERS;
+use speculative_prefetch::http::MAX_HEADERS;
 use speculative_prefetch::{
     build_plan_store, http_request, parse_report, MarkovChain, PlanStore, WireRun,
 };

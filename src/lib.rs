@@ -135,6 +135,7 @@ pub mod backend;
 pub mod engine;
 pub mod error;
 pub mod generator;
+pub mod http;
 pub mod predictor;
 pub mod registry;
 pub mod report;
@@ -161,6 +162,7 @@ pub use error::Error;
 pub use generator::{
     build_generator, generator_names, generator_specs, register_generator, GeneratorSpec,
 };
+pub use http::{http_request, HttpResponse};
 pub use obs::{
     build_obs, obs_sink_names, obs_sink_specs, EpochMark, FaultWindow, Obs, ObsError, ObsSpec,
     PhaseBreakdown, PhaseSpan,
@@ -177,7 +179,6 @@ pub use scenario_file::{
     parse as parse_scenario_file, parse_workload, render_workload, run_file, ChainSpec, ParseError,
     ReportFormat, RunFileError, RunOverrides, ScenarioFile, WorkloadFile, WorkloadKind,
 };
-pub use served::{http_request, HttpResponse};
 /// The listing row shared by all six registries (policy, predictor,
 /// backend, generator, plan store, obs sink).
 pub use skp_registry::Spec as RegistrySpec;

@@ -1,10 +1,11 @@
 //! The `served:` backend — population runs shipped to a running
 //! `skp-serve` daemon.
 //!
-//! This is the PR 3 registry seam stretched across a socket: the driver
-//! serialises the workload with [`WireRun`], posts it to the daemon's
-//! `POST /run` endpoint over a hand-rolled HTTP/1.1 client (plain
-//! `std::net`, no dependencies), and parses the response back into a
+//! This is the backend registry seam stretched across a socket: the
+//! driver serialises the workload with [`WireRun`], posts it to the
+//! daemon's `POST /run` endpoint with [`http_request`] (the HTTP/1.1
+//! framing in [`crate::http`], which the daemon shares), and parses the
+//! response back into a
 //! [`RunReport`](crate::RunReport) — **bit-identical** to running the
 //! inner backend in-process on the same seed, because the wire format
 //! round-trips every `f64` exactly and ships the Markov chain's exact
@@ -17,10 +18,7 @@
 //! spec grammar); the inner spec is any registered *population* backend
 //! and defaults to `sharded`.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
 
 use distsys::scheduler::SimEvent;
 use distsys::stats::AccessStats;
@@ -29,15 +27,11 @@ use skp_registry::{param_err, split_spec};
 
 use crate::backend::{build_backend, BackendDriver, PopulationRun};
 use crate::error::Error;
+use crate::http::http_request;
 use crate::report::ReportSection;
-use crate::wire::{self, Json, WireRun};
+use crate::wire::{self, WireRun};
 
 const WHAT: &str = "served backend spec";
-
-/// How long the client waits for the daemon to answer one request.
-/// Population runs are bounded (the daemon runs them synchronously), so
-/// a stuck daemon should fail the run rather than hang the engine.
-const RESPONSE_TIMEOUT: Duration = Duration::from_secs(600);
 
 // ---------------------------------------------------------------------
 // The driver.
@@ -199,187 +193,12 @@ pub(crate) fn build_served(param: Option<&str>) -> Result<Arc<dyn BackendDriver>
     Ok(Arc::new(ServedDriver { host, port, inner }))
 }
 
-// ---------------------------------------------------------------------
-// The HTTP/1.1 client (plain std::net, shared with `skp-serve
-// --shutdown`).
-// ---------------------------------------------------------------------
-
-/// One parsed HTTP response.
-#[derive(Debug, Clone)]
-pub struct HttpResponse {
-    /// Status code from the response line.
-    pub status: u16,
-    /// The `Retry-After` header in integer seconds, if the server sent
-    /// one (the daemon does on `503` shed responses). Parsed at
-    /// header-read time; a non-integer value fails the whole response
-    /// as malformed rather than smuggling garbage into retry logic.
-    pub retry_after: Option<u64>,
-    /// The response body.
-    pub body: String,
-}
-
-impl HttpResponse {
-    /// A human-readable error detail for a non-200 response: the
-    /// daemon's structured `{"error":{"kind":…,"detail":…}}` body when
-    /// present, the raw body otherwise, with any `Retry-After` hint
-    /// appended.
-    pub fn error_detail(&self) -> String {
-        let mut detail = Json::parse(self.body.trim())
-            .ok()
-            .and_then(|doc| {
-                let err = doc.get("error")?;
-                let kind = err.get("kind")?.as_str()?.to_string();
-                let text = err.get("detail")?.as_str()?.to_string();
-                Some(format!("{kind}: {text}"))
-            })
-            .unwrap_or_else(|| self.body.trim().to_string());
-        if let Some(after) = self.retry_after {
-            detail.push_str(&format!(" (retry after {after}s)"));
-        }
-        detail
-    }
-}
-
-/// Longest status or header line the client accepts, in bytes — the
-/// same cap `skp-serve` puts on request lines.
-pub const MAX_HEADER_LINE: usize = 8 * 1024;
-
-/// Most header lines the client reads from one response — the same cap
-/// `skp-serve` puts on requests.
-pub const MAX_HEADERS: usize = 64;
-
-/// Most body bytes reserved before they arrive, whatever
-/// `Content-Length` claims.
-const BODY_RESERVE: usize = 1 << 20;
-
-/// Reads one `\n`-terminated line of at most [`MAX_HEADER_LINE`] bytes.
-/// EOF before the terminator means the daemon closed mid-headers.
-fn read_header_line(reader: &mut impl BufRead) -> Result<String, Error> {
-    let malformed = |detail: String| Error::InvalidParam {
-        what: "served backend",
-        detail,
-    };
-    let mut line = Vec::new();
-    reader
-        .take(MAX_HEADER_LINE as u64 + 1)
-        .read_until(b'\n', &mut line)?;
-    if line.last() != Some(&b'\n') {
-        return Err(malformed(if line.len() > MAX_HEADER_LINE {
-            format!("daemon sent a header line over {MAX_HEADER_LINE} bytes")
-        } else {
-            "daemon closed mid-headers".into()
-        }));
-    }
-    String::from_utf8(line).map_err(|_| malformed("daemon headers are not UTF-8".into()))
-}
-
-/// Sends one HTTP/1.1 request (`Connection: close`) and reads the full
-/// response. I/O failures surface as [`Error::Io`]; a response the
-/// client cannot parse surfaces as [`Error::InvalidParam`].
-pub fn http_request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> Result<HttpResponse, Error> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(RESPONSE_TIMEOUT))?;
-    stream.set_write_timeout(Some(RESPONSE_TIMEOUT))?;
-    let payload = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-        payload.len()
-    );
-    let mut stream = stream;
-    stream.write_all(request.as_bytes())?;
-    stream.flush()?;
-
-    let malformed = |detail: String| Error::InvalidParam {
-        what: "served backend",
-        detail,
-    };
-    let mut reader = BufReader::new(stream);
-    let status_line = read_header_line(&mut reader)?;
-    let status = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| {
-            malformed(format!(
-                "daemon sent a malformed status line '{}'",
-                status_line.trim()
-            ))
-        })?;
-
-    let mut retry_after = None;
-    let mut content_length: Option<usize> = None;
-    let mut headers = 0;
-    loop {
-        let line = read_header_line(&mut reader)?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        headers += 1;
-        if headers > MAX_HEADERS {
-            return Err(malformed(format!(
-                "daemon sent more than {MAX_HEADERS} headers"
-            )));
-        }
-        if let Some((key, value)) = line.split_once(':') {
-            let raw = value.trim();
-            match key.trim().to_ascii_lowercase().as_str() {
-                "retry-after" => {
-                    retry_after = Some(raw.parse::<u64>().map_err(|_| {
-                        malformed(format!(
-                            "daemon sent a malformed Retry-After header '{raw}' \
-                             (want integer seconds)"
-                        ))
-                    })?);
-                }
-                "content-length" => {
-                    content_length = Some(raw.parse().map_err(|_| {
-                        malformed(format!(
-                            "daemon sent a malformed Content-Length header '{raw}'"
-                        ))
-                    })?);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    // The buffer grows only as bytes arrive: a claimed length reserves
-    // at most `BODY_RESERVE` up front, and a short body is an error.
-    let mut raw = Vec::new();
-    match content_length {
-        Some(n) => {
-            raw.reserve(n.min(BODY_RESERVE));
-            reader.take(n as u64).read_to_end(&mut raw)?;
-            if raw.len() < n {
-                return Err(malformed(format!(
-                    "daemon closed after {} of the {n} body bytes it announced",
-                    raw.len()
-                )));
-            }
-        }
-        None => {
-            reader.read_to_end(&mut raw)?;
-        }
-    }
-    let body =
-        String::from_utf8(raw).map_err(|_| malformed("daemon response is not UTF-8".into()))?;
-    Ok(HttpResponse {
-        status,
-        retry_after,
-        body,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::MAX_HEADERS;
     use access_model::MarkovChain;
+    use std::io::Write;
 
     #[test]
     fn default_spec_fills_in() {
@@ -663,6 +482,15 @@ mod tests {
         );
         let err = http_request(&serve_canned(raw), "GET", "/", None).unwrap_err();
         assert!(err.to_string().contains("more than 64 headers"), "{err}");
+    }
+
+    #[test]
+    fn a_reply_without_content_length_is_a_malformed_response() {
+        // Reading to EOF instead would let a peer stream without end.
+        let addr = serve_canned("HTTP/1.1 200 OK\r\n\r\nok");
+        let err = http_request(&addr, "GET", "/", None).unwrap_err();
+        assert!(matches!(err, Error::InvalidParam { .. }), "{err}");
+        assert!(err.to_string().contains("Content-Length"), "{err}");
     }
 
     #[test]
