@@ -6,9 +6,10 @@
 //! clock and the `distsys` event loop builds no probe. On (the
 //! `memory` sink), a run records its wall-clock phase spans, the
 //! scheduler's per-epoch [`EpochMark`]s and the [`FaultWindow`]s of an
-//! injected fault plan into a [`PhaseBreakdown`]. The overhead of both
-//! states is benchmarked on the `distsys` event-rate grid
-//! (`crates/bench/benches/obs.rs`, snapshot `BENCH_obs.json`).
+//! injected fault plan into a [`PhaseBreakdown`]. The facade's
+//! `tests/alloc_round.rs` pins the overhead of both states in
+//! allocations: off allocates exactly what no obs does, and on adds a
+//! few per run and none per event.
 //!
 //! Sinks are chosen by spec string through the workspace's one
 //! registry (`skp-registry`, shared with backends, generators and plan

@@ -12,13 +12,13 @@
 //! | `POST /run`      | executes a `.skp` workload file or a wire-run JSON body and    |
 //! |                  | answers with the `RunReport` in `skp-plan --format json` shape |
 //! | `GET /stats`     | uptime, served/shed/in-flight/queue-depth counters, per-route  |
-//! |                  | request counts, request-latency percentiles in the             |
-//! |                  | `AccessStats` block, and the shared plan store's               |
-//! |                  | hit/miss/tier counters                                         |
+//! |                  | request counts, percentiles of the last 4096 `POST /run`       |
+//! |                  | latencies in the `AccessStats` block, and the shared plan      |
+//! |                  | store's hit/miss/tier counters                                 |
 //! | `GET /metrics`   | the same snapshot in the Prometheus text exposition format     |
 //! |                  | (`text/plain; version=0.0.4`): request/shed/in-flight          |
-//! |                  | counters, the `POST /run` latency histogram, worker-pool       |
-//! |                  | queue depth and per-tier plan-store counters                   |
+//! |                  | counters, the all-time `POST /run` latency histogram,          |
+//! |                  | worker-pool queue depth and per-tier plan-store counters       |
 //! | `POST /shutdown` | drains and stops the daemon                                    |
 //!
 //! Workers share one plan store (`--plan-store`, default

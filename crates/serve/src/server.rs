@@ -36,6 +36,10 @@ const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 /// The `Retry-After` hint attached to load-shedding `503`s.
 const RETRY_AFTER_SECS: u32 = 1;
 
+/// How many of the latest `POST /run` wall times `GET /stats` keeps
+/// for its `run_latency_ms` block.
+const RECENT_RUNS: usize = 4096;
+
 /// Daemon sizing knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -122,8 +126,44 @@ pub struct ServerState {
     queued: AtomicU64,
     routes: RouteCounters,
     shutdown: AtomicBool,
-    run_latencies_ms: Mutex<Vec<f64>>,
+    run_latencies: Mutex<RunLatencies>,
     store: Arc<dyn PlanStore>,
+}
+
+/// `POST /run` wall times in bounded memory, however long the daemon
+/// runs. `GET /metrics` reads the all-time histogram: cumulative
+/// counts over `obs::TIME_BUCKETS` plus `+Inf`, the sum and the count.
+/// `GET /stats` reads the last [`RECENT_RUNS`] samples.
+#[derive(Debug, Clone, Default)]
+struct RunLatencies {
+    /// Samples at or under each edge of `obs::TIME_BUCKETS`, then
+    /// under `+Inf`.
+    buckets: [u64; obs::TIME_BUCKETS.len() + 1],
+    /// Every sample in seconds, summed in arrival order.
+    sum_seconds: f64,
+    count: u64,
+    /// The latest samples in milliseconds, at most [`RECENT_RUNS`];
+    /// once full, sample `i` overwrites slot `i % RECENT_RUNS`.
+    recent_ms: Vec<f64>,
+}
+
+impl RunLatencies {
+    fn record(&mut self, ms: f64) {
+        let seconds = ms / 1e3;
+        self.sum_seconds += seconds;
+        let edges = obs::TIME_BUCKETS.iter().chain([&f64::INFINITY]);
+        for (n, &le) in self.buckets.iter_mut().zip(edges) {
+            if seconds <= le {
+                *n += 1;
+            }
+        }
+        if self.recent_ms.len() < RECENT_RUNS {
+            self.recent_ms.push(ms);
+        } else {
+            self.recent_ms[(self.count % RECENT_RUNS as u64) as usize] = ms;
+        }
+        self.count += 1;
+    }
 }
 
 /// One consistent view of the daemon's counters, taken once per
@@ -137,7 +177,7 @@ struct StatsSnapshot {
     in_flight: u64,
     queue_depth: u64,
     routes: Vec<(&'static str, u64)>,
-    latencies_ms: Vec<f64>,
+    run_latencies: RunLatencies,
     store_spec: String,
     store: PlanStoreStats,
 }
@@ -196,7 +236,7 @@ impl ServerState {
             in_flight: self.in_flight(),
             queue_depth: self.queue_depth(),
             routes: self.routes.snapshot(),
-            latencies_ms: self.run_latencies_ms.lock().expect("latency lock").clone(),
+            run_latencies: self.run_latencies.lock().expect("latency lock").clone(),
             store_spec: self.store.spec_string(),
             store: self.store.stats(),
         }
@@ -233,7 +273,7 @@ impl Server {
             queued: AtomicU64::new(0),
             routes: RouteCounters::default(),
             shutdown: AtomicBool::new(false),
-            run_latencies_ms: Mutex::new(Vec::new()),
+            run_latencies: Mutex::default(),
             store,
         });
         Ok(Server {
@@ -393,10 +433,10 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>, cfg: &Serv
             if req.method == "POST" && req.path == "/run" {
                 let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
                 state
-                    .run_latencies_ms
+                    .run_latencies
                     .lock()
                     .expect("latency lock")
-                    .push(elapsed_ms);
+                    .record(elapsed_ms);
             }
             Some(response)
         }
@@ -504,7 +544,7 @@ fn registry_json() -> String {
 }
 
 fn stats_json(snap: &StatsSnapshot) -> String {
-    let mut samples = snap.latencies_ms.clone();
+    let mut samples = snap.run_latencies.recent_ms.clone();
     let access = AccessStats::from_samples(&mut samples);
     let ps = &snap.store;
     let tiers = list(&ps.tiers, |t| {
@@ -574,18 +614,9 @@ fn metrics_text(snap: &StatsSnapshot) -> String {
     // The run-latency histogram: `/stats` keeps millisecond percentiles
     // for humans; the exposition uses base-unit seconds over the
     // workspace's fixed `obs::TIME_BUCKETS` edges.
-    let mut buckets: Vec<(f64, u64)> = obs::TIME_BUCKETS.iter().map(|&le| (le, 0)).collect();
-    buckets.push((f64::INFINITY, 0));
-    let mut sum = 0.0;
-    for &ms in &snap.latencies_ms {
-        let seconds = ms / 1e3;
-        sum += seconds;
-        for (le, n) in buckets.iter_mut() {
-            if seconds <= *le {
-                *n += 1;
-            }
-        }
-    }
+    let latencies = &snap.run_latencies;
+    let edges = obs::TIME_BUCKETS.iter().chain([&f64::INFINITY]);
+    let buckets: Vec<(f64, u64)> = edges.copied().zip(latencies.buckets).collect();
 
     let routes: Vec<(&str, f64)> = snap.routes.iter().map(|&(r, n)| (r, n as f64)).collect();
     let ps = &snap.store;
@@ -648,8 +679,8 @@ fn metrics_text(snap: &StatsSnapshot) -> String {
                 labels: Vec::new(),
                 value: PointValue::Histogram {
                     buckets,
-                    sum,
-                    count: snap.latencies_ms.len() as u64,
+                    sum: latencies.sum_seconds,
+                    count: latencies.count,
                 },
             }],
         },
@@ -853,6 +884,14 @@ mod tests {
         assert_eq!(registry_json(), include_str!("registry.golden.json"));
     }
 
+    fn latencies(ms: &[f64]) -> RunLatencies {
+        let mut latencies = RunLatencies::default();
+        for &ms in ms {
+            latencies.record(ms);
+        }
+        latencies
+    }
+
     /// A fully deterministic snapshot for the exposition goldens.
     fn sample_snapshot() -> StatsSnapshot {
         StatsSnapshot {
@@ -863,7 +902,7 @@ mod tests {
             in_flight: 1,
             queue_depth: 3,
             routes: vec![("/run", 4), ("/stats", 1), ("other", 0)],
-            latencies_ms: vec![250.0, 500.0, 750.0],
+            run_latencies: latencies(&[250.0, 500.0, 750.0]),
             store_spec: "tiered:memory:1x4,memory:1x8".to_string(),
             store: PlanStoreStats {
                 lookups: 4,
@@ -961,10 +1000,36 @@ skp_worker_queue_depth 3\n";
         assert_eq!(routes.points.len(), snap.routes.len());
         match &find("skp_run_latency_seconds").points[0].value {
             obs::prom::PointValue::Histogram { count, .. } => {
-                assert_eq!(*count, snap.latencies_ms.len() as u64)
+                assert_eq!(*count, snap.run_latencies.count)
             }
             other => panic!("expected a histogram, got {other:?}"),
         }
+    }
+
+    /// The latency state stays at [`RECENT_RUNS`] samples however many
+    /// runs it records; `/metrics` still counts every run, and `/stats`
+    /// describes the latest ones.
+    #[test]
+    fn run_latencies_stay_bounded() {
+        let mut snap = sample_snapshot();
+        snap.run_latencies = RunLatencies::default();
+        for i in 0..100_000 {
+            snap.run_latencies.record(i as f64);
+            assert!(snap.run_latencies.recent_ms.len() <= RECENT_RUNS);
+        }
+        assert_eq!(snap.run_latencies.recent_ms.len(), RECENT_RUNS);
+        let text = metrics_text(&snap);
+        assert!(text.contains("skp_run_latency_seconds_count 100000\n"));
+        assert!(text.contains("skp_run_latency_seconds_bucket{le=\"+Inf\"} 100000\n"));
+        // 0–500 ms: samples 0..=500.
+        assert!(text.contains("skp_run_latency_seconds_bucket{le=\"0.5\"} 501\n"));
+        let j = stats_json(&snap);
+        let stats = speculative_prefetch::wire::Json::parse(&j).expect("stats JSON parses");
+        let latency = stats.get("run_latency_ms").expect("latency block");
+        let field = |name| latency.get(name).and_then(|v| v.as_f64());
+        assert_eq!(field("count"), Some(RECENT_RUNS as f64), "{j}");
+        assert_eq!(field("min"), Some(95_904.0), "{j}");
+        assert_eq!(field("max"), Some(99_999.0), "{j}");
     }
 
     #[test]

@@ -1128,7 +1128,7 @@ fn section_shards(section: &ReportSection) -> Option<usize> {
 /// and replayed for every client and every round. A solve reads the
 /// state's row from the run's merged row table
 /// ([`MarkovChain::merged_rows`]) and hands it to
-/// [`Prefetcher::plan_row`]; the SKP policies plan from the row's
+/// [`Prefetcher::plan_row_into`]; the SKP policies plan from the row's
 /// positive entries, with no dense scenario. Steady-state rounds
 /// copy the memoised plan straight into the executor's buffer
 /// ([`ClientPolicy::plan_into`]): no scenario rebuild, no knapsack

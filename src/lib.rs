@@ -36,8 +36,9 @@
 //! [`RunReport::phases`], ready for Chrome/Perfetto export via
 //! [`trace_json`] (`skp-plan run --trace-out <file>`). The default is
 //! `"none"`: the phase clock is never read, the event loop builds no
-//! probe, and the overhead contract is pinned by
-//! `crates/bench/benches/obs.rs`. Like the plan store, observability
+//! probe, and `tests/alloc_round.rs` pins the overhead contract in
+//! allocations (`none` allocates what no obs does, `memory` nothing
+//! per event). Like the plan store, observability
 //! never changes results — reports and event logs are bit-identical
 //! with it on or off.
 //!

@@ -1,4 +1,5 @@
-//! A steady-state Section-5 round allocates nothing.
+//! A steady-state Section-5 round allocates nothing, and neither
+//! observability nor an inert fault plan allocates per request.
 //!
 //! A counting global allocator (this test binary only) counts every
 //! allocation, zeroed allocation and reallocation made on the calling
@@ -13,15 +14,25 @@
 //! left is the run's fixed setup and report. The Figure-7 sweep point
 //! runs the same round, and is pinned the same way: two runs with the
 //! same warm-up, one measuring twice the requests of the other.
+//!
+//! The population pins compare two ways of running one workload at R
+//! and at 2R requests per client. What one way allocates beyond the
+//! other is its cost in allocations; if that surplus does not grow with
+//! the requests, the way costs nothing per request or per event. This
+//! holds `obs memory` against obs off (`none` must equal off exactly)
+//! and an inert fault plan against no faults.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use distsys::scheduler::ClientWorkload;
+use distsys::{FaultSpec, Placement, ShardedSim};
 use montecarlo::prefetch_cache::PrefetchCacheSim;
+use rand::rngs::SmallRng;
 use speculative_prefetch::cache::PrefetchCacheConfig;
 use speculative_prefetch::core::arbitration::SubArbitration;
 use speculative_prefetch::core::policy::PolicyKind;
-use speculative_prefetch::{Engine, Trace, Workload};
+use speculative_prefetch::{Engine, MarkovChain, Trace, Workload};
 
 struct Counting;
 
@@ -160,6 +171,96 @@ fn a_steady_state_figure7_round_allocates_nothing() {
             a, b,
             "{policy:?}: a point measuring 500 requests made {a} allocations and one \
              measuring 1000 made {b}: the 500 extra rounds allocated"
+        );
+    }
+}
+
+/// Observability adds no allocation per event. `none` is the off
+/// switch, so it allocates exactly what a session without `.obs`
+/// does. `memory` records phase spans and epoch marks; its surplus over
+/// off may grow only with the marks vector, not with the events.
+#[test]
+fn observability_allocates_nothing_per_event() {
+    let chain = MarkovChain::random(48, 47, 47, 3, 8, 3).expect("valid chain");
+    let run = |obs: Option<&str>, requests: u64| -> u64 {
+        let mut builder = Engine::builder()
+            .policy("skp-exact")
+            .backend_spec("sharded:4x8:hash")
+            .catalog((0..48).map(|i| 1.0 + (i % 30) as f64).collect());
+        if let Some(spec) = obs {
+            builder = builder.obs(spec);
+        }
+        let mut engine = builder.build().expect("valid session");
+        let workload = Workload::sharded(chain.clone(), requests, 1999);
+        engine.run(&workload).expect("runs"); // warm: plans stored
+        allocations(|| drop(engine.run(&workload).expect("runs")))
+    };
+    let surplus = |requests: u64| {
+        let off = run(None, requests);
+        assert_eq!(
+            run(Some("none"), requests),
+            off,
+            "obs 'none' allocated differently from obs unset at {requests} requests"
+        );
+        let memory = run(Some("memory"), requests);
+        assert!(memory > off, "obs 'memory' records spans and marks");
+        memory - off
+    };
+    let (r, r2) = (surplus(300), surplus(600));
+    assert!(
+        r2 <= r + 2,
+        "obs 'memory' allocated {r} more than off at 300 requests per client and \
+         {r2} more at 600: it allocates per event"
+    );
+}
+
+/// A deterministic ring: the next request is always `state + 1`.
+struct Ring;
+
+impl ClientWorkload for Ring {
+    fn viewing(&self, state: usize) -> f64 {
+        2.0 + (state % 5) as f64
+    }
+
+    fn next(&self, state: usize, _rng: &mut SmallRng) -> usize {
+        (state + 1) % 48
+    }
+
+    fn n_items(&self) -> usize {
+        48
+    }
+}
+
+/// An inert fault plan (identity scaling, no outage windows) costs a
+/// fixed number of allocations per run, however long the run.
+#[test]
+fn an_inert_fault_plan_allocates_nothing_per_request() {
+    let retrievals: Vec<f64> = (0..48).map(|i| 1.0 + (i % 7) as f64).collect();
+    let inert = FaultSpec::inert();
+    let run = |shards, clients, requests, faults| {
+        let sim = ShardedSim {
+            workload: &Ring,
+            retrievals: &retrievals,
+            clients,
+            shards,
+            placement: Placement::Hash,
+            requests_per_client: requests,
+            seed: 1999,
+            faults,
+        };
+        allocations(|| drop(sim.run(&mut |_c: usize, s: usize| vec![(s + 1) % 48])))
+    };
+    run(1, 8, 10, Some(&inert)); // warm: any one-time setup
+    for (shards, clients) in [(1, 8), (4, 8), (16, 32)] {
+        let surplus = |requests| {
+            let off = run(shards, clients, requests, None);
+            run(shards, clients, requests, Some(&inert)) as i64 - off as i64
+        };
+        let (r, r2) = (surplus(200), surplus(400));
+        assert_eq!(
+            r, r2,
+            "{shards}x{clients}: the inert plan allocated {r} more than no faults at 200 \
+             requests per client and {r2} more at 400"
         );
     }
 }

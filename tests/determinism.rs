@@ -133,9 +133,9 @@ fn workload_generators_pure_in_seed() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Observability never changes results: with the sink off or on,
-    /// the same seed yields bit-identical reports and event logs on the
-    /// sharded farm.
+    /// Observability never changes results: with obs unset, or the
+    /// sink off or on, the same seed yields bit-identical reports and
+    /// event logs on the sharded farm.
     #[test]
     fn observability_never_changes_results(
         shards in 1usize..=3,
@@ -145,22 +145,27 @@ proptest! {
     ) {
         let chain = MarkovChain::random(12, 2, 4, 2, 10, seed ^ 0x5eed).unwrap();
         let catalog: Vec<f64> = (0..12).map(|i| 1.0 + (i % 5) as f64).collect();
-        let run = |backend_spec: &str, obs: &str| {
-            let mut engine = Engine::builder()
+        let run = |backend_spec: &str, obs: Option<&str>| {
+            let mut builder = Engine::builder()
                 .policy("skp-exact")
                 .catalog(catalog.clone())
-                .backend_spec(backend_spec)
-                .obs(obs)
+                .backend_spec(backend_spec);
+            if let Some(obs) = obs {
+                builder = builder.obs(obs);
+            }
+            builder
                 .build()
-                .unwrap();
-            engine
+                .unwrap()
                 .run(&Workload::sharded(chain.clone(), requests, seed).traced(true))
                 .unwrap()
         };
         let spec = format!("sharded:{shards}x{clients}:hash");
-        let base = run(&spec, "none");
+        let base = run(&spec, Some("none"));
         prop_assert!(base.phases.spans.is_empty(), "no clock reads with obs off");
-        let observed = run(&spec, "memory");
+        let unset = run(&spec, None);
+        prop_assert!(unset.phases.spans.is_empty(), "no clock reads with obs unset");
+        prop_assert_eq!(&base, &unset);
+        let observed = run(&spec, Some("memory"));
         prop_assert!(!observed.phases.spans.is_empty());
         // Report equality covers access/section/events (and
         // excludes phases); the event log is additionally checked

@@ -2,9 +2,9 @@
 //! observed run, pinned against `tests/golden/marks.txt`: a seeded
 //! `faults:` workload on a two-shard farm under `obs memory`. Each
 //! mark is written as its epoch, the bits of its simulated time, its
-//! event count, queue depth and dirty-shard count, so any change to
-//! the event loop or to where marks fire moves the file. With
-//! `obs none` the same run carries no marks and no windows.
+//! event count and its queue depth, so any change to the event loop
+//! or to where marks fire moves the file. With `obs none` the same run
+//! carries no marks and no windows.
 
 use std::fmt::Write;
 

@@ -2,16 +2,20 @@
 //! served from any store tier) is **bit-identical** to the cold run
 //! that populated it — same common stats, same section, same
 //! mechanistic event log — pinned by goldens per tier and a property
-//! test over random chains, policies, seeds and store specs. Running
+//! test over random chains, policies, seeds and store specs. A warm
+//! run on a retaining tier also solves nothing, which is where its
+//! speed comes from: that is pinned as a count of `put` calls. Running
 //! under `cfg(debug_assertions)` keeps the PR-4 cross-check alive for
 //! every tier: each store-seeded plan is re-solved fresh and compared
 //! on first use.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use speculative_prefetch::{
-    build_plan_store, parse_workload, Engine, MarkovChain, PlanStore, RunReport, Workload,
+    build_plan_store, parse_workload, Engine, MarkovChain, PlanSet, PlanStore, PlanStoreStats,
+    RunReport, Workload,
 };
 
 const N: usize = 24;
@@ -96,6 +100,90 @@ fn file_store_survives_a_restart_bit_exactly() {
     );
 
     std::fs::remove_dir_all(&dir).expect("scratch dir removable");
+}
+
+/// A real store that counts the plan sets written into it.
+struct CountingPuts {
+    inner: Arc<dyn PlanStore>,
+    puts: AtomicU64,
+}
+
+impl PlanStore for CountingPuts {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn spec_string(&self) -> String {
+        self.inner.spec_string()
+    }
+
+    fn get(&self, key: u64) -> Option<Arc<PlanSet>> {
+        self.inner.get(key)
+    }
+
+    fn put(&self, key: u64, value: Arc<PlanSet>) {
+        self.puts.fetch_add(1, Ordering::SeqCst);
+        self.inner.put(key, value);
+    }
+
+    fn stats(&self) -> PlanStoreStats {
+        self.inner.stats()
+    }
+}
+
+/// A warm run solves nothing on every retaining tier, `file:` inside
+/// `tiered:` included. The engine writes a plan set back only when the
+/// run solved a state or missed the store, so a warm run that makes
+/// no `put` solved no state. The population is solve-dominated (96
+/// states with fan-out 20–28 under `skp-exact`), so skipping its
+/// solves is the whole of the warm run's speed-up.
+#[test]
+fn a_warm_run_puts_nothing_on_every_retaining_tier() {
+    let dir = std::env::temp_dir().join(format!("skp-planstore-puts-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let chain = MarkovChain::random(96, 20, 28, 3, 8, 11).expect("valid chain");
+    let workload = Workload::sharded(chain, 16, 1999).traced(true);
+    let specs = [
+        "none".to_string(),
+        "memory:8x1024".to_string(),
+        format!("file:{}", dir.join("file").display()),
+        format!("tiered:memory:8x1024,file:{}", dir.join("tiered").display()),
+    ];
+    for spec in &specs {
+        let store = Arc::new(CountingPuts {
+            inner: build_plan_store(spec).expect("valid spec"),
+            puts: AtomicU64::new(0),
+        });
+        // A fresh engine per run: reuse goes through the store alone.
+        let run = || -> (RunReport, u64, u64) {
+            let (puts, hits) = (store.puts.load(Ordering::SeqCst), store.stats().hits);
+            let report = Engine::builder()
+                .policy("skp-exact")
+                .backend_spec("sharded:2x4:hash")
+                .catalog((0..96).map(|i| 1.0 + (i % 17) as f64).collect())
+                .plan_store_instance(Arc::clone(&store) as Arc<dyn PlanStore>)
+                .build()
+                .expect("valid session")
+                .run(&workload)
+                .expect("runs");
+            let puts = store.puts.load(Ordering::SeqCst) - puts;
+            (report, store.stats().hits - hits, puts)
+        };
+        let (cold, cold_hits, cold_puts) = run();
+        let (warm, warm_hits, warm_puts) = run();
+        assert!(!cold.events.is_empty(), "{spec}: traced run has events");
+        assert_eq!(cold, warm, "{spec}: warm run diverged from cold");
+        if spec == "none" {
+            // Nothing is retained: every run misses and writes back.
+            assert_eq!((cold_hits, cold_puts), (0, 1), "{spec}: cold run");
+            assert_eq!((warm_hits, warm_puts), (0, 1), "{spec}: warm run");
+        } else {
+            assert_eq!((cold_hits, cold_puts), (0, 1), "{spec}: cold run");
+            assert_eq!((warm_hits, warm_puts), (1, 0), "{spec}: warm run");
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("scratch dir removable");
+    assert!(!dir.exists(), "scratch dir must not leak");
 }
 
 /// Different seeds key different entries: warming with one seed must
