@@ -173,14 +173,10 @@ fn a_warm_run_puts_nothing_on_every_retaining_tier() {
         let (warm, warm_hits, warm_puts) = run();
         assert!(!cold.events.is_empty(), "{spec}: traced run has events");
         assert_eq!(cold, warm, "{spec}: warm run diverged from cold");
-        if spec == "none" {
-            // Nothing is retained: every run misses and writes back.
-            assert_eq!((cold_hits, cold_puts), (0, 1), "{spec}: cold run");
-            assert_eq!((warm_hits, warm_puts), (0, 1), "{spec}: warm run");
-        } else {
-            assert_eq!((cold_hits, cold_puts), (0, 1), "{spec}: cold run");
-            assert_eq!((warm_hits, warm_puts), (1, 0), "{spec}: warm run");
-        }
+        assert_eq!((cold_hits, cold_puts), (0, 1), "{spec}: cold run");
+        // `none` retains nothing, so its warm run misses and writes back.
+        let warm_expected = if spec == "none" { (0, 1) } else { (1, 0) };
+        assert_eq!((warm_hits, warm_puts), warm_expected, "{spec}: warm run");
     }
     std::fs::remove_dir_all(&dir).expect("scratch dir removable");
     assert!(!dir.exists(), "scratch dir must not leak");
