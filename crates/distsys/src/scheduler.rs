@@ -1149,6 +1149,66 @@ mod tests {
         assert_eq!(sched.processed(), 2);
     }
 
+    /// A run stopped after `k` events leaves the queue exactly as a
+    /// reference loop does: the same pending count (what `SchedProbe`
+    /// marks record as `pending`), the clock at the `k`-th event's time,
+    /// and the remaining events in order. The handler schedules a
+    /// follow-up for some events only, so the stop lands both right
+    /// after a pop and right after a schedule.
+    #[test]
+    fn scheduler_stopped_mid_run_leaves_the_reference_queue() {
+        fn follow_up(now: f64, ev: u32) -> Option<(f64, u32)> {
+            (!ev.is_multiple_of(3)).then(|| (now + (ev % 5) as f64 * 0.5, ev * 7 % 101))
+        }
+        let initial: Vec<(f64, u32)> = (0..12u32)
+            .map(|i| ((i * 37 % 11) as f64 * 0.75, i * 13 % 97))
+            .collect();
+        for k in 1..=20u64 {
+            // Reference: pending `(time, payload)` in schedule order.
+            let mut pending = initial.clone();
+            let mut last_at = 0.0;
+            for _ in 0..k {
+                let Some(i) =
+                    (0..pending.len())
+                        .reduce(|b, i| if pending[i].0 < pending[b].0 { i } else { b })
+                else {
+                    break;
+                };
+                let (at, ev) = pending.remove(i);
+                last_at = at;
+                pending.extend(follow_up(at, ev));
+            }
+            pending.sort_by(|a, b| a.0.total_cmp(&b.0));
+
+            let mut sched: Scheduler<u32> = Scheduler::new();
+            for &(at, ev) in &initial {
+                sched.schedule(at, ev);
+            }
+            let mut handled = 0;
+            let end = sched.run(|now, ev, q| {
+                handled += 1;
+                if let Some((at, next)) = follow_up(now, ev) {
+                    q.schedule(at, next);
+                }
+                if handled == k {
+                    Flow::Stop
+                } else {
+                    Flow::Continue
+                }
+            });
+            assert_eq!(sched.processed(), handled, "k = {k}");
+            assert_eq!(sched.queue_mut().len(), pending.len(), "k = {k}");
+            assert_eq!(sched.queue_mut().is_empty(), pending.is_empty());
+            assert_eq!(end.to_bits(), last_at.to_bits(), "k = {k}");
+            assert_eq!(sched.now().to_bits(), last_at.to_bits(), "k = {k}");
+            let mut rest = Vec::new();
+            while let Some(ev) = sched.queue_mut().pop() {
+                rest.push(ev);
+            }
+            assert_eq!(rest, pending, "k = {k}");
+        }
+    }
+
     #[test]
     fn scheduler_handler_schedules_follow_ups() {
         let mut sched: Scheduler<u32> = Scheduler::new();

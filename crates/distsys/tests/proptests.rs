@@ -71,6 +71,69 @@ proptest! {
         prop_assert_eq!(popped, times.len());
     }
 
+    /// Random interleavings of `schedule` and `pop` against a stable-sort
+    /// reference, with every observer compared after every operation —
+    /// right after a pop included, and after a drain. Times are `now`,
+    /// `now + k`, `now + fraction`, far ahead, and `-0.0` at t = 0; pops
+    /// hit the empty queue too.
+    #[test]
+    fn queue_interleaving_matches_sorted_reference(
+        ops in proptest::collection::vec((0u8..10, 0u64..1_000_000), 1..300),
+    ) {
+        let mut q = EventQueue::new();
+        // Pending `(time, payload)` in schedule order: the first minimum
+        // by time is the FIFO tie-break's pick.
+        let mut reference: Vec<(f64, u64)> = Vec::new();
+        let mut now = 0.0_f64;
+        let earliest = |reference: &Vec<(f64, u64)>| {
+            (0..reference.len()).reduce(|best, i| {
+                if reference[i].0 < reference[best].0 { i } else { best }
+            })
+        };
+        for (step, &(kind, r)) in ops.iter().enumerate() {
+            // Kind 9 drains the queue; the next operation then schedules
+            // (or pops) on an empty queue.
+            let pops = match kind {
+                0..=2 => 1,
+                9 => reference.len() + 1,
+                _ => 0,
+            };
+            for _ in 0..pops {
+                let expect = earliest(&reference).map(|i| reference.remove(i));
+                let got = q.pop();
+                prop_assert_eq!(
+                    got.map(|(at, p)| (at.to_bits(), p)),
+                    expect.map(|(at, p)| (at.to_bits(), p)),
+                    "pop at step {}", step
+                );
+                if let Some((at, _)) = expect {
+                    now = at;
+                }
+            }
+            if pops == 0 {
+                let at = match kind {
+                    3 => now,
+                    4 => now + (r % 5) as f64,
+                    5 => now + (r % 1000) as f64 * 1e-3,
+                    6 => now + 1e7 + (r % 3) as f64,
+                    7 if now == 0.0 => -0.0,
+                    _ => now + (r % 4) as f64 * 0.25,
+                };
+                let payload = step as u64;
+                q.schedule(at, payload);
+                reference.push((at + 0.0, payload));
+            }
+            prop_assert_eq!(q.now().to_bits(), now.to_bits(), "now at step {}", step);
+            prop_assert_eq!(q.len(), reference.len(), "len at step {}", step);
+            prop_assert_eq!(q.is_empty(), reference.is_empty(), "is_empty at step {}", step);
+            prop_assert_eq!(
+                q.peek_time().map(f64::to_bits),
+                earliest(&reference).map(|i| reference[i].0.to_bits()),
+                "peek_time at step {}", step
+            );
+        }
+    }
+
     /// Session laws for random catalogs/plans:
     /// - T ≥ 0;
     /// - T = 0 iff served instantly;
