@@ -5,9 +5,28 @@
 //! events pop in insertion order — a property the session replays rely on
 //! and the tests pin down. The queue is a `std::collections::BinaryHeap`
 //! over one packed `u128` key per event (see `Scheduled::key`); the
-//! `heap_matches_sorted_reference` test pins its pop sequence against a
-//! stable sort by `(time, sequence)`, and the workspace goldens pin it
-//! end to end through the simulations.
+//! `heap_matches_sorted_reference` test and the distsys property
+//! `queue_interleaving_matches_sorted_reference` pin its pop sequence
+//! against a stable sort by `(time, sequence)`, and the workspace
+//! goldens pin it end to end through the simulations.
+//!
+//! # In-place pop
+//!
+//! Almost every pop is followed by a schedule from the same handler.
+//! [`EventQueue::pop`] therefore copies the earliest record out but
+//! leaves it at the heap's root, marked stale; the next
+//! [`EventQueue::schedule`] overwrites the stale root through
+//! `peek_mut`, one sift-down, where `BinaryHeap::pop` followed by
+//! `push` walks two sift paths. A pop that finds the root still stale
+//! removes it first. The order argument: the heap holds the pending
+//! records plus at most one stale record, which is the root (nothing
+//! is pushed while a root is stale); replacing the root of a valid
+//! heap with any record and sifting it down yields a valid heap; so
+//! the root after any operation is the greatest record in heap order,
+//! and once a stale root is gone it is the unique `(time, seq)` minimum
+//! of the pending records. [`EventQueue::len`], `is_empty` and
+//! `peek_time` leave the stale root out. The payload is copied out of
+//! the root, hence the `E: Copy` bound on `pop`.
 //!
 //! # Scheduling contract (NaN / causality)
 //!
@@ -71,6 +90,9 @@ impl<E> PartialOrd for Scheduled<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
+    /// Whether the heap's root is the record [`pop`](Self::pop) last
+    /// returned, left in place for the next schedule to overwrite.
+    stale: bool,
     now: f64,
     seq: u64,
 }
@@ -86,6 +108,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
+            stale: false,
             now: 0.0,
             seq: 0,
         }
@@ -102,13 +125,13 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.stale)
     }
 
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Schedules `payload` at absolute time `at` (`-0.0` is stored as
@@ -129,12 +152,19 @@ impl<E> EventQueue<E> {
             "cannot schedule into the past: {at} < {}",
             self.now
         );
-        self.heap.push(Scheduled {
+        let record = Scheduled {
             at,
             seq: self.seq,
             payload,
-        });
+        };
         self.seq += 1;
+        if std::mem::take(&mut self.stale) {
+            // One sift-down from the root, where `pop` + `push` would
+            // walk two paths.
+            *self.heap.peek_mut().expect("a stale root is a record") = record;
+        } else {
+            self.heap.push(record);
+        }
     }
 
     /// Schedules `payload` `delay` time units from now.
@@ -143,15 +173,39 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(f64, E)> {
-        let s = self.heap.pop()?;
-        self.now = s.at;
-        Some((s.at, s.payload))
+    ///
+    /// The popped record stays at the heap's root, marked stale, for the
+    /// next [`schedule`](Self::schedule) to overwrite; a second pop first
+    /// removes it.
+    pub fn pop(&mut self) -> Option<(f64, E)>
+    where
+        E: Copy,
+    {
+        if std::mem::take(&mut self.stale) {
+            self.heap.pop();
+        }
+        let &Scheduled { at, payload, .. } = self.heap.peek()?;
+        self.stale = true;
+        self.now = at;
+        Some((at, payload))
     }
 
     /// Peeks at the earliest pending event time.
+    ///
+    /// Right after a [`pop`](Self::pop) the root is stale, and this scans
+    /// every pending record for the next one (only tests call it).
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.at)
+        let root = self.heap.peek()?;
+        if !self.stale {
+            return Some(root.at);
+        }
+        // Keys are unique, so every other record is pending, and the
+        // earliest of them is the heap's next-greatest.
+        self.heap
+            .iter()
+            .filter(|s| s.seq != root.seq)
+            .max()
+            .map(|s| s.at)
     }
 }
 

@@ -48,9 +48,17 @@
 //! The [`EventQueue`] behind every simulation is a
 //! `std::collections::BinaryHeap` keyed by one packed `u128` per event
 //! (time bits, then a FIFO sequence number), so a pop is one integer
-//! compare per sift step. It pops earliest time first, FIFO on ties;
-//! the `heap_matches_sorted_reference` test pins that order against a
-//! stable sort, and the workspace goldens pin it end to end.
+//! compare per sift step. It pops earliest time first, FIFO on ties.
+//! A pop leaves the popped record at the root, marked stale; the next
+//! schedule (a handler almost always makes one) overwrites it with one
+//! sift-down instead of a pop and a push, and a second pop in a row
+//! first removes it. Sifting any record down from the root keeps the
+//! heap valid, and the stale record is always the root, so each pop
+//! still returns the unique `(time, seq)` minimum of the pending
+//! records. The `heap_matches_sorted_reference` test and the
+//! `queue_interleaving_matches_sorted_reference` property pin that
+//! order against a stable sort, and the workspace goldens pin it end
+//! to end.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

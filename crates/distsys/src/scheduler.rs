@@ -95,7 +95,10 @@ impl<E> Scheduler<E> {
     /// Pops events in causal order, invoking `handler` on each, until
     /// the queue drains or the handler stops the run. Returns the final
     /// simulation time.
-    pub fn run(&mut self, mut handler: impl FnMut(f64, E, &mut EventQueue<E>) -> Flow) -> f64 {
+    pub fn run(&mut self, mut handler: impl FnMut(f64, E, &mut EventQueue<E>) -> Flow) -> f64
+    where
+        E: Copy,
+    {
         while let Some((now, ev)) = self.queue.pop() {
             self.processed += 1;
             if handler(now, ev, &mut self.queue) == Flow::Stop {
