@@ -362,3 +362,32 @@ fn hot_cold_boundary_values() {
     assert_eq!(Placement::parse("hot-cold@"), None);
     assert_eq!(Placement::parse("hot-cold@3.5"), None);
 }
+
+/// Every strict prefix of every example workload file — a file cut off
+/// mid-line or mid-token — parses or gives an error, never a panic; the
+/// whole files parse.
+#[test]
+fn every_prefix_of_every_example_workload_never_panics() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/workloads");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("examples/workloads exists")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "skp"))
+        .collect();
+    files.sort();
+    assert!(
+        files.len() >= 9,
+        "expected the example workloads, got {files:?}"
+    );
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("readable workload");
+        assert!(
+            parse_workload(&text).is_ok(),
+            "{} must parse",
+            path.display()
+        );
+        for i in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+            let _ = parse_workload(&text[..i]);
+        }
+    }
+}

@@ -293,3 +293,73 @@ proptest! {
         }
     }
 }
+
+/// Bytes drawn mostly from JSON's structural alphabet, so random text
+/// gets past a parser's first token.
+const JSON_BYTES: &[u8] = b"{}[]:,\"\\ \n0123456789.-+eEtrufalsn";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random byte strings of 0–2 KB, uniform or JSON-shaped, through
+    /// every wire parser: each gives a value or an error, never a panic.
+    #[test]
+    fn random_bytes_never_panic_the_wire_parsers(
+        bytes in proptest::collection::vec(0u8..=255, 0..2048),
+        json_shaped in proptest::bool::ANY,
+    ) {
+        let bytes: Vec<u8> = if json_shaped {
+            bytes.iter().map(|&b| JSON_BYTES[b as usize % JSON_BYTES.len()]).collect()
+        } else {
+            bytes
+        };
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = Json::parse(&text);
+        let _ = WireRun::parse(&text);
+        let _ = parse_report(&text);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Runs of random bytes (up to 2 KB) spliced over any span of a
+    /// valid report or run document: deep inside a document, a parser
+    /// meets junk of any length, not only one changed byte.
+    #[test]
+    fn spliced_byte_runs_never_panic_the_wire_parsers(
+        seed in 0u64..10_000,
+        sharded in proptest::bool::ANY,
+        splice_seed in 0u64..u64::MAX,
+    ) {
+        let report = population_report(4, 2, seed, sharded);
+        let text = format!("{{{}}}", render_report_fields(&report, &[]));
+        let chain = MarkovChain::random(5, 1, 3, 1, 9, seed).expect("valid chain");
+        let run = WireRun::new("sharded", "sharded:2x2:hash", "skp-exact", &chain, &[1.0; 5], 3, seed, true)
+            .render();
+        let mut rng = SmallRng::seed_from_u64(splice_seed);
+        for doc in [&text, &run] {
+            for _ in 0..32 {
+                let mut bytes = doc.clone().into_bytes();
+                let start = rng.random_range(0..=bytes.len());
+                let end = rng.random_range(start..=bytes.len().min(start + 2048));
+                let max_len = if rng.random_bool(0.8) { 16 } else { 2048 };
+                let len = rng.random_range(0..max_len);
+                let junk: Vec<u8> = (0..len)
+                    .map(|_| {
+                        if rng.random_bool(0.5) {
+                            JSON_BYTES[rng.random_range(0..JSON_BYTES.len())]
+                        } else {
+                            rng.random_range(0u8..=255)
+                        }
+                    })
+                    .collect();
+                bytes.splice(start..end, junk);
+                let spliced = String::from_utf8_lossy(&bytes);
+                let _ = parse_report(&spliced);
+                let _ = WireRun::parse(&spliced);
+                let _ = Json::parse(&spliced);
+            }
+        }
+    }
+}
