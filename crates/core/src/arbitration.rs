@@ -367,25 +367,27 @@ mod tests {
 
     #[test]
     fn plan_solver_variants_produce_plans() {
+        use crate::kp;
         use crate::policy::{PolicyKind, Prefetcher};
-        use crate::{kp, skp};
+        use crate::skp::{exact, paper, SortedView};
 
         let s = sc();
         let candidates = vec![true; s.n()];
+        let positive = SortedView::positive(&s, Some(&candidates));
         let plan = |kind: PolicyKind| kind.plan_candidates(&s, &candidates);
         assert!(plan(PolicyKind::NoPrefetch).is_empty());
-        let kp = kp::bb::solve_kp_candidates(&s, &candidates);
+        let kp = kp::bb::solve_on_view(&s, &SortedView::with_candidates(&s, &candidates));
         assert_eq!(plan(PolicyKind::Kp), kp.plan);
         assert!(kp.plan.total_retrieval(&s) <= s.viewing() + 1e-9);
         // The KP solution is stretch-free and thus feasible for SKP, so the
         // Figure-3 solver's own accounting dominates the KP profit (its
         // *true* gain may not; see skp::exact's suffix-mass-bug test).
-        let skp = skp::solve_paper_candidates(&s, &candidates);
+        let skp = paper::solve_on_view(&s, &positive);
         assert_eq!(plan(PolicyKind::SkpPaper), skp.plan);
         assert!(skp.internal_gain >= kp.profit - 1e-9);
         // The corrected solver maximises the true gain over the canonical
         // space, which contains the KP solution.
-        let exact = skp::solve_exact_candidates(&s, &candidates);
+        let exact = exact::solve_on_view(&s, &positive);
         assert_eq!(plan(PolicyKind::SkpExact), exact.plan);
         assert!(exact.gain >= kp.profit - 1e-9);
         assert!(exact.gain >= skp.gain - 1e-9);

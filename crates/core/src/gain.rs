@@ -61,19 +61,32 @@ pub fn expected_access_time_empty(s: &Scenario, plan: &[ItemId]) -> f64 {
 /// [`Scenario::total_mass`]. The penalty mass is computed against mass 1
 /// when the scenario is complete.
 pub fn gain_empty_cache(s: &Scenario, plan: &[ItemId]) -> f64 {
-    if plan.is_empty() {
+    plan_gain(
+        s.viewing(),
+        plan.iter().map(|&i| (s.prob(i), s.retrieval(i))),
+    )
+}
+
+/// [`gain_empty_cache`], bit for bit, of the plan whose items have the
+/// `(P, r)` pairs `plan`, in prefetch order.
+pub(crate) fn plan_gain(
+    viewing: f64,
+    plan: impl ExactSizeIterator<Item = (f64, f64)> + Clone,
+) -> f64 {
+    let k = plan.len();
+    if k == 0 {
         return 0.0;
     }
-    let st = stretch_time(s, plan);
-    let profit: f64 = plan.iter().map(|&i| s.delay_profit(i)).sum();
+    let total: f64 = plan.clone().map(|(_, r)| r).sum();
+    let st = (total - viewing).max(0.0);
+    let profit: f64 = plan.clone().map(|(p, r)| p * r).sum();
     if st == 0.0 {
         return profit;
     }
-    let prefix_mass: f64 = plan[..plan.len() - 1].iter().map(|&i| s.prob(i)).sum();
+    let prefix_mass: f64 = plan.take(k - 1).map(|(p, _)| p).sum();
     // Σ_{i∈N\K} P_i over *all* items that might be requested, including any
     // probability mass outside this scenario (it also suffers the stretch).
-    let penalty_mass = penalty_mass(prefix_mass);
-    profit - penalty_mass * st
+    profit - penalty_mass(prefix_mass) * st
 }
 
 /// The probability mass that pays the stretch penalty: everything except

@@ -4,6 +4,7 @@
 use crate::scenario::Scenario;
 use crate::skp::bound::dantzig_residual;
 use crate::skp::order::SortedView;
+use crate::skp::Selectors;
 
 use super::KpSolution;
 use crate::plan::PrefetchPlan;
@@ -15,24 +16,31 @@ pub fn solve_kp(s: &Scenario) -> KpSolution {
     solve_on_view(s, &view)
 }
 
-/// Branch-and-bound restricted to candidate items.
-pub fn solve_kp_candidates(s: &Scenario, candidates: &[bool]) -> KpSolution {
-    let view = SortedView::with_candidates(s, candidates);
-    solve_on_view(s, &view)
-}
-
 /// Branch-and-bound over a pre-sorted view (density order).
 pub fn solve_on_view(s: &Scenario, view: &SortedView) -> KpSolution {
-    let m = view.m();
-    if m == 0 {
-        return KpSolution::empty();
+    let mut x = Selectors::default();
+    let (profit, nodes) = search(s.viewing(), view, &mut x);
+    KpSolution {
+        plan: PrefetchPlan::new(view.selectors_to_items(&x.best)).expect("unique"),
+        profit,
+        nodes,
     }
+}
 
-    let mut best_x = vec![false; m];
+/// The branch-and-bound search with capacity `viewing`: leaves the best
+/// selection's selectors over the view's positions in `x.best` and
+/// returns its profit and the number of forward steps. An empty view
+/// gives empty selectors.
+pub(crate) fn search(viewing: f64, view: &SortedView, x: &mut Selectors) -> (f64, u64) {
+    let m = view.m();
+    x.reset(m);
+    if m == 0 {
+        return (0.0, 0);
+    }
+    let (best_x, cur_x) = (&mut x.best, &mut x.cur);
     let mut best_p = 0.0_f64;
-    let mut cur_x = vec![false; m];
     let mut cur_p = 0.0_f64;
-    let mut cap = s.viewing();
+    let mut cap = viewing;
     let mut j = 0usize;
     let mut nodes = 0u64;
 
@@ -40,7 +48,7 @@ pub fn solve_on_view(s: &Scenario, view: &SortedView) -> KpSolution {
         // Bound for the residual subproblem.
         let u = dantzig_residual(view, j, cap);
         if best_p >= cur_p + u {
-            if !backtrack(view, &mut cur_x, &mut cur_p, &mut cap, &mut j) {
+            if !backtrack(view, cur_x, &mut cur_p, &mut cap, &mut j) {
                 break 'outer;
             }
             continue 'outer;
@@ -65,19 +73,15 @@ pub fn solve_on_view(s: &Scenario, view: &SortedView) -> KpSolution {
 
         if cur_p > best_p {
             best_p = cur_p;
-            best_x.copy_from_slice(&cur_x);
+            best_x.copy_from_slice(cur_x);
         }
 
-        if !backtrack(view, &mut cur_x, &mut cur_p, &mut cap, &mut j) {
+        if !backtrack(view, cur_x, &mut cur_p, &mut cap, &mut j) {
             break 'outer;
         }
     }
 
-    KpSolution {
-        plan: PrefetchPlan::new(view.selectors_to_items(&best_x)).expect("unique"),
-        profit: best_p,
-        nodes,
-    }
+    (best_p, nodes)
 }
 
 fn backtrack(
@@ -161,7 +165,7 @@ mod tests {
     #[test]
     fn candidates_are_respected() {
         let s = sc(vec![0.6, 0.4], vec![2.0, 2.0], 10.0);
-        let sol = solve_kp_candidates(&s, &[false, true]);
+        let sol = solve_on_view(&s, &SortedView::with_candidates(&s, &[false, true]));
         assert_eq!(sol.plan.items(), &[1]);
     }
 

@@ -52,21 +52,31 @@ impl KpSolution {
 /// A 1/2-approximation in general; exact when everything fits.
 pub fn greedy_by_density(s: &Scenario) -> KpSolution {
     let view = SortedView::new(s);
-    let mut cap = s.viewing();
-    let mut items = Vec::new();
-    let mut profit = 0.0;
-    for j in 0..view.m() {
-        if view.r(j) <= cap {
-            cap -= view.r(j);
-            profit += view.profit(j);
-            items.push(view.id(j));
-        }
-    }
+    let mut selected = Vec::new();
+    let profit = greedy(s.viewing(), &view, &mut selected);
     KpSolution {
-        plan: PrefetchPlan::new(items).expect("unique"),
+        plan: PrefetchPlan::new(view.selectors_to_items(&selected)).expect("unique"),
         profit,
         nodes: 0,
     }
+}
+
+/// The greedy pass over `view` with capacity `viewing`: writes one
+/// selector per view position into `selected` (cleared first) and
+/// returns the selection's profit.
+pub(crate) fn greedy(viewing: f64, view: &SortedView, selected: &mut Vec<bool>) -> f64 {
+    selected.clear();
+    let mut cap = viewing;
+    let mut profit = 0.0;
+    for j in 0..view.m() {
+        let fits = view.r(j) <= cap;
+        if fits {
+            cap -= view.r(j);
+            profit += view.profit(j);
+        }
+        selected.push(fits);
+    }
+    profit
 }
 
 #[cfg(test)]

@@ -2,15 +2,21 @@
 //! (Section 4.4: *no prefetch*, *KP prefetch*, *SKP prefetch*, *perfect
 //! prefetch*) packaged behind one interface.
 
-use crate::kp;
 use crate::plan::PrefetchPlan;
 use crate::scenario::{ItemId, Scenario};
-use crate::skp;
 use crate::skp::SolveScratch;
 
 /// A prefetch decision procedure: given the current scenario (and
 /// optionally a candidate mask), produce the plan to prefetch during the
 /// viewing time.
+///
+/// Three methods plan. [`plan_candidates`](Prefetcher::plan_candidates)
+/// is the one a policy must implement; [`plan`](Prefetcher::plan) plans
+/// over every item through it, and
+/// [`plan_row_into`](Prefetcher::plan_row_into) plans from a sparse row,
+/// by default on the dense scenario through the other two.
+/// [`PolicyKind`] turns this round: it plans every kind from the row, and
+/// its `plan_candidates` hands the scenario's row to `plan_row_into`.
 ///
 /// `Send + Sync` so boxed policies can be driven from parallel
 /// simulation backends (the Monte-Carlo runner fans one policy out
@@ -28,31 +34,23 @@ pub trait Prefetcher: Send + Sync {
         self.plan_candidates(s, &vec![true; s.n()])
     }
 
-    /// Plan from a sparse next-access row: item `j` has probability
-    /// `P_j` when `row` holds `(j, P_j)` and zero otherwise. `basis`
-    /// gives the rest of the scenario and the candidates (see
-    /// [`RowBasis`]). Returns the plan's items in prefetch order.
+    /// Plan from a sparse next-access row into `plan` (cleared first),
+    /// the items in prefetch order: item `j` has probability `P_j` when
+    /// `row` holds `(j, P_j)` and zero otherwise, and `basis` gives the
+    /// rest of the scenario and the candidates (see [`RowBasis`]).
+    /// `scratch` holds the solve's working buffers between calls.
     ///
     /// `row` must be merged (one entry per item) and, with the basis,
     /// describe a scenario that passes [`Scenario::new`]'s checks. The
     /// default plans on the dense scenario — the basis's own, or one
     /// built from the row — through [`plan`](Prefetcher::plan) or
-    /// [`plan_candidates`](Prefetcher::plan_candidates). A policy that
-    /// can plan from the row itself overrides it and must return the
-    /// same items.
+    /// [`plan_candidates`](Prefetcher::plan_candidates). [`PolicyKind`]
+    /// overrides it and plans every kind from the row in `scratch`, so a
+    /// round whose solve fits in its buffers allocates nothing.
     ///
     /// # Panics
     /// The default panics when the scenario built from a
     /// [`RowBasis::Catalog`] row is invalid.
-    fn plan_row(&self, row: &[(ItemId, f64)], basis: RowBasis<'_>) -> Vec<ItemId> {
-        plan_dense(self, row, basis)
-    }
-
-    /// [`plan_row`](Prefetcher::plan_row) into `plan` (cleared first),
-    /// with `scratch` for the solve's working buffers. The default calls
-    /// `plan_row`. The SKP policies override it and plan in the buffers
-    /// the caller keeps, so a round whose solve fits in them allocates
-    /// nothing.
     fn plan_row_into(
         &self,
         row: &[(ItemId, f64)],
@@ -61,8 +59,22 @@ pub trait Prefetcher: Send + Sync {
         plan: &mut Vec<ItemId>,
     ) {
         let _ = scratch;
+        let dense = match basis {
+            RowBasis::Catalog {
+                retrievals,
+                viewing,
+            } => self.plan(&dense_scenario(row, retrievals, viewing)),
+            RowBasis::Dense {
+                scenario,
+                candidates: None,
+            } => self.plan(scenario),
+            RowBasis::Dense {
+                scenario,
+                candidates: Some(mask),
+            } => self.plan_candidates(scenario, mask),
+        };
         plan.clear();
-        plan.extend(self.plan_row(row, basis));
+        plan.extend_from_slice(dense.items());
     }
 
     /// True for oracle policies whose plan depends on the *realised*
@@ -74,7 +86,11 @@ pub trait Prefetcher: Send + Sync {
     }
 }
 
-/// The scenario around a sparse row handed to [`Prefetcher::plan_row`].
+/// The scenario around a sparse row handed to
+/// [`Prefetcher::plan_row_into`]. A solver that can plan a
+/// zero-probability item reads the zeros off a dense basis's scenario,
+/// and adds a catalog row into zeros (`0.0 + P`), so `-0.0` entries
+/// order as they do in the dense scenario.
 #[derive(Debug, Clone, Copy)]
 pub enum RowBasis<'a> {
     /// No dense scenario exists: item `j` takes `retrievals[j]`, the
@@ -99,54 +115,35 @@ pub enum RowBasis<'a> {
     },
 }
 
-impl RowBasis<'_> {
-    /// Retrieval time of every item.
-    pub(crate) fn retrievals(&self) -> &[f64] {
+impl<'a> RowBasis<'a> {
+    /// The retrieval time of every item, the candidate mask (`None` when
+    /// every item is a candidate) and the viewing time.
+    pub(crate) fn parts(self) -> (&'a [f64], Option<&'a [bool]>, f64) {
         match self {
-            RowBasis::Catalog { retrievals, .. } => retrievals,
-            RowBasis::Dense { scenario, .. } => scenario.retrievals(),
-        }
-    }
-
-    /// The viewing time.
-    pub(crate) fn viewing(&self) -> f64 {
-        match self {
-            RowBasis::Catalog { viewing, .. } => *viewing,
-            RowBasis::Dense { scenario, .. } => scenario.viewing(),
-        }
-    }
-
-    /// The candidate mask, when not every item is a candidate.
-    pub(crate) fn candidates(&self) -> Option<&[bool]> {
-        match self {
-            RowBasis::Catalog { .. } => None,
-            RowBasis::Dense { candidates, .. } => *candidates,
+            RowBasis::Catalog {
+                retrievals,
+                viewing,
+            } => (retrievals, None, viewing),
+            RowBasis::Dense {
+                scenario,
+                candidates,
+            } => (scenario.retrievals(), candidates, scenario.viewing()),
         }
     }
 }
 
-/// [`Prefetcher::plan_row`]'s default: plan on the basis's dense
-/// scenario, building it from the row when the basis has none.
-fn plan_dense<P: Prefetcher + ?Sized>(
-    policy: &P,
-    row: &[(ItemId, f64)],
-    basis: RowBasis<'_>,
-) -> Vec<ItemId> {
-    let plan = match basis {
-        RowBasis::Catalog {
-            retrievals,
-            viewing,
-        } => policy.plan(&dense_scenario(row, retrievals, viewing)),
-        RowBasis::Dense {
-            scenario,
-            candidates: None,
-        } => policy.plan(scenario),
-        RowBasis::Dense {
-            scenario,
-            candidates: Some(mask),
-        } => policy.plan_candidates(scenario, mask),
-    };
-    plan.into_items()
+/// Writes the row of a dense probability vector into `row` (cleared
+/// first): every entry other than `+0.0`, in ascending item order, bits
+/// kept.
+pub fn dense_row(probs: &[f64], row: &mut Vec<(ItemId, f64)>) {
+    row.clear();
+    row.extend(
+        probs
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, p)| p.to_bits() != 0),
+    );
 }
 
 /// The four strategies of the paper's 'prefetch only' evaluation plus the
@@ -185,8 +182,7 @@ impl PolicyKind {
     /// Oracle plan: prefetch the item that will actually be requested.
     /// Access time is then `max(0, r_α − v)`, the best any one-item
     /// prefetcher can achieve.
-    pub fn plan_oracle(s: &Scenario, alpha: ItemId) -> PrefetchPlan {
-        let _ = s;
+    pub fn plan_oracle(alpha: ItemId) -> PrefetchPlan {
         PrefetchPlan::new(vec![alpha]).expect("single item")
     }
 }
@@ -204,42 +200,18 @@ impl Prefetcher for PolicyKind {
         }
     }
 
+    /// Plans the scenario's row ([`dense_row`]) on its dense basis
+    /// through [`plan_row_into`](Prefetcher::plan_row_into).
     fn plan_candidates(&self, s: &Scenario, candidates: &[bool]) -> PrefetchPlan {
-        match self {
-            PolicyKind::NoPrefetch | PolicyKind::Perfect => PrefetchPlan::empty(),
-            PolicyKind::Kp => kp::bb::solve_kp_candidates(s, candidates).plan,
-            PolicyKind::KpGreedy => {
-                // Greedy over the candidate view.
-                let view = skp::order::SortedView::with_candidates(s, candidates);
-                let mut cap = s.viewing();
-                let mut items = Vec::new();
-                for j in 0..view.m() {
-                    if view.r(j) <= cap {
-                        cap -= view.r(j);
-                        items.push(view.id(j));
-                    }
-                }
-                PrefetchPlan::new(items).expect("unique")
-            }
-            PolicyKind::SkpPaper => skp::solve_paper_candidates(s, candidates).plan,
-            PolicyKind::SkpExact => skp::solve_exact_candidates(s, candidates).plan,
-            PolicyKind::SkpOptimal => skp::brute::solve_optimal_candidates(s, candidates).plan,
-        }
-    }
-
-    fn plan(&self, s: &Scenario) -> PrefetchPlan {
-        // The SKP solvers need no all-true mask to plan over every item.
-        match self {
-            PolicyKind::SkpPaper => skp::solve_paper(s).plan,
-            PolicyKind::SkpExact => skp::solve_exact(s).plan,
-            _ => self.plan_candidates(s, &vec![true; s.n()]),
-        }
-    }
-
-    fn plan_row(&self, row: &[(ItemId, f64)], basis: RowBasis<'_>) -> Vec<ItemId> {
+        let mut row = Vec::new();
+        dense_row(s.probs(), &mut row);
+        let basis = RowBasis::Dense {
+            scenario: s,
+            candidates: Some(candidates),
+        };
         let mut plan = Vec::new();
-        self.plan_row_into(row, basis, &mut SolveScratch::default(), &mut plan);
-        plan
+        self.plan_row_into(&row, basis, &mut SolveScratch::default(), &mut plan);
+        PrefetchPlan::new(plan).expect("a solve plans each item once")
     }
 
     fn plan_row_into(
@@ -249,22 +221,7 @@ impl Prefetcher for PolicyKind {
         scratch: &mut SolveScratch,
         plan: &mut Vec<ItemId>,
     ) {
-        // The SKP solvers search the row's positive candidate entries
-        // only: build their view from the row, with no dense scan. A
-        // masked-out item leaves the view as it leaves the dense one.
-        let (retrievals, candidates) = (basis.retrievals(), basis.candidates());
-        match self {
-            PolicyKind::SkpPaper => {
-                scratch.plan_paper(row, retrievals, candidates, basis.viewing(), plan)
-            }
-            PolicyKind::SkpExact => {
-                scratch.plan_exact(row, retrievals, candidates, basis.viewing(), plan)
-            }
-            _ => {
-                plan.clear();
-                plan.extend(plan_dense(self, row, basis));
-            }
-        }
+        scratch.plan(*self, row, basis, plan);
     }
 
     fn is_oracle(&self) -> bool {
@@ -279,7 +236,7 @@ fn dense_scenario(row: &[(ItemId, f64)], retrievals: &[f64], viewing: f64) -> Sc
     for &(j, p) in row {
         probs[j] += p;
     }
-    Scenario::new(probs, retrievals.to_vec(), viewing).expect("plan_row needs a valid scenario")
+    Scenario::new(probs, retrievals.to_vec(), viewing).expect("a row plan needs a valid scenario")
 }
 
 #[cfg(test)]
@@ -318,7 +275,7 @@ mod tests {
 
     #[test]
     fn perfect_oracle_prefetches_the_request() {
-        let p = PolicyKind::plan_oracle(&sc(), 3);
+        let p = PolicyKind::plan_oracle(3);
         assert_eq!(p.items(), &[3]);
         assert!(PolicyKind::Perfect.plan(&sc()).is_empty());
     }

@@ -13,9 +13,9 @@
 //! the optimum ends on a different item and the canonical space misses it.
 //! Intended for tests and ablations; cost is `O(2^m · m)`.
 
-use crate::gain::gain_empty_cache;
+use crate::gain::plan_gain;
 use crate::plan::PrefetchPlan;
-use crate::scenario::{ItemId, Scenario};
+use crate::scenario::Scenario;
 use crate::skp::order::SortedView;
 use crate::skp::SkpSolution;
 
@@ -31,23 +31,36 @@ pub fn solve_optimal(s: &Scenario) -> SkpSolution {
     solve_on_view(s, &view)
 }
 
-/// Exhaustive SKP optimum restricted to candidate items.
-pub fn solve_optimal_candidates(s: &Scenario, candidates: &[bool]) -> SkpSolution {
-    let view = SortedView::with_candidates(s, candidates);
-    solve_on_view(s, &view)
-}
-
 /// Exhaustive search over a pre-sorted view.
 pub fn solve_on_view(s: &Scenario, view: &SortedView) -> SkpSolution {
+    let mut best = Vec::new();
+    let gain = search(s.viewing(), view, &mut best);
+    let items = best.iter().map(|&j| view.id(j)).collect();
+    SkpSolution {
+        plan: PrefetchPlan::new(items).expect("subset items are unique"),
+        gain,
+        internal_gain: gain,
+        nodes: 0,
+    }
+}
+
+/// The exhaustive search: writes the best plan's view positions, in
+/// prefetch order, into `best` (cleared first) and returns its gain
+/// `g*` ([`gain_empty_cache`](crate::gain::gain_empty_cache) of the
+/// plan). An empty view, or one where no plan gains, leaves `best`
+/// empty.
+///
+/// # Panics
+/// Panics when the view holds more than [`MAX_BRUTE_ITEMS`] items.
+pub(crate) fn search(viewing: f64, view: &SortedView, best: &mut Vec<usize>) -> f64 {
     let m = view.m();
     assert!(
         m <= MAX_BRUTE_ITEMS,
         "brute-force SKP limited to {MAX_BRUTE_ITEMS} items, got {m}"
     );
-    let v = s.viewing();
-
-    let mut best_items: Vec<ItemId> = Vec::new();
+    best.clear();
     let mut best_gain = 0.0_f64;
+    let mut order: Vec<usize> = Vec::with_capacity(m);
 
     for mask in 1u32..(1u32 << m) {
         let mut total_r = 0.0;
@@ -56,56 +69,39 @@ pub fn solve_on_view(s: &Scenario, view: &SortedView) -> SkpSolution {
                 total_r += view.r(j);
             }
         }
-        let st = (total_r - v).max(0.0);
+        let st = (total_r - viewing).max(0.0);
 
         // Pick the ordering: members in canonical order; for stretching
         // subsets the last item must be feasible (r_z > st) and, among
         // feasible ones, of minimal probability — i.e. the highest sorted
         // position with r_z > st (canonical order is P-descending).
-        let mut items: Vec<ItemId> = Vec::with_capacity(m);
+        order.clear();
         if st == 0.0 {
-            for j in 0..m {
-                if mask & (1 << j) != 0 {
-                    items.push(view.id(j));
-                }
-            }
+            order.extend((0..m).filter(|&j| mask & (1 << j) != 0));
         } else {
-            let mut z_pos: Option<usize> = None;
-            for j in (0..m).rev() {
-                if mask & (1 << j) != 0 && view.r(j) > st {
-                    z_pos = Some(j);
-                    break;
-                }
-            }
-            let Some(z) = z_pos else {
+            let Some(z) = (0..m)
+                .rev()
+                .find(|&j| mask & (1 << j) != 0 && view.r(j) > st)
+            else {
                 continue; // no admissible ordering for this subset
             };
-            for j in 0..m {
-                if mask & (1 << j) != 0 && j != z {
-                    items.push(view.id(j));
-                }
-            }
-            items.push(view.id(z));
+            order.extend((0..m).filter(|&j| mask & (1 << j) != 0 && j != z));
+            order.push(z);
         }
 
-        let g = gain_empty_cache(s, &items);
+        let g = plan_gain(viewing, order.iter().map(|&j| (view.p(j), view.r(j))));
         if g > best_gain {
             best_gain = g;
-            best_items = items;
+            best.clone_from(&order);
         }
     }
-
-    SkpSolution {
-        plan: PrefetchPlan::new(best_items).expect("subset items are unique"),
-        gain: best_gain,
-        internal_gain: best_gain,
-        nodes: 0,
-    }
+    best_gain
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gain::gain_empty_cache;
     use crate::skp::{solve_exact, solve_paper};
 
     const TOL: f64 = 1e-9;
@@ -184,7 +180,7 @@ mod tests {
     #[test]
     fn candidates_variant_restricts() {
         let s = sc(vec![0.6, 0.4], vec![5.0, 5.0], 20.0);
-        let sol = solve_optimal_candidates(&s, &[false, true]);
+        let sol = solve_on_view(&s, &SortedView::with_candidates(&s, &[false, true]));
         assert_eq!(sol.plan.items(), &[1]);
     }
 

@@ -22,9 +22,9 @@
 //! [`crate::gain::penalty_mass`]: when the included mass rounds above
 //! 1, an unclamped penalty turns negative and a zero-probability item
 //! would "gain" by stretching. With the clamp a zero-probability item
-//! never enters a plan, so [`solve_exact`] and
-//! [`crate::skp::solve_exact_candidates`] search the trimmed view of
-//! [`SortedView::positive`] and return the plan, `gain` and
+//! never enters a plan, so [`solve_exact`] and the row solve of
+//! `skp-exact` search the trimmed view of [`SortedView::positive`] (or
+//! [`SortedView::from_row`]) and return the plan, `gain` and
 //! `internal_gain` the full view would, bit for bit;
 //! [`SkpSolution::nodes`] counts forward steps over the positive-probability
 //! candidates only. [`solve_generalized`] searches whatever view it is

@@ -27,10 +27,12 @@
 //! branch-and-bound solvers sort only the positive-probability candidates
 //! ([`SortedView::positive`]): a zero-probability item never enters their
 //! plans. From a sparse next-access row they build that view straight
-//! from the row's entries (as [`SortedView::from_row`] does) and write
-//! the plan's items into a caller buffer. A [`SolveScratch`] keeps the
-//! view and the search's buffers between such solves, so a solve that
-//! fits in them allocates nothing
+//! from the row's entries (as [`SortedView::from_row`] does); KP, the
+//! greedy heuristic and brute force build their full view from the
+//! row's dense probabilities. Every row solve writes the plan's items
+//! into a caller buffer. A [`SolveScratch`] keeps the view and the
+//! search's buffers between such solves, so a solve that fits in them
+//! allocates nothing
 //! ([`Prefetcher::plan_row_into`](crate::policy::Prefetcher::plan_row_into)).
 //!
 //! ```
@@ -60,8 +62,10 @@ pub use global::{global_applicable, solve_global};
 pub use order::SortedView;
 pub use paper::solve_paper;
 
+use crate::kp;
 use crate::plan::PrefetchPlan;
-use crate::scenario::{ItemId, Scenario};
+use crate::policy::{PolicyKind, RowBasis};
+use crate::scenario::ItemId;
 
 /// Result of an SKP solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,64 +99,99 @@ impl SkpSolution {
     }
 }
 
-/// The buffers of a row solve by the two branch-and-bound solvers, kept
-/// by the caller between solves: the sorted view (its entries and
-/// suffix masses), the profits and clamped profits of the corrected
+/// The buffers of a row solve, kept by the caller between solves: the
+/// sorted view (its entries and suffix masses), a catalog row's dense
+/// probabilities, the profits and clamped profits of the corrected
 /// search, and the best and current selectors. Each solve clears and
 /// refills them, so results never depend on what an earlier solve left.
 #[derive(Debug, Clone, Default)]
 pub struct SolveScratch {
     view: SortedView,
+    probs: Vec<f64>,
     profits: Vec<f64>,
     clamped: Vec<f64>,
     selectors: Selectors,
 }
 
 impl SolveScratch {
-    /// The Figure-3 plan ([`paper::solve_on_view`]'s items) of the sparse
-    /// row `row` over `retrievals` and `candidates`
-    /// ([`SortedView::from_row`]) with viewing time `viewing`, written into
-    /// `plan` (cleared first) in prefetch order.
+    /// `kind`'s plan of the sparse row `row` on `basis`, written into
+    /// `plan` (cleared first) in prefetch order: the items its solver
+    /// returns on the dense scenario. The two branch-and-bound SKP
+    /// solvers search the row's positive candidate entries
+    /// ([`SortedView::from_row`]). KP, the greedy pass and brute force
+    /// search the full candidate view of [`full_probs`].
     ///
     /// # Panics
-    /// As [`SortedView::from_row`].
-    pub(crate) fn plan_paper(
+    /// As [`SortedView::from_row`], and as [`brute::solve_on_view`].
+    pub(crate) fn plan(
         &mut self,
+        kind: PolicyKind,
         row: &[(ItemId, f64)],
-        retrievals: &[f64],
-        candidates: Option<&[bool]>,
-        viewing: f64,
+        basis: RowBasis<'_>,
         plan: &mut Vec<ItemId>,
     ) {
-        self.view.refill_from_row(row, retrievals, candidates);
-        paper::search(viewing, &self.view, &mut self.selectors);
-        self.view.write_items(&self.selectors.best, plan);
+        let (retrievals, candidates, v) = basis.parts();
+        let (view, x) = (&mut self.view, &mut self.selectors);
+        let positive = |view: &mut SortedView| {
+            view.refill_positive(row.iter().copied(), retrievals, candidates)
+        };
+        let mut full = |view: &mut SortedView| {
+            view.refill_full(
+                full_probs(row, basis, &mut self.probs),
+                retrievals,
+                candidates,
+            )
+        };
+        match kind {
+            PolicyKind::NoPrefetch | PolicyKind::Perfect => return plan.clear(),
+            PolicyKind::SkpPaper => {
+                positive(view);
+                paper::search(v, view, x);
+            }
+            PolicyKind::SkpExact => {
+                positive(view);
+                exact::write_profits(view, &mut self.profits);
+                exact::search(v, view, &self.profits, 0.0, &mut self.clamped, x);
+            }
+            PolicyKind::Kp => {
+                full(view);
+                kp::bb::search(v, view, x);
+            }
+            PolicyKind::KpGreedy => {
+                full(view);
+                kp::greedy(v, view, &mut x.best);
+            }
+            PolicyKind::SkpOptimal => {
+                full(view);
+                brute::search(v, view, plan);
+                return plan.iter_mut().for_each(|j| *j = view.id(*j));
+            }
+        }
+        view.write_items(&x.best, plan);
     }
+}
 
-    /// [`Self::plan_paper`] with the corrected search
-    /// ([`exact::solve_on_view`]'s items).
-    ///
-    /// # Panics
-    /// As [`SortedView::from_row`].
-    pub(crate) fn plan_exact(
-        &mut self,
-        row: &[(ItemId, f64)],
-        retrievals: &[f64],
-        candidates: Option<&[bool]>,
-        viewing: f64,
-        plan: &mut Vec<ItemId>,
-    ) {
-        self.view.refill_from_row(row, retrievals, candidates);
-        exact::write_profits(&self.view, &mut self.profits);
-        exact::search(
-            viewing,
-            &self.view,
-            &self.profits,
-            0.0,
-            &mut self.clamped,
-            &mut self.selectors,
-        );
-        self.view.write_items(&self.selectors.best, plan);
+/// The dense probabilities of the full candidate view of `row` on
+/// `basis`: the row's entries and a zero for every other item. The zeros
+/// carry the dense scenario's sign, since the canonical order puts
+/// `+0.0` before `-0.0`: a dense basis's own probabilities, or a catalog
+/// row added into zeros in `probs`, as `MarkovChain::row_probs` adds it
+/// (`0.0 + P`).
+fn full_probs<'a>(
+    row: &[(ItemId, f64)],
+    basis: RowBasis<'a>,
+    probs: &'a mut Vec<f64>,
+) -> &'a [f64] {
+    match basis {
+        RowBasis::Dense { scenario, .. } => scenario.probs(),
+        RowBasis::Catalog { retrievals, .. } => {
+            probs.clear();
+            probs.resize(retrievals.len(), 0.0);
+            for &(j, p) in row {
+                probs[j] += p;
+            }
+            probs
+        }
     }
 }
 
@@ -174,29 +213,10 @@ impl Selectors {
     }
 }
 
-/// Convenience: solve SKP restricted to candidate items (those for which
-/// `candidates[i]` is true), as required by the Section-5 integration where
-/// cached items must not be prefetched again. Uses the paper's solver.
-///
-/// # Panics
-/// Panics when `candidates.len() != s.n()`.
-pub fn solve_paper_candidates(s: &Scenario, candidates: &[bool]) -> SkpSolution {
-    let view = SortedView::positive(s, Some(candidates));
-    paper::solve_on_view(s, &view)
-}
-
-/// [`solve_exact`] restricted to candidate items.
-///
-/// # Panics
-/// Panics when `candidates.len() != s.n()`.
-pub fn solve_exact_candidates(s: &Scenario, candidates: &[bool]) -> SkpSolution {
-    let view = SortedView::positive(s, Some(candidates));
-    exact::solve_on_view(s, &view)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
 
     #[test]
     fn empty_solution_is_empty() {
@@ -208,17 +228,18 @@ mod tests {
     #[test]
     fn candidate_restriction_excludes_items() {
         let s = Scenario::new(vec![0.6, 0.4], vec![5.0, 5.0], 20.0).unwrap();
-        let sol = solve_paper_candidates(&s, &[false, true]);
+        let view = SortedView::positive(&s, Some(&[false, true]));
+        let sol = paper::solve_on_view(&s, &view);
         assert!(!sol.plan.contains(0));
         assert!(sol.plan.contains(1));
-        let sol = solve_exact_candidates(&s, &[false, true]);
+        let sol = exact::solve_on_view(&s, &view);
         assert!(!sol.plan.contains(0));
     }
 
     #[test]
     fn no_candidates_gives_empty_plan() {
         let s = Scenario::new(vec![0.6, 0.4], vec![5.0, 5.0], 20.0).unwrap();
-        let sol = solve_paper_candidates(&s, &[false, false]);
+        let sol = paper::solve_on_view(&s, &SortedView::positive(&s, Some(&[false, false])));
         assert!(sol.plan.is_empty());
         assert_eq!(sol.gain, 0.0);
     }

@@ -28,6 +28,10 @@
 //! that can pick zero-probability items (KP, the greedy heuristic,
 //! brute force, the global DP and the extension objectives) keep the
 //! full view of [`SortedView::new`] and [`SortedView::with_candidates`].
+//! KP, greedy and brute force also plan rows: a
+//! [`SolveScratch`](crate::skp::SolveScratch) refills their full view
+//! in place from the row's dense probabilities, the row's entries and a
+//! zero for every other candidate.
 
 use crate::scenario::{canonical_cmp, ItemId, Scenario};
 
@@ -52,7 +56,9 @@ pub struct SortedView {
 impl SortedView {
     /// Sorted view over every item of the scenario.
     pub fn new(s: &Scenario) -> Self {
-        Self::build(dense_entries(s), s.retrievals(), s.n())
+        let mut view = Self::default();
+        view.refill_full(s.probs(), s.retrievals(), None);
+        view
     }
 
     /// Sorted view over the items for which `candidates[i]` is true.
@@ -60,9 +66,30 @@ impl SortedView {
     /// # Panics
     /// Panics when `candidates.len() != s.n()`.
     pub fn with_candidates(s: &Scenario, candidates: &[bool]) -> Self {
-        check_mask(s.n(), candidates);
-        let kept = dense_entries(s).filter(|&(i, _)| candidates[i]);
-        Self::build(kept, s.retrievals(), count_true(candidates))
+        let mut view = Self::default();
+        view.refill_full(s.probs(), s.retrievals(), Some(candidates));
+        view
+    }
+
+    /// Rebuilds this view, in place, as [`Self::with_candidates`] (or,
+    /// without a mask, [`Self::new`]) builds one from dense `probs`.
+    ///
+    /// # Panics
+    /// Panics when a mask is given and `candidates.len() != probs.len()`.
+    pub(crate) fn refill_full(
+        &mut self,
+        probs: &[f64],
+        retrievals: &[f64],
+        candidates: Option<&[bool]>,
+    ) {
+        let all = probs.iter().copied().enumerate();
+        match candidates {
+            None => self.fill(all, retrievals, probs.len()),
+            Some(mask) => {
+                check_mask(probs.len(), mask);
+                self.fill(all.filter(|&(i, _)| mask[i]), retrievals, count_true(mask))
+            }
+        }
     }
 
     /// The SKP solvers' view: the positive-probability candidates only.
@@ -74,15 +101,10 @@ impl SortedView {
     /// # Panics
     /// Panics when a mask is given and `candidates.len() != s.n()`.
     pub fn positive(s: &Scenario, candidates: Option<&[bool]>) -> Self {
-        let positive = dense_entries(s).filter(|&(_, p)| p > 0.0);
-        match candidates {
-            None => Self::build(positive, s.retrievals(), s.n()),
-            Some(mask) => {
-                check_mask(s.n(), mask);
-                let kept = positive.filter(|&(i, _)| mask[i]);
-                Self::build(kept, s.retrievals(), count_true(mask))
-            }
-        }
+        let mut view = Self::default();
+        let entries = s.probs().iter().copied().enumerate();
+        view.refill_positive(entries, s.retrievals(), candidates);
+        view
     }
 
     /// The positive-probability view of a sparse row: the view
@@ -105,23 +127,25 @@ impl SortedView {
         candidates: Option<&[bool]>,
     ) -> Self {
         let mut view = Self::default();
-        view.refill_from_row(row, retrievals, candidates);
+        view.refill_positive(row.iter().copied(), retrievals, candidates);
         view
     }
 
-    /// Rebuilds this view as [`Self::from_row`] builds one, in place:
-    /// the view's buffers are reused, so a refill that fits in them
+    /// Rebuilds this view, in place, as the positive-probability view of
+    /// the merged `(item, P)` entries: [`Self::from_row`]'s view of a
+    /// row, and [`Self::positive`]'s of a dense scenario's entries. The
+    /// view's buffers are reused, so a refill that fits in them
     /// allocates nothing.
     ///
     /// # Panics
     /// As [`Self::from_row`].
-    pub(crate) fn refill_from_row(
+    pub(crate) fn refill_positive(
         &mut self,
-        row: &[(ItemId, f64)],
+        entries: impl Iterator<Item = (ItemId, f64)>,
         retrievals: &[f64],
         candidates: Option<&[bool]>,
     ) {
-        let positive = row.iter().copied().filter(|&(_, p)| p > 0.0);
+        let positive = entries.filter(|&(_, p)| p > 0.0);
         match candidates {
             None => self.fill(positive, retrievals, retrievals.len()),
             Some(mask) => {
@@ -130,17 +154,6 @@ impl SortedView {
                 self.fill(kept, retrievals, count_true(mask))
             }
         }
-    }
-
-    /// A new view from [`Self::fill`].
-    fn build(
-        items: impl Iterator<Item = (ItemId, f64)>,
-        retrievals: &[f64],
-        candidates: usize,
-    ) -> Self {
-        let mut view = Self::default();
-        view.fill(items, retrievals, candidates);
-        view
     }
 
     /// The one builder: sorts the `(item, P)` entries with their
@@ -234,11 +247,6 @@ impl SortedView {
                 .filter_map(|(j, &sel)| sel.then_some(self.entries[j].2)),
         );
     }
-}
-
-/// The dense scenario's `(item, P)` entries, in item order.
-fn dense_entries(s: &Scenario) -> impl Iterator<Item = (ItemId, f64)> + '_ {
-    s.probs().iter().copied().enumerate()
 }
 
 fn count_true(mask: &[bool]) -> usize {

@@ -13,8 +13,8 @@
 //!
 //! A zero-probability item has zero profit and zero suffix mass, so its
 //! step-3 delta is zero and it never enters a plan. [`solve_paper`] and
-//! [`crate::skp::solve_paper_candidates`] therefore search the trimmed
-//! view of [`SortedView::positive`]. Step 3's "if j < n goto 2" is tested
+//! the row solve of `skp-paper` therefore search the trimmed view of
+//! [`SortedView::positive`] (or [`SortedView::from_row`]). Step 3's "if j < n goto 2" is tested
 //! against [`SortedView::candidate_count`], which counts the dropped
 //! candidates too, so the search visits nodes in the full view's order,
 //! breaks ties between equal-gain plans the same way and returns the same

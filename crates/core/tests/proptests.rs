@@ -220,8 +220,7 @@ proptest! {
 /// probability rests on cached items) and candidate-restricted solving.
 mod reduced_mass_props {
     use super::*;
-    use skp_core::skp::brute::solve_optimal_candidates;
-    use skp_core::skp::{solve_exact_candidates, solve_paper_candidates};
+    use skp_core::skp::{brute, exact, paper, SortedView};
 
     /// Scenario with total mass scaled to ~0.6.
     fn reduced_scenario() -> impl Strategy<Value = Scenario> {
@@ -272,9 +271,10 @@ mod reduced_mass_props {
             if !mask.iter().any(|&b| b) {
                 return Ok(()); // no candidates: nothing to test
             }
-            let paper = solve_paper_candidates(&s, &mask);
-            let exact = solve_exact_candidates(&s, &mask);
-            let brute = solve_optimal_candidates(&s, &mask);
+            let positive = SortedView::positive(&s, Some(&mask));
+            let paper = paper::solve_on_view(&s, &positive);
+            let exact = exact::solve_on_view(&s, &positive);
+            let brute = brute::solve_on_view(&s, &SortedView::with_candidates(&s, &mask));
             for sol in [&paper, &exact, &brute] {
                 for &i in sol.plan.items() {
                     prop_assert!(mask[i], "mask violated by item {}", i);
@@ -315,7 +315,8 @@ mod arbitration_props {
             }
             let candidates: Vec<bool> =
                 (0..s.n()).map(|i| !cache.iter().any(|e| e.id == i)).collect();
-            let tentative = skp_core::skp::solve_paper_candidates(&s, &candidates).plan;
+            let view = skp_core::skp::SortedView::positive(&s, Some(&candidates));
+            let tentative = skp_core::skp::paper::solve_on_view(&s, &view).plan;
             let a = arbitrate(&s, &tentative, &cache, free, sub);
 
             // Ejections pair with prefetches beyond the free slots.
@@ -490,9 +491,7 @@ mod arbitration_reference_props {
 mod sparse_view_props {
     use super::*;
     use skp_core::skp::order::SortedView;
-    use skp_core::skp::{
-        exact, paper, solve_exact_candidates, solve_paper_candidates, SkpSolution,
-    };
+    use skp_core::skp::{exact, paper, SkpSolution};
 
     /// Up to 100 items, 1–20 of them with probability `c_i / Σc` (a sum
     /// that can round above 1), the rest zero.
@@ -544,8 +543,9 @@ mod sparse_view_props {
         ) {
             let mask = &mask_bits[..s.n()];
             let full = SortedView::with_candidates(&s, mask);
-            same_solution(&solve_exact_candidates(&s, mask), &exact::solve_on_view(&s, &full))?;
-            same_solution(&solve_paper_candidates(&s, mask), &paper::solve_on_view(&s, &full))?;
+            let positive = SortedView::positive(&s, Some(mask));
+            same_solution(&exact::solve_on_view(&s, &positive), &exact::solve_on_view(&s, &full))?;
+            same_solution(&paper::solve_on_view(&s, &positive), &paper::solve_on_view(&s, &full))?;
 
             let full = SortedView::new(&s);
             same_solution(&solve_exact(&s), &exact::solve_on_view(&s, &full))?;

@@ -157,7 +157,7 @@ pub fn sample_chunk(
         let alpha = ScenarioGen::draw_request(&s, &mut rng);
         for (k, policy) in policies.iter().enumerate() {
             let plan = if policy.is_oracle() {
-                PolicyKind::plan_oracle(&s, alpha)
+                PolicyKind::plan_oracle(alpha)
             } else {
                 policy.plan(&s)
             };

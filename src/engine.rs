@@ -42,14 +42,14 @@ use skp_core::arbitration::SubArbitration;
 use skp_core::gain::{
     access_time_empty, expected_access_time_empty, gain_empty_cache, stretch_time,
 };
-use skp_core::policy::{Prefetcher, RowBasis};
+use skp_core::policy::{dense_row, Prefetcher, RowBasis};
 use skp_core::skp::{upper_bound, SolveScratch};
 use skp_core::{ModelError, PrefetchPlan, Scenario};
 
 use crate::backend::{build_backend, BackendDriver, McFanout, PopulationRun, SingleClientDriver};
 use crate::error::Error;
 use crate::generator::build_generator;
-use crate::predictor::{build_predictor, dense_row, Predictor};
+use crate::predictor::{build_predictor, Predictor};
 use crate::registry::build_policy;
 use crate::report::{PlanReport, ReportSection, RunReport, SimReport, TraceReport};
 use crate::workload::{MonteCarloSpec, Workload};
@@ -1851,8 +1851,15 @@ mod tests {
         fn plan_candidates(&self, _: &Scenario, _: &[bool]) -> PrefetchPlan {
             PrefetchPlan::empty()
         }
-        fn plan_row(&self, _: &[(usize, f64)], _: RowBasis<'_>) -> Vec<usize> {
-            vec![0, 0]
+        fn plan_row_into(
+            &self,
+            _: &[(usize, f64)],
+            _: RowBasis<'_>,
+            _: &mut SolveScratch,
+            plan: &mut Vec<usize>,
+        ) {
+            plan.clear();
+            plan.extend([0, 0]);
         }
     }
 

@@ -201,7 +201,7 @@ pub use skp_core::kp::{greedy_by_density, solve_kp, solve_kp_dp, KpSolution};
 pub use skp_core::policy::{PolicyKind, Prefetcher, RowBasis};
 pub use skp_core::skp::{
     global_applicable, linear_relaxation, solve_exact, solve_global, solve_optimal, solve_paper,
-    solve_paper_candidates, upper_bound, SkpSolution,
+    upper_bound, SkpSolution,
 };
 pub use skp_core::{ItemId, ModelError, PrefetchPlan, Scenario};
 

@@ -10,6 +10,7 @@
 //! configuration, CLI flags or experiment sweeps.
 
 use access_model::{DependencyGraph, FreqTracker, MarkovEstimator, NgramPredictor};
+use skp_core::policy::dense_row;
 use skp_registry::{split_spec, Registry};
 
 use crate::error::Error;
@@ -50,19 +51,6 @@ pub trait Predictor: Send {
     fn predict_row(&self, current: usize, row: &mut Vec<(usize, f64)>) {
         dense_row(&self.predict(current), row);
     }
-}
-
-/// Writes the row of a dense vector into `row` (cleared first): every
-/// entry other than `+0.0`, in ascending item order, bits kept.
-pub(crate) fn dense_row(probs: &[f64], row: &mut Vec<(usize, f64)>) {
-    row.clear();
-    row.extend(
-        probs
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(_, p)| p.to_bits() != 0),
-    );
 }
 
 impl Predictor for NgramPredictor {

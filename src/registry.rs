@@ -41,7 +41,7 @@ impl Prefetcher for GlobalDpPolicy {
             }
         }
         // Candidate-restricted or non-integral: canonical exact solver.
-        skp_core::skp::solve_exact_candidates(s, candidates).plan
+        PolicyKind::SkpExact.plan_candidates(s, candidates)
     }
 }
 

@@ -154,6 +154,8 @@ fn a_steady_state_figure7_round_allocates_nothing() {
         (PolicyKind::NoPrefetch, SubArbitration::None),
         (PolicyKind::SkpPaper, SubArbitration::Lfu),
         (PolicyKind::SkpExact, SubArbitration::DelaySaving),
+        (PolicyKind::Kp, SubArbitration::None),
+        (PolicyKind::KpGreedy, SubArbitration::Lfu),
     ] {
         let cfg = PrefetchCacheConfig { sub, capacity: 8 };
         let run = |requests| {

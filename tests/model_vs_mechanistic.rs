@@ -70,7 +70,7 @@ fn oracle_plan_matches_event_replay() {
     for _ in 0..200 {
         let s = gen.generate(&mut rng);
         for alpha in 0..s.n() {
-            let plan = PolicyKind::plan_oracle(&s, alpha);
+            let plan = PolicyKind::plan_oracle(alpha);
             let formula = access_time_empty(&s, plan.items(), alpha);
             let replay = run_session(
                 &catalog_of(&s),

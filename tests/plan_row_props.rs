@@ -1,5 +1,5 @@
 //! Property tests for planning from a sparse Markov row: every registry
-//! policy's `Prefetcher::plan_row` on a merged row returns the plan its
+//! policy's `Prefetcher::plan_row_into` on a merged row returns the plan its
 //! `plan` returns on the dense scenario `row_probs` describes, and the
 //! SKP solvers' row view equals their dense positive view bit for bit.
 //! Every `PolicyKind`'s `plan_row_into` also equals a dense reference
@@ -121,7 +121,7 @@ fn dense_reference(kind: PolicyKind, s: &Scenario, candidates: Option<&[bool]>) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// `plan_row` on the merged row ≡ `plan` on the dense scenario, for
+    /// `plan_row_into` on the merged row ≡ `plan` on the dense scenario, for
     /// every registry policy and every state; a fresh policy each side.
     #[test]
     fn row_plans_equal_dense_plans(seed in 0u64..u64::MAX) {
@@ -136,7 +136,8 @@ proptest! {
             for spec in policy_specs() {
                 let want = build_policy(spec.name).unwrap().plan(&dense).into_items();
                 let basis = RowBasis::Catalog { retrievals: &catalog, viewing: v };
-                let got = build_policy(spec.name).unwrap().plan_row(row, basis);
+                let mut got = Vec::new();
+                build_policy(spec.name).unwrap().plan_row_into(row, basis, &mut SolveScratch::default(), &mut got);
                 prop_assert_eq!(got, want, "{} in state {} of seed {}", spec.name, state, seed);
             }
         }

@@ -17,7 +17,11 @@ use speculative_prefetch::{
 };
 
 /// A registry policy with only the dense planning methods: its
-/// `plan_row` is the trait default, which plans on the dense scenario.
+/// `plan_row_into` is the trait default, which plans on the dense
+/// scenario. A built-in `PolicyKind`'s dense methods plan the scenario's
+/// row through its own `plan_row_into`, so for those kinds this side
+/// checks the engine's rounds, and `plan_row_props` checks the row solve
+/// against dense reference solves.
 struct Dense(Box<dyn Prefetcher>);
 
 impl Prefetcher for Dense {
