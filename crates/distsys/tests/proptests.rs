@@ -2,7 +2,8 @@
 //! event queue and structural properties of session replays.
 
 use distsys::{
-    run_session, Catalog, EventQueue, FaultSpec, Placement, SessionConfig, ShardMap, ShardedSim,
+    run_session, Catalog, EventKind, EventQueue, FaultSpec, Placement, SessionConfig, ShardMap,
+    ShardedSim,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -299,5 +300,83 @@ proptest! {
         prop_assert_eq!(format!("{plain:?}"), format!("{inert:?}"));
         prop_assert_eq!(format!("{plain_log:?}"), format!("{inert_log:?}"));
         prop_assert!(!plain_log.is_empty());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Topologies on both sides of every 64-shard word boundary (and
+    /// past 128, where a `u128` mask runs out): every request is served,
+    /// tracing changes nothing, and each shard's channel runs its
+    /// transfers one at a time, each for exactly its item's retrieval
+    /// time. Every round's plan holds an item of the highest shard that
+    /// owns one, so that shard's channel must run.
+    #[test]
+    fn wide_topologies_serve_every_request(
+        seed in 0u64..1_000_000,
+        shards_pick in 0usize..8,
+        clients in 1usize..24,
+        placement_pick in 0usize..3,
+        hot in 0usize..40,
+    ) {
+        const N: usize = 320;
+        let shards = [63usize, 64, 65, 127, 128, 129, 200, 300][shards_pick];
+        let placement = [
+            Placement::Hash,
+            Placement::Range,
+            Placement::HotCold { hot_items: hot },
+        ][placement_pick];
+        let map = ShardMap::new(shards, N, placement);
+        let last_item = (0..N).max_by_key(|&i| map.shard_of(i)).unwrap();
+        let last_shard = map.shard_of(last_item);
+        let walk = Walk { n: N };
+        let retrievals: Vec<f64> = (0..N).map(|i| 0.25 + (i % 9) as f64 * 0.5).collect();
+        let requests_per_client = 12;
+        let sim = ShardedSim {
+            workload: &walk,
+            retrievals: &retrievals,
+            clients,
+            shards,
+            placement,
+            requests_per_client,
+            seed,
+            faults: None,
+        };
+        let plan = |_c: usize, s: usize| {
+            let mut plan = vec![(s + 1) % N, (s + 97) % N];
+            plan.retain(|&i| i != last_item);
+            plan.push(last_item);
+            plan
+        };
+        let plain = sim.run(&mut { plan });
+        let (traced, log) = sim.run_traced(&mut { plan });
+        prop_assert_eq!(plain.requests(), requests_per_client * clients as u64);
+        prop_assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
+        prop_assert!(plain.shards[last_shard].jobs > 0, "shard {} ran no job", last_shard);
+
+        // Per shard: start, done, start, done, ... — each done is its
+        // start's job, `r_item` later, and no start precedes the
+        // previous done.
+        let mut open: Vec<Option<(f64, usize, usize)>> = vec![None; shards];
+        let mut free_at = vec![0.0_f64; shards];
+        for ev in &log {
+            match ev.kind {
+                EventKind::TransferStart(_) => {
+                    prop_assert!(open[ev.shard].is_none(), "overlapping start {:?}", ev);
+                    prop_assert!(ev.at >= free_at[ev.shard], "start before done {:?}", ev);
+                    open[ev.shard] = Some((ev.at, ev.client, ev.item));
+                }
+                EventKind::TransferDone(_) => {
+                    let Some((start, client, item)) = open[ev.shard].take() else {
+                        return Err(TestCaseError::fail(format!("done without start {ev:?}")));
+                    };
+                    prop_assert_eq!((client, item), (ev.client, ev.item));
+                    prop_assert_eq!(ev.at.to_bits(), (start + retrievals[item]).to_bits());
+                    free_at[ev.shard] = ev.at;
+                }
+                EventKind::Request | EventKind::Served => {}
+            }
+        }
     }
 }
