@@ -79,8 +79,9 @@ pub trait Prefetcher: Send + Sync {
 
     /// True for oracle policies whose plan depends on the *realised*
     /// request: their [`plan_candidates`](Prefetcher::plan_candidates)
-    /// returns the empty plan, and drivers that know the request must
-    /// consult [`PolicyKind::plan_oracle`] instead.
+    /// returns the empty plan, and drivers that know the request
+    /// prefetch that request itself instead (the round planner,
+    /// `cache_sim::RoundScratch::plan`, does).
     fn is_oracle(&self) -> bool {
         false
     }
@@ -163,9 +164,11 @@ pub enum PolicyKind {
     SkpExact,
     /// Exhaustive SKP optimum (small `n` only) — ground truth.
     SkpOptimal,
-    /// Oracle that prefetches exactly the item that will be requested.
-    /// [`Prefetcher::plan_candidates`] returns the empty plan; simulators
-    /// must consult [`PolicyKind::plan_oracle`] with the realised request.
+    /// Oracle that prefetches exactly the item that will be requested,
+    /// so its access time is `max(0, r_α − v)`, the best any one-item
+    /// prefetcher can achieve. [`Prefetcher::plan_candidates`] returns
+    /// the empty plan; simulators prefetch the realised request instead
+    /// (see [`Prefetcher::is_oracle`]).
     Perfect,
 }
 
@@ -178,13 +181,6 @@ impl PolicyKind {
         PolicyKind::SkpExact,
         PolicyKind::SkpOptimal,
     ];
-
-    /// Oracle plan: prefetch the item that will actually be requested.
-    /// Access time is then `max(0, r_α − v)`, the best any one-item
-    /// prefetcher can achieve.
-    pub fn plan_oracle(alpha: ItemId) -> PrefetchPlan {
-        PrefetchPlan::new(vec![alpha]).expect("single item")
-    }
 }
 
 impl Prefetcher for PolicyKind {
@@ -275,8 +271,7 @@ mod tests {
 
     #[test]
     fn perfect_oracle_prefetches_the_request() {
-        let p = PolicyKind::plan_oracle(3);
-        assert_eq!(p.items(), &[3]);
+        assert!(PolicyKind::Perfect.is_oracle());
         assert!(PolicyKind::Perfect.plan(&sc()).is_empty());
     }
 

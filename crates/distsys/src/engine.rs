@@ -10,6 +10,11 @@
 //! against a stable sort by `(time, sequence)`, and the workspace
 //! goldens pin it end to end through the simulations.
 //!
+//! [`EventQueue::run`] is the run loop every simulation in the crate
+//! drives: it pops until the queue drains or the handler returns
+//! [`ControlFlow::Break`], handing the handler the queue so it can
+//! schedule follow-up events causally.
+//!
 //! # In-place pop
 //!
 //! Almost every pop is followed by a schedule from the same handler.
@@ -42,6 +47,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
 
 /// An event scheduled at a simulated time.
 #[derive(Debug, Clone)]
@@ -188,6 +194,22 @@ impl<E> EventQueue<E> {
         self.stale = true;
         self.now = at;
         Some((at, payload))
+    }
+
+    /// Pops events in causal order, handing each to `handler` with its
+    /// timestamp and the queue (for follow-up schedules), until the
+    /// queue drains or the handler breaks. Returns the clock: the time
+    /// of the last event handled.
+    pub fn run(&mut self, mut handler: impl FnMut(f64, E, &mut Self) -> ControlFlow<()>) -> f64
+    where
+        E: Copy,
+    {
+        while let Some((now, ev)) = self.pop() {
+            if handler(now, ev, self).is_break() {
+                break;
+            }
+        }
+        self.now
     }
 
     /// Peeks at the earliest pending event time.

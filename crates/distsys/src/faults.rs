@@ -250,7 +250,7 @@ fn parse_scale(text: &str, what: &str) -> Result<f64, String> {
 }
 
 /// A [`FaultSpec`] resolved against a concrete shard count and run
-/// seed: what the scheduler actually consults on the hot path.
+/// seed: what the simulation actually consults on the hot path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Per-shard service-duration multiplier, all `>= 1.0` (exactly

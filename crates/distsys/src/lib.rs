@@ -6,26 +6,27 @@
 //! crate builds that system mechanistically, and generalises it to a
 //! sharded server farm.
 //!
-//! ## Architecture: one scheduler under every backend
+//! ## Architecture: one event loop under every backend
 //!
 //! Everything runs on a single discrete-event core:
 //!
 //! - [`engine`] — the deterministic [`EventQueue`] (time-ordered, FIFO
-//!   tie-breaks);
-//! - [`scheduler`] — the [`Scheduler`] run loop over that queue, the
-//!   [`ShardMap`] partitioning the catalog across server shards
-//!   (hash / range / hot–cold [`Placement`]), and the sharded
-//!   multi-client simulation [`ShardedSim`] with per-shard queues,
-//!   service channels and [`ShardReport`] statistics;
+//!   tie-breaks) and its run loop, [`EventQueue::run`], which pops
+//!   until the queue drains or the handler returns
+//!   [`ControlFlow::Break`](std::ops::ControlFlow::Break);
+//! - [`scheduler`] — the [`ShardMap`] partitioning the catalog across
+//!   server shards (hash / range / hot–cold [`Placement`]), and the
+//!   sharded multi-client simulation [`ShardedSim`] with per-shard
+//!   queues, service channels and [`ShardReport`] statistics;
 //! - [`faults`] — fault-injection specs ([`FaultSpec`]: outage windows,
 //!   slow links, seed-derived heterogeneous service times) materialised
-//!   per run from the seed and applied inside the scheduler's event
+//!   per run from the seed and applied inside the simulation's event
 //!   handlers, so faulted runs stay deterministic;
 //! - [`network`] — links (latency + bandwidth) and item catalogs mapping
 //!   items to retrieval times, including the paper's `r ∈ [1, 30]`
 //!   uniform catalog;
-//! - [`session`] — the client session of Figure 1/2, replayed as a
-//!   scheduler client; reproduces the paper's Section-3/4 closed forms
+//! - [`session`] — the client session of Figure 1/2, replayed on the
+//!   same loop; reproduces the paper's Section-3/4 closed forms
 //!   event by event;
 //! - [`stats`] — the common [`AccessStats`] (mean/p50/p99) every report
 //!   carries, and the stall-time [`Histogram`].
@@ -35,7 +36,7 @@
 //! (Figures 1–2), and a client population on one shard — one shared
 //! FIFO server channel — realises the Section-6 network-usage tension
 //! (its tests live in `multiclient.rs`). Sharding (`shards > 1`) is the
-//! scaling axis beyond the paper: the same scheduler, the contention
+//! scaling axis beyond the paper: the same event loop, the contention
 //! split across independent per-shard channels.
 //!
 //! The closed-form access times of `skp-core` are *derived* from this
@@ -77,8 +78,8 @@ pub use engine::EventQueue;
 pub use faults::{FaultPlan, FaultSpec, Outage};
 pub use network::{Catalog, Link, RetrievalModel};
 pub use scheduler::{
-    access_time_sharded, ClientPolicy, ClientWorkload, EventKind, Flow, Placement, Scheduler,
-    ShardMap, ShardReport, ShardStats, ShardedSim, SimEvent,
+    access_time_sharded, ClientPolicy, ClientWorkload, EventKind, Placement, ShardMap, ShardReport,
+    ShardStats, ShardedSim, SimEvent,
 };
 pub use session::{run_session, SessionConfig, SessionOutcome};
 pub use stats::{AccessStats, Histogram};

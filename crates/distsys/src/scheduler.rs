@@ -1,13 +1,12 @@
 //! The sharded discrete-event simulation core.
 //!
 //! Every execution path in this crate — the single-client session of
-//! Figure 1/2, client populations on one or many shards, and the
-//! bandwidth-sharing arbitration — is a client of one [`Scheduler`]
-//! driving one [`EventQueue`]. This module holds that scheduler and the
-//! generalisation the ROADMAP asks for: a catalog partitioned across `N`
-//! server shards ([`ShardMap`]), each with its own FIFO retrieval queue
-//! and service channel, serving a population of browsing clients
-//! ([`ShardedSim`]).
+//! Figure 1/2 and client populations on one or many shards — schedules
+//! onto one [`EventQueue`] and drives it with [`EventQueue::run`]. This
+//! module holds the generalisation the ROADMAP asks for: a catalog
+//! partitioned across `N` server shards ([`ShardMap`]), each with its
+//! own FIFO retrieval queue and service channel, serving a population
+//! of browsing clients ([`ShardedSim`]).
 //!
 //! The paper's single shared channel is exactly the `shards = 1` special
 //! case: there is no separate shared-channel simulation, and the facade's
@@ -28,86 +27,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::fmt;
-
-// ---------------------------------------------------------------------
-// The scheduler: a run loop over the generalized event queue.
-// ---------------------------------------------------------------------
-
-/// Whether the scheduler keeps running after an event is handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flow {
-    /// Keep popping events.
-    Continue,
-    /// Stop immediately (pending events are left unpopped).
-    Stop,
-}
-
-/// A discrete-event scheduler: the run loop every simulation in this
-/// crate is a client of.
-///
-/// Wraps an [`EventQueue`] and drives a handler until the queue drains
-/// or the handler returns [`Flow::Stop`]. The handler receives the
-/// event, its timestamp, and the queue itself, so it can schedule
-/// follow-up events causally.
-#[derive(Debug, Default)]
-pub struct Scheduler<E> {
-    queue: EventQueue<E>,
-    processed: u64,
-}
-
-impl<E> Scheduler<E> {
-    /// An empty scheduler with the clock at zero.
-    pub fn new() -> Self {
-        Self {
-            queue: EventQueue::new(),
-            processed: 0,
-        }
-    }
-
-    /// Current simulation time.
-    #[inline]
-    pub fn now(&self) -> f64 {
-        self.queue.now()
-    }
-
-    /// Events handled so far.
-    #[inline]
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Schedules an event at absolute time `at` (see
-    /// [`EventQueue::schedule`] for the causality rules).
-    pub fn schedule(&mut self, at: f64, payload: E) {
-        self.queue.schedule(at, payload);
-    }
-
-    /// Schedules an event `delay` time units from now.
-    pub fn schedule_in(&mut self, delay: f64, payload: E) {
-        self.queue.schedule_in(delay, payload);
-    }
-
-    /// Direct access to the underlying queue (for pre-loading events).
-    pub fn queue_mut(&mut self) -> &mut EventQueue<E> {
-        &mut self.queue
-    }
-
-    /// Pops events in causal order, invoking `handler` on each, until
-    /// the queue drains or the handler stops the run. Returns the final
-    /// simulation time.
-    pub fn run(&mut self, mut handler: impl FnMut(f64, E, &mut EventQueue<E>) -> Flow) -> f64
-    where
-        E: Copy,
-    {
-        while let Some((now, ev)) = self.queue.pop() {
-            self.processed += 1;
-            if handler(now, ev, &mut self.queue) == Flow::Stop {
-                break;
-            }
-        }
-        self.queue.now()
-    }
-}
+use std::ops::ControlFlow;
 
 // ---------------------------------------------------------------------
 // Shard placement.
@@ -313,7 +233,7 @@ struct Job {
     duration: f64,
 }
 
-/// Scheduler event payload of the sharded system. `u32` indices keep the
+/// Event payload of the sharded system. `u32` indices keep the
 /// scheduled event records small — the event queue shuffles millions of
 /// them per second.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -449,36 +369,15 @@ pub struct ShardedSim<'a, W: ClientWorkload> {
     pub faults: Option<&'a FaultSpec>,
 }
 
-/// Scheduling state of the shard channels — the FIFO queues, the jobs in
-/// service and the channel clocks — flattened into index-based parallel
-/// arrays (one slot per shard) so the event loop addresses a shard as a
-/// `u32` index into contiguous storage instead of chasing a struct per
-/// channel. Measurement counters live beside it, one [`ChannelStats`]
-/// per shard.
+/// Scheduling state of one shard channel — its FIFO queue, the job in
+/// service and the channel clock — kept as one record per shard so the
+/// idle check, the queue head and the busy horizon a start-pass touch
+/// reads sit on the same one or two cache lines. Measurement counters
+/// live beside it, one [`ChannelStats`] per shard.
 struct Lane {
     queue: VecDeque<Job>,
     in_service: Option<Job>,
     busy_until: f64,
-}
-
-/// Per-shard channel state, one record per shard: the idle check, the
-/// queue head and the busy horizon a start-pass touch reads all sit on
-/// the same one or two cache lines, where parallel arrays would scatter
-/// them across three.
-struct ShardLanes(Vec<Lane>);
-
-impl ShardLanes {
-    fn new(shards: usize) -> Self {
-        Self(
-            (0..shards)
-                .map(|_| Lane {
-                    queue: VecDeque::new(),
-                    in_service: None,
-                    busy_until: 0.0,
-                })
-                .collect(),
-        )
-    }
 }
 
 /// Measurement accumulator of one shard channel.
@@ -579,7 +478,7 @@ struct SimState<'a, 'p, W: ClientWorkload> {
     /// instead of re-hashing (and re-dividing) through
     /// [`ShardMap::shard_of`] on every job.
     shard_lut: Vec<u32>,
-    lanes: ShardLanes,
+    lanes: Vec<Lane>,
     /// Per-shard measurement accumulators, indexed like `lanes`.
     stats: Vec<ChannelStats>,
     // Per-client state as index-based parallel arrays (`u32` arena ids):
@@ -600,14 +499,10 @@ struct SimState<'a, 'p, W: ClientWorkload> {
     samples: Vec<f64>,
     wasted_transfer: f64,
     /// Shards touched since the last start pass (freed channel or
-    /// freshly queued work) — the only ones a start pass must scan. For
-    /// populations up to 128 shards this is a bitmask (ascending scan
-    /// via `trailing_zeros`, duplicate marks collapse for free); larger
-    /// topologies spill to the sorted-Vec path.
-    dirty_bits: u128,
-    dirty: Vec<u32>,
-    /// Scratch buffer the start pass drains `dirty` into.
-    scratch: Vec<u32>,
+    /// freshly queued work) — the only ones a start pass must scan: a
+    /// bitset, one bit per shard, so duplicate marks collapse and the
+    /// scan runs in ascending shard order.
+    dirty: Vec<u64>,
     /// Scratch the policy writes each round's plan into.
     plan_buf: Vec<usize>,
     /// Scratch for trace records of transfers started in one pass.
@@ -663,7 +558,13 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
             workload,
             retrievals,
             shard_lut,
-            lanes: ShardLanes::new(shards),
+            lanes: (0..shards)
+                .map(|_| Lane {
+                    queue: VecDeque::new(),
+                    in_service: None,
+                    busy_until: 0.0,
+                })
+                .collect(),
             stats: (0..shards).map(|_| ChannelStats::new()).collect(),
             rngs,
             state,
@@ -675,9 +576,7 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
             served: 0,
             samples: Vec::new(),
             wasted_transfer: 0.0,
-            dirty_bits: 0,
-            dirty: Vec::new(),
-            scratch: Vec::new(),
+            dirty: vec![0; shards.div_ceil(64)],
             plan_buf: Vec::new(),
             started_scratch: Vec::new(),
             faults: faults.map(|f| f.materialise(shards, seed)),
@@ -717,15 +616,15 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
 
     /// Plans and queues every client's opening round at `t = 0` and
     /// schedules the first requests.
-    fn kickoff(&mut self, policy: &mut dyn ClientPolicy, sched: &mut Scheduler<Ev>) {
+    fn kickoff(&mut self, policy: &mut dyn ClientPolicy, q: &mut EventQueue<Ev>) {
         for c in 0..self.state.len() {
             self.plan_round(c, policy);
-            sched.schedule(
+            q.schedule(
                 self.workload.viewing(self.state[c] as usize),
                 Ev::Request(c as u32),
             );
         }
-        self.start_dirty(0.0, sched.queue_mut());
+        self.start_dirty(0.0, q);
     }
 
     /// Folds the run's outcome into the report: per-shard stats in shard
@@ -783,7 +682,7 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
     /// Queues a job on its owning shard.
     fn push_job(&mut self, job: Job) {
         let shard = self.shard_lut[job.item as usize] as usize;
-        let queue = &mut self.lanes.0[shard].queue;
+        let queue = &mut self.lanes[shard].queue;
         queue.push_back(job);
         self.stats[shard].queued(queue.len());
         self.mark_dirty(shard);
@@ -792,18 +691,14 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
     /// Marks a shard for the next start pass.
     #[inline]
     fn mark_dirty(&mut self, shard: usize) {
-        if shard < 128 {
-            self.dirty_bits |= 1u128 << shard;
-        } else {
-            self.dirty.push(shard as u32);
-        }
+        self.dirty[shard / 64] |= 1 << (shard % 64);
     }
 
     /// Starts the next queued job on `shard` if its channel is idle —
     /// the body of one start-pass step.
     #[inline]
     fn try_start(&mut self, shard: usize, now: f64, q: &mut EventQueue<Ev>, tracing: bool) {
-        let lane = &mut self.lanes.0[shard];
+        let lane = &mut self.lanes[shard];
         if lane.in_service.is_none() {
             if let Some(job) = lane.queue.pop_front() {
                 let mut start = now.max(lane.busy_until);
@@ -828,32 +723,19 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
     }
 
     /// Starts the next queued job on every shard touched since the last
-    /// pass. Only dirty shards are scanned — O(touched), not O(shards),
-    /// per event — in ascending shard order so the event sequence is
-    /// identical to a full scan; duplicate marks are harmless (the
-    /// channel is busy by the second attempt).
+    /// pass. Only dirty shards are visited — one word per 64 shards plus
+    /// one step per touched shard, not one per shard — in ascending
+    /// shard order, so the event sequence is identical to a full scan.
     fn start_dirty(&mut self, now: f64, q: &mut EventQueue<Ev>) {
-        if self.dirty_bits == 0 && self.dirty.is_empty() {
-            return;
-        }
         let tracing = self.trace.is_some();
-        // Low shards first (ascending bit scan), then the sorted spill
-        // of shards >= 128 — together the same ascending order as a
-        // full sorted scan, so the event sequence is unchanged.
-        let mut bits = std::mem::take(&mut self.dirty_bits);
-        while bits != 0 {
-            let shard = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            self.try_start(shard, now, q, tracing);
-        }
-        if !self.dirty.is_empty() {
-            self.dirty.sort_unstable();
-            std::mem::swap(&mut self.dirty, &mut self.scratch);
-            for i in 0..self.scratch.len() {
-                let shard = self.scratch[i] as usize;
+        // Words in ascending order, bits within a word lowest first.
+        for w in 0..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[w]);
+            while bits != 0 {
+                let shard = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
                 self.try_start(shard, now, q, tracing);
             }
-            self.scratch.clear();
         }
         if tracing {
             let mut started = std::mem::take(&mut self.started_scratch);
@@ -909,7 +791,7 @@ impl<'a, 'p, W: ClientWorkload> SimState<'a, 'p, W> {
         q: &mut EventQueue<Ev>,
         policy: &mut dyn ClientPolicy,
     ) {
-        let lane = &mut self.lanes.0[shard];
+        let lane = &mut self.lanes[shard];
         self.stats[shard].finished(lane.queue.len());
         let job = lane.in_service.take().expect("a job was in service");
         // The channel is free again: re-mark it so queued work restarts.
@@ -1010,12 +892,12 @@ impl<W: ClientWorkload> ShardedSim<'_, W> {
             .checked_mul(self.clients as u64)
             .expect("requests_per_client × clients overflows a u64");
         let mut st = SimState::new(self, trace);
-        let mut sched: Scheduler<Ev> = Scheduler::new();
-        st.kickoff(policy, &mut sched);
+        let mut queue = EventQueue::new();
+        st.kickoff(policy, &mut queue);
 
         let probing = probe.is_some();
         let mut events: u64 = 0;
-        let span = sched.run(|now, ev, q| {
+        let span = queue.run(|now, ev, q| {
             match ev {
                 Ev::Request(c) => st.on_request(c as usize, now, q, policy),
                 Ev::JobDone(shard) => st.on_job_done(shard as usize, now, q, policy),
@@ -1029,13 +911,13 @@ impl<W: ClientWorkload> ShardedSim<'_, W> {
                 }
             }
             if st.served >= total_requests {
-                Flow::Stop
+                ControlFlow::Break(())
             } else {
-                Flow::Continue
+                ControlFlow::Continue(())
             }
         });
         if let Some(p) = probe.as_mut() {
-            p.mark(span, events, sched.queue_mut().len());
+            p.mark(span, events, queue.len());
         }
         st.build_report(span)
     }
@@ -1134,22 +1016,21 @@ mod tests {
 
     #[test]
     fn scheduler_runs_and_stops() {
-        let mut sched: Scheduler<u32> = Scheduler::new();
-        sched.schedule(1.0, 1);
-        sched.schedule(2.0, 2);
-        sched.schedule(3.0, 3);
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.schedule(1.0, 1);
+        q.schedule(2.0, 2);
+        q.schedule(3.0, 3);
         let mut seen = Vec::new();
-        let end = sched.run(|_, ev, _| {
+        let end = q.run(|_, ev, _| {
             seen.push(ev);
             if ev == 2 {
-                Flow::Stop
+                ControlFlow::Break(())
             } else {
-                Flow::Continue
+                ControlFlow::Continue(())
             }
         });
         assert_eq!(seen, vec![1, 2]);
         assert_eq!(end, 2.0);
-        assert_eq!(sched.processed(), 2);
     }
 
     /// A run stopped after `k` events leaves the queue exactly as a
@@ -1183,29 +1064,28 @@ mod tests {
             }
             pending.sort_by(|a, b| a.0.total_cmp(&b.0));
 
-            let mut sched: Scheduler<u32> = Scheduler::new();
+            let mut q: EventQueue<u32> = EventQueue::new();
             for &(at, ev) in &initial {
-                sched.schedule(at, ev);
+                q.schedule(at, ev);
             }
             let mut handled = 0;
-            let end = sched.run(|now, ev, q| {
+            let end = q.run(|now, ev, q| {
                 handled += 1;
                 if let Some((at, next)) = follow_up(now, ev) {
                     q.schedule(at, next);
                 }
                 if handled == k {
-                    Flow::Stop
+                    ControlFlow::Break(())
                 } else {
-                    Flow::Continue
+                    ControlFlow::Continue(())
                 }
             });
-            assert_eq!(sched.processed(), handled, "k = {k}");
-            assert_eq!(sched.queue_mut().len(), pending.len(), "k = {k}");
-            assert_eq!(sched.queue_mut().is_empty(), pending.is_empty());
+            assert_eq!(q.len(), pending.len(), "k = {k}");
+            assert_eq!(q.is_empty(), pending.is_empty());
             assert_eq!(end.to_bits(), last_at.to_bits(), "k = {k}");
-            assert_eq!(sched.now().to_bits(), last_at.to_bits(), "k = {k}");
+            assert_eq!(q.now().to_bits(), last_at.to_bits(), "k = {k}");
             let mut rest = Vec::new();
-            while let Some(ev) = sched.queue_mut().pop() {
+            while let Some(ev) = q.pop() {
                 rest.push(ev);
             }
             assert_eq!(rest, pending, "k = {k}");
@@ -1214,18 +1094,18 @@ mod tests {
 
     #[test]
     fn scheduler_handler_schedules_follow_ups() {
-        let mut sched: Scheduler<u32> = Scheduler::new();
-        sched.schedule(1.0, 0);
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.schedule(1.0, 0);
         let mut count = 0;
-        sched.run(|now, ev, q| {
+        q.run(|now, ev, q| {
             count += 1;
             if ev < 3 {
                 q.schedule(now + 1.0, ev + 1);
             }
-            Flow::Continue
+            ControlFlow::Continue(())
         });
         assert_eq!(count, 4);
-        assert_eq!(sched.now(), 4.0);
+        assert_eq!(q.now(), 4.0);
     }
 
     #[test]

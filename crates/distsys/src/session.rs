@@ -31,8 +31,9 @@
 //! assert_eq!(out.access_time, 7.0 + 6.0);
 //! ```
 
+use crate::engine::EventQueue;
 use crate::network::RetrievalModel;
-use crate::scheduler::{Flow, Scheduler};
+use std::ops::ControlFlow;
 
 /// Session parameters.
 #[derive(Debug, Clone)]
@@ -85,23 +86,23 @@ pub fn run_session(retr: &impl RetrievalModel, cfg: &SessionConfig<'_>) -> Sessi
         assert!(i < retr.n_items(), "plan item {i} out of range");
     }
 
-    let mut sched: Scheduler<Ev> = Scheduler::new();
+    let mut queue = EventQueue::new();
 
     // Prefetches occupy the channel back to back from t = 0.
     let mut t = 0.0;
     for (k, &item) in cfg.plan.iter().enumerate() {
         t += retr.retrieval_time(item);
-        sched.schedule(t, Ev::PrefetchDone(k));
+        queue.schedule(t, Ev::PrefetchDone(k));
     }
     let prefetch_finish = t;
     let mut channel_busy = t;
-    sched.schedule(cfg.viewing, Ev::RequestArrives);
+    queue.schedule(cfg.viewing, Ev::RequestArrives);
 
     let mut done = vec![false; cfg.plan.len()];
     let mut request_pending = false;
     let mut served_at: Option<f64> = None;
 
-    sched.run(|now, ev, q| {
+    queue.run(|now, ev, q| {
         match ev {
             Ev::PrefetchDone(k) => {
                 done[k] = true;
@@ -132,7 +133,7 @@ pub fn run_session(retr: &impl RetrievalModel, cfg: &SessionConfig<'_>) -> Sessi
                 served_at = Some(now);
             }
         }
-        Flow::Continue
+        ControlFlow::Continue(())
     });
 
     let served_at = served_at.expect("request is always eventually served");

@@ -15,10 +15,11 @@
 //! (Figure 5) plus the first `scatter_cap` raw `(v, T)` samples (Figure
 //! 4 plots 500 of them).
 
+use cache_sim::RoundScratch;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use skp_core::gain::access_time_empty;
-use skp_core::policy::{PolicyKind, Prefetcher};
+use skp_core::policy::{dense_row, PolicyKind, Prefetcher};
 use skp_core::Scenario;
 
 use crate::parallel::{default_threads, par_monte_carlo};
@@ -141,9 +142,10 @@ impl PrefetchOnlySim {
 
 /// The "prefetch only" loop of one chunk: `iters` times, generates a
 /// scenario and draws its request (from a generator seeded with
-/// `chunk_seed`), plans it with each policy `k` (an oracle prefetches
-/// the request) and calls `visit(k, scenario, request, T)` with the
-/// plan's empty-cache access time `T`.
+/// `chunk_seed`), plans it with each policy `k` through
+/// [`RoundScratch::plan`] (an oracle prefetches the request) and calls
+/// `visit(k, scenario, request, T)` with the plan's empty-cache access
+/// time `T`.
 pub fn sample_chunk(
     gen: &ScenarioGen,
     policies: &[&dyn Prefetcher],
@@ -152,16 +154,15 @@ pub fn sample_chunk(
     mut visit: impl FnMut(usize, &Scenario, usize, f64),
 ) {
     let mut rng = SmallRng::seed_from_u64(chunk_seed);
+    let mut row = Vec::new();
+    let mut round = RoundScratch::default();
     for _ in 0..iters {
         let s = gen.generate(&mut rng);
         let alpha = ScenarioGen::draw_request(&s, &mut rng);
-        for (k, policy) in policies.iter().enumerate() {
-            let plan = if policy.is_oracle() {
-                PolicyKind::plan_oracle(alpha)
-            } else {
-                policy.plan(&s)
-            };
-            visit(k, &s, alpha, access_time_empty(&s, plan.items(), alpha));
+        dense_row(s.probs(), &mut row);
+        for (k, &policy) in policies.iter().enumerate() {
+            let plan = round.plan(policy, &s, &row, alpha, None);
+            visit(k, &s, alpha, access_time_empty(&s, plan, alpha));
         }
     }
 }

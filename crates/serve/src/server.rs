@@ -22,9 +22,9 @@ use std::time::{Duration, Instant};
 
 use speculative_prefetch::wire::{esc, list, render_access};
 use speculative_prefetch::{
-    backend_specs, build_plan_store, obs_sink_specs, parse_workload, plan_store_specs,
-    policy_aliases, policy_specs, predictor_specs, render_report_fields, AccessStats, Engine,
-    Error, PlanStore, PlanStoreStats, RegistrySpec, WireRun,
+    backend_specs, build_plan_store, generator_specs, obs_sink_specs, parse_workload,
+    plan_store_specs, policy_aliases, policy_specs, predictor_specs, render_report_fields,
+    AccessStats, Engine, Error, PlanStore, PlanStoreStats, RegistrySpec, WireRun,
 };
 
 use crate::http::{self, Request, Response};
@@ -537,9 +537,11 @@ fn registry_json() -> String {
     let backends = spec_list(backend_specs());
     let plan_stores = spec_list(plan_store_specs());
     let obs_sinks = spec_list(obs_sink_specs());
+    let generators = spec_list(generator_specs());
     format!(
         "{{\"policies\":{policies},\"predictors\":{predictors},\
-         \"backends\":{backends},\"plan_stores\":{plan_stores},\"obs_sinks\":{obs_sinks}}}"
+         \"backends\":{backends},\"plan_stores\":{plan_stores},\"obs_sinks\":{obs_sinks},\
+         \"generators\":{generators}}}"
     )
 }
 
@@ -865,17 +867,32 @@ mod tests {
 
     #[test]
     fn registry_json_lists_every_registry() {
+        use speculative_prefetch::wire::Json;
         let j = registry_json();
-        assert!(j.contains("\"policies\":["));
-        assert!(j.contains("\"predictors\":["));
-        assert!(j.contains("\"backends\":["));
-        assert!(j.contains("\"plan_stores\":["));
-        assert!(j.contains("\"obs_sinks\":["));
+        // It is valid JSON by the wire module's own parser.
+        let json = Json::parse(&j).expect("registry JSON parses");
+        let names = |section: &str| -> Vec<String> {
+            let entries = json.get(section).and_then(Json::as_arr);
+            let entries = entries.unwrap_or_else(|| panic!("no '{section}' list"));
+            entries
+                .iter()
+                .map(|e| e.get("name").and_then(Json::as_str).expect("a name").into())
+                .collect()
+        };
+        let spec_names = |specs: Vec<RegistrySpec>| -> Vec<String> {
+            specs.iter().map(|s| s.name.into()).collect()
+        };
+        let policies: Vec<String> = policy_specs().iter().map(|s| s.name.into()).collect();
+        let predictors: Vec<String> = predictor_specs().iter().map(|s| s.name.into()).collect();
+        assert_eq!(names("policies"), policies);
+        assert_eq!(names("predictors"), predictors);
+        assert_eq!(names("backends"), spec_names(backend_specs()));
+        assert_eq!(names("plan_stores"), spec_names(plan_store_specs()));
+        assert_eq!(names("obs_sinks"), spec_names(obs_sink_specs()));
+        assert_eq!(names("generators"), spec_names(generator_specs()));
         assert!(j.contains("skp-exact"));
         assert!(j.contains("\"served\""));
         assert!(j.contains("\"tiered\""));
-        // It is valid JSON by the wire module's own parser.
-        speculative_prefetch::wire::Json::parse(&j).expect("registry JSON parses");
     }
 
     /// The `GET /registry` body, byte for byte.

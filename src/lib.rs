@@ -215,8 +215,8 @@ pub use cache_sim::{Cache, PrefetchCache, PrefetchCacheConfig, StepOutcome};
 
 // ---- distributed system substrate (distsys) --------------------------
 pub use distsys::scheduler::{
-    access_time_sharded, ClientPolicy, ClientWorkload, EventKind, Placement, Scheduler, ShardMap,
-    ShardReport, ShardStats, ShardedSim, SimEvent,
+    access_time_sharded, ClientPolicy, ClientWorkload, EventKind, Placement, ShardMap, ShardReport,
+    ShardStats, ShardedSim, SimEvent,
 };
 pub use distsys::stats::{AccessStats, Histogram};
 pub use distsys::{

@@ -13,7 +13,7 @@ use speculative_prefetch::core::gain::{
 };
 use speculative_prefetch::core::policy::{PolicyKind, Prefetcher};
 use speculative_prefetch::distsys::{run_session, Catalog, SessionConfig};
-use speculative_prefetch::Scenario;
+use speculative_prefetch::{PrefetchPlan, Scenario};
 
 const TOL: f64 = 1e-9;
 
@@ -70,7 +70,7 @@ fn oracle_plan_matches_event_replay() {
     for _ in 0..200 {
         let s = gen.generate(&mut rng);
         for alpha in 0..s.n() {
-            let plan = PolicyKind::plan_oracle(alpha);
+            let plan = PrefetchPlan::new(vec![alpha]).unwrap();
             let formula = access_time_empty(&s, plan.items(), alpha);
             let replay = run_session(
                 &catalog_of(&s),
