@@ -172,3 +172,66 @@ proptest! {
             "expected access time: replay {} vs formula {}", expected, formula);
     }
 }
+
+/// Every backend's single-session replay against the per-shard channel
+/// model, written out inline: each shard serves its slice of the plan
+/// back to back from `t = 0` in plan order, a planned request is served
+/// when its own shard delivers it, and a miss queues behind only its
+/// owning shard's prefetches. With one shard this is the paper's FIFO
+/// channel. Plans are random subsets in random order, inadmissible ones
+/// included, and the two must agree bit for bit.
+#[test]
+fn replay_matches_the_per_shard_closed_form_on_every_backend() {
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+    use speculative_prefetch::{Engine, Placement, ShardMap};
+
+    let backends = [
+        ("single-client", 1, Placement::Hash),
+        ("multi-client:3", 1, Placement::Hash),
+        ("sharded:1x1:hash", 1, Placement::Hash),
+        ("sharded:2x1:range", 2, Placement::Range),
+        ("sharded:3x4:hash", 3, Placement::Hash),
+        (
+            "sharded:4x1:hot-cold@2",
+            4,
+            Placement::HotCold { hot_items: 2 },
+        ),
+    ];
+    let mut rng = SmallRng::seed_from_u64(0x5A4D);
+    for (spec, shards, placement) in backends {
+        let engine = Engine::builder().backend_spec(spec).build().unwrap();
+        for _ in 0..60 {
+            let n = rng.random_range(1..=9usize);
+            let s = ScenarioGen::paper(n, ProbMethod::flat()).generate(&mut rng);
+            let map = ShardMap::new(shards, n, placement);
+            let mut items: Vec<usize> = (0..n).collect();
+            items.shuffle(&mut rng);
+            items.truncate(rng.random_range(0..=n));
+            let plan = PrefetchPlan::new(items).unwrap();
+            let v = s.viewing();
+            for alpha in 0..n {
+                let mut clock = vec![0.0_f64; shards];
+                let mut done_at = None;
+                for &i in plan.items() {
+                    let k = map.shard_of(i);
+                    clock[k] += s.retrieval(i);
+                    if i == alpha {
+                        done_at = Some(clock[k]);
+                    }
+                }
+                let reference = match done_at {
+                    Some(done_at) => (done_at - v).max(0.0),
+                    None => v.max(clock[map.shard_of(alpha)]) + s.retrieval(alpha) - v,
+                };
+                let replay = engine.replay(&s, &plan, alpha);
+                assert_eq!(
+                    replay.to_bits(),
+                    reference.to_bits(),
+                    "{spec}: v {v}, plan {:?}, request {alpha}: replay {replay} vs {reference}",
+                    plan.items()
+                );
+            }
+        }
+    }
+}
