@@ -16,8 +16,9 @@
 //!   [`ControlFlow::Break`](std::ops::ControlFlow::Break);
 //! - [`scheduler`] — the [`ShardMap`] partitioning the catalog across
 //!   server shards (hash / range / hot–cold [`Placement`]), and the
-//!   sharded multi-client simulation [`ShardedSim`] with per-shard
-//!   queues, service channels and [`ShardReport`] statistics;
+//!   crate's one simulator, the sharded multi-client [`ShardedSim`]
+//!   with per-shard queues, service channels and [`ShardReport`]
+//!   statistics — the only caller of [`EventQueue::run`];
 //! - [`faults`] — fault-injection specs ([`FaultSpec`]: outage windows,
 //!   slow links, seed-derived heterogeneous service times) materialised
 //!   per run from the seed and applied inside the simulation's event
@@ -25,9 +26,9 @@
 //! - [`network`] — links (latency + bandwidth) and item catalogs mapping
 //!   items to retrieval times, including the paper's `r ∈ [1, 30]`
 //!   uniform catalog;
-//! - [`session`] — the client session of Figure 1/2, replayed on the
-//!   same loop; reproduces the paper's Section-3/4 closed forms
-//!   event by event;
+//! - [`session`] — the client session of Figure 1/2, replayed as a
+//!   one-client, one-request [`ShardedSim`] run; reproduces the
+//!   paper's Section-3/4 closed forms event by event;
 //! - [`stats`] — the common [`AccessStats`] (mean/p50/p99) every report
 //!   carries, and the stall-time [`Histogram`].
 //!
@@ -76,11 +77,11 @@ pub mod trace;
 
 pub use engine::EventQueue;
 pub use faults::{FaultPlan, FaultSpec, Outage};
-pub use network::{Catalog, Link, RetrievalModel};
+pub use network::{Catalog, Link};
 pub use scheduler::{
-    access_time_sharded, ClientPolicy, ClientWorkload, EventKind, Placement, ShardMap, ShardReport,
-    ShardStats, ShardedSim, SimEvent,
+    ClientPolicy, ClientWorkload, EventKind, Placement, ShardMap, ShardReport, ShardStats,
+    ShardedSim, SimEvent,
 };
-pub use session::{run_session, SessionConfig, SessionOutcome};
+pub use session::{run_session, SessionConfig};
 pub use stats::{AccessStats, Histogram};
 pub use trace::{Trace, TraceRecord};

@@ -10,21 +10,6 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Anything that can tell how long an item takes to retrieve.
-pub trait RetrievalModel {
-    /// Retrieval time of item `i` (must be positive).
-    fn retrieval_time(&self, item: usize) -> f64;
-    /// Number of items known to the model.
-    fn n_items(&self) -> usize;
-
-    /// All retrieval times as a dense vector.
-    fn retrieval_vector(&self) -> Vec<f64> {
-        (0..self.n_items())
-            .map(|i| self.retrieval_time(i))
-            .collect()
-    }
-}
-
 /// A network link characterised by round-trip latency and bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
@@ -91,24 +76,10 @@ impl Catalog {
     pub fn from_link(link: Link, sizes: &[f64]) -> Self {
         Self::new(sizes.iter().map(|&b| link.transfer_time(b)).collect())
     }
-}
 
-impl RetrievalModel for Catalog {
-    fn retrieval_time(&self, item: usize) -> f64 {
-        self.retrievals[item]
-    }
-    fn n_items(&self) -> usize {
-        self.retrievals.len()
-    }
-}
-
-/// Retrieval model view over a plain slice (zero-copy adapter).
-impl RetrievalModel for &[f64] {
-    fn retrieval_time(&self, item: usize) -> f64 {
-        self[item]
-    }
-    fn n_items(&self) -> usize {
-        self.len()
+    /// Retrieval time of every item, indexed by item id.
+    pub fn retrievals(&self) -> &[f64] {
+        &self.retrievals
     }
 }
 
@@ -138,9 +109,7 @@ mod tests {
     #[test]
     fn catalog_lookup() {
         let c = Catalog::new(vec![3.0, 7.0]);
-        assert_eq!(c.retrieval_time(1), 7.0);
-        assert_eq!(c.n_items(), 2);
-        assert_eq!(c.retrieval_vector(), vec![3.0, 7.0]);
+        assert_eq!(c.retrievals(), &[3.0, 7.0]);
     }
 
     #[test]
@@ -152,9 +121,8 @@ mod tests {
     #[test]
     fn uniform_catalog_in_range_and_integer() {
         let c = Catalog::uniform(500, 1, 30, 11);
-        assert_eq!(c.n_items(), 500);
-        for i in 0..500 {
-            let r = c.retrieval_time(i);
+        assert_eq!(c.retrievals().len(), 500);
+        for &r in c.retrievals() {
             assert!((1.0..=30.0).contains(&r));
             assert_eq!(r.fract(), 0.0);
         }
@@ -172,15 +140,6 @@ mod tests {
     #[test]
     fn from_link_composes() {
         let c = Catalog::from_link(Link::new(1.0, 2.0), &[2.0, 6.0]);
-        assert_eq!(c.retrieval_time(0), 2.0); // 1 + 2/2
-        assert_eq!(c.retrieval_time(1), 4.0); // 1 + 6/2
-    }
-
-    #[test]
-    fn slice_adapter() {
-        let v = [2.0, 5.0];
-        let s: &[f64] = &v;
-        assert_eq!(s.retrieval_time(1), 5.0);
-        assert_eq!(RetrievalModel::n_items(&s), 2);
+        assert_eq!(c.retrievals(), &[2.0, 4.0]); // 1 + 2/2, 1 + 6/2
     }
 }

@@ -1,12 +1,13 @@
 //! The sharded discrete-event simulation core.
 //!
-//! Every execution path in this crate — the single-client session of
-//! Figure 1/2 and client populations on one or many shards — schedules
-//! onto one [`EventQueue`] and drives it with [`EventQueue::run`]. This
-//! module holds the generalisation the ROADMAP asks for: a catalog
-//! partitioned across `N` server shards ([`ShardMap`]), each with its
-//! own FIFO retrieval queue and service channel, serving a population
-//! of browsing clients ([`ShardedSim`]).
+//! This is the crate's one simulator: [`ShardedSim`] schedules onto an
+//! [`EventQueue`] and is the only caller of [`EventQueue::run`]. Client
+//! populations on one or many shards run here, and so does the
+//! single-client session of Figure 1/2, which
+//! [`run_session`](crate::session::run_session) replays as a
+//! one-client, one-request run. The catalog is partitioned across `N`
+//! server shards ([`ShardMap`]), each with its own FIFO retrieval queue
+//! and service channel, serving a population of browsing clients.
 //!
 //! The paper's single shared channel is exactly the `shards = 1` special
 //! case: there is no separate shared-channel simulation, and the facade's
@@ -19,8 +20,6 @@
 
 use crate::engine::EventQueue;
 use crate::faults::{FaultPlan, FaultSpec};
-use crate::network::RetrievalModel;
-use crate::session::SessionConfig;
 use crate::stats::{AccessStats, Histogram};
 use obs::EpochMark;
 use rand::rngs::SmallRng;
@@ -923,58 +922,6 @@ impl<W: ClientWorkload> ShardedSim<'_, W> {
     }
 }
 
-/// Access time of a **single-client** session on the sharded substrate.
-///
-/// The generalisation of [`run_session`](crate::session::run_session)'s
-/// channel model: each shard serves its slice of the plan back to back
-/// from `t = 0` (plan order, restricted to the items it owns), shards
-/// transfer concurrently, and a demand fetch queues behind only the
-/// owning shard's outstanding prefetches. With one shard this is
-/// exactly the paper's FIFO discipline.
-///
-/// # Panics
-/// Panics on invalid viewing time, out-of-range items, or a map whose
-/// universe disagrees with the retrieval model.
-pub fn access_time_sharded(
-    retr: &impl RetrievalModel,
-    cfg: &SessionConfig<'_>,
-    map: &ShardMap,
-) -> f64 {
-    assert!(
-        cfg.viewing.is_finite() && cfg.viewing >= 0.0,
-        "invalid viewing time"
-    );
-    assert_eq!(
-        map.n_items(),
-        retr.n_items(),
-        "shard map and retrieval model disagree on the catalog size"
-    );
-    assert!(cfg.request < retr.n_items(), "request out of range");
-    let alpha = cfg.request;
-    if cfg.cached.contains(&alpha) {
-        return 0.0;
-    }
-    // Per-shard prefetch completion clocks; the plan is issued in order,
-    // each item onto its owning shard's FIFO channel.
-    let mut shard_clock = vec![0.0_f64; map.shards()];
-    let mut completion_alpha = None;
-    for &i in cfg.plan {
-        let s = map.shard_of(i);
-        shard_clock[s] += retr.retrieval_time(i);
-        if i == alpha && completion_alpha.is_none() {
-            completion_alpha = Some(shard_clock[s]);
-        }
-    }
-    if let Some(done_at) = completion_alpha {
-        // Planned item: served when its own shard delivers it.
-        return (done_at - cfg.viewing).max(0.0);
-    }
-    // Miss: the demand fetch waits only for the owning shard's
-    // outstanding prefetches.
-    let start = cfg.viewing.max(shard_clock[map.shard_of(alpha)]);
-    start + retr.retrieval_time(alpha) - cfg.viewing
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1363,66 +1310,36 @@ mod tests {
 
     #[test]
     fn sharded_session_closed_form() {
+        use crate::session::{run_session, SessionConfig};
         // n = 4, range placement over 2 shards: items {0,1} on shard 0,
         // {2,3} on shard 1.
-        let retrievals: Vec<f64> = vec![10.0, 5.0, 10.0, 6.0];
-        let catalog = crate::network::Catalog::new(retrievals);
-        let map = ShardMap::new(2, 4, Placement::Range);
+        let retrievals = [10.0, 5.0, 10.0, 6.0];
         let cfg = |viewing, plan, request| SessionConfig {
             viewing,
             plan,
             request,
             cached: &[],
         };
+        let two = |cfg: &SessionConfig<'_>| run_session(&retrievals, cfg, 2, Placement::Range);
         // Plan [0, 2] spreads across both shards; the demand for item 1
         // (shard 0) queues behind item 0 only: served at 10 + 5 = 15,
         // not behind the full 20 of serial FIFO.
-        let t = access_time_sharded(&catalog, &cfg(0.0, &[0, 2], 1), &map);
+        let t = two(&cfg(0.0, &[0, 2], 1));
         assert!((t - 15.0).abs() < 1e-9);
         // The same miss on one shard IS serial FIFO.
-        let one = ShardMap::new(1, 4, Placement::Range);
-        let t1 = access_time_sharded(&catalog, &cfg(0.0, &[0, 2], 1), &one);
-        let fifo = crate::session::run_session(&catalog, &cfg(0.0, &[0, 2], 1)).access_time;
-        assert!((t1 - fifo).abs() < 1e-9);
+        let t1 = run_session(&retrievals, &cfg(0.0, &[0, 2], 1), 1, Placement::Range);
         assert!((t1 - 25.0).abs() < 1e-9);
-        // Planned item waits only for its own shard's stream.
-        let t2 = access_time_sharded(&catalog, &cfg(4.0, &[0, 2], 2), &map);
-        assert!((t2 - 6.0).abs() < 1e-9); // done at 10 on shard 1
-                                          // Cached requests stay free.
-        let t3 = access_time_sharded(
-            &catalog,
-            &SessionConfig {
-                viewing: 1.0,
-                plan: &[0],
-                request: 0,
-                cached: &[0],
-            },
-            &map,
-        );
+        // Planned item waits only for its own shard's stream: done at
+        // 10 on shard 1.
+        let t2 = two(&cfg(4.0, &[0, 2], 2));
+        assert!((t2 - 6.0).abs() < 1e-9);
+        // Cached requests stay free.
+        let t3 = two(&SessionConfig {
+            viewing: 1.0,
+            plan: &[0],
+            request: 0,
+            cached: &[0],
+        });
         assert_eq!(t3, 0.0);
-    }
-
-    #[test]
-    fn sharded_session_matches_fifo_for_every_single_shard_case() {
-        let catalog = crate::network::Catalog::new(vec![8.0, 6.0, 9.0]);
-        let one = ShardMap::new(1, 3, Placement::Hash);
-        for viewing in [0.0, 4.0, 10.0, 25.0] {
-            for plan in [vec![], vec![0], vec![0, 2], vec![1, 0, 2]] {
-                for request in 0..3 {
-                    let cfg = SessionConfig {
-                        viewing,
-                        plan: &plan,
-                        request,
-                        cached: &[],
-                    };
-                    let fifo = crate::session::run_session(&catalog, &cfg).access_time;
-                    let sharded = access_time_sharded(&catalog, &cfg, &one);
-                    assert!(
-                        (fifo - sharded).abs() < 1e-9,
-                        "v={viewing}, plan {plan:?}, request {request}: {fifo} vs {sharded}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -2,8 +2,7 @@
 //! event queue and structural properties of session replays.
 
 use distsys::{
-    run_session, Catalog, EventKind, EventQueue, FaultSpec, Placement, SessionConfig, ShardMap,
-    ShardedSim,
+    run_session, EventKind, EventQueue, FaultSpec, Placement, SessionConfig, ShardMap, ShardedSim,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -148,7 +147,6 @@ proptest! {
         viewing in 0.0f64..60.0,
     ) {
         let n = retrievals.len();
-        let catalog = Catalog::new(retrievals.clone());
         let mut plan: Vec<usize> = Vec::new();
         for p in plan_picks {
             let id = p % n;
@@ -158,31 +156,31 @@ proptest! {
         }
         let request = request % n;
         let cfg = SessionConfig { viewing, plan: &plan, request, cached: &[] };
-        let out = run_session(&catalog, &cfg);
+        let out = run_session(&retrievals, &cfg, 1, Placement::Hash);
 
-        prop_assert!(out.access_time >= 0.0);
+        prop_assert!(out >= 0.0);
 
         // Monotonicity in viewing time.
         let cfg2 = SessionConfig { viewing: viewing + 5.0, plan: &plan, request, cached: &[] };
-        let out2 = run_session(&catalog, &cfg2);
+        let out2 = run_session(&retrievals, &cfg2, 1, Placement::Hash);
         prop_assert!(
-            out2.access_time <= out.access_time + 1e-9,
+            out2 <= out + 1e-9,
             "more viewing time must not hurt: {} vs {}",
-            out2.access_time,
-            out.access_time
+            out2,
+            out
         );
 
         // Misses: T = max(plan total, v) − v + r.
         if !plan.contains(&request) {
             let total: f64 = plan.iter().map(|&i| retrievals[i]).sum();
             let expected = total.max(viewing) - viewing + retrievals[request];
-            prop_assert!((out.access_time - expected).abs() < 1e-9);
+            prop_assert!((out - expected).abs() < 1e-9);
         }
 
         // Cached requests are always free.
         let cached = [request];
         let cfg3 = SessionConfig { viewing, plan: &plan, request, cached: &cached };
-        prop_assert_eq!(run_session(&catalog, &cfg3).access_time, 0.0);
+        prop_assert_eq!(run_session(&retrievals, &cfg3, 1, Placement::Hash), 0.0);
     }
 
     /// Every catalog item maps to exactly one shard, in range and

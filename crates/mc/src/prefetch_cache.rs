@@ -15,7 +15,7 @@
 
 use access_model::MarkovChain;
 use cache_sim::{PrefetchCache, PrefetchCacheConfig, RoundScratch};
-use distsys::{Catalog, RetrievalModel};
+use distsys::Catalog;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skp_core::policy::PolicyKind;
@@ -120,7 +120,7 @@ impl PrefetchCacheSim {
     ) -> CachePoint {
         let n = self.n_states;
         let rows = chain.merged_rows();
-        let mut scenario = Scenario::new(vec![0.0; n], catalog.retrieval_vector(), 0.0)
+        let mut scenario = Scenario::new(vec![0.0; n], catalog.retrievals().to_vec(), 0.0)
             .expect("catalog retrievals are valid");
         let mut client = PrefetchCache::new(cfg, n);
         let mut scratch = RoundScratch::default();
@@ -370,7 +370,7 @@ mod tests {
         let sim = small_sim();
         let (chain, catalog) = sim.workload();
         assert_eq!(chain.n_states(), 30);
-        assert_eq!(catalog.n_items(), 30);
+        assert_eq!(catalog.retrievals().len(), 30);
         for i in 0..30 {
             let f = chain.successors(i).len();
             assert!((4..=8).contains(&f));

@@ -14,8 +14,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use speculative_prefetch::{
-    access_time_empty, stretch_time, Catalog, Engine, Error, Link, MarkovChain, RetrievalModel,
-    Scenario, Workload,
+    access_time_empty, stretch_time, Catalog, Engine, Error, Link, MarkovChain, Scenario, Workload,
 };
 
 const ITEMS: usize = 40;
@@ -28,7 +27,7 @@ fn main() -> Result<(), Error> {
         .map(|i| 4.0 + 86.0 * ((i * 37 % ITEMS) as f64 / ITEMS as f64))
         .collect();
     let catalog = Catalog::from_link(link, &sizes);
-    let retrievals: Vec<f64> = (0..ITEMS).map(|i| catalog.retrieval_time(i)).collect();
+    let retrievals = catalog.retrievals().to_vec();
 
     // User behaviour: Markov browsing with short viewing times (the link
     // is slower than the user).

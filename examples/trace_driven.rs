@@ -8,7 +8,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use speculative_prefetch::{Catalog, Engine, Error, MarkovChain, RetrievalModel, Trace, Workload};
+use speculative_prefetch::{Catalog, Engine, Error, MarkovChain, Trace, Workload};
 
 const ITEMS: usize = 40;
 const REQUESTS: usize = 8_000;
@@ -51,7 +51,7 @@ fn main() -> Result<(), Error> {
         let mut engine = Engine::builder()
             .policy(spec)
             .predictor("ngram:2")
-            .catalog(catalog.retrieval_vector())
+            .catalog(catalog.retrievals().to_vec())
             .cache(8)
             .build()?;
         let run = engine.run(&workload)?;

@@ -11,7 +11,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use speculative_prefetch::{Catalog, Engine, Error, MarkovChain, RetrievalModel, Trace, Workload};
+use speculative_prefetch::{Catalog, Engine, Error, MarkovChain, Trace, Workload};
 
 const PAGES: usize = 60;
 const SESSIONS: usize = 400;
@@ -31,7 +31,7 @@ fn main() -> Result<(), Error> {
     let mut engine = Engine::builder()
         .policy("skp-exact")
         .predictor("depgraph:2")
-        .catalog(catalog.retrieval_vector())
+        .catalog(catalog.retrievals().to_vec())
         .cache(12)
         .build()?;
 
@@ -99,7 +99,7 @@ fn main() -> Result<(), Error> {
     let mut fresh = Engine::builder()
         .policy("skp-exact")
         .predictor("depgraph:2")
-        .catalog(catalog.retrieval_vector())
+        .catalog(catalog.retrievals().to_vec())
         .cache(12)
         .build()?;
     let replay = fresh.run(&Workload::trace(recorded))?;

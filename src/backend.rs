@@ -31,7 +31,7 @@ use std::sync::Arc;
 use access_model::MarkovChain;
 use distsys::scheduler::{ClientPolicy, ClientWorkload, Placement, ShardedSim, SimEvent};
 use distsys::stats::AccessStats;
-use distsys::{run_session, Catalog, SessionConfig, ShardMap};
+use distsys::{run_session, SessionConfig};
 use montecarlo::parallel::default_threads;
 use rand::rngs::SmallRng;
 use skp_registry::{
@@ -114,9 +114,10 @@ pub trait BackendDriver: Send + Sync {
     fn spec_string(&self) -> String;
 
     /// Mechanistic access time of one session on this substrate's
-    /// channel model. The default is the paper's private FIFO channel.
-    fn session_access_time(&self, catalog: &Catalog, cfg: &SessionConfig<'_>) -> f64 {
-        run_session(catalog, cfg).access_time
+    /// channel model, given each item's retrieval time. The default is
+    /// the paper's private FIFO channel.
+    fn session_access_time(&self, retrievals: &[f64], cfg: &SessionConfig<'_>) -> f64 {
+        run_session(retrievals, cfg, 1, Placement::Hash)
     }
 
     /// Whether the paper's closed forms describe this substrate exactly
@@ -219,13 +220,8 @@ impl BackendDriver for ShardedDriver {
         )
     }
 
-    fn session_access_time(&self, catalog: &Catalog, cfg: &SessionConfig<'_>) -> f64 {
-        use distsys::RetrievalModel;
-        distsys::access_time_sharded(
-            catalog,
-            cfg,
-            &ShardMap::new(self.shards, catalog.n_items(), self.placement),
-        )
+    fn session_access_time(&self, retrievals: &[f64], cfg: &SessionConfig<'_>) -> f64 {
+        run_session(retrievals, cfg, self.shards, self.placement)
     }
 
     fn supports_population(&self) -> bool {

@@ -28,7 +28,7 @@ use access_model::MarkovChain;
 use cache_sim::{PrefetchCache, PrefetchCacheConfig, Round, RoundScratch, StepOutcome};
 use distsys::scheduler::{ClientPolicy, SimEvent};
 use distsys::stats::AccessStats;
-use distsys::{Catalog, SessionConfig, Trace};
+use distsys::{SessionConfig, Trace};
 use montecarlo::parallel::par_monte_carlo;
 use montecarlo::prefetch_only::sample_chunk;
 use montecarlo::scenario_gen::ScenarioGen;
@@ -629,14 +629,13 @@ impl Engine {
         request: usize,
         cached: &[usize],
     ) -> f64 {
-        let catalog = Catalog::new(s.retrievals().to_vec());
         let cfg = SessionConfig {
             viewing: s.viewing(),
             plan: plan.items(),
             request,
             cached,
         };
-        self.driver.session_access_time(&catalog, &cfg)
+        self.driver.session_access_time(s.retrievals(), &cfg)
     }
 
     /// Plans, evaluates, and verifies the closed forms against an

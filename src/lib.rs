@@ -215,12 +215,12 @@ pub use cache_sim::{Cache, PrefetchCache, PrefetchCacheConfig, StepOutcome};
 
 // ---- distributed system substrate (distsys) --------------------------
 pub use distsys::scheduler::{
-    access_time_sharded, ClientPolicy, ClientWorkload, EventKind, Placement, ShardMap, ShardReport,
-    ShardStats, ShardedSim, SimEvent,
+    ClientPolicy, ClientWorkload, EventKind, Placement, ShardMap, ShardReport, ShardStats,
+    ShardedSim, SimEvent,
 };
 pub use distsys::stats::{AccessStats, Histogram};
 pub use distsys::{
-    run_session, Catalog, EventQueue, FaultSpec, Link, Outage, RetrievalModel, SessionConfig, Trace,
+    run_session, Catalog, EventQueue, FaultSpec, Link, Outage, SessionConfig, Trace,
 };
 
 // ---- experiment harness (montecarlo) ---------------------------------

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use distsys::scheduler::SimEvent;
 use distsys::stats::AccessStats;
-use distsys::{Catalog, SessionConfig};
+use distsys::SessionConfig;
 use skp_registry::{param_err, split_spec};
 
 use crate::backend::{build_backend, BackendDriver, PopulationRun};
@@ -66,10 +66,10 @@ impl BackendDriver for ServedDriver {
         )
     }
 
-    fn session_access_time(&self, catalog: &Catalog, cfg: &SessionConfig<'_>) -> f64 {
+    fn session_access_time(&self, retrievals: &[f64], cfg: &SessionConfig<'_>) -> f64 {
         // The daemon simulates the same substrate; the timing model is
         // the inner backend's.
-        self.inner.session_access_time(catalog, cfg)
+        self.inner.session_access_time(retrievals, cfg)
     }
 
     fn supports_population(&self) -> bool {

@@ -12,29 +12,25 @@ use speculative_prefetch::core::gain::{
     access_time_cached, access_time_empty, expected_access_time_empty,
 };
 use speculative_prefetch::core::policy::{PolicyKind, Prefetcher};
-use speculative_prefetch::distsys::{run_session, Catalog, SessionConfig};
+use speculative_prefetch::distsys::{run_session, Placement, SessionConfig};
 use speculative_prefetch::{PrefetchPlan, Scenario};
 
 const TOL: f64 = 1e-9;
 
-fn catalog_of(s: &Scenario) -> Catalog {
-    Catalog::new(s.retrievals().to_vec())
-}
-
 fn assert_plan_matches(s: &Scenario, plan: &[usize], label: &str) {
-    let catalog = catalog_of(s);
     for alpha in 0..s.n() {
         let formula = access_time_empty(s, plan, alpha);
         let replay = run_session(
-            &catalog,
+            s.retrievals(),
             &SessionConfig {
                 viewing: s.viewing(),
                 plan,
                 request: alpha,
                 cached: &[],
             },
-        )
-        .access_time;
+            1,
+            Placement::Hash,
+        );
         assert!(
             (formula - replay).abs() < TOL,
             "{label}: plan {plan:?}, request {alpha}: formula {formula} vs replay {replay}"
@@ -73,15 +69,16 @@ fn oracle_plan_matches_event_replay() {
             let plan = PrefetchPlan::new(vec![alpha]).unwrap();
             let formula = access_time_empty(&s, plan.items(), alpha);
             let replay = run_session(
-                &catalog_of(&s),
+                s.retrievals(),
                 &SessionConfig {
                     viewing: s.viewing(),
                     plan: plan.items(),
                     request: alpha,
                     cached: &[],
                 },
-            )
-            .access_time;
+                1,
+                Placement::Hash,
+            );
             assert!((formula - replay).abs() < TOL);
             // The oracle's access time is exactly max(0, r_α − v).
             let direct = (s.retrieval(alpha) - s.viewing()).max(0.0);
@@ -100,19 +97,19 @@ fn cached_access_times_match_replay() {
         let cached: Vec<usize> = (0..s.n()).filter(|i| i % 3 == round % 3).collect();
         let candidates: Vec<bool> = (0..s.n()).map(|i| !cached.contains(&i)).collect();
         let plan = PolicyKind::SkpExact.plan_candidates(&s, &candidates);
-        let catalog = catalog_of(&s);
         for alpha in 0..s.n() {
             let formula = access_time_cached(&s, plan.items(), &cached, &[], alpha);
             let replay = run_session(
-                &catalog,
+                s.retrievals(),
                 &SessionConfig {
                     viewing: s.viewing(),
                     plan: plan.items(),
                     request: alpha,
                     cached: &cached,
                 },
-            )
-            .access_time;
+                1,
+                Placement::Hash,
+            );
             assert!(
                 (formula - replay).abs() < TOL,
                 "cached: plan {:?}, cache {cached:?}, request {alpha}: {formula} vs {replay}",
@@ -153,18 +150,19 @@ proptest! {
 
         assert_plan_matches(&s, &plan, "random plan");
 
-        let catalog = catalog_of(&s);
         let mut expected = 0.0;
         for alpha in 0..n {
             let t = run_session(
-                &catalog,
+                s.retrievals(),
                 &SessionConfig {
                     viewing: s.viewing(),
                     plan: &plan,
                     request: alpha,
                     cached: &[],
                 },
-            ).access_time;
+                1,
+                Placement::Hash,
+            );
             expected += s.prob(alpha) * t;
         }
         let formula = expected_access_time_empty(&s, &plan);
