@@ -196,6 +196,13 @@ pub trait PlanStore: Send + Sync {
     /// Stores a plan set under a content key (best-effort).
     fn put(&self, key: u64, value: Arc<PlanSet>);
 
+    /// Whether a [`put`](Self::put) can ever be read back. When it is
+    /// `false` a caller may skip hashing the key and building the plan
+    /// set altogether. Defaults to `true`.
+    fn retains(&self) -> bool {
+        true
+    }
+
     /// Snapshot of the store's counters.
     fn stats(&self) -> PlanStoreStats;
 }

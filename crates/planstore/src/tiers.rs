@@ -58,6 +58,10 @@ impl PlanStore for NoneStore {
 
     fn put(&self, _key: u64, _value: Arc<PlanSet>) {}
 
+    fn retains(&self) -> bool {
+        false
+    }
+
     fn stats(&self) -> PlanStoreStats {
         PlanStoreStats::from_tier(TierStats {
             tier: "none".to_string(),
@@ -209,6 +213,10 @@ impl PlanStore for TieredStore {
         }
     }
 
+    fn retains(&self) -> bool {
+        self.tiers.iter().any(|t| t.retains())
+    }
+
     fn stats(&self) -> PlanStoreStats {
         let mut rows = Vec::with_capacity(self.tiers.len());
         for (i, tier) in self.tiers.iter().enumerate() {
@@ -236,10 +244,20 @@ mod tests {
         let store = NoneStore;
         store.put(1, sample_set(1));
         assert!(store.get(1).is_none());
+        assert!(!store.retains());
         let stats = store.stats();
         assert_eq!(stats.tiers.len(), 1);
         assert_eq!(stats.tiers[0].tier, "none");
         assert_eq!(stats.tiers[0].entries, 0);
+    }
+
+    #[test]
+    fn a_chain_retains_when_any_tier_does() {
+        let none = || Arc::new(NoneStore) as Arc<dyn PlanStore>;
+        let memory = || Arc::new(MemoryStore::new(1, 4)) as Arc<dyn PlanStore>;
+        assert!(!TieredStore::new(vec![none(), none()]).retains());
+        assert!(TieredStore::new(vec![none(), memory()]).retains());
+        assert!(memory().retains());
     }
 
     #[test]

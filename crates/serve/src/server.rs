@@ -20,11 +20,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use speculative_prefetch::wire::{esc, list, render_access};
+use speculative_prefetch::wire::{esc, list, render_access, write_run_document};
 use speculative_prefetch::{
     backend_specs, build_plan_store, generator_specs, obs_sink_specs, parse_workload,
-    plan_store_specs, policy_aliases, policy_specs, predictor_specs, render_report_fields,
-    AccessStats, Engine, Error, PlanStore, PlanStoreStats, RegistrySpec, WireRun,
+    plan_store_specs, policy_aliases, policy_specs, predictor_specs, AccessStats, Engine, Error,
+    PlanStore, PlanStoreStats, RegistrySpec, WireRun,
 };
 
 use crate::http::{self, Request, Response};
@@ -783,7 +783,9 @@ fn run_posted(body: &str, store: &Arc<dyn PlanStore>) -> Result<String, Error> {
     };
     refuse_served(&engine)?;
     let report = engine.run(&workload)?;
-    Ok(report_json(&workload_name, &engine, &report, &labels))
+    let mut json = String::new();
+    write_run_document(&mut json, &workload_name, &engine, &report, &labels);
+    Ok(json)
 }
 
 /// Refuses a posted run whose backend is `served:`: the daemon must not
@@ -798,23 +800,6 @@ fn refuse_served(engine: &Engine) -> Result<(), Error> {
         });
     }
     Ok(())
-}
-
-fn report_json(
-    workload: &str,
-    engine: &Engine,
-    report: &speculative_prefetch::RunReport,
-    labels: &[String],
-) -> String {
-    // The exact shape `skp-plan run --format json` prints, so a served
-    // round-trip and a local run are diffable line for line.
-    format!(
-        "{{\"workload\":\"{}\",\"backend\":\"{}\",\"policy\":\"{}\",{}}}",
-        esc(workload),
-        esc(&engine.backend_spec_string()),
-        esc(engine.policy_name()),
-        render_report_fields(report, labels)
-    )
 }
 
 fn error_kind(e: &Error) -> &'static str {

@@ -1041,12 +1041,15 @@ impl Engine {
         // Re-use previously solved plans for the same population:
         // registry policies are pure in the scenario, so the (spec,
         // chain, catalog) content key fully determines every per-state
-        // plan. Custom `policy_instance` policies have no spec — no
-        // key, no store traffic.
+        // plan. Custom `policy_instance` policies have no spec, and a
+        // store that retains nothing (`none`) has nothing to give back:
+        // no key, no store traffic.
         let n = chain.n_states();
         let catalog = &retrievals[..n];
         let spec = self.policy_spec.as_deref();
-        let key = spec.map(|spec| population_plan_key(spec, chain, retrievals));
+        let key = spec
+            .filter(|_| self.store.retains())
+            .map(|spec| population_plan_key(spec, chain, retrievals));
         let carried = key.and_then(|k| {
             let set = self.store.get(k)?;
             // The key is a non-cryptographic 64-bit hash: trust the

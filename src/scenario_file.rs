@@ -51,7 +51,7 @@ use crate::engine::Engine;
 use crate::error::Error;
 use crate::report::{ReportSection, RunReport};
 use crate::trace_export::TraceRecords;
-use crate::wire::{esc, write_report_fields};
+use crate::wire::write_run_document;
 use crate::workload::{MonteCarloSpec, Workload};
 
 /// A parsed scenario plus the item labels from the file.
@@ -934,18 +934,9 @@ fn write_run_json(
     engine: &Engine,
     report: &RunReport,
 ) -> std::io::Result<()> {
-    // The report body (access / section / events) is rendered by the
-    // shared wire module — the same encoding skp-serve answers with, so
-    // `skp-plan run --format json` and a daemon round-trip are
-    // byte-comparable. The prefix and the body share one buffer.
-    let mut json = format!(
-        "{{\"workload\":\"{}\",\"backend\":\"{}\",\"policy\":\"{}\",",
-        esc(file.kind.name()),
-        esc(&engine.backend_spec_string()),
-        esc(engine.policy_name()),
-    );
-    write_report_fields(&mut json, report, &file.labels);
-    json.push('}');
+    // The same document skp-serve answers with, from the same writer.
+    let mut json = String::new();
+    write_run_document(&mut json, file.kind.name(), engine, report, &file.labels);
     writeln!(out, "{json}")
 }
 

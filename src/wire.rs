@@ -20,10 +20,11 @@
 //!    decoded in place; any other token is handed, at its first byte and
 //!    inside the same loop, to the reader of a lone element, so values
 //!    and errors are those of the element reader.
-//! 2. **Report rendering and parsing**: [`render_report_fields`] emits
+//! 2. **Report rendering and parsing**: [`write_report_fields`] emits
 //!    the `"wire"` ([`WIRE_VERSION`]) / `"access"` / `"section_kind"` /
-//!    `"section"` / `"events"` fragment the CLI and the daemon embed in
-//!    their responses. The event log, the bulk of a traced reply, is
+//!    `"section"` / `"events"` fragment, and [`write_run_document`]
+//!    wraps it in the workload/backend/policy header: the one writer of
+//!    the CLI's and the daemon's run document. The event log, the bulk of a traced reply, is
 //!    five parallel columns, Apache Arrow's columnar layout in JSON (see
 //!    [`EVENT_KINDS`]). Each column, and every other numeric list, is
 //!    written by its own monomorphic loop, whole numbers two digits per
@@ -1125,12 +1126,34 @@ pub fn write_report_fields(out: &mut String, report: &RunReport, labels: &[Strin
     write_events(out, &report.events);
 }
 
-/// The fields [`write_report_fields`] appends, as a new string. The CLI
-/// and the daemon prefix them with workload/backend/policy metadata.
+/// The fields [`write_report_fields`] appends, as a new string.
 pub fn render_report_fields(report: &RunReport, labels: &[String]) -> String {
     let mut out = String::new();
     write_report_fields(&mut out, report, labels);
     out
+}
+
+/// Appends the run document to `out`: the `"workload"`, `"backend"`
+/// and `"policy"` header, then the [`write_report_fields`] body, in one
+/// JSON object. `skp-plan run --format json` and the daemon's
+/// `POST /run` answer both write it here, so a local run and a served
+/// round trip are byte-comparable.
+pub fn write_run_document(
+    out: &mut String,
+    workload: &str,
+    engine: &Engine,
+    report: &RunReport,
+    labels: &[String],
+) {
+    out.push_str("{\"workload\":");
+    push_string(out, workload);
+    out.push_str(",\"backend\":");
+    push_string(out, &engine.backend_spec_string());
+    out.push_str(",\"policy\":");
+    push_string(out, engine.policy_name());
+    out.push(',');
+    write_report_fields(out, report, labels);
+    out.push('}');
 }
 
 // ---------------------------------------------------------------------

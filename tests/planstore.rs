@@ -126,6 +126,10 @@ impl PlanStore for CountingPuts {
         self.inner.put(key, value);
     }
 
+    fn retains(&self) -> bool {
+        self.inner.retains()
+    }
+
     fn stats(&self) -> PlanStoreStats {
         self.inner.stats()
     }
@@ -173,9 +177,13 @@ fn a_warm_run_puts_nothing_on_every_retaining_tier() {
         let (warm, warm_hits, warm_puts) = run();
         assert!(!cold.events.is_empty(), "{spec}: traced run has events");
         assert_eq!(cold, warm, "{spec}: warm run diverged from cold");
-        assert_eq!((cold_hits, cold_puts), (0, 1), "{spec}: cold run");
-        // `none` retains nothing, so its warm run misses and writes back.
-        let warm_expected = if spec == "none" { (0, 1) } else { (1, 0) };
+        // `none` retains nothing, so the engine never writes to it.
+        let (cold_expected, warm_expected) = if spec == "none" {
+            ((0, 0), (0, 0))
+        } else {
+            ((0, 1), (1, 0))
+        };
+        assert_eq!((cold_hits, cold_puts), cold_expected, "{spec}: cold run");
         assert_eq!((warm_hits, warm_puts), warm_expected, "{spec}: warm run");
     }
     std::fs::remove_dir_all(&dir).expect("scratch dir removable");
